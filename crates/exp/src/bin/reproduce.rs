@@ -38,10 +38,12 @@
 //! `--out PATH` (sweep only) writes the canonical sweep CSV to `PATH` plus an
 //! atomically-updated progress manifest at `PATH.manifest`, instead of
 //! printing a table. `--shard I/N` restricts the run to one shard of the grid
-//! (cells with `index % N == I`); `--resume` skips rows an interrupted run
-//! already materialised. `sweep-merge --inputs a.csv,b.csv,... --out PATH`
-//! validates the sidecar manifests and re-assembles the shards into bytes
-//! identical to the unsharded sweep.
+//! (the `I`-th of `N` balanced, contiguous ranges of cell indices);
+//! `--resume` skips rows an interrupted run already materialised.
+//! `sweep-merge --inputs a.csv,b.csv,... --out PATH` validates the sidecar
+//! manifests and concatenates the shards into bytes identical to the
+//! unsharded sweep. Both refuse manifests of the retired round-robin
+//! partition (`ayd-sweep-manifest v1`).
 //!
 //! `serve` exposes the optimiser over HTTP (see the `ayd-serve` crate docs):
 //! `--addr` picks the listen address (port 0 = ephemeral; the bound address is

@@ -172,3 +172,53 @@ fn merge_refuses_shards_from_different_sweeps() {
     assert!(!merged.exists(), "a mismatched merge must not write output");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn merge_and_resume_refuse_round_robin_v1_shards() {
+    // Shards written under the retired round-robin partition have the same
+    // sizes as range shards, so only the manifest version keeps them from
+    // being merged or resumed into range order.
+    let dir = temp_dir("v1");
+    let mut inputs = Vec::new();
+    for index in 0..2 {
+        let csv = dir.join(format!("shard-{index}.csv"));
+        let spec = format!("{index}/2");
+        let out = reproduce(&[BASE, &["--shard", &spec, "--out", path_str(&csv)]].concat());
+        assert!(out.status.success(), "{out:?}");
+        let manifest = dir.join(format!("shard-{index}.csv.manifest"));
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        assert!(text.starts_with("ayd-sweep-manifest v2\n"), "{text}");
+        std::fs::write(
+            &manifest,
+            text.replace("ayd-sweep-manifest v2", "ayd-sweep-manifest v1"),
+        )
+        .unwrap();
+        inputs.push(csv);
+    }
+    let merged = dir.join("merged.csv");
+    let input_list = format!("{},{}", path_str(&inputs[0]), path_str(&inputs[1]));
+    let out = reproduce(&[
+        "sweep-merge",
+        "--inputs",
+        &input_list,
+        "--out",
+        path_str(&merged),
+    ]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("ayd-sweep-manifest v1"), "{stderr}");
+    assert!(stderr.contains("re-run the shard"), "{stderr}");
+    assert!(!merged.exists(), "a refused merge must not write output");
+
+    let out = reproduce(
+        &[
+            BASE,
+            &["--shard", "0/2", "--out", path_str(&inputs[0]), "--resume"],
+        ]
+        .concat(),
+    );
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("ayd-sweep-manifest v1"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

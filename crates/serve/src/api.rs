@@ -1087,7 +1087,9 @@ fn worker_register(state: &Arc<AppState>, req: &Request) -> Response {
 }
 
 /// `POST /v1/workers/{id}/heartbeat` (coordinator only): renews a worker's
-/// lease. `404` tells the worker its registration is gone — re-register.
+/// lease and reports the shard it is executing (`"active"`: a
+/// `{job, shard, epoch}` object, or `null` when idle). `404` tells the
+/// worker its registration is gone — re-register.
 fn worker_heartbeat(state: &Arc<AppState>, req: &Request, id: u64) -> Response {
     let Some(coordinator) = &state.coordinator else {
         return bad_request("this server is not running in coordinator mode");
@@ -1107,7 +1109,32 @@ fn worker_heartbeat(state: &Arc<AppState>, req: &Request, id: u64) -> Response {
         )
         .response();
     };
-    match coordinator.heartbeat(id, token, Instant::now()) {
+    let active = match body.get("active") {
+        Some(Json::Null) => None,
+        Some(active) => {
+            let num = |key: &str| active.get(key).and_then(Json::as_f64);
+            match (num("job"), num("shard"), num("epoch")) {
+                (Some(job), Some(shard), Some(epoch)) => {
+                    Some((job as u64, shard as usize, epoch as u64))
+                }
+                _ => {
+                    return ApiError::field(
+                        "active",
+                        "field 'active' must be null or an object with job, shard and epoch",
+                    )
+                    .response()
+                }
+            }
+        }
+        None => {
+            return ApiError::field(
+                "active",
+                "field 'active' must report the executing shard (or null when idle)",
+            )
+            .response()
+        }
+    };
+    match coordinator.heartbeat(id, token, active, Instant::now()) {
         Ok(()) => Response::json(&Json::obj(vec![
             ("id", Json::num(id as f64)),
             ("status", Json::str("alive")),
@@ -2053,22 +2080,26 @@ mod tests {
         let (_, response) = route(&state, &post("/v1/workers/register", "{}"));
         assert_eq!(response.status, 400);
 
-        let (_, response) = route(
-            &state,
-            &post(
-                &format!("/v1/workers/{id}/heartbeat"),
-                &format!(r#"{{"token":"{token}"}}"#),
-            ),
-        );
+        let heartbeat =
+            |body: String| route(&state, &post(&format!("/v1/workers/{id}/heartbeat"), &body)).1;
+        let response = heartbeat(format!(r#"{{"token":"{token}","active":null}}"#));
         assert_eq!(response.status, 200);
+        let response = heartbeat(format!(
+            r#"{{"token":"{token}","active":{{"job":1,"shard":0,"epoch":0}}}}"#
+        ));
+        assert_eq!(response.status, 200);
+        // The active shard is a required field with a fixed shape.
+        for bad in [
+            format!(r#"{{"token":"{token}"}}"#),
+            format!(r#"{{"token":"{token}","active":{{"job":1}}}}"#),
+        ] {
+            let response = heartbeat(bad);
+            assert_eq!(response.status, 400);
+            let doc = body_json(&response);
+            assert_eq!(doc.get("field").and_then(Json::as_str), Some("active"));
+        }
         // A wrong token means the registration is gone: re-register.
-        let (_, response) = route(
-            &state,
-            &post(
-                &format!("/v1/workers/{id}/heartbeat"),
-                r#"{"token":"00000000deadbeef"}"#,
-            ),
-        );
+        let response = heartbeat(r#"{"token":"00000000deadbeef","active":null}"#.to_string());
         assert_eq!(response.status, 404);
 
         let (_, response) = route(&state, &get("/v1/workers"));

@@ -5,8 +5,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ayd_sweep::{
-    AnalyticEval, CacheStats, NullSink, RunOptions, ScenarioGrid, SearchReport, ShardSpec,
-    ShardedEvalCache, SweepExecutor, SweepJobHandle, SweepOptions, SweepRow,
+    AnalyticEval, CacheStats, NullSink, RunOptions, ScenarioGrid, ShardSpec, ShardedEvalCache,
+    SweepExecutor, SweepJobHandle, SweepOptions, SweepRow,
 };
 
 use crate::coordinator::Coordinator;
@@ -312,7 +312,6 @@ pub type ShardRows = Vec<Option<Vec<SweepRow>>>;
 struct ShardedOutcome {
     rows_by_shard: ShardRows,
     cache: CacheStats,
-    search: SearchReport,
 }
 
 /// Handle on a sharded sweep job: shards run one after another on a
@@ -333,8 +332,8 @@ pub struct ShardedJobHandle {
 /// reuse is observationally a pure speed-up.
 ///
 /// Callers may run inside the job registry's submit lock, so this flattens
-/// the grid exactly **once** (partitioning the single cell list by
-/// `index % count`) — flattening per shard would hold the lock for
+/// the grid exactly **once** (splitting the single cell list at each shard's
+/// [`ShardSpec::range`]) — flattening per shard would hold the lock for
 /// `count ×` the grid size — and takes the (cell-list-derived) fingerprints
 /// precomputed rather than re-flattening to hash.
 pub fn spawn_sharded(
@@ -346,15 +345,17 @@ pub fn spawn_sharded(
     options_fingerprint: u64,
 ) -> ShardedJobHandle {
     debug_assert_eq!(resumed.len(), count);
+    let mut cells = grid.cells();
+    let total = cells.len();
+    // Back to front, so each split moves only its own shard's cells.
     let mut cells_by_shard: Vec<Vec<ayd_sweep::SweepCell>> = (0..count)
+        .rev()
         .map(|index| {
             let spec = ShardSpec::new(index, count).expect("validated by the API layer");
-            Vec::with_capacity(spec.cell_count(grid.len()))
+            cells.split_off(spec.range(total).start)
         })
         .collect();
-    for cell in grid.cells() {
-        cells_by_shard[cell.index % count].push(cell);
-    }
+    cells_by_shard.reverse();
     let slots: Arc<Vec<ShardSlot>> = Arc::new(
         cells_by_shard
             .iter()
@@ -371,7 +372,6 @@ pub fn spawn_sharded(
         let executor = SweepExecutor::new(options);
         let mut rows_by_shard: Vec<Option<Vec<SweepRow>>> = vec![None; cells_by_shard.len()];
         let mut cache = CacheStats::default();
-        let mut search = SearchReport::default();
         let mut resumed = resumed;
         for (index, cells) in cells_by_shard.into_iter().enumerate() {
             let slot = &worker_slots[index];
@@ -398,7 +398,6 @@ pub fn spawn_sharded(
                 Some(&slot.completed),
             );
             cache = cache.merged(results.cache);
-            search.merge(&results.search);
             if results.rows.len() == cells.len() {
                 // Release for the same reason as the REUSED store above: the
                 // workers' progress increments happened-before the scope join,
@@ -413,7 +412,6 @@ pub fn spawn_sharded(
         ShardedOutcome {
             rows_by_shard,
             cache,
-            search,
         }
     });
     ShardedJobHandle {
@@ -470,7 +468,6 @@ impl ShardedJobHandle {
         let outcome = self.thread.join().unwrap_or_else(|_| ShardedOutcome {
             rows_by_shard: vec![None; count],
             cache: CacheStats::default(),
-            search: SearchReport::default(),
         });
         let cancelled = outcome.rows_by_shard.iter().any(Option::is_none);
         let completed: Vec<usize> = outcome
@@ -478,33 +475,15 @@ impl ShardedJobHandle {
             .iter()
             .map(|rows| rows.as_ref().map(Vec::len).unwrap_or(0))
             .collect();
-        // Deterministic merge by global cell id (ShardSpec owns the
-        // shard-to-global mapping, same as ayd-sweep's merge_parts), so
-        // interleaving reproduces the unsharded order — and, for a completed
-        // job, the unsharded CSV bytes.
-        let mut indexed: Vec<(usize, &SweepRow)> = Vec::new();
-        for (index, rows) in outcome.rows_by_shard.iter().enumerate() {
-            if let Some(rows) = rows {
-                let spec = ShardSpec::new(index, count).expect("count validated at submit");
-                indexed.extend(
-                    rows.iter()
-                        .enumerate()
-                        .map(|(k, row)| (spec.global_index(k), row)),
-                );
-            }
-        }
-        indexed.sort_unstable_by_key(|&(id, _)| id);
-        // Render through SweepResults::to_csv — the one canonical CSV
-        // serializer — rather than a second header+csv_line loop here.
-        let merged = ayd_sweep::SweepResults {
-            rows: indexed.into_iter().map(|(_, row)| row.clone()).collect(),
-            cache: outcome.cache,
-            search: outcome.search,
-        };
-        let csv = merged.to_csv();
+        // Shard ranges are contiguous and ascending, so the finished shards'
+        // rows in shard order are in global cell order — for a completed
+        // job, exactly the unsharded CSV bytes. Rendered by reference: a
+        // cancelled job keeps its rows for resume.
+        let rows = completed.iter().sum();
+        let csv = ayd_sweep::csv_text(outcome.rows_by_shard.iter().flatten().flatten());
         FinishedJob {
             cancelled,
-            rows: merged.rows.len(),
+            rows,
             csv,
             cache: outcome.cache,
             shards: Some(FinishedShards {
@@ -1060,7 +1039,7 @@ mod tests {
             .run_cells(&grid.shard_cells(shard0))
             .rows;
         let totals: Vec<usize> = (0..count)
-            .map(|i| ShardSpec::new(i, count).unwrap().cell_count(grid.len()))
+            .map(|i| ShardSpec::new(i, count).unwrap().range(grid.len()).len())
             .collect();
         let id = 4242;
         state.jobs.jobs.lock().unwrap().insert(

@@ -276,10 +276,20 @@ pub fn engine_sweep_csv(body: &str) -> Result<String, String> {
 /// Polls `GET /v1/workers` on a coordinator until at least `want` workers are
 /// alive (or `timeout` passes). Workers register asynchronously after their
 /// agent threads start, so cluster tests and CI must wait before submitting.
+/// A coordinator that is not listening yet counts as not ready.
 pub fn await_workers(addr: &str, want: usize, timeout: Duration) -> Result<(), String> {
     let deadline = std::time::Instant::now() + timeout;
     loop {
-        let mut client = HttpClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        let mut client = match HttpClient::connect(addr) {
+            Ok(client) => client,
+            Err(e) if std::time::Instant::now() > deadline => {
+                return Err(format!("connect {addr}: {e}"))
+            }
+            Err(_) => {
+                std::thread::sleep(Duration::from_millis(50));
+                continue;
+            }
+        };
         let response = client
             .get("/v1/workers", None)
             .map_err(|e| format!("i/o against {addr}: {e}"))?;

@@ -11,8 +11,15 @@
 //! verifiable against the job's fingerprints and the coordinator's own
 //! checkpoint.
 //!
+//! Dispatch is event-driven: the dispatcher thread sleeps on a condition
+//! variable that job submission, worker registration, shard completion and a
+//! heartbeat-detected abandonment signal, so a freed worker is handed its
+//! next shard at once. The dispatcher tick only bounds that wait, so lease
+//! expiry is still scanned on time.
+//!
 //! Failure handling is the paper's checkpoint/restart discipline applied to
-//! the cluster itself: when a worker's lease expires mid-shard, the shard is
+//! the cluster itself: when a worker's lease expires mid-shard — or its
+//! heartbeat shows it dropped the shard after a refused upload — the shard is
 //! re-queued **from the last accepted chunk** (the coordinator-side
 //! checkpoint, mirrored by the worker's atomically-renamed spool manifest) —
 //! at most the in-flight suffix is recomputed, never a completed cell. Every
@@ -21,14 +28,15 @@
 //! resurrected worker (or a slow upload racing a re-issued shard) is fenced
 //! out with `409` instead of corrupting the row stream.
 //!
-//! Rows merge incrementally as chunks arrive (the same global-index
-//! interleaving as [`merge_parts`]); the finished CSV is assembled by
-//! [`merge_parts`] itself over the per-shard manifests and is byte-identical
-//! to the single-process sweep by the determinism contract.
+//! Shards own contiguous, ascending ranges of global cells
+//! ([`ShardSpec::range`]), so the merged prefix grows shard by shard as
+//! chunks arrive; the finished CSV is assembled by [`merge_parts`] over the
+//! per-shard manifests and is byte-identical to the single-process sweep by
+//! the determinism contract.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use ayd_sweep::{merge_parts, ShardChunk, ShardPart, ShardSpec, CSV_HEADER};
@@ -47,6 +55,8 @@ struct WorkerRecord {
     last_seen: Instant,
     /// The shard currently dispatched to this worker, if any.
     assignment: Option<Assignment>,
+    /// What the coordinator knows about the worker holding `assignment`.
+    confirmation: Confirmation,
     /// Set when the lease expired; the record stays for visibility until
     /// purged, but the worker must re-register to be dispatched to again.
     dead: bool,
@@ -57,6 +67,23 @@ struct Assignment {
     job: u64,
     shard: usize,
     epoch: u64,
+}
+
+/// How far a worker's current assignment is confirmed. A heartbeat carries
+/// the worker's active `(job, shard, epoch)`, but one sampled before the
+/// dispatch landed reports the worker idle, so only a heartbeat that is
+/// certain to postdate the shard's start may declare it abandoned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Confirmation {
+    /// Planned; the `/v1/shards/run` post has not been acknowledged.
+    InFlight,
+    /// The worker answered `202`: it started the shard. A heartbeat
+    /// received now may still have been sampled before that start.
+    Acked,
+    /// A heartbeat arrived after the acknowledgement. The agent sends
+    /// heartbeats one at a time, so every later one was sampled after the
+    /// start: a report without the assignment means the worker dropped it.
+    Settled,
 }
 
 /// Dispatch state of one shard of a distributed job.
@@ -93,8 +120,6 @@ struct DistJob {
     count: usize,
     shards: Vec<DistShard>,
     cancelled: bool,
-    /// Rows merged into global order so far (the streaming-merge frontier).
-    merged_rows: usize,
 }
 
 impl DistJob {
@@ -112,20 +137,19 @@ impl DistJob {
             .all(|s| matches!(s.state, ShardState::Done))
     }
 
-    /// Advances the streaming merge frontier: global cell `g` lives in shard
-    /// `g % count` at local index `g / count` (the [`ShardSpec`] mapping), so
-    /// the merged prefix grows as soon as every shard has checkpointed its
-    /// next interleaved row.
-    fn advance_merge(&mut self) {
-        loop {
-            let shard = self.merged_rows % self.count;
-            let local = self.merged_rows / self.count;
-            if self.shards[shard].rows.len() > local {
-                self.merged_rows += 1;
-            } else {
+    /// The streaming merge frontier: shards own contiguous, ascending cell
+    /// ranges ([`ShardSpec::range`]), so the rows already in global order
+    /// are every row of the leading complete shards plus the checkpoint of
+    /// the first incomplete one.
+    fn merged_rows(&self) -> usize {
+        let mut merged = 0;
+        for shard in &self.shards {
+            merged += shard.rows.len();
+            if shard.rows.len() < shard.total {
                 break;
             }
         }
+        merged
     }
 }
 
@@ -242,7 +266,7 @@ pub struct DistShardView {
     pub worker_addr: Option<String>,
     /// Current fencing epoch.
     pub epoch: u64,
-    /// Times the shard was re-issued after a lease expiry.
+    /// Times the shard was re-issued (lease expiry or abandonment).
     pub reissues: u64,
 }
 
@@ -271,7 +295,8 @@ pub struct ClusterStats {
     pub workers_dead: usize,
     /// Shard dispatches attempted (`ayd_shards_dispatched_total`).
     pub shards_dispatched_total: u64,
-    /// Shards re-issued after a lease expiry (`ayd_shard_reissues_total`).
+    /// Shards re-issued after a lease expiry or an abandonment the worker's
+    /// heartbeat revealed (`ayd_shard_reissues_total`).
     pub shard_reissues_total: u64,
     /// Worker leases expired (`ayd_lease_expiries_total`).
     pub lease_expiries_total: u64,
@@ -307,6 +332,10 @@ pub struct Coordinator {
     reissues_total: AtomicU64,
     lease_expiries_total: AtomicU64,
     stop: AtomicBool,
+    /// Set by every event that may enable a dispatch; the dispatcher waits
+    /// on `wake_signal` until it is set (see `Coordinator::wait_wake`).
+    wake: Mutex<bool>,
+    wake_signal: Condvar,
 }
 
 /// SplitMix64 finalizer — the token generator (uniqueness, not secrecy, is
@@ -339,6 +368,8 @@ impl Coordinator {
             reissues_total: AtomicU64::new(0),
             lease_expiries_total: AtomicU64::new(0),
             stop: AtomicBool::new(false),
+            wake: Mutex::new(false),
+            wake_signal: Condvar::new(),
         })
     }
 
@@ -350,6 +381,25 @@ impl Coordinator {
     /// Asks the dispatcher thread to exit.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.wake();
+    }
+
+    /// Wakes the dispatcher: something may have made a dispatch possible.
+    fn wake(&self) {
+        *self.wake.lock().unwrap_or_else(|p| p.into_inner()) = true;
+        self.wake_signal.notify_all();
+    }
+
+    /// Waits until the dispatcher is woken or `timeout` passes, consuming
+    /// the wake. Returns whether it was woken (a wake that arrived while
+    /// nobody waited counts, so none is lost between scans).
+    fn wait_wake(&self, timeout: Duration) -> bool {
+        let woken = self.wake.lock().unwrap_or_else(|p| p.into_inner());
+        let (mut woken, _) = self
+            .wake_signal
+            .wait_timeout_while(woken, timeout, |woken| !*woken)
+            .unwrap_or_else(|p| p.into_inner());
+        std::mem::replace(&mut *woken, false)
     }
 
     /// True once [`Coordinator::stop`] was called.
@@ -381,27 +431,58 @@ impl Coordinator {
                 token,
                 last_seen: now,
                 assignment: None,
+                confirmation: Confirmation::InFlight,
                 dead: false,
             },
         );
+        drop(state);
+        self.wake();
         (id, token)
     }
 
-    /// Renews a worker's lease. `Err` (worker unknown, token mismatch or
-    /// declared dead) tells the worker to re-register.
-    pub fn heartbeat(&self, id: u64, token: u64, now: Instant) -> Result<(), String> {
+    /// Renews a worker's lease. `active` is the `(job, shard, epoch)` the
+    /// worker reports executing. When it settles that the worker no longer
+    /// holds its dispatched shard — an upload was refused or failed and the
+    /// worker abandoned it — the shard re-queues from its checkpoint under a
+    /// bumped epoch, like a lease expiry, and the dispatcher is woken. `Err`
+    /// (worker unknown, token mismatch or declared dead) tells the worker to
+    /// re-register.
+    pub fn heartbeat(
+        &self,
+        id: u64,
+        token: u64,
+        active: Option<(u64, usize, u64)>,
+        now: Instant,
+    ) -> Result<(), String> {
         let mut state = self.lock();
-        match state.workers.get_mut(&id) {
-            Some(record) if record.token == token && !record.dead => {
-                record.last_seen = now;
-                Ok(())
-            }
+        let record = match state.workers.get_mut(&id) {
+            Some(record) if record.token == token && !record.dead => record,
             Some(record) if record.dead => {
-                Err(format!("worker {id} was declared dead; re-register"))
+                return Err(format!("worker {id} was declared dead; re-register"))
             }
-            Some(_) => Err(format!("worker {id} token mismatch; re-register")),
-            None => Err(format!("unknown worker {id}; re-register")),
+            Some(_) => return Err(format!("worker {id} token mismatch; re-register")),
+            None => return Err(format!("unknown worker {id}; re-register")),
+        };
+        record.last_seen = now;
+        let Some(assignment) = record.assignment else {
+            return Ok(());
+        };
+        let held = active == Some((assignment.job, assignment.shard, assignment.epoch));
+        match record.confirmation {
+            Confirmation::InFlight => return Ok(()),
+            Confirmation::Acked => {
+                record.confirmation = Confirmation::Settled;
+                return Ok(());
+            }
+            Confirmation::Settled if held => return Ok(()),
+            Confirmation::Settled => record.assignment = None,
         }
+        let requeued = self.requeue(&mut state, assignment);
+        drop(state);
+        if requeued {
+            self.wake();
+        }
+        Ok(())
     }
 
     /// Registers a distributed job: `count` pending shards over a
@@ -419,7 +500,7 @@ impl Coordinator {
             .map(|index| {
                 let spec = ShardSpec::new(index, count).expect("count validated by the API layer");
                 DistShard {
-                    total: spec.cell_count(grid_cells),
+                    total: spec.range(grid_cells).len(),
                     state: ShardState::Pending,
                     epoch: 0,
                     rows: Vec::new(),
@@ -438,9 +519,9 @@ impl Coordinator {
                 count,
                 shards,
                 cancelled: false,
-                merged_rows: 0,
             },
         );
+        self.wake();
     }
 
     /// Expires leases: workers more than two leases behind are declared dead
@@ -472,34 +553,42 @@ impl Coordinator {
             !record.dead || now.duration_since(record.last_seen) <= purge_after
         });
         for assignment in requeue {
-            let Some(job) = state.jobs.get_mut(&assignment.job) else {
-                continue;
-            };
-            let shard = &mut job.shards[assignment.shard];
-            // Only the epoch the worker held can be re-queued: a `Done`
-            // shard, or one already re-issued, is left alone.
-            if shard.epoch == assignment.epoch
-                && matches!(shard.state, ShardState::Dispatched { .. })
-            {
-                shard.state = ShardState::Pending;
-                shard.epoch += 1;
-                shard.reissues += 1;
-                self.reissues_total.fetch_add(1, Ordering::Relaxed);
-                let mut span = ayd_obs::span("shard_reissue");
-                span.field_u64("job", assignment.job);
-                span.field_u64("shard", assignment.shard as u64);
-                span.field_u64("epoch", shard.epoch);
-                span.field_u64("checkpointed_rows", shard.rows.len() as u64);
-                span.finish();
-            }
+            self.requeue(&mut state, assignment);
         }
         died
     }
 
+    /// Re-queues the shard a worker held from its coordinator checkpoint
+    /// under a bumped epoch, which fences any late upload of the old one.
+    /// Only the epoch the worker held can be re-queued: a `Done` shard, or
+    /// one already re-issued, is left alone. Returns whether it re-queued.
+    fn requeue(&self, state: &mut ClusterState, assignment: Assignment) -> bool {
+        let Some(job) = state.jobs.get_mut(&assignment.job) else {
+            return false;
+        };
+        let shard = &mut job.shards[assignment.shard];
+        if shard.epoch != assignment.epoch || !matches!(shard.state, ShardState::Dispatched { .. })
+        {
+            return false;
+        }
+        shard.state = ShardState::Pending;
+        shard.epoch += 1;
+        shard.reissues += 1;
+        self.reissues_total.fetch_add(1, Ordering::Relaxed);
+        let mut span = ayd_obs::span("shard_reissue");
+        span.field_u64("job", assignment.job);
+        span.field_u64("shard", assignment.shard as u64);
+        span.field_u64("epoch", shard.epoch);
+        span.field_u64("checkpointed_rows", shard.rows.len() as u64);
+        span.finish();
+        true
+    }
+
     /// Plans dispatches: pending shards are assigned to idle alive workers
     /// under the lock (shard marked `Dispatched`, worker's assignment set),
-    /// and the HTTP posts happen outside it. A failed post must be reported
-    /// back via [`Coordinator::dispatch_failed`].
+    /// and the HTTP posts happen outside it. Each post's outcome must be
+    /// reported back via [`Coordinator::dispatch_acked`] or
+    /// [`Coordinator::dispatch_failed`].
     pub fn dispatch_plan(&self, now: Instant) -> Vec<Dispatch> {
         let mut state = self.lock();
         let mut idle: Vec<u64> = state
@@ -552,20 +641,31 @@ impl Coordinator {
                     grid_fingerprint: job.grid_fingerprint,
                     options_fingerprint: job.options_fingerprint,
                 };
-                state
-                    .workers
-                    .get_mut(&worker_id)
-                    .expect("worker present")
-                    .assignment = Some(Assignment {
+                let record = state.workers.get_mut(&worker_id).expect("worker present");
+                record.assignment = Some(Assignment {
                     job: job_id,
                     shard: shard_index,
                     epoch: dispatch.epoch,
                 });
+                record.confirmation = Confirmation::InFlight;
                 self.dispatched_total.fetch_add(1, Ordering::Relaxed);
                 plan.push(dispatch);
             }
         }
         plan
+    }
+
+    /// Records that the worker acknowledged a dispatch (`202`): it started
+    /// the shard, so its heartbeats may now settle whether it still holds it.
+    pub fn dispatch_acked(&self, dispatch: &Dispatch) {
+        let mut state = self.lock();
+        if let Some(record) = state.workers.get_mut(&dispatch.worker) {
+            if record.assignment == Some(dispatch.assignment())
+                && record.confirmation == Confirmation::InFlight
+            {
+                record.confirmation = Confirmation::Acked;
+            }
+        }
     }
 
     /// Reverts a dispatch whose HTTP post failed: the shard goes back to
@@ -574,13 +674,7 @@ impl Coordinator {
     pub fn dispatch_failed(&self, dispatch: &Dispatch) {
         let mut state = self.lock();
         if let Some(record) = state.workers.get_mut(&dispatch.worker) {
-            if record.assignment
-                == Some(Assignment {
-                    job: dispatch.job,
-                    shard: dispatch.shard,
-                    epoch: dispatch.epoch,
-                })
-            {
+            if record.assignment == Some(dispatch.assignment()) {
                 record.assignment = None;
             }
         }
@@ -727,15 +821,18 @@ impl Coordinator {
         if shard_done {
             shard.state = ShardState::Done;
         }
-        job.advance_merge();
         let job_done = job.is_done();
         // The upload doubles as a heartbeat, and a finished shard frees the
-        // worker for the next dispatch tick.
+        // worker: the dispatcher is woken to hand it the next one at once.
         if let Some(record) = state.workers.get_mut(&worker) {
             record.last_seen = now;
             if shard_done {
                 record.assignment = None;
             }
+        }
+        drop(state);
+        if shard_done {
+            self.wake();
         }
         Ok(ChunkOutcome {
             accepted_rows,
@@ -801,7 +898,7 @@ impl Coordinator {
             .collect();
         Some(DistJobView {
             shards,
-            merged_rows: entry.merged_rows,
+            merged_rows: entry.merged_rows(),
             total: entry.total(),
             cancelled: entry.cancelled,
         })
@@ -921,6 +1018,16 @@ impl Coordinator {
     }
 }
 
+impl Dispatch {
+    fn assignment(&self) -> Assignment {
+        Assignment {
+            job: self.job,
+            shard: self.shard,
+            epoch: self.epoch,
+        }
+    }
+}
+
 /// Renders the `/v1/shards/run` dispatch body a worker receives.
 pub fn dispatch_body(dispatch: &Dispatch) -> String {
     let grid = Json::parse(&dispatch.grid_json).unwrap_or(Json::Obj(Vec::new()));
@@ -963,8 +1070,10 @@ fn send_dispatch(dispatch: &Dispatch) -> bool {
 }
 
 /// The dispatcher loop: expire leases, plan dispatches under the lock, post
-/// them outside it, revert failures; ticks at a quarter lease (capped at
-/// 250 ms) until [`Coordinator::stop`].
+/// them outside it, record acknowledgements and revert failures, then wait
+/// for the next wake — a submission, a registration, a completed shard, an
+/// abandoned shard or [`Coordinator::stop`]. The wait is bounded by a
+/// quarter lease (capped at 250 ms), so lease expiry is scanned on time.
 pub fn run_dispatcher(coordinator: Arc<Coordinator>) {
     let tick = (coordinator.lease() / 4)
         .min(Duration::from_millis(250))
@@ -973,11 +1082,13 @@ pub fn run_dispatcher(coordinator: Arc<Coordinator>) {
         let now = Instant::now();
         coordinator.expire(now);
         for dispatch in coordinator.dispatch_plan(now) {
-            if !send_dispatch(&dispatch) {
+            if send_dispatch(&dispatch) {
+                coordinator.dispatch_acked(&dispatch);
+            } else {
                 coordinator.dispatch_failed(&dispatch);
             }
         }
-        std::thread::sleep(tick);
+        coordinator.wait_wake(tick);
     }
 }
 
@@ -1152,7 +1263,7 @@ mod tests {
         assert_eq!(stats.lease_expiries_total, 1);
         assert_eq!(stats.shard_reissues_total, 1);
         // Its heartbeat now demands re-registration.
-        assert!(coordinator.heartbeat(worker, token, dead_at).is_err());
+        assert!(coordinator.heartbeat(worker, token, None, dead_at).is_err());
         // A new worker receives the re-issued shard *from the checkpoint*.
         let (worker2, _token2) = coordinator.register_worker("127.0.0.1:2", dead_at);
         let plan2 = coordinator.dispatch_plan(dead_at);
@@ -1163,6 +1274,186 @@ mod tests {
         assert_eq!(reissued.worker, worker2);
         assert_eq!(reissued.start_row, 1, "completed cells are not recomputed");
         assert_eq!(reissued.epoch, d.epoch + 1);
+    }
+
+    #[test]
+    fn a_shard_the_worker_abandoned_requeues_without_waiting_for_its_lease() {
+        // The worker cancelled the shard after a refused upload but keeps
+        // heartbeating, so its lease never expires: only its report of the
+        // active shard can free the shard.
+        let (coordinator, t0, worker, token, plan) = cluster();
+        let d = &plan[0];
+        let view =
+            |coordinator: &Coordinator| coordinator.shards_view(7).unwrap().shards[d.shard].clone();
+        coordinator
+            .accept_chunk(
+                7,
+                d.shard,
+                worker,
+                token,
+                d.epoch,
+                &chunk(d.shard, 2, 0, 1),
+                t0,
+            )
+            .unwrap();
+        // While the dispatch post is unanswered, an idle report may predate
+        // the worker receiving it: nothing re-queues.
+        coordinator.heartbeat(worker, token, None, t0).unwrap();
+        assert_eq!(view(&coordinator).status, "dispatched");
+        // Acknowledged, but the first heartbeat after the ack may still have
+        // been sampled before the shard started.
+        coordinator.dispatch_acked(d);
+        coordinator.heartbeat(worker, token, None, t0).unwrap();
+        assert_eq!(view(&coordinator).status, "dispatched");
+        // Reports of the shard itself keep it dispatched.
+        coordinator
+            .heartbeat(worker, token, Some((7, d.shard, d.epoch)), t0)
+            .unwrap();
+        assert_eq!(view(&coordinator).status, "dispatched");
+        while coordinator.wait_wake(Duration::ZERO) {}
+        // From then on a heartbeat without the shard means it was dropped:
+        // re-queued from the checkpoint under the next epoch, dispatcher woken.
+        coordinator.heartbeat(worker, token, None, t0).unwrap();
+        assert!(
+            coordinator.wait_wake(Duration::ZERO),
+            "the dispatcher is woken"
+        );
+        let shard = view(&coordinator);
+        assert_eq!(shard.status, "pending");
+        assert_eq!(shard.epoch, d.epoch + 1);
+        assert_eq!(shard.reissues, 1);
+        assert_eq!(shard.completed, 1, "the checkpoint is kept");
+        let stats = coordinator.stats(t0);
+        assert_eq!(stats.shard_reissues_total, 1);
+        assert_eq!(stats.lease_expiries_total, 0);
+        // The freed worker is planned again, from the checkpoint.
+        let replan = coordinator.dispatch_plan(t0);
+        assert_eq!(replan.len(), 1);
+        assert_eq!(replan[0].shard, d.shard);
+        assert_eq!(replan[0].worker, worker);
+        assert_eq!(replan[0].epoch, d.epoch + 1);
+        assert_eq!(replan[0].start_row, 1);
+        // A late upload under the abandoned epoch is fenced.
+        let err = coordinator
+            .accept_chunk(
+                7,
+                d.shard,
+                worker,
+                token,
+                d.epoch,
+                &chunk(d.shard, 2, 1, 1),
+                t0,
+            )
+            .unwrap_err();
+        assert!(matches!(err, ChunkError::Stale(_)), "{err:?}");
+        assert_eq!(err.status().0, 409);
+        assert_eq!(view(&coordinator).completed, 1);
+    }
+
+    #[test]
+    fn submissions_registrations_and_completed_shards_wake_the_dispatcher() {
+        let coordinator = Coordinator::new(LEASE);
+        let t0 = Instant::now();
+        assert!(
+            !coordinator.wait_wake(Duration::ZERO),
+            "nothing happened yet"
+        );
+        let (worker, token) = coordinator.register_worker("127.0.0.1:1", t0);
+        assert!(coordinator.wait_wake(Duration::ZERO), "registration wakes");
+        assert!(
+            !coordinator.wait_wake(Duration::ZERO),
+            "a wake is consumed once"
+        );
+        let g = grid();
+        coordinator.submit(
+            7,
+            "{}".to_string(),
+            g.fingerprint(),
+            options().output_fingerprint(),
+            2,
+            g.len(),
+        );
+        assert!(coordinator.wait_wake(Duration::ZERO), "submission wakes");
+        let d = coordinator.dispatch_plan(t0).remove(0);
+        coordinator.dispatch_acked(&d);
+        coordinator
+            .heartbeat(worker, token, Some((7, d.shard, d.epoch)), t0)
+            .unwrap();
+        let total = coordinator.shards_view(7).unwrap().shards[d.shard].total;
+        coordinator
+            .accept_chunk(
+                7,
+                d.shard,
+                worker,
+                token,
+                d.epoch,
+                &chunk(d.shard, 2, 0, 1),
+                t0,
+            )
+            .unwrap();
+        assert!(
+            !coordinator.wait_wake(Duration::ZERO),
+            "planning, acks, heartbeats and partial chunks free nothing"
+        );
+        let done = coordinator
+            .accept_chunk(
+                7,
+                d.shard,
+                worker,
+                token,
+                d.epoch,
+                &chunk(d.shard, 2, 1, total - 1),
+                t0,
+            )
+            .unwrap();
+        assert!(done.shard_done);
+        assert!(
+            coordinator.wait_wake(Duration::ZERO),
+            "a completed shard wakes"
+        );
+        coordinator.stop();
+        assert!(coordinator.wait_wake(Duration::ZERO), "stop wakes");
+    }
+
+    #[test]
+    fn the_merge_frontier_grows_shard_by_shard() {
+        let coordinator = Coordinator::new(LEASE);
+        let t0 = Instant::now();
+        let workers = [
+            coordinator.register_worker("127.0.0.1:1", t0),
+            coordinator.register_worker("127.0.0.1:2", t0),
+        ];
+        let g = grid();
+        coordinator.submit(
+            3,
+            "{}".to_string(),
+            g.fingerprint(),
+            options().output_fingerprint(),
+            2,
+            g.len(),
+        );
+        let plan = coordinator.dispatch_plan(t0);
+        assert_eq!(plan.len(), 2);
+        let upload = |shard: usize, from: usize, rows: usize| {
+            let d = plan.iter().find(|d| d.shard == shard).unwrap();
+            let (_, token) = workers.iter().find(|(id, _)| *id == d.worker).unwrap();
+            coordinator
+                .accept_chunk(
+                    3,
+                    shard,
+                    d.worker,
+                    *token,
+                    d.epoch,
+                    &chunk(shard, 2, from, rows),
+                    t0,
+                )
+                .unwrap();
+            coordinator.shards_view(3).unwrap().merged_rows
+        };
+        // Shard 1 owns the tail of the grid: its rows wait for shard 0.
+        assert_eq!(upload(1, 0, 2), 0);
+        assert_eq!(upload(0, 0, 1), 1);
+        assert_eq!(upload(0, 1, 1), g.len(), "both shards complete");
     }
 
     #[test]

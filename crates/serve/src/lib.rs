@@ -55,8 +55,9 @@
 //! Cluster mode ([`coordinator`], [`worker`]) distributes one sweep across
 //! processes: the coordinator decomposes a `/v1/sweep` job into
 //! [`ayd_sweep::ShardSpec`] units, dispatches them to registered workers over
-//! [`client::HttpClient`], checkpoints uploaded row chunks, re-issues a dead
-//! worker's shard from its checkpoint when the lease expires, and merges via
+//! [`client::HttpClient`], checkpoints uploaded row chunks, re-issues a
+//! shard from its checkpoint when its worker's lease expires or its
+//! heartbeat shows the shard abandoned, and merges via
 //! [`ayd_sweep::merge_parts`] so the CSV is byte-identical to a
 //! single-process sweep. See `docs/ARCHITECTURE.md` and
 //! `docs/OPERATIONS.md` at the repository root.

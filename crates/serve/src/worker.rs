@@ -3,9 +3,10 @@
 //!
 //! An ayd-serve instance started with `--worker-of COORDINATOR` runs a small
 //! agent thread that registers with the coordinator (`POST
-//! /v1/workers/register`), then heartbeats on the advertised cadence; any
-//! failed heartbeat — or a `404` telling the worker its lease already
-//! expired — drops the registration and re-registers under a fresh identity.
+//! /v1/workers/register`), then heartbeats on the advertised cadence,
+//! reporting the shard it is executing; any failed heartbeat — or a `404`
+//! telling the worker its lease already expired — drops the registration
+//! and re-registers under a fresh identity.
 //!
 //! Dispatches arrive over the worker's own HTTP listener (`POST
 //! /v1/shards/run`): the handler rebuilds the grid from the forwarded sweep
@@ -19,17 +20,17 @@
 //! file-based shard runs, so a post-mortem of a killed worker shows exactly
 //! what it had durably completed), then uploads the chunk. A refused upload
 //! (stale epoch after a re-issue, coordinator restart, cancelled job) aborts
-//! the shard: the coordinator owns the authoritative checkpoint and will
-//! re-issue from it.
+//! the shard: the coordinator owns the authoritative checkpoint, learns of
+//! the abandonment from the next heartbeats and re-issues from it.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use ayd_sweep::{
-    csv_line, manifest_path, ScenarioGrid, ShardChunk, ShardSpec, SweepExecutor, SweepManifest,
-    SweepOptions, SweepResults, SweepRow, SweepSink,
+    csv_line, manifest_path, ScenarioGrid, ShardChunk, ShardSpec, SweepCell, SweepExecutor,
+    SweepManifest, SweepOptions, SweepResults, SweepRow, SweepSink,
 };
 
 use crate::client::HttpClient;
@@ -54,10 +55,12 @@ struct ActiveShard {
 /// Why a dispatch was refused by the worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StartError {
-    /// The dispatch names a worker id this node is not registered as (409).
+    /// The dispatch names a worker id this node is not registered as, or
+    /// the node is shutting down (409).
     NotThisWorker(String),
-    /// A shard is already executing here (409) — the coordinator only
-    /// dispatches to idle workers, so this fences a duplicated dispatch.
+    /// A shard is still executing here after a short grace (409) — the
+    /// coordinator only dispatches to idle workers, so this fences a
+    /// duplicated dispatch.
     Busy(String),
     /// The dispatch contradicts this worker's configuration: fingerprint
     /// mismatch, bad shard spec or out-of-range start row (400).
@@ -104,12 +107,20 @@ pub struct ShardRun {
     pub options_fingerprint: u64,
 }
 
+/// How long a dispatch waits for the executing shard to clear its slot.
+/// The coordinator frees a worker when it accepts the shard's final chunk,
+/// and may dispatch again before the worker has read that upload's reply;
+/// the slot clears moments later, so the dispatch waits instead of bouncing.
+const BUSY_GRACE: Duration = Duration::from_millis(250);
+
 /// Worker-side cluster state: the current registration, the (at most one)
 /// executing shard, and the agent stop flag.
 pub struct WorkerRuntime {
     coordinator: String,
     registration: Mutex<Option<Registration>>,
     active: Mutex<Option<ActiveShard>>,
+    /// Signalled when the executing shard clears `active`.
+    idle: Condvar,
     stop: AtomicBool,
 }
 
@@ -120,6 +131,7 @@ impl WorkerRuntime {
             coordinator: coordinator.to_string(),
             registration: Mutex::new(None),
             active: Mutex::new(None),
+            idle: Condvar::new(),
             stop: AtomicBool::new(false),
         })
     }
@@ -169,9 +181,11 @@ impl WorkerRuntime {
     /// Accepts a dispatch and starts the shard on a fresh compute thread.
     ///
     /// Refuses dispatches addressed to another worker id, dispatches while a
-    /// shard is already executing, and dispatches whose fingerprints disagree
-    /// with this worker's own grid/options (the cluster must be started with
-    /// identical run options for the determinism contract to hold).
+    /// shard is still executing after a 250 ms grace, and dispatches whose
+    /// fingerprints disagree with this worker's own grid/options (the cluster
+    /// must be started with identical run options for the determinism
+    /// contract to hold). The grid is fingerprinted and sliced once here;
+    /// the compute thread receives the shard's cells and manifest.
     pub fn start_shard(
         self: &Arc<Self>,
         options: SweepOptions,
@@ -187,11 +201,11 @@ impl WorkerRuntime {
                 run.worker, registration.id
             )));
         }
-        if grid.fingerprint() != run.grid_fingerprint {
+        let grid_fingerprint = grid.fingerprint();
+        if grid_fingerprint != run.grid_fingerprint {
             return Err(StartError::Mismatch(format!(
-                "grid fingerprint mismatch: dispatch says {:016x}, rebuilt grid is {:016x}",
+                "grid fingerprint mismatch: dispatch says {:016x}, rebuilt grid is {grid_fingerprint:016x}",
                 run.grid_fingerprint,
-                grid.fingerprint()
             )));
         }
         if options.output_fingerprint() != run.options_fingerprint {
@@ -212,14 +226,28 @@ impl WorkerRuntime {
                 cells.len()
             )));
         }
+        let mut manifest =
+            SweepManifest::with_grid_fingerprint(grid_fingerprint, &grid, &options, spec);
+        manifest.completed = run.start_row;
         let cancel = Arc::new(AtomicBool::new(false));
         {
-            let mut active = self.lock_active();
+            let active = self.lock_active();
+            let (mut active, _) = self
+                .idle
+                .wait_timeout_while(active, BUSY_GRACE, |active| active.is_some())
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
             if let Some(executing) = active.as_ref() {
                 return Err(StartError::Busy(format!(
                     "worker is executing job {} shard {} (epoch {})",
                     executing.job, executing.shard, executing.epoch
                 )));
+            }
+            // Checked under the slot lock, which `stop` takes after raising
+            // the flag: a shard is either refused here or cancelled there.
+            if self.stopped() {
+                return Err(StartError::NotThisWorker(
+                    "worker is shutting down".to_string(),
+                ));
             }
             *active = Some(ActiveShard {
                 job: run.job,
@@ -233,7 +261,7 @@ impl WorkerRuntime {
         std::thread::Builder::new()
             .name(format!("ayd-shard-{}-{}", run.job, run.shard))
             .spawn(move || {
-                this.compute_shard(options, grid, spec, run, token, cancel);
+                this.compute_shard(options, cells, manifest, run, token, cancel);
             })
             .expect("spawn the shard compute thread");
         Ok(())
@@ -244,15 +272,12 @@ impl WorkerRuntime {
     fn compute_shard(
         self: Arc<Self>,
         options: SweepOptions,
-        grid: ScenarioGrid,
-        spec: ShardSpec,
+        cells: Vec<SweepCell>,
+        manifest: SweepManifest,
         run: ShardRun,
         token: u64,
         cancel: Arc<AtomicBool>,
     ) {
-        let cells = grid.shard_cells(spec);
-        let mut manifest = SweepManifest::new(&grid, &options, spec);
-        manifest.completed = run.start_row;
         // Between 16 and 512 rows per chunk: frequent enough that a lost
         // worker forfeits only a small suffix, coarse enough that uploads
         // do not dominate the sweep.
@@ -274,6 +299,9 @@ impl WorkerRuntime {
         if !cancel.load(Ordering::SeqCst) {
             sink.flush();
         }
+        // The slot clears only after the final upload returned, so a
+        // heartbeat never reports the shard dropped while its last chunk is
+        // still in flight.
         let mut active = self.lock_active();
         if let Some(executing) = active.as_ref() {
             if executing.job == run.job
@@ -281,6 +309,7 @@ impl WorkerRuntime {
                 && executing.epoch == run.epoch
             {
                 *active = None;
+                self.idle.notify_all();
             }
         }
     }
@@ -425,10 +454,21 @@ pub fn run_agent(runtime: Arc<WorkerRuntime>, advertise: String) {
                 if runtime.stopped() {
                     break;
                 }
-                let body = Json::obj(vec![(
-                    "token",
-                    Json::str(format!("{:016x}", registration.token)),
-                )])
+                // Sampled before the request is sent: the coordinator relies
+                // on heartbeats going out one at a time (see its
+                // `Confirmation`).
+                let active = match runtime.active_shard() {
+                    Some((job, shard, epoch)) => Json::obj(vec![
+                        ("job", Json::num(job as f64)),
+                        ("shard", Json::num(shard as f64)),
+                        ("epoch", Json::num(epoch as f64)),
+                    ]),
+                    None => Json::Null,
+                };
+                let body = Json::obj(vec![
+                    ("token", Json::str(format!("{:016x}", registration.token))),
+                    ("active", active),
+                ])
                 .render();
                 let path = format!("/v1/workers/{}/heartbeat", registration.id);
                 let renewed = HttpClient::connect(runtime.coordinator())

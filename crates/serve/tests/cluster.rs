@@ -92,54 +92,82 @@ fn counter(addr: &str, name: &str) -> f64 {
     scrape.value(name).unwrap_or(0.0)
 }
 
-#[test]
-fn a_cluster_survives_a_worker_killed_mid_shard_without_recomputing_rows() {
-    let (coord_handle, coord_thread, _) = boot(coordinator_config());
-    let coord_addr = coord_handle.addr().to_string();
+/// One attempt at killing a worker mid-shard: boots a victim worker,
+/// submits `body`, waits until the victim has checkpointed part of a shard,
+/// then freezes it — compute cancelled at the next cell, heartbeats stopped,
+/// no final upload — which is what `kill -9` looks like from the
+/// coordinator: a lease that silently stops renewing. Returns the job id,
+/// the shard the victim held when it died and that shard's checkpoint, or
+/// `None` when the victim finished its shard before the kill landed.
+fn kill_a_worker_mid_shard(coord_addr: &str, body: &str) -> Option<(u64, usize, usize)> {
+    let (victim_handle, victim_thread, victim_state) = boot(worker_config(coord_addr));
+    let victim = victim_state.worker.as_ref().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let victim_id = loop {
+        if let Some(id) = victim.registration_id() {
+            break id as f64;
+        }
+        assert!(Instant::now() < deadline, "the victim did not register");
+        std::thread::sleep(Duration::from_millis(5));
+    };
 
-    // Phase 1: one worker only, so the first shard is guaranteed to be
-    // dispatched to the node we are about to kill.
-    let (victim_handle, victim_thread, victim_state) = boot(worker_config(&coord_addr));
-    await_workers(&coord_addr, 1, Duration::from_secs(30)).unwrap();
-
-    // Submit the sweep as a 2-shard distributed job.
-    let mut client = HttpClient::connect(&coord_addr).unwrap();
-    let body = format!("{}{}", &GRID_BODY[..GRID_BODY.len() - 1], r#","shards":2}"#);
-    let accepted = client.post_json("/v1/sweep", &body).unwrap();
+    let mut client = HttpClient::connect(coord_addr).unwrap();
+    let accepted = client.post_json("/v1/sweep", body).unwrap();
     assert_eq!(accepted.status, 202, "{}", accepted.body);
     let doc = Json::parse(&accepted.body).unwrap();
     let id = doc.get("id").unwrap().as_f64().unwrap() as u64;
     assert!(matches!(doc.get("resume_token"), Some(Json::Null)));
 
-    // Wait until the victim has checkpointed at least one chunk of a shard
-    // it has not finished, then kill it instantly: freezing the worker
-    // runtime (compute cancelled at the next cell, heartbeats stopped, no
-    // final upload) is what `kill -9` looks like from the coordinator — a
-    // lease that silently stops renewing with the shard half-checkpointed.
+    let held = |view: &Json| {
+        let progress = view.get("progress").unwrap().as_array().unwrap();
+        progress.iter().find_map(|shard| {
+            let index = shard.get("index")?.as_f64()? as usize;
+            let completed = shard.get("completed")?.as_f64()? as usize;
+            let total = shard.get("total")?.as_f64()? as usize;
+            (shard.get("status")?.as_str()? == "dispatched"
+                && shard.get("worker")?.as_f64()? == victim_id
+                && completed > 0
+                && completed < total)
+                .then_some((index, completed))
+        })
+    };
     let deadline = Instant::now() + Duration::from_secs(60);
-    let (shard_index, checkpointed) = loop {
+    while held(&get_json(coord_addr, &format!("/v1/sweep/{id}/shards"))).is_none() {
         assert!(
             Instant::now() < deadline,
             "no mid-shard checkpoint appeared within 60 s"
         );
-        let view = get_json(&coord_addr, &format!("/v1/sweep/{id}/shards"));
-        let progress = view.get("progress").unwrap().as_array().unwrap();
-        let mid = progress.iter().find_map(|shard| {
-            let index = shard.get("index")?.as_f64()? as usize;
-            let completed = shard.get("completed")?.as_f64()? as usize;
-            let total = shard.get("total")?.as_f64()? as usize;
-            (shard.get("status")?.as_str()? == "dispatched" && completed > 0 && completed < total)
-                .then_some((index, completed))
-        });
-        if let Some(found) = mid {
-            break found;
-        }
         std::thread::sleep(Duration::from_millis(1));
-    };
-    assert!(checkpointed > 0);
-    victim_state.worker.as_ref().unwrap().stop();
+    }
+    victim.stop();
     victim_handle.shutdown();
     victim_thread.join().unwrap().unwrap();
+    // The victim may have finished that shard between the look and the
+    // kill; only what it held once frozen counts.
+    let found = held(&get_json(coord_addr, &format!("/v1/sweep/{id}/shards")));
+    if found.is_none() {
+        let mut cancel = HttpClient::connect(coord_addr).unwrap();
+        let response = cancel
+            .request("DELETE", &format!("/v1/sweep/{id}"), None, None)
+            .unwrap();
+        assert_eq!(response.status, 200, "{}", response.body);
+    }
+    found.map(|(shard, checkpointed)| (id, shard, checkpointed))
+}
+
+#[test]
+fn a_cluster_survives_a_worker_killed_mid_shard_without_recomputing_rows() {
+    let (coord_handle, coord_thread, _) = boot(coordinator_config());
+    let coord_addr = coord_handle.addr().to_string();
+
+    // One worker at a time, so the job's first shard goes to the node we
+    // are about to kill. A victim that outran the kill is retried with a
+    // fresh job.
+    let body = format!("{}{}", &GRID_BODY[..GRID_BODY.len() - 1], r#","shards":2}"#);
+    let (id, shard_index, checkpointed) = (0..5)
+        .find_map(|_| kill_a_worker_mid_shard(&coord_addr, &body))
+        .expect("five victims in a row finished their shard before the kill");
+    assert!(checkpointed > 0);
 
     // With no other worker around, recovery is observable in isolation: the
     // victim's lease expires (> 2 leases after its last upload) and the

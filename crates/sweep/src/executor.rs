@@ -271,13 +271,7 @@ pub struct SweepResults {
 impl SweepResults {
     /// Renders the rows as the canonical sweep CSV (see [`crate::sink`]).
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(crate::sink::CSV_HEADER);
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&crate::sink::csv_line(row));
-            out.push('\n');
-        }
-        out
+        crate::sink::csv_text(&self.rows)
     }
 }
 

@@ -188,14 +188,18 @@ impl ScenarioGrid {
         h
     }
 
-    /// The cells owned by `shard`, in global cell order (their `index` fields
-    /// keep the *global* position, so per-cell seeding — and therefore every
-    /// simulated value — is identical to the unsharded run).
+    /// The cells owned by `shard` — the slice [`ShardSpec::range`] of the
+    /// flattened grid, in global cell order (their `index` fields keep the
+    /// *global* position, so per-cell seeding — and therefore every simulated
+    /// value — is identical to the unsharded run).
+    ///
+    /// [`ShardSpec::range`]: crate::shard::ShardSpec::range
     pub fn shard_cells(&self, shard: crate::shard::ShardSpec) -> Vec<SweepCell> {
-        self.cells()
-            .into_iter()
-            .filter(|cell| shard.owns(cell.index))
-            .collect()
+        let range = shard.range(self.len());
+        let mut cells = self.cells();
+        cells.truncate(range.end);
+        cells.drain(..range.start);
+        cells
     }
 
     /// Flattens the grid into its deterministic cell order: platform (outer) →

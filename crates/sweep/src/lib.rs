@@ -19,11 +19,11 @@
 //! * [`sink`] — streaming CSV/report sinks fed in cell order through a reorder
 //!   buffer.
 //! * [`shard`] / [`manifest`] — sharded, resumable execution: a
-//!   [`ShardSpec`] `i/N` partitions any grid by cell index, shard runs stream
-//!   into a CSV plus an atomically-updated sidecar manifest, interrupted
-//!   shards resume without recomputing finished cells, and [`merge_parts`]
-//!   re-assembles the N shard CSVs into bytes identical to the unsharded
-//!   sweep.
+//!   [`ShardSpec`] `i/N` partitions any grid into contiguous ranges of cell
+//!   indices, shard runs stream into a CSV plus an atomically-updated sidecar
+//!   manifest, interrupted shards resume without recomputing finished cells,
+//!   and [`merge_parts`] concatenates the N shard CSVs into bytes identical
+//!   to the unsharded sweep.
 //! * [`Evaluator`] / [`RunOptions`] — the per-cell evaluation kernel and run
 //!   options, shared with (and re-exported by) the `ayd-exp` harness.
 //!
@@ -67,5 +67,5 @@ pub use options::{Fidelity, RunOptions, SearchStrategy};
 pub use shard::{
     merge_parts, run_shard_to_files, ShardError, ShardPart, ShardRunReport, ShardSpec, MAX_SHARDS,
 };
-pub use sink::{csv_line, CsvSink, NullSink, ReportSink, SweepSink, CSV_HEADER};
+pub use sink::{csv_line, csv_text, CsvSink, NullSink, ReportSink, SweepSink, CSV_HEADER};
 pub use wire::{validate_rows, ShardChunk, CHUNK_MAGIC};

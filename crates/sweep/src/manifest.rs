@@ -27,7 +27,16 @@ use crate::grid::ScenarioGrid;
 use crate::shard::{ShardError, ShardSpec};
 
 /// Format tag of the manifest file; bumped on incompatible layout changes.
-pub const MANIFEST_MAGIC: &str = "ayd-sweep-manifest v1";
+///
+/// `v2` marks the contiguous-range shard partition ([`ShardSpec::range`]).
+/// `v1` manifests describe round-robin shards (`cell % N == I`) whose sizes
+/// are identical but whose rows are different cells, so resuming or merging
+/// one against the current partition is refused rather than silently mixing
+/// the two orders.
+pub const MANIFEST_MAGIC: &str = "ayd-sweep-manifest v2";
+
+/// The retired round-robin format tag, recognised only to refuse it clearly.
+const MANIFEST_MAGIC_V1: &str = "ayd-sweep-manifest v1";
 
 /// The sidecar manifest path of a shard CSV: `<csv>.manifest`.
 pub fn manifest_path(csv_path: &Path) -> PathBuf {
@@ -60,12 +69,23 @@ pub struct SweepManifest {
 impl SweepManifest {
     /// A fresh manifest (no rows completed) for one shard of a sweep.
     pub fn new(grid: &ScenarioGrid, options: &SweepOptions, shard: ShardSpec) -> Self {
+        Self::with_grid_fingerprint(grid.fingerprint(), grid, options, shard)
+    }
+
+    /// [`Self::new`] for a caller that already holds `grid.fingerprint()`
+    /// (hashing re-flattens the whole grid).
+    pub fn with_grid_fingerprint(
+        grid_fingerprint: u64,
+        grid: &ScenarioGrid,
+        options: &SweepOptions,
+        shard: ShardSpec,
+    ) -> Self {
         Self {
-            grid_fingerprint: grid.fingerprint(),
+            grid_fingerprint,
             options_fingerprint: options.output_fingerprint(),
             shard,
             grid_cells: grid.len(),
-            shard_cells: shard.cell_count(grid.len()),
+            shard_cells: shard.range(grid.len()).len(),
             completed: 0,
             profiles: grid
                 .profile_axis()
@@ -123,8 +143,15 @@ impl SweepManifest {
     pub fn parse(text: &str) -> Result<Self, ShardError> {
         let bad = |message: String| ShardError::Manifest(message);
         let mut lines = text.lines();
-        if lines.next() != Some(MANIFEST_MAGIC) {
-            return Err(bad(format!("missing magic line `{MANIFEST_MAGIC}`")));
+        match lines.next() {
+            Some(MANIFEST_MAGIC) => {}
+            Some(MANIFEST_MAGIC_V1) => {
+                return Err(bad(format!(
+                    "`{MANIFEST_MAGIC_V1}` describes the retired round-robin shard partition; \
+                     re-run the shard (without --resume) to produce `{MANIFEST_MAGIC}` output"
+                )))
+            }
+            _ => return Err(bad(format!("missing magic line `{MANIFEST_MAGIC}`"))),
         }
         let mut grid_fingerprint = None;
         let mut options_fingerprint = None;
@@ -197,7 +224,7 @@ impl SweepManifest {
             completed: completed.ok_or_else(require("completed"))?,
             profiles: profiles.ok_or_else(require("profiles"))?,
         };
-        if manifest.shard_cells != manifest.shard.cell_count(manifest.grid_cells) {
+        if manifest.shard_cells != manifest.shard.range(manifest.grid_cells).len() {
             return Err(bad(format!(
                 "shard_cells {} does not match shard {} of {} grid cells",
                 manifest.shard_cells, manifest.shard, manifest.grid_cells
@@ -271,7 +298,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_through_text() {
-        // Shard 0/3 of the 4-cell grid owns cells {0, 3}: two rows.
+        // Shard 0/3 of the 4-cell grid owns cells 0..2: two rows.
         let mut manifest = SweepManifest::new(&grid(), &options(), ShardSpec::new(0, 3).unwrap());
         assert_eq!(manifest.shard_cells, 2);
         manifest.completed = 1;
@@ -292,6 +319,16 @@ mod tests {
         assert!(SweepManifest::parse(&format!("{text}bogus = 1\n")).is_err());
         let inflated = text.replace("completed = 4", "completed = 99");
         assert!(SweepManifest::parse(&inflated).is_err());
+    }
+
+    #[test]
+    fn round_robin_v1_manifests_are_refused_by_name() {
+        let text = SweepManifest::complete(&grid(), &options(), ShardSpec::WHOLE).render();
+        assert!(text.starts_with("ayd-sweep-manifest v2\n"));
+        let v1 = text.replace(MANIFEST_MAGIC, MANIFEST_MAGIC_V1);
+        let err = SweepManifest::parse(&v1).unwrap_err().to_string();
+        assert!(err.contains("ayd-sweep-manifest v1"), "{err}");
+        assert!(err.contains("re-run the shard"), "{err}");
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! Sharded, resumable sweep execution and the deterministic shard merge.
 //!
-//! A [`ShardSpec`] `i/N` partitions any [`ScenarioGrid`] by cell index:
-//! shard `i` owns exactly the cells whose global index `g` satisfies
-//! `g % N == i`. Because every cell's seed derives from its *global* index
-//! (see [`crate::executor::cell_seed`]) and every cell's analytic evaluation
-//! depends only on the cell itself, a shard computes bit-identical rows to
-//! the same cells of an unsharded run — for any shard count, worker-thread
-//! count and cache setting. [`merge_parts`] re-assembles the N shard CSVs by
-//! global cell id into bytes **identical** to the unsharded sweep CSV.
+//! A [`ShardSpec`] `i/N` partitions any [`ScenarioGrid`] into N balanced,
+//! contiguous ranges of global cell indices: shard `i` owns
+//! [`ShardSpec::range`], which starts at `i·⌊n/N⌋ + min(i, n mod N)`. That
+//! method is the only code deciding the partition. Contiguity keeps the
+//! pattern-length siblings of a configuration (adjacent cells sharing one
+//! optimiser evaluation) inside one shard, so a shard's memoisation cache
+//! hits as often as the unsharded run's. Because every cell's seed derives
+//! from its *global* index (see [`crate::executor::cell_seed`]) and every
+//! cell's analytic evaluation depends only on the cell itself, a shard
+//! computes bit-identical rows to the same cells of an unsharded run — for
+//! any shard count, worker-thread count and cache setting. [`merge_parts`]
+//! concatenates the N shard CSVs in shard order into bytes **identical** to
+//! the unsharded sweep CSV.
 //!
 //! [`run_shard_to_files`] executes one shard against a CSV file plus an
 //! atomically-updated sidecar manifest (see [`crate::manifest`]). Because the
@@ -18,6 +23,7 @@
 
 use std::fmt;
 use std::io::Write;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
 
@@ -26,8 +32,8 @@ use crate::grid::{ScenarioGrid, SweepCell};
 use crate::manifest::{manifest_path, SweepManifest};
 use crate::sink::{csv_line, SweepSink, CSV_HEADER};
 
-/// One shard of a sweep: `index` of `count`, partitioning cells by
-/// `global_index % count == index`.
+/// One shard of a sweep: `index` of `count`, owning one contiguous range of
+/// global cell indices (see [`ShardSpec::range`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShardSpec {
     /// Zero-based shard index (`< count`).
@@ -70,19 +76,15 @@ impl ShardSpec {
         )
     }
 
-    /// True when this shard owns the cell with the given global index.
-    pub fn owns(&self, cell_index: usize) -> bool {
-        cell_index % self.count == self.index
-    }
-
-    /// Number of cells this shard owns out of `total` grid cells.
-    pub fn cell_count(&self, total: usize) -> usize {
-        total / self.count + usize::from(self.index < total % self.count)
-    }
-
-    /// Global cell index of this shard's `k`-th row.
-    pub fn global_index(&self, k: usize) -> usize {
-        self.index + k * self.count
+    /// The global cell indices this shard owns out of `total` grid cells: one
+    /// balanced, contiguous range starting at `index·⌊total/count⌋ +
+    /// min(index, total mod count)`. The first `total mod count` shards hold
+    /// one cell more than the rest; shards past `total` are empty. The ranges
+    /// of shards `0..count` tile `0..total` in shard order.
+    pub fn range(&self, total: usize) -> Range<usize> {
+        let (base, extra) = (total / self.count, total % self.count);
+        let start = self.index * base + self.index.min(extra);
+        start..start + base + usize::from(self.index < extra)
     }
 }
 
@@ -141,9 +143,10 @@ impl ShardPart {
 ///
 /// Validates that the parts all belong to one sweep (fingerprints agree),
 /// that together they form a complete partition (`count` parts with indices
-/// `0..count`, every one fully materialised, headers intact), then re-sorts
-/// the rows by global cell id. The result is **byte-identical** to the CSV an
-/// unsharded run over the same grid and options would produce.
+/// `0..count`, every one fully materialised, headers intact), then
+/// concatenates the rows in shard order — shard ranges are contiguous and
+/// ascending, so that is global cell order. The result is **byte-identical**
+/// to the CSV an unsharded run over the same grid and options would produce.
 pub fn merge_parts(parts: &[ShardPart]) -> Result<String, ShardError> {
     let first = parts
         .first()
@@ -155,8 +158,8 @@ pub fn merge_parts(parts: &[ShardPart]) -> Result<String, ShardError> {
             parts.len()
         )));
     }
+    let mut by_shard: Vec<Vec<&str>> = vec![Vec::new(); count];
     let mut seen = vec![false; count];
-    let mut rows: Vec<(usize, &str)> = Vec::with_capacity(first.manifest.grid_cells);
     for part in parts {
         let manifest = &part.manifest;
         if !manifest.same_sweep(&first.manifest) {
@@ -189,26 +192,24 @@ pub fn merge_parts(parts: &[ShardPart]) -> Result<String, ShardError> {
                 manifest.shard
             )));
         }
-        let mut row_count = 0;
-        for (k, line) in lines.enumerate() {
-            rows.push((manifest.shard.global_index(k), line));
-            row_count += 1;
-        }
-        if row_count != manifest.shard_cells {
+        let rows: Vec<&str> = lines.collect();
+        if rows.len() != manifest.shard_cells {
             return Err(ShardError::Mismatch(format!(
-                "shard {} CSV has {row_count} rows but the manifest promises {}",
-                manifest.shard, manifest.shard_cells
+                "shard {} CSV has {} rows but the manifest promises {}",
+                manifest.shard,
+                rows.len(),
+                manifest.shard_cells
             )));
         }
+        by_shard[manifest.shard.index] = rows;
     }
-    rows.sort_unstable_by_key(|&(id, _)| id);
-    debug_assert!(rows.iter().enumerate().all(|(i, &(id, _))| i == id));
+    let rows = by_shard.iter().flatten();
     let mut out = String::with_capacity(
-        CSV_HEADER.len() + 1 + rows.iter().map(|(_, l)| l.len() + 1).sum::<usize>(),
+        CSV_HEADER.len() + 1 + rows.clone().map(|l| l.len() + 1).sum::<usize>(),
     );
     out.push_str(CSV_HEADER);
     out.push('\n');
-    for (_, line) in rows {
+    for line in rows {
         out.push_str(line);
         out.push('\n');
     }
@@ -471,27 +472,40 @@ mod tests {
         let spec = ShardSpec::parse("2/5").unwrap();
         assert_eq!(spec, ShardSpec { index: 2, count: 5 });
         assert_eq!(spec.to_string(), "2/5");
-        assert!(spec.owns(2) && spec.owns(7) && !spec.owns(3));
-        assert_eq!(spec.cell_count(12), 2);
-        assert_eq!(spec.cell_count(13), 3);
-        assert_eq!(spec.global_index(2), 12);
+        // 12 cells over 5 shards: sizes 3,3,2,2,2; shard 2 owns 6..8.
+        assert_eq!(spec.range(12), 6..8);
+        // 13 cells: sizes 3,3,3,2,2; shard 2 owns 6..9.
+        assert_eq!(spec.range(13), 6..9);
         for bad in ["", "3", "a/b", "5/5", "1/0", "0/999999", "-1/2"] {
             assert!(ShardSpec::parse(bad).is_err(), "`{bad}` should not parse");
         }
-        // Every cell belongs to exactly one shard, and counts add up.
-        for count in 1..=8usize {
-            let total = 23;
-            let mut owned = 0;
-            for g in 0..total {
-                let owners = (0..count)
-                    .filter(|&i| ShardSpec::new(i, count).unwrap().owns(g))
-                    .count();
-                assert_eq!(owners, 1);
+    }
+
+    #[test]
+    fn shard_ranges_tile_the_grid_in_shard_order() {
+        for total in 0..=40usize {
+            for count in 1..=8usize {
+                let ranges: Vec<Range<usize>> = (0..count)
+                    .map(|index| ShardSpec::new(index, count).unwrap().range(total))
+                    .collect();
+                // Contiguous, in shard order, covering exactly 0..total.
+                let mut next = 0;
+                for range in &ranges {
+                    assert_eq!(range.start, next, "total={total} count={count}");
+                    assert!(range.end >= range.start);
+                    next = range.end;
+                }
+                assert_eq!(next, total, "total={total} count={count}");
+                // Balanced: sizes differ by at most one, larger shards first.
+                let sizes: Vec<usize> = ranges.iter().map(Range::len).collect();
+                let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(max - min <= 1, "total={total} count={count}: {sizes:?}");
+                assert!(sizes.windows(2).all(|w| w[0] >= w[1]), "{sizes:?}");
+                // Fewer cells than shards: the trailing shards are empty.
+                if total < count {
+                    assert!(sizes[total..].iter().all(|&n| n == 0), "{sizes:?}");
+                }
             }
-            for i in 0..count {
-                owned += ShardSpec::new(i, count).unwrap().cell_count(total);
-            }
-            assert_eq!(owned, total);
         }
     }
 
@@ -562,7 +576,7 @@ mod tests {
         let report = run_shard_to_files(&executor, &grid, shard, &csv_path, false, None).unwrap();
         assert!(report.is_complete() && !report.cancelled);
         assert_eq!(report.resumed_rows, 0);
-        assert_eq!(report.results.rows.len(), shard.cell_count(grid.len()));
+        assert_eq!(report.results.rows.len(), shard.range(grid.len()).len());
         let manifest = SweepManifest::read(&manifest_path(&csv_path)).unwrap();
         assert!(manifest.is_complete());
         // The file bytes match the in-memory run of the same cells.
@@ -570,7 +584,7 @@ mod tests {
         assert_eq!(text, executor.run_cells(&grid.shard_cells(shard)).to_csv());
         // A no-op resume recomputes nothing.
         let again = run_shard_to_files(&executor, &grid, shard, &csv_path, true, None).unwrap();
-        assert_eq!(again.resumed_rows, shard.cell_count(grid.len()));
+        assert_eq!(again.resumed_rows, shard.range(grid.len()).len());
         assert!(again.results.rows.is_empty());
         assert_eq!(std::fs::read_to_string(&csv_path).unwrap(), text);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -614,7 +628,7 @@ mod tests {
         assert!(done_early >= 1);
         assert_eq!(
             interrupted.cancelled,
-            done_early < shard.cell_count(grid.len())
+            done_early < shard.range(grid.len()).len()
         );
 
         // Simulate the torn final row a hard kill can leave behind.
@@ -633,7 +647,7 @@ mod tests {
         );
         assert_eq!(
             resumed.results.rows.len(),
-            shard.cell_count(grid.len()) - done_early
+            shard.range(grid.len()).len() - done_early
         );
         let text = std::fs::read_to_string(&csv_path).unwrap();
         assert_eq!(text, executor.run_cells(&grid.shard_cells(shard)).to_csv());
@@ -658,7 +672,7 @@ mod tests {
         let report = run_shard_to_files(&executor, &grid, shard, &csv_path, true, None).unwrap();
         assert!(report.is_complete());
         assert_eq!(report.resumed_rows, 0);
-        assert_eq!(report.results.rows.len(), shard.cell_count(grid.len()));
+        assert_eq!(report.results.rows.len(), shard.range(grid.len()).len());
         assert_eq!(std::fs::read_to_string(&csv_path).unwrap(), expected);
 
         // A header torn mid-write (hard kill during the very first write):
@@ -725,6 +739,32 @@ mod tests {
             results.rows.len() < grid.len(),
             "the failed run stopped early instead of draining every cell"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_refuses_a_round_robin_v1_manifest() {
+        // Round-robin and range shards have the same sizes, so only the
+        // manifest version stops a resume from appending range-order rows to
+        // a round-robin prefix.
+        let dir = temp_dir("v1");
+        let grid = grid();
+        let executor = SweepExecutor::new(options());
+        let csv_path = dir.join("shard.csv");
+        let shard = ShardSpec::new(0, 2).unwrap();
+        run_shard_to_files(&executor, &grid, shard, &csv_path, false, None).unwrap();
+        let manifest_file = manifest_path(&csv_path);
+        let text = std::fs::read_to_string(&manifest_file).unwrap();
+        std::fs::write(
+            &manifest_file,
+            text.replace("ayd-sweep-manifest v2", "ayd-sweep-manifest v1"),
+        )
+        .unwrap();
+        let err = run_shard_to_files(&executor, &grid, shard, &csv_path, true, None)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("ayd-sweep-manifest v1"), "{err}");
+        assert!(err.contains("re-run the shard"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -71,6 +71,18 @@ pub fn csv_line(row: &SweepRow) -> String {
     out
 }
 
+/// Renders rows as the canonical sweep CSV: the header, then one
+/// [`csv_line`] per row, each newline-terminated.
+pub fn csv_text<'a>(rows: impl IntoIterator<Item = &'a SweepRow>) -> String {
+    let mut out = String::from(CSV_HEADER);
+    out.push('\n');
+    for row in rows {
+        out.push_str(&csv_line(row));
+        out.push('\n');
+    }
+    out
+}
+
 /// A sink observing the rows of a sweep in cell order.
 ///
 /// Sinks must be `Send`: the executor calls them from whichever worker thread

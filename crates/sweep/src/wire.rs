@@ -13,7 +13,7 @@
 //! from_row = 16
 //! rows = 8
 //! ---
-//! <manifest text (ayd-sweep-manifest v1 ...)>
+//! <manifest text (ayd-sweep-manifest v2 ...)>
 //! ---
 //! <8 newline-terminated CSV rows, no header>
 //! ```

@@ -8,7 +8,11 @@
 //! * the deterministic merge of the shard CSVs is **byte-identical** to the
 //!   unsharded sweep CSV — including across different worker-thread counts
 //!   and cache settings per shard, and with simulation enabled (per-cell
-//!   seeding is global-index-based, so sharding cannot reseed anything).
+//!   seeding is global-index-based, so sharding cannot reseed anything);
+//! * shards are contiguous cell ranges, so the pattern-length siblings of a
+//!   configuration (which share one cached optimiser evaluation) stay
+//!   together: sharding costs at most one extra cache miss per shard
+//!   boundary.
 
 use proptest::prelude::*;
 
@@ -84,7 +88,7 @@ proptest! {
                 options.with_threads(threads)
             };
             let results = SweepExecutor::new(shard_options).run_cells(&grid.shard_cells(shard));
-            prop_assert_eq!(results.rows.len(), shard.cell_count(grid.len()));
+            prop_assert_eq!(results.rows.len(), shard.range(grid.len()).len());
             concatenated.extend(results.rows.iter().cloned());
             parts.push(ShardPart {
                 manifest: SweepManifest::complete(&grid, &options, shard),
@@ -103,6 +107,64 @@ proptest! {
         // Byte-identical merge.
         let merged = merge_parts(&parts).unwrap();
         prop_assert_eq!(merged, full.to_csv());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    #[test]
+    fn shards_keep_pattern_length_siblings_in_one_cache(
+        seed in 0u64..1_000,
+        count in 2usize..=8,
+        scenario_index in 0usize..6,
+        profiles in prop::collection::vec(arb_profile(), 1..3),
+        multipliers in prop::collection::vec(0.2f64..30.0, 1..3),
+        processors in prop::collection::vec(64.0f64..4_096.0, 1..3),
+        lengths in prop::collection::vec(600.0f64..20_000.0, 2..5),
+    ) {
+        // Equal cache keys must be pattern-length siblings, i.e. adjacent
+        // cells: a repeated profile (two `perfect` draws) would repeat whole
+        // configuration blocks far apart.
+        let mut profiles = profiles;
+        profiles.dedup();
+        let grid = ScenarioGrid::builder()
+            .scenarios(&[ScenarioId::ALL[scenario_index]])
+            .profiles(&profiles)
+            .lambda_multipliers(&multipliers)
+            .processors(ProcessorAxis::Fixed(processors))
+            .pattern_lengths(&lengths)
+            .build()
+            .unwrap();
+        // One thread, cache on: miss counts are exact (no concurrent
+        // duplicate misses), so they count distinct evaluations per run.
+        let options = SweepOptions::new(ayd_sweep::RunOptions {
+            seed,
+            simulate: false,
+            ..ayd_sweep::RunOptions::smoke()
+        })
+        .with_threads(1);
+        let full = SweepExecutor::new(options).run(&grid);
+        let mut shard_misses = 0;
+        let mut parts = Vec::new();
+        for index in 0..count {
+            let shard = ShardSpec::new(index, count).unwrap();
+            let results = SweepExecutor::new(options).run_cells(&grid.shard_cells(shard));
+            shard_misses += results.cache.misses;
+            parts.push(ShardPart {
+                manifest: SweepManifest::complete(&grid, &options, shard),
+                csv: results.to_csv(),
+            });
+        }
+        // Each of the count - 1 boundaries splits at most one sibling group.
+        prop_assert!(
+            shard_misses <= full.cache.misses + (count as u64 - 1),
+            "shards missed {} times, unsharded {} (count {})",
+            shard_misses,
+            full.cache.misses,
+            count
+        );
+        prop_assert_eq!(merge_parts(&parts).unwrap(), full.to_csv());
     }
 }
 

@@ -10,7 +10,7 @@
 
 pub mod loadgen;
 
-use ayd_exp::config::RunOptions;
+use ayd_sweep::RunOptions;
 
 /// Run options used for the series printed by the benches: smoke-level
 /// simulation so a full `cargo bench` stays fast while still exercising the

@@ -13,9 +13,8 @@ use serde::{Deserialize, Serialize};
 
 use ayd_core::ValidityBounds;
 use ayd_platforms::{ExperimentSetup, PlatformId, ScenarioId};
-use ayd_sweep::{ProcessorAxis, ScenarioGrid, SweepExecutor, SweepOptions};
+use ayd_sweep::{ProcessorAxis, RunOptions, ScenarioGrid, SweepExecutor, SweepOptions};
 
-use crate::config::RunOptions;
 use crate::table::{fmt_value, TextTable};
 
 /// One row of ablation A1: the first-order-versus-numerical overhead gap at a

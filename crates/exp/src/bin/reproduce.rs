@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! reproduce <experiment> [--paper|--smoke] [--no-sim] [--json] [--csv] [--seed N]
-//!                        [--threads N] [--no-cache] [--search STRATEGY]
+//!                        [--threads N] [--no-cache]
 //!                        [--profiles SPEC,...] [--failure-models SPEC,...]
 //!                        [--shard I/N] [--out PATH] [--resume]
 //!                        [--inputs CSV,...] [--addr HOST:PORT] [--cache-capacity N]
@@ -68,7 +68,7 @@
 //! byte-identical with tracing on or off — tracing reads clocks and counters,
 //! never values. On `obs-report` the same flag names the *input*: the log is
 //! parsed and re-rendered as paper-style time-accounting tables (per-endpoint
-//! request stages, connection queue waits, per-strategy sweep execution).
+//! request stages, connection queue waits, sweep execution).
 //!
 //! `--json` requires `serde_json`, which this offline build replaces with a
 //! no-op stand-in (see `vendor/serde`); the flag is accepted but falls back to
@@ -78,9 +78,9 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use ayd_exp::config::{Fidelity, RunOptions, SearchStrategy};
 use ayd_exp::{ablation, extensions, figure2, figure3, figure4, figure5, figure6, figure7, sweep};
 use ayd_exp::{report, tables, TextTable};
+use ayd_sweep::{Fidelity, RunOptions};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OutputFormat {
@@ -238,12 +238,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--json" => format = OutputFormat::Json,
             "--csv" => format = OutputFormat::Csv,
             "--no-cache" => options.cache = false,
-            "--search" => {
-                let value = iter
-                    .next()
-                    .ok_or("--search requires a value (reference, fast or fast-strict)")?;
-                options.search = SearchStrategy::parse(value)?;
-            }
             "--seed" => {
                 let value = iter.next().ok_or("--seed requires a value")?;
                 options.seed = value
@@ -442,15 +436,13 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 
 fn usage() -> String {
     "usage: reproduce <experiment...> [--paper|--smoke] [--no-sim] [--json] [--csv] [--seed N] \
-     [--threads N] [--no-cache] [--search STRATEGY] [--profiles SPEC,...] \
+     [--threads N] [--no-cache] [--profiles SPEC,...] \
      [--failure-models SPEC,...] [--shard I/N] \
      [--out PATH] [--resume] [--inputs CSV,...] [--addr HOST:PORT] [--cache-capacity N] \
      [--max-body BYTES] [--io-model blocking|event] [--trace-log PATH] \
      [--coordinator [--lease-ms N]] [--worker-of HOST:PORT [--advertise HOST:PORT]]\n\
      experiments: table2 table3 fig2 fig3 fig4 fig5 fig6 fig7 ablation engines extensions sweep \
      sweep-merge checks serve obs-report all\n\
-     search strategies: reference | fast | fast-strict (default; all three are bit-identical, \
-     the fast paths only change cold-evaluation cost)\n\
      profile specs: amdahl:A powerlaw:S gustafson:A perfect (e.g. \
      --profiles amdahl:0.1,powerlaw:0.8)\n\
      failure-model specs: exp weibull:K shifted:D trace:PATH, rate-free (e.g. \
@@ -582,8 +574,8 @@ fn run_serve(cli: &Cli) -> Result<(), String> {
 
 /// The `obs-report` experiment: parses a `--trace-log` file back into span
 /// records and renders the paper-style time-accounting tables (per-endpoint
-/// request stages that sum to the total, connection queue waits, per-strategy
-/// sweep execution).
+/// request stages that sum to the total, connection queue waits, sweep
+/// execution).
 fn run_obs_report(cli: &Cli) -> Result<(), String> {
     let path = cli
         .trace_log
@@ -867,39 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_search_strategies() {
-        // Default is the strict fast path; every spec string round-trips.
-        assert_eq!(
-            parse_args(&strings(&["sweep"])).unwrap().options.search,
-            SearchStrategy::FastStrict
-        );
-        assert_eq!(
-            parse_args(&strings(&["sweep", "--search", "reference"]))
-                .unwrap()
-                .options
-                .search,
-            SearchStrategy::Reference
-        );
-        assert_eq!(
-            parse_args(&strings(&["sweep", "--search", "fast"]))
-                .unwrap()
-                .options
-                .search,
-            SearchStrategy::Fast
-        );
-        assert_eq!(
-            parse_args(&strings(&["serve", "--search", "fast-strict"]))
-                .unwrap()
-                .options
-                .search,
-            SearchStrategy::FastStrict
-        );
-        let err = parse_args(&strings(&["sweep", "--search", "newton"])).unwrap_err();
-        assert!(err.contains("newton"), "{err}");
-        assert!(parse_args(&strings(&["sweep", "--search"])).is_err());
-    }
-
-    #[test]
     fn parses_profile_specs() {
         let cli = parse_args(&strings(&[
             "sweep",
@@ -1042,6 +1001,9 @@ mod tests {
     #[test]
     fn rejects_unknown_flags_and_empty_invocations() {
         assert!(parse_args(&strings(&["fig2", "--bogus"])).is_err());
+        // There is one search, so `--search` is an unknown flag.
+        let err = parse_args(&strings(&["sweep", "--search", "fast"])).unwrap_err();
+        assert!(err.contains("unknown flag `--search`"), "{err}");
         assert!(parse_args(&strings(&[])).is_err());
         assert!(parse_args(&strings(&["--seed"])).is_err());
         assert!(parse_args(&strings(&["fig2", "--seed", "abc"])).is_err());

@@ -13,9 +13,8 @@ use serde::{Deserialize, Serialize};
 
 use ayd_core::{ProfileSpec, SpeedupProfile};
 use ayd_platforms::{PlatformId, ScenarioId};
-use ayd_sweep::{ScenarioGrid, SweepExecutor, SweepOptions};
+use ayd_sweep::{RunOptions, ScenarioGrid, SweepExecutor, SweepOptions};
 
-use crate::config::RunOptions;
 use crate::evaluate::OperatingPoint;
 use crate::table::{fmt_option, fmt_value, TextTable};
 

@@ -10,8 +10,8 @@
 use serde::{Deserialize, Serialize};
 
 use ayd_platforms::{ExperimentSetup, PlatformId, ScenarioId};
+use ayd_sweep::RunOptions;
 
-use crate::config::RunOptions;
 use crate::evaluate::{Evaluator, OptimumComparison};
 use crate::table::{fmt_option, fmt_value, TextTable};
 

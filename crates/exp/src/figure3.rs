@@ -10,9 +10,8 @@
 use serde::{Deserialize, Serialize};
 
 use ayd_platforms::{PlatformId, ScenarioId};
-use ayd_sweep::{ProcessorAxis, ScenarioGrid, SweepExecutor, SweepOptions};
+use ayd_sweep::{ProcessorAxis, RunOptions, ScenarioGrid, SweepExecutor, SweepOptions};
 
-use crate::config::RunOptions;
 use crate::evaluate::SimSummary;
 use crate::table::{fmt_option, fmt_value, TextTable};
 

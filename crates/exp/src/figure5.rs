@@ -12,9 +12,8 @@ use serde::{Deserialize, Serialize};
 
 use ayd_core::fit_power_law;
 use ayd_platforms::{PlatformId, ScenarioId};
-use ayd_sweep::{ScenarioGrid, SweepExecutor, SweepOptions};
+use ayd_sweep::{RunOptions, ScenarioGrid, SweepExecutor, SweepOptions};
 
-use crate::config::RunOptions;
 use crate::evaluate::OptimumComparison;
 use crate::table::{fmt_option, fmt_value, TextTable};
 

@@ -30,7 +30,6 @@
 #![warn(clippy::all)]
 
 pub mod ablation;
-pub mod config;
 pub mod evaluate;
 pub mod extensions;
 pub mod figure2;
@@ -45,6 +44,6 @@ pub mod sweep;
 pub mod table;
 pub mod tables;
 
-pub use config::{Fidelity, RunOptions};
+pub use ayd_sweep::{Fidelity, RunOptions};
 pub use evaluate::{Evaluator, OperatingPoint, OptimumComparison};
 pub use table::TextTable;

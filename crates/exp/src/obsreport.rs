@@ -14,8 +14,8 @@
 //!   span covered; the coverage column reports `1 - other/total`.
 //! * **connection** roots carry the worker-pool queue wait (accept → pickup),
 //!   which is deliberately kept separate from per-request service time.
-//! * **sweep** spans (CLI sweeps and served sweep jobs) aggregate per search
-//!   strategy: grid cells, emitted rows, worker-chunk CPU time and the
+//! * **sweep** spans (CLI sweeps and served sweep jobs) aggregate into one
+//!   account: grid cells, emitted rows, worker-chunk CPU time and the
 //!   fast/fallback tallies of the warm-started optimiser.
 
 use std::collections::BTreeMap;
@@ -130,10 +130,10 @@ impl EndpointAccount {
     }
 }
 
-/// Per-search-strategy sweep accounting.
+/// Sweep accounting, summed over every `sweep` span.
 #[derive(Debug, Clone, Default)]
-pub struct StrategyAccount {
-    /// Number of `sweep` spans under this strategy.
+pub struct SweepAccount {
+    /// Number of `sweep` spans.
     pub sweeps: u64,
     /// Grid cells across those sweeps.
     pub cells: u64,
@@ -164,8 +164,8 @@ pub struct Accounting {
     pub connections: u64,
     /// Total worker-pool queue wait across connections, ns.
     pub queue_wait_ns: u64,
-    /// Sweep aggregation per search strategy.
-    pub strategies: BTreeMap<String, StrategyAccount>,
+    /// Sweep aggregation.
+    pub sweep: SweepAccount,
     /// Total spans parsed.
     pub spans: usize,
 }
@@ -229,8 +229,7 @@ pub fn account(spans: &[TraceSpan]) -> Accounting {
                 accounting.queue_wait_ns += span.field_u64("queue_wait_ns").unwrap_or(0);
             }
             "sweep" => {
-                let strategy = span.field_str("strategy").unwrap_or("unknown").to_string();
-                let account = accounting.strategies.entry(strategy).or_default();
+                let account = &mut accounting.sweep;
                 account.sweeps += 1;
                 account.cells += span.field_u64("cells").unwrap_or(0);
                 account.rows += span.field_u64("rows").unwrap_or(0);
@@ -301,36 +300,31 @@ pub fn render(accounting: &Accounting) -> Vec<TextTable> {
         tables.push(table);
     }
 
-    if !accounting.strategies.is_empty() {
+    let sweep = &accounting.sweep;
+    if sweep.sweeps > 0 {
         let mut table = TextTable::new(
-            "Sweep execution (per search strategy)",
+            "Sweep execution",
             &[
-                "strategy",
                 "sweeps",
                 "cells",
                 "rows",
                 "wall s",
                 "chunks",
                 "chunk cpu s",
-                "fast",
-                "fallback",
+                "search fast/fallback",
                 "cache hit/miss",
             ],
         );
-        for (strategy, account) in &accounting.strategies {
-            table.push_row(vec![
-                strategy.clone(),
-                account.sweeps.to_string(),
-                account.cells.to_string(),
-                account.rows.to_string(),
-                seconds(account.wall_ns),
-                account.chunks.to_string(),
-                seconds(account.chunk_ns),
-                account.fast.to_string(),
-                account.fallback.to_string(),
-                format!("{}/{}", account.cache_hits, account.cache_misses),
-            ]);
-        }
+        table.push_row(vec![
+            sweep.sweeps.to_string(),
+            sweep.cells.to_string(),
+            sweep.rows.to_string(),
+            seconds(sweep.wall_ns),
+            sweep.chunks.to_string(),
+            seconds(sweep.chunk_ns),
+            format!("{}/{}", sweep.fast, sweep.fallback),
+            format!("{}/{}", sweep.cache_hits, sweep.cache_misses),
+        ]);
         tables.push(table);
     }
 
@@ -448,7 +442,6 @@ mod tests {
                 vec![
                     ("cells", FieldValue::U64(16)),
                     ("rows", FieldValue::U64(16)),
-                    ("strategy", FieldValue::Str("fast-strict".into())),
                     ("search_fast", FieldValue::U64(30)),
                     ("search_fallback", FieldValue::U64(2)),
                     ("cache_hits", FieldValue::U64(4)),
@@ -461,19 +454,24 @@ mod tests {
         let accounting = account(&parse_trace_log(&log_of(&records)).unwrap());
         assert_eq!(accounting.connections, 1);
         assert_eq!(accounting.queue_wait_ns, 1_500);
-        let strategy = &accounting.strategies["fast-strict"];
-        assert_eq!(strategy.sweeps, 1);
-        assert_eq!(strategy.cells, 16);
-        assert_eq!(strategy.chunks, 2);
-        assert_eq!(strategy.chunk_ns, 7_500);
-        assert_eq!(strategy.fast, 30);
-        assert_eq!(strategy.fallback, 2);
-        assert_eq!((strategy.cache_hits, strategy.cache_misses), (4, 12));
+        let sweep = &accounting.sweep;
+        assert_eq!(sweep.sweeps, 1);
+        assert_eq!(sweep.cells, 16);
+        assert_eq!(sweep.chunks, 2);
+        assert_eq!(sweep.chunk_ns, 7_500);
+        assert_eq!(sweep.fast, 30);
+        assert_eq!(sweep.fallback, 2);
+        assert_eq!((sweep.cache_hits, sweep.cache_misses), (4, 12));
         // No request roots: coverage is vacuously full, and render still
-        // produces the strategy + summary tables.
+        // produces the sweep + summary tables.
         assert_eq!(accounting.coverage(), 1.0);
         let tables = render(&accounting);
         assert_eq!(tables.len(), 3, "queue, sweep and summary tables");
+        assert!(
+            tables[1].render().contains("| 30/2 "),
+            "{}",
+            tables[1].render()
+        );
     }
 
     #[test]

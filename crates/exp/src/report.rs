@@ -127,7 +127,7 @@ pub fn headline_checks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RunOptions;
+    use ayd_sweep::RunOptions;
 
     #[test]
     fn pass_fail_logic() {

@@ -18,11 +18,10 @@
 use ayd_core::{FailureModelSpec, ProfileSpec, SpeedupProfile};
 use ayd_platforms::{PlatformId, ScenarioId};
 use ayd_sweep::{
-    misspecification_report, MisspecificationReport, ProcessorAxis, ScenarioGrid, SweepExecutor,
-    SweepOptions, SweepResults,
+    misspecification_report, MisspecificationReport, ProcessorAxis, RunOptions, ScenarioGrid,
+    SweepExecutor, SweepOptions, SweepResults,
 };
 
-use crate::config::RunOptions;
 use crate::table::{fmt_option, fmt_value, TextTable};
 
 /// The demonstration grid of the `sweep` subcommand. The analytical preset is

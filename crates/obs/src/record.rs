@@ -12,7 +12,7 @@ pub enum FieldValue {
     F64(f64),
     /// Boolean flag.
     Bool(bool),
-    /// Short free-form text (endpoint names, strategy specs, reasons).
+    /// Short free-form text (endpoint names, fallback reasons).
     Str(String),
 }
 

@@ -20,8 +20,9 @@
 //!   `P ↦ min_T f(P, T)` is minimised in turn.
 //! * [`seeded::minimize_scalar_seeded`] — warm-started variant of the scalar
 //!   search: a seed (e.g. a first-order closed form) predicts the basin, a
-//!   short hill descent replaces the coarse scan, and the result is proven
-//!   bit-identical to the reference (or the call self-demotes to it).
+//!   short hill descent replaces the coarse scan, sentinel probes check that
+//!   no other basin is deeper, and the result is proven bit-identical to the
+//!   reference (or the call self-demotes to it).
 //!
 //! The crate is deliberately generic: objectives are arbitrary `Fn(f64) -> f64`
 //! closures, so it has no dependency on `ayd-core`. The experiment harness wires

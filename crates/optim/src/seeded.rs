@@ -15,9 +15,9 @@
 //! indices (the hill descent then provably lands on the scan's argmin,
 //! including its first-smallest tie rule). Whenever that cannot be
 //! established — no seed, a non-finite value near the basin, a descent that
-//! walks too far, or (in strict mode) a sentinel probe that beats the located
-//! basin — the call self-demotes and runs the reference search instead, so the
-//! result is bit-identical in every case. Each call reports which path it took
+//! walks too far, or a sentinel probe that beats the located basin — the call
+//! self-demotes and runs the reference search instead, so the result is
+//! bit-identical in every case. Each call reports which path it took
 //! through a [`SearchReport`], making fallback rates assertable and
 //! observable.
 
@@ -34,10 +34,9 @@ use crate::scalar::{minimize_scalar, OptimizeOptions, ScalarMinimum};
 /// much slower at that point.
 const DESCENT_BUDGET: usize = 12;
 
-/// Grid-index stride of the strict-mode sentinel probes: every
-/// `SENTINEL_STRIDE`-th grid point is evaluated and compared against the
-/// located basin, so a secondary basin wider than one stride cannot go
-/// unnoticed.
+/// Grid-index stride of the sentinel probes: every `SENTINEL_STRIDE`-th grid
+/// point is evaluated and compared against the located basin, so a secondary
+/// basin wider than one stride cannot go unnoticed.
 const SENTINEL_STRIDE: usize = 8;
 
 /// Why a seeded search fell back to the reference scan.
@@ -51,8 +50,8 @@ pub enum FallbackReason {
     NonFiniteValue,
     /// The hill descent exhausted its step budget without settling.
     BudgetExhausted,
-    /// A strict-mode sentinel probe found a grid point at least as good as the
-    /// located basin (the objective is not unimodal at grid resolution).
+    /// A sentinel probe found a grid point at least as good as the located
+    /// basin (the objective is not unimodal at grid resolution).
     SentinelDisagreement,
 }
 
@@ -183,7 +182,6 @@ fn try_fast<F>(
     hi: f64,
     options: OptimizeOptions,
     seed: Option<f64>,
-    strict: bool,
     f: &F,
 ) -> Result<(ScalarMinimum, usize), FallbackReason>
 where
@@ -249,24 +247,20 @@ where
     }
 
     let (x0, f0) = (memo.point(best), memo.value(best));
-    if strict {
-        // Sentinel probes: a coarse sub-scan that must not beat the located
-        // basin. A strictly better sentinel — or an equal one at a smaller
-        // index, which the scan's first-smallest rule would prefer — demotes
-        // the call. Non-finite sentinels are skipped exactly like the scan
-        // skips them.
-        let mut i = 0;
-        while i < n {
-            let v = memo.value(i);
-            if v.is_finite() && (v < f0 || (v == f0 && i < best)) {
-                return Err(FallbackReason::SentinelDisagreement);
-            }
-            i += SENTINEL_STRIDE;
-        }
-        let last = memo.value(n - 1);
-        if last.is_finite() && last < f0 {
+    // Sentinel probes: a coarse sub-scan that must not beat the located
+    // basin. A strictly better sentinel — or an equal one at a smaller
+    // index, which the scan's first-smallest rule would prefer — demotes the
+    // call. Non-finite sentinels are skipped exactly like the scan skips
+    // them.
+    for i in (0..n).step_by(SENTINEL_STRIDE) {
+        let v = memo.value(i);
+        if v.is_finite() && (v < f0 || (v == f0 && i < best)) {
             return Err(FallbackReason::SentinelDisagreement);
         }
+    }
+    let last = memo.value(n - 1);
+    if last.is_finite() && last < f0 {
+        return Err(FallbackReason::SentinelDisagreement);
     }
 
     // Identical refinement on the identical neighbour bracket, identical
@@ -304,8 +298,8 @@ where
 /// replaced by a short hill descent. The result is bit-identical to the
 /// reference search: either the fast path proves it located the scan's argmin
 /// and runs the identical refinement, or the call falls back to
-/// [`minimize_scalar`] itself. `strict` enables sentinel probes that demote
-/// the call when the objective is not unimodal at grid resolution.
+/// [`minimize_scalar`] itself. Sentinel probes demote the call when the
+/// objective is not unimodal at grid resolution.
 ///
 /// Each call increments exactly one counter of `report`: `fast` when the warm
 /// start was used, `fallback` when the reference search ran.
@@ -318,7 +312,6 @@ pub fn minimize_scalar_seeded<F>(
     hi: f64,
     options: OptimizeOptions,
     seed: Option<f64>,
-    strict: bool,
     report: &mut SearchReport,
     f: F,
 ) -> ScalarMinimum
@@ -330,7 +323,7 @@ where
         // search happens, so neither counter moves.
         return minimize_scalar(lo, hi, options, f);
     }
-    match try_fast(lo, hi, options, seed, strict, &f) {
+    match try_fast(lo, hi, options, seed, &f) {
         Ok((minimum, brent_iterations)) => {
             report.fast += 1;
             report.brent_iterations += brent_iterations as u64;
@@ -351,7 +344,6 @@ impl JointSearch {
         &self,
         p: f64,
         seed: Option<f64>,
-        strict: bool,
         report: &mut SearchReport,
         f: F,
     ) -> ScalarMinimum
@@ -363,7 +355,6 @@ impl JointSearch {
             self.period_range.1,
             self.inner,
             seed,
-            strict,
             report,
             |t| f(p, t),
         )
@@ -380,7 +371,6 @@ impl JointSearch {
         &self,
         processor_seed: Option<f64>,
         period_seed: S,
-        strict: bool,
         report: &mut SearchReport,
         f: F,
     ) -> JointResult
@@ -395,7 +385,7 @@ impl JointSearch {
         let inner = |p: f64| -> ScalarMinimum {
             let seed = period_seed(p);
             let mut tally = inner_tally.borrow_mut();
-            self.optimize_period_seeded(p, seed, strict, &mut tally, &f)
+            self.optimize_period_seeded(p, seed, &mut tally, &f)
         };
         let envelope = |p: f64| inner(p).value;
         let mut outer_report = SearchReport::default();
@@ -404,7 +394,6 @@ impl JointSearch {
             self.processor_range.1,
             self.outer,
             processor_seed,
-            strict,
             &mut outer_report,
             envelope,
         );
@@ -455,14 +444,11 @@ mod tests {
         ];
         for (f, seed) in &cases {
             let reference = minimize_scalar(1.0, 1e9, options, f);
-            for strict in [false, true] {
-                let mut report = SearchReport::default();
-                let fast =
-                    minimize_scalar_seeded(1.0, 1e9, options, Some(*seed), strict, &mut report, f);
-                assert_eq!(bits(&fast), bits(&reference), "seed {seed} strict {strict}");
-                assert_eq!(report.fast, 1, "seed {seed} strict {strict}");
-                assert_eq!(report.fallback, 0, "seed {seed} strict {strict}");
-            }
+            let mut report = SearchReport::default();
+            let fast = minimize_scalar_seeded(1.0, 1e9, options, Some(*seed), &mut report, f);
+            assert_eq!(bits(&fast), bits(&reference), "seed {seed}");
+            assert_eq!(report.fast, 1, "seed {seed}");
+            assert_eq!(report.fallback, 0, "seed {seed}");
         }
     }
 
@@ -475,15 +461,8 @@ mod tests {
         // A seed several grid cells away still descends to the right basin.
         for factor in [0.2, 0.5, 2.0, 5.0] {
             let mut report = SearchReport::default();
-            let fast = minimize_scalar_seeded(
-                1.0,
-                1e9,
-                options,
-                Some(target * factor),
-                true,
-                &mut report,
-                f,
-            );
+            let fast =
+                minimize_scalar_seeded(1.0, 1e9, options, Some(target * factor), &mut report, f);
             assert_eq!(bits(&fast), bits(&reference), "factor {factor}");
             assert_eq!(report.total(), 1);
         }
@@ -502,7 +481,7 @@ mod tests {
             Some(-4.0),
         ] {
             let mut report = SearchReport::default();
-            let fast = minimize_scalar_seeded(1.0, 1e6, options, seed, true, &mut report, f);
+            let fast = minimize_scalar_seeded(1.0, 1e6, options, seed, &mut report, f);
             assert_eq!(bits(&fast), bits(&reference), "seed {seed:?}");
             assert_eq!(report.fallback, 1, "seed {seed:?}");
             assert_eq!(report.fast, 0, "seed {seed:?}");
@@ -517,11 +496,11 @@ mod tests {
         let f = |x: f64| (x.ln() - 1e8f64.ln()).powi(2);
         let reference = minimize_scalar(1.0, 1e9, options, f);
         let mut report = SearchReport::default();
-        let fast = minimize_scalar_seeded(1.0, 1e9, options, Some(1.5), false, &mut report, f);
+        let fast = minimize_scalar_seeded(1.0, 1e9, options, Some(1.5), &mut report, f);
         assert_eq!(bits(&fast), bits(&reference));
         assert_eq!(report.fallback, 1);
         assert_eq!(
-            try_fast(1.0, 1e9, options, Some(1.5), false, &f).unwrap_err(),
+            try_fast(1.0, 1e9, options, Some(1.5), &f).unwrap_err(),
             FallbackReason::BudgetExhausted
         );
     }
@@ -540,16 +519,16 @@ mod tests {
         };
         let reference = minimize_scalar(1.0, 1e6, options, f);
         let mut report = SearchReport::default();
-        let fast = minimize_scalar_seeded(1.0, 1e6, options, Some(150.0), true, &mut report, f);
+        let fast = minimize_scalar_seeded(1.0, 1e6, options, Some(150.0), &mut report, f);
         assert_eq!(bits(&fast), bits(&reference));
         assert_eq!(report.fallback, 1);
         assert_eq!(
-            try_fast(1.0, 1e6, options, Some(150.0), true, &f).unwrap_err(),
+            try_fast(1.0, 1e6, options, Some(150.0), &f).unwrap_err(),
             FallbackReason::NonFiniteValue
         );
         // A seed landing *on* the non-finite plateau also demotes cleanly.
         assert_eq!(
-            try_fast(1.0, 1e6, options, Some(2.0), true, &f).unwrap_err(),
+            try_fast(1.0, 1e6, options, Some(2.0), &f).unwrap_err(),
             FallbackReason::NonFiniteValue
         );
     }
@@ -557,9 +536,9 @@ mod tests {
     #[test]
     fn strict_sentinels_catch_a_deeper_remote_basin() {
         let options = OptimizeOptions::default();
-        // Two wells; the seed points at the shallow one. Plain descent settles
-        // there, but strict sentinels spot the deeper well and demote, so the
-        // strict result still matches the reference bit for bit.
+        // Two wells; the seed points at the shallow one. The descent settles
+        // there, but the sentinels spot the deeper well and demote, so the
+        // result still matches the reference bit for bit.
         let f = |x: f64| {
             let shallow = (x.ln() - 10.0f64.ln()).powi(2) + 0.5;
             let deep = (x.ln() - 1e5f64.ln()).powi(2);
@@ -567,12 +546,12 @@ mod tests {
         };
         let reference = minimize_scalar(1.0, 1e8, options, f);
         assert_eq!(
-            try_fast(1.0, 1e8, options, Some(10.0), true, &f).unwrap_err(),
+            try_fast(1.0, 1e8, options, Some(10.0), &f).unwrap_err(),
             FallbackReason::SentinelDisagreement
         );
         let mut report = SearchReport::default();
-        let strict = minimize_scalar_seeded(1.0, 1e8, options, Some(10.0), true, &mut report, f);
-        assert_eq!(bits(&strict), bits(&reference));
+        let seeded = minimize_scalar_seeded(1.0, 1e8, options, Some(10.0), &mut report, f);
+        assert_eq!(bits(&seeded), bits(&reference));
         assert_eq!(report.fallback, 1);
     }
 
@@ -584,7 +563,6 @@ mod tests {
             7.0,
             OptimizeOptions::default(),
             Some(7.0),
-            true,
             &mut report,
             |x| x * 2.0,
         );
@@ -606,26 +584,23 @@ mod tests {
         let search = JointSearch::new((1.0, 1e6), (10.0, 1e8));
         let reference = search.optimize(h);
         let p_star = (1.0 / (c * lam)).powf(0.25) * ((1.0 - alpha) / (2.0 * alpha)).sqrt();
-        for strict in [false, true] {
-            let mut report = SearchReport::default();
-            let fast = search.optimize_seeded(
-                Some(p_star),
-                |p| Some(((c * p + v) / (lam * p)).sqrt()),
-                strict,
-                &mut report,
-                h,
-            );
-            assert_eq!(fast.processors.to_bits(), reference.processors.to_bits());
-            assert_eq!(fast.period.to_bits(), reference.period.to_bits());
-            assert_eq!(fast.value.to_bits(), reference.value.to_bits());
-            assert_eq!(fast.processors_integer, reference.processors_integer);
-            assert_eq!(
-                fast.value_integer.to_bits(),
-                reference.value_integer.to_bits()
-            );
-            assert!(report.total() > 0);
-            assert_eq!(report.fallback, 0, "strict {strict}: {report:?}");
-        }
+        let mut report = SearchReport::default();
+        let fast = search.optimize_seeded(
+            Some(p_star),
+            |p| Some(((c * p + v) / (lam * p)).sqrt()),
+            &mut report,
+            h,
+        );
+        assert_eq!(fast.processors.to_bits(), reference.processors.to_bits());
+        assert_eq!(fast.period.to_bits(), reference.period.to_bits());
+        assert_eq!(fast.value.to_bits(), reference.value.to_bits());
+        assert_eq!(fast.processors_integer, reference.processors_integer);
+        assert_eq!(
+            fast.value_integer.to_bits(),
+            reference.value_integer.to_bits()
+        );
+        assert!(report.total() > 0);
+        assert_eq!(report.fallback, 0, "{report:?}");
     }
 
     #[test]
@@ -634,7 +609,7 @@ mod tests {
         let f = |p: f64, t: f64| (p - 97.3).powi(2) / 1e4 + (t.ln() - 9.0).powi(2);
         let reference = search.optimize(f);
         let mut report = SearchReport::default();
-        let fast = search.optimize_seeded(None, |_| None, true, &mut report, f);
+        let fast = search.optimize_seeded(None, |_| None, &mut report, f);
         assert_eq!(fast.processors.to_bits(), reference.processors.to_bits());
         assert_eq!(fast.period.to_bits(), reference.period.to_bits());
         assert_eq!(fast.value.to_bits(), reference.value.to_bits());
@@ -682,11 +657,11 @@ mod tests {
         let f = |x: f64| (x.ln() - 5.0).powi(2);
         let mut report = SearchReport::default();
         // A fast-path search racks up Brent iterations…
-        minimize_scalar_seeded(1.0, 1e6, options, Some(5.0f64.exp()), true, &mut report, f);
+        minimize_scalar_seeded(1.0, 1e6, options, Some(5.0f64.exp()), &mut report, f);
         assert_eq!(report.fast, 1);
         assert!(report.brent_iterations > 0, "{report:?}");
         // …and a missing seed lands in the matching reason bucket.
-        minimize_scalar_seeded(1.0, 1e6, options, None, true, &mut report, f);
+        minimize_scalar_seeded(1.0, 1e6, options, None, &mut report, f);
         assert_eq!(report.fallback, 1);
         assert_eq!(report.fallback_count(FallbackReason::MissingSeed), 1);
         assert_eq!(report.fallback_reasons.iter().sum::<u64>(), 1);

@@ -627,11 +627,13 @@ pub fn evaluate_query(state: &AppState, query: &OptimizeQuery) -> SweepRow {
         span.field_u64("search_fast", observation.search.fast);
         span.field_u64("search_fallback", observation.search.fallback);
         span.field_u64("brent_iterations", observation.search.brent_iterations);
-        for reason in ayd_sweep::FallbackReason::ALL {
-            let count = observation.search.fallback_count(reason);
-            if count > 0 {
-                span.field_str("fallback_reason", reason.as_str());
-            }
+        if observation.search.fallback > 0 {
+            let reasons: Vec<&str> = ayd_sweep::FallbackReason::ALL
+                .into_iter()
+                .filter(|&reason| observation.search.fallback_count(reason) > 0)
+                .map(ayd_sweep::FallbackReason::as_str)
+                .collect();
+            span.field_str("fallback_reasons", &reasons.join(","));
         }
     }
     span.finish();
@@ -1653,6 +1655,43 @@ mod tests {
         let (_, again) = route(&state, &req);
         assert_eq!(again.body, response.body);
         assert_eq!(state.cache.stats().hits, 1);
+    }
+
+    #[test]
+    fn evaluate_spans_carry_each_field_once() {
+        // A cold power-law joint query falls back for more than one reason:
+        // the profile has no closed-form `P*` seed, and some inner period
+        // searches meet non-finite values. The span must still name every
+        // key once, with the reasons joined into one field.
+        let sink = Arc::new(ayd_obs::MemorySink::new());
+        ayd_obs::set_sink(Some(sink.clone()));
+        let trace = ayd_obs::fresh_trace_id();
+        let root = ayd_obs::root_span("request", trace);
+        let req = post(
+            "/v1/optimize",
+            r#"{"platform":"Hera","scenario":1,"profile":"powerlaw:0.8"}"#,
+        );
+        let (_, response) = route(&state(), &req);
+        root.finish();
+        ayd_obs::set_sink(None);
+        assert_eq!(response.status, 200);
+        let spans = sink.take();
+        let evaluate = spans
+            .iter()
+            .find(|span| span.trace == trace && span.name == "evaluate")
+            .expect("the query records an evaluate span");
+        let line = evaluate.to_json_line();
+        let mut keys: Vec<&str> = evaluate.fields.iter().map(|(key, _)| *key).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), evaluate.fields.len(), "repeated key in {line}");
+        assert_eq!(
+            evaluate.field("fallback_reasons"),
+            Some(&ayd_obs::FieldValue::Str(
+                "missing-seed,non-finite-value".into()
+            )),
+            "{line}"
+        );
     }
 
     #[test]

@@ -133,7 +133,10 @@ impl Evaluator {
         Some(point)
     }
 
-    /// The numerically optimal operating point of the exact model.
+    /// The numerically optimal operating point of the exact model, found by
+    /// the reference grid scan + Brent search. Sweeps and served queries run
+    /// [`Self::numerical_point_seeded`] instead, which reproduces this bit
+    /// for bit; this is the oracle the tests compare it against.
     pub fn numerical_point(&self, model: &ExactModel) -> OperatingPoint {
         let result = self
             .joint_search()
@@ -150,7 +153,8 @@ impl Evaluator {
     }
 
     /// The numerically optimal period (and resulting overhead) for a fixed
-    /// processor count.
+    /// processor count, by the reference search (the oracle of
+    /// [`Self::numerical_period_for_seeded`]).
     pub fn numerical_period_for(&self, model: &ExactModel, p: f64) -> (f64, f64) {
         let minimum = self
             .joint_search()
@@ -167,17 +171,16 @@ impl Evaluator {
         (seed.is_finite() && seed > 0.0).then_some(seed)
     }
 
-    /// [`Self::numerical_point`], evaluated through the warm-started search:
-    /// the outer processor search is seeded with the closed-form `P*` of
-    /// Theorem 2/3 (when the profile family has one) and every inner period
-    /// search with Theorem 1's `T*_P`. The result is bit-identical to
-    /// [`Self::numerical_point`] — every scalar sub-search either proves it
-    /// matched the reference or self-demotes to it — and `report` tallies the
-    /// fast/fallback split.
+    /// [`Self::numerical_point`], evaluated through the warm-started search
+    /// every sweep and served query runs: the outer processor search is
+    /// seeded with the closed-form `P*` of Theorem 2/3 (when the profile
+    /// family has one) and every inner period search with Theorem 1's `T*_P`.
+    /// The result is bit-identical to [`Self::numerical_point`] — every
+    /// scalar sub-search either proves it matched the reference or
+    /// self-demotes to it — and `report` tallies the fast/fallback split.
     pub fn numerical_point_seeded(
         &self,
         model: &ExactModel,
-        strict: bool,
         report: &mut SearchReport,
     ) -> OperatingPoint {
         let processor_seed = FirstOrder::new(model)
@@ -188,7 +191,6 @@ impl Evaluator {
         let result = self.joint_search().optimize_seeded(
             processor_seed,
             |p| Self::period_seed(model, p),
-            strict,
             report,
             |p, t| model.expected_overhead(t, p),
         );
@@ -210,13 +212,11 @@ impl Evaluator {
         &self,
         model: &ExactModel,
         p: f64,
-        strict: bool,
         report: &mut SearchReport,
     ) -> (f64, f64) {
         let minimum = self.joint_search().optimize_period_seeded(
             p,
             Self::period_seed(model, p),
-            strict,
             report,
             |pp, t| model.expected_overhead(t, pp),
         );
@@ -343,21 +343,19 @@ mod tests {
                         .model()
                         .unwrap();
                     let reference = eval.numerical_point(&model);
-                    for strict in [false, true] {
-                        let mut report = SearchReport::default();
-                        let fast = eval.numerical_point_seeded(&model, strict, &mut report);
-                        assert_eq!(
-                            fast.processors.to_bits(),
-                            reference.processors.to_bits(),
-                            "{platform:?}/{scenario:?}/{profile:?} strict={strict}"
-                        );
-                        assert_eq!(fast.period.to_bits(), reference.period.to_bits());
-                        assert_eq!(
-                            fast.predicted_overhead.to_bits(),
-                            reference.predicted_overhead.to_bits()
-                        );
-                        assert!(report.total() > 0);
-                    }
+                    let mut report = SearchReport::default();
+                    let fast = eval.numerical_point_seeded(&model, &mut report);
+                    assert_eq!(
+                        fast.processors.to_bits(),
+                        reference.processors.to_bits(),
+                        "{platform:?}/{scenario:?}/{profile:?}"
+                    );
+                    assert_eq!(fast.period.to_bits(), reference.period.to_bits());
+                    assert_eq!(
+                        fast.predicted_overhead.to_bits(),
+                        reference.predicted_overhead.to_bits()
+                    );
+                    assert!(report.total() > 0);
                 }
             }
         }
@@ -372,7 +370,7 @@ mod tests {
         for p in [64.0, 512.0, 4096.0] {
             let (t_ref, h_ref) = eval.numerical_period_for(&model, p);
             let mut report = SearchReport::default();
-            let (t_fast, h_fast) = eval.numerical_period_for_seeded(&model, p, true, &mut report);
+            let (t_fast, h_fast) = eval.numerical_period_for_seeded(&model, p, &mut report);
             assert_eq!(t_fast.to_bits(), t_ref.to_bits(), "P={p}");
             assert_eq!(h_fast.to_bits(), h_ref.to_bits(), "P={p}");
             // Theorem 1 lands within a grid cell of the optimum: the single

@@ -94,13 +94,6 @@ impl SweepOptions {
         }
     }
 
-    /// Selects the numerical-search strategy (a shorthand for setting
-    /// `run.search`).
-    pub fn with_search(mut self, search: crate::options::SearchStrategy) -> Self {
-        self.run.search = search;
-        self
-    }
-
     /// Sets an explicit worker-thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
@@ -156,11 +149,8 @@ impl SweepOptions {
     /// sweep's output. Worker-thread count and cache capacity are deliberately
     /// excluded (the determinism contract guarantees they never matter), so a
     /// shard computed with `--threads 8` merges cleanly with one computed
-    /// single-threaded. The search strategy is excluded for the same reason:
-    /// all strategies are bit-identical, so a shard computed under
-    /// `--search fast` merges and resumes cleanly with a `--search reference`
-    /// one. Used by shard manifests to refuse cross-configuration resumes and
-    /// merges.
+    /// single-threaded. Used by shard manifests to refuse cross-configuration
+    /// resumes and merges.
     pub fn output_fingerprint(&self) -> u64 {
         use crate::grid::{bits_or_marker, mix};
         let mut h: u64 = 0x0B71_0555_F17E_9A2D;
@@ -261,8 +251,8 @@ pub struct SweepResults {
     /// Hit/miss/eviction counters of the memoisation cache (all zero when the
     /// cache was disabled).
     pub cache: CacheStats,
-    /// Fast/fallback tallies of the warm-started search (all zero under the
-    /// reference strategy). Like the cache counters, these may vary with
+    /// Fast/fallback tallies of the warm-started search (all zero when every
+    /// cell was a cache hit). Like the cache counters, these may vary with
     /// thread scheduling (concurrent misses can compute twice) and are
     /// therefore never part of the CSV output.
     pub search: SearchReport,
@@ -529,7 +519,6 @@ fn run_cells(
         sweep_span.field_u64("cells", cells.len() as u64);
         sweep_span.field_u64("workers", workers as u64);
         sweep_span.field_u64("chunk", chunk as u64);
-        sweep_span.field_str("strategy", options.run.search.as_str());
         sweep_span.field_bool("simulate", options.run.simulate);
     }
     let sweep_ctx = sweep_span.context();
@@ -674,10 +663,6 @@ pub fn analytic_cache_key(
         options.processor_range.1,
         options.period_range.0,
         options.period_range.1,
-        // The strategies are bit-identical, but each keeps its own cache
-        // entries so fast/fallback accounting (and any strategy comparison)
-        // is never confounded by values another strategy computed.
-        options.run.search.cache_tag(),
     ])
 }
 
@@ -760,7 +745,7 @@ pub fn evaluate_analytic_observed(
 
 /// Batch variant of [`evaluate_analytic`]: evaluates every
 /// `(model, fixed P, failure model)` query against the same options and
-/// shared cache, amortising the evaluator/strategy setup across the batch.
+/// shared cache, amortising the evaluator setup across the batch.
 /// Returns the evaluations in query order plus the merged fast/fallback tally
 /// of the cache-cold queries. Used by the sweep executor (per worker chunk)
 /// and `ayd-serve`'s `/v1/batch` fan-out.
@@ -769,7 +754,7 @@ pub fn evaluate_many(
     options: &SweepOptions,
     cache: Option<&ShardedEvalCache<AnalyticEval>>,
 ) -> (Vec<AnalyticEval>, SearchReport) {
-    let context = AnalyticContext::new(options);
+    let evaluator = analytic_evaluator(options);
     let mut search = SearchReport::default();
     let evals = queries
         .iter()
@@ -777,13 +762,13 @@ pub fn evaluate_many(
             Some(cache) => cache.get_or_insert_with(
                 analytic_cache_key(model, *fixed_processors, failure_model, options),
                 || {
-                    let (eval, report) = context.evaluate(model, *fixed_processors);
+                    let (eval, report) = evaluate_with(&evaluator, model, *fixed_processors);
                     search.merge(&report);
                     eval
                 },
             ),
             None => {
-                let (eval, report) = context.evaluate(model, *fixed_processors);
+                let (eval, report) = evaluate_with(&evaluator, model, *fixed_processors);
                 search.merge(&report);
                 eval
             }
@@ -797,109 +782,84 @@ fn compute_analytic(
     fixed_processors: Option<f64>,
     options: &SweepOptions,
 ) -> (AnalyticEval, SearchReport) {
-    AnalyticContext::new(options).evaluate(model, fixed_processors)
+    evaluate_with(&analytic_evaluator(options), model, fixed_processors)
 }
 
-/// Per-batch evaluation context: the configured [`Evaluator`] and strategy,
-/// built once and reused across the queries of an [`evaluate_many`] batch.
-struct AnalyticContext {
-    evaluator: Evaluator,
-    search: crate::options::SearchStrategy,
+/// The [`Evaluator`] behind the analytic kernel: the sweep's search ranges,
+/// simulation off. Built once per [`evaluate_many`] batch.
+fn analytic_evaluator(options: &SweepOptions) -> Evaluator {
+    let analytic_options = RunOptions {
+        simulate: false,
+        ..options.run
+    };
+    Evaluator::new(analytic_options)
+        .with_processor_range(options.processor_range.0, options.processor_range.1)
+        .with_period_range(options.period_range.0, options.period_range.1)
 }
 
-impl AnalyticContext {
-    fn new(options: &SweepOptions) -> Self {
-        let analytic_options = RunOptions {
-            simulate: false,
-            ..options.run
-        };
-        Self {
-            evaluator: Evaluator::new(analytic_options)
-                .with_processor_range(options.processor_range.0, options.processor_range.1)
-                .with_period_range(options.period_range.0, options.period_range.1),
-            search: options.run.search,
-        }
-    }
-
-    fn evaluate(
-        &self,
-        model: &ExactModel,
-        fixed_processors: Option<f64>,
-    ) -> (AnalyticEval, SearchReport) {
-        let evaluator = &self.evaluator;
-        let mut report = SearchReport::default();
-        // The paper's first-order closed forms apply to the Amdahl family only
-        // (including its perfectly parallel `α = 0` limit). Extension profiles
-        // (power law, Gustafson) fall back to the numerical-only series — the
-        // dispatch that used to live in `ayd-exp`'s extension experiment.
-        let amdahl_family = model.speedup.sequential_fraction().is_some();
-        let first_order_model = FirstOrder::new(model);
-        let closed_form = if amdahl_family {
-            first_order_model.joint_optimum().ok().map(|o| ClosedForm {
-                processors: o.processors,
-                period: o.period,
-                overhead: o.overhead,
-            })
-        } else {
-            None
-        };
-        let eval = match fixed_processors {
-            Some(p) => {
-                let first_order = amdahl_family.then(|| {
-                    let period_optimum = first_order_model.optimal_period_for(p);
-                    OperatingPoint {
-                        processors: p,
-                        period: period_optimum.period,
-                        predicted_overhead: model.expected_overhead(period_optimum.period, p),
-                        formula_overhead: Some(period_optimum.overhead),
-                        simulated: None,
-                    }
-                });
-                let (period, overhead) = if self.search.is_fast() {
-                    evaluator.numerical_period_for_seeded(
-                        model,
-                        p,
-                        self.search.is_strict(),
-                        &mut report,
-                    )
-                } else {
-                    evaluator.numerical_period_for(model, p)
-                };
-                let numerical = OperatingPoint {
+/// One analytic evaluation. The numerical optimum always comes from the
+/// warm-started search, which is bit-identical to the reference search.
+fn evaluate_with(
+    evaluator: &Evaluator,
+    model: &ExactModel,
+    fixed_processors: Option<f64>,
+) -> (AnalyticEval, SearchReport) {
+    let mut report = SearchReport::default();
+    // The paper's first-order closed forms apply to the Amdahl family only
+    // (including its perfectly parallel `α = 0` limit). Extension profiles
+    // (power law, Gustafson) fall back to the numerical-only series — the
+    // dispatch that used to live in `ayd-exp`'s extension experiment.
+    let amdahl_family = model.speedup.sequential_fraction().is_some();
+    let first_order_model = FirstOrder::new(model);
+    let closed_form = if amdahl_family {
+        first_order_model.joint_optimum().ok().map(|o| ClosedForm {
+            processors: o.processors,
+            period: o.period,
+            overhead: o.overhead,
+        })
+    } else {
+        None
+    };
+    let eval = match fixed_processors {
+        Some(p) => {
+            let first_order = amdahl_family.then(|| {
+                let period_optimum = first_order_model.optimal_period_for(p);
+                OperatingPoint {
                     processors: p,
-                    period,
-                    predicted_overhead: overhead,
-                    formula_overhead: None,
+                    period: period_optimum.period,
+                    predicted_overhead: model.expected_overhead(period_optimum.period, p),
+                    formula_overhead: Some(period_optimum.overhead),
                     simulated: None,
-                };
-                AnalyticEval {
-                    first_order,
-                    closed_form,
-                    numerical,
                 }
+            });
+            let (period, overhead) = evaluator.numerical_period_for_seeded(model, p, &mut report);
+            let numerical = OperatingPoint {
+                processors: p,
+                period,
+                predicted_overhead: overhead,
+                formula_overhead: None,
+                simulated: None,
+            };
+            AnalyticEval {
+                first_order,
+                closed_form,
+                numerical,
             }
-            None => {
-                // The first-order point is a closed form (no search); only the
-                // numerical optimum dispatches on the strategy.
-                let first_order = if amdahl_family {
-                    evaluator.first_order_point(model)
-                } else {
-                    None
-                };
-                let numerical = if self.search.is_fast() {
-                    evaluator.numerical_point_seeded(model, self.search.is_strict(), &mut report)
-                } else {
-                    evaluator.numerical_point(model)
-                };
-                AnalyticEval {
-                    first_order,
-                    closed_form,
-                    numerical,
-                }
+        }
+        None => {
+            let first_order = if amdahl_family {
+                evaluator.first_order_point(model)
+            } else {
+                None
+            };
+            AnalyticEval {
+                first_order,
+                closed_form,
+                numerical: evaluator.numerical_point_seeded(model, &mut report),
             }
-        };
-        (eval, report)
-    }
+        }
+    };
+    (eval, report)
 }
 
 fn simulate_point(
@@ -1378,8 +1338,8 @@ mod tests {
         let exp = FailureModelSpec::exponential();
         let cache = ShardedEvalCache::new(64, 4);
         let model = test_model();
-        // First call computes (cache miss) and, under the default fast-strict
-        // strategy, answers at least one scalar search via the fast path.
+        // First call computes (cache miss) and answers at least one scalar
+        // search via the warm-started fast path.
         let (first, observation) =
             evaluate_analytic_observed(&model, None, &exp, &options, Some(&cache));
         assert!(observation.computed);
@@ -1510,46 +1470,21 @@ mod tests {
     #[test]
     fn sweep_results_tally_fast_and_fallback_searches() {
         let grid = small_fixed_grid();
-        // The default strategy is fast-strict: the tally must account for
-        // every scalar search the grid ran.
+        // The tally must account for every scalar search the grid ran.
         let results = SweepExecutor::new(analytic_options().with_threads(2)).run(&grid);
         assert!(results.search.total() > 0, "{:?}", results.search);
-        // The reference strategy never touches the fast path.
-        let reference_run = RunOptions {
-            simulate: false,
-            search: crate::options::SearchStrategy::Reference,
-            ..RunOptions::smoke()
-        };
-        let reference = SweepExecutor::new(SweepOptions::new(reference_run)).run(&grid);
-        assert_eq!(reference.search, SearchReport::default());
-        // And the rows agree byte-for-byte regardless (the core contract).
-        assert_eq!(results.rows, reference.rows);
-    }
-
-    #[test]
-    fn cache_entries_are_keyed_per_search_strategy() {
-        let model = test_model();
-        let exp = FailureModelSpec::exponential();
-        let fast = analytic_options();
-        let reference = SweepOptions::new(RunOptions {
-            simulate: false,
-            search: crate::options::SearchStrategy::Reference,
-            ..RunOptions::smoke()
-        });
-        assert_ne!(
-            analytic_cache_key(&model, None, &exp, &fast),
-            analytic_cache_key(&model, None, &exp, &reference),
-            "strategies must not share cache entries"
-        );
-        // A shared cache serves both strategies without cross-talk: two
-        // strategies, two misses, then one hit each.
-        let cache = ShardedEvalCache::new(64, 4);
-        let (a, _) = evaluate_analytic_observed(&model, None, &exp, &fast, Some(&cache));
-        let (b, _) = evaluate_analytic_observed(&model, None, &exp, &reference, Some(&cache));
-        assert_eq!(a, b, "strategies are bit-identical");
-        assert_eq!(cache.stats().misses, 2);
-        evaluate_analytic_observed(&model, None, &exp, &fast, Some(&cache));
-        evaluate_analytic_observed(&model, None, &exp, &reference, Some(&cache));
-        assert_eq!(cache.stats().hits, 2);
+        // And every row's numerical point is bit-identical to the reference
+        // search (the core contract).
+        let oracle = Evaluator::new(analytic_options().run);
+        for (cell, row) in grid.cells().iter().zip(&results.rows) {
+            let model = cell.setup.model().unwrap();
+            let p = cell.fixed_processors.unwrap();
+            let (period, overhead) = oracle.numerical_period_for(&model, p);
+            assert_eq!(row.numerical.period.to_bits(), period.to_bits());
+            assert_eq!(
+                row.numerical.predicted_overhead.to_bits(),
+                overhead.to_bits()
+            );
+        }
     }
 }

@@ -63,7 +63,7 @@ pub use manifest::{manifest_path, SweepManifest, MANIFEST_MAGIC};
 pub use misspec::{
     misspecification_of, misspecification_report, MisspecificationReport, MisspecificationRow,
 };
-pub use options::{Fidelity, RunOptions, SearchStrategy};
+pub use options::{Fidelity, RunOptions};
 pub use shard::{
     merge_parts, run_shard_to_files, ShardError, ShardPart, ShardRunReport, ShardSpec, MAX_SHARDS,
 };

@@ -1,8 +1,7 @@
 //! Run options shared by every experiment runner and sweep.
 //!
-//! These types used to live in `ayd-exp`; they moved down into `ayd-sweep` so
-//! that the sweep engine and the experiment harness share one definition
-//! (`ayd-exp` re-exports them under the old `ayd_exp::config` path).
+//! The sweep engine and the experiment harness share this one definition
+//! (`ayd-exp` re-exports it at its crate root).
 
 use serde::{Deserialize, Serialize};
 
@@ -17,83 +16,6 @@ pub enum Fidelity {
     Standard,
     /// The paper's replication scale (500 runs × 500 patterns per point).
     Paper,
-}
-
-/// Numerical-search strategy of the optimiser evaluations.
-///
-/// All three strategies return **bit-identical** results: the fast paths
-/// either prove they located the reference search's operating point (see
-/// `ayd_optim::seeded`) or self-demote to the reference search for that call.
-/// The strategy therefore only changes how much work a cache-cold evaluation
-/// costs — never the bytes of any output.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SearchStrategy {
-    /// The original grid-scan + Brent search, evaluated in full.
-    Reference,
-    /// Warm-started search seeded from the first-order closed forms
-    /// (Theorems 1–3); assumes the overhead is unimodal at grid resolution.
-    Fast,
-    /// [`SearchStrategy::Fast`] plus sentinel probes that demote any scalar
-    /// search whose located basin is not provably the global one. The
-    /// default.
-    #[default]
-    FastStrict,
-}
-
-impl SearchStrategy {
-    /// Every strategy, in spec order.
-    pub const ALL: [SearchStrategy; 3] = [
-        SearchStrategy::Reference,
-        SearchStrategy::Fast,
-        SearchStrategy::FastStrict,
-    ];
-
-    /// The canonical spec string (`reference` / `fast` / `fast-strict`), as
-    /// accepted by [`SearchStrategy::parse`] and the CLI's `--search` flag.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SearchStrategy::Reference => "reference",
-            SearchStrategy::Fast => "fast",
-            SearchStrategy::FastStrict => "fast-strict",
-        }
-    }
-
-    /// Parses a spec string (see [`SearchStrategy::as_str`]).
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        match spec {
-            "reference" => Ok(SearchStrategy::Reference),
-            "fast" => Ok(SearchStrategy::Fast),
-            "fast-strict" => Ok(SearchStrategy::FastStrict),
-            other => Err(format!(
-                "unknown search strategy '{other}' (expected reference, fast or fast-strict)"
-            )),
-        }
-    }
-
-    /// True for the strategies that use the warm-started fast path.
-    pub fn is_fast(self) -> bool {
-        !matches!(self, SearchStrategy::Reference)
-    }
-
-    /// True when the fast path must run sentinel verification probes.
-    pub fn is_strict(self) -> bool {
-        matches!(self, SearchStrategy::FastStrict)
-    }
-
-    /// Numeric tag mixed into cache keys (distinct per strategy).
-    pub fn cache_tag(self) -> f64 {
-        match self {
-            SearchStrategy::Reference => 0.0,
-            SearchStrategy::Fast => 1.0,
-            SearchStrategy::FastStrict => 2.0,
-        }
-    }
-}
-
-impl std::fmt::Display for SearchStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
 }
 
 /// Options of an experiment run.
@@ -112,9 +34,6 @@ pub struct RunOptions {
     /// Whether sweep-backed runners memoise optimiser evaluations. Results
     /// never depend on this either.
     pub cache: bool,
-    /// Numerical-search strategy. Results never depend on this either (all
-    /// strategies are bit-identical); it only changes cold-evaluation cost.
-    pub search: SearchStrategy,
 }
 
 impl Default for RunOptions {
@@ -125,7 +44,6 @@ impl Default for RunOptions {
             simulate: true,
             threads: None,
             cache: true,
-            search: SearchStrategy::default(),
         }
     }
 }
@@ -209,30 +127,5 @@ mod tests {
         let options = RunOptions::default();
         assert_eq!(options.threads, None);
         assert!(options.cache);
-        assert_eq!(options.search, SearchStrategy::FastStrict);
-    }
-
-    #[test]
-    fn search_strategy_specs_round_trip() {
-        for strategy in SearchStrategy::ALL {
-            assert_eq!(SearchStrategy::parse(strategy.as_str()), Ok(strategy));
-            assert_eq!(strategy.to_string(), strategy.as_str());
-        }
-        assert!(SearchStrategy::parse("newton").is_err());
-        assert_eq!(SearchStrategy::default(), SearchStrategy::FastStrict);
-        assert!(!SearchStrategy::Reference.is_fast());
-        assert!(SearchStrategy::Fast.is_fast());
-        assert!(!SearchStrategy::Fast.is_strict());
-        assert!(SearchStrategy::FastStrict.is_strict());
-        // Cache tags must stay distinct: the memoisation key mixes them so
-        // strategies never share entries.
-        assert_ne!(
-            SearchStrategy::Reference.cache_tag(),
-            SearchStrategy::Fast.cache_tag()
-        );
-        assert_ne!(
-            SearchStrategy::Fast.cache_tag(),
-            SearchStrategy::FastStrict.cache_tag()
-        );
     }
 }

@@ -706,10 +706,12 @@ mod tests {
         // Point the manifest at a directory that does not exist: the first
         // row's atomic manifest write fails, the sink records the error and
         // raises the stop flag, and run_shard_to_files returns ShardError::Io
-        // (no worker panic, no poisoned emitter).
+        // (no worker panic, no poisoned emitter). One worker: with two, the
+        // second can claim the last chunk before the first row's failure
+        // raises the stop flag, and the run then drains every cell.
         let dir = temp_dir("sink-io");
         let grid = grid();
-        let executor = SweepExecutor::new(options().with_threads(2));
+        let executor = SweepExecutor::new(options().with_threads(1));
         let csv_path = dir.join("shard.csv");
         std::fs::write(&csv_path, format!("{CSV_HEADER}\n")).unwrap();
         let stop = AtomicBool::new(false);

@@ -2,8 +2,8 @@
 //! produces well-formed, serialisable data whose headline shapes match the
 //! paper.
 
-use ayd_exp::config::RunOptions;
 use ayd_exp::{ablation, extensions, figure2, figure3, figure5, figure7, report, tables};
+use ayd_sweep::RunOptions;
 
 fn analytical() -> RunOptions {
     RunOptions {

@@ -5,8 +5,8 @@
 //! * `weibull:1.0` (and `shifted:0`) are the exponential law, and the sweep
 //!   engine treats them so: their rows are byte-identical to `exp` rows
 //!   (modulo the two failure-model columns) for **any** worker-thread count,
-//!   shard split, cache setting and search strategy — the keystone of the
-//!   failure-model determinism contract;
+//!   shard split and cache setting — the keystone of the failure-model
+//!   determinism contract;
 //! * distinct failure families over the same λ never share a cache entry
 //!   (covered at unit level in `ayd-sweep`; here the end-to-end CSVs of a
 //!   mixed grid keep the families apart row by row).
@@ -15,8 +15,8 @@ use proptest::prelude::*;
 
 use ayd_platforms::{PlatformId, ScenarioId};
 use ayd_sweep::{
-    merge_parts, FailureModelSpec, ProcessorAxis, RunOptions, ScenarioGrid, SearchStrategy,
-    ShardPart, ShardSpec, SweepExecutor, SweepManifest, SweepOptions,
+    merge_parts, FailureModelSpec, ProcessorAxis, RunOptions, ScenarioGrid, ShardPart, ShardSpec,
+    SweepExecutor, SweepManifest, SweepOptions,
 };
 
 fn arb_failure_spec() -> impl Strategy<Value = FailureModelSpec> {
@@ -114,50 +114,43 @@ fn csv_of(grid: &ScenarioGrid, options: SweepOptions, shards: usize) -> String {
 #[test]
 fn weibull_shape_one_matches_exponential_for_every_execution_shape() {
     // Exhaustive over the execution shapes the determinism contract names:
-    // thread counts, shard splits, cache on/off and every search strategy.
+    // thread counts, shard splits and cache on/off.
     // Simulation is ON, so the equivalence also covers the sampler path (a
     // `weibull:1.0` cell must draw the exact exponential variates).
     let exp_grid = small_grid(&[FailureModelSpec::exponential()]);
     let weibull_grid = small_grid(&[FailureModelSpec::weibull(1.0).unwrap()]);
     let shifted_grid = small_grid(&[FailureModelSpec::shifted(0.0).unwrap()]);
     let mut baseline: Option<String> = None;
-    for strategy in [
-        SearchStrategy::Reference,
-        SearchStrategy::Fast,
-        SearchStrategy::FastStrict,
-    ] {
-        for threads in [1usize, 4] {
-            for cache in [true, false] {
-                for shards in [1usize, 3] {
-                    let options = SweepOptions::new(RunOptions {
-                        threads: Some(threads),
-                        cache,
-                        search: strategy,
-                        ..RunOptions::smoke()
-                    });
-                    let exp_csv = csv_of(&exp_grid, options, shards);
-                    let weibull_csv = csv_of(&weibull_grid, options, shards);
-                    let shifted_csv = csv_of(&shifted_grid, options, shards);
-                    let stripped = strip_failure_columns(&exp_csv);
-                    assert_eq!(
-                        strip_failure_columns(&weibull_csv),
-                        stripped,
-                        "weibull:1.0 drifted from exp \
-                         ({strategy:?}, {threads} threads, cache {cache}, {shards} shards)"
-                    );
-                    assert_eq!(
-                        strip_failure_columns(&shifted_csv),
-                        stripped,
-                        "shifted:0 drifted from exp \
-                         ({strategy:?}, {threads} threads, cache {cache}, {shards} shards)"
-                    );
-                    // The failure columns themselves keep the declared family.
-                    assert!(weibull_csv.lines().nth(1).unwrap().contains(",weibull,1,"));
-                    // And every execution shape produces the same exp bytes.
-                    match &baseline {
-                        None => baseline = Some(exp_csv),
-                        Some(baseline) => assert_eq!(&exp_csv, baseline),
-                    }
+    for threads in [1usize, 4] {
+        for cache in [true, false] {
+            for shards in [1usize, 3] {
+                let options = SweepOptions::new(RunOptions {
+                    threads: Some(threads),
+                    cache,
+                    ..RunOptions::smoke()
+                });
+                let exp_csv = csv_of(&exp_grid, options, shards);
+                let weibull_csv = csv_of(&weibull_grid, options, shards);
+                let shifted_csv = csv_of(&shifted_grid, options, shards);
+                let stripped = strip_failure_columns(&exp_csv);
+                assert_eq!(
+                    strip_failure_columns(&weibull_csv),
+                    stripped,
+                    "weibull:1.0 drifted from exp \
+                     ({threads} threads, cache {cache}, {shards} shards)"
+                );
+                assert_eq!(
+                    strip_failure_columns(&shifted_csv),
+                    stripped,
+                    "shifted:0 drifted from exp \
+                     ({threads} threads, cache {cache}, {shards} shards)"
+                );
+                // The failure columns themselves keep the declared family.
+                assert!(weibull_csv.lines().nth(1).unwrap().contains(",weibull,1,"));
+                // And every execution shape produces the same exp bytes.
+                match &baseline {
+                    None => baseline = Some(exp_csv),
+                    Some(baseline) => assert_eq!(&exp_csv, baseline),
                 }
             }
         }

@@ -1,21 +1,25 @@
-//! Property-based equivalence of the warm-started search strategies.
+//! Property-based equivalence of the warm-started search and the reference.
 //!
-//! The `SearchStrategy` contract (see `ayd_optim::seeded`) is that `fast` and
-//! `fast-strict` are **bit-identical** to the `reference` grid-scan + Brent
-//! search on every output: the fast path either proves it located the
-//! reference search's operating point or silently demotes itself to the
-//! reference search for that scalar call. This suite exercises the contract
-//! end-to-end through the sweep engine on randomized grids spanning all four
-//! speedup-profile families, every platform, both lambda axes, fixed and
-//! jointly-optimised processor counts, pattern-length axes, several worker
-//! thread counts, and the cache both on and off.
+//! Every sweep and served query finds its numerical optimum with the
+//! warm-started search of `ayd_optim::seeded`: seeded from the paper's
+//! first-order closed forms (Theorems 1–3), checked by sentinel probes, and
+//! demoted to the reference grid scan + Brent search whenever it cannot prove
+//! it found the scan's basin. Its contract is that it is **bit-identical** to
+//! that reference search, which [`Evaluator::numerical_period_for`] and
+//! [`Evaluator::numerical_point`] still run as the oracle. This suite checks
+//! the contract end-to-end through the sweep engine on randomized grids
+//! spanning all four speedup-profile families, every platform, both lambda
+//! axes, fixed and jointly-optimised processor counts, pattern-length axes,
+//! several worker thread counts, and the cache both on and off. The two
+//! "search strategies" the test names refer to are the warm-started search
+//! and its reference oracle.
 
 use proptest::prelude::*;
 
 use ayd_core::SpeedupProfile;
 use ayd_platforms::{PlatformId, ScenarioId};
 use ayd_sweep::{
-    ProcessorAxis, RunOptions, ScenarioGrid, SearchStrategy, SweepExecutor, SweepOptions,
+    Evaluator, ProcessorAxis, RunOptions, ScenarioGrid, SweepExecutor, SweepOptions, SweepResults,
 };
 
 /// One arbitrary (valid) speedup profile, covering all four families.
@@ -71,17 +75,50 @@ fn arb_grid() -> impl Strategy<Value = ScenarioGrid> {
         )
 }
 
-fn run_csv(grid: &ScenarioGrid, options: SweepOptions) -> String {
-    SweepExecutor::new(options).run(grid).to_csv()
+/// Asserts that every row's numerical `(P*, T*, overhead)` is bit-identical
+/// to the reference search on the row's cell.
+fn assert_rows_match_reference(grid: &ScenarioGrid, results: &SweepResults, run: RunOptions) {
+    let oracle = Evaluator::new(RunOptions {
+        simulate: false,
+        ..run
+    });
+    let cells = grid.cells();
+    assert_eq!(results.rows.len(), cells.len());
+    for (cell, row) in cells.iter().zip(&results.rows) {
+        let model = cell.setup.model().unwrap();
+        let expected = match cell.fixed_processors {
+            Some(p) => {
+                let (period, overhead) = oracle.numerical_period_for(&model, p);
+                (p, period, overhead)
+            }
+            None => {
+                let point = oracle.numerical_point(&model);
+                (point.processors, point.period, point.predicted_overhead)
+            }
+        };
+        let got = (
+            row.numerical.processors,
+            row.numerical.period,
+            row.numerical.predicted_overhead,
+        );
+        let bits = |(p, t, h): (f64, f64, f64)| (p.to_bits(), t.to_bits(), h.to_bits());
+        assert_eq!(
+            bits(got),
+            bits(expected),
+            "cell {}: {got:?} != reference {expected:?}",
+            cell.index
+        );
+    }
 }
 
 proptest! {
-    // Each case runs the sweep engine several times; keep the case count low.
+    // Each case runs the reference search on every cell; keep the case
+    // count low.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// For any grid, the three search strategies produce byte-for-byte
-    /// identical sweep CSVs — i.e. bit-identical `(P*, T*, overhead)` per
-    /// cell — regardless of thread count, and with the cache on or off.
+    /// For any grid, every cell's numerical `(P*, T*, overhead)` is
+    /// bit-identical to the reference search, regardless of thread count,
+    /// and with the cache on or off.
     #[test]
     fn search_strategies_are_byte_identical_on_random_grids(
         grid in arb_grid(),
@@ -91,28 +128,21 @@ proptest! {
     ) {
         let threads = [1usize, 2, 8][threads_index];
         let cache = cache_switch == 1;
-        let run_for = |search: SearchStrategy| RunOptions {
+        let run = RunOptions {
             seed,
             simulate: false,
-            search,
             ..RunOptions::smoke()
         };
-        let options_for = |search: SearchStrategy| {
-            SweepOptions::new(run_for(search))
-                .with_threads(threads)
-                .with_cache_capacity(cache.then_some(1024))
-        };
-        let reference = run_csv(&grid, options_for(SearchStrategy::Reference));
-        prop_assert!(reference.contains(','), "sanity: rows were produced");
-        let fast = run_csv(&grid, options_for(SearchStrategy::Fast));
-        prop_assert_eq!(&reference, &fast, "fast differs from reference");
-        let strict = run_csv(&grid, options_for(SearchStrategy::FastStrict));
-        prop_assert_eq!(&reference, &strict, "fast-strict differs from reference");
+        let options = SweepOptions::new(run)
+            .with_threads(threads)
+            .with_cache_capacity(cache.then_some(1024));
+        let results = SweepExecutor::new(options).run(&grid);
+        prop_assert!(results.search.total() > 0, "sanity: the warm start ran");
+        assert_rows_match_reference(&grid, &results, run);
     }
 
     /// Simulation rides on the analytic operating points, so with simulation
-    /// enabled the strategies must still agree byte-for-byte (the simulated
-    /// columns are seeded per cell index, independent of the search path).
+    /// enabled the numerical points must still match the reference.
     #[test]
     fn search_strategies_agree_with_simulation_enabled(
         seed in 0u64..1_000,
@@ -125,58 +155,45 @@ proptest! {
             .processors(ProcessorAxis::Fixed(processors))
             .build()
             .unwrap();
-        let csv_for = |search: SearchStrategy| {
-            let run = RunOptions {
-                seed,
-                search,
-                ..RunOptions::smoke()
-            };
-            run_csv(&grid, SweepOptions::new(run).with_threads(2))
+        let run = RunOptions {
+            seed,
+            ..RunOptions::smoke()
         };
-        let reference = csv_for(SearchStrategy::Reference);
-        prop_assert_eq!(&reference, &csv_for(SearchStrategy::Fast));
-        prop_assert_eq!(&reference, &csv_for(SearchStrategy::FastStrict));
+        let results = SweepExecutor::new(SweepOptions::new(run).with_threads(2)).run(&grid);
+        prop_assert!(results.rows.iter().all(|row| row.primary_point().simulated.is_some()));
+        assert_rows_match_reference(&grid, &results, run);
     }
 }
 
-/// The strict fast path on the demo-scale mixed axes never *diverges* from
-/// the reference: a deterministic spot-check pinning the exact cell set the
-/// CI equivalence step sweeps (platforms × scenarios × profiles × lambdas ×
-/// fixed P × pattern lengths), small enough to run in a unit-test budget.
+/// The 2304-cell mixed-profile demo grid of `reproduce sweep --no-sim
+/// --profiles amdahl:0.1,powerlaw:0.8,gustafson:0.05,perfect` (platforms ×
+/// scenarios × profiles × lambdas × fixed P × pattern lengths), with the
+/// cache off so every cell runs its own search.
 #[test]
 fn mixed_profile_fixed_p_grid_is_strategy_invariant() {
-    let grid = ScenarioGrid::builder()
-        .platforms(&[PlatformId::ALL[0], PlatformId::ALL[2]])
-        .scenarios(&[ScenarioId::S1, ScenarioId::S6])
-        .profiles(&[
+    let grid = ayd_exp::sweep::demo_grid_with_profiles(
+        false,
+        Some(&[
             SpeedupProfile::amdahl(0.1).unwrap(),
             SpeedupProfile::power_law(0.8).unwrap(),
             SpeedupProfile::gustafson(0.05).unwrap(),
             SpeedupProfile::perfectly_parallel(),
-        ])
-        .lambda_multipliers(&[1.0, 10.0])
-        .processors(ProcessorAxis::Fixed(vec![256.0, 4_096.0]))
-        .pattern_lengths(&[3_600.0, 57_600.0])
-        .build()
-        .unwrap();
-    let csv_for = |search: SearchStrategy| {
-        let run = RunOptions {
-            simulate: false,
-            search,
-            ..RunOptions::default()
-        };
-        SweepExecutor::new(SweepOptions::new(run))
-            .run(&grid)
-            .to_csv()
+        ]),
+    );
+    assert_eq!(grid.len(), 2304);
+    let run = RunOptions {
+        simulate: false,
+        threads: Some(2),
+        cache: false,
+        ..RunOptions::default()
     };
-    let reference = csv_for(SearchStrategy::Reference);
-    assert_eq!(reference, csv_for(SearchStrategy::Fast));
-    assert_eq!(reference, csv_for(SearchStrategy::FastStrict));
-    assert_eq!(reference.lines().count(), 1 + grid.len());
+    let results = SweepExecutor::new(SweepOptions::new(run)).run(&grid);
+    assert_eq!(results.search.total(), 2304, "one period search per cell");
+    assert_rows_match_reference(&grid, &results, run);
 }
 
 /// Joint-optimisation cells (the expensive path the warm start exists for)
-/// are strategy-invariant across every platform and scenario at the default
+/// match the reference across every platform and scenario at the default
 /// paper error rates.
 #[test]
 fn joint_optimisation_cells_are_strategy_invariant_everywhere() {
@@ -187,17 +204,10 @@ fn joint_optimisation_cells_are_strategy_invariant_everywhere() {
         .processors(ProcessorAxis::Optimize)
         .build()
         .unwrap();
-    let csv_for = |search: SearchStrategy| {
-        let run = RunOptions {
-            simulate: false,
-            search,
-            ..RunOptions::default()
-        };
-        SweepExecutor::new(SweepOptions::new(run))
-            .run(&grid)
-            .to_csv()
+    let run = RunOptions {
+        simulate: false,
+        ..RunOptions::default()
     };
-    let reference = csv_for(SearchStrategy::Reference);
-    assert_eq!(reference, csv_for(SearchStrategy::Fast));
-    assert_eq!(reference, csv_for(SearchStrategy::FastStrict));
+    let results = SweepExecutor::new(SweepOptions::new(run)).run(&grid);
+    assert_rows_match_reference(&grid, &results, run);
 }

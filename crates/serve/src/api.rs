@@ -12,7 +12,7 @@ use ayd_core::{ExactModel, FailureModelSpec, ModelError, ProfileSpec, SpeedupPro
 use ayd_platforms::{ExperimentSetup, Platform, PlatformId, ScenarioId};
 use ayd_sweep::{
     evaluate_analytic_observed, evaluate_many, AnalyticEval, OperatingPoint, ProcessorAxis,
-    ScenarioGrid, SweepExecutor, SweepRow, CSV_HEADER,
+    ScenarioGrid, SweepExecutor, SweepRow,
 };
 
 use crate::app::{AppState, JobView};
@@ -750,17 +750,6 @@ pub fn row_json(row: &SweepRow) -> Json {
     ])
 }
 
-/// Renders rows as the canonical sweep CSV (header + one line per row).
-pub fn rows_csv(rows: &[SweepRow]) -> String {
-    let mut out = String::from(CSV_HEADER);
-    out.push('\n');
-    for row in rows {
-        out.push_str(&ayd_sweep::csv_line(row));
-        out.push('\n');
-    }
-    out
-}
-
 fn optimize(state: &Arc<AppState>, req: &Request) -> Response {
     let body = match parse_body(req) {
         Ok(body) => body,
@@ -772,7 +761,7 @@ fn optimize(state: &Arc<AppState>, req: &Request) -> Response {
     };
     let row = evaluate_query(state, &query);
     if req.accepts("text/csv") {
-        Response::csv(rows_csv(std::slice::from_ref(&row)))
+        Response::csv(ayd_sweep::csv_text([&row]))
     } else {
         Response::json(&row_json(&row))
     }
@@ -838,7 +827,7 @@ fn batch(state: &Arc<AppState>, req: &Request) -> Response {
         .flatten()
         .collect();
     if req.accepts("text/csv") {
-        Response::csv(rows_csv(&rows))
+        Response::csv(ayd_sweep::csv_text(&rows))
     } else {
         Response::json(&Json::obj(vec![
             ("count", Json::num(rows.len() as f64)),
@@ -1583,7 +1572,7 @@ fn sweep_cancel(state: &Arc<AppState>, id: u64) -> Response {
 mod tests {
     use super::*;
     use crate::app::ServerConfig;
-    use ayd_sweep::{Evaluator, RunOptions, SweepOptions};
+    use ayd_sweep::{Evaluator, RunOptions, SweepOptions, CSV_HEADER};
 
     fn state() -> Arc<AppState> {
         AppState::new(&ServerConfig {

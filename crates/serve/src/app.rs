@@ -1,12 +1,13 @@
 //! Server configuration and shared application state.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ayd_sweep::{
     AnalyticEval, CacheStats, NullSink, RunOptions, ScenarioGrid, ShardSpec, ShardedEvalCache,
-    SweepExecutor, SweepJobHandle, SweepOptions, SweepRow,
+    SweepExecutor, SweepJobHandle, SweepOptions, CSV_HEADER,
 };
 
 use crate::coordinator::Coordinator;
@@ -271,12 +272,12 @@ pub struct FinishedShards {
     pub totals: Vec<usize>,
     /// Rows each shard materialised (equal to `totals` entries when done).
     pub completed: Vec<usize>,
-    /// Per-shard rows retained to seed a resume — `Some` only when the job
-    /// was **cancelled**. A completed job's CSV already sits in the registry;
-    /// keeping a second row-structured copy of every cell would roughly
-    /// double its retained memory for no consumer (resuming a completed job
-    /// would only reproduce bytes the client can already fetch).
-    pub rows_by_shard: Option<Vec<Option<Vec<SweepRow>>>>,
+    /// Where each finished shard's lines sit in the job's `csv` (`None` for
+    /// a shard that never finished): a cancelled job's `resume_token` reuses
+    /// them. The lines are the job's CSV itself, so keeping them costs
+    /// nothing. `None` for distributed jobs, which the coordinator resumes
+    /// from its own checkpoints.
+    pub shard_lines: Option<Vec<Option<Range<usize>>>>,
 }
 
 /// Progress states of one shard of a sharded job.
@@ -305,12 +306,18 @@ pub struct ShardView {
     pub status: &'static str,
 }
 
-/// Per-shard row sets: `None` marks a shard that never completed.
-pub type ShardRows = Vec<Option<Vec<SweepRow>>>;
+/// Per-shard CSV lines (no header) of a cancelled job, to seed a resumed
+/// one: `None` marks a shard that never completed.
+pub type ShardLines = Vec<Option<String>>;
 
 /// Result a sharded controller thread hands back on join.
 struct ShardedOutcome {
-    rows_by_shard: ShardRows,
+    /// The job's CSV: the header, then each finished shard's lines in shard
+    /// order, appended as the shard finished.
+    csv: String,
+    /// Each shard's lines within `csv`; `None` marks a shard that never
+    /// completed.
+    shard_lines: Vec<Option<Range<usize>>>,
     cache: CacheStats,
 }
 
@@ -327,9 +334,9 @@ pub struct ShardedJobHandle {
 }
 
 /// Spawns a sharded sweep job. `resumed[i]`, when present, short-circuits
-/// shard `i` with rows computed by an earlier (cancelled) job — they are
-/// bit-identical to a fresh evaluation by the determinism contract, so the
-/// reuse is observationally a pure speed-up.
+/// shard `i` with the CSV lines an earlier (cancelled) job computed for it —
+/// they are byte-identical to a fresh evaluation by the determinism
+/// contract, so the reuse is observationally a pure speed-up.
 ///
 /// Callers may run inside the job registry's submit lock, so this flattens
 /// the grid exactly **once** (splitting the single cell list at each shard's
@@ -340,7 +347,7 @@ pub fn spawn_sharded(
     options: SweepOptions,
     grid: &ScenarioGrid,
     count: usize,
-    resumed: Vec<Option<Vec<SweepRow>>>,
+    resumed: ShardLines,
     grid_fingerprint: u64,
     options_fingerprint: u64,
 ) -> ShardedJobHandle {
@@ -370,17 +377,19 @@ pub fn spawn_sharded(
     let (worker_slots, worker_cancel) = (Arc::clone(&slots), Arc::clone(&cancel));
     let thread = std::thread::spawn(move || {
         let executor = SweepExecutor::new(options);
-        let mut rows_by_shard: Vec<Option<Vec<SweepRow>>> = vec![None; cells_by_shard.len()];
+        let mut csv = format!("{CSV_HEADER}\n");
+        let mut shard_lines: Vec<Option<Range<usize>>> = vec![None; cells_by_shard.len()];
         let mut cache = CacheStats::default();
-        let mut resumed = resumed;
-        for (index, cells) in cells_by_shard.into_iter().enumerate() {
+        for (index, (cells, reused)) in cells_by_shard.into_iter().zip(resumed).enumerate() {
             let slot = &worker_slots[index];
-            if let Some(rows) = resumed[index].take() {
+            if let Some(lines) = reused {
+                let start = csv.len();
+                csv.push_str(&lines);
+                shard_lines[index] = Some(start..csv.len());
                 // Release pairs with shard_views' Acquire load of `state`: a
                 // reader that sees REUSED also sees the completed count.
-                slot.completed.store(rows.len(), Ordering::Relaxed);
+                slot.completed.store(slot.total, Ordering::Relaxed);
                 slot.state.store(SHARD_REUSED, Ordering::Release);
-                rows_by_shard[index] = Some(rows);
                 continue;
             }
             if worker_cancel.load(Ordering::Relaxed) {
@@ -390,10 +399,9 @@ pub fn spawn_sharded(
                 continue;
             }
             slot.state.store(SHARD_RUNNING, Ordering::Relaxed);
-            let mut sink = NullSink;
             let results = executor.run_cells_controlled(
                 &cells,
-                &mut sink,
+                &mut NullSink,
                 Some(&worker_cancel),
                 Some(&slot.completed),
             );
@@ -403,14 +411,18 @@ pub fn spawn_sharded(
                 // workers' progress increments happened-before the scope join,
                 // so a reader that sees DONE sees the full count.
                 slot.state.store(SHARD_DONE, Ordering::Release);
-                rows_by_shard[index] = Some(results.rows);
+                let start = csv.len();
+                csv.push_str(results.csv_body());
+                shard_lines[index] = Some(start..csv.len());
             }
-            // A partially evaluated shard is discarded: resume granularity is
-            // whole shards, and partial rows would not be addressable by the
-            // resume token anyway.
+            // The shard's rows are dropped here: its lines are all the job
+            // keeps. A partially evaluated shard is discarded, lines and all:
+            // resume granularity is whole shards, and partial rows would not
+            // be addressable by the resume token anyway.
         }
         ShardedOutcome {
-            rows_by_shard,
+            csv,
+            shard_lines,
             cache,
         }
     });
@@ -466,25 +478,26 @@ impl ShardedJobHandle {
         // shard, so clients see a failed (cancelled, zero-row) result and
         // every other endpoint keeps answering.
         let outcome = self.thread.join().unwrap_or_else(|_| ShardedOutcome {
-            rows_by_shard: vec![None; count],
+            csv: format!("{CSV_HEADER}\n"),
+            shard_lines: vec![None; count],
             cache: CacheStats::default(),
         });
-        let cancelled = outcome.rows_by_shard.iter().any(Option::is_none);
-        let completed: Vec<usize> = outcome
-            .rows_by_shard
+        let cancelled = outcome.shard_lines.iter().any(Option::is_none);
+        let completed: Vec<usize> = self
+            .slots
             .iter()
-            .map(|rows| rows.as_ref().map(Vec::len).unwrap_or(0))
+            .zip(&outcome.shard_lines)
+            .map(|(slot, lines)| if lines.is_some() { slot.total } else { 0 })
             .collect();
         // Shard ranges are contiguous and ascending, so the finished shards'
-        // rows in shard order are in global cell order — for a completed
-        // job, exactly the unsharded CSV bytes. Rendered by reference: a
-        // cancelled job keeps its rows for resume.
-        let rows = completed.iter().sum();
-        let csv = ayd_sweep::csv_text(outcome.rows_by_shard.iter().flatten().flatten());
+        // lines in shard order are in global cell order — for a completed
+        // job, exactly the unsharded CSV bytes. The controller concatenated
+        // them as the shards finished, so joining (under the registry lock)
+        // renders nothing.
         FinishedJob {
             cancelled,
-            rows,
-            csv,
+            rows: completed.iter().sum(),
+            csv: outcome.csv,
             cache: outcome.cache,
             shards: Some(FinishedShards {
                 count,
@@ -492,7 +505,7 @@ impl ShardedJobHandle {
                 options_fingerprint: self.options_fingerprint,
                 totals: self.slots.iter().map(|s| s.total).collect(),
                 completed,
-                rows_by_shard: cancelled.then_some(outcome.rows_by_shard),
+                shard_lines: Some(outcome.shard_lines),
             }),
         }
     }
@@ -528,13 +541,13 @@ impl DistributedJobHandle {
                     completed: outcome.completed,
                     // Distributed jobs resume through the coordinator's own
                     // checkpoints, not resume tokens.
-                    rows_by_shard: None,
+                    shard_lines: None,
                 }),
             },
             None => FinishedJob {
                 cancelled: true,
                 rows: 0,
-                csv: format!("{}\n", ayd_sweep::CSV_HEADER),
+                csv: format!("{CSV_HEADER}\n"),
                 cache: CacheStats::default(),
                 shards: None,
             },
@@ -784,20 +797,20 @@ impl JobRegistry {
         }
     }
 
-    /// The per-shard rows a resumed submission may reuse: the finished job
-    /// `id` must have been sharded over the same grid and options (by
-    /// fingerprint), and — when the caller requests an explicit shard
-    /// `count` — with that same count; `None` adopts the stored count (one
-    /// atomic lookup, so the job cannot be evicted between a count probe and
-    /// the row fetch). Returns the effective count alongside the rows, or an
-    /// error message suitable for a 400 response.
+    /// The per-shard rows (CSV lines) a resumed submission may reuse: the
+    /// finished job `id` must have been sharded over the same grid and
+    /// options (by fingerprint), and — when the caller requests an explicit
+    /// shard `count` — with that same count; `None` adopts the stored count
+    /// (one atomic lookup, so the job cannot be evicted between a count probe
+    /// and the row fetch). Returns the effective count alongside the lines,
+    /// or an error message suitable for a 400 response.
     pub fn resume_rows(
         &self,
         id: u64,
         grid_fingerprint: u64,
         options_fingerprint: u64,
         count: Option<usize>,
-    ) -> Result<(usize, ShardRows), String> {
+    ) -> Result<(usize, ShardLines), String> {
         let mut jobs = self.lock_jobs();
         Self::reap(&mut jobs);
         match jobs.get(&id) {
@@ -825,13 +838,22 @@ impl JobRegistry {
                         ));
                     }
                 }
-                let rows = shards.rows_by_shard.clone().ok_or_else(|| {
-                    format!(
-                        "sweep job {id} completed; fetch its CSV from /v1/sweep/{id} \
-                         instead of resuming"
-                    )
-                })?;
-                Ok((shards.count, rows))
+                // Resuming a completed job would only reproduce bytes the
+                // client can already fetch.
+                let lines = match &shards.shard_lines {
+                    Some(lines) if done.cancelled => lines,
+                    _ => {
+                        return Err(format!(
+                            "sweep job {id} completed; fetch its CSV from /v1/sweep/{id} \
+                             instead of resuming"
+                        ))
+                    }
+                };
+                let lines = lines
+                    .iter()
+                    .map(|range| range.clone().map(|range| done.csv[range].to_string()))
+                    .collect();
+                Ok((shards.count, lines))
             }
         }
     }
@@ -974,6 +996,13 @@ mod tests {
         // The sharded merge is byte-identical to the unsharded engine.
         let unsharded = SweepExecutor::new(state.options).run(&grid).to_csv();
         assert_eq!(done.csv, unsharded);
+        // Each shard's recorded lines are exactly that shard's own run.
+        let shard_lines = done.shards.as_ref().unwrap().shard_lines.clone().unwrap();
+        for (index, range) in shard_lines.into_iter().enumerate() {
+            let shard = ShardSpec::new(index, count).unwrap();
+            let run = SweepExecutor::new(state.options).run_cells(&grid.shard_cells(shard));
+            assert_eq!(&done.csv[range.unwrap()], run.csv_body(), "shard {index}");
+        }
         // The shard view reports every shard done with its cell count.
         let views = state.jobs.shards_view(id).unwrap().unwrap();
         assert_eq!(views.len(), count);
@@ -1035,9 +1064,8 @@ mod tests {
         // cancelling a live controller mid-shard is inherently racy, and this
         // is exactly the state ShardedJobHandle::join leaves behind.
         let shard0 = ShardSpec::new(0, count).unwrap();
-        let shard0_rows = SweepExecutor::new(state.options)
-            .run_cells(&grid.shard_cells(shard0))
-            .rows;
+        let shard0_run = SweepExecutor::new(state.options).run_cells(&grid.shard_cells(shard0));
+        let csv = shard0_run.to_csv();
         let totals: Vec<usize> = (0..count)
             .map(|i| ShardSpec::new(i, count).unwrap().range(grid.len()).len())
             .collect();
@@ -1046,17 +1074,17 @@ mod tests {
             id,
             JobEntry::Finished(Arc::new(FinishedJob {
                 cancelled: true,
-                rows: shard0_rows.len(),
-                csv: String::new(),
+                rows: shard0_run.rows.len(),
                 cache: CacheStats::default(),
                 shards: Some(FinishedShards {
                     count,
                     grid_fingerprint: grid_fp,
                     options_fingerprint: options_fp,
-                    completed: vec![shard0_rows.len(), 0],
+                    completed: vec![shard0_run.rows.len(), 0],
                     totals,
-                    rows_by_shard: Some(vec![Some(shard0_rows), None]),
+                    shard_lines: Some(vec![Some(CSV_HEADER.len() + 1..csv.len()), None]),
                 }),
+                csv,
             })),
         );
         // `None` adopts the stored shard count in the same atomic lookup.
@@ -1066,7 +1094,8 @@ mod tests {
             .unwrap();
         assert_eq!(stored_count, count);
         assert_eq!(rows.len(), count);
-        assert!(rows[0].is_some() && rows[1].is_none());
+        assert_eq!(rows[0].as_deref(), Some(shard0_run.csv_body()));
+        assert!(rows[1].is_none());
         // The incomplete shard shows as pending in the finished view.
         let views = state.jobs.shards_view(id).unwrap().unwrap();
         assert_eq!(views[0].status, "done");
@@ -1113,6 +1142,112 @@ mod tests {
         );
         let views = state.jobs.shards_view(resumed_id).unwrap().unwrap();
         assert!(views.iter().all(|v| v.status == "done"), "{views:?}");
+    }
+
+    #[test]
+    fn a_cancelled_sharded_job_keeps_its_finished_shards_lines_for_resume() {
+        let state = test_state();
+        let grid = ScenarioGrid::builder()
+            .scenarios(&ScenarioId::ALL)
+            .processors(ProcessorAxis::Fixed(vec![256.0, 1024.0]))
+            .build()
+            .unwrap();
+        let (grid_fp, options_fp) = (grid.fingerprint(), state.options.output_fingerprint());
+        let count = 3;
+        let runs: Vec<_> = (0..count)
+            .map(|i| {
+                let shard = ShardSpec::new(i, count).unwrap();
+                SweepExecutor::new(state.options).run_cells(&grid.shard_cells(shard))
+            })
+            .collect();
+        // The controller's outcome when shard 1 was cut short by a cancel:
+        // shards 0 and 2 (say, reused) finished, their lines back to back.
+        let mut csv = format!("{CSV_HEADER}\n");
+        let mut shard_lines = Vec::new();
+        for (index, run) in runs.iter().enumerate() {
+            if index == 1 {
+                shard_lines.push(None);
+                continue;
+            }
+            let start = csv.len();
+            csv.push_str(run.csv_body());
+            shard_lines.push(Some(start..csv.len()));
+        }
+        let handle = ShardedJobHandle {
+            slots: Arc::new(
+                runs.iter()
+                    .map(|run| ShardSlot {
+                        total: run.rows.len(),
+                        completed: AtomicUsize::new(0),
+                        state: AtomicU8::new(SHARD_PENDING),
+                    })
+                    .collect(),
+            ),
+            cancel: Arc::new(AtomicBool::new(true)),
+            grid_fingerprint: grid_fp,
+            options_fingerprint: options_fp,
+            thread: std::thread::spawn(move || ShardedOutcome {
+                csv,
+                shard_lines,
+                cache: CacheStats::default(),
+            }),
+        };
+        let id = state
+            .jobs
+            .try_submit(4, |_| JobHandle::Sharded(handle))
+            .unwrap();
+        let done = loop {
+            match state.jobs.poll(id).unwrap() {
+                JobView::Running(..) => std::thread::yield_now(),
+                JobView::Finished(done) => break done,
+            }
+        };
+        assert!(done.cancelled);
+        assert_eq!(done.rows, runs[0].rows.len() + runs[2].rows.len());
+        assert_eq!(
+            done.csv,
+            ayd_sweep::csv_text(runs[0].rows.iter().chain(&runs[2].rows))
+        );
+        let views = state.jobs.shards_view(id).unwrap().unwrap();
+        let statuses: Vec<&str> = views.iter().map(|v| v.status).collect();
+        assert_eq!(statuses, ["done", "pending", "done"]);
+
+        // The resume token hands back exactly the finished shards' lines…
+        let (_, lines) = state
+            .jobs
+            .resume_rows(id, grid_fp, options_fp, Some(count))
+            .unwrap();
+        assert_eq!(lines[0].as_deref(), Some(runs[0].csv_body()));
+        assert!(lines[1].is_none());
+        assert_eq!(lines[2].as_deref(), Some(runs[2].csv_body()));
+        // …and a job resumed from them evaluates only shard 1, yet its CSV
+        // is the unsharded sweep's bytes.
+        let resumed = state
+            .jobs
+            .try_submit(4, |_| {
+                JobHandle::Sharded(spawn_sharded(
+                    state.options,
+                    &grid,
+                    count,
+                    lines,
+                    grid_fp,
+                    options_fp,
+                ))
+            })
+            .unwrap();
+        let done = loop {
+            match state.jobs.poll(resumed).unwrap() {
+                JobView::Running(..) => std::thread::yield_now(),
+                JobView::Finished(done) => break done,
+            }
+        };
+        assert!(!done.cancelled);
+        assert_eq!(done.rows, grid.len());
+        assert_eq!(
+            done.csv,
+            SweepExecutor::new(state.options).run(&grid).to_csv()
+        );
+        assert!(done.cache.misses <= runs[1].rows.len() as u64);
     }
 
     #[test]

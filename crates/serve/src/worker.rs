@@ -29,8 +29,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use ayd_sweep::{
-    csv_line, manifest_path, ScenarioGrid, ShardChunk, ShardSpec, SweepCell, SweepExecutor,
-    SweepManifest, SweepOptions, SweepResults, SweepRow, SweepSink,
+    manifest_path, ScenarioGrid, ShardChunk, ShardSpec, SweepCell, SweepExecutor, SweepManifest,
+    SweepOptions, SweepSink,
 };
 
 use crate::client::HttpClient;
@@ -402,17 +402,14 @@ impl ChunkSink {
 }
 
 impl SweepSink for ChunkSink {
-    fn on_row(&mut self, row: &SweepRow) {
-        self.buffer.push_str(&csv_line(row));
-        self.buffer.push('\n');
+    fn on_row(&mut self, line: &str) {
+        self.buffer.push_str(line);
         self.buffered += 1;
         self.manifest.completed += 1;
         if self.buffered >= self.chunk_rows {
             self.flush();
         }
     }
-
-    fn finish(&mut self, _results: &SweepResults) {}
 }
 
 /// Parses the coordinator's registration response.

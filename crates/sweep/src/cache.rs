@@ -20,12 +20,14 @@
 //! magnitude above the step; only axes deliberately constructed with
 //! sub-quantum spacing would observe the merge.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex};
 
 /// A cache key: quantized bit patterns of the inputs of one evaluation.
+/// Cloning shares one allocation, so the cache's map and its recency index
+/// hold the same key rather than two copies.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CacheKey(Vec<u64>);
+pub struct CacheKey(Arc<[u64]>);
 
 impl CacheKey {
     /// Builds a key from raw `f64` inputs, quantizing each one.
@@ -86,11 +88,38 @@ struct Entry<V> {
 
 struct Inner<V> {
     map: HashMap<CacheKey, Entry<V>>,
+    /// One slot per live key, ordered by stamp. A hit moves only its entry's
+    /// stamp, so a slot's stamp may lag its entry's but never leads it.
+    by_stamp: BTreeMap<u64, CacheKey>,
     clock: u64,
     stats: CacheStats,
 }
 
-/// A bounded, thread-safe memoisation cache with least-recently-used eviction.
+impl<V> Inner<V> {
+    /// Removes the least-recently-used entry, the one a scan for the
+    /// smallest stamp would pick. Lagging slots at the front are re-filed
+    /// under their entry's stamp until the first slot is current: no other
+    /// entry's stamp can then be smaller, as stamps are unique and no slot
+    /// leads its entry.
+    fn evict_lru(&mut self) -> bool {
+        while let Some((stamp, key)) = self.by_stamp.pop_first() {
+            let current = self
+                .map
+                .get(&key)
+                .expect("every slot names a live key")
+                .stamp;
+            if current == stamp {
+                self.map.remove(&key);
+                return true;
+            }
+            self.by_stamp.insert(current, key);
+        }
+        false
+    }
+}
+
+/// A bounded, thread-safe memoisation cache with exact least-recently-used
+/// eviction: a hit is O(1), an eviction amortised O(log n).
 pub struct EvalCache<V> {
     inner: Mutex<Inner<V>>,
     capacity: usize,
@@ -102,6 +131,7 @@ impl<V: Clone> EvalCache<V> {
         Self {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
+                by_stamp: BTreeMap::new(),
                 clock: 0,
                 stats: CacheStats::default(),
             }),
@@ -129,22 +159,19 @@ impl<V: Clone> EvalCache<V> {
         }
         let value = compute();
         let mut inner = self.inner.lock().expect("cache poisoned");
-        if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
-            // Evict the least-recently-used entry. The linear scan is fine: it
-            // only runs once the cache is full, and sweep caches are sized so
-            // that eviction is the exception, not the steady state.
-            if let Some(oldest) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&oldest);
-                inner.stats.evictions += 1;
-            }
-        }
         inner.clock += 1;
         let clock = inner.clock;
+        if let Some(entry) = inner.map.get_mut(&key) {
+            // A concurrent miss on the same key inserted it first: refresh
+            // the entry like a hit; its one slot stays.
+            entry.stamp = clock;
+            entry.value = value.clone();
+            return value;
+        }
+        if inner.map.len() >= self.capacity && inner.evict_lru() {
+            inner.stats.evictions += 1;
+        }
+        inner.by_stamp.insert(clock, key.clone());
         inner.map.insert(
             key,
             Entry {
@@ -152,6 +179,7 @@ impl<V: Clone> EvalCache<V> {
                 value: value.clone(),
             },
         );
+        debug_assert_eq!(inner.map.len(), inner.by_stamp.len());
         value
     }
 
@@ -289,6 +317,40 @@ mod tests {
         assert_eq!(cache.get_or_insert_with(key(2), || 22), 22);
     }
 
+    /// The keys `0..domain` (as built by the tests) that are live in `cache`,
+    /// read without touching their recency.
+    fn survivors(cache: &EvalCache<u64>, domain: u64) -> Vec<u64> {
+        let inner = cache.inner.lock().unwrap();
+        assert_eq!(inner.map.len(), inner.by_stamp.len(), "index out of step");
+        (0..domain)
+            .filter(|&k| inner.map.contains_key(&CacheKey::from_inputs(&[k as f64])))
+            .collect()
+    }
+
+    #[test]
+    fn a_key_inserted_twice_keeps_one_index_slot() {
+        let cache: EvalCache<u64> = EvalCache::new(2);
+        let key = |i: u64| CacheKey::from_inputs(&[i as f64]);
+        // The inner call plays a concurrent miss on the same key that
+        // finishes first; the outer insert then refreshes that entry.
+        let value =
+            cache.get_or_insert_with(key(1), || cache.get_or_insert_with(key(1), || 10) + 1);
+        assert_eq!(value, 11);
+        assert_eq!(survivors(&cache, 8), vec![1]);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 2, 0));
+        // Key 1 is now the least recently used entry, and holds one index
+        // slot: a stale second slot would evict it twice and let the cache
+        // outgrow its capacity.
+        cache.get_or_insert_with(key(2), || 2);
+        cache.get_or_insert_with(key(3), || 3);
+        assert_eq!(survivors(&cache, 8), vec![2, 3]);
+        cache.get_or_insert_with(key(4), || 4);
+        assert_eq!(survivors(&cache, 8), vec![3, 4]);
+        assert_eq!(cache.stats().evictions, 2);
+        assert_eq!(cache.get_or_insert_with(key(3), || unreachable!()), 3);
+    }
+
     #[test]
     fn concurrent_access_is_consistent() {
         let cache: EvalCache<u64> = EvalCache::new(64);
@@ -381,8 +443,52 @@ mod tests {
                 .collect()
         }
 
+        /// Brute-force LRU: keys ordered from least to most recently used.
+        #[derive(Default)]
+        struct LruModel {
+            order: Vec<u64>,
+            stats: CacheStats,
+        }
+
+        impl LruModel {
+            fn lookup(&mut self, key: u64, capacity: usize) {
+                if let Some(position) = self.order.iter().position(|&k| k == key) {
+                    self.order.remove(position);
+                    self.stats.hits += 1;
+                } else {
+                    self.stats.misses += 1;
+                    if self.order.len() >= capacity {
+                        self.order.remove(0);
+                        self.stats.evictions += 1;
+                    }
+                }
+                self.order.push(key);
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The cache is an exact LRU: on any sequence of lookups it
+            /// scores the hits, misses and evictions of a brute-force model
+            /// and keeps exactly the model's survivors.
+            #[test]
+            fn eviction_matches_a_brute_force_lru(
+                workload in prop::collection::vec(0u64..12, 1..200),
+                capacity in 1usize..=8,
+            ) {
+                let cache: EvalCache<u64> = EvalCache::new(capacity);
+                let mut model = LruModel::default();
+                for &k in &workload {
+                    let got = cache.get_or_insert_with(CacheKey::from_inputs(&[k as f64]), || k * 3);
+                    prop_assert_eq!(got, k * 3);
+                    model.lookup(k, capacity);
+                }
+                prop_assert_eq!(cache.stats(), model.stats);
+                let mut expected = model.order.clone();
+                expected.sort_unstable();
+                prop_assert_eq!(survivors(&cache, 12), expected);
+            }
 
             /// For any eviction-free workload the sharded cache scores exactly
             /// the same hit/miss counts (hence hit rate) as the single-shard

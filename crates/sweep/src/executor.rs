@@ -15,8 +15,9 @@
 //! * every cell's simulations are seeded from `(base seed, cell index)` with
 //!   the same SplitMix64 derivation as `ayd_sim::rng::rng_for_replicate`, never
 //!   from scheduling order;
-//! * rows are re-assembled in cell order after the parallel phase, and the
-//!   streaming sinks observe them in cell order through a reorder buffer.
+//! * each row is rendered to its CSV line by the worker that evaluated it,
+//!   and a reorder buffer releases rendered chunks in cell order into the
+//!   results and the streaming sink.
 //!
 //! The memoisation cache (see [`crate::cache`]) only short-circuits
 //! recomputation of deterministic values, so cache on/off also yields identical
@@ -37,7 +38,7 @@ use crate::cache::{CacheKey, CacheStats, ShardedEvalCache};
 use crate::evaluate::{Evaluator, OperatingPoint, OptimumComparison, SimSummary};
 use crate::grid::{ScenarioGrid, SweepCell};
 use crate::options::RunOptions;
-use crate::sink::SweepSink;
+use crate::sink::{write_csv_line, NullSink, SweepSink, CSV_HEADER};
 
 /// The closed-form joint optimum of Theorem 2/3 (`P*`, `T*`, `H*`), recorded
 /// alongside the practical first-order point for asymptotic-slope fits.
@@ -243,7 +244,8 @@ impl SweepRow {
     }
 }
 
-/// All rows of a sweep, in cell order, plus cache and search counters.
+/// All rows of a sweep, in cell order, plus cache and search counters and
+/// the rows' CSV lines as the workers rendered them.
 #[derive(Debug, Clone, Default)]
 pub struct SweepResults {
     /// One row per grid cell, in the grid's deterministic order.
@@ -256,12 +258,27 @@ pub struct SweepResults {
     /// thread scheduling (concurrent misses can compute twice) and are
     /// therefore never part of the CSV output.
     pub search: SearchReport,
+    /// The CSV lines of `rows`, in order, each rendered once by the worker
+    /// that evaluated its row.
+    body: String,
 }
 
 impl SweepResults {
-    /// Renders the rows as the canonical sweep CSV (see [`crate::sink`]).
+    /// The canonical sweep CSV of the rows (see [`crate::sink`]): the header
+    /// followed by the lines the workers rendered, so it equals
+    /// [`crate::sink::csv_text`] of `rows` without rendering them again.
     pub fn to_csv(&self) -> String {
-        crate::sink::csv_text(&self.rows)
+        let mut out = String::with_capacity(CSV_HEADER.len() + 1 + self.body.len());
+        out.push_str(CSV_HEADER);
+        out.push('\n');
+        out.push_str(&self.body);
+        out
+    }
+
+    /// The CSV lines of the rows without the header: what a job made of
+    /// several runs concatenates.
+    pub fn csv_body(&self) -> &str {
+        &self.body
     }
 }
 
@@ -305,14 +322,7 @@ impl SweepExecutor {
 
     /// Evaluates every cell of the grid and returns the rows in cell order.
     pub fn run(&self, grid: &ScenarioGrid) -> SweepResults {
-        let mut sink = crate::sink::NullSink;
-        self.run_with_sink(grid, &mut sink)
-    }
-
-    /// Evaluates the grid, streaming every row (in cell order) into `sink` as
-    /// soon as it and all its predecessors are available.
-    pub fn run_with_sink(&self, grid: &ScenarioGrid, sink: &mut dyn SweepSink) -> SweepResults {
-        run_cells(&self.options, &grid.cells(), sink, None, None)
+        run_cells(&self.options, &grid.cells(), &mut NullSink, None, None)
     }
 
     /// Evaluates an explicit cell list (e.g. one shard of a grid, from
@@ -320,8 +330,7 @@ impl SweepExecutor {
     /// Each cell keeps its own (global) `index`, so seeding — and therefore
     /// every value — matches the full-grid run of the same cells.
     pub fn run_cells(&self, cells: &[SweepCell]) -> SweepResults {
-        let mut sink = crate::sink::NullSink;
-        self.run_cells_controlled(cells, &mut sink, None, None)
+        self.run_cells_controlled(cells, &mut NullSink, None, None)
     }
 
     /// [`Self::run_cells`] with a streaming sink, cooperative cancellation and
@@ -343,7 +352,8 @@ impl SweepExecutor {
     /// [`SweepJobHandle`] for status/progress polling and cancellation.
     ///
     /// The handle's thread runs the same scoped-thread core as [`Self::run`]
-    /// (same determinism contract); rows stream into `sink` in cell order.
+    /// (same determinism contract); row lines stream into `sink` in cell
+    /// order.
     /// Cancelling stops workers from picking up new cells; already-started
     /// cells finish, and [`SweepJobHandle::join`] returns the completed
     /// in-order prefix of the rows.
@@ -375,10 +385,10 @@ impl SweepExecutor {
         }
     }
 
-    /// [`Self::spawn_with_sink`] with a [`crate::sink::NullSink`] (results are
-    /// only collected into the returned handle).
+    /// [`Self::spawn_with_sink`] with a [`NullSink`] (results are only
+    /// collected into the returned handle).
     pub fn spawn(&self, grid: &ScenarioGrid) -> SweepJobHandle {
-        self.spawn_with_sink(grid, Box::new(crate::sink::NullSink))
+        self.spawn_with_sink(grid, Box::new(NullSink))
     }
 }
 
@@ -462,7 +472,7 @@ impl SweepJobHandle {
     }
 }
 
-/// The shared parallel core of [`SweepExecutor::run_with_sink`] and
+/// The shared parallel core of [`SweepExecutor::run_cells_controlled`] and
 /// [`SweepExecutor::spawn_with_sink`]: a self-scheduling scoped worker pool
 /// over `cells`, with optional cooperative cancellation and a progress
 /// counter (incremented once per evaluated cell).
@@ -474,8 +484,8 @@ fn run_cells(
     progress: Option<&AtomicUsize>,
 ) -> SweepResults {
     if cells.is_empty() {
-        // Still honour the sink contract: finish() writes the CSV header
-        // and flushes even when no rows were produced.
+        // Still honour the sink contract: finish() runs (and flushes) even
+        // when no rows were produced.
         let results = SweepResults::default();
         sink.finish(&results);
         return results;
@@ -505,6 +515,7 @@ fn run_cells(
     let emitter = Mutex::new(Emitter {
         pending: std::collections::BTreeMap::new(),
         ordered: Vec::with_capacity(cells.len()),
+        body: String::new(),
         sink,
     });
     // Analytic-only sweeps pull small chunks from the work queue so that one
@@ -561,16 +572,24 @@ fn run_cells(
                         .lock()
                         .expect("search tally poisoned")
                         .merge(&search);
-                    for (offset, (cell, eval)) in batch.iter().zip(evals).enumerate() {
-                        let row = finish_row(cell, options, &queries[offset].0, eval);
+                    // Each row is rendered here, on the worker that evaluated
+                    // it, and the emitter lock is taken once per chunk.
+                    let mut rendered = RenderedChunk {
+                        rows: Vec::with_capacity(batch.len()),
+                        text: String::new(),
+                    };
+                    for (cell, (query, eval)) in batch.iter().zip(queries.iter().zip(evals)) {
+                        let row = finish_row(cell, options, &query.0, eval);
+                        write_csv_line(&mut rendered.text, &row);
+                        rendered.rows.push(row);
                         if let Some(counter) = progress {
                             counter.fetch_add(1, Ordering::Relaxed);
                         }
-                        emitter
-                            .lock()
-                            .expect("emitter poisoned")
-                            .push(start + offset, row);
                     }
+                    emitter
+                        .lock()
+                        .expect("emitter poisoned")
+                        .push(start, rendered);
                 }
                 // Workers only produce child spans; drain this thread's
                 // buffer before the scope joins it.
@@ -588,6 +607,7 @@ fn run_cells(
         rows: emitter.ordered,
         cache: cache.map(|c| c.stats()).unwrap_or_default(),
         search: search_total.into_inner().expect("search tally poisoned"),
+        body: emitter.body,
     };
     emitter.sink.finish(&results);
     if sweep_span.is_recording() {
@@ -609,20 +629,34 @@ pub fn cache_shards(workers: usize) -> usize {
     workers.max(1).next_power_of_two().min(16)
 }
 
-/// Reorder buffer: accumulates out-of-order completions, releases rows in cell
-/// order — both into the streaming sink and into the final ordered vector.
+/// One worker chunk's rows with their CSV lines, back to back in `text`
+/// (each line ends in its only newline).
+struct RenderedChunk {
+    rows: Vec<SweepRow>,
+    text: String,
+}
+
+/// Reorder buffer: accumulates out-of-order chunks, releases them in cell
+/// order — each line into the streaming sink, the rows into the final
+/// ordered vector and the text onto the CSV body.
 struct Emitter<'a> {
-    pending: std::collections::BTreeMap<usize, SweepRow>,
+    pending: std::collections::BTreeMap<usize, RenderedChunk>,
     ordered: Vec<SweepRow>,
+    body: String,
     sink: &'a mut dyn SweepSink,
 }
 
 impl Emitter<'_> {
-    fn push(&mut self, index: usize, row: SweepRow) {
-        self.pending.insert(index, row);
-        while let Some(row) = self.pending.remove(&self.ordered.len()) {
-            self.sink.on_row(&row);
-            self.ordered.push(row);
+    /// Takes the chunk whose first cell is `start` (an index into the run's
+    /// cell list) and releases every chunk that is now next in order.
+    fn push(&mut self, start: usize, chunk: RenderedChunk) {
+        self.pending.insert(start, chunk);
+        while let Some(chunk) = self.pending.remove(&self.ordered.len()) {
+            for line in chunk.text.split_inclusive('\n') {
+                self.sink.on_row(line);
+            }
+            self.body.push_str(&chunk.text);
+            self.ordered.extend(chunk.rows);
         }
     }
 }
@@ -1278,7 +1312,7 @@ mod tests {
             gate: std::sync::mpsc::Receiver<()>,
         }
         impl crate::sink::SweepSink for GatedSink {
-            fn on_row(&mut self, _row: &SweepRow) {
+            fn on_row(&mut self, _line: &str) {
                 if self.rows == 0 {
                     self.gate.recv().ok();
                 }
@@ -1304,12 +1338,22 @@ mod tests {
         release.send(()).unwrap();
         let result = handle.join();
         assert!(result.cancelled);
-        let partial = result.results.rows;
+        let partial = &result.results.rows;
         assert!(!partial.is_empty());
         assert!(partial.len() < grid.len(), "job was not interrupted");
         // The partial rows are the in-order prefix of an uncancelled run.
         let full = SweepExecutor::new(analytic_options().with_threads(1)).run(&grid);
         assert_eq!(partial[..], full.rows[..partial.len()]);
+        // Its CSV body is exactly those rows' lines: chunks released past
+        // the frontier never reach it.
+        assert_eq!(result.results.to_csv(), crate::sink::csv_text(partial));
+        let full_csv = full.to_csv();
+        let prefix: usize = full_csv
+            .split_inclusive('\n')
+            .take(1 + partial.len())
+            .map(str::len)
+            .sum();
+        assert_eq!(result.results.to_csv(), full_csv[..prefix]);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   expensive optimiser evaluations, keyed on quantized model inputs; the
 //!   sharded variant spreads concurrent lookups over independently locked
 //!   shards (the executor and the `ayd-serve` query service both use it).
-//! * [`sink`] — streaming CSV/report sinks fed in cell order through a reorder
-//!   buffer.
+//! * [`sink`] — the canonical CSV renderer ([`write_csv_line`], run once per
+//!   row on the worker that evaluated it) and the [`SweepSink`] trait that
+//!   receives those lines in cell order through a reorder buffer.
 //! * [`shard`] / [`manifest`] — sharded, resumable execution: a
 //!   [`ShardSpec`] `i/N` partitions any grid into contiguous ranges of cell
 //!   indices, shard runs stream into a CSV plus an atomically-updated sidecar
@@ -67,5 +68,5 @@ pub use options::{Fidelity, RunOptions};
 pub use shard::{
     merge_parts, run_shard_to_files, ShardError, ShardPart, ShardRunReport, ShardSpec, MAX_SHARDS,
 };
-pub use sink::{csv_line, csv_text, CsvSink, NullSink, ReportSink, SweepSink, CSV_HEADER};
+pub use sink::{csv_text, write_csv_line, NullSink, SweepSink, CSV_HEADER};
 pub use wire::{validate_rows, ShardChunk, CHUNK_MAGIC};

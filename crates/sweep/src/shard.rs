@@ -27,10 +27,10 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
 
-use crate::executor::{SweepExecutor, SweepResults, SweepRow};
+use crate::executor::{SweepExecutor, SweepResults};
 use crate::grid::{ScenarioGrid, SweepCell};
 use crate::manifest::{manifest_path, SweepManifest};
-use crate::sink::{csv_line, SweepSink, CSV_HEADER};
+use crate::sink::{SweepSink, CSV_HEADER};
 
 /// One shard of a sweep: `index` of `count`, owning one contiguous range of
 /// global cell indices (see [`ShardSpec::range`]).
@@ -238,8 +238,8 @@ impl ShardRunReport {
     }
 }
 
-/// Streaming sink of a shard run: appends each row to the CSV file, then
-/// rewrites the sidecar manifest atomically. The manifest therefore never
+/// Streaming sink of a shard run: appends each row's line to the CSV file,
+/// then rewrites the sidecar manifest atomically. The manifest therefore never
 /// claims more rows than the CSV holds; after a kill the CSV may be at most
 /// one torn row ahead, which resume truncates away.
 ///
@@ -258,8 +258,9 @@ struct ShardFileSink<'a> {
 }
 
 impl ShardFileSink<'_> {
-    fn try_row(&mut self, row: &SweepRow) -> Result<(), ShardError> {
-        writeln!(self.file, "{}", csv_line(row))
+    fn try_row(&mut self, line: &str) -> Result<(), ShardError> {
+        self.file
+            .write_all(line.as_bytes())
             .and_then(|()| self.file.flush())
             .map_err(|e| ShardError::Io(format!("append shard row: {e}")))?;
         self.manifest.completed += 1;
@@ -268,11 +269,11 @@ impl ShardFileSink<'_> {
 }
 
 impl SweepSink for ShardFileSink<'_> {
-    fn on_row(&mut self, row: &SweepRow) {
+    fn on_row(&mut self, line: &str) {
         if self.error.is_some() {
             return;
         }
-        if let Err(error) = self.try_row(row) {
+        if let Err(error) = self.try_row(line) {
             self.error = Some(error);
             self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
         }

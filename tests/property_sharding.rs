@@ -12,14 +12,16 @@
 //! * shards are contiguous cell ranges, so the pattern-length siblings of a
 //!   configuration (which share one cached optimiser evaluation) stay
 //!   together: sharding costs at most one extra cache miss per shard
-//!   boundary.
+//!   boundary;
+//! * the CSV lines the workers render while they evaluate agree with the rows
+//!   they return, for any thread count and cache setting, evicting or not.
 
 use proptest::prelude::*;
 
 use ayd_platforms::ScenarioId;
 use ayd_sweep::{
-    merge_parts, ProcessorAxis, ScenarioGrid, ShardPart, ShardSpec, SweepExecutor, SweepManifest,
-    SweepOptions, SweepRow,
+    csv_text, merge_parts, ProcessorAxis, ScenarioGrid, ShardPart, ShardSpec, SweepExecutor,
+    SweepManifest, SweepOptions, SweepRow,
 };
 
 fn arb_profile() -> impl Strategy<Value = ayd_sweep::SpeedupProfile> {
@@ -196,5 +198,65 @@ fn simulating_shards_merge_byte_identically() {
             })
             .collect();
         assert_eq!(merge_parts(&parts).unwrap(), full, "count={count}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Rows are rendered on the workers, chunk by chunk, while the cache may
+    /// be off, warm or evicting on every miss. Whatever the thread count,
+    /// cache and shard count, each run's CSV equals a fresh render of its own
+    /// rows, and the shards' bodies concatenate to the unsharded bytes.
+    #[test]
+    fn rendered_bodies_match_their_rows_and_the_unsharded_bytes(
+        seed in 0u64..1_000,
+        threads_index in 0usize..3,
+        cache_index in 0usize..3,
+        count in 1usize..=4,
+        scenario_index in 0usize..6,
+        profiles in prop::collection::vec(arb_profile(), 1..3),
+        multipliers in prop::collection::vec(0.2f64..30.0, 1..3),
+        base_processors in 64.0f64..1_024.0,
+        processor_count in 2usize..4,
+        lengths in prop::collection::vec(600.0f64..20_000.0, 1..3),
+    ) {
+        let threads = [1, 2, 8][threads_index];
+        // Off, the default capacity, or one entry per cache shard (so a run
+        // with two distinct configurations evicts).
+        let capacity = [None, Some(4096), Some(1)][cache_index];
+        let processors: Vec<f64> =
+            (0..processor_count).map(|i| base_processors * f64::from(1u32 << i)).collect();
+        let grid = ScenarioGrid::builder()
+            .scenarios(&[ScenarioId::ALL[scenario_index]])
+            .profiles(&profiles)
+            .lambda_multipliers(&multipliers)
+            .processors(ProcessorAxis::Fixed(processors))
+            .pattern_lengths(&lengths)
+            .build()
+            .unwrap();
+        let base = SweepOptions::new(ayd_sweep::RunOptions {
+            seed,
+            simulate: false,
+            ..ayd_sweep::RunOptions::smoke()
+        });
+        let reference = SweepExecutor::new(base.with_threads(1)).run(&grid).to_csv();
+        let options = base.with_threads(threads).with_cache_capacity(capacity);
+
+        let unsharded = SweepExecutor::new(options).run(&grid);
+        prop_assert_eq!(unsharded.to_csv(), csv_text(&unsharded.rows));
+        prop_assert_eq!(&unsharded.to_csv(), &reference);
+        if capacity == Some(1) && threads == 1 {
+            prop_assert!(unsharded.cache.evictions > 0, "{:?}", unsharded.cache);
+        }
+
+        let mut concatenated = format!("{}\n", ayd_sweep::CSV_HEADER);
+        for index in 0..count {
+            let shard = ShardSpec::new(index, count).unwrap();
+            let results = SweepExecutor::new(options).run_cells(&grid.shard_cells(shard));
+            prop_assert_eq!(results.to_csv(), csv_text(&results.rows));
+            concatenated.push_str(results.csv_body());
+        }
+        prop_assert_eq!(concatenated, reference);
     }
 }

@@ -35,8 +35,10 @@ pub struct LoadOptions {
     /// Idle keep-alive connections to hold open (sending nothing) for the
     /// whole run, on top of the `concurrency` working connections. Opened
     /// best-effort before the workers start; the count actually held is in
-    /// [`LoadReport::idle_conns`]. Stresses the server's connection capacity
-    /// without adding request load.
+    /// [`LoadReport::idle_conns`]. Timing starts once the server's
+    /// `ayd_open_connections` gauge shows them all (the run fails if that
+    /// takes over 30 s). Stresses the server's connection capacity without
+    /// adding request load.
     pub idle_conns: usize,
     /// Drip-feed mode: when set, every request's bytes are written at roughly
     /// this many bytes per second instead of in one burst, exercising the
@@ -204,6 +206,12 @@ pub fn run_load(options: &LoadOptions) -> Result<LoadReport, String> {
             Err(_) => break,
         }
     }
+    // `connect` returns once the kernel has queued a connection, not once
+    // the server has accepted it: time the run only after the server's own
+    // gauge shows the whole herd, or it times the accept backlog instead.
+    if !idle.is_empty() {
+        await_open_connections(&options.addr, idle.len(), HERD_ACCEPT_DEADLINE)?;
+    }
 
     let issued = Arc::new(AtomicUsize::new(0));
     let started = Instant::now();
@@ -306,6 +314,31 @@ struct WorkerOutcome {
     latencies: Vec<u64>,
     statuses: BTreeMap<u16, usize>,
     io_errors: usize,
+}
+
+/// How long [`run_load`] waits for the server to accept its idle herd.
+const HERD_ACCEPT_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Polls `/metrics` until the server holds `herd` connections besides the
+/// scrape's own (`ayd_open_connections` ≥ `herd` + 1); fails once `deadline`
+/// passes.
+fn await_open_connections(addr: &str, herd: usize, deadline: Duration) -> Result<(), String> {
+    let give_up = Instant::now() + deadline;
+    loop {
+        let open = scrape_metrics(addr)?
+            .value("ayd_open_connections")
+            .ok_or("metrics: ayd_open_connections gauge missing")?;
+        if open > herd as f64 {
+            return Ok(());
+        }
+        if Instant::now() >= give_up {
+            return Err(format!(
+                "the server shows {open} open connections after {deadline:?}; \
+                 {herd} idle ones and the scrape's own are held"
+            ));
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 /// Scrapes and parses `/metrics` into the typed model.

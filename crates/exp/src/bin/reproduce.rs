@@ -6,7 +6,7 @@
 //!                        [--profiles SPEC,...] [--failure-models SPEC,...]
 //!                        [--shard I/N] [--out PATH] [--resume]
 //!                        [--inputs CSV,...] [--addr HOST:PORT] [--cache-capacity N]
-//!                        [--max-body BYTES] [--io-model blocking|event] [--trace-log PATH]
+//!                        [--max-body BYTES] [--trace-log PATH]
 //!                        [--coordinator [--lease-ms N]]
 //!                        [--worker-of HOST:PORT [--advertise HOST:PORT]]
 //!
@@ -47,12 +47,9 @@
 //!
 //! `serve` exposes the optimiser over HTTP (see the `ayd-serve` crate docs):
 //! `--addr` picks the listen address (port 0 = ephemeral; the bound address is
-//! printed on stdout), `--threads` sizes the connection/compute pools,
-//! `--cache-capacity` the shared evaluation cache and `--max-body` the largest
-//! accepted request body. `--io-model` picks the serving core: `event` (the
-//! default where supported) runs per-core epoll reactors with `SO_REUSEPORT`
-//! accept sharding; `blocking` is the thread-per-connection pool. Both answer
-//! bit-identical bytes; the effective model is printed at startup.
+//! printed on stdout), `--threads` the number of epoll reactors (and the
+//! width of the `/v1/batch` compute pool), `--cache-capacity` the shared
+//! evaluation cache and `--max-body` the largest accepted request body.
 //!
 //! Cluster roles (serve only): `--coordinator` makes the instance decompose
 //! sharded `/v1/sweep` jobs and dispatch them to registered workers, with
@@ -68,7 +65,7 @@
 //! byte-identical with tracing on or off — tracing reads clocks and counters,
 //! never values. On `obs-report` the same flag names the *input*: the log is
 //! parsed and re-rendered as paper-style time-accounting tables (per-endpoint
-//! request stages, connection queue waits, sweep execution).
+//! request stages, sweep execution).
 //!
 //! `--json` requires `serde_json`, which this offline build replaces with a
 //! no-op stand-in (see `vendor/serde`); the flag is accepted but falls back to
@@ -95,7 +92,6 @@ struct ServeArgs {
     addr: Option<String>,
     cache_capacity: Option<usize>,
     max_body: Option<usize>,
-    io_model: Option<ayd_serve::IoModel>,
     /// `--coordinator`: accept worker registrations and dispatch sweep shards.
     coordinator: bool,
     /// `--worker-of HOST:PORT`: register with that coordinator and compute
@@ -284,10 +280,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                         .map_err(|_| format!("invalid body limit `{value}`"))?,
                 );
             }
-            "--io-model" => {
-                let value = iter.next().ok_or("--io-model requires a value")?;
-                serve.io_model = Some(value.parse()?);
-            }
             "--coordinator" => serve.coordinator = true,
             "--worker-of" => {
                 let value = iter
@@ -439,7 +431,7 @@ fn usage() -> String {
      [--threads N] [--no-cache] [--profiles SPEC,...] \
      [--failure-models SPEC,...] [--shard I/N] \
      [--out PATH] [--resume] [--inputs CSV,...] [--addr HOST:PORT] [--cache-capacity N] \
-     [--max-body BYTES] [--io-model blocking|event] [--trace-log PATH] \
+     [--max-body BYTES] [--trace-log PATH] \
      [--coordinator [--lease-ms N]] [--worker-of HOST:PORT [--advertise HOST:PORT]]\n\
      experiments: table2 table3 fig2 fig3 fig4 fig5 fig6 fig7 ablation engines extensions sweep \
      sweep-merge checks serve obs-report all\n\
@@ -534,16 +526,12 @@ fn run_serve(cli: &Cli) -> Result<(), String> {
     }
     if let Some(threads) = cli.options.threads {
         config.threads = threads;
-        config.queue_capacity = 4 * threads;
     }
     if let Some(capacity) = cli.serve.cache_capacity {
         config.cache_capacity = capacity;
     }
     if let Some(max_body) = cli.serve.max_body {
         config.limits.max_body = max_body;
-    }
-    if let Some(io_model) = cli.serve.io_model {
-        config.io_model = io_model;
     }
     config.cluster.coordinator = cli.serve.coordinator;
     config.cluster.worker_of = cli.serve.worker_of.clone();
@@ -557,9 +545,9 @@ fn run_serve(cli: &Cli) -> Result<(), String> {
         .local_addr()
         .map_err(|e| format!("serve: no local address: {e}"))?;
     println!("ayd-serve listening on http://{addr}");
-    // The *effective* model: an `event` request quietly degrades to
-    // `blocking` on platforms without the epoll reactor.
-    println!("ayd-serve io model: {}", server.io_model().as_str());
+    // Kept for scripts that record the serving core (the benchmark's env
+    // block, CI's high-concurrency step); the epoll reactors are the only one.
+    println!("ayd-serve io model: event");
     if cli.serve.coordinator {
         println!(
             "ayd-serve role: coordinator (lease {} ms)",
@@ -574,8 +562,7 @@ fn run_serve(cli: &Cli) -> Result<(), String> {
 
 /// The `obs-report` experiment: parses a `--trace-log` file back into span
 /// records and renders the paper-style time-accounting tables (per-endpoint
-/// request stages that sum to the total, connection queue waits, sweep
-/// execution).
+/// request stages that sum to the total, sweep execution).
 fn run_obs_report(cli: &Cli) -> Result<(), String> {
     let path = cli
         .trace_log
@@ -924,29 +911,16 @@ mod tests {
             "4096",
             "--threads",
             "2",
-            "--io-model",
-            "event",
         ]))
         .unwrap();
         assert_eq!(cli.experiments, vec!["serve"]);
         assert_eq!(cli.serve.addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(cli.serve.cache_capacity, Some(1024));
         assert_eq!(cli.serve.max_body, Some(4096));
-        assert_eq!(cli.serve.io_model, Some(ayd_serve::IoModel::Event));
         assert_eq!(cli.options.threads, Some(2));
-        assert_eq!(
-            parse_args(&strings(&["serve", "--io-model", "blocking"]))
-                .unwrap()
-                .serve
-                .io_model,
-            Some(ayd_serve::IoModel::Blocking)
-        );
         assert!(parse_args(&strings(&["serve", "--cache-capacity", "0"])).is_err());
         assert!(parse_args(&strings(&["serve", "--addr"])).is_err());
         assert!(parse_args(&strings(&["serve", "--max-body", "x"])).is_err());
-        let err = parse_args(&strings(&["serve", "--io-model", "uring"])).unwrap_err();
-        assert!(err.contains("unknown io model"), "{err}");
-        assert!(parse_args(&strings(&["serve", "--io-model"])).is_err());
         // The serve flags default to "unset" for every other experiment.
         assert_eq!(
             parse_args(&strings(&["fig2"])).unwrap().serve,

@@ -12,8 +12,6 @@
 //!   span's *exclusive* time (its duration minus its children's), so the
 //!   stages sum to the root's duration exactly. `other` is whatever no named
 //!   span covered; the coverage column reports `1 - other/total`.
-//! * **connection** roots carry the worker-pool queue wait (accept → pickup),
-//!   which is deliberately kept separate from per-request service time.
 //! * **sweep** spans (CLI sweeps and served sweep jobs) aggregate into one
 //!   account: grid cells, emitted rows, worker-chunk CPU time and the
 //!   fast/fallback tallies of the warm-started optimiser.
@@ -160,10 +158,6 @@ pub struct SweepAccount {
 pub struct Accounting {
     /// Request decomposition per endpoint.
     pub endpoints: BTreeMap<String, EndpointAccount>,
-    /// Number of `connection` roots seen.
-    pub connections: u64,
-    /// Total worker-pool queue wait across connections, ns.
-    pub queue_wait_ns: u64,
     /// Sweep aggregation.
     pub sweep: SweepAccount,
     /// Total spans parsed.
@@ -224,10 +218,6 @@ pub fn account(spans: &[TraceSpan]) -> Accounting {
                     }
                 }
             }
-            "connection" if span.parent == 0 => {
-                accounting.connections += 1;
-                accounting.queue_wait_ns += span.field_u64("queue_wait_ns").unwrap_or(0);
-            }
             "sweep" => {
                 let account = &mut accounting.sweep;
                 account.sweeps += 1;
@@ -281,22 +271,6 @@ pub fn render(accounting: &Accounting) -> Vec<TextTable> {
         if accounting.endpoints.len() > 1 {
             table.push_row(endpoint_row("(all)", &all));
         }
-        tables.push(table);
-    }
-
-    if accounting.connections > 0 {
-        let mut table = TextTable::new(
-            "Connection queue wait (accept -> worker pickup; separate from service time)",
-            &["connections", "total wait s", "mean wait ms"],
-        );
-        table.push_row(vec![
-            accounting.connections.to_string(),
-            seconds(accounting.queue_wait_ns),
-            format!(
-                "{:.3}",
-                accounting.queue_wait_ns as f64 / 1e6 / accounting.connections as f64
-            ),
-        ]);
         tables.push(table);
     }
 
@@ -423,8 +397,10 @@ mod tests {
     }
 
     #[test]
-    fn connections_and_sweeps_aggregate_separately() {
+    fn sweeps_aggregate_apart_from_other_roots() {
         let records = [
+            // A root no account claims (e.g. from an older log) charges
+            // nothing.
             record(
                 0xB,
                 10,
@@ -452,8 +428,8 @@ mod tests {
             record(0xC, 13, 11, "chunk", 3_500, vec![]),
         ];
         let accounting = account(&parse_trace_log(&log_of(&records)).unwrap());
-        assert_eq!(accounting.connections, 1);
-        assert_eq!(accounting.queue_wait_ns, 1_500);
+        assert_eq!(accounting.spans, 4);
+        assert!(accounting.endpoints.is_empty());
         let sweep = &accounting.sweep;
         assert_eq!(sweep.sweeps, 1);
         assert_eq!(sweep.cells, 16);
@@ -466,11 +442,11 @@ mod tests {
         // produces the sweep + summary tables.
         assert_eq!(accounting.coverage(), 1.0);
         let tables = render(&accounting);
-        assert_eq!(tables.len(), 3, "queue, sweep and summary tables");
+        assert_eq!(tables.len(), 2, "sweep and summary tables");
         assert!(
-            tables[1].render().contains("| 30/2 "),
+            tables[0].render().contains("| 30/2 "),
             "{}",
-            tables[1].render()
+            tables[0].render()
         );
     }
 

@@ -21,20 +21,10 @@ impl Drop for ServerProcess {
 }
 
 /// Starts `reproduce serve` on an ephemeral port and returns (guard, addr).
-/// `--io-model event` is explicit (it is also the default on supported
-/// platforms), so the suite exercises the CLI flag and the epoll reactor
-/// end-to-end; the startup announcement must name the effective model.
+/// The startup announcement must name the address, then the serving core.
 fn start_server() -> (ServerProcess, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--threads",
-            "2",
-            "--io-model",
-            "event",
-        ])
+        .args(["serve", "--addr", "127.0.0.1:0", "--threads", "2"])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -59,12 +49,7 @@ fn start_server() -> (ServerProcess, String) {
         .strip_prefix("ayd-serve io model: ")
         .unwrap_or_else(|| panic!("unexpected announcement: {model_line:?}"))
         .to_string();
-    let expected = if ayd_serve::EVENT_IO_SUPPORTED {
-        "event"
-    } else {
-        "blocking"
-    };
-    assert_eq!(model, expected, "effective io model");
+    assert_eq!(model, "event", "announced io model");
     (ServerProcess(child), addr)
 }
 

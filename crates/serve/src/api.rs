@@ -786,10 +786,9 @@ fn batch(state: &Arc<AppState>, req: &Request) -> Response {
             Err(error) => return error.prefixed(&format!("query {index}: ")).response(),
         }
     }
-    // Fan the evaluations out over the compute pool (not the connection
-    // pool) in small chunks — each chunk goes through `evaluate_many`, which
-    // builds the optimiser context once per chunk — then reassemble in query
-    // order.
+    // Fan the evaluations out over the compute pool in small chunks — each
+    // chunk goes through `evaluate_many`, which builds the optimiser context
+    // once per chunk — then reassemble in query order.
     const BATCH_CHUNK: usize = 8;
     let mut chunks: Vec<Vec<OptimizeQuery>> = Vec::new();
     let mut parsed = parsed.into_iter();

@@ -13,59 +13,8 @@ use ayd_sweep::{
 use crate::coordinator::Coordinator;
 use crate::http::Limits;
 use crate::metrics::{GaugeSnapshot, Metrics};
-use crate::pool::{PoolStats, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::worker::WorkerRuntime;
-
-/// True when this build carries the epoll event loop (Linux on
-/// x86_64/aarch64 — the targets the vendored syscall shim implements).
-pub const EVENT_IO_SUPPORTED: bool = cfg!(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-));
-
-/// Which I/O engine serves connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoModel {
-    /// The legacy engine: one blocking worker per in-flight connection.
-    Blocking,
-    /// Per-core epoll reactors with accept sharding ([`crate::reactor`]).
-    /// Falls back to [`IoModel::Blocking`] on builds without the shim.
-    Event,
-}
-
-impl IoModel {
-    /// The platform default: the event loop where the shim exists, the
-    /// blocking pool elsewhere.
-    pub fn default_model() -> Self {
-        if EVENT_IO_SUPPORTED {
-            IoModel::Event
-        } else {
-            IoModel::Blocking
-        }
-    }
-
-    /// The CLI spelling (`--io-model` value).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            IoModel::Blocking => "blocking",
-            IoModel::Event => "event",
-        }
-    }
-}
-
-impl std::str::FromStr for IoModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "blocking" => Ok(IoModel::Blocking),
-            "event" => Ok(IoModel::Event),
-            other => Err(format!(
-                "unknown io model {other:?} (expected \"blocking\" or \"event\")"
-            )),
-        }
-    }
-}
 
 /// Cluster role of an instance: standalone (neither flag), the coordinator
 /// that decomposes sweeps into shards and dispatches them, or a worker that
@@ -101,19 +50,13 @@ impl Default for ClusterConfig {
 pub struct ServerConfig {
     /// Listen address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
-    /// I/O engine: epoll reactors or the legacy blocking pool.
-    pub io_model: IoModel,
-    /// Connection-handler thread count (also sizes the batch compute pool and
-    /// the shared cache's shard count).
+    /// Reactor thread count (also sizes the batch compute pool and the
+    /// shared cache's shard count).
     pub threads: usize,
     /// Total capacity of the shared evaluation cache.
     pub cache_capacity: usize,
-    /// Pending-connection queue bound (accept blocks when full).
-    pub queue_capacity: usize,
     /// Request parsing limits; `max_body` is the `--max-body` CLI knob.
     pub limits: Limits,
-    /// Socket read timeout (idle keep-alive connections close after this).
-    pub read_timeout: Duration,
     /// Maximum concurrently running sweep jobs (further submissions → 503).
     pub max_jobs: usize,
     /// Maximum cells a submitted sweep grid may have (above → 400).
@@ -127,17 +70,13 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         Self {
             addr: "127.0.0.1:8080".to_string(),
-            io_model: IoModel::default_model(),
-            threads,
+            threads: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
             cache_capacity: 65_536,
-            queue_capacity: 4 * threads.max(1),
             limits: Limits::default(),
-            read_timeout: Duration::from_secs(5),
             max_jobs: 4,
             max_sweep_cells: 200_000,
             run: RunOptions::default(),
@@ -160,8 +99,8 @@ pub struct AppState {
     pub jobs: JobRegistry,
     /// Request parsing limits.
     pub limits: Limits,
-    /// Compute pool for `/v1/batch` fan-out (distinct from the connection
-    /// pool, so a connection worker never waits on its own pool).
+    /// Compute pool for `/v1/batch` fan-out: a batch's queries run in
+    /// parallel while its reactor waits for them.
     pub compute: WorkerPool,
     /// Maximum concurrently running sweep jobs.
     pub max_jobs: usize,
@@ -175,9 +114,6 @@ pub struct AppState {
     /// The worker runtime, when this instance runs with `--worker-of`;
     /// owns the registration, heartbeats and the executing shard.
     pub worker: Option<Arc<WorkerRuntime>>,
-    /// Load gauges of the connection pool, attached by the accept loop once
-    /// the pool exists (`None` until then — e.g. in route-level tests).
-    conn_pool: Mutex<Option<PoolStats>>,
 }
 
 impl AppState {
@@ -204,22 +140,16 @@ impl AppState {
                 .coordinator
                 .then(|| Coordinator::new(config.cluster.lease)),
             worker: config.cluster.worker_of.as_deref().map(WorkerRuntime::new),
-            conn_pool: Mutex::new(None),
         })
     }
 
-    /// Attaches the connection pool's load gauges (called by the accept loop;
-    /// until then `/metrics` reports the connection pool as idle and empty).
-    pub fn attach_conn_pool(&self, stats: PoolStats) {
-        *self.conn_pool.lock().expect("conn pool gauge poisoned") = Some(stats);
-    }
-
-    /// Samples every point-in-time gauge for a `/metrics` render: both pools'
-    /// queue depth and saturation, plus the sweep-job state counts.
+    /// Samples every point-in-time gauge for a `/metrics` render: the
+    /// compute pool's queue depth and saturation, plus the sweep-job state
+    /// counts.
     pub fn gauge_snapshot(&self) -> GaugeSnapshot {
         let compute = self.compute.stats();
         let (jobs_queued, jobs_running, jobs_done, jobs_cancelled) = self.jobs.state_counts();
-        let mut snapshot = GaugeSnapshot {
+        GaugeSnapshot {
             compute_queue_depth: compute.queue_depth(),
             compute_busy: compute.busy_workers(),
             compute_workers: compute.worker_count(),
@@ -227,19 +157,7 @@ impl AppState {
             jobs_running,
             jobs_done,
             jobs_cancelled,
-            ..GaugeSnapshot::default()
-        };
-        if let Some(conn) = self
-            .conn_pool
-            .lock()
-            .expect("conn pool gauge poisoned")
-            .as_ref()
-        {
-            snapshot.conn_queue_depth = conn.queue_depth();
-            snapshot.conn_busy = conn.busy_workers();
-            snapshot.conn_workers = conn.worker_count();
         }
-        snapshot
     }
 }
 

@@ -673,12 +673,10 @@ pub fn smoke_check(addr: &str) -> Result<(), String> {
         return Err("metrics: search fast/fallback counters missing".into());
     }
 
-    // 5b. Connection-level families from the serving core. The gauge counts
-    // at least this client's own keep-alive connection; every connection was
-    // accepted by exactly one acceptor (a reactor shard or the blocking
-    // accept loop), so the per-acceptor counters must sum to the connection
-    // total; and the readiness-wait histogram renders whichever io model is
-    // serving (it stays at zero under the blocking pool).
+    // 5b. Connection-level families from the reactors. The gauge counts at
+    // least this client's own keep-alive connection; every connection was
+    // accepted by exactly one reactor, so the per-reactor counters must sum
+    // to the connection total; and the readiness-wait histogram renders.
     let open = scrape
         .value("ayd_open_connections")
         .ok_or("metrics: ayd_open_connections gauge missing")?;

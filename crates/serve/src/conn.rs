@@ -1,7 +1,8 @@
-//! Incremental HTTP parsing over partial reads, for the event-driven I/O
-//! layer.
+//! Per-connection request handling: incremental parsing over partial reads
+//! and [`answer_next`], the one function that turns a buffered request into
+//! response bytes.
 //!
-//! The reactor receives bytes in arbitrary chunks (a byte at a time from a
+//! A reactor receives bytes in arbitrary chunks (a byte at a time from a
 //! slow client, several pipelined requests in one burst from a fast one). To
 //! keep the determinism contract — the exact status lines, limits and error
 //! strings of [`crate::http::parse_request`] — this module does **not**
@@ -18,11 +19,16 @@
 //! possible header-section size implied by [`Limits`] — at which point the
 //! one-shot parser is guaranteed to return a definite over-limit error, so
 //! memory per connection stays bounded no matter what the peer sends.
+//!
+//! [`answer_next`] serves the reactor and the socket-free [`serve_chunks`]
+//! harness alike, so both answer the same bytes and record the same
+//! `request → parse → route → render` spans.
 
 use std::io::Cursor;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::api::{endpoint_hint, route};
 use crate::app::AppState;
@@ -181,12 +187,132 @@ impl IncrementalParser {
     }
 }
 
-/// Serves one connection's bytes delivered in arbitrary chunks, mirroring the
-/// blocking path's [`crate::server::serve_connection`] semantics request for
-/// request (same routing, same trace-id header, same keep-alive and error
-/// behaviour). This is the synchronous harness the malformed-request fuzz
-/// suite drives to assert the incremental path answers byte-for-byte like the
-/// one-shot path; the reactor runs the same state machine asynchronously.
+/// Upper bound on requests served over one keep-alive connection.
+pub(crate) const MAX_REQUESTS_PER_CONNECTION: usize = 100_000;
+
+/// The `x-ayd-trace-id` header value: 16 lowercase hex digits, matching the
+/// `trace` field of the span JSON lines, so one grep joins a response to its
+/// server-side spans.
+fn format_trace_id(trace: u64) -> String {
+    format!("{trace:016x}")
+}
+
+/// What [`answer_next`] did with a connection's buffered bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Answer {
+    /// The buffered bytes are a proper prefix of a request: read more.
+    NeedMore,
+    /// One response was appended and the connection stays open.
+    KeepAlive,
+    /// The connection ends, after the appended response (a `connection:
+    /// close` answer or a malformed request's error) or with nothing
+    /// appended (the peer closed between requests).
+    Close,
+}
+
+/// Answers the next request buffered in `parser`, appending the response to
+/// `out`: the one place a request becomes response bytes, for the reactor
+/// and [`serve_chunks`] alike. Every answered request records one `request`
+/// root span with `parse`, `route` and `render` children; `reactor` tags it
+/// with the serving reactor's index. `eof` means the peer's stream has ended.
+pub(crate) fn answer_next(
+    parser: &mut IncrementalParser,
+    eof: bool,
+    state: &Arc<AppState>,
+    shutdown: &AtomicBool,
+    reactor: Option<u64>,
+    out: &mut Vec<u8>,
+) -> Answer {
+    let trace = ayd_obs::fresh_trace_id();
+    let mut root = ayd_obs::root_span("request", trace);
+    if let Some(reactor) = reactor {
+        root.field_u64("reactor", reactor);
+    }
+    let parse_span = ayd_obs::span("parse");
+    let request = match parser.poll(&state.limits, eof) {
+        Poll::Ready(request) => request,
+        Poll::NeedMore => {
+            parse_span.cancel();
+            root.cancel();
+            return Answer::NeedMore;
+        }
+        Poll::Fail(error) => {
+            let Some((status, reason)) = error.status() else {
+                // A clean close or an unreadable peer: no response.
+                parse_span.cancel();
+                root.cancel();
+                return Answer::Close;
+            };
+            parse_span.finish();
+            render_parse_error(&error, status, reason, trace, out);
+            root.field_str("endpoint", "parse_error");
+            root.field_u64("status", u64::from(status));
+            root.finish();
+            state.metrics.observe("parse_error", status, Duration::ZERO);
+            return Answer::Close;
+        }
+    };
+    parse_span.finish();
+    let started = Instant::now();
+    let endpoint_guess = endpoint_hint(&request.target);
+    state.metrics.request_started(endpoint_guess);
+    let route_span = ayd_obs::span("route");
+    // A panicking handler must not take the reactor, and every connection on
+    // it, down with it: the request gets a 500 and its connection closes.
+    let routed = std::panic::catch_unwind(AssertUnwindSafe(|| route(state, &request)));
+    route_span.finish();
+    let (endpoint, response, keep_alive) = match routed {
+        Ok((endpoint, response)) => {
+            let keep_alive = !request.wants_close() && !shutdown.load(Ordering::SeqCst);
+            (endpoint, response, keep_alive)
+        }
+        Err(_) => (
+            endpoint_guess,
+            Response::error(500, "Internal Server Error", "the request handler panicked"),
+            false,
+        ),
+    };
+    let status = response.status;
+    let render_span = ayd_obs::span("render");
+    response
+        .with_header("x-ayd-trace-id", format_trace_id(trace))
+        .write_to(out, keep_alive)
+        .expect("writing to a Vec cannot fail");
+    render_span.finish();
+    state.metrics.request_finished(endpoint_guess);
+    root.field_str("endpoint", endpoint);
+    root.field_u64("status", u64::from(status));
+    root.finish();
+    state.metrics.observe(endpoint, status, started.elapsed());
+    if keep_alive {
+        Answer::KeepAlive
+    } else {
+        Answer::Close
+    }
+}
+
+/// Renders a malformed request's one error response (trace-id stamped,
+/// `connection: close`) inside a `render` span.
+fn render_parse_error(
+    error: &ParseError,
+    status: u16,
+    reason: &'static str,
+    trace: u64,
+    out: &mut Vec<u8>,
+) {
+    let render_span = ayd_obs::span("render");
+    Response::error(status, reason, &format!("{error:?}"))
+        .with_header("x-ayd-trace-id", format_trace_id(trace))
+        .write_to(out, false)
+        .expect("writing to a Vec cannot fail");
+    render_span.finish();
+}
+
+/// Serves one connection's bytes delivered in arbitrary chunks through
+/// [`answer_next`], exactly as a reactor serves a socket's reads, and returns
+/// everything written back. This is the socket-free harness: the
+/// malformed-request suite drives it byte at a time and whole, and the
+/// benchmark replays requests through it.
 pub fn serve_chunks(chunks: &[&[u8]], state: &Arc<AppState>, shutdown: &AtomicBool) -> Vec<u8> {
     let mut parser = IncrementalParser::new();
     let mut output = Vec::new();
@@ -194,57 +320,19 @@ pub fn serve_chunks(chunks: &[&[u8]], state: &Arc<AppState>, shutdown: &AtomicBo
     let mut feed = chunks.iter();
     let mut eof = false;
     loop {
-        match parser.poll(&state.limits, eof) {
-            Poll::NeedMore => {
-                if eof {
-                    return output;
-                }
-                match feed.next() {
-                    Some(chunk) => parser.push(chunk),
-                    None => eof = true,
-                }
-            }
-            Poll::Ready(request) => {
-                let trace = ayd_obs::fresh_trace_id();
-                let mut root = ayd_obs::root_span("request", trace);
-                let started = Instant::now();
-                let endpoint_guess = endpoint_hint(&request.target);
-                state.metrics.request_started(endpoint_guess);
-                let route_span = ayd_obs::span("route");
-                let (endpoint, response) = route(state, &request);
-                route_span.finish();
-                let response =
-                    response.with_header("x-ayd-trace-id", crate::server::format_trace_id(trace));
-                let keep_alive = !request.wants_close() && !shutdown.load(Ordering::SeqCst);
-                output.extend_from_slice(&response.to_bytes(keep_alive));
-                state.metrics.request_finished(endpoint_guess);
-                root.field_str("endpoint", endpoint);
-                root.field_u64("status", u64::from(response.status));
-                root.finish();
-                state
-                    .metrics
-                    .observe(endpoint, response.status, started.elapsed());
+        match answer_next(&mut parser, eof, state, shutdown, None, &mut output) {
+            Answer::NeedMore => match feed.next() {
+                Some(chunk) => parser.push(chunk),
+                None if eof => return output,
+                None => eof = true,
+            },
+            Answer::KeepAlive => {
                 served += 1;
-                if !keep_alive || served >= crate::server::MAX_REQUESTS_PER_CONNECTION {
+                if served >= MAX_REQUESTS_PER_CONNECTION {
                     return output;
                 }
             }
-            Poll::Fail(error) => {
-                if let Some((status, reason)) = error.status() {
-                    let trace = ayd_obs::fresh_trace_id();
-                    let mut root = ayd_obs::root_span("request", trace);
-                    let response = Response::error(status, reason, &format!("{error:?}"))
-                        .with_header("x-ayd-trace-id", crate::server::format_trace_id(trace));
-                    output.extend_from_slice(&response.to_bytes(false));
-                    root.field_str("endpoint", "parse_error");
-                    root.field_u64("status", u64::from(status));
-                    root.finish();
-                    state
-                        .metrics
-                        .observe("parse_error", status, std::time::Duration::ZERO);
-                }
-                return output;
-            }
+            Answer::Close => return output,
         }
     }
 }

@@ -302,8 +302,7 @@ impl Response {
     }
 
     /// The full wire bytes of the response — what [`Response::write_to`]
-    /// would emit. The event loop renders responses off-reactor with this and
-    /// writes the bytes as the socket accepts them.
+    /// would emit.
     pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.body.len() + 160);
         self.write_to(&mut out, keep_alive)

@@ -26,25 +26,24 @@
 //! server-side trace; with tracing enabled the same ID appears in the span
 //! records (ring, `--trace-log` sink).
 //!
-//! Architecture: two interchangeable serving cores behind
-//! [`app::IoModel`]. The default (`event`, Linux x86-64/aarch64) is a set of
-//! per-worker epoll reactors ([`reactor`], one `SO_REUSEPORT` listener each,
-//! so the kernel shards accepts), driving nonblocking edge-triggered
-//! connections through an incremental parser ([`conn::IncrementalParser`] —
-//! the same strict one-shot parser re-run over the accumulating buffer, so
-//! partial reads and pipelining answer byte-identically) and dispatching CPU
-//! work to a handler [`pool::WorkerPool`]; completed responses return to the
-//! owning reactor over an `eventfd`. The raw syscall layer is the vendored
-//! [`sys`] shim — no libc, no async runtime. The fallback (`blocking`, and
-//! every other platform) is the original fixed pool of connection-handler
-//! threads behind a bounded MPMC queue (accept-loop backpressure). Both
-//! cores share: a second pool for `/v1/batch` fan-out, a process-wide
-//! [`ayd_sweep::ShardedEvalCache`] shared by every request (answers are
-//! bit-identical to the offline [`ayd_sweep::Evaluator`] — asserted by
-//! [`client::smoke_check`]), async sweeps on
-//! [`ayd_sweep::SweepExecutor::spawn`] job handles, and graceful shutdown
-//! via a flag + listener wake-up ([`server::ServeHandle`]) that drains
-//! in-flight connections without truncating a response.
+//! Architecture: one serving core. A set of per-thread epoll reactors
+//! ([`reactor`], one `SO_REUSEPORT` listener each, so the kernel shards
+//! accepts) drives nonblocking edge-triggered connections through an
+//! incremental parser ([`conn::IncrementalParser`] — the same strict one-shot
+//! parser re-run over the accumulating buffer, so partial reads and
+//! pipelining answer byte-identically). Each reactor answers the requests it
+//! parses itself, one request per connection per turn, through the one
+//! function that turns a request into response bytes (also behind
+//! [`conn::serve_chunks`], the socket-free harness). The raw syscall layer is
+//! the vendored [`sys`] shim — no libc, no async runtime — so serving needs
+//! Linux on x86_64/aarch64; elsewhere [`Server::bind`] reports it
+//! unsupported. Around the reactors: a compute pool for `/v1/batch` fan-out,
+//! a process-wide [`ayd_sweep::ShardedEvalCache`] shared by every request
+//! (answers are bit-identical to the offline [`ayd_sweep::Evaluator`] —
+//! asserted by [`client::smoke_check`]), async sweeps on
+//! [`ayd_sweep::SweepExecutor::spawn`] job handles, and graceful shutdown via
+//! a flag + listener wake-up ([`server::ServeHandle`]) that drains in-flight
+//! responses without truncating one.
 //!
 //! The request parser ([`http`]) is strict and bounded (header count, line
 //! lengths, body size) with exact 400/404/405/413/414/431/501 mapping; the
@@ -88,7 +87,7 @@ pub mod sys;
 pub mod worker;
 
 pub use api::ApiError;
-pub use app::{AppState, ClusterConfig, IoModel, ServerConfig, EVENT_IO_SUPPORTED};
+pub use app::{AppState, ClusterConfig, ServerConfig};
 pub use client::{smoke_check, ClientResponse, HttpClient};
 pub use conn::{serve_chunks, IncrementalParser};
 pub use coordinator::{ClusterStats, Coordinator};
@@ -96,5 +95,5 @@ pub use http::{Limits, Request, Response};
 pub use json::Json;
 pub use metrics::{validate_prometheus, GaugeSnapshot, Metrics, PrometheusText, Sample};
 pub use pool::WorkerPool;
-pub use server::{serve_connection, ServeHandle, Server};
+pub use server::{ServeHandle, Server};
 pub use worker::WorkerRuntime;

@@ -25,17 +25,11 @@ const BUCKET_BOUNDS: [f64; 11] = [
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
 ];
 
-/// Point-in-time gauges sampled at render: pool load and sweep-job states.
-/// The registry itself never owns these — the `/metrics` handler snapshots
-/// them from the pools and the job registry at scrape time.
+/// Point-in-time gauges sampled at render: compute-pool load and sweep-job
+/// states. The registry itself never owns these — the `/metrics` handler
+/// snapshots them from the pool and the job registry at scrape time.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct GaugeSnapshot {
-    /// Jobs waiting in the connection pool's queue.
-    pub conn_queue_depth: usize,
-    /// Connection-pool workers currently executing.
-    pub conn_busy: usize,
-    /// Connection-pool worker threads.
-    pub conn_workers: usize,
     /// Jobs waiting in the compute pool's queue.
     pub compute_queue_depth: usize,
     /// Compute-pool workers currently executing.
@@ -64,12 +58,10 @@ pub struct Metrics {
     requests: AtomicU64,
     /// Total connections accepted.
     connections: AtomicU64,
-    /// Connections currently open (accepted, not yet closed). The event loop
-    /// is exactly what makes this gauge interesting: idle keep-alive
-    /// connections no longer park a worker, so open ≫ busy is healthy.
+    /// Connections currently open (accepted, not yet closed). Idle
+    /// keep-alive connections park no thread, so open ≫ reactors is healthy.
     open_connections: AtomicU64,
-    /// Accepted connections by acceptor: one entry per reactor (labelled by
-    /// index) plus `"blocking"` for the legacy pool's accept loop.
+    /// Accepted connections by reactor (labelled by index).
     accepts: Mutex<BTreeMap<String, u64>>,
     /// Readiness-wait histogram buckets: time a reactor spent parked in
     /// `epoll_wait` before events fired, same bounds as the request histogram.
@@ -116,14 +108,8 @@ impl Metrics {
         Self::default()
     }
 
-    /// Records one accepted connection (legacy blocking accept loop). Pair
-    /// with [`Metrics::connection_closed`].
-    pub fn connection_opened(&self) {
-        self.connection_accepted("blocking");
-    }
-
-    /// Records one accepted connection on the named acceptor (a reactor index
-    /// or `"blocking"`). Pair with [`Metrics::connection_closed`].
+    /// Records one accepted connection on the named reactor (its index).
+    /// Pair with [`Metrics::connection_closed`].
     pub fn connection_accepted(&self, acceptor: &str) {
         self.connections.fetch_add(1, Ordering::Relaxed);
         self.open_connections.fetch_add(1, Ordering::Relaxed);
@@ -152,7 +138,7 @@ impl Metrics {
     }
 
     /// Records one reactor `epoll_wait` park: how long the reactor waited
-    /// before readiness (events or a completion wake-up) fired.
+    /// before events fired.
     pub fn observe_readiness_wait(&self, wait: Duration) {
         self.readiness_buckets[bucket_slot(wait.as_secs_f64())].fetch_add(1, Ordering::Relaxed);
         self.readiness_sum_nanos
@@ -272,7 +258,7 @@ impl Metrics {
             self.open_connections.load(Ordering::Relaxed)
         ));
 
-        out.push_str("# HELP ayd_accepts_total Connections accepted, by acceptor (reactor index or \"blocking\").\n");
+        out.push_str("# HELP ayd_accepts_total Connections accepted, by reactor index.\n");
         out.push_str("# TYPE ayd_accepts_total counter\n");
         for (acceptor, count) in self.accepts.lock().expect("metrics map poisoned").iter() {
             out.push_str(&format!(
@@ -367,29 +353,17 @@ impl Metrics {
         out.push_str("# HELP ayd_pool_queue_depth Jobs waiting in a worker pool's queue.\n");
         out.push_str("# TYPE ayd_pool_queue_depth gauge\n");
         out.push_str(&format!(
-            "ayd_pool_queue_depth{{pool=\"connection\"}} {}\n",
-            gauges.conn_queue_depth
-        ));
-        out.push_str(&format!(
             "ayd_pool_queue_depth{{pool=\"compute\"}} {}\n",
             gauges.compute_queue_depth
         ));
         out.push_str("# HELP ayd_pool_busy_workers Workers currently executing a job.\n");
         out.push_str("# TYPE ayd_pool_busy_workers gauge\n");
         out.push_str(&format!(
-            "ayd_pool_busy_workers{{pool=\"connection\"}} {}\n",
-            gauges.conn_busy
-        ));
-        out.push_str(&format!(
             "ayd_pool_busy_workers{{pool=\"compute\"}} {}\n",
             gauges.compute_busy
         ));
         out.push_str("# HELP ayd_pool_saturation Busy fraction of a pool's workers.\n");
         out.push_str("# TYPE ayd_pool_saturation gauge\n");
-        out.push_str(&format!(
-            "ayd_pool_saturation{{pool=\"connection\"}} {}\n",
-            saturation(gauges.conn_busy, gauges.conn_workers)
-        ));
         out.push_str(&format!(
             "ayd_pool_saturation{{pool=\"compute\"}} {}\n",
             saturation(gauges.compute_busy, gauges.compute_workers)
@@ -673,10 +647,9 @@ mod tests {
         metrics.connection_accepted("0");
         metrics.connection_accepted("0");
         metrics.connection_accepted("1");
-        metrics.connection_opened();
-        assert_eq!(metrics.open_connections(), 4);
-        metrics.connection_closed();
         assert_eq!(metrics.open_connections(), 3);
+        metrics.connection_closed();
+        assert_eq!(metrics.open_connections(), 2);
         metrics.observe_readiness_wait(Duration::from_micros(30));
         metrics.observe_readiness_wait(Duration::from_millis(100));
         // One observe so the payload has request samples for the validator.
@@ -684,10 +657,10 @@ mod tests {
         let text =
             metrics.render_prometheus(&CacheStats::default(), &GaugeSnapshot::default(), None);
         validate_prometheus(&text).unwrap();
-        assert!(text.contains("ayd_open_connections 3\n"));
+        assert!(text.contains("ayd_open_connections 2\n"));
+        assert!(text.contains("ayd_connections_total 3\n"));
         assert!(text.contains("ayd_accepts_total{reactor=\"0\"} 2\n"));
         assert!(text.contains("ayd_accepts_total{reactor=\"1\"} 1\n"));
-        assert!(text.contains("ayd_accepts_total{reactor=\"blocking\"} 1\n"));
         assert!(text.contains("ayd_readiness_wait_seconds_bucket{le=\"0.0001\"} 1\n"));
         assert!(text.contains("ayd_readiness_wait_seconds_bucket{le=\"0.1\"} 2\n"));
         assert!(text.contains("ayd_readiness_wait_seconds_count 2\n"));
@@ -724,7 +697,7 @@ mod tests {
     #[test]
     fn observations_land_in_buckets_and_render_cumulatively() {
         let metrics = Metrics::new();
-        metrics.connection_opened();
+        metrics.connection_accepted("0");
         metrics.observe("optimize", 200, Duration::from_micros(50));
         metrics.observe("optimize", 200, Duration::from_micros(300));
         metrics.observe("optimize", 400, Duration::from_millis(40));
@@ -756,9 +729,9 @@ mod tests {
                 evictions: 0,
             },
             &GaugeSnapshot {
-                conn_queue_depth: 2,
-                conn_busy: 3,
-                conn_workers: 4,
+                compute_queue_depth: 2,
+                compute_busy: 3,
+                compute_workers: 4,
                 jobs_running: 1,
                 ..GaugeSnapshot::default()
             },
@@ -789,10 +762,10 @@ mod tests {
         assert!(text.contains("ayd_cache_hit_rate 0.75\n"));
         // Gauges: in-flight, pool load and job states.
         assert!(text.contains("ayd_in_flight_requests{endpoint=\"optimize\"} 1\n"));
-        assert!(text.contains("ayd_pool_queue_depth{pool=\"connection\"} 2\n"));
-        assert!(text.contains("ayd_pool_busy_workers{pool=\"connection\"} 3\n"));
-        assert!(text.contains("ayd_pool_saturation{pool=\"connection\"} 0.75\n"));
-        assert!(text.contains("ayd_pool_saturation{pool=\"compute\"} 0\n"));
+        assert!(text.contains("ayd_pool_queue_depth{pool=\"compute\"} 2\n"));
+        assert!(text.contains("ayd_pool_busy_workers{pool=\"compute\"} 3\n"));
+        assert!(text.contains("ayd_pool_saturation{pool=\"compute\"} 0.75\n"));
+        assert!(!text.contains("pool=\"connection\""));
         assert!(text.contains("ayd_sweep_jobs{state=\"running\"} 1\n"));
         assert!(text.contains("ayd_sweep_jobs{state=\"cancelled\"} 0\n"));
         validate_prometheus(&text).unwrap();

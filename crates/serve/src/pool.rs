@@ -2,11 +2,9 @@
 //!
 //! `std` only: the queue is a `Mutex<VecDeque>` with two condvars (one for
 //! "queue not empty", one for "queue not full"). Submitting to a full queue
-//! blocks the producer — that backpressure is what bounds memory when the
-//! accept loop outruns the workers. The server runs two independent
-//! instances: one whose jobs are whole connections, and one whose jobs are
-//! batch-query evaluations (so a connection worker can fan a `/v1/batch` body
-//! out without ever waiting on its own pool).
+//! blocks the producer — backpressure, not unbounded buffering. The server
+//! runs one instance, the compute pool a reactor fans a `/v1/batch` body out
+//! over.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -239,8 +237,7 @@ fn worker_loop(shared: &Shared) {
         shared.not_full.notify_one();
         shared.busy.fetch_add(1, Ordering::Relaxed);
         // A panicking job must not take its worker thread down with it — one
-        // poisonous connection or batch item would otherwise shrink the pool
-        // permanently. The panic message still reaches stderr via the hook.
+        // poisonous batch item would otherwise shrink the pool permanently. The panic message still reaches stderr via the hook.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
         shared.busy.fetch_sub(1, Ordering::Relaxed);
     }

@@ -1,110 +1,71 @@
-//! Per-core epoll reactors: the event-driven serving core.
+//! Per-core epoll reactors: the serving core.
 //!
-//! One reactor thread per configured worker, each owning its own
-//! `SO_REUSEPORT` listener (the kernel shards incoming connections across
+//! One reactor thread per configured worker (`--threads`), each owning its
+//! own `SO_REUSEPORT` listener (the kernel shards incoming connections across
 //! them), its own epoll instance and its own connection table — no
 //! cross-reactor locking on the I/O path. Sockets are edge-triggered and
-//! nonblocking; each connection runs the state machine
-//! *reading → dispatched → writing → keep-alive*, feeding
-//! [`crate::conn::IncrementalParser`] with whatever bytes arrive, so 100k
-//! idle keep-alive connections cost a table entry each instead of a parked
-//! worker thread.
+//! nonblocking; each connection feeds [`crate::conn::IncrementalParser`] with
+//! whatever bytes arrive, so 100k idle keep-alive connections cost a table
+//! entry each instead of a parked thread.
 //!
-//! CPU-bound work never runs on a reactor: parsed requests are handed to a
-//! shared handler [`WorkerPool`] (distinct from the `/v1/batch` compute pool,
-//! preserving the two-pool discipline of the blocking path), and the finished
-//! response bytes come back to the owning reactor through a mutexed
-//! completion queue plus an eventfd wake-up. Responses are rendered with the
-//! same router, JSON layer and trace-id header as the blocking path, so the
-//! served bytes are bit-identical between `--io-model blocking` and `event`.
+//! A reactor answers every request it parses itself, through
+//! [`crate::conn::answer_next`] — the function [`crate::conn::serve_chunks`]
+//! calls too — and writes the response straight to the socket. Only
+//! `/v1/batch` fans its queries out over the compute pool, and sweeps run on
+//! their executor threads.
 //!
-//! Graceful shutdown drains: the listener closes, idle connections drop, and
-//! connections with a request in flight or a response mid-write finish before
-//! the reactor exits (bounded by a drain deadline), so a shutdown under load
-//! never truncates a response.
+//! Fairness: a connection gets at most one request answered per turn (one
+//! `epoll_wait` and the events it returned). After writing a response the
+//! reactor does not read that socket again; a connection whose pipelined
+//! bytes are already buffered joins the run queue (at most once), which is
+//! drained after the next turn's events. One pipelining client therefore
+//! cannot hold its reactor while other connections wait.
+//!
+//! Graceful shutdown drains: the listener closes, connections between
+//! responses close, and connections with a response mid-write finish it
+//! before the reactor exits (bounded by a drain deadline), so a shutdown
+//! under load never truncates a response.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::api::{endpoint_hint, route};
 use crate::app::{AppState, ServerConfig};
-use crate::conn::{head_cap, IncrementalParser, Poll};
-use crate::http::{ParseError, Request, Response};
-use crate::pool::{PoolClosed, WorkerPool};
-use crate::server::{format_trace_id, MAX_REQUESTS_PER_CONNECTION};
+use crate::conn::{answer_next, head_cap, Answer, IncrementalParser, MAX_REQUESTS_PER_CONNECTION};
 use crate::sys;
 
 /// epoll timeout while serving: bounds the latency of noticing the shutdown
 /// flag (the wake-up poke only reaches one reactor's accept shard).
 const WAIT_MS: i32 = 100;
-/// epoll timeout while draining: completions and final writes land fast.
+/// epoll timeout while draining: final writes land fast.
 const DRAIN_WAIT_MS: i32 = 10;
-/// How long a draining reactor waits for in-flight connections to finish.
+/// How long a draining reactor waits for in-flight writes to finish.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 /// Read scratch size per reactor.
 const SCRATCH: usize = 64 * 1024;
 
 /// epoll token of the reactor's accept shard.
 const TOKEN_LISTENER: u64 = 0;
-/// epoll token of the completion eventfd.
-const TOKEN_WAKER: u64 = 1;
 /// First token handed to an accepted connection.
-const TOKEN_FIRST_CONN: u64 = 2;
-
-/// A rendered response on its way back from a handler to the owning reactor.
-struct Completion {
-    token: u64,
-    bytes: Vec<u8>,
-    keep_alive: bool,
-}
-
-/// The cross-thread half of a reactor: handlers push rendered responses and
-/// post the eventfd; the reactor drains both.
-struct Completions {
-    queue: Mutex<VecDeque<Completion>>,
-    waker: sys::Fd,
-}
-
-impl Completions {
-    fn push(&self, completion: Completion) {
-        self.queue
-            .lock()
-            .expect("completion queue poisoned")
-            .push_back(completion);
-        // A failed wake-up is not fatal: the reactor's periodic timeout will
-        // pick the completion up.
-        let _ = sys::eventfd_write(&self.waker);
-    }
-}
-
-/// Lifecycle of one connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Accumulating request bytes.
-    Reading,
-    /// One request is on the handler pool; its response has not come back.
-    Dispatched,
-    /// Response bytes are queued (possibly partially written).
-    Writing,
-}
+const TOKEN_FIRST_CONN: u64 = 1;
 
 /// Per-connection state.
 struct Conn {
     fd: sys::Fd,
     parser: IncrementalParser,
-    phase: Phase,
-    /// Pending response bytes not yet accepted by the kernel.
+    /// Response bytes not yet accepted by the kernel.
     out: Vec<u8>,
     /// Prefix of `out` already written.
     written: usize,
     /// The peer's read side ended (EOF or a hard read error).
     eof: bool,
-    /// Close once `out` drains (protocol close, error, or shutdown).
+    /// Close once `out` drains (protocol close or the request cap).
     close_after_write: bool,
     /// `EPOLLOUT` currently registered (only while a write is blocked).
     wants_writable: bool,
+    /// In the run queue: its next request is answered there, not on events.
+    queued: bool,
     /// Requests served on this connection.
     served: usize,
 }
@@ -114,32 +75,33 @@ impl Conn {
         Self {
             fd,
             parser: IncrementalParser::new(),
-            phase: Phase::Reading,
             out: Vec::new(),
             written: 0,
             eof: false,
             close_after_write: false,
             wants_writable: false,
+            queued: false,
             served: 0,
         }
     }
 }
 
-/// One reactor: an epoll instance, an accept shard, a completion queue and
-/// the connections the kernel routed here.
+/// One reactor: an epoll instance, an accept shard and the connections the
+/// kernel routed here.
 struct Reactor {
-    index: usize,
+    index: u64,
     /// The reactor's `ayd_accepts_total` label, formatted once.
     label: String,
     epoll: sys::Fd,
     /// `None` once draining (dropping the fd closes the shard).
     listener: Option<sys::Fd>,
-    completions: Arc<Completions>,
     conns: HashMap<u64, Conn>,
+    /// Connections with more buffered input than the request answered this
+    /// turn; each gets one more request after the next turn's events.
+    run_queue: Vec<u64>,
     next_token: u64,
     state: Arc<AppState>,
     shutdown: Arc<AtomicBool>,
-    handlers: Arc<WorkerPool>,
     scratch: Vec<u8>,
     /// Stop reading a connection whose buffer exceeds this (resumes once the
     /// buffered requests drain) — bounds per-connection memory against
@@ -150,7 +112,6 @@ struct Reactor {
 
 impl Reactor {
     fn run(mut self) -> std::io::Result<()> {
-        let interest = sys::EPOLLIN;
         if let Some(listener) = &self.listener {
             sys::epoll_ctl(
                 &self.epoll,
@@ -158,21 +119,16 @@ impl Reactor {
                 listener.raw(),
                 // Level-triggered on purpose: an accept pass that stops early
                 // (e.g. on EMFILE) re-fires instead of stalling the shard.
-                interest,
+                sys::EPOLLIN,
                 TOKEN_LISTENER,
             )?;
         }
-        sys::epoll_ctl(
-            &self.epoll,
-            sys::EPOLL_CTL_ADD,
-            self.completions.waker.raw(),
-            interest,
-            TOKEN_WAKER,
-        )?;
         let mut events = [sys::EpollEvent::default(); 256];
         let mut drain_deadline: Option<Instant> = None;
         loop {
-            let timeout = if self.draining {
+            let timeout = if !self.run_queue.is_empty() {
+                0
+            } else if self.draining {
                 DRAIN_WAIT_MS
             } else {
                 WAIT_MS
@@ -182,27 +138,31 @@ impl Reactor {
             if fired > 0 {
                 self.state.metrics.observe_readiness_wait(parked.elapsed());
             }
+            // Queued before this turn's events: a connection answered during
+            // them re-queues for the next turn, never this one.
+            let due = std::mem::take(&mut self.run_queue);
             for event in &events[..fired] {
                 match event.token() {
                     TOKEN_LISTENER => self.accept_burst(),
-                    TOKEN_WAKER => {
-                        sys::eventfd_drain(&self.completions.waker);
-                        self.drain_completions();
-                    }
                     token => self.pump(token),
+                }
+            }
+            for token in due {
+                if let Some(conn) = self.conns.get_mut(&token) {
+                    conn.queued = false;
+                    self.pump(token);
                 }
             }
             if !self.draining && self.shutdown.load(Ordering::SeqCst) {
                 self.draining = true;
                 self.listener = None;
                 drain_deadline = Some(Instant::now() + DRAIN_DEADLINE);
-                // Idle (between-requests) connections close immediately — a
-                // clean response boundary. In-flight dispatches and writes
-                // keep their entries and finish below.
+                // Connections between responses close now — a clean response
+                // boundary. Writes in flight keep their entries and finish.
                 let idle: Vec<u64> = self
                     .conns
                     .iter()
-                    .filter(|(_, conn)| conn.phase == Phase::Reading)
+                    .filter(|(_, conn)| conn.out.is_empty())
                     .map(|(&token, _)| token)
                     .collect();
                 for token in idle {
@@ -210,9 +170,6 @@ impl Reactor {
                 }
             }
             if self.draining {
-                // One more completion sweep: the eventfd may have been posted
-                // between the wait and the flag check.
-                self.drain_completions();
                 let expired = drain_deadline.is_some_and(|deadline| Instant::now() >= deadline);
                 if self.conns.is_empty() || expired {
                     for token in self.conns.keys().copied().collect::<Vec<_>>() {
@@ -263,39 +220,12 @@ impl Reactor {
         }
     }
 
-    fn drain_completions(&mut self) {
-        loop {
-            let completion = self
-                .completions
-                .queue
-                .lock()
-                .expect("completion queue poisoned")
-                .pop_front();
-            let Some(completion) = completion else { return };
-            // The connection may have died (hard error) while its request was
-            // in flight; the rendered bytes then have nowhere to go.
-            let Some(mut conn) = self.conns.remove(&completion.token) else {
-                continue;
-            };
-            debug_assert_eq!(conn.phase, Phase::Dispatched);
-            conn.out.extend_from_slice(&completion.bytes);
-            conn.close_after_write =
-                conn.close_after_write || !completion.keep_alive || self.draining;
-            conn.phase = Phase::Writing;
-            self.finish_pump(completion.token, conn);
-        }
-    }
-
-    /// Runs one connection's state machine after a readiness event or
-    /// completion, reinserting it unless it closed.
+    /// Runs one connection's state machine after a readiness event or from
+    /// the run queue, reinserting it unless it closed.
     fn pump(&mut self, token: u64) {
-        let Some(conn) = self.conns.remove(&token) else {
+        let Some(mut conn) = self.conns.remove(&token) else {
             return;
         };
-        self.finish_pump(token, conn);
-    }
-
-    fn finish_pump(&mut self, token: u64, mut conn: Conn) {
         if self.drive(token, &mut conn) {
             self.conns.insert(token, conn);
         } else {
@@ -309,197 +239,124 @@ impl Reactor {
         }
     }
 
-    /// Advances one connection as far as the kernel allows. Returns `false`
-    /// when the connection is finished (the caller drops it, closing the fd).
+    /// Advances one connection by at most one request: reads what the
+    /// kernel holds, answers the next buffered request unless a response is
+    /// still going out, and writes. Returns `false` when the connection is
+    /// finished (the caller drops it, closing the fd).
     fn drive(&mut self, token: u64, conn: &mut Conn) -> bool {
-        loop {
-            // Read phase: drain the edge regardless of phase (pipelined bytes
-            // buffer up behind the in-flight request), pausing above the
-            // memory bound.
-            while !conn.eof && conn.parser.buffered() < self.pause_at {
-                match sys::read(&conn.fd, &mut self.scratch) {
-                    Ok(0) => conn.eof = true,
-                    Ok(n) => conn.parser.push(&self.scratch[..n]),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    // A hard read error: nothing more will arrive; any
-                    // response still in flight gets a best-effort write.
-                    Err(_) => conn.eof = true,
-                }
+        // Drain the edge (pipelined bytes buffer up behind the request being
+        // answered), pausing above the memory bound.
+        while !conn.eof && conn.parser.buffered() < self.pause_at {
+            match sys::read(&conn.fd, &mut self.scratch) {
+                Ok(0) => conn.eof = true,
+                Ok(n) => conn.parser.push(&self.scratch[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                // A hard read error: nothing more will arrive; a response
+                // still going out gets a best-effort write.
+                Err(_) => conn.eof = true,
             }
-            match conn.phase {
-                Phase::Reading => match conn.parser.poll(&self.state.limits, conn.eof) {
-                    Poll::NeedMore => return true,
-                    Poll::Ready(request) => {
-                        conn.phase = Phase::Dispatched;
-                        self.dispatch(token, request);
-                        return true;
-                    }
-                    Poll::Fail(error) => {
-                        let Some((status, reason)) = error.status() else {
-                            // Clean close or an unreadable peer: no response,
-                            // same as the blocking path.
-                            return false;
-                        };
-                        conn.out
-                            .extend_from_slice(&self.render_parse_error(&error, status, reason));
-                        conn.close_after_write = true;
-                        conn.phase = Phase::Writing;
-                    }
-                },
-                Phase::Dispatched => return true,
-                Phase::Writing => {
-                    while conn.written < conn.out.len() {
-                        match sys::write(&conn.fd, &conn.out[conn.written..]) {
-                            Ok(n) => conn.written += n,
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                if !conn.wants_writable
-                                    && sys::epoll_ctl(
-                                        &self.epoll,
-                                        sys::EPOLL_CTL_MOD,
-                                        conn.fd.raw(),
-                                        sys::EPOLLIN
-                                            | sys::EPOLLOUT
-                                            | sys::EPOLLRDHUP
-                                            | sys::EPOLLET,
-                                        token,
-                                    )
-                                    .is_ok()
-                                {
-                                    conn.wants_writable = true;
-                                }
-                                return true;
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                            Err(_) => return false,
-                        }
-                    }
-                    // Response fully written: back to keep-alive reading (or
-                    // close), and loop — pipelined requests may already be
-                    // buffered, and no further readiness will announce them.
-                    conn.out.clear();
-                    conn.written = 0;
-                    if conn.wants_writable {
-                        conn.wants_writable = false;
-                        let _ = sys::epoll_ctl(
-                            &self.epoll,
-                            sys::EPOLL_CTL_MOD,
-                            conn.fd.raw(),
-                            sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLET,
-                            token,
-                        );
-                    }
+        }
+        if conn.queued {
+            // The run queue answers this connection's next request.
+            return true;
+        }
+        if conn.out.is_empty() && !self.draining {
+            match answer_next(
+                &mut conn.parser,
+                conn.eof,
+                &self.state,
+                &self.shutdown,
+                Some(self.index),
+                &mut conn.out,
+            ) {
+                Answer::NeedMore => return !conn.eof,
+                Answer::KeepAlive => {
                     conn.served += 1;
-                    if conn.close_after_write || conn.served >= MAX_REQUESTS_PER_CONNECTION {
-                        return false;
-                    }
-                    conn.phase = Phase::Reading;
+                    conn.close_after_write = conn.served >= MAX_REQUESTS_PER_CONNECTION;
                 }
+                Answer::Close if conn.out.is_empty() => return false,
+                Answer::Close => conn.close_after_write = true,
             }
         }
-    }
-
-    /// Hands a parsed request to the handler pool; the rendered response
-    /// comes back through the completion queue. Mirrors the blocking path's
-    /// per-request spans and metrics, plus the reactor id and the
-    /// dispatch-to-run readiness wait.
-    fn dispatch(&self, token: u64, request: Request) {
-        let state = Arc::clone(&self.state);
-        let shutdown = Arc::clone(&self.shutdown);
-        let completions = Arc::clone(&self.completions);
-        let reactor = self.index as u64;
-        let enqueued = Instant::now();
-        let job = Box::new(move || {
-            let trace = ayd_obs::fresh_trace_id();
-            let mut root = ayd_obs::root_span("request", trace);
-            root.field_u64("reactor", reactor);
-            root.field_u64("readiness_wait_ns", enqueued.elapsed().as_nanos() as u64);
-            let started = Instant::now();
-            let endpoint_guess = endpoint_hint(&request.target);
-            state.metrics.request_started(endpoint_guess);
-            let route_span = ayd_obs::span("route");
-            let (endpoint, response) = route(&state, &request);
-            route_span.finish();
-            let response = response.with_header("x-ayd-trace-id", format_trace_id(trace));
-            let keep_alive = !request.wants_close() && !shutdown.load(Ordering::SeqCst);
-            let render_span = ayd_obs::span("render");
-            let bytes = response.to_bytes(keep_alive);
-            render_span.finish();
-            state.metrics.request_finished(endpoint_guess);
-            root.field_str("endpoint", endpoint);
-            root.field_u64("status", u64::from(response.status));
-            root.finish();
-            state
-                .metrics
-                .observe(endpoint, response.status, started.elapsed());
-            completions.push(Completion {
-                token,
-                bytes,
-                keep_alive,
-            });
-        });
-        if let Err(PoolClosed(job)) = self.handlers.submit(job) {
-            // The pool only closes at teardown; degrade to inline execution
-            // so the dispatched request still gets its response.
-            job();
+        if !self.flush(token, conn) {
+            return false;
         }
+        if !conn.out.is_empty() {
+            // Blocked: `EPOLLOUT` resumes the write.
+            return true;
+        }
+        if conn.close_after_write || self.draining {
+            return false;
+        }
+        // The response is out. Whatever else the peer sent (or its EOF)
+        // waits for the next turn instead of being read and answered now.
+        if conn.parser.buffered() > 0 || conn.eof {
+            conn.queued = true;
+            self.run_queue.push(token);
+        }
+        true
     }
 
-    /// Answers a malformed request exactly like the blocking path: one error
-    /// response, trace-id stamped, then close.
-    fn render_parse_error(&self, error: &ParseError, status: u16, reason: &'static str) -> Vec<u8> {
-        let trace = ayd_obs::fresh_trace_id();
-        let mut root = ayd_obs::root_span("request", trace);
-        root.field_u64("reactor", self.index as u64);
-        let response = Response::error(status, reason, &format!("{error:?}"))
-            .with_header("x-ayd-trace-id", format_trace_id(trace));
-        let render_span = ayd_obs::span("render");
-        let bytes = response.to_bytes(false);
-        render_span.finish();
-        root.field_str("endpoint", "parse_error");
-        root.field_u64("status", u64::from(status));
-        root.finish();
-        self.state
-            .metrics
-            .observe("parse_error", status, Duration::ZERO);
-        bytes
+    /// Writes `conn.out` until it drains (then clears it) or the socket would
+    /// block (then waits for `EPOLLOUT`). Returns `false` on a hard error.
+    fn flush(&self, token: u64, conn: &mut Conn) -> bool {
+        while conn.written < conn.out.len() {
+            match sys::write(&conn.fd, &conn.out[conn.written..]) {
+                Ok(n) => conn.written += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    if !conn.wants_writable {
+                        conn.wants_writable = self.interest(token, conn, sys::EPOLLOUT);
+                    }
+                    return true;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+        conn.out.clear();
+        conn.written = 0;
+        if conn.wants_writable {
+            conn.wants_writable = false;
+            self.interest(token, conn, 0);
+        }
+        true
+    }
+
+    /// Re-registers `conn` for input plus `extra`; true on success.
+    fn interest(&self, token: u64, conn: &Conn, extra: u32) -> bool {
+        sys::epoll_ctl(
+            &self.epoll,
+            sys::EPOLL_CTL_MOD,
+            conn.fd.raw(),
+            sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLET | extra,
+            token,
+        )
+        .is_ok()
     }
 }
 
 /// Serves the listener shards with one reactor thread each until shutdown,
-/// then drains and returns. The handler pool is shared by every reactor and
-/// attached to the connection-pool gauges (`/metrics` reports handler load
-/// where the blocking path reported connection-worker load).
+/// then drains and returns.
 pub fn serve_event(
     listeners: Vec<sys::Fd>,
     state: Arc<AppState>,
     shutdown: Arc<AtomicBool>,
     config: &ServerConfig,
 ) -> std::io::Result<()> {
-    let threads = config.threads.max(1);
-    let handlers = Arc::new(WorkerPool::new(
-        "ayd-handler",
-        threads,
-        config.queue_capacity.max(1),
-    ));
-    state.attach_conn_pool(handlers.stats());
     let pause_at = config.limits.max_body + head_cap(&config.limits) + SCRATCH;
     let mut workers = Vec::with_capacity(listeners.len());
     for (index, listener) in listeners.into_iter().enumerate() {
         let reactor = Reactor {
-            index,
+            index: index as u64,
             label: index.to_string(),
             epoll: sys::epoll_create()?,
             listener: Some(listener),
-            completions: Arc::new(Completions {
-                queue: Mutex::new(VecDeque::new()),
-                waker: sys::eventfd()?,
-            }),
             conns: HashMap::new(),
+            run_queue: Vec::new(),
             next_token: TOKEN_FIRST_CONN,
             state: Arc::clone(&state),
             shutdown: Arc::clone(&shutdown),
-            handlers: Arc::clone(&handlers),
             scratch: vec![0; SCRATCH],
             pause_at,
             draining: false,
@@ -521,7 +378,6 @@ pub fn serve_event(
             }
         }
     }
-    drop(handlers);
     match first_error {
         Some(error) => Err(error),
         None => Ok(()),

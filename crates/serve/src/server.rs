@@ -1,46 +1,39 @@
-//! The TCP accept loop, keep-alive connection handling and graceful shutdown.
+//! The bound server, its serve loop and graceful shutdown.
 //!
-//! Connections are jobs on a fixed [`WorkerPool`] behind a bounded queue: when
-//! every handler thread is busy and the queue is full, the accept loop itself
-//! blocks — backpressure, not unbounded buffering. Shutdown is cooperative
-//! (the SIGTERM-equivalent for a `std`-only build): a shared flag plus a
-//! wake-up connection to the listener; the accept loop stops, in-flight
-//! requests finish, keep-alive loops close after their current response.
+//! [`Server::bind`] opens one nonblocking `SO_REUSEPORT` listener per reactor
+//! thread (`SO_REUSEPORT` must be set before `bind`, so the shards cannot be
+//! derived from a `std` listener); [`Server::serve`] runs the reactors
+//! ([`crate::reactor`]) until [`ServeHandle::shutdown`] fires. Shutdown is
+//! cooperative (the SIGTERM-equivalent for a `std`-only build): a shared flag
+//! plus a wake-up connection; the reactors stop accepting, finish the
+//! responses going out and close keep-alive connections at a response
+//! boundary.
+//!
+//! The reactors run on the vendored syscall shim, which covers Linux on
+//! x86_64 and aarch64 only. Elsewhere [`Server::bind`] fails with
+//! [`std::io::ErrorKind::Unsupported`], and the rest of the workspace (the
+//! paper reproduction included) builds and runs without it.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-use crate::api::{endpoint_hint, route};
-use crate::app::{AppState, IoModel, ServerConfig};
-use crate::http::{parse_request, Response};
-use crate::pool::WorkerPool;
+use crate::app::{AppState, ServerConfig};
 
-/// The `x-ayd-trace-id` header value: 16 lowercase hex digits, matching the
-/// `trace` field of the span JSON lines, so one grep joins a response to its
-/// server-side spans.
-pub(crate) fn format_trace_id(trace: u64) -> String {
-    format!("{trace:016x}")
-}
+/// A listening socket: one `SO_REUSEPORT` accept shard per reactor.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+type Listener = crate::sys::Fd;
 
-/// Upper bound on requests served over one keep-alive connection.
-pub(crate) const MAX_REQUESTS_PER_CONNECTION: usize = 100_000;
-
-/// The bound sockets of a server: a single blocking listener, or one
-/// nonblocking `SO_REUSEPORT` shard per reactor.
-enum ListenerSet {
-    Blocking(TcpListener),
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    Event {
-        fds: Vec<crate::sys::Fd>,
-        addr: SocketAddr,
-    },
-}
+/// No listener exists where the syscall shim does not: [`Server::bind`]
+/// fails before one would be needed.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+enum Listener {}
 
 /// Handle for stopping a running server from another thread.
 #[derive(Debug, Clone)]
@@ -55,98 +48,57 @@ impl ServeHandle {
         self.addr
     }
 
-    /// Requests a graceful shutdown: sets the flag and wakes the accept loop
-    /// with a throwaway connection.
+    /// Requests a graceful shutdown: sets the flag and wakes a reactor with
+    /// a throwaway connection.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // The accept loop may be parked in accept(2); poke it awake. Errors
-        // are irrelevant — the listener may already be gone.
+        // A reactor may be parked in epoll_wait; poke it awake (the others
+        // notice the flag within their wait timeout). Errors are irrelevant —
+        // the listener may already be gone.
         let _ = TcpStream::connect(self.addr);
     }
 }
 
 /// A bound (but not yet serving) query service.
 pub struct Server {
-    listeners: ListenerSet,
+    listeners: Vec<Listener>,
+    addr: SocketAddr,
     state: Arc<AppState>,
     shutdown: Arc<AtomicBool>,
     config: ServerConfig,
 }
 
 impl Server {
-    /// Binds the listener(s) and builds the shared state. The returned server
-    /// does not accept connections until [`Server::serve`] is called. With
-    /// [`IoModel::Event`] this binds one nonblocking `SO_REUSEPORT` shard per
-    /// reactor thread (`SO_REUSEPORT` must be set before `bind`, so the
-    /// shards cannot be derived from a `std` listener); on builds without the
-    /// syscall shim the event model falls back to the blocking engine.
+    /// Binds one nonblocking `SO_REUSEPORT` listener per reactor thread and
+    /// builds the shared state. The returned server does not accept
+    /// connections until [`Server::serve`] is called. Fails with
+    /// [`std::io::ErrorKind::Unsupported`] on targets without the syscall
+    /// shim (anything but Linux on x86_64 or aarch64).
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
-        let listeners = Self::bind_listeners(&config)?;
+        let (listeners, addr) = listen(&config)?;
         // Ring-only recording is on by default so `/v1/trace/recent` works
         // out of the box; a JSON-lines sink is opt-in via `--trace-log`.
         ayd_obs::enable();
         let state = AppState::new(&config);
         Ok(Server {
             listeners,
+            addr,
             state,
             shutdown: Arc::new(AtomicBool::new(false)),
             config,
         })
     }
 
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    fn bind_listeners(config: &ServerConfig) -> std::io::Result<ListenerSet> {
-        match config.io_model {
-            IoModel::Blocking => Ok(ListenerSet::Blocking(TcpListener::bind(&config.addr)?)),
-            IoModel::Event => {
-                let (fds, addr) =
-                    crate::sys::listen_reuseport(&config.addr, config.threads.max(1))?;
-                Ok(ListenerSet::Event { fds, addr })
-            }
-        }
-    }
-
-    #[cfg(not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    fn bind_listeners(config: &ServerConfig) -> std::io::Result<ListenerSet> {
-        Ok(ListenerSet::Blocking(TcpListener::bind(&config.addr)?))
-    }
-
-    /// The effective I/O engine (the configured one, folded through platform
-    /// support).
-    pub fn io_model(&self) -> IoModel {
-        match self.listeners {
-            ListenerSet::Blocking(_) => IoModel::Blocking,
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            ListenerSet::Event { .. } => IoModel::Event,
-        }
-    }
-
     /// The bound address (resolves `:0` to the actual ephemeral port).
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        match &self.listeners {
-            ListenerSet::Blocking(listener) => listener.local_addr(),
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            ListenerSet::Event { addr, .. } => Ok(*addr),
-        }
+        Ok(self.addr)
     }
 
     /// A shutdown handle usable from any thread.
     pub fn handle(&self) -> std::io::Result<ServeHandle> {
         Ok(ServeHandle {
             shutdown: Arc::clone(&self.shutdown),
-            addr: self.local_addr()?,
+            addr: self.addr,
         })
     }
 
@@ -156,18 +108,20 @@ impl Server {
     }
 
     /// Accepts and serves connections until [`ServeHandle::shutdown`] fires,
-    /// then drains in-flight connections and returns.
+    /// then drains in-flight responses and returns.
     ///
-    /// Cluster-role background threads live exactly as long as the listener
-    /// loop: a coordinator runs the dispatcher (lease expiry + shard
-    /// dispatch), a worker runs the agent (registration + heartbeats). On
-    /// shutdown the worker's in-flight shard is cancelled — kill-style
-    /// recovery is the coordinator's job, via lease expiry and re-issue.
+    /// Cluster-role background threads live exactly as long as the reactors:
+    /// a coordinator runs the dispatcher (lease expiry + shard dispatch), a
+    /// worker runs the agent (registration + heartbeats). On shutdown the
+    /// worker's in-flight shard is cancelled — kill-style recovery is the
+    /// coordinator's job, via lease expiry and re-issue.
     pub fn serve(self) -> std::io::Result<()> {
-        let advertise = match &self.config.cluster.advertise {
-            Some(addr) => Some(addr.clone()),
-            None => self.local_addr().ok().map(|addr| addr.to_string()),
-        };
+        let advertise = self
+            .config
+            .cluster
+            .advertise
+            .clone()
+            .unwrap_or_else(|| self.addr.to_string());
         let mut cluster_threads = Vec::new();
         if let Some(coordinator) = &self.state.coordinator {
             cluster_threads.push(crate::coordinator::spawn_dispatcher(Arc::clone(
@@ -175,23 +129,10 @@ impl Server {
             )));
         }
         if let Some(worker) = &self.state.worker {
-            if let Some(advertise) = advertise {
-                cluster_threads.push(crate::worker::spawn_agent(Arc::clone(worker), advertise));
-            }
+            cluster_threads.push(crate::worker::spawn_agent(Arc::clone(worker), advertise));
         }
         let state = Arc::clone(&self.state);
-        let result = match self.listeners {
-            ListenerSet::Blocking(listener) => {
-                Self::serve_blocking(listener, self.state, self.shutdown, &self.config)
-            }
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            ListenerSet::Event { fds, .. } => {
-                crate::reactor::serve_event(fds, self.state, self.shutdown, &self.config)
-            }
-        };
+        let result = run_reactors(self.listeners, self.state, self.shutdown, &self.config);
         if let Some(worker) = &state.worker {
             worker.stop();
         }
@@ -203,133 +144,60 @@ impl Server {
         }
         result
     }
-
-    /// The legacy engine: one blocking connection-worker job per connection.
-    fn serve_blocking(
-        listener: TcpListener,
-        state: Arc<AppState>,
-        shutdown: Arc<AtomicBool>,
-        config: &ServerConfig,
-    ) -> std::io::Result<()> {
-        let pool = WorkerPool::new("ayd-conn", config.threads, config.queue_capacity);
-        state.attach_conn_pool(pool.stats());
-        loop {
-            let (stream, _) = match listener.accept() {
-                Ok(accepted) => accepted,
-                Err(_) if shutdown.load(Ordering::SeqCst) => break,
-                // Transient accept errors (EMFILE, ECONNABORTED): keep going.
-                Err(_) => continue,
-            };
-            if shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            state.metrics.connection_opened();
-            let state = Arc::clone(&state);
-            let shutdown = Arc::clone(&shutdown);
-            let read_timeout = config.read_timeout;
-            let enqueued = Instant::now();
-            let job = Box::new(move || {
-                // Queue wait (accept → a worker picks the job up) is recorded
-                // on the connection span, separate from per-request service
-                // time: the request spans it encloses are independent roots.
-                let mut conn_span = ayd_obs::root_span("connection", ayd_obs::fresh_trace_id());
-                conn_span.field_u64("queue_wait_ns", enqueued.elapsed().as_nanos() as u64);
-                let _ = stream.set_read_timeout(Some(read_timeout));
-                let _ = stream.set_nodelay(true);
-                if let Ok(reader_stream) = stream.try_clone() {
-                    let mut reader = BufReader::new(reader_stream);
-                    let mut writer = stream;
-                    serve_connection(&mut reader, &mut writer, &state, &shutdown);
-                }
-                state.metrics.connection_closed();
-            });
-            if pool.submit(job).is_err() {
-                break;
-            }
-        }
-        // Dropping the pool closes its queue and joins the workers, letting
-        // in-flight requests finish.
-        drop(pool);
-        Ok(())
-    }
 }
 
-/// Serves requests from one connection until close, error or shutdown.
-///
-/// Generic over the byte streams so the malformed-request property suite can
-/// drive it with in-memory buffers: whatever the input bytes, the output is
-/// either empty (clean close / unreadable peer) or a sequence of well-formed
-/// HTTP/1.1 responses.
-pub fn serve_connection<R: BufRead, W: Write>(
-    reader: &mut R,
-    writer: &mut W,
-    state: &Arc<AppState>,
-    shutdown: &AtomicBool,
-) {
-    for _ in 0..MAX_REQUESTS_PER_CONNECTION {
-        // The request span opens before the read, so the blocking wait for
-        // the first byte lands inside `parse`; a read that finds the peer
-        // gone (clean close, timeout) cancels both spans without recording.
-        let trace = ayd_obs::fresh_trace_id();
-        let mut root = ayd_obs::root_span("request", trace);
-        let parse_span = ayd_obs::span("parse");
-        let request = match parse_request(reader, &state.limits) {
-            Ok(request) => {
-                parse_span.finish();
-                request
-            }
-            Err(error) => {
-                // Timeouts and closes end the session silently; protocol
-                // errors answer once — trace-id stamped — then close.
-                if let Some((status, reason)) = error.status() {
-                    parse_span.finish();
-                    let response = Response::error(status, reason, &format!("{error:?}"))
-                        .with_header("x-ayd-trace-id", format_trace_id(trace));
-                    let render_span = ayd_obs::span("render");
-                    let _ = response.write_to(writer, false);
-                    render_span.finish();
-                    root.field_str("endpoint", "parse_error");
-                    root.field_u64("status", u64::from(status));
-                    state
-                        .metrics
-                        .observe("parse_error", status, std::time::Duration::ZERO);
-                } else {
-                    parse_span.cancel();
-                    root.cancel();
-                }
-                return;
-            }
-        };
-        let started = Instant::now();
-        let endpoint_guess = endpoint_hint(&request.target);
-        state.metrics.request_started(endpoint_guess);
-        let route_span = ayd_obs::span("route");
-        let (endpoint, response) = route(state, &request);
-        route_span.finish();
-        let response = response.with_header("x-ayd-trace-id", format_trace_id(trace));
-        let keep_alive = !request.wants_close() && !shutdown.load(Ordering::SeqCst);
-        let render_span = ayd_obs::span("render");
-        let write_ok = response.write_to(writer, keep_alive).is_ok();
-        render_span.finish();
-        state.metrics.request_finished(endpoint_guess);
-        if root.is_recording() {
-            root.field_str("endpoint", endpoint);
-            root.field_u64("status", u64::from(response.status));
-        }
-        root.finish();
-        state
-            .metrics
-            .observe(endpoint, response.status, started.elapsed());
-        if !keep_alive || !write_ok {
-            return;
-        }
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+fn listen(config: &ServerConfig) -> std::io::Result<(Vec<Listener>, SocketAddr)> {
+    crate::sys::listen_reuseport(&config.addr, config.threads.max(1))
+}
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+fn listen(_config: &ServerConfig) -> std::io::Result<(Vec<Listener>, SocketAddr)> {
+    Err(std::io::Error::new(
+        std::io::ErrorKind::Unsupported,
+        "ayd-serve's epoll reactors run only on Linux x86_64 and aarch64",
+    ))
+}
+
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+fn run_reactors(
+    listeners: Vec<Listener>,
+    state: Arc<AppState>,
+    shutdown: Arc<AtomicBool>,
+    config: &ServerConfig,
+) -> std::io::Result<()> {
+    crate::reactor::serve_event(listeners, state, shutdown, config)
+}
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+fn run_reactors(
+    listeners: Vec<Listener>,
+    _state: Arc<AppState>,
+    _shutdown: Arc<AtomicBool>,
+    _config: &ServerConfig,
+) -> std::io::Result<()> {
+    match listeners.into_iter().next() {
+        Some(never) => match never {},
+        None => Ok(()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use crate::conn::serve_chunks;
 
     fn test_state() -> Arc<AppState> {
         AppState::new(&ServerConfig {
@@ -338,13 +206,11 @@ mod tests {
         })
     }
 
+    /// Serves `input` as one connection's whole byte stream.
     fn drive(input: &[u8]) -> String {
         let state = test_state();
         let shutdown = AtomicBool::new(false);
-        let mut reader = Cursor::new(input.to_vec());
-        let mut output = Vec::new();
-        serve_connection(&mut reader, &mut output, &state, &shutdown);
-        String::from_utf8_lossy(&output).into_owned()
+        String::from_utf8_lossy(&serve_chunks(&[input], &state, &shutdown)).into_owned()
     }
 
     #[test]
@@ -384,11 +250,8 @@ mod tests {
     fn shutdown_flag_turns_off_keep_alive() {
         let state = test_state();
         let shutdown = AtomicBool::new(true);
-        let mut reader =
-            Cursor::new(b"GET /healthz HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n".to_vec());
-        let mut output = Vec::new();
-        serve_connection(&mut reader, &mut output, &state, &shutdown);
-        let out = String::from_utf8(output).unwrap();
+        let input = b"GET /healthz HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n";
+        let out = String::from_utf8(serve_chunks(&[input], &state, &shutdown)).unwrap();
         // Only the first request is answered, with connection: close.
         assert_eq!(out.matches("HTTP/1.1 200 OK").count(), 1);
         assert!(out.contains("connection: close"));

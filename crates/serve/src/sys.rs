@@ -2,12 +2,11 @@
 //!
 //! The offline build has no `libc` crate, so the handful of syscalls the
 //! epoll reactor needs — `epoll_create1`/`epoll_ctl`/`epoll_pwait`,
-//! `eventfd2`, `accept4`, nonblocking `SO_REUSEPORT` listeners and raw
-//! `read`/`write` — are issued directly via inline assembly, in the same
-//! spirit as the `vendor/` stand-ins for serde and rand. Only Linux on
-//! x86_64/aarch64 is covered; everything in this module is compiled out on
-//! other targets and the server falls back to the blocking pool there (see
-//! [`crate::app::IoModel`]).
+//! `accept4`, nonblocking `SO_REUSEPORT` listeners and raw `read`/`write` —
+//! are issued directly via inline assembly, in the same spirit as the
+//! `vendor/` stand-ins for serde and rand. Only Linux on x86_64/aarch64 is
+//! covered; everything in this module is compiled out on other targets,
+//! where [`crate::Server::bind`] reports the server unsupported.
 //!
 //! The surface is deliberately tiny and RAII-safe: every descriptor lives in
 //! an owning [`Fd`] that closes on drop, and every call returns
@@ -34,7 +33,6 @@ mod nr {
     pub const EPOLL_CTL: usize = 233;
     pub const EPOLL_PWAIT: usize = 281;
     pub const ACCEPT4: usize = 288;
-    pub const EVENTFD2: usize = 290;
     pub const EPOLL_CREATE1: usize = 291;
 }
 
@@ -51,7 +49,6 @@ mod nr {
     pub const EPOLL_CTL: usize = 21;
     pub const EPOLL_PWAIT: usize = 22;
     pub const ACCEPT4: usize = 242;
-    pub const EVENTFD2: usize = 19;
     pub const EPOLL_CREATE1: usize = 20;
 }
 
@@ -142,8 +139,6 @@ const SO_REUSEADDR: usize = 2;
 const SO_REUSEPORT: usize = 15;
 const IPPROTO_TCP: usize = 6;
 const TCP_NODELAY: usize = 1;
-const EFD_CLOEXEC: usize = 0o2000000;
-const EFD_NONBLOCK: usize = 0o4000;
 const EPOLL_CLOEXEC: usize = 0o2000000;
 
 /// `epoll_ctl` op: register a new descriptor.
@@ -216,7 +211,7 @@ impl Drop for Fd {
 }
 
 // ---------------------------------------------------------------------------
-// epoll + eventfd.
+// epoll.
 // ---------------------------------------------------------------------------
 
 /// Creates a close-on-exec epoll instance.
@@ -268,25 +263,6 @@ pub fn epoll_wait(epoll: &Fd, events: &mut [EpollEvent], timeout_ms: i32) -> io:
             Err(e) => return Err(e),
         }
     }
-}
-
-/// Creates a nonblocking close-on-exec eventfd (the reactors' wake-up line).
-pub fn eventfd() -> io::Result<Fd> {
-    let fd = check(unsafe { syscall6(nr::EVENTFD2, 0, EFD_CLOEXEC | EFD_NONBLOCK, 0, 0, 0, 0) })?;
-    Ok(Fd(fd as i32))
-}
-
-/// Posts one wake-up on an eventfd (adds 1 to its counter).
-pub fn eventfd_write(fd: &Fd) -> io::Result<()> {
-    let one: u64 = 1;
-    write(fd, &one.to_ne_bytes()).map(|_| ())
-}
-
-/// Drains an eventfd's counter so the next post re-arms readiness. A clean
-/// `WouldBlock` (nothing pending) is not an error.
-pub fn eventfd_drain(fd: &Fd) {
-    let mut buf = [0u8; 8];
-    let _ = read(fd, &mut buf);
 }
 
 // ---------------------------------------------------------------------------
@@ -362,8 +338,8 @@ fn setsockopt(fd: &Fd, level: usize, name: usize, value: i32) -> io::Result<()> 
     Ok(())
 }
 
-/// Disables Nagle on a connected socket (same policy as the blocking pool's
-/// `set_nodelay(true)`).
+/// Disables Nagle on a connected socket, so a small response goes out as
+/// soon as it is written.
 pub fn set_nodelay(fd: &Fd) -> io::Result<()> {
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, 1)
 }
@@ -510,20 +486,38 @@ mod tests {
     use std::io::Write as _;
 
     #[test]
-    fn eventfd_posts_and_drains_through_epoll() {
+    fn epoll_reports_readiness_under_the_registered_token() {
+        let (listeners, addr) = listen_reuseport("127.0.0.1:0", 1).unwrap();
         let epoll = epoll_create().unwrap();
-        let waker = eventfd().unwrap();
-        epoll_ctl(&epoll, EPOLL_CTL_ADD, waker.raw(), EPOLLIN, 7).unwrap();
-        // Nothing posted: a zero-timeout wait sees nothing.
+        epoll_ctl(&epoll, EPOLL_CTL_ADD, listeners[0].raw(), EPOLLIN, 3).unwrap();
+        // Nothing pending: a zero-timeout wait sees nothing.
         let mut events = [EpollEvent::default(); 4];
         assert_eq!(epoll_wait(&epoll, &mut events, 0).unwrap(), 0);
-        // One post: the wait fires with our token; draining re-arms it.
-        eventfd_write(&waker).unwrap();
-        let n = epoll_wait(&epoll, &mut events, 1000).unwrap();
-        assert_eq!(n, 1);
+        // A connection makes the listener readable under its token.
+        let mut client = std::net::TcpStream::connect(addr).unwrap();
+        assert_eq!(epoll_wait(&epoll, &mut events, 1000).unwrap(), 1);
+        assert_eq!(events[0].token(), 3);
+        let conn = accept(&listeners[0]).unwrap();
+        epoll_ctl(
+            &epoll,
+            EPOLL_CTL_ADD,
+            conn.raw(),
+            EPOLLIN | EPOLLRDHUP | EPOLLET,
+            7,
+        )
+        .unwrap();
+        assert_eq!(epoll_wait(&epoll, &mut events, 0).unwrap(), 0);
+        // Bytes arriving fire one edge; reading to `WouldBlock` consumes it.
+        client.write_all(b"ping").unwrap();
+        assert_eq!(epoll_wait(&epoll, &mut events, 1000).unwrap(), 1);
         assert_eq!(events[0].token(), 7);
         assert_ne!(events[0].readiness() & EPOLLIN, 0);
-        eventfd_drain(&waker);
+        let mut buf = [0u8; 16];
+        assert_eq!(read(&conn, &mut buf).unwrap(), 4);
+        assert_eq!(
+            read(&conn, &mut buf).unwrap_err().kind(),
+            io::ErrorKind::WouldBlock
+        );
         assert_eq!(epoll_wait(&epoll, &mut events, 0).unwrap(), 0);
     }
 

@@ -1,16 +1,19 @@
-//! Integration suite for the event-driven serving core: graceful drain under
-//! load, idle-connection tracking, and blocking/event equivalence.
+//! Integration suite for the epoll reactors: graceful drain under load,
+//! idle-connection tracking, and fairness between a pipelining client and
+//! everyone else on its reactor.
 //!
-//! Servers here bind `127.0.0.1:0` with the default [`ServerConfig`], which
-//! selects the epoll reactor wherever it is supported
-//! ([`ayd_serve::EVENT_IO_SUPPORTED`]) and the blocking pool elsewhere — so
-//! the suite is meaningful (if less sharp) on every platform.
+//! Servers here bind `127.0.0.1:0`; the reactors need Linux on x86_64 or
+//! aarch64.
 
+use std::collections::HashSet;
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ayd_serve::{HttpClient, IoModel, PrometheusText, Server, ServerConfig};
+use ayd_obs::{MemorySink, SpanRecord};
+use ayd_serve::{HttpClient, PrometheusText, Server, ServerConfig};
 
 const OPTIMIZE_BODY: &str = r#"{"platform":"Hera","scenario":1,"lambda_multiplier":10}"#;
 
@@ -176,64 +179,122 @@ fn idle_connections_are_tracked_and_served_around() {
     thread.join().unwrap().unwrap();
 }
 
-/// The `--io-model blocking` escape hatch still serves end-to-end and labels
-/// its accepts.
-#[test]
-fn blocking_io_model_still_serves_end_to_end() {
-    let server = Server::bind(ServerConfig {
-        io_model: IoModel::Blocking,
-        ..default_config()
-    })
-    .unwrap();
-    assert_eq!(server.io_model(), IoModel::Blocking);
-    let handle = server.handle().unwrap();
-    let addr = handle.addr().to_string();
-    let thread = std::thread::spawn(move || server.serve());
-
-    let mut client = HttpClient::connect(&addr).unwrap();
-    assert_eq!(client.get("/healthz", None).unwrap().status, 200);
-    assert_eq!(
-        client
-            .post_json("/v1/optimize", OPTIMIZE_BODY)
-            .unwrap()
-            .status,
-        200
-    );
-    let blocking_accepts = scrape(&addr).sum_labeled("ayd_accepts_total", "reactor", "blocking");
-    assert!(blocking_accepts >= 1.0, "accepts {blocking_accepts}");
-
-    // Close the keep-alive connection first: a blocking handler otherwise
-    // sits out its read timeout before noticing the shutdown flag.
-    drop(client);
-    handle.shutdown();
-    thread.join().unwrap().unwrap();
+/// Reads one response off `reader`; returns its status and trace ID.
+fn read_response(reader: &mut impl BufRead) -> (u16, String) {
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let status = line.split(' ').nth(1).unwrap().parse().unwrap();
+    let (mut length, mut trace) = (0, String::new());
+    loop {
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        if line == "\r\n" {
+            break;
+        }
+        if let Some(value) = line.strip_prefix("content-length: ") {
+            length = value.trim().parse().unwrap();
+        }
+        if let Some(value) = line.strip_prefix("x-ayd-trace-id: ") {
+            trace = value.trim().to_string();
+        }
+    }
+    reader.read_exact(&mut vec![0; length]).unwrap();
+    (status, trace)
 }
 
-/// The two io models answer the same query with byte-identical bodies and
-/// media types (trace IDs are per-request and excluded by construction).
+/// A connection gets one request answered per reactor turn, so a client
+/// pipelining thousands of requests cannot hold its reactor: on a 1-reactor
+/// server, client B's one request is answered while client A, pipelining
+/// 2,000 warm queries, gets only a handful of replies. The count comes from
+/// the server's own request spans (A's requests it started answering between
+/// B's send and B's answer), so a client thread the scheduler runs late
+/// cannot inflate it.
 #[test]
-fn event_and_blocking_answers_are_bit_identical() {
-    if ayd_serve::EVENT_IO_SUPPORTED {
-        let event = Server::bind(ServerConfig {
-            io_model: IoModel::Event,
-            ..default_config()
+fn a_pipelining_client_cannot_hold_its_reactor() {
+    const PIPELINED: usize = 2_000;
+    let (handle, thread) = boot(ServerConfig {
+        threads: 1,
+        ..default_config()
+    });
+    let addr = handle.addr().to_string();
+    let spans = Arc::new(MemorySink::new());
+    ayd_obs::set_sink(Some(spans.clone()));
+    // B connects and warms the cache first: every request below is a hit,
+    // and B's connection is already accepted.
+    let mut b = HttpClient::connect(&addr).unwrap();
+    assert_eq!(
+        b.post_json("/v1/optimize", OPTIMIZE_BODY).unwrap().status,
+        200
+    );
+
+    let a = TcpStream::connect(&addr).unwrap();
+    let replies = Arc::new(AtomicUsize::new(0));
+    let reader = {
+        let stream = a.try_clone().unwrap();
+        let replies = Arc::clone(&replies);
+        std::thread::spawn(move || {
+            let mut stream = BufReader::new(stream);
+            let mut traces = HashSet::new();
+            for _ in 0..PIPELINED {
+                let (status, trace) = read_response(&mut stream);
+                assert_eq!(status, 200);
+                traces.insert(trace);
+                replies.fetch_add(1, Ordering::SeqCst);
+            }
+            traces
         })
-        .unwrap();
-        assert_eq!(event.io_model(), IoModel::Event);
+    };
+    let writer = {
+        let mut stream = a;
+        let request = format!(
+            "POST /v1/optimize HTTP/1.1\r\ncontent-length: {}\r\n\r\n{OPTIMIZE_BODY}",
+            OPTIMIZE_BODY.len()
+        );
+        std::thread::spawn(move || stream.write_all(request.repeat(PIPELINED).as_bytes()))
+    };
+
+    // Once A's pipeline is being answered, B sends its request; a marker
+    // span stamps the send on the server's span clock.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while replies.load(Ordering::SeqCst) < 16 {
+        assert!(Instant::now() < deadline, "A's pipeline is not answered");
+        std::thread::sleep(Duration::from_millis(1));
     }
-    let mut answers: Vec<(u16, String, String)> = Vec::new();
-    for io_model in [IoModel::default_model(), IoModel::Blocking] {
-        let (handle, thread) = boot(ServerConfig {
-            io_model,
-            ..default_config()
-        });
-        let addr = handle.addr().to_string();
-        let mut client = HttpClient::connect(&addr).unwrap();
-        let response = client.post_json("/v1/optimize", OPTIMIZE_BODY).unwrap();
-        answers.push((response.status, response.content_type, response.body));
-        drop(client);
-        handle.shutdown();
-        thread.join().unwrap().unwrap();
-    }
-    assert_eq!(answers[0], answers[1]);
+    ayd_obs::root_span("b_sends", ayd_obs::fresh_trace_id()).finish();
+    let response = b.post_json("/v1/optimize", OPTIMIZE_BODY).unwrap();
+    assert_eq!(response.status, 200);
+    writer.join().unwrap().unwrap();
+    let a_traces = reader.join().unwrap();
+    ayd_obs::set_sink(None);
+
+    let spans = spans.take();
+    let hex = |s: &SpanRecord| format!("{:016x}", s.trace);
+    let start_of = |name: &str, trace: Option<&str>| {
+        let span = spans
+            .iter()
+            .find(|s| s.name == name && trace.is_none_or(|t| hex(s) == t));
+        span.expect("the span is recorded").start_ns
+    };
+    let sent = start_of("b_sends", None);
+    let answered = start_of("request", Some(&response.trace_id));
+    let a_answered = |from: u64, to: u64| {
+        spans
+            .iter()
+            .filter(|s| s.name == "request" && (from..to).contains(&s.start_ns))
+            .filter(|s| a_traces.contains(&hex(s)))
+            .count()
+    };
+    assert!(
+        a_answered(sent, u64::MAX) >= 64,
+        "A's pipeline was all but answered before B's request; nothing was tested"
+    );
+    let during = a_answered(sent, answered);
+    assert!(
+        during < 64,
+        "A got {during} replies between B's send and B's reply"
+    );
+
+    drop(b);
+    handle.shutdown();
+    thread.join().unwrap().unwrap();
 }

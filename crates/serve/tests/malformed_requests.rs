@@ -1,16 +1,16 @@
 //! Property suite: the server survives arbitrary and adversarial input.
 //!
-//! Every case drives [`ayd_serve::serve_connection`] with in-memory byte
-//! streams and asserts the two safety properties of the tentpole contract:
-//! the connection handler never panics, and whenever it answers at all, the
+//! Every case drives [`ayd_serve::serve_chunks`] with in-memory bytes and
+//! asserts the two safety properties of the serving contract: the
+//! connection handler never panics, and whenever it answers at all, the
 //! answer is a sequence of well-formed `HTTP/1.1 <code> <reason>` responses
-//! with accurate `content-length` framing.
+//! with accurate `content-length` framing. The whole input in one chunk is
+//! the one-shot reference the split and dripped deliveries must match.
 
-use std::io::Cursor;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use ayd_serve::{serve_connection, AppState, ServerConfig};
+use ayd_serve::{serve_chunks, AppState, ServerConfig};
 use proptest::prelude::*;
 
 fn test_state() -> Arc<AppState> {
@@ -20,13 +20,17 @@ fn test_state() -> Arc<AppState> {
     })
 }
 
-/// Feeds bytes to a fresh connection handler, returning everything it wrote.
-fn drive(state: &Arc<AppState>, input: &[u8]) -> Vec<u8> {
+/// Feeds bytes to a fresh connection in the given pieces, returning
+/// everything it wrote.
+fn drive_chunks(state: &Arc<AppState>, chunks: &[&[u8]]) -> Vec<u8> {
     let shutdown = AtomicBool::new(false);
-    let mut reader = Cursor::new(input.to_vec());
-    let mut output = Vec::new();
-    serve_connection(&mut reader, &mut output, state, &shutdown);
-    output
+    serve_chunks(chunks, state, &shutdown)
+}
+
+/// Feeds bytes to a fresh connection as one read, returning everything it
+/// wrote.
+fn drive(state: &Arc<AppState>, input: &[u8]) -> Vec<u8> {
+    drive_chunks(state, &[input])
 }
 
 /// Splits raw connection output into individual responses using the
@@ -109,7 +113,7 @@ fn adversarial_corpus() -> Vec<Vec<u8>> {
     ]
 }
 
-/// The corpus, exercised exhaustively through the one-shot handler.
+/// The corpus, each case delivered in one read.
 #[test]
 fn adversarial_corpus_always_answers_a_well_formed_status_line() {
     let state = test_state();
@@ -126,16 +130,8 @@ fn adversarial_corpus_always_answers_a_well_formed_status_line() {
     }
 }
 
-/// Feeds the same bytes through the event path's incremental parser
-/// ([`ayd_serve::serve_chunks`]) in the given pieces, returning everything
-/// it wrote.
-fn drive_chunks(state: &Arc<AppState>, chunks: &[&[u8]]) -> Vec<u8> {
-    let shutdown = AtomicBool::new(false);
-    ayd_serve::serve_chunks(chunks, state, &shutdown)
-}
-
-/// The event path must answer exactly what the one-shot path answers, no
-/// matter how the bytes are framed on the wire. Trace IDs differ per request,
+/// Dripped input must be answered exactly like the same bytes in one read,
+/// no matter how they are framed on the wire. Trace IDs differ per request,
 /// so equivalence is on the status-line sequence (which pins response count,
 /// codes and framing — `assert_well_formed` already checked the rest).
 #[test]
@@ -224,8 +220,8 @@ proptest! {
         assert_well_formed(&output);
     }
 
-    /// Arbitrary bytes, arbitrarily split in two: the incremental path's
-    /// status sequence always equals the one-shot path's.
+    /// Arbitrary bytes, arbitrarily split in two: the status sequence always
+    /// equals the one the same bytes get in one read.
     #[test]
     fn arbitrary_split_points_never_change_the_statuses(
         bytes in prop::collection::vec(0u8..=255, 0..300),

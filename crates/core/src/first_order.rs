@@ -147,6 +147,56 @@ impl<'a> FirstOrder<'a> {
         PeriodOptimum { period, overhead }
     }
 
+    /// A proven lower bound of the exact model's best overhead at `p`
+    /// processors, `min_{T>0} H(T, P)` with `H` of
+    /// [`ExactModel::expected_overhead`]:
+    ///
+    /// ```text
+    /// H(P) (k + 2 sqrt(Λ k (k V_P + (k - 1)/λ_f))),   k = e^{λ_f C_P},  Λ = λ_f/2 + λ_s
+    /// ```
+    ///
+    /// where `(k - 1)/λ_f` is read as its limit `C_P` when `λ_f = 0`.
+    ///
+    /// Derivation. Proposition 1 gives `E = k E(T+V) + (k - 1)(1/λ_f + D +
+    /// E(R))`, with `E(T+V) = e^{λ_s T}(1/λ_f + D)(e^{λ_f W} - 1) +
+    /// (e^{λ_f W + λ_s T} - 1) E(R)` and `W = T + V_P`. Dropping `D ≥ 0` and
+    /// `E(R) ≥ 0`, and using `(e^x - 1)/λ_f ≥ W + λ_f W²/2` for `x = λ_f W`
+    /// and `e^{λ_s T} ≥ 1 + λ_s T`:
+    ///
+    /// ```text
+    /// E(T+V) ≥ (W + λ_f W²/2)(1 + λ_s T) ≥ T + V_P + Λ T²
+    /// E      ≥ k (T + V_P + Λ T²) + (k - 1)/λ_f
+    /// ```
+    ///
+    /// Dividing by `T` and minimising `k + (k V_P + (k - 1)/λ_f)/T + k Λ T`
+    /// over `T > 0` gives the bound. With `λ_f = 0` the same steps give
+    /// `E ≥ T + V_P + C_P + λ_s T²`, the `k = 1` case. Since `k ≥ 1` and
+    /// `(k - 1)/λ_f ≥ C_P`, the bound is at least Theorem 1's predicted
+    /// overhead `H(P)(1 + 2 sqrt(Λ (V_P + C_P)))`, which is therefore a lower
+    /// bound too.
+    ///
+    /// The result is `+∞` only where the exact overhead overflows at every
+    /// period: when `k` or `k V_P + (k - 1)/λ_f`, which `E` exceeds at every
+    /// `T`, overflows.
+    pub fn overhead_lower_bound(&self, p: f64) -> f64 {
+        let costs = &self.model.costs;
+        let c = costs.checkpoint_at(p);
+        let v = costs.verification_at(p);
+        let lambda_f = self.model.failures.fail_stop_rate(p);
+        let lam = self.model.failures.effective_rate(p);
+        let k = (lambda_f * c).exp();
+        if k == f64::INFINITY {
+            return k;
+        }
+        let excess = if lambda_f == 0.0 {
+            c
+        } else {
+            (lambda_f * c).exp_m1() / lambda_f
+        };
+        // Two square roots, so that `Λ k (k V_P + …)` cannot overflow alone.
+        self.model.speedup.overhead(p) * (k + 2.0 * (lam * k).sqrt() * (k * v + excess).sqrt())
+    }
+
     /// Theorem 2: joint optimum when the checkpoint cost grows linearly with the
     /// processor count (`C_P = cP + o(P)`, Amdahl profile with `α > 0`).
     pub fn theorem2_optimum(&self) -> Result<JointOptimum, ModelError> {
@@ -379,6 +429,34 @@ mod tests {
         assert!(fo.approx_overhead(opt.period * 1.1, p) > h0);
         assert!(fo.approx_overhead(opt.period * 0.9, p) > h0);
         assert!((h0 - opt.overhead).abs() / h0 < 1e-12);
+    }
+
+    #[test]
+    fn overhead_lower_bound_sits_between_theorem1_and_the_exact_overhead() {
+        for costs in [scenario1_costs(), scenario3_costs(), scenario5_costs()] {
+            // Silent errors only (λ_f = 0), the paper's mix, fail-stop only.
+            for fail_stop in [0.0, 0.2188, 1.0] {
+                let failures = FailureModel::new(50.0 * 1.69e-8, fail_stop).unwrap();
+                let m = ExactModel::new(SpeedupProfile::amdahl(0.1).unwrap(), costs, failures);
+                let fo = FirstOrder::new(&m);
+                // At 1e5 processors scenario 1's `e^{λ_f C_P}` overflows: the
+                // bound is +∞, and so is the exact overhead at every period.
+                for p in [16.0, 512.0, 8192.0, 1e5] {
+                    let bound = fo.overhead_lower_bound(p);
+                    assert!(!bound.is_nan(), "f={fail_stop} p={p}");
+                    let theorem1 = fo.optimal_period_for(p).overhead;
+                    assert!(bound >= theorem1 * (1.0 - 1e-12), "f={fail_stop} p={p}");
+                    for i in 0..=90 {
+                        let t = 10f64.powf(i as f64 / 10.0);
+                        let exact = m.expected_overhead(t, p);
+                        assert!(
+                            !exact.is_finite() || bound <= exact,
+                            "f={fail_stop} p={p} t={t}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,17 +12,19 @@
 //! * [`grid::log_grid_minimum`] — coarse logarithmic scan used to locate the
 //!   basin of attraction when unimodality over the full range is not guaranteed.
 //! * [`scalar::minimize_scalar`] — the robust composition used everywhere: coarse
-//!   log-grid scan followed by golden-section refinement of the best bracket.
+//!   log-grid scan followed by Brent refinement of the best bracket.
 //! * [`integer::minimize_integer`] — exhaustive/local search over integer
 //!   arguments (processor counts).
 //! * [`joint::JointSearch`] — nested 2-D minimisation over `(P, T)`: for every
 //!   candidate `P` the inner dimension `T` is minimised, and the outer envelope
 //!   `P ↦ min_T f(P, T)` is minimised in turn.
 //! * [`seeded::minimize_scalar_seeded`] — warm-started variant of the scalar
-//!   search: a seed (e.g. a first-order closed form) predicts the basin, a
-//!   short hill descent replaces the coarse scan, sentinel probes check that
-//!   no other basin is deeper, and the result is proven bit-identical to the
-//!   reference (or the call self-demotes to it).
+//!   search: a seed predicts the basin, a short hill descent replaces the
+//!   coarse scan, and a [`seeded::Check`] proves that the scan would pick the
+//!   same grid point — a margin certificate for objectives proven
+//!   quasiconvex (the period search), sentinel probes decided by a lower
+//!   bound where possible otherwise (the processor search) — so the result is
+//!   bit-identical to the reference (or the call self-demotes to it).
 //!
 //! The crate is deliberately generic: objectives are arbitrary `Fn(f64) -> f64`
 //! closures, so it has no dependency on `ayd-core`. The experiment harness wires
@@ -45,4 +47,4 @@ pub use grid::{log_grid_minimum, log_space_point};
 pub use integer::minimize_integer;
 pub use joint::{JointResult, JointSearch};
 pub use scalar::{minimize_scalar, OptimizeOptions, ScalarMinimum};
-pub use seeded::{minimize_scalar_seeded, FallbackReason, SearchReport};
+pub use seeded::{minimize_scalar_seeded, Check, FallbackReason, SearchReport};

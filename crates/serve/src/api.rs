@@ -1647,17 +1647,18 @@ mod tests {
 
     #[test]
     fn evaluate_spans_carry_each_field_once() {
-        // A cold power-law joint query falls back for more than one reason:
-        // the profile has no closed-form `P*` seed, and some inner period
-        // searches meet non-finite values. The span must still name every
-        // key once, with the reasons joined into one field.
+        // At λ_ind = 0.01/s the exact overhead overflows at nearly every
+        // point, so this cold joint query falls back for more than one
+        // reason: no outer grid point gives a finite processor seed, and the
+        // inner period searches meet non-finite values. The span must still
+        // name every key once, with the reasons joined into one field.
         let sink = Arc::new(ayd_obs::MemorySink::new());
         ayd_obs::set_sink(Some(sink.clone()));
         let trace = ayd_obs::fresh_trace_id();
         let root = ayd_obs::root_span("request", trace);
         let req = post(
             "/v1/optimize",
-            r#"{"platform":"Hera","scenario":1,"profile":"powerlaw:0.8"}"#,
+            r#"{"platform":"Hera","scenario":5,"profile":"powerlaw:0.8","lambda_ind":0.01}"#,
         );
         let (_, response) = route(&state(), &req);
         root.finish();

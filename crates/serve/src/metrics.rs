@@ -20,9 +20,11 @@ use ayd_sweep::{CacheStats, FallbackReason, SearchReport};
 
 use crate::coordinator::ClusterStats;
 
-/// Upper bounds (in seconds) of the latency histogram buckets.
-const BUCKET_BOUNDS: [f64; 11] = [
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
+/// Upper bounds (in seconds) of the latency histogram buckets, from 10 µs
+/// (a warm `/v1/optimize` evaluation) to 250 ms.
+const BUCKET_BOUNDS: [f64; 14] = [
+    0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
+    0.1, 0.25,
 ];
 
 /// Point-in-time gauges sampled at render: compute-pool load and sweep-job
@@ -710,7 +712,7 @@ mod tests {
             fast: 5,
             fallback: 2,
             brent_iterations: 40,
-            fallback_reasons: [0, 2, 0, 0],
+            fallback_reasons: [0, 2, 0, 0, 0],
         });
         metrics.observe_search(SearchReport {
             fast: 1,
@@ -943,7 +945,7 @@ mod tests {
                             fast: 1,
                             fallback: (i % 3 == 0) as u64,
                             brent_iterations: 5,
-                            fallback_reasons: [(i % 3 == 0) as u64, 0, 0, 0],
+                            fallback_reasons: [(i % 3 == 0) as u64, 0, 0, 0, 0],
                         });
                         metrics.request_finished(endpoint);
                     }

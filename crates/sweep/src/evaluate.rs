@@ -172,25 +172,24 @@ impl Evaluator {
     }
 
     /// [`Self::numerical_point`], evaluated through the warm-started search
-    /// every sweep and served query runs: the outer processor search is
-    /// seeded with the closed-form `P*` of Theorem 2/3 (when the profile
-    /// family has one) and every inner period search with Theorem 1's `T*_P`.
-    /// The result is bit-identical to [`Self::numerical_point`] — every
-    /// scalar sub-search either proves it matched the reference or
-    /// self-demotes to it — and `report` tallies the fast/fallback split.
+    /// every sweep and served query runs. Every period search is seeded with
+    /// Theorem 1's `T*_P` and certified by the convexity of the pattern time.
+    /// The processor search is seeded with the outer grid point that
+    /// minimises the exact overhead at `T*_P`, whatever the profile family,
+    /// and [`FirstOrder::overhead_lower_bound`] decides most of its sentinels
+    /// without a period search. The result is bit-identical to
+    /// [`Self::numerical_point`] — every scalar sub-search either proves it
+    /// matched the reference or self-demotes to it — and `report` tallies
+    /// the fast/fallback split.
     pub fn numerical_point_seeded(
         &self,
         model: &ExactModel,
         report: &mut SearchReport,
     ) -> OperatingPoint {
-        let processor_seed = FirstOrder::new(model)
-            .joint_optimum()
-            .ok()
-            .map(|o| o.processors)
-            .filter(|p| p.is_finite() && *p > 0.0);
+        let first_order = FirstOrder::new(model);
         let result = self.joint_search().optimize_seeded(
-            processor_seed,
             |p| Self::period_seed(model, p),
+            |p| first_order.overhead_lower_bound(p),
             report,
             |p, t| model.expected_overhead(t, p),
         );
@@ -206,8 +205,8 @@ impl Evaluator {
     }
 
     /// [`Self::numerical_period_for`] through the warm-started search (seeded
-    /// with Theorem 1's `T*_P`); bit-identical by the same argument as
-    /// [`Self::numerical_point_seeded`].
+    /// with Theorem 1's `T*_P`, certified by convexity); bit-identical by the
+    /// same argument as [`Self::numerical_point_seeded`].
     pub fn numerical_period_for_seeded(
         &self,
         model: &ExactModel,
@@ -378,7 +377,7 @@ mod tests {
             // refinement it ran is reflected in the iteration tally.
             assert_eq!((report.fast, report.fallback), (1, 0), "P={p}");
             assert!(report.brent_iterations > 0, "P={p}: {report:?}");
-            assert_eq!(report.fallback_reasons, [0; 4], "P={p}");
+            assert_eq!(report.fallback_reasons, [0; 5], "P={p}");
         }
     }
 

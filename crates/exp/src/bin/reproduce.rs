@@ -48,7 +48,7 @@
 //! `serve` exposes the optimiser over HTTP (see the `ayd-serve` crate docs):
 //! `--addr` picks the listen address (port 0 = ephemeral; the bound address is
 //! printed on stdout), `--threads` the number of epoll reactors (and the
-//! width of the `/v1/batch` compute pool), `--cache-capacity` the shared
+//! shard count of the shared cache), `--cache-capacity` the shared
 //! evaluation cache and `--max-body` the largest accepted request body.
 //!
 //! Cluster roles (serve only): `--coordinator` makes the instance decompose

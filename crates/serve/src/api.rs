@@ -1,9 +1,11 @@
 //! Route table and request handlers.
 //!
-//! Every handler returns a `(&'static str, Response)` pair: the static
-//! endpoint label feeds the metrics registry, the response is written by the
-//! connection loop. Handlers are pure functions of the shared [`AppState`]
-//! plus the parsed request — no I/O — which keeps them trivially testable.
+//! `dispatch` pairs each handler's answer with a static endpoint label:
+//! the label feeds the metrics registry, the response is written by the
+//! connection loop. A `/v1/batch` answers a validated `Batch` instead,
+//! which the connection loop evaluates one slice per turn. Handlers are pure
+//! functions of the shared [`AppState`] plus the parsed request — no I/O —
+//! which keeps them trivially testable.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -11,8 +13,8 @@ use std::time::Instant;
 use ayd_core::{ExactModel, FailureModelSpec, ModelError, ProfileSpec, SpeedupProfile};
 use ayd_platforms::{ExperimentSetup, Platform, PlatformId, ScenarioId};
 use ayd_sweep::{
-    evaluate_analytic_observed, evaluate_many, AnalyticEval, OperatingPoint, ProcessorAxis,
-    ScenarioGrid, SweepExecutor, SweepRow,
+    evaluate_analytic_observed, evaluate_many, write_csv_line, AnalyticEval, OperatingPoint,
+    ProcessorAxis, ScenarioGrid, SweepExecutor, SweepRow, CSV_HEADER,
 };
 
 use crate::app::{AppState, JobView};
@@ -22,14 +24,42 @@ use crate::json::Json;
 /// Maximum queries accepted in one `/v1/batch` body.
 const MAX_BATCH: usize = 10_000;
 
-/// Dispatches one parsed request, returning the endpoint label (for metrics)
-/// and the response.
+/// What [`dispatch`] made of a request.
+pub(crate) enum Routed {
+    /// The whole response.
+    Done(Response),
+    /// A validated `/v1/batch`, still to be evaluated one [`Batch::step`] at
+    /// a time.
+    Batch(Batch),
+}
+
+impl From<Response> for Routed {
+    fn from(response: Response) -> Self {
+        Routed::Done(response)
+    }
+}
+
+/// Answers one parsed request to completion, returning the endpoint label
+/// (for metrics) and the response: the request is dispatched, and a batch's
+/// slices are evaluated back to back.
 pub fn route(state: &Arc<AppState>, req: &Request) -> (&'static str, Response) {
+    match dispatch(state, req) {
+        (endpoint, Routed::Done(response)) => (endpoint, response),
+        (endpoint, Routed::Batch(mut batch)) => {
+            while !batch.step(state, ayd_obs::SpanContext::default()) {}
+            (endpoint, batch.finish())
+        }
+    }
+}
+
+/// Dispatches one parsed request, returning the endpoint label (for metrics)
+/// and either the response or a batch to evaluate over later turns.
+pub(crate) fn dispatch(state: &Arc<AppState>, req: &Request) -> (&'static str, Routed) {
     let path = req.target.split('?').next().unwrap_or("");
     match path {
         "/healthz" => match req.method.as_str() {
-            "GET" => ("healthz", health(state)),
-            _ => ("healthz", method_not_allowed("GET")),
+            "GET" => ("healthz", health(state).into()),
+            _ => ("healthz", method_not_allowed("GET").into()),
         },
         "/metrics" => match req.method.as_str() {
             "GET" => {
@@ -44,50 +74,54 @@ pub fn route(state: &Arc<AppState>, req: &Request) -> (&'static str, Response) {
                         "OK",
                         state.metrics.render_prometheus(
                             &state.cache.stats(),
-                            &state.gauge_snapshot(),
+                            &state.jobs.gauge_snapshot(),
                             cluster.as_ref(),
                         ),
-                    ),
+                    )
+                    .into(),
                 )
             }
-            _ => ("metrics", method_not_allowed("GET")),
+            _ => ("metrics", method_not_allowed("GET").into()),
         },
         "/v1/trace/recent" => match req.method.as_str() {
-            "GET" => ("trace_recent", trace_recent(req)),
-            _ => ("trace_recent", method_not_allowed("GET")),
+            "GET" => ("trace_recent", trace_recent(req).into()),
+            _ => ("trace_recent", method_not_allowed("GET").into()),
         },
         "/v1/optimize" => match req.method.as_str() {
-            "POST" => ("optimize", optimize(state, req)),
-            _ => ("optimize", method_not_allowed("POST")),
+            "POST" => ("optimize", optimize(state, req).into()),
+            _ => ("optimize", method_not_allowed("POST").into()),
         },
         "/v1/batch" => match req.method.as_str() {
-            "POST" => ("batch", batch(state, req)),
-            _ => ("batch", method_not_allowed("POST")),
+            "POST" => (
+                "batch",
+                Batch::start(req).map_or_else(Routed::Done, Routed::Batch),
+            ),
+            _ => ("batch", method_not_allowed("POST").into()),
         },
         "/v1/sweep" => match req.method.as_str() {
-            "POST" => ("sweep_submit", sweep_submit(state, req)),
-            _ => ("sweep_submit", method_not_allowed("POST")),
+            "POST" => ("sweep_submit", sweep_submit(state, req).into()),
+            _ => ("sweep_submit", method_not_allowed("POST").into()),
         },
         "/v1/workers/register" => match req.method.as_str() {
-            "POST" => ("worker_register", worker_register(state, req)),
-            _ => ("worker_register", method_not_allowed("POST")),
+            "POST" => ("worker_register", worker_register(state, req).into()),
+            _ => ("worker_register", method_not_allowed("POST").into()),
         },
         "/v1/workers" => match req.method.as_str() {
-            "GET" => ("workers", workers_list(state)),
-            _ => ("workers", method_not_allowed("GET")),
+            "GET" => ("workers", workers_list(state).into()),
+            _ => ("workers", method_not_allowed("GET").into()),
         },
         _ if path.starts_with("/v1/workers/") => {
             let rest = &path["/v1/workers/".len()..];
             let id = rest.strip_suffix("/heartbeat").and_then(|t| t.parse().ok());
             match (req.method.as_str(), id) {
-                ("POST", Some(id)) => ("worker_heartbeat", worker_heartbeat(state, req, id)),
-                (_, Some(_)) => ("worker_heartbeat", method_not_allowed("POST")),
-                (_, None) => ("worker_heartbeat", not_found()),
+                ("POST", Some(id)) => ("worker_heartbeat", worker_heartbeat(state, req, id).into()),
+                (_, Some(_)) => ("worker_heartbeat", method_not_allowed("POST").into()),
+                (_, None) => ("worker_heartbeat", not_found().into()),
             }
         }
         "/v1/shards/run" => match req.method.as_str() {
-            "POST" => ("shard_run", shard_run(state, req)),
-            _ => ("shard_run", method_not_allowed("POST")),
+            "POST" => ("shard_run", shard_run(state, req).into()),
+            _ => ("shard_run", method_not_allowed("POST").into()),
         },
         _ if path.starts_with("/v1/sweep/") => {
             let rest = &path["/v1/sweep/".len()..];
@@ -102,29 +136,29 @@ pub fn route(state: &Arc<AppState>, req: &Request) -> (&'static str, Response) {
                 });
                 return match (req.method.as_str(), ids) {
                     ("POST", Some((job, index))) => {
-                        ("shard_chunk", shard_chunk(state, req, job, index))
+                        ("shard_chunk", shard_chunk(state, req, job, index).into())
                     }
-                    (_, Some(_)) => ("shard_chunk", method_not_allowed("POST")),
-                    (_, None) => ("shard_chunk", not_found()),
+                    (_, Some(_)) => ("shard_chunk", method_not_allowed("POST").into()),
+                    (_, None) => ("shard_chunk", not_found().into()),
                 };
             }
             if let Some(id_text) = rest.strip_suffix("/shards") {
                 let id = id_text.parse::<u64>().ok();
                 return match (req.method.as_str(), id) {
-                    ("GET", Some(id)) => ("sweep_shards", sweep_shards(state, id)),
-                    (_, Some(_)) => ("sweep_shards", method_not_allowed("GET")),
-                    (_, None) => ("sweep_shards", not_found()),
+                    ("GET", Some(id)) => ("sweep_shards", sweep_shards(state, id).into()),
+                    (_, Some(_)) => ("sweep_shards", method_not_allowed("GET").into()),
+                    (_, None) => ("sweep_shards", not_found().into()),
                 };
             }
             let id = rest.parse::<u64>().ok();
             match (req.method.as_str(), id) {
-                ("GET", Some(id)) => ("sweep_poll", sweep_poll(state, req, id)),
-                ("DELETE", Some(id)) => ("sweep_cancel", sweep_cancel(state, id)),
-                (_, Some(_)) => ("sweep_poll", method_not_allowed("GET, DELETE")),
-                (_, None) => ("sweep_poll", not_found()),
+                ("GET", Some(id)) => ("sweep_poll", sweep_poll(state, req, id).into()),
+                ("DELETE", Some(id)) => ("sweep_cancel", sweep_cancel(state, id).into()),
+                (_, Some(_)) => ("sweep_poll", method_not_allowed("GET, DELETE").into()),
+                (_, None) => ("sweep_poll", not_found().into()),
             }
         }
-        _ => ("unknown", not_found()),
+        _ => ("unknown", not_found().into()),
     }
 }
 
@@ -198,13 +232,7 @@ fn trace_recent(req: &Request) -> Response {
         body.push_str(&record.to_json_line());
     }
     body.push_str("]}");
-    Response {
-        status: 200,
-        reason: "OK",
-        content_type: "application/json",
-        extra_headers: Vec::new(),
-        body: body.into_bytes(),
-    }
+    Response::json_text(body)
 }
 
 fn method_not_allowed(allow: &'static str) -> Response {
@@ -767,71 +795,104 @@ fn optimize(state: &Arc<AppState>, req: &Request) -> Response {
     }
 }
 
-fn batch(state: &Arc<AppState>, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(body) => body,
-        Err(response) => return response,
-    };
-    let queries = match body.get("queries").and_then(Json::as_array) {
-        Some(queries) => queries,
-        None => return bad_request("body must be {\"queries\": [...]}"),
-    };
-    if queries.len() > MAX_BATCH {
-        return bad_request(&format!("at most {MAX_BATCH} queries per batch"));
-    }
-    let mut parsed = Vec::with_capacity(queries.len());
-    for (index, query) in queries.iter().enumerate() {
-        match parse_optimize(query) {
-            Ok(query) => parsed.push(query),
-            Err(error) => return error.prefixed(&format!("query {index}: ")).response(),
+/// Queries evaluated per [`Batch::step`]: one [`evaluate_many`] call, which
+/// builds the optimiser context once per slice.
+const BATCH_CHUNK: usize = 8;
+
+/// A validated `/v1/batch` request, evaluated and rendered one slice of
+/// [`BATCH_CHUNK`] queries per [`Batch::step`]. The reactor that read it
+/// takes one step per turn, so a long batch never holds the reactor from its
+/// other connections.
+pub(crate) struct Batch {
+    queries: Vec<OptimizeQuery>,
+    /// Queries evaluated so far; their rows are already in `body`.
+    done: usize,
+    csv: bool,
+    /// The response body so far: the document's opening, then one rendered
+    /// row per evaluated query.
+    body: String,
+}
+
+impl Batch {
+    /// Parses and validates the whole body before anything is evaluated: a
+    /// bad query answers its `query N:` 400 here.
+    fn start(req: &Request) -> Result<Batch, Response> {
+        let body = parse_body(req)?;
+        let queries = body
+            .get("queries")
+            .and_then(Json::as_array)
+            .ok_or_else(|| bad_request("body must be {\"queries\": [...]}"))?;
+        if queries.len() > MAX_BATCH {
+            return Err(bad_request(&format!(
+                "at most {MAX_BATCH} queries per batch"
+            )));
         }
-    }
-    // Fan the evaluations out over the compute pool in small chunks — each
-    // chunk goes through `evaluate_many`, which builds the optimiser context
-    // once per chunk — then reassemble in query order.
-    const BATCH_CHUNK: usize = 8;
-    let mut chunks: Vec<Vec<OptimizeQuery>> = Vec::new();
-    let mut parsed = parsed.into_iter();
-    loop {
-        let chunk: Vec<OptimizeQuery> = parsed.by_ref().take(BATCH_CHUNK).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
-    }
-    let worker_state = Arc::clone(state);
-    let rows: Vec<SweepRow> = state
-        .compute
-        .run_batch(chunks, move |chunk| {
-            let queries: Vec<(ExactModel, Option<f64>, FailureModelSpec)> = chunk
-                .iter()
-                .map(|query| {
-                    (
-                        query.model,
-                        query.fixed_processors,
-                        query.failure_model.clone(),
-                    )
-                })
-                .collect();
-            let (evals, search) =
-                evaluate_many(&queries, &worker_state.options, Some(&worker_state.cache));
-            worker_state.metrics.observe_search(search);
-            chunk
-                .iter()
-                .zip(evals)
-                .map(|(query, eval)| query_row(query, eval))
-                .collect::<Vec<SweepRow>>()
+        let queries = queries
+            .iter()
+            .enumerate()
+            .map(|(index, query)| {
+                parse_optimize(query)
+                    .map_err(|error| error.prefixed(&format!("query {index}: ")).response())
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let csv = req.accepts("text/csv");
+        let count = Json::num(queries.len() as f64).render();
+        let body = if csv {
+            format!("{CSV_HEADER}\n")
+        } else {
+            format!("{{\"count\":{count},\"results\":[")
+        };
+        Ok(Batch {
+            queries,
+            done: 0,
+            csv,
+            body,
         })
-        .into_iter()
-        .flatten()
-        .collect();
-    if req.accepts("text/csv") {
-        Response::csv(ayd_sweep::csv_text(&rows))
-    } else {
-        Response::json(&Json::obj(vec![
-            ("count", Json::num(rows.len() as f64)),
-            ("results", Json::Arr(rows.iter().map(row_json).collect())),
-        ]))
+    }
+
+    /// Evaluates the next slice and appends its rows to the body, inside one
+    /// `evaluate` span under `parent` (a default context records none).
+    /// Returns true once every query is in.
+    pub(crate) fn step(&mut self, state: &AppState, parent: ayd_obs::SpanContext) -> bool {
+        let end = (self.done + BATCH_CHUNK).min(self.queries.len());
+        let slice = &self.queries[self.done..end];
+        if slice.is_empty() {
+            return true;
+        }
+        let mut span = ayd_obs::child_of(parent, "evaluate");
+        let models: Vec<(ExactModel, Option<f64>, FailureModelSpec)> = slice
+            .iter()
+            .map(|q| (q.model, q.fixed_processors, q.failure_model.clone()))
+            .collect();
+        let (evals, search) = evaluate_many(&models, &state.options, Some(&state.cache));
+        state.metrics.observe_search(search);
+        for (index, (query, eval)) in (self.done..).zip(slice.iter().zip(evals)) {
+            let row = query_row(query, eval);
+            if self.csv {
+                write_csv_line(&mut self.body, &row);
+            } else {
+                if index > 0 {
+                    self.body.push(',');
+                }
+                row_json(&row).render_into(&mut self.body);
+            }
+        }
+        span.field_u64("search_fast", search.fast);
+        span.field_u64("search_fallback", search.fallback);
+        span.field_u64("brent_iterations", search.brent_iterations);
+        span.finish();
+        self.done = end;
+        self.done == self.queries.len()
+    }
+
+    /// Closes the document: the batch's `200` response, byte-identical to
+    /// rendering every row at once.
+    pub(crate) fn finish(mut self) -> Response {
+        if self.csv {
+            return Response::csv(self.body);
+        }
+        self.body.push_str("]}");
+        Response::json_text(self.body)
     }
 }
 
@@ -1382,7 +1443,10 @@ fn sweep_submit(state: &Arc<AppState>, req: &Request) -> Response {
         );
     }
 
-    let grid_fingerprint = grid.fingerprint();
+    // Flattened once, outside the registry lock: the fingerprint hashes the
+    // cell list, and the job's shards run on it.
+    let cells = grid.cells();
+    let grid_fingerprint = ayd_sweep::cells_fingerprint(&cells);
     let options_fingerprint = state.options.output_fingerprint();
     let resumed = match token {
         None => None,
@@ -1427,7 +1491,7 @@ fn sweep_submit(state: &Arc<AppState>, req: &Request) -> Response {
     let Some(id) = state.jobs.try_submit(state.max_jobs, |_| {
         crate::app::JobHandle::Sharded(crate::app::spawn_sharded(
             state.options,
-            &grid,
+            cells,
             count,
             resumed_rows,
             grid_fingerprint,

@@ -6,14 +6,13 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ayd_sweep::{
-    AnalyticEval, CacheStats, NullSink, RunOptions, ScenarioGrid, ShardSpec, ShardedEvalCache,
+    AnalyticEval, CacheStats, NullSink, RunOptions, ShardSpec, ShardedEvalCache, SweepCell,
     SweepExecutor, SweepJobHandle, SweepOptions, CSV_HEADER,
 };
 
 use crate::coordinator::Coordinator;
 use crate::http::Limits;
 use crate::metrics::{GaugeSnapshot, Metrics};
-use crate::pool::WorkerPool;
 use crate::worker::WorkerRuntime;
 
 /// Cluster role of an instance: standalone (neither flag), the coordinator
@@ -50,8 +49,7 @@ impl Default for ClusterConfig {
 pub struct ServerConfig {
     /// Listen address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
-    /// Reactor thread count (also sizes the batch compute pool and the
-    /// shared cache's shard count).
+    /// Reactor thread count (also sizes the shared cache's shard count).
     pub threads: usize,
     /// Total capacity of the shared evaluation cache.
     pub cache_capacity: usize,
@@ -86,7 +84,7 @@ impl Default for ServerConfig {
 }
 
 /// Shared state of a running server: the process-wide evaluation cache, the
-/// metrics registry, the sweep-job registry and the batch compute pool.
+/// metrics registry and the sweep-job registry.
 pub struct AppState {
     /// Evaluation options (simulation off, default optimiser search ranges).
     pub options: SweepOptions,
@@ -99,9 +97,6 @@ pub struct AppState {
     pub jobs: JobRegistry,
     /// Request parsing limits.
     pub limits: Limits,
-    /// Compute pool for `/v1/batch` fan-out: a batch's queries run in
-    /// parallel while its reactor waits for them.
-    pub compute: WorkerPool,
     /// Maximum concurrently running sweep jobs.
     pub max_jobs: usize,
     /// Maximum cells per submitted sweep grid.
@@ -131,7 +126,6 @@ impl AppState {
             metrics: Metrics::new(),
             jobs: JobRegistry::new(),
             limits: config.limits,
-            compute: WorkerPool::new("ayd-compute", config.threads, 2 * config.threads.max(1)),
             max_jobs: config.max_jobs.max(1),
             max_sweep_cells: config.max_sweep_cells.max(1),
             started: Instant::now(),
@@ -141,23 +135,6 @@ impl AppState {
                 .then(|| Coordinator::new(config.cluster.lease)),
             worker: config.cluster.worker_of.as_deref().map(WorkerRuntime::new),
         })
-    }
-
-    /// Samples every point-in-time gauge for a `/metrics` render: the
-    /// compute pool's queue depth and saturation, plus the sweep-job state
-    /// counts.
-    pub fn gauge_snapshot(&self) -> GaugeSnapshot {
-        let compute = self.compute.stats();
-        let (jobs_queued, jobs_running, jobs_done, jobs_cancelled) = self.jobs.state_counts();
-        GaugeSnapshot {
-            compute_queue_depth: compute.queue_depth(),
-            compute_busy: compute.busy_workers(),
-            compute_workers: compute.worker_count(),
-            jobs_queued,
-            jobs_running,
-            jobs_done,
-            jobs_cancelled,
-        }
     }
 }
 
@@ -256,36 +233,29 @@ pub struct ShardedJobHandle {
 /// they are byte-identical to a fresh evaluation by the determinism
 /// contract, so the reuse is observationally a pure speed-up.
 ///
-/// Callers may run inside the job registry's submit lock, so this flattens
-/// the grid exactly **once** (splitting the single cell list at each shard's
-/// [`ShardSpec::range`]) — flattening per shard would hold the lock for
-/// `count ×` the grid size — and takes the (cell-list-derived) fingerprints
-/// precomputed rather than re-flattening to hash.
+/// `cells` is the grid's flattened cell list, which its fingerprint was
+/// computed from: callers run inside the job registry's submit lock (on a
+/// reactor), so this flattens nothing and only sizes the shards
+/// ([`ShardSpec::range`]); the controller thread runs each shard on its
+/// range of the one list.
 pub fn spawn_sharded(
     options: SweepOptions,
-    grid: &ScenarioGrid,
+    cells: Vec<SweepCell>,
     count: usize,
     resumed: ShardLines,
     grid_fingerprint: u64,
     options_fingerprint: u64,
 ) -> ShardedJobHandle {
     debug_assert_eq!(resumed.len(), count);
-    let mut cells = grid.cells();
     let total = cells.len();
-    // Back to front, so each split moves only its own shard's cells.
-    let mut cells_by_shard: Vec<Vec<ayd_sweep::SweepCell>> = (0..count)
-        .rev()
-        .map(|index| {
-            let spec = ShardSpec::new(index, count).expect("validated by the API layer");
-            cells.split_off(spec.range(total).start)
-        })
+    let specs: Vec<ShardSpec> = (0..count)
+        .map(|index| ShardSpec::new(index, count).expect("validated by the API layer"))
         .collect();
-    cells_by_shard.reverse();
     let slots: Arc<Vec<ShardSlot>> = Arc::new(
-        cells_by_shard
+        specs
             .iter()
-            .map(|cells| ShardSlot {
-                total: cells.len(),
+            .map(|spec| ShardSlot {
+                total: spec.range(total).len(),
                 completed: AtomicUsize::new(0),
                 state: AtomicU8::new(SHARD_PENDING),
             })
@@ -296,9 +266,10 @@ pub fn spawn_sharded(
     let thread = std::thread::spawn(move || {
         let executor = SweepExecutor::new(options);
         let mut csv = format!("{CSV_HEADER}\n");
-        let mut shard_lines: Vec<Option<Range<usize>>> = vec![None; cells_by_shard.len()];
+        let mut shard_lines: Vec<Option<Range<usize>>> = vec![None; specs.len()];
         let mut cache = CacheStats::default();
-        for (index, (cells, reused)) in cells_by_shard.into_iter().zip(resumed).enumerate() {
+        for (index, (spec, reused)) in specs.iter().zip(resumed).enumerate() {
+            let cells = &cells[spec.range(total)];
             let slot = &worker_slots[index];
             if let Some(lines) = reused {
                 let start = csv.len();
@@ -318,7 +289,7 @@ pub fn spawn_sharded(
             }
             slot.state.store(SHARD_RUNNING, Ordering::Relaxed);
             let results = executor.run_cells_controlled(
-                &cells,
+                cells,
                 &mut NullSink,
                 Some(&worker_cancel),
                 Some(&slot.completed),
@@ -620,23 +591,23 @@ impl JobRegistry {
             .count()
     }
 
-    /// Job counts by state for the `ayd_sweep_jobs` gauge:
-    /// `(queued, running, done, cancelled)`. A job counts as queued until its
-    /// first cell completes, as running after, and on finish as done or
+    /// Samples the point-in-time gauges of a `/metrics` render: job counts
+    /// by state for the `ayd_sweep_jobs` gauge. A job counts as queued until
+    /// its first cell completes, as running after, and on finish as done or
     /// cancelled (bounded by the registry's finished-job retention).
-    pub fn state_counts(&self) -> (usize, usize, usize, usize) {
+    pub fn gauge_snapshot(&self) -> GaugeSnapshot {
         let mut jobs = self.lock_jobs();
         Self::reap(&mut jobs);
-        let (mut queued, mut running, mut done, mut cancelled) = (0, 0, 0, 0);
+        let mut gauges = GaugeSnapshot::default();
         for entry in jobs.values() {
             match entry {
-                JobEntry::Running(handle) if handle.completed() == 0 => queued += 1,
-                JobEntry::Running(_) => running += 1,
-                JobEntry::Finished(job) if job.cancelled => cancelled += 1,
-                JobEntry::Finished(_) => done += 1,
+                JobEntry::Running(handle) if handle.completed() == 0 => gauges.jobs_queued += 1,
+                JobEntry::Running(_) => gauges.jobs_running += 1,
+                JobEntry::Finished(job) if job.cancelled => gauges.jobs_cancelled += 1,
+                JobEntry::Finished(_) => gauges.jobs_done += 1,
             }
         }
-        (queued, running, done, cancelled)
+        gauges
     }
 
     /// Looks up a job, transitioning it to finished when its thread is done.
@@ -895,7 +866,7 @@ mod tests {
             .try_submit(4, |_| {
                 JobHandle::Sharded(spawn_sharded(
                     state.options,
-                    &grid,
+                    grid.cells(),
                     count,
                     vec![None; count],
                     grid.fingerprint(),
@@ -961,7 +932,7 @@ mod tests {
             .try_submit(4, |_| {
                 JobHandle::Sharded(spawn_sharded(
                     state.options,
-                    &grid,
+                    grid.cells(),
                     count,
                     vec![None; count],
                     grid_fp,
@@ -1039,7 +1010,7 @@ mod tests {
             .try_submit(4, |_| {
                 JobHandle::Sharded(spawn_sharded(
                     state.options,
-                    &grid,
+                    grid.cells(),
                     count,
                     rows,
                     grid_fp,
@@ -1145,7 +1116,7 @@ mod tests {
             .try_submit(4, |_| {
                 JobHandle::Sharded(spawn_sharded(
                     state.options,
-                    &grid,
+                    grid.cells(),
                     count,
                     lines,
                     grid_fp,

@@ -8,7 +8,9 @@ use std::time::Duration;
 
 use ayd_core::SpeedupProfile;
 use ayd_platforms::{ExperimentSetup, PlatformId, ScenarioId};
-use ayd_sweep::{Evaluator, ProcessorAxis, RunOptions, ScenarioGrid, SweepExecutor, SweepOptions};
+use ayd_sweep::{
+    Evaluator, ProcessorAxis, RunOptions, ScenarioGrid, SweepExecutor, SweepOptions, CSV_HEADER,
+};
 
 use crate::json::Json;
 
@@ -203,6 +205,71 @@ fn profile_sweep_csv() -> String {
     offline_sweep_csv(&grid)
 }
 
+/// Checks `/v1/batch` against `/v1/optimize`: 20 queries (three slices,
+/// over every platform, fixed and optimised `P`, `exp` and `weibull:0.7`,
+/// two profiles, and query 13 repeating query 2), as JSON and as CSV, must
+/// answer exactly the bytes each query answers alone; an empty batch, an
+/// empty document.
+fn check_batches(client: &mut HttpClient, addr: &str) -> Result<(), String> {
+    let queries: Vec<String> = (0..20usize)
+        .map(|n| {
+            let i = if n == 13 { 2 } else { n };
+            let platform = ["Hera", "Atlas", "Coastal", "Coastal SSD"][i % 4];
+            let law = ["", r#","failure_model":"weibull:0.7""#][i % 2];
+            let profile = if i % 5 == 4 { r#","profile":"gustafson:0.05""# } else { "" };
+            let processors = match i % 3 {
+                0 => format!(r#","processors":{}"#, 256 << (i % 4)),
+                _ => String::new(),
+            };
+            format!(
+                r#"{{"platform":"{platform}","scenario":{},"lambda_multiplier":{}{processors}{law}{profile}}}"#,
+                1 + i % 6,
+                1 + i
+            )
+        })
+        .collect();
+    let mut post = |path: &str, accept: Option<&str>, body: &str| {
+        let response = client
+            .request("POST", path, accept, Some(body))
+            .map_err(|e| format!("i/o against {addr}: {e}"))?;
+        match response.status {
+            200 => Ok(response.body),
+            status => Err(format!("{path}: status {status} {}", response.body)),
+        }
+    };
+    let csv = Some("text/csv");
+    let body = format!(r#"{{"queries":[{}]}}"#, queries.join(","));
+    // The batch goes first, so its evaluations are the cold ones.
+    let batch_json = post("/v1/batch", None, &body)?;
+    let batch_csv = post("/v1/batch", csv, &body)?;
+    let (mut results, mut lines) = (Vec::new(), format!("{CSV_HEADER}\n"));
+    for query in &queries {
+        results.push(post("/v1/optimize", None, query)?);
+        let one = post("/v1/optimize", csv, query)?;
+        lines.push_str(one.get(CSV_HEADER.len() + 1..).unwrap_or_default());
+    }
+    let json = format!(r#"{{"count":20,"results":[{}]}}"#, results.join(","));
+    let (empty, header) = (r#"{"queries":[]}"#, format!("{CSV_HEADER}\n"));
+    for (what, served, expected) in [
+        ("JSON", batch_json, json.as_str()),
+        ("CSV", batch_csv, &lines),
+        (
+            "empty JSON",
+            post("/v1/batch", None, empty)?,
+            r#"{"count":0,"results":[]}"#,
+        ),
+        ("empty CSV", post("/v1/batch", csv, empty)?, &header),
+    ] {
+        if served != expected {
+            let bytes = (served.len(), expected.len());
+            return Err(format!(
+                "batch {what} differs from its single answers: {bytes:?} bytes"
+            ));
+        }
+    }
+    Ok(())
+}
+
 fn expect_f64(doc: &Json, object: &str, field: &str) -> Result<f64, String> {
     doc.get(object)
         .and_then(|inner| inner.get(field))
@@ -210,8 +277,11 @@ fn expect_f64(doc: &Json, object: &str, field: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("response missing {object}.{field}"))
 }
 
+/// A submitted sweep job: its id, the `202` document and the finished CSV.
+type SweepRun = (u64, Json, String);
+
 /// Submits a sweep job and polls until its CSV arrives.
-fn run_sweep(client: &mut HttpClient, addr: &str, body: &str) -> Result<String, String> {
+fn run_sweep(client: &mut HttpClient, addr: &str, body: &str) -> Result<SweepRun, String> {
     run_sweep_with_deadline(client, addr, body, Duration::from_secs(60))
 }
 
@@ -220,7 +290,7 @@ fn run_sweep_with_deadline(
     addr: &str,
     body: &str,
     timeout: Duration,
-) -> Result<String, String> {
+) -> Result<SweepRun, String> {
     let io = |e: std::io::Error| format!("i/o against {addr}: {e}");
     let accepted = client.post_json("/v1/sweep", body).map_err(io)?;
     if accepted.status != 202 {
@@ -243,7 +313,7 @@ fn run_sweep_with_deadline(
             return Err(format!("sweep poll: status {}", poll.status));
         }
         if poll.content_type.starts_with("text/csv") {
-            return Ok(poll.body);
+            return Ok((id, doc, poll.body));
         }
         if std::time::Instant::now() > deadline {
             return Err(format!(
@@ -261,7 +331,7 @@ fn run_sweep_with_deadline(
 /// text/csv` — so this is the one client the cluster smoke and CI both use.
 pub fn fetch_sweep_csv(addr: &str, body: &str, timeout: Duration) -> Result<String, String> {
     let mut client = HttpClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    run_sweep_with_deadline(&mut client, addr, body, timeout)
+    run_sweep_with_deadline(&mut client, addr, body, timeout).map(|(_, _, csv)| csv)
 }
 
 /// Computes the CSV for a `/v1/sweep` request body with the in-process
@@ -379,10 +449,13 @@ pub fn cluster_smoke_check(addr: &str, workers: usize) -> Result<(), String> {
 /// 2. `/v1/optimize` answers numbers **bit-identical** to the offline
 ///    [`Evaluator`] for the same inputs — for the default Amdahl profile and
 ///    for a Gustafson extension profile sent through the `profile` field.
-/// 3. `/v1/sweep` jobs over the golden grid and over a mixed-profile grid
+/// 3. `/v1/batch` answers each query byte-identically to its own
+///    `/v1/optimize`, as JSON and as CSV, and an empty batch an empty
+///    document.
+/// 4. `/v1/sweep` jobs over the golden grid and over a mixed-profile grid
 ///    both stream a CSV byte-identical to the in-process sweep engine (the
 ///    golden grid's bytes are the ones the golden test pins).
-/// 4. `/metrics` renders parsable Prometheus text.
+/// 5. `/metrics` renders parsable Prometheus text.
 pub fn smoke_check(addr: &str) -> Result<(), String> {
     let io = |e: std::io::Error| format!("i/o against {addr}: {e}");
     let mut client = HttpClient::connect(addr).map_err(io)?;
@@ -517,10 +590,13 @@ pub fn smoke_check(addr: &str) -> Result<(), String> {
         ));
     }
 
+    // 2c. Batches, byte for byte against the single-query answers.
+    check_batches(&mut client, addr)?;
+
     // 3. Sweep round-trips: the golden Amdahl grid (the bytes the golden test
     // pins) and a mixed-profile grid, both byte-identical to the in-process
     // engine.
-    let csv = run_sweep(&mut client, addr, GOLDEN_SWEEP_BODY)?;
+    let (_, _, csv) = run_sweep(&mut client, addr, GOLDEN_SWEEP_BODY)?;
     let expected_csv = golden_sweep_csv();
     if csv != expected_csv {
         return Err(format!(
@@ -529,7 +605,7 @@ pub fn smoke_check(addr: &str) -> Result<(), String> {
             expected_csv.len()
         ));
     }
-    let csv = run_sweep(&mut client, addr, PROFILE_SWEEP_BODY)?;
+    let (_, _, csv) = run_sweep(&mut client, addr, PROFILE_SWEEP_BODY)?;
     let expected_csv = profile_sweep_csv();
     if csv != expected_csv {
         return Err(format!(
@@ -549,37 +625,13 @@ pub fn smoke_check(addr: &str) -> Result<(), String> {
         &GOLDEN_SWEEP_BODY[..GOLDEN_SWEEP_BODY.len() - 1],
         r#","shards":3}"#
     );
-    let accepted = client.post_json("/v1/sweep", &sharded_body).map_err(io)?;
-    if accepted.status != 202 {
-        return Err(format!("sharded sweep submit: status {}", accepted.status));
-    }
-    let doc = Json::parse(&accepted.body).map_err(|e| format!("sharded sweep JSON: {e}"))?;
-    let id = doc
-        .get("id")
-        .and_then(Json::as_f64)
-        .ok_or("sharded sweep submit: no id")? as u64;
+    let (id, doc, csv) = run_sweep(&mut client, addr, &sharded_body)?;
     if doc.get("shards").and_then(Json::as_f64) != Some(3.0) {
         return Err("sharded sweep submit: response lacks shards: 3".into());
     }
     if doc.get("resume_token").and_then(Json::as_str).is_none() {
         return Err("sharded sweep submit: response lacks a resume_token".into());
     }
-    let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    let csv = loop {
-        let poll = client
-            .get(&format!("/v1/sweep/{id}"), Some("text/csv"))
-            .map_err(io)?;
-        if poll.status != 200 {
-            return Err(format!("sharded sweep poll: status {}", poll.status));
-        }
-        if poll.content_type.starts_with("text/csv") {
-            break poll.body;
-        }
-        if std::time::Instant::now() > deadline {
-            return Err("sharded sweep job did not finish within 60 s".to_string());
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
     let expected_csv = golden_sweep_csv();
     if csv != expected_csv {
         return Err(format!(

@@ -22,7 +22,9 @@
 //!
 //! [`answer_next`] serves the reactor and the socket-free [`serve_chunks`]
 //! harness alike, so both answer the same bytes and record the same
-//! `request → parse → route → render` spans.
+//! `request → parse → route → render` spans. A `/v1/batch` takes several
+//! calls: one to parse it, one per slice of queries (the last one also writes
+//! the response), with the request held in between as a `Pending`.
 
 use std::io::Cursor;
 use std::panic::AssertUnwindSafe;
@@ -30,7 +32,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::api::{endpoint_hint, route};
+use crate::api::{dispatch, endpoint_hint, Batch, Routed};
 use crate::app::AppState;
 use crate::http::{parse_request, Limits, ParseError, Request, Response};
 
@@ -208,6 +210,18 @@ pub(crate) enum Answer {
     /// close` answer or a malformed request's error) or with nothing
     /// appended (the peer closed between requests).
     Close,
+    /// A batch is part-evaluated and held in the connection's [`Pending`]:
+    /// call again on a later turn.
+    Pending,
+}
+
+/// A `/v1/batch` between its parse turn and its last slice. Its request
+/// stays open, `request` span included, so the trace and the duration
+/// metric bracket every turn the batch takes. Boxed where it is held, so an
+/// idle connection pays one pointer for it.
+pub(crate) struct Pending {
+    batch: Batch,
+    request: InFlight,
 }
 
 /// Answers the next request buffered in `parser`, appending the response to
@@ -215,14 +229,31 @@ pub(crate) enum Answer {
 /// and [`serve_chunks`] alike. Every answered request records one `request`
 /// root span with `parse`, `route` and `render` children; `reactor` tags it
 /// with the serving reactor's index. `eof` means the peer's stream has ended.
+/// While `pending` holds a batch, the call evaluates its next slice instead,
+/// and after the last one writes the response.
 pub(crate) fn answer_next(
     parser: &mut IncrementalParser,
+    pending: &mut Option<Box<Pending>>,
     eof: bool,
     state: &Arc<AppState>,
     shutdown: &AtomicBool,
     reactor: Option<u64>,
     out: &mut Vec<u8>,
 ) -> Answer {
+    if let Some(mut held) = pending.take() {
+        // The slice's `evaluate` span is parented to the batch's own
+        // `request`, not to the thread's innermost open span, which between
+        // turns may belong to another connection. As around `dispatch`, a
+        // panicking slice answers 500 and closes only its own connection.
+        let parent = held.request.root.context();
+        let stepped = std::panic::catch_unwind(AssertUnwindSafe(|| held.batch.step(state, parent)));
+        if let Ok(false) = stepped {
+            *pending = Some(held);
+            return Answer::Pending;
+        }
+        let Pending { batch, request } = *held;
+        return request.respond(state, stepped.ok().map(|_| batch.finish()), shutdown, out);
+    }
     let trace = ayd_obs::fresh_trace_id();
     let mut root = ayd_obs::root_span("request", trace);
     if let Some(reactor) = reactor {
@@ -259,35 +290,75 @@ pub(crate) fn answer_next(
     let route_span = ayd_obs::span("route");
     // A panicking handler must not take the reactor, and every connection on
     // it, down with it: the request gets a 500 and its connection closes.
-    let routed = std::panic::catch_unwind(AssertUnwindSafe(|| route(state, &request)));
+    let routed = std::panic::catch_unwind(AssertUnwindSafe(|| dispatch(state, &request)));
     route_span.finish();
-    let (endpoint, response, keep_alive) = match routed {
-        Ok((endpoint, response)) => {
-            let keep_alive = !request.wants_close() && !shutdown.load(Ordering::SeqCst);
-            (endpoint, response, keep_alive)
-        }
-        Err(_) => (
-            endpoint_guess,
-            Response::error(500, "Internal Server Error", "the request handler panicked"),
-            false,
-        ),
+    let (endpoint, routed) = routed.map_or((endpoint_guess, None), |(e, r)| (e, Some(r)));
+    let in_flight = InFlight {
+        root,
+        trace,
+        started,
+        endpoint_guess,
+        endpoint,
+        wants_close: request.wants_close(),
     };
-    let status = response.status;
-    let render_span = ayd_obs::span("render");
-    response
-        .with_header("x-ayd-trace-id", format_trace_id(trace))
-        .write_to(out, keep_alive)
-        .expect("writing to a Vec cannot fail");
-    render_span.finish();
-    state.metrics.request_finished(endpoint_guess);
-    root.field_str("endpoint", endpoint);
-    root.field_u64("status", u64::from(status));
-    root.finish();
-    state.metrics.observe(endpoint, status, started.elapsed());
-    if keep_alive {
-        Answer::KeepAlive
-    } else {
-        Answer::Close
+    match routed {
+        Some(Routed::Batch(batch)) => {
+            let request = in_flight;
+            *pending = Some(Box::new(Pending { batch, request }));
+            Answer::Pending
+        }
+        Some(Routed::Done(response)) => in_flight.respond(state, Some(response), shutdown, out),
+        None => in_flight.respond(state, None, shutdown, out),
+    }
+}
+
+/// A routed request whose response is not written yet: its open `request`
+/// span and what its metrics and keep-alive decision need.
+struct InFlight {
+    root: ayd_obs::Span,
+    trace: u64,
+    started: Instant,
+    /// The in-flight gauge's label, from [`endpoint_hint`].
+    endpoint_guess: &'static str,
+    endpoint: &'static str,
+    wants_close: bool,
+}
+
+impl InFlight {
+    /// Writes the response (trace-id stamped) into `out` inside a `render`
+    /// span, then closes the request's span and metrics. `None` stands for a
+    /// panicked handler or batch slice: a 500, and the connection closes.
+    fn respond(
+        mut self,
+        state: &AppState,
+        response: Option<Response>,
+        shutdown: &AtomicBool,
+        out: &mut Vec<u8>,
+    ) -> Answer {
+        let keep_alive =
+            response.is_some() && !self.wants_close && !shutdown.load(Ordering::SeqCst);
+        let response = response.unwrap_or_else(|| {
+            Response::error(500, "Internal Server Error", "the request handler panicked")
+        });
+        let status = response.status;
+        let render_span = ayd_obs::child_of(self.root.context(), "render");
+        response
+            .with_header("x-ayd-trace-id", format_trace_id(self.trace))
+            .write_to(out, keep_alive)
+            .expect("writing to a Vec cannot fail");
+        render_span.finish();
+        state.metrics.request_finished(self.endpoint_guess);
+        self.root.field_str("endpoint", self.endpoint);
+        self.root.field_u64("status", u64::from(status));
+        self.root.finish();
+        state
+            .metrics
+            .observe(self.endpoint, status, self.started.elapsed());
+        if keep_alive {
+            Answer::KeepAlive
+        } else {
+            Answer::Close
+        }
     }
 }
 
@@ -315,17 +386,27 @@ fn render_parse_error(
 /// benchmark replays requests through it.
 pub fn serve_chunks(chunks: &[&[u8]], state: &Arc<AppState>, shutdown: &AtomicBool) -> Vec<u8> {
     let mut parser = IncrementalParser::new();
+    let mut pending = None;
     let mut output = Vec::new();
     let mut served = 0usize;
     let mut feed = chunks.iter();
     let mut eof = false;
     loop {
-        match answer_next(&mut parser, eof, state, shutdown, None, &mut output) {
+        match answer_next(
+            &mut parser,
+            &mut pending,
+            eof,
+            state,
+            shutdown,
+            None,
+            &mut output,
+        ) {
             Answer::NeedMore => match feed.next() {
                 Some(chunk) => parser.push(chunk),
                 None if eof => return output,
                 None => eof = true,
             },
+            Answer::Pending => {}
             Answer::KeepAlive => {
                 served += 1;
                 if served >= MAX_REQUESTS_PER_CONNECTION {

@@ -269,9 +269,18 @@ impl Response {
         Self {
             status,
             reason,
+            ..Self::json_text(body.render())
+        }
+    }
+
+    /// A `200 OK` JSON response whose body is already rendered.
+    pub(crate) fn json_text(body: String) -> Self {
+        Self {
+            status: 200,
+            reason: "OK",
             content_type: "application/json",
             extra_headers: Vec::new(),
-            body: body.render().into_bytes(),
+            body: body.into_bytes(),
         }
     }
 

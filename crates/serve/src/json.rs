@@ -142,7 +142,8 @@ impl Json {
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Renders the value as compact JSON onto the end of `out`.
+    pub(crate) fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),

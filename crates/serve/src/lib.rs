@@ -8,7 +8,7 @@
 //! | Endpoint | Method | Answer |
 //! |----------|--------|--------|
 //! | `/v1/optimize` | POST | one query → first-order + numerical operating points (JSON, or the canonical sweep CSV via `Accept: text/csv`) |
-//! | `/v1/batch` | POST | many queries, fanned out over the compute pool |
+//! | `/v1/batch` | POST | many queries, evaluated in slices of 8 on the reactor that read them |
 //! | `/v1/sweep` | POST | a [`ayd_sweep::ScenarioGrid`] as an async job (202 + id) |
 //! | `/v1/sweep/{id}` | GET | job status while running; the canonical CSV when done |
 //! | `/v1/sweep/{id}` | DELETE | cooperative cancellation |
@@ -19,7 +19,7 @@
 //! | `/v1/shards/run` | POST | worker only: the coordinator dispatching one shard to this node |
 //! | `/v1/sweep/{job}/shards/{i}/chunk` | POST | coordinator only: a worker uploading checkpointed shard rows |
 //! | `/healthz` | GET | liveness + uptime |
-//! | `/metrics` | GET | Prometheus text: request counts, latency histograms, pool/job gauges, cache hit rate |
+//! | `/metrics` | GET | Prometheus text: request counts, latency histograms, job gauges, cache hit rate |
 //! | `/v1/trace/recent` | GET | newest completed `ayd-obs` spans from the in-process ring (JSON) |
 //!
 //! Every response carries an `x-ayd-trace-id` header naming the request's
@@ -32,13 +32,13 @@
 //! incremental parser ([`conn::IncrementalParser`] — the same strict one-shot
 //! parser re-run over the accumulating buffer, so partial reads and
 //! pipelining answer byte-identically). Each reactor answers the requests it
-//! parses itself, one request per connection per turn, through the one
-//! function that turns a request into response bytes (also behind
-//! [`conn::serve_chunks`], the socket-free harness). The raw syscall layer is
-//! the vendored [`sys`] shim — no libc, no async runtime — so serving needs
-//! Linux on x86_64/aarch64; elsewhere [`Server::bind`] reports it
-//! unsupported. Around the reactors: a compute pool for `/v1/batch` fan-out,
-//! a process-wide [`ayd_sweep::ShardedEvalCache`] shared by every request
+//! parses itself, one request or one `/v1/batch` slice per connection per
+//! turn, through the one function that turns a request into response bytes
+//! (also behind [`conn::serve_chunks`], the socket-free harness). The raw
+//! syscall layer is the vendored [`sys`] shim — no libc, no async runtime —
+//! so serving needs Linux on x86_64/aarch64; elsewhere [`Server::bind`]
+//! reports it unsupported. Around the reactors: a process-wide
+//! [`ayd_sweep::ShardedEvalCache`] shared by every request
 //! (answers are bit-identical to the offline [`ayd_sweep::Evaluator`] —
 //! asserted by [`client::smoke_check`]), async sweeps on
 //! [`ayd_sweep::SweepExecutor::spawn`] job handles, and graceful shutdown via
@@ -72,7 +72,6 @@ pub mod coordinator;
 pub mod http;
 pub mod json;
 pub mod metrics;
-pub mod pool;
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -94,6 +93,5 @@ pub use coordinator::{ClusterStats, Coordinator};
 pub use http::{Limits, Request, Response};
 pub use json::Json;
 pub use metrics::{validate_prometheus, GaugeSnapshot, Metrics, PrometheusText, Sample};
-pub use pool::WorkerPool;
 pub use server::{ServeHandle, Server};
 pub use worker::WorkerRuntime;

@@ -27,17 +27,11 @@ const BUCKET_BOUNDS: [f64; 14] = [
     0.1, 0.25,
 ];
 
-/// Point-in-time gauges sampled at render: compute-pool load and sweep-job
-/// states. The registry itself never owns these — the `/metrics` handler
-/// snapshots them from the pool and the job registry at scrape time.
+/// Point-in-time gauges sampled at render: sweep-job states. The registry
+/// itself never owns these — the `/metrics` handler snapshots them from the
+/// job registry at scrape time.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct GaugeSnapshot {
-    /// Jobs waiting in the compute pool's queue.
-    pub compute_queue_depth: usize,
-    /// Compute-pool workers currently executing.
-    pub compute_busy: usize,
-    /// Compute-pool worker threads.
-    pub compute_workers: usize,
     /// Sweep jobs admitted but not yet past their first chunk.
     pub jobs_queued: usize,
     /// Sweep jobs actively evaluating cells.
@@ -352,25 +346,6 @@ impl Metrics {
         out.push_str("# TYPE ayd_cache_hit_rate gauge\n");
         out.push_str(&format!("ayd_cache_hit_rate {}\n", cache.hit_rate()));
 
-        out.push_str("# HELP ayd_pool_queue_depth Jobs waiting in a worker pool's queue.\n");
-        out.push_str("# TYPE ayd_pool_queue_depth gauge\n");
-        out.push_str(&format!(
-            "ayd_pool_queue_depth{{pool=\"compute\"}} {}\n",
-            gauges.compute_queue_depth
-        ));
-        out.push_str("# HELP ayd_pool_busy_workers Workers currently executing a job.\n");
-        out.push_str("# TYPE ayd_pool_busy_workers gauge\n");
-        out.push_str(&format!(
-            "ayd_pool_busy_workers{{pool=\"compute\"}} {}\n",
-            gauges.compute_busy
-        ));
-        out.push_str("# HELP ayd_pool_saturation Busy fraction of a pool's workers.\n");
-        out.push_str("# TYPE ayd_pool_saturation gauge\n");
-        out.push_str(&format!(
-            "ayd_pool_saturation{{pool=\"compute\"}} {}\n",
-            saturation(gauges.compute_busy, gauges.compute_workers)
-        ));
-
         out.push_str("# HELP ayd_sweep_jobs Async sweep jobs by state.\n");
         out.push_str("# TYPE ayd_sweep_jobs gauge\n");
         for (state, count) in [
@@ -414,14 +389,6 @@ impl Metrics {
             ));
         }
         out
-    }
-}
-
-fn saturation(busy: usize, workers: usize) -> f64 {
-    if workers == 0 {
-        0.0
-    } else {
-        busy as f64 / workers as f64
     }
 }
 
@@ -731,9 +698,6 @@ mod tests {
                 evictions: 0,
             },
             &GaugeSnapshot {
-                compute_queue_depth: 2,
-                compute_busy: 3,
-                compute_workers: 4,
                 jobs_running: 1,
                 ..GaugeSnapshot::default()
             },
@@ -762,12 +726,9 @@ mod tests {
         assert!(text.contains("ayd_search_fallback_reason_total{reason=\"non-finite-value\"} 2\n"));
         assert!(text.contains("ayd_search_fallback_reason_total{reason=\"missing-seed\"} 0\n"));
         assert!(text.contains("ayd_cache_hit_rate 0.75\n"));
-        // Gauges: in-flight, pool load and job states.
+        // Gauges: in-flight requests and job states, and no pool families.
         assert!(text.contains("ayd_in_flight_requests{endpoint=\"optimize\"} 1\n"));
-        assert!(text.contains("ayd_pool_queue_depth{pool=\"compute\"} 2\n"));
-        assert!(text.contains("ayd_pool_busy_workers{pool=\"compute\"} 3\n"));
-        assert!(text.contains("ayd_pool_saturation{pool=\"compute\"} 0.75\n"));
-        assert!(!text.contains("pool=\"connection\""));
+        assert!(!text.contains("pool="));
         assert!(text.contains("ayd_sweep_jobs{state=\"running\"} 1\n"));
         assert!(text.contains("ayd_sweep_jobs{state=\"cancelled\"} 0\n"));
         validate_prometheus(&text).unwrap();

@@ -8,23 +8,23 @@
 //! whatever bytes arrive, so 100k idle keep-alive connections cost a table
 //! entry each instead of a parked thread.
 //!
-//! A reactor answers every request it parses itself, through
+//! A reactor evaluates every request it parses itself, through
 //! [`crate::conn::answer_next`] — the function [`crate::conn::serve_chunks`]
-//! calls too — and writes the response straight to the socket. Only
-//! `/v1/batch` fans its queries out over the compute pool, and sweeps run on
-//! their executor threads.
+//! calls too — and writes the response straight to the socket. Only sweeps
+//! run elsewhere, on their executor threads.
 //!
-//! Fairness: a connection gets at most one request answered per turn (one
-//! `epoll_wait` and the events it returned). After writing a response the
-//! reactor does not read that socket again; a connection whose pipelined
-//! bytes are already buffered joins the run queue (at most once), which is
-//! drained after the next turn's events. One pipelining client therefore
-//! cannot hold its reactor while other connections wait.
+//! Fairness: a connection gets at most one request, or one slice of a
+//! `/v1/batch`, per turn (one `epoll_wait` and the events it returned). After
+//! writing a response the reactor does not read that socket again; a
+//! connection whose pipelined bytes are already buffered, or whose batch has
+//! slices left, joins the run queue (at most once), which is drained after
+//! the next turn's events. Neither a pipelining client nor a long batch can
+//! therefore hold its reactor while other connections wait.
 //!
 //! Graceful shutdown drains: the listener closes, connections between
-//! responses close, and connections with a response mid-write finish it
-//! before the reactor exits (bounded by a drain deadline), so a shutdown
-//! under load never truncates a response.
+//! responses close, and connections with a response mid-write or a batch
+//! mid-evaluation finish it before the reactor exits (bounded by a drain
+//! deadline), so a shutdown under load never truncates a response.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -32,7 +32,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::app::{AppState, ServerConfig};
-use crate::conn::{answer_next, head_cap, Answer, IncrementalParser, MAX_REQUESTS_PER_CONNECTION};
+use crate::conn::{
+    answer_next, head_cap, Answer, IncrementalParser, Pending, MAX_REQUESTS_PER_CONNECTION,
+};
 use crate::sys;
 
 /// epoll timeout while serving: bounds the latency of noticing the shutdown
@@ -40,7 +42,7 @@ use crate::sys;
 const WAIT_MS: i32 = 100;
 /// epoll timeout while draining: final writes land fast.
 const DRAIN_WAIT_MS: i32 = 10;
-/// How long a draining reactor waits for in-flight writes to finish.
+/// How long a draining reactor waits for in-flight batches and writes.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 /// Read scratch size per reactor.
 const SCRATCH: usize = 64 * 1024;
@@ -54,6 +56,8 @@ const TOKEN_FIRST_CONN: u64 = 1;
 struct Conn {
     fd: sys::Fd,
     parser: IncrementalParser,
+    /// A batch with slices left (the drain deadline cuts it off unanswered).
+    pending: Option<Box<Pending>>,
     /// Response bytes not yet accepted by the kernel.
     out: Vec<u8>,
     /// Prefix of `out` already written.
@@ -64,7 +68,7 @@ struct Conn {
     close_after_write: bool,
     /// `EPOLLOUT` currently registered (only while a write is blocked).
     wants_writable: bool,
-    /// In the run queue: its next request is answered there, not on events.
+    /// In the run queue: its next request or slice is answered there.
     queued: bool,
     /// Requests served on this connection.
     served: usize,
@@ -75,6 +79,7 @@ impl Conn {
         Self {
             fd,
             parser: IncrementalParser::new(),
+            pending: None,
             out: Vec::new(),
             written: 0,
             eof: false,
@@ -97,7 +102,8 @@ struct Reactor {
     listener: Option<sys::Fd>,
     conns: HashMap<u64, Conn>,
     /// Connections with more buffered input than the request answered this
-    /// turn; each gets one more request after the next turn's events.
+    /// turn, or a batch with slices left; each gets one more request or slice
+    /// after the next turn's events.
     run_queue: Vec<u64>,
     next_token: u64,
     state: Arc<AppState>,
@@ -158,11 +164,12 @@ impl Reactor {
                 self.listener = None;
                 drain_deadline = Some(Instant::now() + DRAIN_DEADLINE);
                 // Connections between responses close now — a clean response
-                // boundary. Writes in flight keep their entries and finish.
+                // boundary. Batches and writes in flight keep their entries
+                // and finish.
                 let idle: Vec<u64> = self
                     .conns
                     .iter()
-                    .filter(|(_, conn)| conn.out.is_empty())
+                    .filter(|(_, conn)| conn.out.is_empty() && conn.pending.is_none())
                     .map(|(&token, _)| token)
                     .collect();
                 for token in idle {
@@ -239,10 +246,11 @@ impl Reactor {
         }
     }
 
-    /// Advances one connection by at most one request: reads what the
-    /// kernel holds, answers the next buffered request unless a response is
-    /// still going out, and writes. Returns `false` when the connection is
-    /// finished (the caller drops it, closing the fd).
+    /// Advances one connection by at most one request or batch slice: reads
+    /// what the kernel holds, answers the next buffered request (or steps its
+    /// batch) unless a response is still going out, and writes. Returns
+    /// `false` when the connection is finished (the caller drops it, closing
+    /// the fd).
     fn drive(&mut self, token: u64, conn: &mut Conn) -> bool {
         // Drain the edge (pipelined bytes buffer up behind the request being
         // answered), pausing above the memory bound.
@@ -258,12 +266,13 @@ impl Reactor {
             }
         }
         if conn.queued {
-            // The run queue answers this connection's next request.
+            // The run queue answers this connection's next request or slice.
             return true;
         }
-        if conn.out.is_empty() && !self.draining {
+        if conn.out.is_empty() && (!self.draining || conn.pending.is_some()) {
             match answer_next(
                 &mut conn.parser,
+                &mut conn.pending,
                 conn.eof,
                 &self.state,
                 &self.shutdown,
@@ -271,6 +280,11 @@ impl Reactor {
                 &mut conn.out,
             ) {
                 Answer::NeedMore => return !conn.eof,
+                Answer::Pending => {
+                    conn.queued = true;
+                    self.run_queue.push(token);
+                    return true;
+                }
                 Answer::KeepAlive => {
                     conn.served += 1;
                     conn.close_after_write = conn.served >= MAX_REQUESTS_PER_CONNECTION;

@@ -1,6 +1,6 @@
 //! Integration suite for the epoll reactors: graceful drain under load,
-//! idle-connection tracking, and fairness between a pipelining client and
-//! everyone else on its reactor.
+//! idle-connection tracking, and fairness between a pipelining client or a
+//! long `/v1/batch` and everyone else on its reactor.
 //!
 //! Servers here bind `127.0.0.1:0`; the reactors need Linux on x86_64 or
 //! aarch64.
@@ -9,13 +9,84 @@ use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ayd_obs::{MemorySink, SpanRecord};
-use ayd_serve::{HttpClient, PrometheusText, Server, ServerConfig};
+use ayd_serve::{ClientResponse, HttpClient, Json, PrometheusText, Sample, Server, ServerConfig};
 
 const OPTIMIZE_BODY: &str = r#"{"platform":"Hera","scenario":1,"lambda_multiplier":10}"#;
+
+/// Tests that install the process-wide span sink, or load the CPU with a
+/// batch, take turns.
+static TURNS: Mutex<()> = Mutex::new(());
+
+/// Installs a fresh span sink for the calling test, holding a turn.
+fn install_sink() -> (MutexGuard<'static, ()>, Arc<MemorySink>) {
+    let guard = TURNS.lock().unwrap_or_else(|poison| poison.into_inner());
+    let spans = Arc::new(MemorySink::new());
+    ayd_obs::set_sink(Some(spans.clone()));
+    (guard, spans)
+}
+
+/// A `/v1/batch` body of `n` queries no other test sends (`seed` tells the
+/// bodies apart), so each one runs the cold joint search.
+fn cold_batch(n: usize, seed: usize) -> String {
+    let query = |i: usize| {
+        let (scenario, multiplier) = (1 + i % 6, 1.0 + seed as f64 + i as f64 * 4.9e-3);
+        format!(
+            r#"{{"scenario":{scenario},"failure_model":"weibull:0.7","lambda_multiplier":{multiplier}}}"#
+        )
+    };
+    let queries: Vec<String> = (0..n).map(query).collect();
+    format!(r#"{{"queries":[{}]}}"#, queries.join(","))
+}
+
+/// Posts `body` to `/v1/batch` from a thread, on a connection of its own.
+fn post_batch(addr: &str, body: String) -> JoinHandle<ClientResponse> {
+    let addr = addr.to_string();
+    std::thread::spawn(move || {
+        let mut client = HttpClient::connect(&addr).unwrap();
+        client.post_json("/v1/batch", &body).unwrap()
+    })
+}
+
+/// `ayd_in_flight_requests{endpoint="batch"}`, scraped on a fresh connection.
+fn batches_in_flight(addr: &str) -> f64 {
+    let batch =
+        |s: &&Sample| s.name == "ayd_in_flight_requests" && s.label("endpoint") == Some("batch");
+    scrape(addr)
+        .samples
+        .iter()
+        .find(batch)
+        .map_or(0.0, |s| s.value)
+}
+
+/// Scrapes until a batch shows in flight. A scrape is answered between a
+/// batch's slices only if the batch does not hold the reactor, so this
+/// fails, rather than spins, once `batch` has finished.
+fn await_batch_in_flight<T>(addr: &str, batch: &JoinHandle<T>) {
+    while batches_in_flight(addr) < 1.0 {
+        assert!(
+            !batch.is_finished(),
+            "the batch finished before a request sharing its server saw it in flight"
+        );
+    }
+}
+
+/// The spans of the request whose response carried `trace_id`.
+fn trace_of<'a>(spans: &'a [SpanRecord], trace_id: &str) -> Vec<&'a SpanRecord> {
+    let ours = |s: &&SpanRecord| format!("{:016x}", s.trace) == trace_id;
+    spans.iter().filter(ours).collect()
+}
+
+/// The one span called `name` in `trace`.
+fn only<'a>(trace: &[&'a SpanRecord], name: &str) -> &'a SpanRecord {
+    let named: Vec<_> = trace.iter().filter(|s| s.name == name).collect();
+    assert_eq!(named.len(), 1, "{} `{name}` spans", named.len());
+    named[0]
+}
 
 fn boot(
     config: ServerConfig,
@@ -34,6 +105,14 @@ fn default_config() -> ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
         ..ServerConfig::default()
+    }
+}
+
+/// A 1-reactor server: every connection shares one reactor's turns.
+fn one_reactor() -> ServerConfig {
+    ServerConfig {
+        threads: 1,
+        ..default_config()
     }
 }
 
@@ -179,27 +258,23 @@ fn idle_connections_are_tracked_and_served_around() {
     thread.join().unwrap().unwrap();
 }
 
-/// Reads one response off `reader`; returns its status and trace ID.
-fn read_response(reader: &mut impl BufRead) -> (u16, String) {
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    let status = line.split(' ').nth(1).unwrap().parse().unwrap();
-    let (mut length, mut trace) = (0, String::new());
-    loop {
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-        if line == "\r\n" {
-            break;
-        }
-        if let Some(value) = line.strip_prefix("content-length: ") {
-            length = value.trim().parse().unwrap();
-        }
-        if let Some(value) = line.strip_prefix("x-ayd-trace-id: ") {
-            trace = value.trim().to_string();
-        }
+/// Reads one response off `reader`: its head (status line and headers, up
+/// to the blank line) and its body.
+fn read_response(reader: &mut impl BufRead) -> (String, Vec<u8>) {
+    let mut head = String::new();
+    while !head.ends_with("\r\n\r\n") {
+        let read = reader.read_line(&mut head).unwrap();
+        assert!(read > 0, "the connection closed mid-response: {head:?}");
     }
-    reader.read_exact(&mut vec![0; length]).unwrap();
-    (status, trace)
+    let mut body = vec![0; header(&head, "content-length").parse().unwrap()];
+    reader.read_exact(&mut body).unwrap();
+    (head, body)
+}
+
+/// A header's value in a response head (empty when absent).
+fn header<'a>(head: &'a str, name: &str) -> &'a str {
+    let value = |line: &'a str| line.strip_prefix(name)?.strip_prefix(": ");
+    head.lines().find_map(value).unwrap_or_default()
 }
 
 /// A connection gets one request answered per reactor turn, so a client
@@ -212,13 +287,9 @@ fn read_response(reader: &mut impl BufRead) -> (u16, String) {
 #[test]
 fn a_pipelining_client_cannot_hold_its_reactor() {
     const PIPELINED: usize = 2_000;
-    let (handle, thread) = boot(ServerConfig {
-        threads: 1,
-        ..default_config()
-    });
+    let (handle, thread) = boot(one_reactor());
     let addr = handle.addr().to_string();
-    let spans = Arc::new(MemorySink::new());
-    ayd_obs::set_sink(Some(spans.clone()));
+    let (_sink, spans) = install_sink();
     // B connects and warms the cache first: every request below is a hit,
     // and B's connection is already accepted.
     let mut b = HttpClient::connect(&addr).unwrap();
@@ -236,9 +307,9 @@ fn a_pipelining_client_cannot_hold_its_reactor() {
             let mut stream = BufReader::new(stream);
             let mut traces = HashSet::new();
             for _ in 0..PIPELINED {
-                let (status, trace) = read_response(&mut stream);
-                assert_eq!(status, 200);
-                traces.insert(trace);
+                let (head, _) = read_response(&mut stream);
+                assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+                traces.insert(header(&head, "x-ayd-trace-id").to_string());
                 replies.fetch_add(1, Ordering::SeqCst);
             }
             traces
@@ -268,20 +339,13 @@ fn a_pipelining_client_cannot_hold_its_reactor() {
     ayd_obs::set_sink(None);
 
     let spans = spans.take();
-    let hex = |s: &SpanRecord| format!("{:016x}", s.trace);
-    let start_of = |name: &str, trace: Option<&str>| {
-        let span = spans
-            .iter()
-            .find(|s| s.name == name && trace.is_none_or(|t| hex(s) == t));
-        span.expect("the span is recorded").start_ns
-    };
-    let sent = start_of("b_sends", None);
-    let answered = start_of("request", Some(&response.trace_id));
+    let sent = spans.iter().find(|s| s.name == "b_sends").unwrap().start_ns;
+    let answered = only(&trace_of(&spans, &response.trace_id), "request").start_ns;
     let a_answered = |from: u64, to: u64| {
         spans
             .iter()
             .filter(|s| s.name == "request" && (from..to).contains(&s.start_ns))
-            .filter(|s| a_traces.contains(&hex(s)))
+            .filter(|s| a_traces.contains(&format!("{:016x}", s.trace)))
             .count()
     };
     assert!(
@@ -296,5 +360,130 @@ fn a_pipelining_client_cannot_hold_its_reactor() {
 
     drop(b);
     handle.shutdown();
+    thread.join().unwrap().unwrap();
+}
+
+/// A `/v1/batch` is evaluated one slice of 8 queries per turn, so a long one
+/// cannot hold its reactor either: on a 1-reactor server, client B's warm
+/// `/v1/optimize` and `/metrics` scrape are answered while client A's cold
+/// 10,000-query batch (about 1 s in a debug build) is still being
+/// evaluated. The ordering comes from the server's own spans, so no
+/// wall-clock bound is involved.
+#[test]
+fn a_long_batch_cannot_hold_its_reactor() {
+    let (_sink, spans) = install_sink();
+    let (handle, thread) = boot(one_reactor());
+    let addr = handle.addr().to_string();
+    // B connects and warms the cache first: its optimize below is a hit.
+    let mut b = HttpClient::connect(&addr).unwrap();
+    b.post_json("/v1/optimize", OPTIMIZE_BODY).unwrap();
+    let a = post_batch(&addr, cold_batch(10_000, 0));
+    await_batch_in_flight(&addr, &a);
+    ayd_obs::root_span("b_sends", ayd_obs::fresh_trace_id()).finish();
+    let answered = b.post_json("/v1/optimize", OPTIMIZE_BODY).unwrap();
+    let in_flight = batches_in_flight(&addr);
+    let batch = a.join().unwrap();
+    ayd_obs::set_sink(None);
+    assert_eq!((answered.status, batch.status), (200, 200));
+    assert!(batch.body.starts_with(r#"{"count":10000,"#));
+
+    let spans = spans.take();
+    let sent = spans.iter().find(|s| s.name == "b_sends").unwrap().start_ns;
+    let a_trace = trace_of(&spans, &batch.trace_id);
+    let end_ns = |s: &SpanRecord| s.start_ns + s.duration_ns;
+    let a_end = end_ns(only(&a_trace, "request"));
+    let b_request = only(&trace_of(&spans, &answered.trace_id), "request");
+    assert!(
+        end_ns(only(&a_trace, "route")) < sent && sent < a_end,
+        "B did not send while A's batch was being evaluated; nothing was tested"
+    );
+    assert!(end_ns(b_request) < a_end, "B's request ended after A's");
+    let slices_between = a_trace
+        .iter()
+        .filter(|s| s.name == "evaluate" && (sent..b_request.start_ns).contains(&s.start_ns))
+        .count();
+    assert!(
+        slices_between <= 2,
+        "{slices_between} of A's slices started between B's send and B's request"
+    );
+    assert_eq!(in_flight, 1.0, "the scrape after B's request saw no batch");
+
+    handle.shutdown();
+    thread.join().unwrap().unwrap();
+}
+
+/// Two batches interleaved slice by slice on one reactor each trace as one
+/// request: one `request`, `parse`, `route` and `render`, plus one
+/// `evaluate` per slice parented to the batch's own `request`, however many
+/// turns of the other batch fell in between.
+#[test]
+fn interleaved_batches_each_trace_as_one_request() {
+    let (_sink, spans) = install_sink();
+    let (handle, thread) = boot(one_reactor());
+    let addr = handle.addr().to_string();
+    let (long, short) = (403, 45);
+    let x = post_batch(&addr, cold_batch(long, 1));
+    await_batch_in_flight(&addr, &x);
+    let y = post_batch(&addr, cold_batch(short, 2)).join().unwrap();
+    let x = x.join().unwrap();
+    ayd_obs::set_sink(None);
+
+    let spans = spans.take();
+    let slice_starts = |response: &ClientResponse, n: usize| {
+        assert_eq!(response.status, 200);
+        assert!(response.body.starts_with(&format!(r#"{{"count":{n},"#)));
+        let trace = trace_of(&spans, &response.trace_id);
+        let request = only(&trace, "request");
+        for stage in ["parse", "route", "render"] {
+            assert_eq!(only(&trace, stage).parent, request.id, "{stage}");
+        }
+        let slices: Vec<&&SpanRecord> = trace.iter().filter(|s| s.name == "evaluate").collect();
+        assert_eq!(slices.len(), n.div_ceil(8));
+        assert!(slices.iter().all(|s| s.parent == request.id));
+        assert_eq!(trace.len(), 4 + slices.len(), "spans of another request");
+        slices.iter().map(|s| s.start_ns).collect::<Vec<u64>>()
+    };
+    let (x_slices, y_slices) = (slice_starts(&x, long), slice_starts(&y, short));
+    let x_turns = x_slices[0]..x_slices[x_slices.len() - 1];
+    assert!(
+        y_slices.iter().any(|start| x_turns.contains(start)),
+        "the batches never interleaved; nothing was tested"
+    );
+
+    handle.shutdown();
+    thread.join().unwrap().unwrap();
+}
+
+/// Shutdown drains a batch in the middle of its slices instead of closing
+/// its connection: the client still gets the whole `200` with every result.
+/// The batch was in flight before shutdown began (a scrape saw it), and its
+/// `connection: close` shows it finished after.
+#[test]
+fn shutdown_finishes_a_batch_in_flight() {
+    const QUERIES: usize = 2_000;
+    let _turn = TURNS.lock().unwrap_or_else(|poison| poison.into_inner());
+    let (handle, thread) = boot(default_config());
+    let addr = handle.addr().to_string();
+    let body = cold_batch(QUERIES, 3);
+    let mut a = TcpStream::connect(&addr).unwrap();
+    let request = format!(
+        "POST /v1/batch HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let a = std::thread::spawn(move || {
+        a.write_all(request.as_bytes()).unwrap();
+        read_response(&mut BufReader::new(a))
+    });
+    await_batch_in_flight(&addr, &a);
+    handle.shutdown();
+
+    let (head, body) = a.join().unwrap();
+    assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+    assert_eq!(header(&head, "connection"), "close");
+    let doc = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+    let count = doc.get("count").and_then(Json::as_f64);
+    assert_eq!(count, Some(QUERIES as f64));
+    let results = doc.get("results").and_then(Json::as_array).unwrap();
+    assert_eq!(results.len(), QUERIES);
     thread.join().unwrap().unwrap();
 }

@@ -362,13 +362,16 @@ impl SweepExecutor {
         grid: &ScenarioGrid,
         mut sink: Box<dyn SweepSink>,
     ) -> SweepJobHandle {
-        let cells = grid.cells();
-        let total = cells.len();
+        let total = grid.len();
         let cancel = Arc::new(AtomicBool::new(false));
         let completed = Arc::new(AtomicUsize::new(0));
         let options = self.options;
         let (cancel_flag, progress) = (Arc::clone(&cancel), Arc::clone(&completed));
+        // The grid is flattened on the job's thread: callers may hold a lock
+        // (`ayd-serve` submits inside its job registry's).
+        let grid = grid.clone();
         let thread = std::thread::spawn(move || {
+            let cells = grid.cells();
             run_cells(
                 &options,
                 &cells,
@@ -782,7 +785,7 @@ pub fn evaluate_analytic_observed(
 /// shared cache, amortising the evaluator setup across the batch.
 /// Returns the evaluations in query order plus the merged fast/fallback tally
 /// of the cache-cold queries. Used by the sweep executor (per worker chunk)
-/// and `ayd-serve`'s `/v1/batch` fan-out.
+/// and `ayd-serve`'s `/v1/batch` (per slice, one slice per reactor turn).
 pub fn evaluate_many(
     queries: &[(ExactModel, Option<f64>, FailureModelSpec)],
     options: &SweepOptions,

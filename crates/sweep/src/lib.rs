@@ -59,7 +59,9 @@ pub use executor::{
     evaluate_many, AnalyticEval, ClosedForm, EvalObservation, SweepExecutor, SweepJobHandle,
     SweepJobResult, SweepJobStatus, SweepOptions, SweepResults, SweepRow,
 };
-pub use grid::{GridBuilder, GridError, LambdaAxis, ProcessorAxis, ScenarioGrid, SweepCell};
+pub use grid::{
+    cells_fingerprint, GridBuilder, GridError, LambdaAxis, ProcessorAxis, ScenarioGrid, SweepCell,
+};
 pub use manifest::{manifest_path, SweepManifest, MANIFEST_MAGIC};
 pub use misspec::{
     misspecification_of, misspecification_report, MisspecificationReport, MisspecificationRow,

@@ -14,10 +14,10 @@ use ayd_core::{ExactModel, FailureModelSpec, ModelError, ProfileSpec, SpeedupPro
 use ayd_platforms::{ExperimentSetup, Platform, PlatformId, ScenarioId};
 use ayd_sweep::{
     evaluate_analytic_observed, evaluate_many, write_csv_line, AnalyticEval, OperatingPoint,
-    ProcessorAxis, ScenarioGrid, SweepExecutor, SweepRow, CSV_HEADER,
+    ProcessorAxis, ScenarioGrid, SweepRow, CSV_HEADER,
 };
 
-use crate::app::{AppState, JobView};
+use crate::app::{AppState, DistributedJobHandle, JobHandle, JobView, LocalJob};
 use crate::http::{Request, Response};
 use crate::json::Json;
 
@@ -1062,54 +1062,28 @@ pub fn parse_grid(body: &Json) -> Result<ScenarioGrid, ApiError> {
     builder.build().map_err(|e| ApiError::plain(e.to_string()))
 }
 
-/// The opaque resume token of a sharded job: the job id plus the grid and
-/// options fingerprints, so a resumed submission can be validated against
-/// the exact sweep the token came from.
-fn resume_token(id: u64, grid_fingerprint: u64, options_fingerprint: u64) -> String {
-    format!("{id}-{grid_fingerprint:016x}{options_fingerprint:016x}")
-}
-
-fn parse_resume_token(token: &str) -> Result<(u64, u64, u64), ApiError> {
-    let bad = || {
-        ApiError::field(
+/// Parses the optional shard count of a `/v1/sweep` body. A body that
+/// still carries the retired `resume_token` is refused by name on every
+/// role: its job would compute the same bytes, but the client must not
+/// believe it resumed anything.
+fn parse_shards(body: &Json) -> Result<Option<usize>, ApiError> {
+    if body.get("resume_token").is_some() {
+        return Err(ApiError::field(
             "resume_token",
-            "resume_token must be a token returned by a sharded sweep submission",
-        )
-    };
-    let (id, prints) = token.split_once('-').ok_or_else(bad)?;
-    if prints.len() != 32 {
-        return Err(bad());
+            "sweep jobs take no resume_token; resubmit the grid without one",
+        ));
     }
-    Ok((
-        id.parse().map_err(|_| bad())?,
-        u64::from_str_radix(&prints[..16], 16).map_err(|_| bad())?,
-        u64::from_str_radix(&prints[16..], 16).map_err(|_| bad())?,
-    ))
-}
-
-/// Parses the sharding fields of a `/v1/sweep` body: the optional shard
-/// count and the optional resume token of an earlier cancelled sharded job.
-fn parse_shards(body: &Json) -> Result<(Option<usize>, Option<&str>), ApiError> {
-    let shards = match field_f64(body, "shards")? {
-        None => None,
-        Some(count) => {
-            let max = ayd_sweep::MAX_SHARDS as f64;
-            if count.fract() != 0.0 || count < 1.0 || count > max {
-                return Err(ApiError::field(
-                    "shards",
-                    format!("shards must be an integer in 1..={max}, got {count}"),
-                ));
-            }
-            Some(count as usize)
-        }
+    let Some(count) = field_f64(body, "shards")? else {
+        return Ok(None);
     };
-    let token = match body.get("resume_token") {
-        None | Some(Json::Null) => None,
-        Some(value) => Some(value.as_str().ok_or_else(|| {
-            ApiError::field("resume_token", "field 'resume_token' must be a string")
-        })?),
-    };
-    Ok((shards, token))
+    let max = ayd_sweep::MAX_SHARDS as f64;
+    if count.fract() != 0.0 || count < 1.0 || count > max {
+        return Err(ApiError::field(
+            "shards",
+            format!("shards must be an integer in 1..={max}, got {count}"),
+        ));
+    }
+    Ok(Some(count as usize))
 }
 
 /// `POST /v1/workers/register` (coordinator only): registers a worker node
@@ -1350,182 +1324,72 @@ fn sweep_submit(state: &Arc<AppState>, req: &Request) -> Response {
         Ok(grid) => grid,
         Err(error) => return error.response(),
     };
-    if grid.len() > state.max_sweep_cells {
+    let cells = grid.len();
+    if cells > state.max_sweep_cells {
         return bad_request(&format!(
-            "grid has {} cells; this server accepts at most {}",
-            grid.len(),
+            "grid has {cells} cells; this server accepts at most {}",
             state.max_sweep_cells
         ));
     }
-    let (shards, token) = match parse_shards(&body) {
-        Ok(parsed) => parsed,
+    let shards = match parse_shards(&body) {
+        Ok(shards) => shards,
         Err(error) => return error.response(),
     };
-    // Coordinator mode: a sharded submission becomes a distributed job whose
-    // shards are dispatched to registered workers. Resume tokens are a
-    // single-process concept — here the coordinator's own checkpoints drive
-    // re-issue, so a token is a caller error, not something to silently drop.
-    if let Some(coordinator) = &state.coordinator {
-        if token.is_some() {
-            return ApiError::field(
-                "resume_token",
-                "coordinator mode does not support resume tokens; \
-                 shards re-issue from worker checkpoints automatically",
-            )
-            .response();
-        }
-        if let Some(count) = shards {
+    let submitted = match (&state.coordinator, shards) {
+        // Coordinator mode: a sharded submission becomes a distributed job
+        // whose shards are dispatched to registered workers, which check
+        // their chunks against the grid's fingerprint.
+        (Some(coordinator), Some(count)) => {
             let grid_fingerprint = grid.fingerprint();
             let options_fingerprint = state.options.output_fingerprint();
             let grid_json = body.render();
-            let grid_cells = grid.len();
-            let Some(id) = state.jobs.try_submit(state.max_jobs, |id| {
+            state.jobs.try_submit(state.max_jobs, |id| {
                 coordinator.submit(
                     id,
                     grid_json,
                     grid_fingerprint,
                     options_fingerprint,
                     count,
-                    grid_cells,
+                    cells,
                 );
-                crate::app::JobHandle::Distributed(crate::app::DistributedJobHandle {
+                JobHandle::Distributed(DistributedJobHandle {
                     coordinator: Arc::clone(coordinator),
                     id,
                 })
-            }) else {
-                return Response::error(
-                    503,
-                    "Service Unavailable",
-                    "too many sweeps running; retry later",
-                );
-            };
-            return Response::json_status(
-                202,
-                "Accepted",
-                &Json::obj(vec![
-                    ("id", Json::num(id as f64)),
-                    ("status", Json::str("running")),
-                    ("cells", Json::num(grid_cells as f64)),
-                    ("shards", Json::num(count as f64)),
-                    ("resume_token", Json::Null),
-                    ("href", Json::str(format!("/v1/sweep/{id}"))),
-                    ("shards_href", Json::str(format!("/v1/sweep/{id}/shards"))),
-                ]),
-            );
+            })
         }
-        // No `shards` requested: the coordinator still serves plain
-        // in-process sweeps like any other node.
-    }
-    // A resume token implies a sharded job; its shard count defaults to the
-    // cancelled job's (an explicit mismatching `shards` is rejected below).
-    let sharded = shards.is_some() || token.is_some();
-    if !sharded {
-        let Some(id) = state.jobs.try_submit(state.max_jobs, |_| {
-            crate::app::JobHandle::Plain(SweepExecutor::new(state.options).spawn(&grid))
-        }) else {
-            return Response::error(
-                503,
-                "Service Unavailable",
-                "too many sweeps running; retry later",
-            );
-        };
-        return Response::json_status(
-            202,
-            "Accepted",
-            &Json::obj(vec![
-                ("id", Json::num(id as f64)),
-                ("status", Json::str("running")),
-                ("cells", Json::num(grid.len() as f64)),
-                ("shards", Json::Null),
-                ("resume_token", Json::Null),
-                ("href", Json::str(format!("/v1/sweep/{id}"))),
-            ]),
-        );
-    }
-
-    // Flattened once, outside the registry lock: the fingerprint hashes the
-    // cell list, and the job's shards run on it.
-    let cells = grid.cells();
-    let grid_fingerprint = ayd_sweep::cells_fingerprint(&cells);
-    let options_fingerprint = state.options.output_fingerprint();
-    let resumed = match token {
-        None => None,
-        Some(token) => {
-            let (old_id, old_grid, old_options) = match parse_resume_token(token) {
-                Ok(parsed) => parsed,
-                Err(error) => return error.response(),
-            };
-            if old_grid != grid_fingerprint || old_options != options_fingerprint {
-                return ApiError::field(
-                    "resume_token",
-                    "resume_token belongs to a different grid or server configuration",
-                )
-                .response();
-            }
-            // One atomic lookup validates the token and (when the body gave
-            // no explicit `shards`) adopts the cancelled job's shard count.
-            match state
-                .jobs
-                .resume_rows(old_id, grid_fingerprint, options_fingerprint, shards)
-            {
-                Ok((count, rows)) => Some((count, rows)),
-                Err(reason) => return ApiError::field("resume_token", reason).response(),
-            }
-        }
+        // Every other job runs in this process, coordinators included.
+        _ => state.jobs.try_submit(state.max_jobs, |_| {
+            JobHandle::Local(LocalJob::spawn(state.options, grid, shards))
+        }),
     };
-    let (count, resumed_rows) = match resumed {
-        Some((count, rows)) => (count, rows),
-        None => match shards {
-            Some(count) => (count, vec![None; count]),
-            // Unreachable while the plain-job early return above holds, but a
-            // logic slip here must answer 500, not panic the worker.
-            None => {
-                return Response::error(
-                    500,
-                    "Internal Server Error",
-                    "sweep submission lost its shard count",
-                )
-            }
-        },
-    };
-    let Some(id) = state.jobs.try_submit(state.max_jobs, |_| {
-        crate::app::JobHandle::Sharded(crate::app::spawn_sharded(
-            state.options,
-            cells,
-            count,
-            resumed_rows,
-            grid_fingerprint,
-            options_fingerprint,
-        ))
-    }) else {
+    let Some(id) = submitted else {
         return Response::error(
             503,
             "Service Unavailable",
             "too many sweeps running; retry later",
         );
     };
-    Response::json_status(
-        202,
-        "Accepted",
-        &Json::obj(vec![
-            ("id", Json::num(id as f64)),
-            ("status", Json::str("running")),
-            ("cells", Json::num(grid.len() as f64)),
-            ("shards", Json::num(count as f64)),
-            (
-                "resume_token",
-                Json::str(resume_token(id, grid_fingerprint, options_fingerprint)),
-            ),
-            ("href", Json::str(format!("/v1/sweep/{id}"))),
-            ("shards_href", Json::str(format!("/v1/sweep/{id}/shards"))),
-        ]),
-    )
+    let mut doc = vec![
+        ("id", Json::num(id as f64)),
+        ("status", Json::str("running")),
+        ("cells", Json::num(cells as f64)),
+        (
+            "shards",
+            shards.map_or(Json::Null, |count| Json::num(count as f64)),
+        ),
+        ("href", Json::str(format!("/v1/sweep/{id}"))),
+    ];
+    if shards.is_some() {
+        doc.push(("shards_href", Json::str(format!("/v1/sweep/{id}/shards"))));
+    }
+    Response::json_status(202, "Accepted", &Json::obj(doc))
 }
 
 /// `GET /v1/sweep/{id}/shards`: per-shard progress of a sharded job. On a
 /// coordinator the distributed view is richer — which worker owns each
 /// shard, its fencing epoch and how often it re-issued — so it is consulted
-/// first; plain and locally-sharded jobs fall back to the registry view.
+/// first; local jobs fall back to the registry view.
 fn sweep_shards(state: &Arc<AppState>, id: u64) -> Response {
     if let Some(coordinator) = &state.coordinator {
         if let Some(view) = coordinator.shards_view(id) {
@@ -1635,7 +1499,7 @@ fn sweep_cancel(state: &Arc<AppState>, id: u64) -> Response {
 mod tests {
     use super::*;
     use crate::app::ServerConfig;
-    use ayd_sweep::{Evaluator, RunOptions, SweepOptions, CSV_HEADER};
+    use ayd_sweep::{Evaluator, RunOptions, SweepExecutor, SweepOptions, CSV_HEADER};
 
     fn state() -> Arc<AppState> {
         AppState::new(&ServerConfig {
@@ -1850,89 +1714,73 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sweep_jobs_report_shards_and_honour_resume_tokens() {
+    fn sharded_sweep_jobs_report_shards_and_refuse_resume_tokens() {
         let state = state();
-        let body = r#"{"platforms":["Hera"],"scenarios":[1,3],"lambda_multipliers":[1,10],
-                       "processors":[256,1024],"shards":3}"#;
-        let (_, accepted) = route(&state, &post("/v1/sweep", body));
-        assert_eq!(accepted.status, 202);
-        let doc = Json::parse(std::str::from_utf8(&accepted.body).unwrap()).unwrap();
-        let id = doc.get("id").unwrap().as_f64().unwrap() as u64;
-        assert_eq!(doc.get("shards").unwrap().as_f64(), Some(3.0));
-        let token = doc
-            .get("resume_token")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .to_string();
-
-        // Wait for the CSV; it must equal the unsharded engine's bytes.
-        let csv = loop {
-            let (_, poll) = route(&state, &get(&format!("/v1/sweep/{id}")));
-            if poll.content_type.starts_with("text/csv") {
-                break String::from_utf8(poll.body).unwrap();
-            }
-            std::thread::yield_now();
-        };
-        let grid = ScenarioGrid::builder()
-            .platforms(&[PlatformId::Hera])
-            .scenarios(&[ScenarioId::S1, ScenarioId::S3])
-            .lambda_multipliers(&[1.0, 10.0])
-            .processors(ProcessorAxis::Fixed(vec![256.0, 1024.0]))
-            .build()
-            .unwrap();
-        assert_eq!(csv, SweepExecutor::new(state.options).run(&grid).to_csv());
-
-        // The shards view accounts for every cell.
-        let (endpoint, shards) = route(&state, &get(&format!("/v1/sweep/{id}/shards")));
-        assert_eq!((endpoint, shards.status), ("sweep_shards", 200));
-        let doc = Json::parse(std::str::from_utf8(&shards.body).unwrap()).unwrap();
-        let progress = doc.get("progress").unwrap().as_array().unwrap();
-        assert_eq!(progress.len(), 3);
-        let total: f64 = progress
-            .iter()
-            .map(|p| p.get("total").unwrap().as_f64().unwrap())
-            .sum();
-        assert_eq!(total as usize, grid.len());
-
-        // Resuming a *completed* job is a structured 400 pointing the client
-        // at the CSV it can already fetch (resume rows are only retained for
-        // cancelled jobs; the registry-level reuse path is unit-tested in
-        // `app::tests::resume_rows_reuses_finished_shards_…`).
-        let resume_body = format!(
-            r#"{{"platforms":["Hera"],"scenarios":[1,3],"lambda_multipliers":[1,10],
-                "processors":[256,1024],"resume_token":"{token}"}}"#
-        );
-        let (_, resumed) = route(&state, &post("/v1/sweep", &resume_body));
-        assert_eq!(resumed.status, 400, "{:?}", String::from_utf8(resumed.body));
-        let message = String::from_utf8(resumed.body).unwrap();
-        assert!(message.contains("completed"), "{message}");
-
-        // A resume token against a different grid is a structured 400; so are
-        // malformed tokens and out-of-range shard counts.
-        let (_, mismatched) = route(
-            &state,
-            &post(
-                "/v1/sweep",
-                &format!(r#"{{"scenarios":[1],"resume_token":"{token}"}}"#),
+        // A 3-shard job, and a 2-cell grid split into more shards than cells.
+        for (body, count) in [
+            (
+                r#"{"platforms":["Hera"],"scenarios":[1,3],"lambda_multipliers":[1,10],
+                    "processors":[256,1024],"shards":3}"#,
+                3,
             ),
-        );
-        assert_eq!(mismatched.status, 400);
-        let message = String::from_utf8(mismatched.body).unwrap();
-        assert!(message.contains("resume_token"), "{message}");
-        let (_, bad_token) = route(
-            &state,
-            &post("/v1/sweep", r#"{"scenarios":[1],"resume_token":"nope"}"#),
-        );
-        assert_eq!(bad_token.status, 400);
-        let (_, bad_shards) = route(&state, &post("/v1/sweep", r#"{"shards":0}"#));
-        assert_eq!(bad_shards.status, 400);
-        let (_, frac_shards) = route(&state, &post("/v1/sweep", r#"{"shards":2.5}"#));
-        assert_eq!(frac_shards.status, 400);
+            (r#"{"scenarios":[1],"processors":[256,1024],"shards":4}"#, 4),
+        ] {
+            let (_, accepted) = route(&state, &post("/v1/sweep", body));
+            assert_eq!(accepted.status, 202);
+            let doc = Json::parse(std::str::from_utf8(&accepted.body).unwrap()).unwrap();
+            let id = doc.get("id").unwrap().as_f64().unwrap() as u64;
+            assert_eq!(doc.get("shards").unwrap().as_f64(), Some(count as f64));
+            assert!(doc.get("resume_token").is_none(), "{doc:?}");
+
+            // Wait for the CSV; it must equal the unsharded engine's bytes.
+            let csv = loop {
+                let (_, poll) = route(&state, &get(&format!("/v1/sweep/{id}")));
+                if poll.content_type.starts_with("text/csv") {
+                    break String::from_utf8(poll.body).unwrap();
+                }
+                std::thread::yield_now();
+            };
+            let grid = parse_grid(&Json::parse(body).unwrap()).unwrap();
+            assert_eq!(csv, SweepExecutor::new(state.options).run(&grid).to_csv());
+
+            // The shards view accounts for every cell, every shard done.
+            let (endpoint, shards) = route(&state, &get(&format!("/v1/sweep/{id}/shards")));
+            assert_eq!((endpoint, shards.status), ("sweep_shards", 200));
+            let doc = Json::parse(std::str::from_utf8(&shards.body).unwrap()).unwrap();
+            let progress = doc.get("progress").unwrap().as_array().unwrap();
+            assert_eq!(progress.len(), count);
+            let total: f64 = progress
+                .iter()
+                .map(|p| p.get("total").unwrap().as_f64().unwrap())
+                .sum();
+            assert_eq!(total as usize, grid.len());
+            assert!(progress
+                .iter()
+                .all(|p| p.get("status").unwrap().as_str() == Some("done")));
+        }
+
+        // Resume tokens are gone: a body carrying one, or any other bad
+        // sharding field, is a structured 400 naming it.
+        for (body, field) in [
+            (
+                r#"{"scenarios":[1],"shards":2,"resume_token":"1-00"}"#,
+                "resume_token",
+            ),
+            (r#"{"scenarios":[1],"resume_token":null}"#, "resume_token"),
+            (r#"{"shards":0}"#, "shards"),
+            (r#"{"shards":2.5}"#, "shards"),
+        ] {
+            let (_, refused) = route(&state, &post("/v1/sweep", body));
+            assert_eq!(refused.status, 400, "{body}");
+            let doc = Json::parse(std::str::from_utf8(&refused.body).unwrap()).unwrap();
+            assert_eq!(doc.get("field").and_then(Json::as_str), Some(field));
+        }
 
         // The shards view of a plain job says "not sharded"; unknown ids 404.
         let (_, plain) = route(&state, &post("/v1/sweep", r#"{"scenarios":[1]}"#));
         let doc = Json::parse(std::str::from_utf8(&plain.body).unwrap()).unwrap();
+        assert!(matches!(doc.get("shards"), Some(Json::Null)));
+        assert!(doc.get("shards_href").is_none());
         let plain_id = doc.get("id").unwrap().as_f64().unwrap() as u64;
         let (_, view) = route(&state, &get(&format!("/v1/sweep/{plain_id}/shards")));
         assert_eq!(view.status, 400);
@@ -2213,8 +2061,7 @@ mod tests {
         let doc = body_json(&response);
         let id = doc.get("id").unwrap().as_f64().unwrap() as u64;
         assert_eq!(doc.get("shards").unwrap().as_f64().unwrap(), 2.0);
-        // Distributed jobs have no resume token: re-issue is automatic.
-        assert!(matches!(doc.get("resume_token"), Some(Json::Null)));
+        assert!(doc.get("resume_token").is_none());
 
         // The coordinator's shards view is the enriched one: per-worker
         // assignment, fencing epoch, re-issue count, merged-row watermark.
@@ -2247,17 +2094,27 @@ mod tests {
 
     #[test]
     fn distributed_submissions_reject_resume_tokens() {
-        let state = coordinator_state();
-        let body = r#"{"platforms":["Hera"],"scenarios":[1],"processors":[256],"shards":1,"resume_token":"0000000000000001:0000000000000002:0000000000000003"}"#;
-        let (_, response) = route(&state, &post("/v1/sweep", body));
-        assert_eq!(response.status, 400);
-        let doc = body_json(&response);
-        assert!(doc
-            .get("reason")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("coordinator mode does not support resume tokens"));
+        // The same structured 400 on every role: coordinator, standalone
+        // and worker.
+        let worker = AppState::new(&ServerConfig {
+            threads: 2,
+            cluster: crate::app::ClusterConfig {
+                worker_of: Some("127.0.0.1:9".to_string()),
+                ..crate::app::ClusterConfig::default()
+            },
+            ..ServerConfig::default()
+        });
+        let body = r#"{"platforms":["Hera"],"scenarios":[1],"processors":[256],"shards":1,"resume_token":"1-0000000000000002"}"#;
+        for state in [coordinator_state(), state(), worker] {
+            let (_, response) = route(&state, &post("/v1/sweep", body));
+            assert_eq!(response.status, 400);
+            let doc = body_json(&response);
+            assert_eq!(
+                doc.get("field").and_then(Json::as_str),
+                Some("resume_token")
+            );
+            assert_eq!(state.jobs.running_count(), 0, "no job was started");
+        }
     }
 
     #[test]

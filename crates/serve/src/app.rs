@@ -1,13 +1,22 @@
-//! Server configuration and shared application state.
+//! Server configuration and shared application state: the evaluation
+//! cache, the metrics registry and the sweep-job registry.
+//!
+//! A sweep job is a [`LocalJob`], evaluated in this process, or — on a
+//! coordinator, for a job submitted with `shards` — a distributed job whose
+//! shards the [`Coordinator`] dispatches to worker nodes. Both assemble
+//! their CSV by one rule: the header, then the shards' text in shard order,
+//! ending with the first incomplete shard's rows. That is the in-order
+//! prefix of the sweep: the whole unsharded CSV for a completed job, a
+//! byte prefix of it for a cancelled one.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ayd_sweep::{
-    AnalyticEval, CacheStats, NullSink, RunOptions, ShardSpec, ShardedEvalCache, SweepCell,
-    SweepExecutor, SweepJobHandle, SweepOptions, CSV_HEADER,
+    AnalyticEval, CacheStats, NullSink, RunOptions, ScenarioGrid, ShardSpec, ShardedEvalCache,
+    SweepExecutor, SweepOptions, SweepSink, CSV_HEADER,
 };
 
 use crate::coordinator::Coordinator;
@@ -141,51 +150,30 @@ impl AppState {
 /// A finished (or cancelled) sweep job, kept for later retrieval.
 #[derive(Debug)]
 pub struct FinishedJob {
-    /// True when the job was cancelled before evaluating every cell.
+    /// True when the job ended before evaluating every cell.
     pub cancelled: bool,
-    /// Number of evaluated rows.
+    /// Number of rows in `csv`.
     pub rows: usize,
-    /// The canonical sweep CSV of the evaluated rows.
+    /// The canonical sweep CSV of the job's in-order prefix: the whole
+    /// sweep for a completed job.
     pub csv: String,
     /// The job's own memoisation-cache counters.
     pub cache: CacheStats,
-    /// Per-shard outcome of a sharded job (`None` for plain jobs). Retained
-    /// so a cancelled job's finished shards can seed a resumed submission.
-    pub shards: Option<FinishedShards>,
+    /// Cells each shard owns (`None` for a job submitted without `shards`).
+    pub shards: Option<Vec<usize>>,
 }
 
-/// The retained shard state of a finished sharded job.
-#[derive(Debug)]
-pub struct FinishedShards {
-    /// Shard count of the job.
-    pub count: usize,
-    /// Fingerprint of the job's grid (resume submissions must match it).
-    pub grid_fingerprint: u64,
-    /// Fingerprint of the job's output-relevant options.
-    pub options_fingerprint: u64,
-    /// Cells each shard owns.
-    pub totals: Vec<usize>,
-    /// Rows each shard materialised (equal to `totals` entries when done).
-    pub completed: Vec<usize>,
-    /// Where each finished shard's lines sit in the job's `csv` (`None` for
-    /// a shard that never finished): a cancelled job's `resume_token` reuses
-    /// them. The lines are the job's CSV itself, so keeping them costs
-    /// nothing. `None` for distributed jobs, which the coordinator resumes
-    /// from its own checkpoints.
-    pub shard_lines: Option<Vec<Option<Range<usize>>>>,
-}
-
-/// Progress states of one shard of a sharded job.
-const SHARD_PENDING: u8 = 0;
-const SHARD_RUNNING: u8 = 1;
-const SHARD_DONE: u8 = 2;
-const SHARD_REUSED: u8 = 3;
-
-/// Shared progress cell of one shard.
-struct ShardSlot {
-    total: usize,
-    completed: AtomicUsize,
-    state: AtomicU8,
+impl FinishedJob {
+    /// A job that evaluated nothing: the header-only CSV, marked cancelled.
+    fn empty(shards: Option<Vec<usize>>) -> Self {
+        Self {
+            cancelled: true,
+            rows: 0,
+            csv: format!("{CSV_HEADER}\n"),
+            cache: CacheStats::default(),
+            shards,
+        }
+    }
 }
 
 /// One shard's progress, as reported by `GET /v1/sweep/{id}/shards`.
@@ -195,216 +183,132 @@ pub struct ShardView {
     pub index: usize,
     /// Cells the shard owns.
     pub total: usize,
-    /// Cells evaluated (or reused) so far.
+    /// Cells evaluated so far.
     pub completed: usize,
-    /// `pending`, `running`, `done` or `reused`.
+    /// `pending`, `running` or `done`.
     pub status: &'static str,
 }
 
-/// Per-shard CSV lines (no header) of a cancelled job, to seed a resumed
-/// one: `None` marks a shard that never completed.
-pub type ShardLines = Vec<Option<String>>;
-
-/// Result a sharded controller thread hands back on join.
-struct ShardedOutcome {
-    /// The job's CSV: the header, then each finished shard's lines in shard
-    /// order, appended as the shard finished.
-    csv: String,
-    /// Each shard's lines within `csv`; `None` marks a shard that never
-    /// completed.
-    shard_lines: Vec<Option<Range<usize>>>,
-    cache: CacheStats,
+/// The shard views of a job whose first `done` cells, in cell order, are
+/// evaluated. Shards own contiguous, ascending ranges of cells, so shard
+/// `i` has completed `clamp(done − start_i, 0, total_i)` of them.
+fn shard_views(totals: &[usize], done: usize) -> Vec<ShardView> {
+    let mut start = 0;
+    totals
+        .iter()
+        .enumerate()
+        .map(|(index, &total)| {
+            let completed = done.clamp(start, start + total) - start;
+            start += total;
+            ShardView {
+                index,
+                total,
+                completed,
+                status: match completed {
+                    c if c == total => "done",
+                    0 => "pending",
+                    _ => "running",
+                },
+            }
+        })
+        .collect()
 }
 
-/// Handle on a sharded sweep job: shards run one after another on a
-/// controller thread (each shard still fans its cells out over the
-/// executor's worker pool), so cancellation loses at most the shard in
-/// flight — finished shards stay reusable through `resume_token`.
-pub struct ShardedJobHandle {
-    slots: Arc<Vec<ShardSlot>>,
+/// A sweep job evaluated in this process. Its thread flattens the grid,
+/// then runs each shard's [`ShardSpec::range`] in order through
+/// [`SweepExecutor::run_cells_controlled`] (each range fanned out over the
+/// executor's workers), appends the range's CSV text to the job's CSV and
+/// drops its rows. Ranges run one after another, so one progress counter
+/// tells how far the job, and each of its shards, has come. A cancelled
+/// job keeps its in-order prefix: every finished range plus the evaluated
+/// prefix of the range in flight.
+pub struct LocalJob {
+    total: usize,
+    /// Cells each shard owns (`None` for a job submitted without `shards`).
+    shards: Option<Vec<usize>>,
+    progress: Arc<AtomicUsize>,
     cancel: Arc<AtomicBool>,
-    grid_fingerprint: u64,
-    options_fingerprint: u64,
-    thread: std::thread::JoinHandle<ShardedOutcome>,
+    thread: std::thread::JoinHandle<FinishedJob>,
 }
 
-/// Spawns a sharded sweep job. `resumed[i]`, when present, short-circuits
-/// shard `i` with the CSV lines an earlier (cancelled) job computed for it —
-/// they are byte-identical to a fresh evaluation by the determinism
-/// contract, so the reuse is observationally a pure speed-up.
-///
-/// `cells` is the grid's flattened cell list, which its fingerprint was
-/// computed from: callers run inside the job registry's submit lock (on a
-/// reactor), so this flattens nothing and only sizes the shards
-/// ([`ShardSpec::range`]); the controller thread runs each shard on its
-/// range of the one list.
-pub fn spawn_sharded(
-    options: SweepOptions,
-    cells: Vec<SweepCell>,
-    count: usize,
-    resumed: ShardLines,
-    grid_fingerprint: u64,
-    options_fingerprint: u64,
-) -> ShardedJobHandle {
-    debug_assert_eq!(resumed.len(), count);
-    let total = cells.len();
-    let specs: Vec<ShardSpec> = (0..count)
-        .map(|index| ShardSpec::new(index, count).expect("validated by the API layer"))
-        .collect();
-    let slots: Arc<Vec<ShardSlot>> = Arc::new(
-        specs
-            .iter()
-            .map(|spec| ShardSlot {
-                total: spec.range(total).len(),
-                completed: AtomicUsize::new(0),
-                state: AtomicU8::new(SHARD_PENDING),
-            })
-            .collect(),
-    );
-    let cancel = Arc::new(AtomicBool::new(false));
-    let (worker_slots, worker_cancel) = (Arc::clone(&slots), Arc::clone(&cancel));
-    let thread = std::thread::spawn(move || {
-        let executor = SweepExecutor::new(options);
-        let mut csv = format!("{CSV_HEADER}\n");
-        let mut shard_lines: Vec<Option<Range<usize>>> = vec![None; specs.len()];
-        let mut cache = CacheStats::default();
-        for (index, (spec, reused)) in specs.iter().zip(resumed).enumerate() {
-            let cells = &cells[spec.range(total)];
-            let slot = &worker_slots[index];
-            if let Some(lines) = reused {
-                let start = csv.len();
-                csv.push_str(&lines);
-                shard_lines[index] = Some(start..csv.len());
-                // Release pairs with shard_views' Acquire load of `state`: a
-                // reader that sees REUSED also sees the completed count.
-                slot.completed.store(slot.total, Ordering::Relaxed);
-                slot.state.store(SHARD_REUSED, Ordering::Release);
-                continue;
-            }
-            if worker_cancel.load(Ordering::Relaxed) {
-                // `continue`, not `break`: shards resumed from an earlier job
-                // must still be drained into the retained state, or a
-                // cancel-during-resume would throw their finished rows away.
-                continue;
-            }
-            slot.state.store(SHARD_RUNNING, Ordering::Relaxed);
-            let results = executor.run_cells_controlled(
-                cells,
-                &mut NullSink,
-                Some(&worker_cancel),
-                Some(&slot.completed),
-            );
-            cache = cache.merged(results.cache);
-            if results.rows.len() == cells.len() {
-                // Release for the same reason as the REUSED store above: the
-                // workers' progress increments happened-before the scope join,
-                // so a reader that sees DONE sees the full count.
-                slot.state.store(SHARD_DONE, Ordering::Release);
-                let start = csv.len();
-                csv.push_str(results.csv_body());
-                shard_lines[index] = Some(start..csv.len());
-            }
-            // The shard's rows are dropped here: its lines are all the job
-            // keeps. A partially evaluated shard is discarded, lines and all:
-            // resume granularity is whole shards, and partial rows would not
-            // be addressable by the resume token anyway.
-        }
-        ShardedOutcome {
-            csv,
-            shard_lines,
-            cache,
-        }
-    });
-    ShardedJobHandle {
-        slots,
-        cancel,
-        grid_fingerprint,
-        options_fingerprint,
-        thread,
+impl LocalJob {
+    /// Starts a job over `grid` in `shards` contiguous ranges (one when
+    /// `None`). Callers hold the job registry's lock on a reactor, so the
+    /// grid is flattened on the job's thread, not here.
+    pub fn spawn(options: SweepOptions, grid: ScenarioGrid, shards: Option<usize>) -> Self {
+        Self::spawn_with_sink(options, grid, shards, NullSink)
     }
-}
 
-impl ShardedJobHandle {
-    fn total(&self) -> usize {
-        self.slots.iter().map(|s| s.total).sum()
+    /// [`Self::spawn`], streaming each row's CSV line into `sink` in cell
+    /// order: a test gates a job with it.
+    fn spawn_with_sink(
+        options: SweepOptions,
+        grid: ScenarioGrid,
+        shards: Option<usize>,
+        mut sink: impl SweepSink + 'static,
+    ) -> Self {
+        let total = grid.len();
+        let count = shards.unwrap_or(1);
+        let ranges: Vec<Range<usize>> = (0..count)
+            .map(|index| {
+                ShardSpec::new(index, count)
+                    .expect("validated by the API layer")
+                    .range(total)
+            })
+            .collect();
+        let shards = shards.map(|_| ranges.iter().map(|range| range.len()).collect::<Vec<_>>());
+        let progress = Arc::new(AtomicUsize::new(0));
+        let cancel = Arc::new(AtomicBool::new(false));
+        let (job_progress, job_cancel) = (Arc::clone(&progress), Arc::clone(&cancel));
+        let mut job = FinishedJob::empty(shards.clone());
+        let thread = std::thread::spawn(move || {
+            let cells = grid.cells();
+            let executor = SweepExecutor::new(options);
+            for range in ranges {
+                let len = range.len();
+                let results = executor.run_cells_controlled(
+                    &cells[range],
+                    &mut sink,
+                    Some(&job_cancel),
+                    Some(&job_progress),
+                );
+                job.cache = job.cache.merged(results.cache);
+                job.rows += results.rows.len();
+                job.csv.push_str(results.csv_body());
+                if results.rows.len() < len {
+                    // Cancelled: the CSV ends with this range's prefix.
+                    break;
+                }
+            }
+            job.cancelled = job.rows < total;
+            job
+        });
+        Self {
+            total,
+            shards,
+            progress,
+            cancel,
+            thread,
+        }
     }
 
     fn completed(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.completed.load(Ordering::Relaxed).min(s.total))
-            .sum()
-    }
-
-    fn shard_views(&self) -> Vec<ShardView> {
-        self.slots
-            .iter()
-            .enumerate()
-            .map(|(index, slot)| {
-                // Acquire the state *first*: it pairs with the controller's
-                // Release stores, so a DONE/REUSED status is never reported
-                // with a stale (lower) completed count.
-                let status = match slot.state.load(Ordering::Acquire) {
-                    SHARD_RUNNING => "running",
-                    SHARD_DONE => "done",
-                    SHARD_REUSED => "reused",
-                    _ => "pending",
-                };
-                ShardView {
-                    index,
-                    total: slot.total,
-                    completed: slot.completed.load(Ordering::Relaxed).min(slot.total),
-                    status,
-                }
-            })
-            .collect()
+        self.progress.load(Ordering::Relaxed).min(self.total)
     }
 
     fn join(self) -> FinishedJob {
-        let count = self.slots.len();
-        // A panicked controller thread must not take the registry down with
-        // it: treat it as a job that was cancelled before finishing any
-        // shard, so clients see a failed (cancelled, zero-row) result and
-        // every other endpoint keeps answering.
-        let outcome = self.thread.join().unwrap_or_else(|_| ShardedOutcome {
-            csv: format!("{CSV_HEADER}\n"),
-            shard_lines: vec![None; count],
-            cache: CacheStats::default(),
-        });
-        let cancelled = outcome.shard_lines.iter().any(Option::is_none);
-        let completed: Vec<usize> = self
-            .slots
-            .iter()
-            .zip(&outcome.shard_lines)
-            .map(|(slot, lines)| if lines.is_some() { slot.total } else { 0 })
-            .collect();
-        // Shard ranges are contiguous and ascending, so the finished shards'
-        // lines in shard order are in global cell order — for a completed
-        // job, exactly the unsharded CSV bytes. The controller concatenated
-        // them as the shards finished, so joining (under the registry lock)
-        // renders nothing.
-        FinishedJob {
-            cancelled,
-            rows: completed.iter().sum(),
-            csv: outcome.csv,
-            cache: outcome.cache,
-            shards: Some(FinishedShards {
-                count,
-                grid_fingerprint: self.grid_fingerprint,
-                options_fingerprint: self.options_fingerprint,
-                totals: self.slots.iter().map(|s| s.total).collect(),
-                completed,
-                shard_lines: Some(outcome.shard_lines),
-            }),
-        }
+        // A panicked job thread must not take the registry down with it:
+        // clients see a cancelled zero-row job and every other endpoint
+        // keeps answering.
+        let Self { thread, shards, .. } = self;
+        thread.join().unwrap_or_else(|_| FinishedJob::empty(shards))
     }
 }
 
 /// Handle on a sweep job the coordinator farms out to worker nodes: all
 /// state lives in the [`Coordinator`], the handle just adapts it to the
 /// registry's lifecycle. Joining takes the finished job out of the
-/// coordinator (merged via `merge_parts`, byte-identical to the
-/// single-process sweep).
+/// coordinator, its CSV concatenated from the shards' checkpointed text.
 pub struct DistributedJobHandle {
     /// The coordinator owning the job's shard queue and checkpoints.
     pub coordinator: Arc<Coordinator>,
@@ -422,35 +326,19 @@ impl DistributedJobHandle {
                 // Workers own the evaluation caches; the coordinator never
                 // evaluates a cell itself.
                 cache: CacheStats::default(),
-                shards: Some(FinishedShards {
-                    count: outcome.count,
-                    grid_fingerprint: outcome.grid_fingerprint,
-                    options_fingerprint: outcome.options_fingerprint,
-                    totals: outcome.totals,
-                    completed: outcome.completed,
-                    // Distributed jobs resume through the coordinator's own
-                    // checkpoints, not resume tokens.
-                    shard_lines: None,
-                }),
+                shards: Some(outcome.totals),
             },
-            None => FinishedJob {
-                cancelled: true,
-                rows: 0,
-                csv: format!("{CSV_HEADER}\n"),
-                cache: CacheStats::default(),
-                shards: None,
-            },
+            None => FinishedJob::empty(None),
         }
     }
 }
 
-/// A running job: the original single-executor path, the sharded
-/// controller, or a coordinator-dispatched distributed job.
+/// A running job: evaluated in this process, or dispatched by the
+/// coordinator. The server's role picks the kind; both build their CSV by
+/// the same in-order rule.
 pub enum JobHandle {
-    /// One background executor over the whole grid.
-    Plain(SweepJobHandle),
-    /// The sequential-shard controller (see [`spawn_sharded`]).
-    Sharded(ShardedJobHandle),
+    /// Evaluated in this process (see [`LocalJob`]).
+    Local(LocalJob),
     /// Shards dispatched to worker nodes (see [`Coordinator`]).
     Distributed(DistributedJobHandle),
 }
@@ -458,8 +346,7 @@ pub enum JobHandle {
 impl JobHandle {
     fn completed(&self) -> usize {
         match self {
-            JobHandle::Plain(handle) => handle.completed(),
-            JobHandle::Sharded(handle) => handle.completed(),
+            JobHandle::Local(job) => job.completed(),
             JobHandle::Distributed(handle) => handle
                 .coordinator
                 .job_progress(handle.id)
@@ -470,8 +357,7 @@ impl JobHandle {
 
     fn total(&self) -> usize {
         match self {
-            JobHandle::Plain(handle) => handle.total(),
-            JobHandle::Sharded(handle) => handle.total(),
+            JobHandle::Local(job) => job.total,
             JobHandle::Distributed(handle) => handle
                 .coordinator
                 .job_progress(handle.id)
@@ -482,33 +368,21 @@ impl JobHandle {
 
     fn cancel(&self) {
         match self {
-            JobHandle::Plain(handle) => handle.cancel(),
-            JobHandle::Sharded(handle) => handle.cancel.store(true, Ordering::Relaxed),
+            JobHandle::Local(job) => job.cancel.store(true, Ordering::Relaxed),
             JobHandle::Distributed(handle) => handle.coordinator.cancel_job(handle.id),
         }
     }
 
     fn is_finished(&self) -> bool {
         match self {
-            JobHandle::Plain(handle) => handle.is_finished(),
-            JobHandle::Sharded(handle) => handle.thread.is_finished(),
+            JobHandle::Local(job) => job.thread.is_finished(),
             JobHandle::Distributed(handle) => handle.coordinator.job_finished(handle.id),
         }
     }
 
     fn join(self) -> FinishedJob {
         match self {
-            JobHandle::Plain(handle) => {
-                let outcome = handle.join();
-                FinishedJob {
-                    cancelled: outcome.cancelled,
-                    rows: outcome.results.rows.len(),
-                    csv: outcome.results.to_csv(),
-                    cache: outcome.results.cache,
-                    shards: None,
-                }
-            }
-            JobHandle::Sharded(handle) => handle.join(),
+            JobHandle::Local(job) => job.join(),
             JobHandle::Distributed(handle) => handle.join(),
         }
     }
@@ -624,7 +498,10 @@ impl JobRegistry {
     /// ids, `Some(true)` when a cancellation was requested, `Some(false)`
     /// when the job had already finished.
     pub fn cancel(&self, id: u64) -> Option<bool> {
-        let jobs = self.lock_jobs();
+        let mut jobs = self.lock_jobs();
+        // Reaped first, as `poll` does: a job that finished but was never
+        // polled is finished, not cancellable.
+        Self::reap(&mut jobs);
         match jobs.get(&id)? {
             JobEntry::Running(handle) => {
                 handle.cancel();
@@ -636,13 +513,16 @@ impl JobRegistry {
 
     /// Per-shard progress of a job: `None` for unknown ids, `Some(None)` for
     /// jobs that were not submitted with `shards`, `Some(Some(views))`
-    /// otherwise (running or finished).
+    /// otherwise (running or finished). A finished job's view describes its
+    /// CSV: the shards its in-order prefix covers.
     pub fn shards_view(&self, id: u64) -> Option<Option<Vec<ShardView>>> {
         let mut jobs = self.lock_jobs();
         Self::reap(&mut jobs);
-        match jobs.get(&id)? {
-            JobEntry::Running(JobHandle::Sharded(handle)) => Some(Some(handle.shard_views())),
-            JobEntry::Running(JobHandle::Plain(_)) => Some(None),
+        Some(match jobs.get(&id)? {
+            JobEntry::Running(JobHandle::Local(job)) => job
+                .shards
+                .as_deref()
+                .map(|totals| shard_views(totals, job.completed())),
             // Distributed jobs answer from the coordinator's richer view;
             // this basic projection keeps the registry API uniform.
             JobEntry::Running(JobHandle::Distributed(handle)) => Some(
@@ -663,88 +543,13 @@ impl JobRegistry {
                             })
                             .collect()
                     })
-                    .or(Some(Vec::new())),
+                    .unwrap_or_default(),
             ),
-            JobEntry::Finished(done) => Some(done.shards.as_ref().map(|shards| {
-                shards
-                    .totals
-                    .iter()
-                    .zip(&shards.completed)
-                    .enumerate()
-                    .map(|(index, (&total, &completed))| ShardView {
-                        index,
-                        total,
-                        completed,
-                        status: if completed >= total {
-                            "done"
-                        } else {
-                            "pending"
-                        },
-                    })
-                    .collect()
-            })),
-        }
-    }
-
-    /// The per-shard rows (CSV lines) a resumed submission may reuse: the
-    /// finished job `id` must have been sharded over the same grid and
-    /// options (by fingerprint), and — when the caller requests an explicit
-    /// shard `count` — with that same count; `None` adopts the stored count
-    /// (one atomic lookup, so the job cannot be evicted between a count probe
-    /// and the row fetch). Returns the effective count alongside the lines,
-    /// or an error message suitable for a 400 response.
-    pub fn resume_rows(
-        &self,
-        id: u64,
-        grid_fingerprint: u64,
-        options_fingerprint: u64,
-        count: Option<usize>,
-    ) -> Result<(usize, ShardLines), String> {
-        let mut jobs = self.lock_jobs();
-        Self::reap(&mut jobs);
-        match jobs.get(&id) {
-            None => Err(format!("resume_token names unknown sweep job {id}")),
-            Some(JobEntry::Running(_)) => Err(format!(
-                "sweep job {id} is still running; cancel it before resuming"
-            )),
-            Some(JobEntry::Finished(done)) => {
-                let shards = done
-                    .shards
-                    .as_ref()
-                    .ok_or_else(|| format!("sweep job {id} was not sharded"))?;
-                if shards.grid_fingerprint != grid_fingerprint
-                    || shards.options_fingerprint != options_fingerprint
-                {
-                    return Err(format!(
-                        "resume_token of job {id} belongs to a different grid or configuration"
-                    ));
-                }
-                if let Some(count) = count {
-                    if shards.count != count {
-                        return Err(format!(
-                            "sweep job {id} ran with {} shards, not {count}",
-                            shards.count
-                        ));
-                    }
-                }
-                // Resuming a completed job would only reproduce bytes the
-                // client can already fetch.
-                let lines = match &shards.shard_lines {
-                    Some(lines) if done.cancelled => lines,
-                    _ => {
-                        return Err(format!(
-                            "sweep job {id} completed; fetch its CSV from /v1/sweep/{id} \
-                             instead of resuming"
-                        ))
-                    }
-                };
-                let lines = lines
-                    .iter()
-                    .map(|range| range.clone().map(|range| done.csv[range].to_string()))
-                    .collect();
-                Ok((shards.count, lines))
-            }
-        }
+            JobEntry::Finished(done) => done
+                .shards
+                .as_deref()
+                .map(|totals| shard_views(totals, done.rows)),
+        })
     }
 
     /// Joins every finished handle in place (cheap: `join` on a finished
@@ -789,22 +594,16 @@ mod tests {
         })
     }
 
-    #[test]
-    fn job_registry_tracks_running_then_finished() {
-        let state = test_state();
-        let grid = ScenarioGrid::builder()
+    fn one_cell_grid() -> ScenarioGrid {
+        ScenarioGrid::builder()
             .scenarios(&[ScenarioId::S1])
             .processors(ProcessorAxis::Fixed(vec![256.0]))
             .build()
-            .unwrap();
-        let id = state
-            .jobs
-            .try_submit(4, |_| {
-                JobHandle::Plain(SweepExecutor::new(state.options).spawn(&grid))
-            })
-            .expect("below the running cap");
-        // Poll until the job drains; it must end Finished with one row.
-        let done = loop {
+            .unwrap()
+    }
+
+    fn wait_finished(state: &AppState, id: u64) -> Arc<FinishedJob> {
+        loop {
             match state.jobs.poll(id).expect("job known") {
                 JobView::Running(completed, total) => {
                     assert!(completed <= total);
@@ -812,7 +611,21 @@ mod tests {
                 }
                 JobView::Finished(done) => break done,
             }
-        };
+        }
+    }
+
+    #[test]
+    fn job_registry_tracks_running_then_finished() {
+        let state = test_state();
+        let grid = one_cell_grid();
+        let id = state
+            .jobs
+            .try_submit(4, |_| {
+                JobHandle::Local(LocalJob::spawn(state.options, grid, None))
+            })
+            .expect("below the running cap");
+        // Poll until the job drains; it must end Finished with one row.
+        let done = wait_finished(&state, id);
         assert!(!done.cancelled);
         assert_eq!(done.rows, 1);
         assert!(done.csv.starts_with(ayd_sweep::CSV_HEADER));
@@ -824,13 +637,31 @@ mod tests {
     }
 
     #[test]
+    fn cancelling_a_finished_job_nobody_polled_reports_it_finished() {
+        let state = test_state();
+        let id = state
+            .jobs
+            .try_submit(4, |_| {
+                JobHandle::Local(LocalJob::spawn(state.options, one_cell_grid(), None))
+            })
+            .unwrap();
+        // Wait on the handle itself: no poll may reap the job first.
+        let handle_finished = || match state.jobs.jobs.lock().unwrap().get(&id) {
+            Some(JobEntry::Running(handle)) => handle.is_finished(),
+            _ => unreachable!("only a poll or a cancel reaps the job"),
+        };
+        while !handle_finished() {
+            std::thread::yield_now();
+        }
+        assert_eq!(state.jobs.cancel(id), Some(false));
+        let done = wait_finished(&state, id);
+        assert!(!done.cancelled);
+        assert_eq!(done.rows, 1);
+    }
+
+    #[test]
     fn registry_caps_running_jobs_and_evicts_the_oldest_finished() {
         let state = test_state();
-        let grid = ScenarioGrid::builder()
-            .scenarios(&[ScenarioId::S1])
-            .processors(ProcessorAxis::Fixed(vec![256.0]))
-            .build()
-            .unwrap();
         // A zero cap rejects without ever spawning.
         assert!(state.jobs.try_submit(0, |_| unreachable!()).is_none());
         // Far more finished jobs than the retention cap: the registry must
@@ -840,7 +671,7 @@ mod tests {
             let id = state
                 .jobs
                 .try_submit(usize::MAX, |_| {
-                    JobHandle::Plain(SweepExecutor::new(state.options).spawn(&grid))
+                    JobHandle::Local(LocalJob::spawn(state.options, one_cell_grid(), None))
                 })
                 .unwrap();
             while matches!(state.jobs.poll(id), Some(JobView::Running(..))) {
@@ -860,293 +691,112 @@ mod tests {
             .processors(ProcessorAxis::Fixed(vec![256.0, 1024.0]))
             .build()
             .unwrap();
-        let count = 3;
-        let id = state
-            .jobs
-            .try_submit(4, |_| {
-                JobHandle::Sharded(spawn_sharded(
-                    state.options,
-                    grid.cells(),
-                    count,
-                    vec![None; count],
-                    grid.fingerprint(),
-                    state.options.output_fingerprint(),
-                ))
-            })
-            .unwrap();
-        let done = loop {
-            match state.jobs.poll(id).unwrap() {
-                JobView::Running(..) => std::thread::yield_now(),
-                JobView::Finished(done) => break done,
-            }
-        };
-        assert!(!done.cancelled);
-        assert_eq!(done.rows, grid.len());
-        // The sharded merge is byte-identical to the unsharded engine.
         let unsharded = SweepExecutor::new(state.options).run(&grid).to_csv();
-        assert_eq!(done.csv, unsharded);
-        // Each shard's recorded lines are exactly that shard's own run.
-        let shard_lines = done.shards.as_ref().unwrap().shard_lines.clone().unwrap();
-        for (index, range) in shard_lines.into_iter().enumerate() {
-            let shard = ShardSpec::new(index, count).unwrap();
-            let run = SweepExecutor::new(state.options).run_cells(&grid.shard_cells(shard));
-            assert_eq!(&done.csv[range.unwrap()], run.csv_body(), "shard {index}");
+        // 3 shards, and more shards than cells: empty shards are done at once.
+        for count in [3, grid.len() + 2] {
+            let id = state
+                .jobs
+                .try_submit(4, |_| {
+                    JobHandle::Local(LocalJob::spawn(state.options, grid.clone(), Some(count)))
+                })
+                .unwrap();
+            let done = wait_finished(&state, id);
+            assert!(!done.cancelled);
+            assert_eq!(done.rows, grid.len());
+            // The sharded job's CSV is byte-identical to the unsharded engine.
+            assert_eq!(done.csv, unsharded, "{count} shards");
+            // The shard view reports every shard done with its cell count.
+            let views = state.jobs.shards_view(id).unwrap().unwrap();
+            assert_eq!(views.len(), count);
+            for (index, view) in views.iter().enumerate() {
+                let range = ShardSpec::new(index, count).unwrap().range(grid.len());
+                assert_eq!((view.total, view.completed), (range.len(), range.len()));
+                assert_eq!(view.status, "done");
+            }
         }
-        // The shard view reports every shard done with its cell count.
-        let views = state.jobs.shards_view(id).unwrap().unwrap();
-        assert_eq!(views.len(), count);
-        assert_eq!(views.iter().map(|v| v.total).sum::<usize>(), grid.len());
-        assert!(views
-            .iter()
-            .all(|v| v.status == "done" && v.completed == v.total));
-        // Plain jobs report "not sharded".
+        // Jobs submitted without `shards` report "not sharded".
         let plain = state
             .jobs
             .try_submit(4, |_| {
-                JobHandle::Plain(SweepExecutor::new(state.options).spawn(&grid))
+                JobHandle::Local(LocalJob::spawn(state.options, grid.clone(), None))
             })
             .unwrap();
-        while matches!(state.jobs.poll(plain), Some(JobView::Running(..))) {
-            std::thread::yield_now();
-        }
+        assert_eq!(wait_finished(&state, plain).csv, unsharded);
         assert!(state.jobs.shards_view(plain).unwrap().is_none());
         assert!(state.jobs.shards_view(9999).is_none());
     }
 
     #[test]
-    fn resume_rows_reuses_finished_shards_and_validates_fingerprints() {
-        let state = test_state();
-        let grid = ScenarioGrid::builder()
-            .scenarios(&ScenarioId::ALL)
-            .processors(ProcessorAxis::Fixed(vec![256.0, 1024.0]))
-            .build()
-            .unwrap();
-        let grid_fp = grid.fingerprint();
-        let options_fp = state.options.output_fingerprint();
-        let count = 2;
-        // A *completed* sharded job retains no resume rows (its CSV is the
-        // product; duplicating every row would double its memory), so
-        // resuming it is a definite error pointing at the CSV.
-        let full_id = state
-            .jobs
-            .try_submit(4, |_| {
-                JobHandle::Sharded(spawn_sharded(
-                    state.options,
-                    grid.cells(),
-                    count,
-                    vec![None; count],
-                    grid_fp,
-                    options_fp,
-                ))
-            })
-            .unwrap();
-        while matches!(state.jobs.poll(full_id), Some(JobView::Running(..))) {
-            std::thread::yield_now();
+    fn a_cancelled_local_job_keeps_the_in_order_prefix() {
+        // A sink that parks the job on one row until released, so the
+        // cancel lands while that row's shard is being evaluated.
+        struct GatedSink {
+            rows: usize,
+            gate_at: usize,
+            reached: std::sync::mpsc::Sender<()>,
+            release: std::sync::mpsc::Receiver<()>,
         }
-        let err = state
-            .jobs
-            .resume_rows(full_id, grid_fp, options_fp, Some(count))
-            .unwrap_err();
-        assert!(err.contains("completed"), "{err}");
-
-        // Seed a deterministic *cancelled* job (shard 0 done, shard 1 lost) —
-        // cancelling a live controller mid-shard is inherently racy, and this
-        // is exactly the state ShardedJobHandle::join leaves behind.
-        let shard0 = ShardSpec::new(0, count).unwrap();
-        let shard0_run = SweepExecutor::new(state.options).run_cells(&grid.shard_cells(shard0));
-        let csv = shard0_run.to_csv();
-        let totals: Vec<usize> = (0..count)
-            .map(|i| ShardSpec::new(i, count).unwrap().range(grid.len()).len())
-            .collect();
-        let id = 4242;
-        state.jobs.jobs.lock().unwrap().insert(
-            id,
-            JobEntry::Finished(Arc::new(FinishedJob {
-                cancelled: true,
-                rows: shard0_run.rows.len(),
-                cache: CacheStats::default(),
-                shards: Some(FinishedShards {
-                    count,
-                    grid_fingerprint: grid_fp,
-                    options_fingerprint: options_fp,
-                    completed: vec![shard0_run.rows.len(), 0],
-                    totals,
-                    shard_lines: Some(vec![Some(CSV_HEADER.len() + 1..csv.len()), None]),
-                }),
-                csv,
-            })),
-        );
-        // `None` adopts the stored shard count in the same atomic lookup.
-        let (stored_count, rows) = state
-            .jobs
-            .resume_rows(id, grid_fp, options_fp, None)
-            .unwrap();
-        assert_eq!(stored_count, count);
-        assert_eq!(rows.len(), count);
-        assert_eq!(rows[0].as_deref(), Some(shard0_run.csv_body()));
-        assert!(rows[1].is_none());
-        // The incomplete shard shows as pending in the finished view.
-        let views = state.jobs.shards_view(id).unwrap().unwrap();
-        assert_eq!(views[0].status, "done");
-        assert_eq!(views[1].status, "pending");
-        // Mismatches are rejected with a reason.
-        assert!(state
-            .jobs
-            .resume_rows(id, grid_fp ^ 1, options_fp, Some(count))
-            .is_err());
-        assert!(state
-            .jobs
-            .resume_rows(id, grid_fp, options_fp, Some(3))
-            .is_err());
-        assert!(state
-            .jobs
-            .resume_rows(777, grid_fp, options_fp, Some(count))
-            .is_err());
-
-        // A job resumed from that state reuses shard 0, computes only shard 1
-        // and still merges to the exact unsharded bytes.
-        let resumed_id = state
-            .jobs
-            .try_submit(4, |_| {
-                JobHandle::Sharded(spawn_sharded(
-                    state.options,
-                    grid.cells(),
-                    count,
-                    rows,
-                    grid_fp,
-                    options_fp,
-                ))
-            })
-            .unwrap();
-        let done = loop {
-            match state.jobs.poll(resumed_id).unwrap() {
-                JobView::Running(..) => std::thread::yield_now(),
-                JobView::Finished(done) => break done,
+        impl SweepSink for GatedSink {
+            fn on_row(&mut self, _line: &str) {
+                if self.rows == self.gate_at {
+                    self.reached.send(()).ok();
+                    self.release.recv().ok();
+                }
+                self.rows += 1;
             }
-        };
-        assert!(!done.cancelled);
-        assert_eq!(
-            done.csv,
-            SweepExecutor::new(state.options).run(&grid).to_csv()
-        );
-        let views = state.jobs.shards_view(resumed_id).unwrap().unwrap();
-        assert!(views.iter().all(|v| v.status == "done"), "{views:?}");
-    }
+        }
 
-    #[test]
-    fn a_cancelled_sharded_job_keeps_its_finished_shards_lines_for_resume() {
         let state = test_state();
         let grid = ScenarioGrid::builder()
             .scenarios(&ScenarioId::ALL)
-            .processors(ProcessorAxis::Fixed(vec![256.0, 1024.0]))
+            .processors(ProcessorAxis::Fixed(vec![128.0, 256.0, 512.0, 1024.0]))
+            .lambda_multipliers(&[1.0, 2.0, 5.0])
             .build()
             .unwrap();
-        let (grid_fp, options_fp) = (grid.fingerprint(), state.options.output_fingerprint());
         let count = 3;
-        let runs: Vec<_> = (0..count)
-            .map(|i| {
-                let shard = ShardSpec::new(i, count).unwrap();
-                SweepExecutor::new(state.options).run_cells(&grid.shard_cells(shard))
-            })
-            .collect();
-        // The controller's outcome when shard 1 was cut short by a cancel:
-        // shards 0 and 2 (say, reused) finished, their lines back to back.
-        let mut csv = format!("{CSV_HEADER}\n");
-        let mut shard_lines = Vec::new();
-        for (index, run) in runs.iter().enumerate() {
-            if index == 1 {
-                shard_lines.push(None);
-                continue;
-            }
-            let start = csv.len();
-            csv.push_str(run.csv_body());
-            shard_lines.push(Some(start..csv.len()));
-        }
-        let handle = ShardedJobHandle {
-            slots: Arc::new(
-                runs.iter()
-                    .map(|run| ShardSlot {
-                        total: run.rows.len(),
-                        completed: AtomicUsize::new(0),
-                        state: AtomicU8::new(SHARD_PENDING),
-                    })
-                    .collect(),
-            ),
-            cancel: Arc::new(AtomicBool::new(true)),
-            grid_fingerprint: grid_fp,
-            options_fingerprint: options_fp,
-            thread: std::thread::spawn(move || ShardedOutcome {
-                csv,
-                shard_lines,
-                cache: CacheStats::default(),
-            }),
+        let first = ShardSpec::new(0, count).unwrap().range(grid.len()).len();
+        let (reached_tx, reached) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        // Parked on shard 1's first row: shard 0 is done, shard 2 unstarted.
+        let sink = GatedSink {
+            rows: 0,
+            gate_at: first,
+            reached: reached_tx,
+            release: release_rx,
         };
         let id = state
             .jobs
-            .try_submit(4, |_| JobHandle::Sharded(handle))
-            .unwrap();
-        let done = loop {
-            match state.jobs.poll(id).unwrap() {
-                JobView::Running(..) => std::thread::yield_now(),
-                JobView::Finished(done) => break done,
-            }
-        };
-        assert!(done.cancelled);
-        assert_eq!(done.rows, runs[0].rows.len() + runs[2].rows.len());
-        assert_eq!(
-            done.csv,
-            ayd_sweep::csv_text(runs[0].rows.iter().chain(&runs[2].rows))
-        );
-        let views = state.jobs.shards_view(id).unwrap().unwrap();
-        let statuses: Vec<&str> = views.iter().map(|v| v.status).collect();
-        assert_eq!(statuses, ["done", "pending", "done"]);
-
-        // The resume token hands back exactly the finished shards' lines…
-        let (_, lines) = state
-            .jobs
-            .resume_rows(id, grid_fp, options_fp, Some(count))
-            .unwrap();
-        assert_eq!(lines[0].as_deref(), Some(runs[0].csv_body()));
-        assert!(lines[1].is_none());
-        assert_eq!(lines[2].as_deref(), Some(runs[2].csv_body()));
-        // …and a job resumed from them evaluates only shard 1, yet its CSV
-        // is the unsharded sweep's bytes.
-        let resumed = state
-            .jobs
             .try_submit(4, |_| {
-                JobHandle::Sharded(spawn_sharded(
+                JobHandle::Local(LocalJob::spawn_with_sink(
                     state.options,
-                    grid.cells(),
-                    count,
-                    lines,
-                    grid_fp,
-                    options_fp,
+                    grid.clone(),
+                    Some(count),
+                    sink,
                 ))
             })
             .unwrap();
-        let done = loop {
-            match state.jobs.poll(resumed).unwrap() {
-                JobView::Running(..) => std::thread::yield_now(),
-                JobView::Finished(done) => break done,
-            }
-        };
-        assert!(!done.cancelled);
-        assert_eq!(done.rows, grid.len());
-        assert_eq!(
-            done.csv,
-            SweepExecutor::new(state.options).run(&grid).to_csv()
-        );
-        assert!(done.cache.misses <= runs[1].rows.len() as u64);
+        reached.recv().unwrap();
+        assert_eq!(state.jobs.cancel(id), Some(true));
+        release.send(()).unwrap();
+        let done = wait_finished(&state, id);
+        assert!(done.cancelled);
+        assert!(first < done.rows && done.rows < grid.len(), "{}", done.rows);
+        // The CSV is a byte prefix of the full sweep's, `rows` lines long.
+        let full = SweepExecutor::new(state.options).run(&grid).to_csv();
+        assert!(full.starts_with(&done.csv));
+        assert_eq!(done.csv.lines().count(), 1 + done.rows);
+        // The view: done shards, at most one partial shard, pending shards.
+        let views = state.jobs.shards_view(id).unwrap().unwrap();
+        let statuses: Vec<&str> = views.iter().map(|v| v.status).collect();
+        assert_eq!(statuses[0], "done");
+        assert_eq!(statuses[2], "pending");
+        assert!(["running", "done"].contains(&statuses[1]), "{statuses:?}");
+        assert_eq!(views.iter().map(|v| v.completed).sum::<usize>(), done.rows);
     }
 
     #[test]
     fn registry_survives_a_poisoned_lock() {
         let state = test_state();
-        let grid = ScenarioGrid::builder()
-            .scenarios(&[ScenarioId::S1])
-            .processors(ProcessorAxis::Fixed(vec![256.0]))
-            .build()
-            .unwrap();
         // Poison the registry mutex: a thread panics while holding the lock.
         let poisoner = Arc::clone(&state);
         let _ = std::thread::spawn(move || {
@@ -1161,56 +811,34 @@ mod tests {
         assert!(state.jobs.poll(1).is_none());
         assert!(state.jobs.cancel(1).is_none());
         assert!(state.jobs.shards_view(1).is_none());
-        assert!(state.jobs.resume_rows(1, 0, 0, None).is_err());
         let id = state
             .jobs
             .try_submit(4, |_| {
-                JobHandle::Plain(SweepExecutor::new(state.options).spawn(&grid))
+                JobHandle::Local(LocalJob::spawn(state.options, one_cell_grid(), Some(2)))
             })
             .expect("submission works on a poisoned registry");
-        let done = loop {
-            match state.jobs.poll(id).expect("job known") {
-                JobView::Running(..) => std::thread::yield_now(),
-                JobView::Finished(done) => break done,
-            }
-        };
-        assert_eq!(done.rows, 1);
+        assert_eq!(wait_finished(&state, id).rows, 1);
     }
 
     #[test]
     fn a_panicked_sharded_controller_finishes_as_cancelled() {
         let state = test_state();
-        // Hand-build a handle whose controller thread dies: join must fold
-        // the panic into a cancelled zero-row job, not propagate it.
-        let slots: Arc<Vec<ShardSlot>> = Arc::new(
-            (0..2)
-                .map(|_| ShardSlot {
-                    total: 1,
-                    completed: AtomicUsize::new(0),
-                    state: AtomicU8::new(SHARD_PENDING),
-                })
-                .collect(),
-        );
-        let handle = ShardedJobHandle {
-            slots,
+        // Hand-build a job whose thread dies: join must fold the panic into
+        // a cancelled zero-row job, not propagate it.
+        let job = LocalJob {
+            total: 2,
+            shards: Some(vec![1, 1]),
+            progress: Arc::new(AtomicUsize::new(0)),
             cancel: Arc::new(AtomicBool::new(false)),
-            grid_fingerprint: 0,
-            options_fingerprint: 0,
-            thread: std::thread::spawn(|| panic!("deliberate controller crash")),
+            thread: std::thread::spawn(|| panic!("deliberate job thread crash")),
         };
-        let id = state
-            .jobs
-            .try_submit(4, |_| JobHandle::Sharded(handle))
-            .unwrap();
-        let done = loop {
-            match state.jobs.poll(id).expect("job known") {
-                JobView::Running(..) => std::thread::yield_now(),
-                JobView::Finished(done) => break done,
-            }
-        };
+        let id = state.jobs.try_submit(4, |_| JobHandle::Local(job)).unwrap();
+        let done = wait_finished(&state, id);
         assert!(done.cancelled);
         assert_eq!(done.rows, 0);
-        assert!(done.csv.starts_with(ayd_sweep::CSV_HEADER));
+        assert_eq!(done.csv, format!("{}\n", ayd_sweep::CSV_HEADER));
+        let views = state.jobs.shards_view(id).unwrap().unwrap();
+        assert!(views.iter().all(|v| v.status == "pending"), "{views:?}");
         // The registry keeps serving other submissions afterwards.
         assert_eq!(state.jobs.running_count(), 0);
     }

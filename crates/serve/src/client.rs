@@ -617,9 +617,9 @@ pub fn smoke_check(addr: &str) -> Result<(), String> {
     }
 
     // 3b. The same golden grid as a 3-shard job: the deterministic merge
-    // must reproduce the exact unsharded bytes, the submission must hand
-    // back a resume token, and the shards progress view must account for
-    // every cell.
+    // must reproduce the exact unsharded bytes, the submission must carry
+    // no resume token (a body with one is refused by name), and the shards
+    // progress view must account for every cell.
     let sharded_body = format!(
         "{}{}",
         &GOLDEN_SWEEP_BODY[..GOLDEN_SWEEP_BODY.len() - 1],
@@ -629,8 +629,23 @@ pub fn smoke_check(addr: &str) -> Result<(), String> {
     if doc.get("shards").and_then(Json::as_f64) != Some(3.0) {
         return Err("sharded sweep submit: response lacks shards: 3".into());
     }
-    if doc.get("resume_token").and_then(Json::as_str).is_none() {
-        return Err("sharded sweep submit: response lacks a resume_token".into());
+    if doc.get("resume_token").is_some() {
+        return Err("sharded sweep submit: response still carries a resume_token".into());
+    }
+    let with_token = format!(
+        "{}{}",
+        &sharded_body[..sharded_body.len() - 1],
+        r#","resume_token":"1-0"}"#
+    );
+    let refused = client.post_json("/v1/sweep", &with_token).map_err(io)?;
+    let field = Json::parse(&refused.body)
+        .ok()
+        .and_then(|doc| doc.get("field").and_then(Json::as_str).map(str::to_string));
+    if refused.status != 400 || field.as_deref() != Some("resume_token") {
+        return Err(format!(
+            "sweep submit with a resume_token: want a 400 naming the field, got status {} body {}",
+            refused.status, refused.body
+        ));
     }
     let expected_csv = golden_sweep_csv();
     if csv != expected_csv {

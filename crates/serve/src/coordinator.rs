@@ -30,16 +30,18 @@
 //!
 //! Shards own contiguous, ascending ranges of global cells
 //! ([`ShardSpec::range`]), so the merged prefix grows shard by shard as
-//! chunks arrive; the finished CSV is assembled by [`merge_parts`] over the
-//! per-shard manifests and is byte-identical to the single-process sweep by
-//! the determinism contract.
+//! chunks arrive. Each shard's checkpoint is the uploaded chunks' text,
+//! validated on entry and appended as it came; the finished CSV is the
+//! header followed by the shards' text up to the merge frontier, which is
+//! byte-identical to the single-process sweep for a completed job by the
+//! determinism contract, and its in-order prefix for a cancelled one.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ayd_sweep::{merge_parts, ShardChunk, ShardPart, ShardSpec, CSV_HEADER};
+use ayd_sweep::{ShardChunk, ShardSpec, CSV_HEADER};
 
 use crate::client::HttpClient;
 use crate::json::Json;
@@ -101,8 +103,11 @@ struct DistShard {
     state: ShardState,
     /// Bumped on every re-issue; uploads carrying an older epoch are stale.
     epoch: u64,
-    /// Checkpointed rows (newline-free CSV lines), shard-local order.
-    rows: Vec<String>,
+    /// Checkpointed rows: the accepted chunks' newline-terminated CSV lines,
+    /// back to back in shard-local order.
+    text: String,
+    /// Number of rows in `text`.
+    rows: usize,
     /// Last worker the shard was dispatched to (kept through `Done` for the
     /// per-worker progress view).
     worker: Option<u64>,
@@ -124,7 +129,7 @@ struct DistJob {
 
 impl DistJob {
     fn completed(&self) -> usize {
-        self.shards.iter().map(|s| s.rows.len()).sum()
+        self.shards.iter().map(|s| s.rows).sum()
     }
 
     fn total(&self) -> usize {
@@ -144,8 +149,8 @@ impl DistJob {
     fn merged_rows(&self) -> usize {
         let mut merged = 0;
         for shard in &self.shards {
-            merged += shard.rows.len();
-            if shard.rows.len() < shard.total {
+            merged += shard.rows;
+            if shard.rows < shard.total {
                 break;
             }
         }
@@ -307,20 +312,13 @@ pub struct ClusterStats {
 pub struct DistOutcome {
     /// True when the job was cancelled before every shard completed.
     pub cancelled: bool,
-    /// The merged canonical CSV (header only for cancelled jobs).
+    /// The canonical CSV of the merged rows: the whole sweep for a done
+    /// job, the in-order prefix up to the merge frontier for a cancelled one.
     pub csv: String,
     /// Merged row count.
     pub rows: usize,
-    /// Shard count.
-    pub count: usize,
-    /// Grid fingerprint.
-    pub grid_fingerprint: u64,
-    /// Options fingerprint.
-    pub options_fingerprint: u64,
     /// Cells each shard owns.
     pub totals: Vec<usize>,
-    /// Rows each shard checkpointed.
-    pub completed: Vec<usize>,
 }
 
 /// The coordinator: cluster state behind one mutex, counters on atomics, and
@@ -485,8 +483,10 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Registers a distributed job: `count` pending shards over a
-    /// `grid_cells`-cell grid.
+    /// Registers a distributed job: `count` shards over a `grid_cells`-cell
+    /// grid. A shard that owns no cells (more shards than cells) is done at
+    /// once: it has nothing to upload, so dispatching it could never finish
+    /// it.
     pub fn submit(
         &self,
         job: u64,
@@ -499,11 +499,17 @@ impl Coordinator {
         let shards = (0..count)
             .map(|index| {
                 let spec = ShardSpec::new(index, count).expect("count validated by the API layer");
+                let total = spec.range(grid_cells).len();
                 DistShard {
-                    total: spec.range(grid_cells).len(),
-                    state: ShardState::Pending,
+                    total,
+                    state: if total == 0 {
+                        ShardState::Done
+                    } else {
+                        ShardState::Pending
+                    },
                     epoch: 0,
-                    rows: Vec::new(),
+                    text: String::new(),
+                    rows: 0,
                     worker: None,
                     reissues: 0,
                 }
@@ -579,7 +585,7 @@ impl Coordinator {
         span.field_u64("job", assignment.job);
         span.field_u64("shard", assignment.shard as u64);
         span.field_u64("epoch", shard.epoch);
-        span.field_u64("checkpointed_rows", shard.rows.len() as u64);
+        span.field_u64("checkpointed_rows", shard.rows as u64);
         span.finish();
         true
     }
@@ -636,7 +642,7 @@ impl Coordinator {
                     shard: shard_index,
                     count: job.count,
                     epoch: shard.epoch,
-                    start_row: shard.rows.len(),
+                    start_row: shard.rows,
                     grid_json: job.grid_json.clone(),
                     grid_fingerprint: job.grid_fingerprint,
                     options_fingerprint: job.options_fingerprint,
@@ -799,25 +805,22 @@ impl Coordinator {
                 shard.epoch
             )));
         }
-        if chunk.from_row != shard.rows.len() {
+        if chunk.from_row != shard.rows {
             return Err(ChunkError::Invalid(format!(
                 "chunk starts at row {} but the checkpoint holds {} rows",
-                chunk.from_row,
-                shard.rows.len()
+                chunk.from_row, shard.rows
             )));
         }
         let accepted_rows = chunk.row_count();
-        if shard.rows.len() + accepted_rows > shard.total {
+        if shard.rows + accepted_rows > shard.total {
             return Err(ChunkError::Invalid(format!(
                 "chunk overruns the shard: {} + {accepted_rows} rows > {} cells",
-                shard.rows.len(),
-                shard.total
+                shard.rows, shard.total
             )));
         }
-        shard
-            .rows
-            .extend(chunk.rows.lines().map(|line| line.to_string()));
-        let shard_done = shard.rows.len() == shard.total;
+        shard.text.push_str(&chunk.rows);
+        shard.rows += accepted_rows;
+        let shard_done = shard.rows == shard.total;
         if shard_done {
             shard.state = ShardState::Done;
         }
@@ -881,7 +884,7 @@ impl Coordinator {
             .map(|(index, shard)| DistShardView {
                 index,
                 total: shard.total,
-                completed: shard.rows.len(),
+                completed: shard.rows,
                 status: match shard.state {
                     ShardState::Pending => "pending",
                     ShardState::Dispatched { .. } => "dispatched",
@@ -951,70 +954,30 @@ impl Coordinator {
         stats
     }
 
-    /// Takes a finished job out of the coordinator, merging its shards into
-    /// the canonical CSV via [`merge_parts`] (byte-identical to the
-    /// single-process sweep). Cancelled or incomplete jobs yield a
-    /// header-only CSV marked cancelled.
+    /// Takes a finished job out of the coordinator. Its CSV is the header
+    /// followed by the shards' checkpointed text up to the merge frontier:
+    /// for a done job every shard, byte-identical to the single-process
+    /// sweep; for a cancelled one the in-order prefix of that sweep.
     pub fn take_finished(&self, job: u64) -> Option<DistOutcome> {
-        let mut state = self.lock();
-        let entry = state.jobs.remove(&job)?;
-        let totals: Vec<usize> = entry.shards.iter().map(|s| s.total).collect();
-        let completed: Vec<usize> = entry.shards.iter().map(|s| s.rows.len()).collect();
-        let base = DistOutcome {
-            cancelled: true,
-            csv: format!("{CSV_HEADER}\n"),
-            rows: 0,
-            count: entry.count,
-            grid_fingerprint: entry.grid_fingerprint,
-            options_fingerprint: entry.options_fingerprint,
-            totals,
-            completed,
-        };
-        if entry.cancelled || !entry.is_done() {
-            return Some(base);
-        }
-        let parts: Vec<ShardPart> = entry
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(index, shard)| {
-                let spec = ShardSpec::new(index, entry.count).expect("validated at submit");
-                let mut manifest = ayd_sweep::SweepManifest {
-                    grid_fingerprint: entry.grid_fingerprint,
-                    options_fingerprint: entry.options_fingerprint,
-                    shard: spec,
-                    grid_cells: entry.grid_cells,
-                    shard_cells: shard.total,
-                    completed: shard.rows.len(),
-                    profiles: Vec::new(),
-                };
-                let mut csv = String::with_capacity(
-                    CSV_HEADER.len() + 1 + shard.rows.iter().map(|r| r.len() + 1).sum::<usize>(),
-                );
-                csv.push_str(CSV_HEADER);
-                csv.push('\n');
-                for row in &shard.rows {
-                    csv.push_str(row);
-                    csv.push('\n');
-                }
-                manifest.completed = shard.rows.len();
-                ShardPart { manifest, csv }
-            })
-            .collect();
-        match merge_parts(&parts) {
-            Ok(csv) => {
-                let rows = entry.total();
-                Some(DistOutcome {
-                    cancelled: false,
-                    rows,
-                    csv,
-                    ..base
-                })
+        let entry = self.lock().jobs.remove(&job)?;
+        let rows = entry.merged_rows();
+        let mut csv = String::with_capacity(
+            CSV_HEADER.len() + 1 + entry.shards.iter().map(|s| s.text.len()).sum::<usize>(),
+        );
+        csv.push_str(CSV_HEADER);
+        csv.push('\n');
+        for shard in &entry.shards {
+            csv.push_str(&shard.text);
+            if shard.rows < shard.total {
+                break;
             }
-            // Structurally impossible once every chunk was validated on
-            // entry; surface as a cancelled (failed) job rather than panic.
-            Err(_) => Some(base),
         }
+        Some(DistOutcome {
+            cancelled: rows < entry.total(),
+            csv,
+            rows,
+            totals: entry.shards.iter().map(|s| s.total).collect(),
+        })
     }
 }
 
@@ -1125,8 +1088,11 @@ mod tests {
         })
     }
 
-    fn fake_row() -> String {
-        vec!["x"; CSV_HEADER.matches(',').count() + 1].join(",")
+    /// A well-formed CSV line whose first field names its shard and row.
+    fn fake_row(shard: usize, row: usize) -> String {
+        let mut fields = vec![format!("{shard}.{row}")];
+        fields.resize(CSV_HEADER.matches(',').count() + 1, "x".to_string());
+        fields.join(",")
     }
 
     /// A coordinator with one registered worker and one 2-shard job over the
@@ -1156,8 +1122,8 @@ mod tests {
         let mut manifest = SweepManifest::new(&g, &options(), spec);
         manifest.completed = from + rows;
         let mut text = String::new();
-        for _ in 0..rows {
-            text.push_str(&fake_row());
+        for row in from..from + rows {
+            text.push_str(&fake_row(index, row));
             text.push('\n');
         }
         ShardChunk::new(manifest, from, text).unwrap()
@@ -1599,7 +1565,7 @@ mod tests {
         let spec = ShardSpec::new(d.shard, 2).unwrap();
         let mut manifest = SweepManifest::new(&g, &other_options, spec);
         manifest.completed = 1;
-        let mut text = fake_row();
+        let mut text = fake_row(d.shard, 0);
         text.push('\n');
         let foreign = ShardChunk::new(manifest, 0, text).unwrap();
         let err = coordinator
@@ -1666,10 +1632,112 @@ mod tests {
         let outcome = coordinator.take_finished(1).expect("job present");
         assert!(!outcome.cancelled);
         assert_eq!(outcome.rows, g.len());
-        assert_eq!(outcome.csv.lines().count(), g.len() + 1);
-        assert!(outcome.csv.starts_with(CSV_HEADER));
+        // The header, then every shard's rows in shard order.
+        let mut expected = format!("{CSV_HEADER}\n");
+        for (shard, &total) in outcome.totals.iter().enumerate() {
+            for row in 0..total {
+                expected.push_str(&fake_row(shard, row));
+                expected.push('\n');
+            }
+        }
+        assert_eq!(outcome.csv, expected);
         // The job is gone afterwards.
         assert!(coordinator.take_finished(1).is_none());
         assert!(coordinator.job_finished(1), "unknown jobs count finished");
+    }
+
+    #[test]
+    fn a_cancelled_job_keeps_the_header_and_its_merged_prefix() {
+        let coordinator = Coordinator::new(LEASE);
+        let t0 = Instant::now();
+        let workers = [
+            coordinator.register_worker("127.0.0.1:1", t0),
+            coordinator.register_worker("127.0.0.1:2", t0),
+        ];
+        let g = grid();
+        coordinator.submit(
+            5,
+            "{}".to_string(),
+            g.fingerprint(),
+            options().output_fingerprint(),
+            2,
+            g.len(),
+        );
+        let plan = coordinator.dispatch_plan(t0);
+        let upload = |shard: usize, from: usize, rows: usize| {
+            let d = plan.iter().find(|d| d.shard == shard).unwrap();
+            let (_, token) = workers.iter().find(|(id, _)| *id == d.worker).unwrap();
+            coordinator
+                .accept_chunk(
+                    5,
+                    shard,
+                    d.worker,
+                    *token,
+                    d.epoch,
+                    &chunk(shard, 2, from, rows),
+                    t0,
+                )
+                .unwrap();
+        };
+        // Shard 1 is complete, shard 0 holds one of its two rows: only that
+        // row is in global order.
+        upload(1, 0, 2);
+        upload(0, 0, 1);
+        assert_eq!(coordinator.shards_view(5).unwrap().merged_rows, 1);
+        coordinator.cancel_job(5);
+        assert!(coordinator.job_finished(5));
+        let outcome = coordinator.take_finished(5).unwrap();
+        assert!(outcome.cancelled);
+        assert_eq!(outcome.rows, 1);
+        assert_eq!(outcome.csv, format!("{CSV_HEADER}\n{}\n", fake_row(0, 0)));
+    }
+
+    #[test]
+    fn shards_without_cells_are_done_at_submit_and_never_dispatched() {
+        let coordinator = Coordinator::new(LEASE);
+        let t0 = Instant::now();
+        let (worker, token) = coordinator.register_worker("127.0.0.1:1", t0);
+        // 6 shards over the 4-cell grid: shards 4 and 5 own no cells.
+        let g = grid();
+        let count = 6;
+        coordinator.submit(
+            2,
+            "{}".to_string(),
+            g.fingerprint(),
+            options().output_fingerprint(),
+            count,
+            g.len(),
+        );
+        let view = coordinator.shards_view(2).unwrap();
+        let statuses: Vec<&str> = view.shards.iter().map(|s| s.status).collect();
+        assert_eq!(
+            statuses,
+            ["pending", "pending", "pending", "pending", "done", "done"]
+        );
+        // One worker runs the four non-empty shards; then the job is done
+        // and nothing is left to dispatch.
+        for _ in 0..g.len() {
+            let plan = coordinator.dispatch_plan(t0);
+            assert_eq!(plan.len(), 1);
+            let d = &plan[0];
+            assert!(d.shard < g.len(), "shard {} owns no cells", d.shard);
+            coordinator
+                .accept_chunk(
+                    2,
+                    d.shard,
+                    worker,
+                    token,
+                    d.epoch,
+                    &chunk(d.shard, count, 0, 1),
+                    t0,
+                )
+                .unwrap();
+        }
+        assert!(coordinator.dispatch_plan(t0).is_empty());
+        assert!(coordinator.job_finished(2));
+        let outcome = coordinator.take_finished(2).unwrap();
+        assert!(!outcome.cancelled);
+        assert_eq!(outcome.rows, g.len());
+        assert_eq!(outcome.totals, [1, 1, 1, 1, 0, 0]);
     }
 }

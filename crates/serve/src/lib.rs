@@ -41,7 +41,7 @@
 //! [`ayd_sweep::ShardedEvalCache`] shared by every request
 //! (answers are bit-identical to the offline [`ayd_sweep::Evaluator`] —
 //! asserted by [`client::smoke_check`]), async sweeps on
-//! [`ayd_sweep::SweepExecutor::spawn`] job handles, and graceful shutdown via
+//! [`app::LocalJob`] threads, and graceful shutdown via
 //! a flag + listener wake-up ([`server::ServeHandle`]) that drains in-flight
 //! responses without truncating one.
 //!
@@ -56,9 +56,11 @@
 //! [`ayd_sweep::ShardSpec`] units, dispatches them to registered workers over
 //! [`client::HttpClient`], checkpoints uploaded row chunks, re-issues a
 //! shard from its checkpoint when its worker's lease expires or its
-//! heartbeat shows the shard abandoned, and merges via
-//! [`ayd_sweep::merge_parts`] so the CSV is byte-identical to a
-//! single-process sweep. See `docs/ARCHITECTURE.md` and
+//! heartbeat shows the shard abandoned, and concatenates the shards'
+//! checkpointed text in shard order, so the CSV is byte-identical to a
+//! single-process sweep. An in-process job builds its CSV by the same
+//! rule, and a cancelled job of either kind keeps its in-order prefix.
+//! See `docs/ARCHITECTURE.md` and
 //! `docs/OPERATIONS.md` at the repository root.
 
 #![deny(missing_docs)]

@@ -12,7 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use ayd_serve::client::{await_workers, engine_sweep_csv};
+use ayd_serve::client::{await_workers, engine_sweep_csv, fetch_sweep_csv};
 use ayd_serve::{ClusterConfig, HttpClient, Json, PrometheusText, Server, ServerConfig};
 
 /// 256 cells: 2 scenarios × 4 λ multipliers × 8 processor counts × 4 pattern
@@ -116,7 +116,7 @@ fn kill_a_worker_mid_shard(coord_addr: &str, body: &str) -> Option<(u64, usize, 
     assert_eq!(accepted.status, 202, "{}", accepted.body);
     let doc = Json::parse(&accepted.body).unwrap();
     let id = doc.get("id").unwrap().as_f64().unwrap() as u64;
-    assert!(matches!(doc.get("resume_token"), Some(Json::Null)));
+    assert!(doc.get("resume_token").is_none(), "{}", accepted.body);
 
     let held = |view: &Json| {
         let progress = view.get("progress").unwrap().as_array().unwrap();
@@ -275,6 +275,12 @@ fn two_workers_split_a_distributed_sweep_and_report_live_progress() {
 
     // Both workers earned at least one dispatch between them.
     assert!(counter(&coord_addr, "ayd_shards_dispatched_total") >= 4.0);
+
+    // More shards than cells: the empty shards are never dispatched, and
+    // the job still finishes with the engine's bytes.
+    let over_sharded = r#"{"scenarios":[1],"processors":[256,1024],"shards":4}"#;
+    let csv = fetch_sweep_csv(&coord_addr, over_sharded, Duration::from_secs(60)).unwrap();
+    assert_eq!(csv, engine_sweep_csv(over_sharded).unwrap());
 
     for (handle, thread) in [(w1_handle, w1_thread), (w2_handle, w2_thread)] {
         handle.shutdown();

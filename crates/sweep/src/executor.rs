@@ -24,7 +24,7 @@
 //! results. Both halves of the contract are asserted by the property suite.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
@@ -335,9 +335,11 @@ impl SweepExecutor {
 
     /// [`Self::run_cells`] with a streaming sink, cooperative cancellation and
     /// an external progress counter (incremented once per evaluated cell).
-    /// This is the building block the sharded file runner
-    /// ([`crate::shard::run_shard_to_files`]) and `ayd-serve`'s sharded job
-    /// controller drive directly.
+    /// Cancelling stops workers from picking up new cells; cells already
+    /// started finish, and the results hold the completed in-order prefix of
+    /// the rows. This is the building block the sharded file runner
+    /// ([`crate::shard::run_shard_to_files`]) and `ayd-serve`'s sweep jobs
+    /// drive directly.
     pub fn run_cells_controlled(
         &self,
         cells: &[SweepCell],
@@ -347,138 +349,12 @@ impl SweepExecutor {
     ) -> SweepResults {
         run_cells(&self.options, cells, sink, cancel, progress)
     }
-
-    /// Starts the sweep on a background thread and returns immediately with a
-    /// [`SweepJobHandle`] for status/progress polling and cancellation.
-    ///
-    /// The handle's thread runs the same scoped-thread core as [`Self::run`]
-    /// (same determinism contract); row lines stream into `sink` in cell
-    /// order.
-    /// Cancelling stops workers from picking up new cells; already-started
-    /// cells finish, and [`SweepJobHandle::join`] returns the completed
-    /// in-order prefix of the rows.
-    pub fn spawn_with_sink(
-        &self,
-        grid: &ScenarioGrid,
-        mut sink: Box<dyn SweepSink>,
-    ) -> SweepJobHandle {
-        let total = grid.len();
-        let cancel = Arc::new(AtomicBool::new(false));
-        let completed = Arc::new(AtomicUsize::new(0));
-        let options = self.options;
-        let (cancel_flag, progress) = (Arc::clone(&cancel), Arc::clone(&completed));
-        // The grid is flattened on the job's thread: callers may hold a lock
-        // (`ayd-serve` submits inside its job registry's).
-        let grid = grid.clone();
-        let thread = std::thread::spawn(move || {
-            let cells = grid.cells();
-            run_cells(
-                &options,
-                &cells,
-                sink.as_mut(),
-                Some(&cancel_flag),
-                Some(&progress),
-            )
-        });
-        SweepJobHandle {
-            total,
-            completed,
-            cancel,
-            thread,
-        }
-    }
-
-    /// [`Self::spawn_with_sink`] with a [`NullSink`] (results are only
-    /// collected into the returned handle).
-    pub fn spawn(&self, grid: &ScenarioGrid) -> SweepJobHandle {
-        self.spawn_with_sink(grid, Box::new(NullSink))
-    }
 }
 
-/// Status of a background sweep job (see [`SweepExecutor::spawn`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepJobStatus {
-    /// The job's thread is still evaluating cells.
-    Running,
-    /// Every cell was evaluated (the job thread may still be unwinding its
-    /// scope, but no further work remains).
-    Done,
-    /// Cancellation was requested; workers stop after their current cell.
-    Cancelled,
-}
-
-/// Final outcome of a background sweep job.
-#[derive(Debug, Clone)]
-pub struct SweepJobResult {
-    /// The evaluated rows: all of them for a completed job, the in-order
-    /// prefix completed before cancellation took effect otherwise.
-    pub results: SweepResults,
-    /// True when the job was cancelled before evaluating every cell.
-    pub cancelled: bool,
-}
-
-/// Handle on a sweep running on a background thread: poll progress, cancel,
-/// and eventually [`join`](Self::join) for the results.
-#[derive(Debug)]
-pub struct SweepJobHandle {
-    total: usize,
-    completed: Arc<AtomicUsize>,
-    cancel: Arc<AtomicBool>,
-    thread: std::thread::JoinHandle<SweepResults>,
-}
-
-impl SweepJobHandle {
-    /// Total number of cells in the job's grid.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Number of cells evaluated so far.
-    pub fn completed(&self) -> usize {
-        self.completed.load(Ordering::Relaxed).min(self.total)
-    }
-
-    /// Current status of the job. A job whose every cell completed reports
-    /// [`SweepJobStatus::Done`] even when a cancellation raced in after the
-    /// last cell.
-    pub fn status(&self) -> SweepJobStatus {
-        if self.completed() >= self.total {
-            SweepJobStatus::Done
-        } else if self.cancel.load(Ordering::Relaxed) {
-            SweepJobStatus::Cancelled
-        } else {
-            SweepJobStatus::Running
-        }
-    }
-
-    /// True when the job's thread has finished (all cells done, or the
-    /// cancellation drained).
-    pub fn is_finished(&self) -> bool {
-        self.thread.is_finished()
-    }
-
-    /// Requests cancellation: workers stop pulling new cells. Non-blocking;
-    /// use [`join`](Self::join) to wait for the drain.
-    pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
-    }
-
-    /// Waits for the job thread and returns the (possibly partial) results.
-    ///
-    /// # Panics
-    /// Propagates a panic from the job's worker threads, like
-    /// [`SweepExecutor::run`] does.
-    pub fn join(self) -> SweepJobResult {
-        let results = self.thread.join().expect("sweep job thread panicked");
-        let cancelled = self.cancel.load(Ordering::Relaxed) && results.rows.len() < self.total;
-        SweepJobResult { results, cancelled }
-    }
-}
-
-/// The shared parallel core of [`SweepExecutor::run_cells_controlled`] and
-/// [`SweepExecutor::spawn_with_sink`]: a self-scheduling scoped worker pool
-/// over `cells`, with optional cooperative cancellation and a progress
-/// counter (incremented once per evaluated cell).
+/// The parallel core of [`SweepExecutor::run_cells_controlled`]: a
+/// self-scheduling scoped worker pool over `cells`, with optional
+/// cooperative cancellation and a progress counter (incremented once per
+/// evaluated cell).
 fn run_cells(
     options: &SweepOptions,
     cells: &[SweepCell],
@@ -1294,18 +1170,6 @@ mod tests {
     }
 
     #[test]
-    fn spawned_jobs_report_progress_and_match_the_blocking_path() {
-        let grid = small_fixed_grid();
-        let executor = SweepExecutor::new(analytic_options().with_threads(2));
-        let handle = executor.spawn(&grid);
-        assert_eq!(handle.total(), grid.len());
-        let result = handle.join();
-        assert!(!result.cancelled);
-        assert_eq!(result.results.rows.len(), grid.len());
-        assert_eq!(result.results.rows, executor.run(&grid).rows);
-    }
-
-    #[test]
     fn cancel_mid_run_keeps_the_completed_in_order_prefix() {
         // A sink that parks the emitter on the first row until released: with
         // the in-order frontier blocked, workers pile up behind the emitter
@@ -1331,32 +1195,37 @@ mod tests {
             .unwrap();
         assert!(grid.len() >= 48);
         let (release, gate) = std::sync::mpsc::channel();
+        let (cancel, progress) = (AtomicBool::new(false), AtomicUsize::new(0));
+        let cells = grid.cells();
         let executor = SweepExecutor::new(analytic_options().with_threads(2));
-        let handle = executor.spawn_with_sink(&grid, Box::new(GatedSink { rows: 0, gate }));
-        while handle.completed() == 0 {
-            std::thread::yield_now();
-        }
-        handle.cancel();
-        assert_eq!(handle.status(), SweepJobStatus::Cancelled);
-        release.send(()).unwrap();
-        let result = handle.join();
-        assert!(result.cancelled);
-        let partial = &result.results.rows;
+        let results = std::thread::scope(|scope| {
+            let run = scope.spawn(|| {
+                let mut sink = GatedSink { rows: 0, gate };
+                executor.run_cells_controlled(&cells, &mut sink, Some(&cancel), Some(&progress))
+            });
+            while progress.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            cancel.store(true, Ordering::Relaxed);
+            release.send(()).unwrap();
+            run.join().unwrap()
+        });
+        let partial = &results.rows;
         assert!(!partial.is_empty());
-        assert!(partial.len() < grid.len(), "job was not interrupted");
+        assert!(partial.len() < grid.len(), "run was not interrupted");
         // The partial rows are the in-order prefix of an uncancelled run.
         let full = SweepExecutor::new(analytic_options().with_threads(1)).run(&grid);
         assert_eq!(partial[..], full.rows[..partial.len()]);
         // Its CSV body is exactly those rows' lines: chunks released past
         // the frontier never reach it.
-        assert_eq!(result.results.to_csv(), crate::sink::csv_text(partial));
+        assert_eq!(results.to_csv(), crate::sink::csv_text(partial));
         let full_csv = full.to_csv();
         let prefix: usize = full_csv
             .split_inclusive('\n')
             .take(1 + partial.len())
             .map(str::len)
             .sum();
-        assert_eq!(result.results.to_csv(), full_csv[..prefix]);
+        assert_eq!(results.to_csv(), full_csv[..prefix]);
     }
 
     #[test]

@@ -149,11 +149,43 @@ impl ScenarioGrid {
         &self.failure_models
     }
 
-    /// [`cells_fingerprint`] of [`Self::cells`]: grids share a fingerprint
-    /// exactly when they flatten to the same cell list, so shard manifests
-    /// can refuse to resume (or merge) against a different grid.
+    /// A 64-bit fingerprint of [`Self::cells`]: every semantic field of
+    /// every cell, folded through SplitMix64. The hash covers the platform,
+    /// scenario, profile, error rate, downtime and the processor/pattern
+    /// coordinates of each cell — everything that feeds the per-cell
+    /// evaluation and the CSV text. Grids share a fingerprint exactly when
+    /// they flatten to the same cell list, so shard manifests can refuse to
+    /// resume (or merge) against a different grid.
     pub fn fingerprint(&self) -> u64 {
-        cells_fingerprint(&self.cells())
+        let mut h: u64 = 0xA4D5_EED5_0F5A_4DE5;
+        for cell in &self.cells() {
+            let profile = ayd_core::ProfileSpec::from(cell.setup.profile);
+            for byte in cell.setup.platform.name().bytes() {
+                h = mix(h, byte as u64);
+            }
+            h = mix(h, cell.setup.scenario.number() as u64);
+            h = mix(h, profile.kind_tag() as u64);
+            h = mix(h, bits_or_marker(profile.param()));
+            h = mix(h, cell.lambda_ind().to_bits());
+            h = mix(h, cell.lambda_multiplier.to_bits());
+            h = mix(h, cell.setup.downtime.to_bits());
+            h = mix(h, bits_or_marker(cell.fixed_processors));
+            h = mix(h, bits_or_marker(cell.processor_order));
+            h = mix(h, bits_or_marker(cell.pattern_length));
+            // The failure law is mixed only when non-default, so fingerprints
+            // of pre-existing (exponential) grids — and any manifests recorded
+            // against them — are unchanged.
+            if cell.failure_model != FailureModelSpec::exponential() {
+                h = mix(h, 0xFA11_0B5E_55ED_0002);
+                h = mix(h, cell.failure_model.kind_tag() as u64);
+                h = mix(h, bits_or_marker(cell.failure_model.param()));
+                h = mix(h, bits_or_marker(cell.failure_model.lambda()));
+                for byte in cell.failure_model.trace_path().unwrap_or("").bytes() {
+                    h = mix(h, byte as u64);
+                }
+            }
+        }
+        h
     }
 
     /// The cells owned by `shard` — the slice [`ShardSpec::range`] of the
@@ -237,43 +269,6 @@ impl ScenarioGrid {
         }
         cells
     }
-}
-
-/// A 64-bit fingerprint of a cell list: every semantic field of every cell,
-/// folded through SplitMix64. The hash covers the platform, scenario,
-/// profile, error rate, downtime and the processor/pattern coordinates of
-/// each cell — everything that feeds the per-cell evaluation and the CSV
-/// text.
-pub fn cells_fingerprint(cells: &[SweepCell]) -> u64 {
-    let mut h: u64 = 0xA4D5_EED5_0F5A_4DE5;
-    for cell in cells {
-        let profile = ayd_core::ProfileSpec::from(cell.setup.profile);
-        for byte in cell.setup.platform.name().bytes() {
-            h = mix(h, byte as u64);
-        }
-        h = mix(h, cell.setup.scenario.number() as u64);
-        h = mix(h, profile.kind_tag() as u64);
-        h = mix(h, bits_or_marker(profile.param()));
-        h = mix(h, cell.lambda_ind().to_bits());
-        h = mix(h, cell.lambda_multiplier.to_bits());
-        h = mix(h, cell.setup.downtime.to_bits());
-        h = mix(h, bits_or_marker(cell.fixed_processors));
-        h = mix(h, bits_or_marker(cell.processor_order));
-        h = mix(h, bits_or_marker(cell.pattern_length));
-        // The failure law is mixed only when non-default, so fingerprints
-        // of pre-existing (exponential) grids — and any manifests recorded
-        // against them — are unchanged.
-        if cell.failure_model != FailureModelSpec::exponential() {
-            h = mix(h, 0xFA11_0B5E_55ED_0002);
-            h = mix(h, cell.failure_model.kind_tag() as u64);
-            h = mix(h, bits_or_marker(cell.failure_model.param()));
-            h = mix(h, bits_or_marker(cell.failure_model.lambda()));
-            for byte in cell.failure_model.trace_path().unwrap_or("").bytes() {
-                h = mix(h, byte as u64);
-            }
-        }
-    }
-    h
 }
 
 /// One SplitMix64 fingerprint-mixing step (shared with the options

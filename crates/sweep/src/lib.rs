@@ -56,12 +56,10 @@ pub use cache::{CacheKey, CacheStats, EvalCache, ShardedEvalCache};
 pub use evaluate::{Evaluator, OperatingPoint, OptimumComparison, SimSummary};
 pub use executor::{
     analytic_cache_key, cache_shards, cell_seed, evaluate_analytic, evaluate_analytic_observed,
-    evaluate_many, AnalyticEval, ClosedForm, EvalObservation, SweepExecutor, SweepJobHandle,
-    SweepJobResult, SweepJobStatus, SweepOptions, SweepResults, SweepRow,
+    evaluate_many, AnalyticEval, ClosedForm, EvalObservation, SweepExecutor, SweepOptions,
+    SweepResults, SweepRow,
 };
-pub use grid::{
-    cells_fingerprint, GridBuilder, GridError, LambdaAxis, ProcessorAxis, ScenarioGrid, SweepCell,
-};
+pub use grid::{GridBuilder, GridError, LambdaAxis, ProcessorAxis, ScenarioGrid, SweepCell};
 pub use manifest::{manifest_path, SweepManifest, MANIFEST_MAGIC};
 pub use misspec::{
     misspecification_of, misspecification_report, MisspecificationReport, MisspecificationRow,

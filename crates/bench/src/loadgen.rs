@@ -2,10 +2,9 @@
 //!
 //! Drives `POST /v1/optimize` (or any configured endpoint) over `concurrency`
 //! keep-alive connections until `requests` responses are in, then reports
-//! throughput and client-observed latency percentiles. Used three ways: the
-//! `loadgen` binary (CLI + CI smoke step), the `serve_throughput` Criterion
-//! bench, and — via `--check` — the end-to-end golden round-trip of
-//! [`ayd_serve::smoke_check`].
+//! throughput and client-observed latency percentiles. Used two ways: the
+//! `loadgen` binary (CLI + CI smoke step), and — via `--check` — the
+//! end-to-end golden round-trip of [`ayd_serve::smoke_check`].
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use ayd_core::fit_power_law;
+use ayd_core::{fit_power_law, SpeedupProfile};
 use ayd_platforms::{PlatformId, ScenarioId};
 use ayd_sweep::{RunOptions, ScenarioGrid, SweepExecutor, SweepOptions};
 
@@ -93,7 +93,7 @@ pub fn run_with(lambdas: &[f64], alpha: f64, options: &RunOptions) -> Figure5Dat
     let grid = ScenarioGrid::builder()
         .platforms(&[PlatformId::Hera])
         .scenarios(&ScenarioId::REPRESENTATIVE)
-        .alphas(&[alpha])
+        .profiles(&[SpeedupProfile::Amdahl { alpha }])
         .lambda_values(lambdas)
         .build()
         .expect("the Figure 5 grid is valid");

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use ayd_core::fit_power_law;
+use ayd_core::{fit_power_law, SpeedupProfile};
 use ayd_platforms::{PlatformId, ScenarioId};
 use ayd_sweep::{RunOptions, ScenarioGrid, SweepExecutor, SweepOptions};
 
@@ -81,7 +81,7 @@ pub fn run_with(lambdas: &[f64], options: &RunOptions) -> Figure6Data {
     let grid = ScenarioGrid::builder()
         .platforms(&[PlatformId::Hera])
         .scenarios(&ScenarioId::REPRESENTATIVE)
-        .alphas(&[0.0])
+        .profiles(&[SpeedupProfile::Amdahl { alpha: 0.0 }])
         .lambda_values(lambdas)
         .build()
         .expect("the Figure 6 grid is valid");

@@ -23,8 +23,7 @@
 //!
 //! Each runner returns plain serialisable data, renders a text table resembling
 //! the figure's series/rows, and is reachable from the `reproduce` CLI
-//! (`cargo run -p ayd-exp --bin reproduce -- fig2`) as well as from the Criterion
-//! benches of `ayd-bench`.
+//! (`cargo run -p ayd-exp --bin reproduce -- fig2`).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

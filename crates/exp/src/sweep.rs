@@ -60,7 +60,10 @@ pub fn demo_grid_with_axes(
         ScenarioGrid::builder()
             .platforms(&PlatformId::ALL)
             .scenarios(&ScenarioId::ALL)
-            .alphas(&[0.05, 0.1])
+            .profiles(&[
+                SpeedupProfile::Amdahl { alpha: 0.05 },
+                SpeedupProfile::Amdahl { alpha: 0.1 },
+            ])
             .lambda_multipliers(&[1.0, 10.0])
             .processors(ProcessorAxis::Fixed(vec![256.0, 1024.0, 4096.0]))
             .pattern_lengths(&[900.0, 3_600.0, 14_400.0, 57_600.0])

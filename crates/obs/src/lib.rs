@@ -15,10 +15,7 @@
 //!
 //! Tracing is **off by default**. Every span site starts with one relaxed
 //! atomic load ([`enabled`]); while disabled a [`span`] call constructs
-//! nothing and its guard's `Drop` is a no-op. Building the crate without the
-//! default `trace` feature removes even the atomic load — the [`span!`] and
-//! [`event!`] macros expand to a disabled guard and the whole runtime is
-//! compiled out.
+//! nothing and its guard's `Drop` is a no-op.
 //!
 //! Recording never touches the traced computation's values: spans carry only
 //! clock readings and counters, so enabling tracing cannot perturb any
@@ -45,7 +42,7 @@
 //!
 //! The emitting crates share one flat vocabulary (the full table, with
 //! fields, is `docs/OBSERVABILITY.md` at the repository root): the serving
-//! path emits `connection`/`request`/`parse`/`route`/`evaluate`/`render`,
+//! path emits `request`/`parse`/`route`/`evaluate`/`render`,
 //! the sweep engine `sweep`/`chunk`/`shard`, and a distributed-sweep
 //! coordinator additionally `dispatch`, `lease_expire`, `shard_reissue` and
 //! `shard_chunk` — the audit trail of which worker held which shard epoch
@@ -56,40 +53,11 @@
 
 mod record;
 mod sink;
-#[cfg(feature = "trace")]
 mod span;
 
 pub use record::{FieldValue, SpanContext, SpanRecord};
 pub use sink::{JsonLinesSink, MemorySink, Sink};
-
-#[cfg(feature = "trace")]
 pub use span::{
     child_of, disable, enable, enabled, event, flush, fresh_trace_id, recent, root_span, set_sink,
     span, Span, RING_CAPACITY,
 };
-
-#[cfg(not(feature = "trace"))]
-mod noop;
-#[cfg(not(feature = "trace"))]
-pub use noop::{
-    child_of, disable, enable, enabled, event, flush, fresh_trace_id, recent, root_span, set_sink,
-    span, Span, RING_CAPACITY,
-};
-
-/// Starts a span (child of the innermost open span on this thread). Expands
-/// to a disabled guard when the crate is built without the `trace` feature.
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::span($name)
-    };
-}
-
-/// Records an instantaneous event (a zero-duration span). Expands to nothing
-/// observable when the crate is built without the `trace` feature.
-#[macro_export]
-macro_rules! event {
-    ($name:expr) => {
-        $crate::event($name)
-    };
-}

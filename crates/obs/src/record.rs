@@ -1,5 +1,4 @@
-//! Span data types shared by the real runtime and the `trace`-featureless
-//! no-op build (so trace logs parse the same either way).
+//! Span data types: the records the runtime emits and sinks consume.
 
 /// A typed span field value.
 #[derive(Debug, Clone, PartialEq)]

@@ -7,7 +7,7 @@ const INV_PHI: f64 = 0.618_033_988_749_894_9;
 /// assuming `f` is unimodal there. Returns `(x_min, f(x_min))`.
 ///
 /// The search stops when the bracket width falls below `tol * (|a| + |b| + 1)`
-/// (a mixed absolute/relative criterion) or after `max_iter` shrink steps.
+/// (a mixed absolute/relative tolerance) or after `max_iter` shrink steps.
 ///
 /// # Panics
 /// Panics if `a > b`, if `tol` is not strictly positive, or if the objective

@@ -1,29 +1,8 @@
 //! Integer minimisation for processor counts.
 //!
 //! Optimal processor allocations are, physically, integers. The analysis treats
-//! `P` as continuous; this module provides the small utilities used to convert a
-//! continuous optimum into the best integer neighbour, and to search an integer
-//! range exhaustively when it is small enough.
-
-/// Exhaustively minimises `f` over the inclusive integer range `[lo, hi]`.
-/// Returns `(argmin, min)`. Non-finite values are skipped.
-///
-/// # Panics
-/// Panics if `lo > hi` or if `f` is non-finite over the whole range.
-pub fn minimize_integer<F>(lo: u64, hi: u64, f: F) -> (u64, f64)
-where
-    F: Fn(u64) -> f64,
-{
-    assert!(lo <= hi, "invalid integer range: {lo} > {hi}");
-    let mut best: Option<(u64, f64)> = None;
-    for p in lo..=hi {
-        let v = f(p);
-        if v.is_finite() && best.is_none_or(|(_, bv)| v < bv) {
-            best = Some((p, v));
-        }
-    }
-    best.expect("objective was non-finite over the entire integer range")
-}
+//! `P` as continuous; this module converts a continuous optimum into the best
+//! integer neighbour.
 
 /// Rounds a continuous optimiser `x` to the best of its integer neighbours
 /// (clamped to be at least `min`), according to the objective `f`.
@@ -48,53 +27,9 @@ where
     best.expect("objective was non-finite at every candidate integer")
 }
 
-/// Local descent over the integers starting from `start`: repeatedly moves to the
-/// better neighbouring integer (`±1`) until neither improves, clamped to
-/// `[lo, hi]`. Suitable once a coarse search has located the convex basin.
-/// Returns `(argmin, min)`.
-pub fn integer_local_descent<F>(start: u64, lo: u64, hi: u64, max_steps: usize, f: F) -> (u64, f64)
-where
-    F: Fn(u64) -> f64,
-{
-    assert!(lo <= hi && (lo..=hi).contains(&start));
-    let mut current = start;
-    let mut value = f(current);
-    for _ in 0..max_steps {
-        let mut improved = false;
-        for candidate in [current.saturating_sub(1).max(lo), (current + 1).min(hi)] {
-            if candidate == current {
-                continue;
-            }
-            let v = f(candidate);
-            if v.is_finite() && v < value {
-                current = candidate;
-                value = v;
-                improved = true;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    (current, value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exhaustive_finds_integer_minimum() {
-        let (p, v) = minimize_integer(1, 1000, |p| (p as f64 - 321.4).powi(2));
-        assert_eq!(p, 321);
-        assert!((v - 0.16).abs() < 1e-9);
-    }
-
-    #[test]
-    fn exhaustive_skips_infinite_values() {
-        let (p, _) = minimize_integer(1, 100, |p| if p < 10 { f64::INFINITY } else { p as f64 });
-        assert_eq!(p, 10);
-    }
 
     #[test]
     fn rounding_picks_best_neighbour() {
@@ -108,26 +43,5 @@ mod tests {
     fn rounding_respects_minimum() {
         let f = |p: u64| p as f64;
         assert_eq!(round_to_best_integer(0.2, 1, f).0, 1);
-    }
-
-    #[test]
-    fn local_descent_converges_from_off_center_start() {
-        let f = |p: u64| (p as f64 - 512.0).abs();
-        let (p, v) = integer_local_descent(500, 1, 10_000, 1_000, f);
-        assert_eq!(p, 512);
-        assert_eq!(v, 0.0);
-    }
-
-    #[test]
-    fn local_descent_stops_at_bounds() {
-        let f = |p: u64| -(p as f64);
-        let (p, _) = integer_local_descent(95, 1, 100, 1_000, f);
-        assert_eq!(p, 100);
-    }
-
-    #[test]
-    #[should_panic]
-    fn rejects_reversed_range() {
-        let _ = minimize_integer(10, 5, |p| p as f64);
     }
 }

@@ -13,8 +13,6 @@
 //!   basin of attraction when unimodality over the full range is not guaranteed.
 //! * [`scalar::minimize_scalar`] — the robust composition used everywhere: coarse
 //!   log-grid scan followed by Brent refinement of the best bracket.
-//! * [`integer::minimize_integer`] — exhaustive/local search over integer
-//!   arguments (processor counts).
 //! * [`joint::JointSearch`] — nested 2-D minimisation over `(P, T)`: for every
 //!   candidate `P` the inner dimension `T` is minimised, and the outer envelope
 //!   `P ↦ min_T f(P, T)` is minimised in turn.
@@ -44,7 +42,6 @@ pub mod seeded;
 pub use brent::{brent_minimize, brent_minimize_counted};
 pub use golden::golden_section;
 pub use grid::{log_grid_minimum, log_space_point};
-pub use integer::minimize_integer;
 pub use joint::{JointResult, JointSearch};
 pub use scalar::{minimize_scalar, OptimizeOptions, ScalarMinimum};
 pub use seeded::{minimize_scalar_seeded, Check, FallbackReason, SearchReport};

@@ -1,8 +1,9 @@
 //! Route table and request handlers.
 //!
-//! `dispatch` pairs each handler's answer with a static endpoint label:
-//! the label feeds the metrics registry, the response is written by the
-//! connection loop. A `/v1/batch` answers a validated `Batch` instead,
+//! `endpoint` names the route of a request with a static label, which feeds
+//! the metrics registry; `dispatch` runs the handler that label names, and
+//! the connection loop writes the response. A `/v1/batch` answers a
+//! validated `Batch` instead,
 //! which the connection loop evaluates one slice per turn. Handlers are pure
 //! functions of the shared [`AppState`] plus the parsed request — no I/O —
 //! which keeps them trivially testable.
@@ -43,129 +44,21 @@ impl From<Response> for Routed {
 /// (for metrics) and the response: the request is dispatched, and a batch's
 /// slices are evaluated back to back.
 pub fn route(state: &Arc<AppState>, req: &Request) -> (&'static str, Response) {
-    match dispatch(state, req) {
-        (endpoint, Routed::Done(response)) => (endpoint, response),
-        (endpoint, Routed::Batch(mut batch)) => {
+    let response = match dispatch(state, req) {
+        Routed::Done(response) => response,
+        Routed::Batch(mut batch) => {
             while !batch.step(state, ayd_obs::SpanContext::default()) {}
-            (endpoint, batch.finish())
+            batch.finish()
         }
-    }
+    };
+    (endpoint(&req.method, &req.target), response)
 }
 
-/// Dispatches one parsed request, returning the endpoint label (for metrics)
-/// and either the response or a batch to evaluate over later turns.
-pub(crate) fn dispatch(state: &Arc<AppState>, req: &Request) -> (&'static str, Routed) {
-    let path = req.target.split('?').next().unwrap_or("");
-    match path {
-        "/healthz" => match req.method.as_str() {
-            "GET" => ("healthz", health(state).into()),
-            _ => ("healthz", method_not_allowed("GET").into()),
-        },
-        "/metrics" => match req.method.as_str() {
-            "GET" => {
-                let cluster = state
-                    .coordinator
-                    .as_ref()
-                    .map(|coordinator| coordinator.stats(Instant::now()));
-                (
-                    "metrics",
-                    Response::text(
-                        200,
-                        "OK",
-                        state.metrics.render_prometheus(
-                            &state.cache.stats(),
-                            &state.jobs.gauge_snapshot(),
-                            cluster.as_ref(),
-                        ),
-                    )
-                    .into(),
-                )
-            }
-            _ => ("metrics", method_not_allowed("GET").into()),
-        },
-        "/v1/trace/recent" => match req.method.as_str() {
-            "GET" => ("trace_recent", trace_recent(req).into()),
-            _ => ("trace_recent", method_not_allowed("GET").into()),
-        },
-        "/v1/optimize" => match req.method.as_str() {
-            "POST" => ("optimize", optimize(state, req).into()),
-            _ => ("optimize", method_not_allowed("POST").into()),
-        },
-        "/v1/batch" => match req.method.as_str() {
-            "POST" => (
-                "batch",
-                Batch::start(req).map_or_else(Routed::Done, Routed::Batch),
-            ),
-            _ => ("batch", method_not_allowed("POST").into()),
-        },
-        "/v1/sweep" => match req.method.as_str() {
-            "POST" => ("sweep_submit", sweep_submit(state, req).into()),
-            _ => ("sweep_submit", method_not_allowed("POST").into()),
-        },
-        "/v1/workers/register" => match req.method.as_str() {
-            "POST" => ("worker_register", worker_register(state, req).into()),
-            _ => ("worker_register", method_not_allowed("POST").into()),
-        },
-        "/v1/workers" => match req.method.as_str() {
-            "GET" => ("workers", workers_list(state).into()),
-            _ => ("workers", method_not_allowed("GET").into()),
-        },
-        _ if path.starts_with("/v1/workers/") => {
-            let rest = &path["/v1/workers/".len()..];
-            let id = rest.strip_suffix("/heartbeat").and_then(|t| t.parse().ok());
-            match (req.method.as_str(), id) {
-                ("POST", Some(id)) => ("worker_heartbeat", worker_heartbeat(state, req, id).into()),
-                (_, Some(_)) => ("worker_heartbeat", method_not_allowed("POST").into()),
-                (_, None) => ("worker_heartbeat", not_found().into()),
-            }
-        }
-        "/v1/shards/run" => match req.method.as_str() {
-            "POST" => ("shard_run", shard_run(state, req).into()),
-            _ => ("shard_run", method_not_allowed("POST").into()),
-        },
-        _ if path.starts_with("/v1/sweep/") => {
-            let rest = &path["/v1/sweep/".len()..];
-            // Worker → coordinator chunk upload:
-            // POST /v1/sweep/{job}/shards/{index}/chunk?worker=&token=&epoch=
-            if let Some((job_text, tail)) = rest.split_once("/shards/") {
-                let ids = tail.strip_suffix("/chunk").and_then(|index_text| {
-                    Some((
-                        job_text.parse::<u64>().ok()?,
-                        index_text.parse::<usize>().ok()?,
-                    ))
-                });
-                return match (req.method.as_str(), ids) {
-                    ("POST", Some((job, index))) => {
-                        ("shard_chunk", shard_chunk(state, req, job, index).into())
-                    }
-                    (_, Some(_)) => ("shard_chunk", method_not_allowed("POST").into()),
-                    (_, None) => ("shard_chunk", not_found().into()),
-                };
-            }
-            if let Some(id_text) = rest.strip_suffix("/shards") {
-                let id = id_text.parse::<u64>().ok();
-                return match (req.method.as_str(), id) {
-                    ("GET", Some(id)) => ("sweep_shards", sweep_shards(state, id).into()),
-                    (_, Some(_)) => ("sweep_shards", method_not_allowed("GET").into()),
-                    (_, None) => ("sweep_shards", not_found().into()),
-                };
-            }
-            let id = rest.parse::<u64>().ok();
-            match (req.method.as_str(), id) {
-                ("GET", Some(id)) => ("sweep_poll", sweep_poll(state, req, id).into()),
-                ("DELETE", Some(id)) => ("sweep_cancel", sweep_cancel(state, id).into()),
-                (_, Some(_)) => ("sweep_poll", method_not_allowed("GET, DELETE").into()),
-                (_, None) => ("sweep_poll", not_found().into()),
-            }
-        }
-        _ => ("unknown", not_found().into()),
-    }
-}
-
-/// The endpoint label a request *will* resolve to, computable before the
-/// handler runs — what feeds the in-flight gauge. Must stay aligned with the
-/// labels [`route`] returns (method mismatches still land on the same label).
-pub fn endpoint_hint(target: &str) -> &'static str {
+/// The endpoint label of a request, from its method and target: the route
+/// table. [`dispatch`] picks the handler by it, and the connection loop
+/// labels the in-flight gauge, the request counter and the `request` span
+/// with it. A method the route does not allow keeps the route's label.
+pub(crate) fn endpoint(method: &str, target: &str) -> &'static str {
     let path = target.split('?').next().unwrap_or("");
     match path {
         "/healthz" => "healthz",
@@ -178,17 +71,118 @@ pub fn endpoint_hint(target: &str) -> &'static str {
         "/v1/workers" => "workers",
         "/v1/shards/run" => "shard_run",
         _ if path.starts_with("/v1/workers/") => "worker_heartbeat",
-        _ if path.starts_with("/v1/sweep/") => {
-            let rest = &path["/v1/sweep/".len()..];
-            if rest.contains("/shards/") && rest.ends_with("/chunk") {
-                "shard_chunk"
-            } else if rest.ends_with("/shards") {
-                "sweep_shards"
-            } else {
-                "sweep_poll"
+        _ => match path.strip_prefix("/v1/sweep/") {
+            Some(rest) if rest.contains("/shards/") => "shard_chunk",
+            Some(rest) if rest.ends_with("/shards") => "sweep_shards",
+            Some(_) if method == "DELETE" => "sweep_cancel",
+            Some(_) => "sweep_poll",
+            None => "unknown",
+        },
+    }
+}
+
+/// Dispatches one parsed request to the handler its [`endpoint`] label
+/// names, returning either the response or a batch to evaluate over later
+/// turns.
+pub(crate) fn dispatch(state: &Arc<AppState>, req: &Request) -> Routed {
+    let path = req.target.split('?').next().unwrap_or("");
+    // The sweep routes carry their ids below `/v1/sweep/`.
+    let rest = path.strip_prefix("/v1/sweep/").unwrap_or("");
+    let method = req.method.as_str();
+    match endpoint(method, &req.target) {
+        "healthz" => match method {
+            "GET" => health(state).into(),
+            _ => method_not_allowed("GET").into(),
+        },
+        "metrics" => match method {
+            "GET" => {
+                let cluster = state
+                    .coordinator
+                    .as_ref()
+                    .map(|coordinator| coordinator.stats(Instant::now()));
+                Response::text(
+                    200,
+                    "OK",
+                    state.metrics.render_prometheus(
+                        &state.cache.stats(),
+                        &state.jobs.gauge_snapshot(),
+                        cluster.as_ref(),
+                    ),
+                )
+                .into()
+            }
+            _ => method_not_allowed("GET").into(),
+        },
+        "trace_recent" => match method {
+            "GET" => trace_recent(req).into(),
+            _ => method_not_allowed("GET").into(),
+        },
+        "optimize" => match method {
+            "POST" => optimize(state, req).into(),
+            _ => method_not_allowed("POST").into(),
+        },
+        "batch" => match method {
+            "POST" => Batch::start(req).map_or_else(Routed::Done, Routed::Batch),
+            _ => method_not_allowed("POST").into(),
+        },
+        "sweep_submit" => match method {
+            "POST" => sweep_submit(state, req).into(),
+            _ => method_not_allowed("POST").into(),
+        },
+        "worker_register" => match method {
+            "POST" => worker_register(state, req).into(),
+            _ => method_not_allowed("POST").into(),
+        },
+        "workers" => match method {
+            "GET" => workers_list(state).into(),
+            _ => method_not_allowed("GET").into(),
+        },
+        "worker_heartbeat" => {
+            let id = path
+                .strip_prefix("/v1/workers/")
+                .and_then(|rest| rest.strip_suffix("/heartbeat"))
+                .and_then(|t| t.parse().ok());
+            match (method, id) {
+                ("POST", Some(id)) => worker_heartbeat(state, req, id).into(),
+                (_, Some(_)) => method_not_allowed("POST").into(),
+                (_, None) => not_found().into(),
             }
         }
-        _ => "unknown",
+        "shard_run" => match method {
+            "POST" => shard_run(state, req).into(),
+            _ => method_not_allowed("POST").into(),
+        },
+        // Worker → coordinator chunk upload:
+        // POST /v1/sweep/{job}/shards/{index}/chunk?worker=&token=&epoch=
+        "shard_chunk" => {
+            let ids = rest.split_once("/shards/").and_then(|(job_text, tail)| {
+                let index_text = tail.strip_suffix("/chunk")?;
+                Some((
+                    job_text.parse::<u64>().ok()?,
+                    index_text.parse::<usize>().ok()?,
+                ))
+            });
+            match (method, ids) {
+                ("POST", Some((job, index))) => shard_chunk(state, req, job, index).into(),
+                (_, Some(_)) => method_not_allowed("POST").into(),
+                (_, None) => not_found().into(),
+            }
+        }
+        "sweep_shards" => {
+            let id = rest.strip_suffix("/shards").and_then(|t| t.parse().ok());
+            match (method, id) {
+                ("GET", Some(id)) => sweep_shards(state, id).into(),
+                (_, Some(_)) => method_not_allowed("GET").into(),
+                (_, None) => not_found().into(),
+            }
+        }
+        "sweep_poll" | "sweep_cancel" => match (method, rest.parse::<u64>().ok()) {
+            ("GET", Some(id)) => sweep_poll(state, req, id).into(),
+            ("DELETE", Some(id)) => sweep_cancel(state, id).into(),
+            (_, Some(_)) => method_not_allowed("GET, DELETE").into(),
+            (_, None) => not_found().into(),
+        },
+        _ => not_found().into(),
     }
 }
 
@@ -986,12 +980,14 @@ pub fn parse_grid(body: &Json) -> Result<ScenarioGrid, ApiError> {
             // Validate the model parameters eagerly so an out-of-range alpha
             // is attributed to the 'alphas' field rather than surfacing as a
             // fieldless grid-builder error.
-            for &alpha in &alphas {
-                SpeedupProfile::Amdahl { alpha }
-                    .validate()
-                    .map_err(|e| ApiError::field("alphas", e.to_string()))?;
-            }
-            builder = builder.alphas(&alphas);
+            let profiles = alphas
+                .into_iter()
+                .map(|alpha| {
+                    SpeedupProfile::amdahl(alpha)
+                        .map_err(|e| ApiError::field("alphas", e.to_string()))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            builder = builder.profiles(&profiles);
         }
         (None, Some(profiles)) => builder = builder.profiles(&profiles),
         (None, None) => {}

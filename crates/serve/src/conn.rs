@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::api::{dispatch, endpoint_hint, Batch, Routed};
+use crate::api::{dispatch, endpoint, Batch, Routed};
 use crate::app::AppState;
 use crate::http::{parse_request, Limits, ParseError, Request, Response};
 
@@ -285,30 +285,28 @@ pub(crate) fn answer_next(
     };
     parse_span.finish();
     let started = Instant::now();
-    let endpoint_guess = endpoint_hint(&request.target);
-    state.metrics.request_started(endpoint_guess);
+    let endpoint = endpoint(&request.method, &request.target);
+    state.metrics.request_started(endpoint);
     let route_span = ayd_obs::span("route");
     // A panicking handler must not take the reactor, and every connection on
     // it, down with it: the request gets a 500 and its connection closes.
     let routed = std::panic::catch_unwind(AssertUnwindSafe(|| dispatch(state, &request)));
     route_span.finish();
-    let (endpoint, routed) = routed.map_or((endpoint_guess, None), |(e, r)| (e, Some(r)));
     let in_flight = InFlight {
         root,
         trace,
         started,
-        endpoint_guess,
         endpoint,
         wants_close: request.wants_close(),
     };
     match routed {
-        Some(Routed::Batch(batch)) => {
+        Ok(Routed::Batch(batch)) => {
             let request = in_flight;
             *pending = Some(Box::new(Pending { batch, request }));
             Answer::Pending
         }
-        Some(Routed::Done(response)) => in_flight.respond(state, Some(response), shutdown, out),
-        None => in_flight.respond(state, None, shutdown, out),
+        Ok(Routed::Done(response)) => in_flight.respond(state, Some(response), shutdown, out),
+        Err(_) => in_flight.respond(state, None, shutdown, out),
     }
 }
 
@@ -318,8 +316,7 @@ struct InFlight {
     root: ayd_obs::Span,
     trace: u64,
     started: Instant,
-    /// The in-flight gauge's label, from [`endpoint_hint`].
-    endpoint_guess: &'static str,
+    /// The request's one label: in-flight gauge, request counter and span.
     endpoint: &'static str,
     wants_close: bool,
 }
@@ -347,7 +344,7 @@ impl InFlight {
             .write_to(out, keep_alive)
             .expect("writing to a Vec cannot fail");
         render_span.finish();
-        state.metrics.request_finished(self.endpoint_guess);
+        state.metrics.request_finished(self.endpoint);
         self.root.field_str("endpoint", self.endpoint);
         self.root.field_u64("status", u64::from(status));
         self.root.finish();
@@ -555,6 +552,28 @@ mod tests {
         match parser.poll(&limits(), false) {
             Poll::Ready(request) => assert_eq!(request.body, b"abcde"),
             other => panic!("expected a request, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_gauge_and_the_counter_share_each_request_label() {
+        let state = AppState::new(&crate::ServerConfig {
+            threads: 1,
+            ..crate::ServerConfig::default()
+        });
+        let requests: [&[u8]; 3] = [
+            b"DELETE /v1/sweep/1 HTTP/1.1\r\n\r\n",
+            b"GET /v1/sweep/1/shards/2 HTTP/1.1\r\n\r\n",
+            b"GET /metrics HTTP/1.1\r\n\r\n",
+        ];
+        let output = serve_chunks(&requests, &state, &AtomicBool::new(false));
+        let output = String::from_utf8(output).expect("responses are UTF-8");
+        let (_, scrape) = output.rsplit_once("\r\n\r\n").expect("a /metrics body");
+        for label in ["sweep_cancel", "shard_chunk"] {
+            let counted = format!("ayd_requests_total{{endpoint=\"{label}\",");
+            let gauged = format!("ayd_in_flight_requests{{endpoint=\"{label}\"}} 0\n");
+            assert!(scrape.contains(&counted), "{label} not counted:\n{scrape}");
+            assert!(scrape.contains(&gauged), "{label} not gauged:\n{scrape}");
         }
     }
 }

@@ -993,28 +993,44 @@ mod tests {
 
     #[test]
     fn pattern_length_axes_reuse_the_optimiser_evaluations() {
-        let grid = ScenarioGrid::builder()
-            .scenarios(&[ScenarioId::S1])
-            .processors(ProcessorAxis::Fixed(vec![512.0]))
-            .pattern_lengths(&[1_800.0, 3_600.0, 7_200.0])
-            .build()
-            .unwrap();
-        let results = SweepExecutor::new(analytic_options().with_threads(1)).run(&grid);
-        // One optimiser evaluation, two cache hits: the prescribed-pattern
-        // evaluations are closed forms outside the cache.
-        assert_eq!(results.cache.misses, 1, "stats: {:?}", results.cache);
-        assert_eq!(results.cache.hits, 2, "stats: {:?}", results.cache);
-        let overheads: Vec<f64> = results
-            .rows
-            .iter()
-            .map(|r| r.prescribed.unwrap().predicted_overhead)
-            .collect();
-        assert!(overheads.windows(2).all(|w| w[0] != w[1]), "{overheads:?}");
-        // All three rows share the same cached numerical optimum.
-        assert!(results
-            .rows
-            .iter()
-            .all(|r| r.numerical == results.rows[0].numerical));
+        // Every profile family deduplicates alike: the cache must not
+        // privilege the Amdahl fast path.
+        for profile in [
+            SpeedupProfile::Amdahl { alpha: 0.1 },
+            SpeedupProfile::PowerLaw { sigma: 0.8 },
+            SpeedupProfile::Gustafson { alpha: 0.05 },
+            SpeedupProfile::PerfectlyParallel,
+        ] {
+            let grid = ScenarioGrid::builder()
+                .scenarios(&[ScenarioId::S1])
+                .profiles(&[profile])
+                .processors(ProcessorAxis::Fixed(vec![512.0]))
+                .pattern_lengths(&[1_800.0, 3_600.0, 7_200.0])
+                .build()
+                .unwrap();
+            let results = SweepExecutor::new(analytic_options().with_threads(1)).run(&grid);
+            // One optimiser evaluation, two cache hits: the prescribed-pattern
+            // evaluations are closed forms outside the cache.
+            assert_eq!(results.cache.misses, 1, "{profile:?}: {:?}", results.cache);
+            assert_eq!(results.cache.hits, 2, "{profile:?}: {:?}", results.cache);
+            let overheads: Vec<f64> = results
+                .rows
+                .iter()
+                .map(|r| r.prescribed.unwrap().predicted_overhead)
+                .collect();
+            assert!(
+                overheads.windows(2).all(|w| w[0] != w[1]),
+                "{profile:?}: {overheads:?}"
+            );
+            // All three rows share the same cached numerical optimum.
+            assert!(
+                results
+                    .rows
+                    .iter()
+                    .all(|r| r.numerical == results.rows[0].numerical),
+                "{profile:?}"
+            );
+        }
     }
 
     fn row_model(row: &SweepRow) -> ExactModel {

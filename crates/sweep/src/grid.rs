@@ -205,9 +205,9 @@ impl ScenarioGrid {
     /// Flattens the grid into its deterministic cell order: platform (outer) →
     /// scenario → profile → failure model → λ → processors → pattern length
     /// (inner). The profile axis occupies the position the `α` axis used to,
-    /// so Amdahl-only grids built through [`GridBuilder::alphas`] keep their
-    /// historical cell ordering; the failure axis defaults to the single
-    /// exponential law, so grids that never set it keep their cell list too.
+    /// so Amdahl-only grids keep their historical cell ordering; the failure
+    /// axis defaults to the single exponential law, so grids that never set
+    /// it keep their cell list too.
     pub fn cells(&self) -> Vec<SweepCell> {
         let mut cells = Vec::with_capacity(self.len());
         for &platform in &self.platforms {
@@ -327,23 +327,10 @@ impl GridBuilder {
     }
 
     /// Sets the application axis to a list of speedup profiles (Amdahl,
-    /// perfectly parallel, power law, Gustafson). This generalises
-    /// [`Self::alphas`]; the profile axis occupies the same position in the
-    /// cell ordering.
+    /// perfectly parallel, power law, Gustafson).
     pub fn profiles(mut self, profiles: &[SpeedupProfile]) -> Self {
         self.profiles = profiles.to_vec();
         self
-    }
-
-    /// Sets the application axis to Amdahl profiles with these sequential
-    /// fractions `α` — a thin convenience over [`Self::profiles`] kept for the
-    /// (very common) Amdahl-only sweeps.
-    pub fn alphas(self, alphas: &[f64]) -> Self {
-        let profiles: Vec<SpeedupProfile> = alphas
-            .iter()
-            .map(|&alpha| SpeedupProfile::Amdahl { alpha })
-            .collect();
-        self.profiles(&profiles)
     }
 
     /// Sets the failure-model axis: one cell block per inter-arrival law
@@ -553,7 +540,10 @@ mod tests {
     fn invalid_grids_are_rejected() {
         assert!(ScenarioGrid::builder().platforms(&[]).build().is_err());
         assert!(ScenarioGrid::builder().scenarios(&[]).build().is_err());
-        assert!(ScenarioGrid::builder().alphas(&[1.5]).build().is_err());
+        assert!(ScenarioGrid::builder()
+            .profiles(&[SpeedupProfile::Amdahl { alpha: 1.5 }])
+            .build()
+            .is_err());
         assert!(ScenarioGrid::builder()
             .lambda_multipliers(&[0.0])
             .build()
@@ -600,29 +590,21 @@ mod tests {
     }
 
     #[test]
-    fn legacy_alphas_builder_matches_explicit_amdahl_profiles() {
-        // Back-compat: Amdahl-only grids built via the thin `alphas(...)`
-        // convenience produce exactly the same cells (and therefore the same
-        // ordering) as the generic profile axis.
-        let build = |builder: GridBuilder| {
-            builder
-                .platforms(&[PlatformId::Hera, PlatformId::Atlas])
-                .scenarios(&[ScenarioId::S1, ScenarioId::S3])
-                .lambda_multipliers(&[1.0, 10.0])
-                .processors(ProcessorAxis::Fixed(vec![256.0, 1024.0]))
-                .build()
-                .unwrap()
-        };
-        let legacy = build(ScenarioGrid::builder().alphas(&[0.05, 0.1]));
-        let generic = build(ScenarioGrid::builder().profiles(&[
-            SpeedupProfile::Amdahl { alpha: 0.05 },
-            SpeedupProfile::Amdahl { alpha: 0.1 },
-        ]));
-        assert_eq!(legacy, generic);
-        assert_eq!(legacy.cells(), generic.cells());
-        // The α axis still varies exactly where it used to: just inside the
+    fn amdahl_profiles_vary_between_the_scenario_and_lambda_axes() {
+        let grid = ScenarioGrid::builder()
+            .platforms(&[PlatformId::Hera, PlatformId::Atlas])
+            .scenarios(&[ScenarioId::S1, ScenarioId::S3])
+            .profiles(&[
+                SpeedupProfile::Amdahl { alpha: 0.05 },
+                SpeedupProfile::Amdahl { alpha: 0.1 },
+            ])
+            .lambda_multipliers(&[1.0, 10.0])
+            .processors(ProcessorAxis::Fixed(vec![256.0, 1024.0]))
+            .build()
+            .unwrap();
+        // The α axis varies exactly where it always has: just inside the
         // scenario axis, just outside the λ axis.
-        let cells = legacy.cells();
+        let cells = grid.cells();
         assert_eq!(cells[0].setup.alpha(), Some(0.05));
         assert_eq!(cells[4].setup.alpha(), Some(0.1));
         assert_eq!(cells[0].setup.scenario, cells[4].setup.scenario);
@@ -632,7 +614,10 @@ mod tests {
     fn failure_axis_sits_between_profile_and_lambda() {
         let grid = ScenarioGrid::builder()
             .scenarios(&[ScenarioId::S1])
-            .alphas(&[0.05, 0.1])
+            .profiles(&[
+                SpeedupProfile::Amdahl { alpha: 0.05 },
+                SpeedupProfile::Amdahl { alpha: 0.1 },
+            ])
             .failure_models(&[
                 FailureModelSpec::exponential(),
                 FailureModelSpec::weibull(0.7).unwrap(),
@@ -719,7 +704,10 @@ mod tests {
         let grid = ScenarioGrid::builder()
             .platforms(&PlatformId::ALL)
             .scenarios(&ScenarioId::ALL)
-            .alphas(&[0.0, 0.1])
+            .profiles(&[
+                SpeedupProfile::Amdahl { alpha: 0.0 },
+                SpeedupProfile::Amdahl { alpha: 0.1 },
+            ])
             .lambda_multipliers(&[0.1, 1.0, 10.0])
             .processors(ProcessorAxis::Fixed(vec![512.0]))
             .pattern_lengths(&[3600.0])

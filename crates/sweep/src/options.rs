@@ -12,7 +12,7 @@ use ayd_sim::SimulationConfig;
 pub enum Fidelity {
     /// Tiny replication, for unit tests and CI smoke runs.
     Smoke,
-    /// Moderate replication; the default for `cargo bench` and the CLI.
+    /// Moderate replication; the CLI's default.
     Standard,
     /// The paper's replication scale (500 runs × 500 patterns per point).
     Paper,

@@ -71,7 +71,7 @@ pub use error::ModelError;
 pub use failure::FailureModel;
 pub use failure_spec::{FailureLaw, FailureModelSpec};
 pub use first_order::{CostCase, FirstOrder, JointOptimum, PeriodOptimum};
-pub use pattern::ExactModel;
+pub use pattern::{ExactModel, ModelAt};
 pub use profile::ProfileSpec;
 pub use regimes::{fit_power_law, ValidityBounds};
 pub use speedup::SpeedupProfile;
@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::failure::FailureModel;
     pub use crate::failure_spec::{FailureLaw, FailureModelSpec};
     pub use crate::first_order::{CostCase, FirstOrder, JointOptimum, PeriodOptimum};
-    pub use crate::pattern::ExactModel;
+    pub use crate::pattern::{ExactModel, ModelAt};
     pub use crate::profile::ProfileSpec;
     pub use crate::regimes::{fit_power_law, ValidityBounds};
     pub use crate::speedup::SpeedupProfile;

@@ -18,6 +18,13 @@
 //! The two paths agree to machine precision (see the module tests and the
 //! property tests in `tests/`), which guards against transcription errors.
 //!
+//! The optimisers evaluate the component path through [`ModelAt`], the model
+//! at one processor count ([`ExactModel::at`]): every term that depends on `P`
+//! alone is evaluated once, so each period `T` costs only the three
+//! `T`-dependent exponentials. The terms are the component methods' own
+//! expressions in the same association order, so the kernel is bit-identical
+//! to them, and they stay as its oracle.
+//!
 //! Note: the intermediate expression for `E(T + V_P)` printed in the paper's proof
 //! contains a spurious `e^{λ_s(T+V)}(T+V)` term; re-deriving the recurrence shows
 //! that the term cancels and the final Eq. (2) is unaffected. See DESIGN.md.
@@ -125,14 +132,36 @@ impl ExactModel {
         (lambda_f * c).exp_m1() * (1.0 / lambda_f + self.costs.downtime + e_r + e_wv)
     }
 
-    /// Expected execution time of the pattern, `E(PATTERN) = E(T+V_P) + E(C_P)`,
-    /// computed through the component recurrences (the numerically robust path).
-    pub fn expected_pattern_time(&self, t: f64, p: f64) -> f64 {
-        debug_assert!(t > 0.0 && p > 0.0);
-        self.expected_work_and_verification_time(t, p) + self.expected_checkpoint_time(t, p)
+    /// The model at processor count `p`, for evaluating many periods there:
+    /// each [`ModelAt`] evaluation skips the terms that depend on `p` alone.
+    pub fn at(&self, p: f64) -> ModelAt {
+        let lambda_f = self.failures.fail_stop_rate(p);
+        let checkpoint = self.costs.checkpoint_at(p);
+        let a = 1.0 / lambda_f + self.costs.downtime;
+        let recovery = self.expected_recovery_time(p);
+        ModelAt {
+            lambda_f,
+            lambda_s: self.failures.silent_rate(p),
+            verification: self.costs.verification_at(p),
+            checkpoint,
+            a,
+            recovery,
+            checkpoint_expm1: (lambda_f * checkpoint).exp_m1(),
+            rollback: a + recovery,
+            h_p: self.speedup.overhead(p),
+        }
     }
 
-    /// Full component breakdown of the expected pattern time.
+    /// Expected execution time of the pattern, `E(PATTERN) = E(T+V_P) + E(C_P)`,
+    /// computed through the component recurrences (the numerically robust path)
+    /// by [`ModelAt::pattern_time`].
+    pub fn expected_pattern_time(&self, t: f64, p: f64) -> f64 {
+        debug_assert!(t > 0.0 && p > 0.0);
+        self.at(p).pattern_time(t)
+    }
+
+    /// Full component breakdown of the expected pattern time, computed by the
+    /// component methods themselves: the oracle of [`ModelAt`].
     pub fn pattern_breakdown(&self, t: f64, p: f64) -> PatternBreakdown {
         PatternBreakdown {
             work_and_verification: self.expected_work_and_verification_time(t, p),
@@ -179,9 +208,10 @@ impl ExactModel {
     /// Expected execution overhead of the pattern,
     /// `H(PATTERN) = 1 / S(PATTERN) = E(PATTERN) · H(P) / T`: expected wall-clock
     /// seconds per second of sequential work. This is the quantity the paper
-    /// minimises and plots in every figure.
+    /// minimises and plots in every figure; [`ModelAt::overhead`] computes it.
     pub fn expected_overhead(&self, t: f64, p: f64) -> f64 {
-        self.expected_pattern_time(t, p) * self.speedup.overhead(p) / t
+        debug_assert!(t > 0.0 && p > 0.0);
+        self.at(p).overhead(t)
     }
 
     /// Error-free overhead of the pattern (the same work, verification and
@@ -211,6 +241,75 @@ impl ExactModel {
     pub fn with_costs(mut self, costs: ResilienceCosts) -> Self {
         self.costs = costs;
         self
+    }
+}
+
+/// The exact model at one processor count `P`: the terms of Proposition 1
+/// that depend on `P` alone, evaluated once by [`ExactModel::at`].
+///
+/// [`ModelAt::pattern_time`] and [`ModelAt::overhead`] then evaluate only the
+/// three exponentials that depend on `T` — `e^{λ_s T}`, `e^{λ_f (T+V_P)} - 1`
+/// and `e^{λ_f (T+V_P) + λ_s T} - 1` — against ten for the component methods,
+/// which compute `E(T + V_P)` twice and `E(R_P)` three times. Every value is
+/// the component methods' floating-point expression in the same association
+/// order, `λ_f = 0` branches included, so the results are bit-identical to
+/// `(E(T+V_P) + E(C_P)) · H(P) / T` through
+/// [`ExactModel::expected_work_and_verification_time`] and
+/// [`ExactModel::expected_checkpoint_time`].
+#[derive(Debug, Clone, Copy)]
+pub struct ModelAt {
+    /// Fail-stop error rate `λ_f(P)`.
+    lambda_f: f64,
+    /// Silent error rate `λ_s(P)`.
+    lambda_s: f64,
+    /// Verification cost `V_P`.
+    verification: f64,
+    /// Checkpoint cost `C_P` (also the recovery cost `R_P`).
+    checkpoint: f64,
+    /// `1/λ_f + D` (infinite when `λ_f = 0`, where it is never used).
+    a: f64,
+    /// Expected recovery time `E(R_P)`.
+    recovery: f64,
+    /// `e^{λ_f C_P} - 1`.
+    checkpoint_expm1: f64,
+    /// `1/λ_f + D + E(R_P)`, the part of `E(C_P)`'s rollback that does not
+    /// depend on `T`.
+    rollback: f64,
+    /// Error-free overhead `H(P) = 1/S(P)`.
+    h_p: f64,
+}
+
+impl ModelAt {
+    /// Expected time to execute the work chunk and the verification,
+    /// `E(T + V_P)`: [`ExactModel::expected_work_and_verification_time`].
+    fn work_and_verification(&self, t: f64) -> f64 {
+        let w = t + self.verification;
+        let work = if self.lambda_f == 0.0 {
+            w
+        } else {
+            self.a * (self.lambda_f * w).exp_m1()
+        };
+        (self.lambda_s * t).exp() * work
+            + (self.lambda_f * w + self.lambda_s * t).exp_m1() * self.recovery
+    }
+
+    /// Expected pattern time `E(PATTERN) = E(T+V_P) + E(C_P)`; bit-identical
+    /// to the sum of the component methods. With `C_P = 0` and an overflowing
+    /// `E(T+V_P)`, `E(C_P)` is `0 · ∞`, and the result NaN, as on the
+    /// component path.
+    pub fn pattern_time(&self, t: f64) -> f64 {
+        let work_and_verification = self.work_and_verification(t);
+        let checkpoint = if self.lambda_f == 0.0 {
+            self.checkpoint
+        } else {
+            self.checkpoint_expm1 * (self.rollback + work_and_verification)
+        };
+        work_and_verification + checkpoint
+    }
+
+    /// Expected execution overhead `H(PATTERN) = E(PATTERN) · H(P) / T`.
+    pub fn overhead(&self, t: f64) -> f64 {
+        self.pattern_time(t) * self.h_p / t
     }
 }
 

@@ -6,6 +6,65 @@
 //! logarithmically spaced grid to locate the basin containing the global minimum
 //! before a local method refines it.
 
+/// The logarithmic grid of `n` points on `[lo, hi]`, with `ln lo` and the
+/// log step computed once. Point `i` is `exp(ln lo + step · i)`, and the last
+/// point is `hi` itself. [`log_space`] and the seeded search of
+/// [`crate::seeded`] both evaluate points through it, so a probed point is
+/// bit-identical to the same point of a full scan.
+#[derive(Debug, Clone, Copy)]
+pub struct LogGrid {
+    lo: f64,
+    hi: f64,
+    n: usize,
+    ln_lo: f64,
+    step: f64,
+}
+
+impl LogGrid {
+    /// The grid of `n` points on `[lo, hi]` (a single point when `lo == hi`).
+    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
+        let (ln_lo, ln_hi) = (lo.ln(), hi.ln());
+        Self {
+            lo,
+            hi,
+            n,
+            ln_lo,
+            step: (ln_hi - ln_lo) / (n as f64 - 1.0),
+        }
+    }
+
+    /// The `i`-th grid point.
+    ///
+    /// # Panics
+    /// Panics if `i >= n` (or `i > 0` on a degenerate `lo == hi` range).
+    pub fn point(&self, i: usize) -> f64 {
+        if self.lo == self.hi {
+            assert!(i == 0, "index {i} out of range for a degenerate grid");
+            return self.lo;
+        }
+        assert!(
+            i < self.n,
+            "index {i} out of range for a {}-point grid",
+            self.n
+        );
+        if i == self.n - 1 {
+            self.hi // avoid drift on the last point
+        } else {
+            (self.ln_lo + self.step * i as f64).exp()
+        }
+    }
+
+    /// The index of the grid point nearest `x` in log space, clamped into the
+    /// grid; `None` when `x` has no finite log-space position (`x ≤ 0`, NaN,
+    /// infinite) or the grid is degenerate.
+    pub fn nearest_index(&self, x: f64) -> Option<usize> {
+        let index = ((x.ln() - self.ln_lo) / self.step).round();
+        index
+            .is_finite()
+            .then(|| (index.max(0.0) as usize).min(self.n - 1))
+    }
+}
+
 /// Generates `n` logarithmically spaced points covering `[lo, hi]` inclusive.
 ///
 /// # Panics
@@ -21,29 +80,8 @@ pub fn log_space(lo: f64, hi: f64, n: usize) -> Vec<f64> {
         n >= 2,
         "need at least two points to span a non-degenerate range"
     );
-    (0..n).map(|i| log_space_point(lo, hi, n, i)).collect()
-}
-
-/// The `i`-th point of the grid [`log_space`] would generate for `(lo, hi, n)`,
-/// computed with the identical floating-point expression — callers that probe
-/// individual grid indices (the seeded search of [`crate::seeded`]) therefore
-/// observe bit-identical values to a full scan.
-///
-/// # Panics
-/// Panics if `i >= n` (or `i > 0` on a degenerate `lo == hi` range).
-pub fn log_space_point(lo: f64, hi: f64, n: usize, i: usize) -> f64 {
-    if lo == hi {
-        assert!(i == 0, "index {i} out of range for a degenerate grid");
-        return lo;
-    }
-    assert!(i < n, "index {i} out of range for a {n}-point grid");
-    if i == n - 1 {
-        hi // avoid drift on the last point
-    } else {
-        let (llo, lhi) = (lo.ln(), hi.ln());
-        let step = (lhi - llo) / (n as f64 - 1.0);
-        (llo + step * i as f64).exp()
-    }
+    let grid = LogGrid::new(lo, hi, n);
+    (0..n).map(|i| grid.point(i)).collect()
 }
 
 /// Scans `f` over a logarithmic grid of `n` points on `[lo, hi]` and returns the
@@ -155,24 +193,38 @@ mod tests {
     }
 
     #[test]
-    fn log_space_point_is_bit_identical_to_the_full_scan() {
+    fn log_grid_points_are_bit_identical_to_the_full_scan() {
         for &(lo, hi, n) in &[(1.0, 1e7, 64), (1.0, 1e9, 40), (2.5, 3.25e4, 7)] {
-            let grid = log_space(lo, hi, n);
-            for (i, &x) in grid.iter().enumerate() {
+            let scan = log_space(lo, hi, n);
+            let grid = LogGrid::new(lo, hi, n);
+            for (i, &x) in scan.iter().enumerate() {
+                // The grid's expression, written out with its logarithms
+                // taken per point: hoisting them changes no bit.
+                let expected = if i == n - 1 {
+                    hi
+                } else {
+                    (lo.ln() + (hi.ln() - lo.ln()) / (n as f64 - 1.0) * i as f64).exp()
+                };
                 assert_eq!(
                     x.to_bits(),
-                    log_space_point(lo, hi, n, i).to_bits(),
+                    expected.to_bits(),
                     "point {i} of ({lo}, {hi}, {n})"
                 );
+                assert_eq!(grid.point(i).to_bits(), expected.to_bits());
+                assert_eq!(grid.nearest_index(x), Some(i));
+            }
+            assert_eq!(grid.nearest_index(hi * 1e3), Some(n - 1));
+            for x in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+                assert_eq!(grid.nearest_index(x), None, "x = {x}");
             }
         }
-        assert_eq!(log_space_point(5.0, 5.0, 1, 0), 5.0);
+        assert_eq!(LogGrid::new(5.0, 5.0, 1).point(0), 5.0);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn log_space_point_rejects_out_of_range_indices() {
-        let _ = log_space_point(1.0, 10.0, 5, 5);
+    fn log_grid_rejects_out_of_range_indices() {
+        let _ = LogGrid::new(1.0, 10.0, 5).point(5);
     }
 
     #[test]

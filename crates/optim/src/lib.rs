@@ -11,6 +11,7 @@
 //!   interpolation), faster on smooth objectives.
 //! * [`grid::log_grid_minimum`] — coarse logarithmic scan used to locate the
 //!   basin of attraction when unimodality over the full range is not guaranteed.
+//!   Every grid point, scanned or probed, is [`grid::LogGrid::point`].
 //! * [`scalar::minimize_scalar`] — the robust composition used everywhere: coarse
 //!   log-grid scan followed by Brent refinement of the best bracket.
 //! * [`joint::JointSearch`] — nested 2-D minimisation over `(P, T)`: for every
@@ -22,7 +23,9 @@
 //!   same grid point — a margin certificate for objectives proven
 //!   quasiconvex (the period search), sentinel probes decided by a lower
 //!   bound where possible otherwise (the processor search) — so the result is
-//!   bit-identical to the reference (or the call self-demotes to it).
+//!   bit-identical to the reference (or the call self-demotes to it). The
+//!   seeded joint search takes its objective one processor count at a time,
+//!   so the work that depends on `P` alone is done once per period search.
 //!
 //! The crate is deliberately generic: objectives are arbitrary `Fn(f64) -> f64`
 //! closures, so it has no dependency on `ayd-core`. The experiment harness wires
@@ -41,7 +44,7 @@ pub mod seeded;
 
 pub use brent::{brent_minimize, brent_minimize_counted};
 pub use golden::golden_section;
-pub use grid::{log_grid_minimum, log_space_point};
+pub use grid::{log_grid_minimum, LogGrid};
 pub use joint::{JointResult, JointSearch};
 pub use scalar::{minimize_scalar, OptimizeOptions, ScalarMinimum};
 pub use seeded::{minimize_scalar_seeded, Check, FallbackReason, SearchReport};

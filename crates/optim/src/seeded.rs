@@ -7,7 +7,7 @@
 //! local minimum of the grid, a [`Check`] proves that it is the index the
 //! reference scan would select, and only then does the identical Brent
 //! refinement run on the identical neighbour bracket. Because every probed
-//! grid point is computed with [`crate::grid::log_space_point`] (the same
+//! grid point is computed with [`crate::grid::LogGrid::point`] (the same
 //! floating-point expression as the full scan) and the refinement call is
 //! unchanged, a successful fast path returns the reference result bit for bit.
 //!
@@ -32,9 +32,12 @@
 //!
 //! [`JointSearch::optimize_seeded`] seeds its outer processor search itself:
 //! with the outer grid point that minimises the objective at its period seed.
+//! It takes its objective one processor count at a time, so whatever the
+//! objective computes from `P` alone is computed once per period search, not
+//! once per evaluation.
 
 use crate::brent::brent_minimize_counted;
-use crate::grid::{log_grid_scan, log_space_point};
+use crate::grid::{log_grid_scan, LogGrid};
 use crate::integer::round_to_best_integer;
 use crate::joint::{JointResult, JointSearch};
 use crate::scalar::{minimize_scalar, OptimizeOptions, ScalarMinimum};
@@ -190,29 +193,25 @@ impl SearchReport {
 }
 
 /// Memoised lazy view of the reference log grid: probed points are computed
-/// with [`log_space_point`] (bit-identical to the full scan) and each index is
+/// with [`LogGrid::point`] (bit-identical to the full scan) and each index is
 /// evaluated at most once.
 struct GridMemo<'a, F> {
-    lo: f64,
-    hi: f64,
-    n: usize,
+    grid: LogGrid,
     f: &'a F,
     values: Vec<Option<f64>>,
 }
 
 impl<'a, F: Fn(f64) -> f64> GridMemo<'a, F> {
-    fn new(lo: f64, hi: f64, n: usize, f: &'a F) -> Self {
+    fn new(grid: LogGrid, n: usize, f: &'a F) -> Self {
         Self {
-            lo,
-            hi,
-            n,
+            grid,
             f,
             values: vec![None; n],
         }
     }
 
     fn point(&self, i: usize) -> f64 {
-        log_space_point(self.lo, self.hi, self.n, i)
+        self.grid.point(i)
     }
 
     fn is_known(&self, i: usize) -> bool {
@@ -252,13 +251,10 @@ where
     let n = options.grid_points;
     // Predict the grid index nearest the seed (clamped into range; the grid
     // itself is only materialised lazily around the descent path).
-    let (llo, lhi) = (lo.ln(), hi.ln());
-    let step = (lhi - llo) / (n as f64 - 1.0);
-    let guess = ((seed.ln() - llo) / step).round();
-    if !guess.is_finite() {
-        return Err(FallbackReason::MissingSeed);
-    }
-    let mut best = (guess.max(0.0) as usize).min(n - 1);
+    let grid = LogGrid::new(lo, hi, n);
+    let mut best = grid
+        .nearest_index(seed)
+        .ok_or(FallbackReason::MissingSeed)?;
     let certified = matches!(check, Check::Certificate);
 
     // Hill descent with the reference scan's exact tie rules: the scan keeps
@@ -267,7 +263,7 @@ where
     // strict improvement. The scan skips non-finite values, which a descent
     // cannot reason about — except, under the certificate, on the right,
     // where they start the objective's non-finite tail and are never better.
-    let mut memo = GridMemo::new(lo, hi, n, f);
+    let mut memo = GridMemo::new(grid, n, f);
     if !memo.value(best).is_finite() {
         return Err(FallbackReason::NonFiniteValue);
     }
@@ -414,18 +410,18 @@ where
 
 impl JointSearch {
     /// [`JointSearch::optimize_period`] with a warm start, proved by
-    /// [`Check::Certificate`]: `f(p, ·)` must be quasiconvex in `T` with
-    /// non-finite values only on a right-hand tail. The exact overhead
-    /// `H(T, P)` is (docs/ARCHITECTURE.md, determinism contract).
+    /// [`Check::Certificate`]. `f` is the objective at one processor count,
+    /// `T ↦ f(P, T)`; it must be quasiconvex with non-finite values only on a
+    /// right-hand tail. The exact overhead `H(T, P)` is (docs/ARCHITECTURE.md,
+    /// determinism contract).
     pub fn optimize_period_seeded<F>(
         &self,
-        p: f64,
         seed: Option<f64>,
         report: &mut SearchReport,
         f: F,
     ) -> ScalarMinimum
     where
-        F: Fn(f64, f64) -> f64,
+        F: Fn(f64) -> f64,
     {
         minimize_scalar_seeded(
             self.period_range.0,
@@ -434,11 +430,18 @@ impl JointSearch {
             seed,
             Check::Certificate,
             report,
-            |t| f(p, t),
+            f,
         )
     }
 
     /// [`JointSearch::optimize`] with warm starts on both dimensions.
+    ///
+    /// The objective comes one processor count at a time: `at(p)` returns
+    /// `T ↦ f(p, T)`, so whatever depends on `p` alone is computed once per
+    /// use of `p`. `at` is called once per outer seed-scan point that has a
+    /// period seed, once per inner period search and once for the final
+    /// value — never once per evaluation.
+    ///
     /// `period_seed(p)` seeds every inner period search (certified as in
     /// [`Self::optimize_period_seeded`]), and the outer processor search is
     /// seeded with the outer grid point minimising `f(P, period_seed(P))`.
@@ -447,17 +450,18 @@ impl JointSearch {
     /// `min_T f(p, T)` — spares the inner search of every sentinel it proves
     /// worse than the basin. Every scalar sub-search is bit-identical to its
     /// reference counterpart (fast-path proof or fallback), so the returned
-    /// [`JointResult`] matches [`JointSearch::optimize`] bit for bit; `report`
-    /// accumulates the per-sub-search fast/fallback tallies.
-    pub fn optimize_seeded<F, S, B>(
+    /// [`JointResult`] matches [`JointSearch::optimize`] on `f` bit for bit;
+    /// `report` accumulates the per-sub-search fast/fallback tallies.
+    pub fn optimize_seeded<A, G, S, B>(
         &self,
         period_seed: S,
         envelope_bound: B,
         report: &mut SearchReport,
-        f: F,
+        at: A,
     ) -> JointResult
     where
-        F: Fn(f64, f64) -> f64,
+        A: Fn(f64) -> G,
+        G: Fn(f64) -> f64,
         S: Fn(f64) -> Option<f64>,
         B: Fn(f64) -> f64,
     {
@@ -468,14 +472,14 @@ impl JointSearch {
         let inner = |p: f64| -> ScalarMinimum {
             let seed = period_seed(p);
             let mut tally = inner_tally.borrow_mut();
-            self.optimize_period_seeded(p, seed, &mut tally, &f)
+            self.optimize_period_seeded(seed, &mut tally, at(p))
         };
         let envelope = |p: f64| inner(p).value;
         let (lo, hi) = self.processor_range;
         // One objective evaluation per outer grid point, at its period seed
         // instead of its searched period.
         let (seed_index, grid, values) = log_grid_scan(lo, hi, self.outer.grid_points, |p| {
-            period_seed(p).map_or(f64::NAN, |t| f(p, t))
+            period_seed(p).map_or(f64::NAN, |t| at(p)(t))
         });
         let processor_seed = values[seed_index].is_finite().then(|| grid[seed_index]);
         let mut outer_report = SearchReport::default();
@@ -492,7 +496,7 @@ impl JointSearch {
         );
         let processors = outer_min.argument;
         let period = inner(processors).argument;
-        let value = f(processors, period);
+        let value = at(processors)(period);
         let (processors_integer, value_integer) =
             round_to_best_integer(processors, 1, |p| inner(p as f64).value);
         report.merge(&inner_tally.into_inner());
@@ -820,25 +824,33 @@ mod tests {
         assert_eq!(report, SearchReport::default());
     }
 
-    #[test]
-    fn joint_seeded_search_matches_the_reference_bit_for_bit() {
-        // A first-order-shaped objective: Theorem 1's period as the period
-        // seed and its overhead, the exact minimum over T, as the bound.
-        let alpha = 0.1;
-        let c = 300.0 / 512.0;
-        let v = 15.4;
-        let lam = (0.2188 / 2.0 + 0.7812) * 1.69e-8;
-        let overhead = |p: f64| alpha + (1.0 - alpha) / p;
-        let h = |p: f64, t: f64| overhead(p) * (1.0 + (c * p + v) / t + lam * p * t);
-        let search = JointSearch::new((1.0, 1e6), (10.0, 1e8));
-        let reference = search.optimize(h);
-        let mut report = SearchReport::default();
-        let fast = search.optimize_seeded(
-            |p| Some(((c * p + v) / (lam * p)).sqrt()),
-            |p| overhead(p) * (1.0 + 2.0 * (lam * p * (c * p + v)).sqrt()),
-            &mut report,
-            h,
-        );
+    /// A first-order-shaped joint objective: `H(P)(1 + (cP + v)/T + ΛPT)`.
+    /// Theorem 1's period is its period seed, and Theorem 1's overhead, its
+    /// exact minimum over `T`, its envelope bound.
+    mod first_order_shaped {
+        const ALPHA: f64 = 0.1;
+        const C: f64 = 300.0 / 512.0;
+        const V: f64 = 15.4;
+        const LAMBDA: f64 = (0.2188 / 2.0 + 0.7812) * 1.69e-8;
+
+        fn overhead(p: f64) -> f64 {
+            ALPHA + (1.0 - ALPHA) / p
+        }
+
+        pub fn h(p: f64, t: f64) -> f64 {
+            overhead(p) * (1.0 + (C * p + V) / t + LAMBDA * p * t)
+        }
+
+        pub fn period_seed(p: f64) -> Option<f64> {
+            Some(((C * p + V) / (LAMBDA * p)).sqrt())
+        }
+
+        pub fn envelope_bound(p: f64) -> f64 {
+            overhead(p) * (1.0 + 2.0 * (LAMBDA * p * (C * p + V)).sqrt())
+        }
+    }
+
+    fn assert_joint_bits_eq(fast: &JointResult, reference: &JointResult) {
         assert_eq!(fast.processors.to_bits(), reference.processors.to_bits());
         assert_eq!(fast.period.to_bits(), reference.period.to_bits());
         assert_eq!(fast.value.to_bits(), reference.value.to_bits());
@@ -847,8 +859,43 @@ mod tests {
             fast.value_integer.to_bits(),
             reference.value_integer.to_bits()
         );
+    }
+
+    #[test]
+    fn joint_seeded_search_matches_the_reference_bit_for_bit() {
+        use first_order_shaped::{envelope_bound, h, period_seed};
+        let search = JointSearch::new((1.0, 1e6), (10.0, 1e8));
+        let reference = search.optimize(h);
+        let mut report = SearchReport::default();
+        let fast = search.optimize_seeded(period_seed, envelope_bound, &mut report, |p| {
+            move |t| h(p, t)
+        });
+        assert_joint_bits_eq(&fast, &reference);
         assert!(report.total() > 0);
         assert_eq!(report.fallback, 0, "{report:?}");
+    }
+
+    #[test]
+    fn joint_seeded_search_builds_the_objective_once_per_sub_search() {
+        // `at(p)` is the per-P objective: one build per seed-scan point, one
+        // per period search (outer search included, via its envelope), and
+        // one for the final value. Building it per evaluation instead would
+        // call it hundreds of times more.
+        use first_order_shaped::{envelope_bound, h, period_seed};
+        let search = JointSearch::new((1.0, 1e6), (10.0, 1e8));
+        let reference = search.optimize(h);
+        let builds = Cell::new(0u64);
+        let mut report = SearchReport::default();
+        let fast = search.optimize_seeded(period_seed, envelope_bound, &mut report, |p| {
+            builds.set(builds.get() + 1);
+            move |t| h(p, t)
+        });
+        assert_joint_bits_eq(&fast, &reference);
+        assert_eq!(
+            builds.get(),
+            search.outer.grid_points as u64 + report.total(),
+            "{report:?}"
+        );
     }
 
     #[test]
@@ -857,7 +904,12 @@ mod tests {
         let f = |p: f64, t: f64| (p - 97.3).powi(2) / 1e4 + (t.ln() - 9.0).powi(2);
         let reference = search.optimize(f);
         let mut report = SearchReport::default();
-        let fast = search.optimize_seeded(|_| None, |_| f64::NEG_INFINITY, &mut report, f);
+        let fast = search.optimize_seeded(
+            |_| None,
+            |_| f64::NEG_INFINITY,
+            &mut report,
+            |p| move |t| f(p, t),
+        );
         assert_eq!(fast.processors.to_bits(), reference.processors.to_bits());
         assert_eq!(fast.period.to_bits(), reference.period.to_bits());
         assert_eq!(fast.value.to_bits(), reference.value.to_bits());

@@ -1,5 +1,5 @@
 //! Per-connection request handling: incremental parsing over partial reads
-//! and [`answer_next`], the one function that turns a buffered request into
+//! and `answer_next`, the one function that turns a buffered request into
 //! response bytes.
 //!
 //! A reactor receives bytes in arbitrary chunks (a byte at a time from a
@@ -20,7 +20,7 @@
 //! one-shot parser is guaranteed to return a definite over-limit error, so
 //! memory per connection stays bounded no matter what the peer sends.
 //!
-//! [`answer_next`] serves the reactor and the socket-free [`serve_chunks`]
+//! `answer_next` serves the reactor and the socket-free [`serve_chunks`]
 //! harness alike, so both answer the same bytes and record the same
 //! `request → parse → route → render` spans. A `/v1/batch` takes several
 //! calls: one to parse it, one per slice of queries (the last one also writes
@@ -377,7 +377,7 @@ fn render_parse_error(
 }
 
 /// Serves one connection's bytes delivered in arbitrary chunks through
-/// [`answer_next`], exactly as a reactor serves a socket's reads, and returns
+/// `answer_next`, exactly as a reactor serves a socket's reads, and returns
 /// everything written back. This is the socket-free harness: the
 /// malformed-request suite drives it byte at a time and whole, and the
 /// benchmark replays requests through it.

@@ -9,7 +9,7 @@
 //! entry each instead of a parked thread.
 //!
 //! A reactor evaluates every request it parses itself, through
-//! [`crate::conn::answer_next`] — the function [`crate::conn::serve_chunks`]
+//! `conn::answer_next` — the function [`crate::conn::serve_chunks`]
 //! calls too — and writes the response straight to the socket. Only sweeps
 //! run elsewhere, on their executor threads.
 //!

@@ -177,10 +177,11 @@ impl Evaluator {
     /// The processor search is seeded with the outer grid point that
     /// minimises the exact overhead at `T*_P`, whatever the profile family,
     /// and [`FirstOrder::overhead_lower_bound`] decides most of its sentinels
-    /// without a period search. The result is bit-identical to
-    /// [`Self::numerical_point`] — every scalar sub-search either proves it
-    /// matched the reference or self-demotes to it — and `report` tallies
-    /// the fast/fallback split.
+    /// without a period search. Each period search evaluates the model at
+    /// its processor count, [`ExactModel::at`], built once per search. The
+    /// result is bit-identical to [`Self::numerical_point`] — every scalar
+    /// sub-search either proves it matched the reference or self-demotes to
+    /// it — and `report` tallies the fast/fallback split.
     pub fn numerical_point_seeded(
         &self,
         model: &ExactModel,
@@ -191,7 +192,10 @@ impl Evaluator {
             |p| Self::period_seed(model, p),
             |p| first_order.overhead_lower_bound(p),
             report,
-            |p, t| model.expected_overhead(t, p),
+            |p| {
+                let at = model.at(p);
+                move |t| at.overhead(t)
+            },
         );
         let mut point = OperatingPoint {
             processors: result.processors,
@@ -213,12 +217,11 @@ impl Evaluator {
         p: f64,
         report: &mut SearchReport,
     ) -> (f64, f64) {
-        let minimum = self.joint_search().optimize_period_seeded(
-            p,
-            Self::period_seed(model, p),
-            report,
-            |pp, t| model.expected_overhead(t, pp),
-        );
+        let at = model.at(p);
+        let seed = Self::period_seed(model, p);
+        let minimum = self
+            .joint_search()
+            .optimize_period_seeded(seed, report, |t| at.overhead(t));
         (minimum.argument, minimum.value)
     }
 

@@ -5,7 +5,9 @@
 //! Any drift in the output schema, the column order, the value formatting or
 //! the grid's deterministic cell order fails here before it reaches a consumer
 //! of `reproduce sweep --csv` output. A second grid pins a non-Amdahl row, so
-//! the profile columns and the numerical-only fallback are golden too.
+//! the profile columns and the numerical-only fallback are golden too, and a
+//! third pins one jointly optimised row per profile family, so the exact
+//! model's kernel and the nested search are golden as well.
 
 use ayd_platforms::{PlatformId, ScenarioId};
 use ayd_sweep::{
@@ -92,6 +94,49 @@ fn non_amdahl_rows_are_pinned() {
     // The numerical series is present and positive.
     let num_overhead: f64 = columns[19].parse().unwrap();
     assert!(num_overhead > 0.0, "line: {line}");
+}
+
+#[test]
+fn joint_rows_are_pinned() {
+    // One jointly optimised cell per profile family. Each row runs the
+    // nested (P, T) search through the exact model's kernel, so any drift
+    // in the kernel or the search shows here, whichever search ran.
+    let grid = ScenarioGrid::builder()
+        .platforms(&[PlatformId::Hera])
+        .scenarios(&[ScenarioId::S1])
+        .profiles(&[
+            SpeedupProfile::amdahl(0.1).unwrap(),
+            SpeedupProfile::power_law(0.8).unwrap(),
+            SpeedupProfile::gustafson(0.05).unwrap(),
+            SpeedupProfile::perfectly_parallel(),
+        ])
+        .processors(ProcessorAxis::Optimize)
+        .build()
+        .unwrap();
+    let csv = run_csv(&grid);
+    let lines: Vec<&str> = csv.lines().collect();
+    assert_eq!(lines.len(), 1 + 4, "one row per profile family");
+    assert_eq!(
+        lines[1],
+        "Hera,1,0.1,amdahl,0.1,exp,,0.0000000169,1,,,218.90268301532373,6603.324885207787,\
+0.10905078734140444,0.10822283206037267,,,207.21388766098164,6554.858460446106,\
+0.10903714666640324,,,,,,,"
+    );
+    assert_eq!(
+        lines[2],
+        "Hera,1,,powerlaw,0.8,exp,,0.0000000169,1,,,,,,,,,4110.38304002245,5156.38736475804,\
+0.002897647050960101,,,,,,,"
+    );
+    assert_eq!(
+        lines[3],
+        "Hera,1,,gustafson,0.05,exp,,0.0000000169,1,,,,,,,,,5150.769635461111,\
+4910.420336060737,0.0005641110421314414,,,,,,,"
+    );
+    assert_eq!(
+        lines[4],
+        "Hera,1,0,perfect,,exp,,0.0000000169,1,,,,,,,,,5150.822538039581,4910.408103243105,\
+0.0005359109659846562,,,,,,,"
+    );
 }
 
 #[test]

@@ -52,6 +52,29 @@ fn arb_operating_point() -> impl Strategy<Value = (f64, f64)> {
     (60.0f64..200_000.0, 1.0f64..100_000.0)
 }
 
+/// Strategy for an operating point anywhere in the numerical search's default
+/// ranges (`T` in `[1, 1e9]`, `P` in `[1, 1e7]`, both log-uniform), overflowing
+/// tail included.
+fn arb_search_point() -> impl Strategy<Value = (f64, f64)> {
+    (0.0f64..9.0, 0.0f64..7.0).prop_map(|(t, p)| (10f64.powf(t), 10f64.powf(p)))
+}
+
+/// The kernel of the model at one processor count against the component
+/// path: `[(kernel, components)]` for the pattern time and the overhead,
+/// where the components' overhead is `(E(T+V) + E(C)) · H(P) / T`.
+fn kernel_and_components(model: &ExactModel, t: f64, p: f64) -> [(f64, f64); 2] {
+    let at = model.at(p);
+    let pattern = model.pattern_breakdown(t, p).total();
+    let overhead = pattern * model.speedup.overhead(p) / t;
+    [(at.pattern_time(t), pattern), (at.overhead(t), overhead)]
+}
+
+/// Bit equality, except that any NaN equals any NaN (a NaN's payload is not
+/// part of the contract, only that both sides are NaN).
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -85,6 +108,24 @@ proptest! {
         let b = model.expected_pattern_time_closed_form(t, p);
         prop_assume!(a.is_finite() && b.is_finite());
         prop_assert!((a - b).abs() <= 1e-8 * a.abs().max(1.0), "components {a} vs closed form {b}");
+    }
+
+    /// `ExactModel::at(p)` evaluates the component path's own expressions, so
+    /// its pattern time and overhead, and the `ExactModel` methods that
+    /// delegate to it, equal the components' bit for bit over the whole
+    /// search range, overflow included.
+    #[test]
+    fn model_at_is_bit_identical_to_the_component_path(
+        model in arb_model(),
+        (t, p) in arb_search_point(),
+    ) {
+        let delegated = [model.expected_pattern_time(t, p), model.expected_overhead(t, p)];
+        for ((kernel, components), delegated) in kernel_and_components(&model, t, p).into_iter().zip(delegated) {
+            prop_assert!(
+                same_bits(kernel, components) && same_bits(delegated, components),
+                "T={t} P={p}: kernel {kernel}, delegated {delegated}, components {components}"
+            );
+        }
     }
 
     /// The expected pattern time is monotone in the individual error rate.
@@ -370,6 +411,55 @@ proptest! {
         prop_assert_eq!(
             strip_profile_columns(&amdahl_zero.to_csv()),
             strip_profile_columns(&perfect.to_csv())
+        );
+    }
+}
+
+/// The kernel's edge cases, each against the component path: the `λ_f = 0`
+/// branches (`f = 0`), no silent errors (`f = 1`), the overflowing tail, and
+/// the `0 · ∞` NaN of `E(C_P)` when `C_P = 0`.
+#[test]
+fn model_at_matches_the_component_path_on_its_edge_cases() {
+    let model = |lambda: f64, f: f64, checkpoint: CheckpointCost| {
+        ExactModel::new(
+            SpeedupProfile::amdahl(0.1).unwrap(),
+            ResilienceCosts::new(checkpoint, VerificationCost::constant(15.4), 3600.0).unwrap(),
+            FailureModel::new(lambda, f).unwrap(),
+        )
+    };
+    let hera_costs = CheckpointCost::linear(300.0 / 512.0);
+    let finite_points = [(600.0, 64.0), (6_600.0, 207.0), (50_000.0, 4_096.0)];
+    for f in [0.0, 1.0] {
+        let m = model(1.69e-8, f, hera_costs);
+        for (t, p) in finite_points {
+            for (kernel, components) in kernel_and_components(&m, t, p) {
+                assert!(kernel.is_finite(), "f={f} T={t} P={p}");
+                assert_eq!(kernel.to_bits(), components.to_bits(), "f={f} T={t} P={p}");
+            }
+        }
+    }
+
+    // λ_P T ≈ 1690: every T-dependent exponential overflows.
+    let hera = model(1.69e-8, 0.2188, hera_costs);
+    for (kernel, components) in kernel_and_components(&hera, 1e8, 1_000.0) {
+        assert_eq!(kernel, f64::INFINITY);
+        assert_eq!(components, f64::INFINITY);
+    }
+
+    // C_P = 0 and λ_f (T + V) + λ_s T ≈ 705: E(T+V)'s first term overflows,
+    // its second, (e^705 − 1) · E(R_P) with E(R_P) = 0, does not, and
+    // E(C_P) = (e^0 − 1) · ∞ is NaN on both paths.
+    let free_checkpoints = model(1e-6, 0.5, CheckpointCost::constant(0.0));
+    let (t, p) = (705_000.0, 1_000.0);
+    assert_eq!(
+        free_checkpoints.expected_work_and_verification_time(t, p),
+        f64::INFINITY
+    );
+    assert!(free_checkpoints.expected_checkpoint_time(t, p).is_nan());
+    for (kernel, components) in kernel_and_components(&free_checkpoints, t, p) {
+        assert!(
+            kernel.is_nan() && components.is_nan(),
+            "{kernel} vs {components}"
         );
     }
 }

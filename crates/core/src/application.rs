@@ -11,13 +11,11 @@
 //! E(W_final) ≈ E(PATTERN) · W_total / (T · S(P)) = H(PATTERN) · W_total .
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{ensure_positive, ModelError};
 use crate::pattern::ExactModel;
 
 /// An HPC application: total sequential work plus the model used to execute it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Application {
     /// Total amount of work `W_total`, expressed in seconds of sequential
     /// computation.
@@ -25,7 +23,7 @@ pub struct Application {
 }
 
 /// Projection of an application onto a concrete pattern `(T, P)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MakespanProjection {
     /// Number of patterns needed to complete the application (fractional; the
     /// paper's long-application approximation).

@@ -19,12 +19,10 @@
 //! Section III.D (Theorem 2 when `c ≠ 0`, Theorem 3 when `c = 0, d ≠ 0`, the
 //! degenerate case when `c = d = 0, h ≠ 0`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{ensure_non_negative, ModelError};
 
 /// Checkpoint (and recovery) cost model `C_P = a + b/P + cP`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointCost {
     /// Constant term `a` (seconds): start-up latency and/or storage-bound I/O time.
     pub a: f64,
@@ -76,7 +74,7 @@ impl CheckpointCost {
 }
 
 /// Verification cost model `V_P = v + u/P`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VerificationCost {
     /// Constant term `v` (seconds): start-up latency of the detector.
     pub v: f64,
@@ -124,7 +122,7 @@ impl VerificationCost {
 /// The complete set of resilience costs of the VC (verified-checkpoint) protocol:
 /// checkpoint `C_P`, recovery `R_P = C_P`, verification `V_P` and the downtime `D`
 /// paid after each fail-stop error.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceCosts {
     /// Checkpoint cost model (also used for recoveries, `R_P = C_P`).
     pub checkpoint: CheckpointCost,

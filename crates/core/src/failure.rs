@@ -15,13 +15,11 @@
 //! The probability of at least one fail-stop error during a window of length `t`
 //! is `q_f(t) = 1 - exp(-λ_f t)`, and similarly for silent errors.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{ensure_fraction, ensure_positive, ModelError};
 
 /// Failure model of an individual processor and its projection onto a platform
 /// of `P` processors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailureModel {
     /// Individual-processor error rate `λ_ind` (errors per second), all sources
     /// combined.

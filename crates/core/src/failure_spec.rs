@@ -35,8 +35,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelError;
 
 /// A failure inter-arrival law.
@@ -44,7 +42,7 @@ use crate::error::ModelError;
 /// The law describes the *shape* of the inter-arrival distribution; the rate
 /// (mean inter-arrival time) comes from the ambient failure model unless the
 /// wrapping [`FailureModelSpec`] pins one explicitly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FailureLaw {
     /// Memoryless exponential inter-arrivals (Poisson failures) — the paper's
     /// model, and the only law under which the closed forms are exact.
@@ -74,7 +72,7 @@ pub enum FailureLaw {
 
 /// A [`FailureLaw`] plus an optional explicit rate, with canonical
 /// spec-string behaviour mirroring [`crate::profile::ProfileSpec`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureModelSpec {
     law: FailureLaw,
     lambda: Option<f64>,

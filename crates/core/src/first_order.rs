@@ -21,15 +21,13 @@
 //! * **Case 4** (perfectly parallel, `α = 0`): the overhead again decreases with
 //!   `P`; only asymptotic expressions are available.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelError;
 use crate::pattern::ExactModel;
 use crate::speedup::SpeedupProfile;
 
 /// Structural classification of the combined checkpoint + verification cost,
 /// which selects the applicable theorem (Section III.D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostCase {
     /// `C_P = cP + o(P)` with `c ≠ 0` — Theorem 2 applies (`P* = Θ(λ^{-1/4})`).
     LinearGrowth,
@@ -44,7 +42,7 @@ pub enum CostCase {
 }
 
 /// Result of the fixed-`P` optimisation (Theorem 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeriodOptimum {
     /// Optimal checkpointing period `T*_P` (seconds).
     pub period: f64,
@@ -53,7 +51,7 @@ pub struct PeriodOptimum {
 }
 
 /// Result of the joint optimisation over `(P, T)` (Theorems 2 and 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JointOptimum {
     /// Optimal (continuous) processor allocation `P*`.
     pub processors: f64,

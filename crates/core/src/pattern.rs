@@ -29,15 +29,13 @@
 //! contains a spurious `e^{λ_s(T+V)}(T+V)` term; re-deriving the recurrence shows
 //! that the term cancels and the final Eq. (2) is unaffected. See DESIGN.md.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::ResilienceCosts;
 use crate::failure::FailureModel;
 use crate::speedup::SpeedupProfile;
 
 /// The exact analytical model of the VC protocol for a given application speedup
 /// profile, resilience cost set and failure model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExactModel {
     /// Application speedup profile `S(P)`.
     pub speedup: SpeedupProfile,
@@ -49,7 +47,7 @@ pub struct ExactModel {
 
 /// Breakdown of the expected execution time of a pattern into its three
 /// components, as in the proof of Proposition 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PatternBreakdown {
     /// Expected time to successfully execute the work chunk and the verification,
     /// `E(T + V_P)`.

@@ -20,8 +20,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelError;
 use crate::speedup::SpeedupProfile;
 
@@ -29,7 +27,7 @@ use crate::speedup::SpeedupProfile;
 ///
 /// The wrapper is transparent: construct it from any profile with
 /// [`From<SpeedupProfile>`], get the profile back with [`ProfileSpec::profile`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileSpec(SpeedupProfile);
 
 impl ProfileSpec {

@@ -15,12 +15,10 @@
 //! experiments to verify the asymptotic slopes of Figures 5 and 6
 //! (`P* = Θ(λ^{-1/4})`, `Θ(λ^{-1/3})`, `T* = Θ(λ^{-1/2})`, ...).
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::ResilienceCosts;
 
 /// Validity bounds of the first-order approximation for a given cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValidityBounds {
     /// Maximum admissible order `δ` of the processor count (`P = Θ(λ^{-x})`
     /// requires `x < δ`).
@@ -77,7 +75,7 @@ impl ValidityBounds {
 
 /// Result of a least-squares power-law fit `y ≈ k · x^e` (performed in log-log
 /// space).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLawFit {
     /// Fitted exponent `e`.
     pub exponent: f64,

@@ -16,13 +16,11 @@
 //! `S(P) = P^σ` and a Gustafson-style weak-scaling profile; those are only
 //! optimised numerically (see `ayd-optim`), never through the first-order formulas.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{ensure_fraction, ensure_positive, ModelError};
 
 /// A speedup profile `S(P)` mapping a processor count to the factor by which the
 /// sequential execution time is divided in an error-free execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SpeedupProfile {
     /// Amdahl's law with sequential fraction `alpha`:
     /// `S(P) = 1 / (alpha + (1 - alpha)/P)`.

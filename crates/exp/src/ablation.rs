@@ -9,8 +9,6 @@
 //!   measures how closely their outputs agree (they must differ only by
 //!   Monte-Carlo noise).
 
-use serde::{Deserialize, Serialize};
-
 use ayd_core::ValidityBounds;
 use ayd_platforms::{ExperimentSetup, PlatformId, ScenarioId};
 use ayd_sweep::{ProcessorAxis, RunOptions, ScenarioGrid, SweepExecutor, SweepOptions};
@@ -19,7 +17,7 @@ use crate::table::{fmt_value, TextTable};
 
 /// One row of ablation A1: the first-order-versus-numerical overhead gap at a
 /// processor count of a given order in `λ_ind`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FirstOrderGapRow {
     /// Scenario number.
     pub scenario: usize,
@@ -35,7 +33,7 @@ pub struct FirstOrderGapRow {
 }
 
 /// Results of ablation A1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FirstOrderGapData {
     /// One row per (scenario, processor order).
     pub rows: Vec<FirstOrderGapRow>,
@@ -119,7 +117,7 @@ pub fn render_first_order_gap(data: &FirstOrderGapData) -> TextTable {
 }
 
 /// One row of ablation A2: both engines simulated at the same operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineComparisonRow {
     /// Scenario number.
     pub scenario: usize,
@@ -138,7 +136,7 @@ pub struct EngineComparisonRow {
 }
 
 /// Results of ablation A2.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EngineComparisonData {
     /// One row per scenario.
     pub rows: Vec<EngineComparisonRow>,

@@ -1,7 +1,7 @@
 //! `reproduce` — CLI for regenerating the paper's tables and figures.
 //!
 //! ```text
-//! reproduce <experiment> [--paper|--smoke] [--no-sim] [--json] [--csv] [--seed N]
+//! reproduce <experiment> [--paper|--smoke] [--no-sim] [--csv] [--seed N]
 //!                        [--threads N] [--no-cache]
 //!                        [--profiles SPEC,...] [--failure-models SPEC,...]
 //!                        [--shard I/N] [--out PATH] [--resume]
@@ -66,11 +66,6 @@
 //! never values. On `obs-report` the same flag names the *input*: the log is
 //! parsed and re-rendered as paper-style time-accounting tables (per-endpoint
 //! request stages, sweep execution).
-//!
-//! `--json` requires `serde_json`, which this offline build replaces with a
-//! no-op stand-in (see `vendor/serde`); the flag is accepted but falls back to
-//! CSV with a notice on **stderr** (stdout stays machine-parseable) until the
-//! real dependency is restored.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -82,7 +77,6 @@ use ayd_sweep::{Fidelity, RunOptions};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OutputFormat {
     Text,
-    Json,
     Csv,
 }
 
@@ -231,7 +225,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--paper" => options.fidelity = Fidelity::Paper,
             "--smoke" => options.fidelity = Fidelity::Smoke,
             "--no-sim" => options.simulate = false,
-            "--json" => format = OutputFormat::Json,
             "--csv" => format = OutputFormat::Csv,
             "--no-cache" => options.cache = false,
             "--seed" => {
@@ -368,7 +361,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     // it would be silently meaningless.
     if shard.out.is_some() && format != OutputFormat::Text {
         return Err(format!(
-            "--csv/--json cannot be combined with --out (the file is always canonical CSV)\n{}",
+            "--csv cannot be combined with --out (the file is always canonical CSV)\n{}",
             usage()
         ));
     }
@@ -427,7 +420,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 }
 
 fn usage() -> String {
-    "usage: reproduce <experiment...> [--paper|--smoke] [--no-sim] [--json] [--csv] [--seed N] \
+    "usage: reproduce <experiment...> [--paper|--smoke] [--no-sim] [--csv] [--seed N] \
      [--threads N] [--no-cache] [--profiles SPEC,...] \
      [--failure-models SPEC,...] [--shard I/N] \
      [--out PATH] [--resume] [--inputs CSV,...] [--addr HOST:PORT] [--cache-capacity N] \
@@ -577,41 +570,16 @@ fn run_obs_report(cli: &Cli) -> Result<(), String> {
     Ok(())
 }
 
-const JSON_FALLBACK_NOTICE: &str = "note: JSON output needs the real serde_json (unavailable in \
-     this offline build); emitting CSV instead";
-
-/// True when this call should print the JSON-fallback notice (at most once per
-/// process, and only for the JSON format).
-fn take_json_notice(format: OutputFormat) -> bool {
-    static NOTICE: std::sync::Once = std::sync::Once::new();
-    let mut first = false;
-    if format == OutputFormat::Json {
-        NOTICE.call_once(|| first = true);
-    }
-    first
-}
-
-/// Writes the tables to `out` in the requested format. Anything that is not
-/// data — like the JSON-fallback notice — goes to `err`, so stdout stays
-/// machine-parseable (title lines are emitted as `#` CSV comments).
-fn emit_to(
-    format: OutputFormat,
-    tables: Vec<TextTable>,
-    json_notice: bool,
-    out: &mut dyn Write,
-    err: &mut dyn Write,
-) {
-    match format {
-        OutputFormat::Text => {
-            for table in tables {
+/// Writes the tables to stdout in the requested format (CSV title lines are
+/// emitted as `#` comments, so stdout stays machine-parseable).
+fn emit(format: OutputFormat, tables: Vec<TextTable>) {
+    let mut out = std::io::stdout().lock();
+    for table in tables {
+        match format {
+            OutputFormat::Text => {
                 writeln!(out, "{}", table.render()).expect("write to stdout failed");
             }
-        }
-        OutputFormat::Csv | OutputFormat::Json => {
-            if format == OutputFormat::Json && json_notice {
-                writeln!(err, "{JSON_FALLBACK_NOTICE}").expect("write to stderr failed");
-            }
-            for table in tables {
+            OutputFormat::Csv => {
                 writeln!(out, "# {}", table.title()).expect("write to stdout failed");
                 writeln!(out, "{}", table.to_csv()).expect("write to stdout failed");
             }
@@ -619,41 +587,14 @@ fn emit_to(
     }
 }
 
-fn emit(format: OutputFormat, tables: Vec<TextTable>) {
-    emit_to(
-        format,
-        tables,
-        take_json_notice(format),
-        &mut std::io::stdout().lock(),
-        &mut std::io::stderr().lock(),
-    );
-}
-
 /// Writes sweep results in the *canonical* sweep CSV (full precision,
 /// golden-pinned header from `ayd_sweep::CSV_HEADER`) rather than the rounded
 /// table export — machine consumers of `sweep --csv` get the same bytes the
 /// golden test pins.
-fn emit_sweep_csv_to(
-    results: &ayd_sweep::SweepResults,
-    json_notice: bool,
-    out: &mut dyn Write,
-    err: &mut dyn Write,
-) {
-    if json_notice {
-        writeln!(err, "{JSON_FALLBACK_NOTICE}").expect("write to stderr failed");
-    }
+fn emit_sweep_csv_to(results: &ayd_sweep::SweepResults, out: &mut dyn Write) {
     writeln!(out, "# Scenario sweep — {} cells", results.rows.len())
         .expect("write to stdout failed");
     write!(out, "{}", results.to_csv()).expect("write to stdout failed");
-}
-
-fn emit_sweep_csv(format: OutputFormat, results: &ayd_sweep::SweepResults) {
-    emit_sweep_csv_to(
-        results,
-        take_json_notice(format),
-        &mut std::io::stdout().lock(),
-        &mut std::io::stderr().lock(),
-    );
 }
 
 fn run_experiment(name: &str, cli: &Cli) -> Result<(), String> {
@@ -730,7 +671,7 @@ fn run_experiment(name: &str, cli: &Cli) -> Result<(), String> {
                         }
                         emit(format, tables)
                     }
-                    OutputFormat::Csv | OutputFormat::Json => emit_sweep_csv(format, &results),
+                    OutputFormat::Csv => emit_sweep_csv_to(&results, &mut std::io::stdout().lock()),
                 }
             }
         },
@@ -824,13 +765,13 @@ mod tests {
     #[test]
     fn parses_experiments_and_flags() {
         let cli = parse_args(&strings(&[
-            "fig2", "fig5", "--no-sim", "--json", "--seed", "7",
+            "fig2", "fig5", "--no-sim", "--csv", "--seed", "7",
         ]))
         .unwrap();
         assert_eq!(cli.experiments, vec!["fig2", "fig5"]);
         assert!(!cli.options.simulate);
         assert_eq!(cli.options.seed, 7);
-        assert_eq!(cli.format, OutputFormat::Json);
+        assert_eq!(cli.format, OutputFormat::Csv);
         assert_eq!(cli.options.threads, None);
         assert!(cli.options.cache);
     }
@@ -978,6 +919,10 @@ mod tests {
         // There is one search, so `--search` is an unknown flag.
         let err = parse_args(&strings(&["sweep", "--search", "fast"])).unwrap_err();
         assert!(err.contains("unknown flag `--search`"), "{err}");
+        // `--csv` is the one machine format; `--json` is an unknown flag.
+        let err = parse_args(&strings(&["table2", "--json"])).unwrap_err();
+        assert!(err.contains("unknown flag `--json`"), "{err}");
+        assert!(err.contains("usage:"), "{err}");
         assert!(parse_args(&strings(&[])).is_err());
         assert!(parse_args(&strings(&["--seed"])).is_err());
         assert!(parse_args(&strings(&["fig2", "--seed", "abc"])).is_err());
@@ -1033,7 +978,6 @@ mod tests {
         // Stdout format flags are meaningless (and silently dropped) in file
         // mode, and sweep+sweep-merge would clobber one another's --out.
         assert!(parse_args(&strings(&["sweep", "--out", "x.csv", "--csv"])).is_err());
-        assert!(parse_args(&strings(&["sweep", "--out", "x.csv", "--json"])).is_err());
         let err = parse_args(&strings(&[
             "sweep-merge",
             "sweep",
@@ -1151,29 +1095,6 @@ mod tests {
     }
 
     #[test]
-    fn json_fallback_notice_goes_to_stderr_not_stdout() {
-        let mut table = TextTable::new("demo", &["a", "b"]);
-        table.push_row(vec!["1".into(), "2".into()]);
-        let mut out = Vec::new();
-        let mut err = Vec::new();
-        emit_to(OutputFormat::Json, vec![table], true, &mut out, &mut err);
-        let out = String::from_utf8(out).unwrap();
-        let err = String::from_utf8(err).unwrap();
-        // stdout carries only data: `#` title comments and CSV lines.
-        assert!(!out.contains("note:"), "stdout polluted: {out}");
-        assert!(out.starts_with("# demo\n"));
-        assert!(out.contains("a,b\n1,2\n"));
-        assert!(err.contains("note: JSON output needs the real serde_json"));
-        // Without the notice flag (already printed earlier), stderr stays empty.
-        let mut table = TextTable::new("demo", &["a"]);
-        table.push_row(vec!["1".into()]);
-        let mut out2: Vec<u8> = Vec::new();
-        let mut err2: Vec<u8> = Vec::new();
-        emit_to(OutputFormat::Json, vec![table], false, &mut out2, &mut err2);
-        assert!(err2.is_empty());
-    }
-
-    #[test]
     fn sweep_csv_output_uses_the_canonical_full_precision_format() {
         let options = RunOptions {
             simulate: false,
@@ -1182,14 +1103,12 @@ mod tests {
         };
         let results = sweep::run(&options);
         let mut out: Vec<u8> = Vec::new();
-        let mut err: Vec<u8> = Vec::new();
-        emit_sweep_csv_to(&results, true, &mut out, &mut err);
+        emit_sweep_csv_to(&results, &mut out);
         let out = String::from_utf8(out).unwrap();
         let mut lines = out.lines();
         assert!(lines.next().unwrap().starts_with("# Scenario sweep — "));
         // The golden-pinned header, not the rounded TextTable export.
         assert_eq!(lines.next().unwrap(), ayd_sweep::CSV_HEADER);
         assert_eq!(out.lines().count(), 2 + results.rows.len());
-        assert!(String::from_utf8(err).unwrap().contains("note:"));
     }
 }

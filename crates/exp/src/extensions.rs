@@ -9,8 +9,6 @@
 //! and Gustafson profiles, so this module no longer carries any bespoke
 //! evaluation loop of its own.
 
-use serde::{Deserialize, Serialize};
-
 use ayd_core::{ProfileSpec, SpeedupProfile};
 use ayd_platforms::{PlatformId, ScenarioId};
 use ayd_sweep::{RunOptions, ScenarioGrid, SweepExecutor, SweepOptions};
@@ -19,7 +17,7 @@ use crate::evaluate::OperatingPoint;
 use crate::table::{fmt_option, fmt_value, TextTable};
 
 /// One row of the extension experiment: a speedup profile under a scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtensionRow {
     /// Scenario number.
     pub scenario: usize,
@@ -30,7 +28,7 @@ pub struct ExtensionRow {
 }
 
 /// Results of the extension experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExtensionData {
     /// One row per (scenario, profile).
     pub rows: Vec<ExtensionRow>,

@@ -7,8 +7,6 @@
 //! series; the overhead panel additionally separates analytical predictions from
 //! simulation results. [`run`] regenerates all of those series.
 
-use serde::{Deserialize, Serialize};
-
 use ayd_platforms::{ExperimentSetup, PlatformId, ScenarioId};
 use ayd_sweep::RunOptions;
 
@@ -16,7 +14,7 @@ use crate::evaluate::{Evaluator, OptimumComparison};
 use crate::table::{fmt_option, fmt_value, TextTable};
 
 /// One (platform, scenario) cell of Figure 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Figure2Row {
     /// Platform name.
     pub platform: PlatformId,
@@ -27,7 +25,7 @@ pub struct Figure2Row {
 }
 
 /// All series of Figure 2.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure2Data {
     /// Sequential fraction used (the paper fixes 0.1).
     pub alpha: f64,

@@ -7,8 +7,6 @@
 //! period and the numerically optimal period for the same processor count
 //! (the paper reports it stays within 0.2%).
 
-use serde::{Deserialize, Serialize};
-
 use ayd_platforms::{PlatformId, ScenarioId};
 use ayd_sweep::{ProcessorAxis, RunOptions, ScenarioGrid, SweepExecutor, SweepOptions};
 
@@ -16,7 +14,7 @@ use crate::evaluate::SimSummary;
 use crate::table::{fmt_option, fmt_value, TextTable};
 
 /// One point of Figure 3: a scenario at a fixed processor count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Figure3Row {
     /// Scenario number (1–6).
     pub scenario: usize,
@@ -38,7 +36,7 @@ pub struct Figure3Row {
 }
 
 /// All series of Figure 3.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure3Data {
     /// Platform used (the paper uses Hera).
     pub platform: PlatformId,

@@ -8,8 +8,6 @@
 //! optimum is reported — and even then the allocation stays bounded, in sharp
 //! contrast with the error-free setting.
 
-use serde::{Deserialize, Serialize};
-
 use ayd_platforms::{ExperimentSetup, PlatformId, ScenarioId};
 use ayd_sweep::RunOptions;
 
@@ -17,7 +15,7 @@ use crate::evaluate::{Evaluator, OptimumComparison};
 use crate::table::{fmt_option, fmt_value, TextTable};
 
 /// One point of Figure 4: a scenario at a given sequential fraction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Figure4Row {
     /// Scenario number (1, 3 or 5).
     pub scenario: usize,
@@ -28,7 +26,7 @@ pub struct Figure4Row {
 }
 
 /// All series of Figure 4.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure4Data {
     /// Platform used (Hera).
     pub platform: PlatformId,

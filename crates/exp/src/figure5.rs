@@ -8,8 +8,6 @@
 //! the first-order approximation getting more accurate as `λ_ind` decreases, with
 //! the overhead tending to the `α = 0.1` floor.
 
-use serde::{Deserialize, Serialize};
-
 use ayd_core::{fit_power_law, SpeedupProfile};
 use ayd_platforms::{PlatformId, ScenarioId};
 use ayd_sweep::{RunOptions, ScenarioGrid, SweepExecutor, SweepOptions};
@@ -18,7 +16,7 @@ use crate::evaluate::OptimumComparison;
 use crate::table::{fmt_option, fmt_value, TextTable};
 
 /// One point of Figure 5: a scenario at a given individual error rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Figure5Row {
     /// Scenario number (1, 3 or 5).
     pub scenario: usize,
@@ -30,7 +28,7 @@ pub struct Figure5Row {
 
 /// Fitted asymptotic exponents for one scenario (log-log slopes of `P*`, `T*`
 /// versus `λ_ind`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsymptoticSlopes {
     /// Scenario number.
     pub scenario: usize,
@@ -49,7 +47,7 @@ pub struct AsymptoticSlopes {
 }
 
 /// All series of Figure 5.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure5Data {
     /// Sequential fraction used (0.1).
     pub alpha: f64,

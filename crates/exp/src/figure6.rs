@@ -6,8 +6,6 @@
 //! `T* ≈ Θ(λ^{-1/2})` and `H* ≈ Θ(λ^{1/2})` under scenario 1, and
 //! `P* ≈ Θ(λ^{-1})`, `T* ≈ O(1)` and `H* ≈ Θ(λ)` under scenarios 3 and 5.
 
-use serde::{Deserialize, Serialize};
-
 use ayd_core::{fit_power_law, SpeedupProfile};
 use ayd_platforms::{PlatformId, ScenarioId};
 use ayd_sweep::{RunOptions, ScenarioGrid, SweepExecutor, SweepOptions};
@@ -16,7 +14,7 @@ use crate::evaluate::OperatingPoint;
 use crate::table::{fmt_option, fmt_value, TextTable};
 
 /// One point of Figure 6.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Figure6Row {
     /// Scenario number (1, 3 or 5).
     pub scenario: usize,
@@ -27,7 +25,7 @@ pub struct Figure6Row {
 }
 
 /// Fitted asymptotic exponents of the `α = 0` regime for one scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Figure6Slopes {
     /// Scenario number.
     pub scenario: usize,
@@ -43,7 +41,7 @@ pub struct Figure6Slopes {
 }
 
 /// All series of Figure 6.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure6Data {
     /// Error rates swept.
     pub lambdas: Vec<f64>,

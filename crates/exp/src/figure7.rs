@@ -7,8 +7,6 @@
 //! Because even a three-hour downtime stays much smaller than the platform MTBF,
 //! the overheads of the two solutions remain close.
 
-use serde::{Deserialize, Serialize};
-
 use ayd_platforms::{ExperimentSetup, PlatformId, ScenarioId};
 use ayd_sweep::RunOptions;
 
@@ -16,7 +14,7 @@ use crate::evaluate::{Evaluator, OptimumComparison};
 use crate::table::{fmt_option, fmt_value, TextTable};
 
 /// One point of Figure 7.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Figure7Row {
     /// Scenario number (1, 3 or 5).
     pub scenario: usize,
@@ -27,7 +25,7 @@ pub struct Figure7Row {
 }
 
 /// All series of Figure 7.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure7Data {
     /// Downtimes swept (seconds).
     pub downtimes: Vec<f64>,

@@ -8,13 +8,11 @@
 //! with the measured value, and [`render_checks`] summarises a list of them as a
 //! table that EXPERIMENTS.md mirrors.
 
-use serde::{Deserialize, Serialize};
-
 use crate::table::TextTable;
 
 /// One verifiable claim extracted from the paper, together with what the
 /// reproduction measured.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShapeCheck {
     /// Short identifier (e.g. `"fig5.P*.scenario1.slope"`).
     pub name: String,

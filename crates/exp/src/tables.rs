@@ -1,14 +1,12 @@
 //! Reproduction of Table II (platform parameters) and Table III (resilience
 //! scenarios, plus the cost coefficients fitted to each platform).
 
-use serde::{Deserialize, Serialize};
-
 use ayd_platforms::{Platform, Scenario};
 
 use crate::table::{fmt_value, TextTable};
 
 /// Data behind the Table II reproduction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2 {
     /// The four platforms, in paper order.
     pub platforms: Vec<Platform>,
@@ -16,7 +14,7 @@ pub struct Table2 {
 
 /// One row of the Table III reproduction: a scenario and the coefficients fitted
 /// to a platform.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Row {
     /// Scenario number (1–6).
     pub scenario: usize,
@@ -39,7 +37,7 @@ pub struct Table3Row {
 }
 
 /// Data behind the Table III reproduction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table3 {
     /// One row per (scenario, platform) pair.
     pub rows: Vec<Table3Row>,

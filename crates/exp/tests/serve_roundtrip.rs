@@ -1,4 +1,4 @@
-//! Subprocess integration test of `reproduce serve` (like `json_fallback.rs`):
+//! Subprocess integration test of `reproduce serve` (like `cli_output.rs`):
 //! boots the real binary on an ephemeral port, then drives one `/v1/optimize`
 //! and one `/v1/sweep` round-trip through the same checks `loadgen --check`
 //! runs ([`ayd_serve::smoke_check`]), and pins the served sweep CSV to the

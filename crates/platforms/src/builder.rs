@@ -1,7 +1,5 @@
 //! Assembling complete experiment setups (platform × scenario × application).
 
-use serde::{Deserialize, Serialize};
-
 use ayd_core::{ExactModel, FailureModel, ModelError, SpeedupProfile};
 
 use crate::platform::{Platform, PlatformId};
@@ -15,7 +13,7 @@ use crate::scenario::{Scenario, ScenarioId};
 /// the caller supplied, e.g. from a builder or a deserialized request);
 /// [`ExperimentSetup::model`] validates it, so an out-of-range parameter
 /// surfaces as a [`ModelError`] rather than a panic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentSetup {
     /// Platform whose Table II measurements parameterise the costs and rates.
     pub platform: PlatformId,

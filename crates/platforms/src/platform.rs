@@ -7,12 +7,10 @@
 //! the verification cost is set to that of an in-memory checkpoint, since the
 //! whole memory footprint must be inspected to detect silent errors.
 
-use serde::{Deserialize, Serialize};
-
 use ayd_core::FailureModel;
 
 /// Identifier of one of the four platforms of Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlatformId {
     /// LLNL Hera: 512 processors, λ_ind = 1.69e-8, f = 0.2188.
     Hera,
@@ -61,7 +59,7 @@ impl PlatformId {
 }
 
 /// Measured parameters of a platform (one column of Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Platform {
     /// Which platform this is.
     pub id: PlatformId,

@@ -18,14 +18,12 @@
 //! the projected costs reproduce the measurements at the measured `P` and
 //! extrapolate to any other processor count.
 
-use serde::{Deserialize, Serialize};
-
 use ayd_core::{CheckpointCost, ModelError, ResilienceCosts, VerificationCost};
 
 use crate::platform::Platform;
 
 /// How the checkpoint (and recovery) cost scales with the processor count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CostShape {
     /// `C_P = cP` — grows linearly with `P` (coordinated checkpointing).
     Linear,
@@ -36,7 +34,7 @@ pub enum CostShape {
 }
 
 /// How the verification cost scales with the processor count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VerificationShape {
     /// `V_P = v` — constant in `P`.
     Constant,
@@ -45,7 +43,7 @@ pub enum VerificationShape {
 }
 
 /// Identifier of one of the six scenarios of Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ScenarioId {
     /// Scenario 1: `C_P = cP`, `V_P = v`.
     S1,
@@ -96,7 +94,7 @@ impl ScenarioId {
 
 /// A resilience scenario: the scaling shapes of the checkpoint and verification
 /// costs (one column of Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Scenario {
     /// Which of the six scenarios this is.
     pub id: ScenarioId,

@@ -18,7 +18,9 @@ use ayd_sweep::{
     ProcessorAxis, ScenarioGrid, SweepRow, CSV_HEADER,
 };
 
-use crate::app::{AppState, DistributedJobHandle, JobHandle, JobView, LocalJob};
+use crate::app::{
+    AppState, DistributedJobHandle, JobHandle, JobView, LocalJob, MAX_RUNNING_JOBS, MAX_SWEEP_CELLS,
+};
 use crate::http::{Request, Response};
 use crate::json::Json;
 
@@ -1321,10 +1323,9 @@ fn sweep_submit(state: &Arc<AppState>, req: &Request) -> Response {
         Err(error) => return error.response(),
     };
     let cells = grid.len();
-    if cells > state.max_sweep_cells {
+    if cells > MAX_SWEEP_CELLS {
         return bad_request(&format!(
-            "grid has {cells} cells; this server accepts at most {}",
-            state.max_sweep_cells
+            "grid has {cells} cells; this server accepts at most {MAX_SWEEP_CELLS}"
         ));
     }
     let shards = match parse_shards(&body) {
@@ -1339,7 +1340,7 @@ fn sweep_submit(state: &Arc<AppState>, req: &Request) -> Response {
             let grid_fingerprint = grid.fingerprint();
             let options_fingerprint = state.options.output_fingerprint();
             let grid_json = body.render();
-            state.jobs.try_submit(state.max_jobs, |id| {
+            state.jobs.try_submit(MAX_RUNNING_JOBS, |id| {
                 coordinator.submit(
                     id,
                     grid_json,
@@ -1355,7 +1356,7 @@ fn sweep_submit(state: &Arc<AppState>, req: &Request) -> Response {
             })
         }
         // Every other job runs in this process, coordinators included.
-        _ => state.jobs.try_submit(state.max_jobs, |_| {
+        _ => state.jobs.try_submit(MAX_RUNNING_JOBS, |_| {
             JobHandle::Local(LocalJob::spawn(state.options, grid, shards))
         }),
     };

@@ -53,6 +53,12 @@ impl Default for ClusterConfig {
     }
 }
 
+/// Maximum concurrently running sweep jobs (further submissions → 503).
+pub(crate) const MAX_RUNNING_JOBS: usize = 4;
+
+/// Maximum cells a submitted sweep grid may have (above → 400).
+pub(crate) const MAX_SWEEP_CELLS: usize = 200_000;
+
 /// Configuration of an [`crate::server::Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -62,12 +68,8 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Total capacity of the shared evaluation cache.
     pub cache_capacity: usize,
-    /// Request parsing limits; `max_body` is the `--max-body` CLI knob.
+    /// Request parsing limits (the `--max-body` CLI knob).
     pub limits: Limits,
-    /// Maximum concurrently running sweep jobs (further submissions → 503).
-    pub max_jobs: usize,
-    /// Maximum cells a submitted sweep grid may have (above → 400).
-    pub max_sweep_cells: usize,
     /// Base run options of every evaluation. Simulation is always forced off:
     /// the service answers with the analytic/numerical series only.
     pub run: RunOptions,
@@ -84,8 +86,6 @@ impl Default for ServerConfig {
                 .unwrap_or(1),
             cache_capacity: 65_536,
             limits: Limits::default(),
-            max_jobs: 4,
-            max_sweep_cells: 200_000,
             run: RunOptions::default(),
             cluster: ClusterConfig::default(),
         }
@@ -106,10 +106,6 @@ pub struct AppState {
     pub jobs: JobRegistry,
     /// Request parsing limits.
     pub limits: Limits,
-    /// Maximum concurrently running sweep jobs.
-    pub max_jobs: usize,
-    /// Maximum cells per submitted sweep grid.
-    pub max_sweep_cells: usize,
     /// Server start time (for `/healthz` uptime).
     pub started: Instant,
     /// The cluster coordinator, when this instance runs with
@@ -135,8 +131,6 @@ impl AppState {
             metrics: Metrics::new(),
             jobs: JobRegistry::new(),
             limits: config.limits,
-            max_jobs: config.max_jobs.max(1),
-            max_sweep_cells: config.max_sweep_cells.max(1),
             started: Instant::now(),
             coordinator: config
                 .cluster
@@ -403,7 +397,7 @@ pub enum JobView {
 
 /// How many finished jobs the registry retains for later retrieval. Older
 /// results (by id) are evicted first — the registry's memory use is bounded
-/// by `max_jobs` running handles plus this many CSV payloads.
+/// by `MAX_RUNNING_JOBS` running handles plus this many CSV payloads.
 const MAX_FINISHED_JOBS: usize = 64;
 
 /// Registry of async sweep jobs.

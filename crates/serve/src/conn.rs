@@ -16,9 +16,10 @@
 //! Parse attempts are gated so drip-fed input stays cheap and bounded:
 //! re-parses fire only when the header section is complete (a blank line has
 //! been scanned), at end-of-stream, or when the buffer exceeds the maximum
-//! possible header-section size implied by [`Limits`] — at which point the
-//! one-shot parser is guaranteed to return a definite over-limit error, so
-//! memory per connection stays bounded no matter what the peer sends.
+//! possible header-section size the parser's head limits imply — at which
+//! point the one-shot parser is guaranteed to return a definite over-limit
+//! error, so memory per connection stays bounded no matter what the peer
+//! sends.
 //!
 //! `answer_next` serves the reactor and the socket-free [`serve_chunks`]
 //! harness alike, so both answer the same bytes and record the same
@@ -34,7 +35,10 @@ use std::time::{Duration, Instant};
 
 use crate::api::{dispatch, endpoint, Batch, Routed};
 use crate::app::AppState;
-use crate::http::{parse_request, Limits, ParseError, Request, Response};
+use crate::http::{
+    parse_request, Limits, ParseError, Request, Response, MAX_HEADERS, MAX_HEADER_LINE,
+    MAX_REQUEST_LINE,
+};
 
 /// Result of one [`IncrementalParser::poll`].
 #[derive(Debug)]
@@ -53,9 +57,7 @@ pub enum Poll {
 /// head (request line + headers + blank line) before it must return an
 /// over-limit error. Buffering past this without a complete head means the
 /// next parse attempt yields a definite error, never `NeedMore`.
-pub(crate) fn head_cap(limits: &Limits) -> usize {
-    limits.max_request_line + 2 + (limits.max_headers + 1) * (limits.max_header_line + 2)
-}
+pub(crate) const HEAD_CAP: usize = MAX_REQUEST_LINE + 2 + (MAX_HEADERS + 1) * (MAX_HEADER_LINE + 2);
 
 /// Buffers partial input and yields requests exactly as the one-shot parser
 /// would, one [`poll`](IncrementalParser::poll) at a time.
@@ -156,7 +158,7 @@ impl IncrementalParser {
         // Gate: only attempt a parse when it can make progress — the head is
         // complete, the stream ended, or the buffer is so large the parser is
         // guaranteed to return an over-limit error.
-        let over_cap = self.buffer.len() > head_cap(limits);
+        let over_cap = self.buffer.len() > HEAD_CAP;
         if self.head_end.is_none() && !eof && !over_cap {
             return Poll::NeedMore;
         }
@@ -520,7 +522,7 @@ mod tests {
     #[test]
     fn oversized_head_errors_without_eof_and_memory_stays_bounded() {
         let mut parser = IncrementalParser::new();
-        let cap = head_cap(&limits());
+        let cap = HEAD_CAP;
         // A header section that never ends: the parser must fail (431) before
         // buffering much past the cap, even though the stream is still open.
         let mut failed = None;

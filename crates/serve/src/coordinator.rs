@@ -21,12 +21,12 @@
 //! the cluster itself: when a worker's lease expires mid-shard — or its
 //! heartbeat shows it dropped the shard after a refused upload — the shard is
 //! re-queued **from the last accepted chunk** (the coordinator-side
-//! checkpoint, mirrored by the worker's atomically-renamed spool manifest) —
-//! at most the in-flight suffix is recomputed, never a completed cell. Every
-//! re-issue bumps the shard's *epoch*; chunk uploads carry the worker id,
-//! its registration token and the epoch they were dispatched under, so a
-//! resurrected worker (or a slow upload racing a re-issued shard) is fenced
-//! out with `409` instead of corrupting the row stream.
+//! checkpoint, the only one) — at most the in-flight suffix is recomputed,
+//! never a completed cell. Every re-issue bumps the shard's *epoch*; chunk
+//! uploads carry the worker id, its registration token and the epoch they
+//! were dispatched under, so a resurrected worker (or a slow upload racing a
+//! re-issued shard) is fenced out with `409` instead of corrupting the row
+//! stream.
 //!
 //! Shards own contiguous, ascending ranges of global cells
 //! ([`ShardSpec::range`]), so the merged prefix grows shard by shard as

@@ -1,35 +1,36 @@
 //! Strict, bounded HTTP/1.1 request parsing and response writing.
 //!
 //! The parser reads exactly one request from a `BufRead`, enforcing hard
-//! limits on the request-line length, header count, per-header size and body
-//! size ([`Limits`]). Anything out of contract maps to a definite status code
-//! (400/405/413/414/431/501) rather than a panic or an unbounded allocation —
-//! the malformed-request property suite feeds it arbitrary bytes and asserts
-//! the connection always answers with a well-formed status line.
+//! limits on the request-line length, header count and per-header size
+//! (constants) and on the body size ([`Limits`]). Anything out of contract
+//! maps to a definite status code (400/405/413/414/431/501) rather than a
+//! panic or an unbounded allocation — the malformed-request property suite
+//! feeds it arbitrary bytes and asserts the connection always answers with a
+//! well-formed status line.
 
 use std::io::{BufRead, Read, Write};
 
-/// Hard limits on one parsed request.
+/// Maximum bytes of the request line (method + target + version; above →
+/// 414).
+pub(crate) const MAX_REQUEST_LINE: usize = 4096;
+
+/// Maximum number of headers (above → 431).
+pub(crate) const MAX_HEADERS: usize = 64;
+
+/// Maximum bytes of a single header line (above → 431).
+pub(crate) const MAX_HEADER_LINE: usize = 4096;
+
+/// The configurable limit on one parsed request (the request-head limits are
+/// fixed constants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Limits {
-    /// Maximum bytes of the request line (method + target + version).
-    pub max_request_line: usize,
-    /// Maximum number of headers.
-    pub max_headers: usize,
-    /// Maximum bytes of a single header line.
-    pub max_header_line: usize,
     /// Maximum bytes of the body (`Content-Length` above this → 413).
     pub max_body: usize,
 }
 
 impl Default for Limits {
     fn default() -> Self {
-        Self {
-            max_request_line: 4096,
-            max_headers: 64,
-            max_header_line: 4096,
-            max_body: 1 << 20,
-        }
+        Self { max_body: 1 << 20 }
     }
 }
 
@@ -149,7 +150,7 @@ fn read_line(
 
 /// Parses exactly one request from `reader`, honouring `limits`.
 pub fn parse_request(reader: &mut impl BufRead, limits: &Limits) -> Result<Request, ParseError> {
-    let request_line = read_line(reader, limits.max_request_line, ParseError::TargetTooLong)?
+    let request_line = read_line(reader, MAX_REQUEST_LINE, ParseError::TargetTooLong)?
         .ok_or(ParseError::ConnectionClosed)?;
     if request_line.is_empty() {
         return Err(ParseError::BadRequest("empty request line"));
@@ -177,12 +178,12 @@ pub fn parse_request(reader: &mut impl BufRead, limits: &Limits) -> Result<Reque
 
     let mut headers = Vec::new();
     loop {
-        let line = read_line(reader, limits.max_header_line, ParseError::HeadersTooLarge)?
+        let line = read_line(reader, MAX_HEADER_LINE, ParseError::HeadersTooLarge)?
             .ok_or(ParseError::BadRequest("connection closed inside headers"))?;
         if line.is_empty() {
             break;
         }
-        if headers.len() >= limits.max_headers {
+        if headers.len() >= MAX_HEADERS {
             return Err(ParseError::HeadersTooLarge);
         }
         let (name, value) = line

@@ -1,10 +1,9 @@
 //! A minimal JSON value: strict parser and renderer.
 //!
-//! The offline build replaces `serde`/`serde_json` with no-op stand-ins (see
-//! `vendor/serde`), so the service carries its own ~300-line JSON layer
-//! instead. It supports the full JSON grammar with two deliberate
-//! restrictions: numbers are `f64` (like `serde_json`'s default) and object
-//! keys keep their insertion order (so responses render deterministically).
+//! The workspace builds offline with no JSON crate, so the service carries
+//! its own ~300-line JSON layer. It supports the full JSON grammar with two
+//! deliberate restrictions: numbers are `f64` and object keys keep their
+//! insertion order (so responses render deterministically).
 //!
 //! Rendering uses Rust's shortest-roundtrip `f64` formatting, which means a
 //! value parsed back with [`Json::parse`] compares bit-identical to the
@@ -22,7 +21,7 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (always an `f64`, like `serde_json`'s lossy mode).
+    /// Any JSON number (always an `f64`).
     Num(f64),
     /// A string.
     Str(String),

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use crate::app::{AppState, ServerConfig};
 use crate::conn::{
-    answer_next, head_cap, Answer, IncrementalParser, Pending, MAX_REQUESTS_PER_CONNECTION,
+    answer_next, Answer, IncrementalParser, Pending, HEAD_CAP, MAX_REQUESTS_PER_CONNECTION,
 };
 use crate::sys;
 
@@ -358,7 +358,7 @@ pub fn serve_event(
     shutdown: Arc<AtomicBool>,
     config: &ServerConfig,
 ) -> std::io::Result<()> {
-    let pause_at = config.limits.max_body + head_cap(&config.limits) + SCRATCH;
+    let pause_at = config.limits.max_body + HEAD_CAP + SCRATCH;
     let mut workers = Vec::with_capacity(listeners.len());
     for (index, listener) in listeners.into_iter().enumerate() {
         let reactor = Reactor {

@@ -4,7 +4,7 @@
 //! epoll reactor needs — `epoll_create1`/`epoll_ctl`/`epoll_pwait`,
 //! `accept4`, nonblocking `SO_REUSEPORT` listeners and raw `read`/`write` —
 //! are issued directly via inline assembly, in the same spirit as the
-//! `vendor/` stand-ins for serde and rand. Only Linux on x86_64/aarch64 is
+//! `vendor/` stand-in for rand. Only Linux on x86_64/aarch64 is
 //! covered; everything in this module is compiled out on other targets,
 //! where [`crate::Server::bind`] reports the server unsupported.
 //!

@@ -14,23 +14,18 @@
 //! [`WorkerRuntime::start_shard`], which computes rows **from the dispatched
 //! `start_row`** — cells the coordinator already checkpointed are never
 //! recomputed. Rows stream back in [`ShardChunk`] frames every few dozen
-//! cells; each flush first appends the rows to a local spool CSV and
-//! atomically renames its sidecar manifest (the same
-//! [`write_atomic`](ayd_sweep::SweepManifest::write_atomic) discipline as
-//! file-based shard runs, so a post-mortem of a killed worker shows exactly
-//! what it had durably completed), then uploads the chunk. A refused upload
-//! (stale epoch after a re-issue, coordinator restart, cancelled job) aborts
-//! the shard: the coordinator owns the authoritative checkpoint, learns of
-//! the abandonment from the next heartbeats and re-issues from it.
+//! cells; the worker keeps nothing on disk. A refused upload (stale epoch
+//! after a re-issue, coordinator restart, cancelled job) aborts the shard:
+//! the coordinator owns the only checkpoint, learns of the abandonment from
+//! the next heartbeats and re-issues from it.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use ayd_sweep::{
-    manifest_path, ScenarioGrid, ShardChunk, ShardSpec, SweepCell, SweepExecutor, SweepManifest,
-    SweepOptions, SweepSink,
+    ScenarioGrid, ShardChunk, ShardSpec, SweepCell, SweepExecutor, SweepManifest, SweepOptions,
+    SweepSink,
 };
 
 use crate::client::HttpClient;
@@ -292,7 +287,6 @@ impl WorkerRuntime {
             buffered: 0,
             chunk_rows,
             cancel: Arc::clone(&cancel),
-            spool: SpoolFiles::open(run.job, run.shard, run.start_row),
         };
         let executor = SweepExecutor::new(options);
         executor.run_cells_controlled(&cells[run.start_row..], &mut sink, Some(&cancel), None);
@@ -315,38 +309,8 @@ impl WorkerRuntime {
     }
 }
 
-/// The worker's local spool: a CSV of the rows it computed plus the
-/// atomically-renamed sidecar manifest, under the system temp directory.
-struct SpoolFiles {
-    csv: PathBuf,
-    manifest: PathBuf,
-}
-
-impl SpoolFiles {
-    fn open(job: u64, shard: usize, start_row: usize) -> Option<Self> {
-        let dir = std::env::temp_dir().join(format!("ayd-worker-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).ok()?;
-        let csv = dir.join(format!("job{job}-shard{shard}.csv"));
-        // A fresh dispatch starts the spool over; a re-issued suffix appends
-        // to whatever this process already spooled.
-        if start_row == 0 {
-            std::fs::write(&csv, format!("{}\n", ayd_sweep::CSV_HEADER)).ok()?;
-        }
-        let manifest = manifest_path(&csv);
-        Some(Self { csv, manifest })
-    }
-
-    fn append(&self, rows: &str) {
-        use std::io::Write;
-        if let Ok(mut file) = std::fs::OpenOptions::new().append(true).open(&self.csv) {
-            let _ = file.write_all(rows.as_bytes());
-            let _ = file.flush();
-        }
-    }
-}
-
-/// A [`SweepSink`] that spools rows locally and streams them to the
-/// coordinator in [`ShardChunk`] frames.
+/// A [`SweepSink`] that streams rows to the coordinator in [`ShardChunk`]
+/// frames.
 struct ChunkSink {
     coordinator: String,
     run: ShardRun,
@@ -359,21 +323,15 @@ struct ChunkSink {
     buffered: usize,
     chunk_rows: usize,
     cancel: Arc<AtomicBool>,
-    spool: Option<SpoolFiles>,
 }
 
 impl ChunkSink {
-    /// Flushes the buffered rows: spool + atomic manifest rename first, then
-    /// the chunk upload. An upload the coordinator refuses (or cannot
-    /// receive) cancels the shard — the coordinator re-issues from its own
-    /// checkpoint.
+    /// Uploads the buffered rows as one chunk. An upload the coordinator
+    /// refuses (or cannot receive) cancels the shard — the coordinator
+    /// re-issues from its own checkpoint.
     fn flush(&mut self) {
         if self.buffered == 0 {
             return;
-        }
-        if let Some(spool) = &self.spool {
-            spool.append(&self.buffer);
-            let _ = self.manifest.write_atomic(&spool.manifest);
         }
         let rows = std::mem::take(&mut self.buffer);
         let buffered = std::mem::replace(&mut self.buffered, 0);

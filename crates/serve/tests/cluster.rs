@@ -12,7 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use ayd_serve::client::{await_workers, engine_sweep_csv, fetch_sweep_csv};
+use ayd_serve::client::{await_workers, cluster_smoke_check, engine_sweep_csv, fetch_sweep_csv};
 use ayd_serve::{ClusterConfig, HttpClient, Json, PrometheusText, Server, ServerConfig};
 
 /// 256 cells: 2 scenarios × 4 λ multipliers × 8 processor counts × 4 pattern
@@ -281,6 +281,14 @@ fn two_workers_split_a_distributed_sweep_and_report_live_progress() {
     let over_sharded = r#"{"scenarios":[1],"processors":[256,1024],"shards":4}"#;
     let csv = fetch_sweep_csv(&coord_addr, over_sharded, Duration::from_secs(60)).unwrap();
     assert_eq!(csv, engine_sweep_csv(over_sharded).unwrap());
+
+    // `loadgen --cluster-check` passes against the same cluster.
+    cluster_smoke_check(&coord_addr, 2).unwrap();
+
+    // Workers keep nothing on disk: the coordinator holds the only
+    // checkpoint, so no worker of this process leaves files behind.
+    let spool = std::env::temp_dir().join(format!("ayd-worker-{}", std::process::id()));
+    assert!(!spool.exists(), "workers left files in {}", spool.display());
 
     for (handle, thread) in [(w1_handle, w1_thread), (w2_handle, w2_thread)] {
         handle.shutdown();

@@ -8,8 +8,6 @@
 
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
-
 use ayd_core::ExactModel;
 
 use crate::engine::{PatternOutcome, WindowSamplingEngine};
@@ -22,7 +20,7 @@ use crate::stream::EventStreamEngine;
 use crate::EngineKind;
 
 /// Configuration of a batch of simulation runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulationConfig {
     /// Number of independent runs (the paper uses 500).
     pub runs: u64,
@@ -87,7 +85,7 @@ impl SimulationConfig {
 }
 
 /// Aggregated overhead statistics of a batch of runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadStats {
     /// Mean execution overhead across runs (the simulated `H(PATTERN)`).
     pub mean: f64,

@@ -9,13 +9,12 @@
 //! other.
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use crate::params::PatternParams;
 use crate::rng::sample_exponential;
 
 /// Outcome of executing one pattern until its checkpoint commits.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PatternOutcome {
     /// Wall-clock time elapsed until the checkpoint committed (seconds).
     pub time: f64,

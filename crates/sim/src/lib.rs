@@ -69,7 +69,7 @@ pub fn probability_of_at_least_one(rate: f64, t: f64) -> f64 {
 }
 
 /// Which simulation engine a batch should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// Per-window exponential sampling (default).
     #[default]

@@ -5,14 +5,12 @@
 //! `(T, P)`. [`PatternParams`] is that flattened view, derived from an
 //! [`ayd_core::ExactModel`] via [`PatternParams::from_model`].
 
-use serde::{Deserialize, Serialize};
-
 use ayd_core::ExactModel;
 
 /// The concrete parameters of one periodic checkpointing pattern at a fixed
 /// operating point `(T, P)`. All times are in seconds, all rates in errors per
 /// second (already scaled to the full platform of `P` processors).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PatternParams {
     /// Length `T` of the computation chunk.
     pub work: f64,

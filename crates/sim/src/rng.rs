@@ -12,7 +12,8 @@ pub fn sample_exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     if rate == 0.0 {
         return f64::INFINITY;
     }
-    // `rand_distr`'s ziggurat-based sampler; rate is validated above.
+    // `rand_distr`'s sampler (the vendored one inverts the CDF, `-ln(1 - u) / λ`);
+    // rate is validated above.
     Exp::new(rate).expect("positive finite rate").sample(rng)
 }
 

@@ -8,13 +8,12 @@
 //! the simulated counterpart of `H(PATTERN)`).
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{PatternEngine, PatternOutcome};
 use crate::params::PatternParams;
 
 /// Aggregate result of one application run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunResult {
     /// Number of patterns committed.
     pub patterns: u64,

@@ -1,10 +1,8 @@
 //! Streaming statistics (Welford's algorithm) for simulation outputs.
 
-use serde::{Deserialize, Serialize};
-
 /// Running mean/variance accumulator using Welford's numerically stable update,
 /// with support for merging accumulators computed in parallel (Chan et al.).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningStats {
     count: u64,
     mean: f64,

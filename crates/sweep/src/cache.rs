@@ -50,7 +50,7 @@ pub fn quantize(x: f64) -> u64 {
 }
 
 /// Hit/miss counters of a cache (or of a whole sweep).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Number of lookups answered from the cache.
     pub hits: u64,

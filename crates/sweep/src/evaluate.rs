@@ -14,8 +14,6 @@
 //! per-cell kernel of the sweep engine (see [`crate::executor`]) and used to
 //! live in `ayd-exp`, which now re-exports it.
 
-use serde::{Deserialize, Serialize};
-
 use ayd_core::{ExactModel, FirstOrder};
 use ayd_optim::{JointSearch, OptimizeOptions, SearchReport};
 use ayd_sim::Simulator;
@@ -23,7 +21,7 @@ use ayd_sim::Simulator;
 use crate::options::RunOptions;
 
 /// Summary of a simulation batch at one operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimSummary {
     /// Mean simulated execution overhead across runs.
     pub mean: f64,
@@ -33,7 +31,7 @@ pub struct SimSummary {
 
 /// One operating point `(P, T)` together with its predicted and simulated
 /// overheads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Processor allocation.
     pub processors: f64,
@@ -49,7 +47,7 @@ pub struct OperatingPoint {
 }
 
 /// First-order and numerical optima of one configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimumComparison {
     /// First-order optimum (absent when the closed forms do not apply:
     /// scenario 6, `α = 0`, non-Amdahl profiles).

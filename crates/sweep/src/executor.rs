@@ -26,8 +26,6 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
-
 use ayd_core::{ExactModel, FailureModelSpec, FirstOrder, ProfileSpec, SpeedupProfile};
 use ayd_optim::SearchReport;
 use ayd_platforms::PlatformId;
@@ -42,7 +40,7 @@ use crate::sink::{write_csv_line, NullSink, SweepSink, CSV_HEADER};
 
 /// The closed-form joint optimum of Theorem 2/3 (`P*`, `T*`, `H*`), recorded
 /// alongside the practical first-order point for asymptotic-slope fits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClosedForm {
     /// Closed-form optimal processor count `P*`.
     pub processors: f64,
@@ -184,7 +182,7 @@ impl SweepOptions {
 }
 
 /// One evaluated cell of a sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepRow {
     /// Platform of the cell.
     pub platform: PlatformId,

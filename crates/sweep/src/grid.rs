@@ -8,13 +8,11 @@
 //! is part of the determinism contract (it never depends on how the executor
 //! schedules cells across threads).
 
-use serde::{Deserialize, Serialize};
-
 use ayd_core::{FailureModelSpec, SpeedupProfile};
 use ayd_platforms::{ExperimentSetup, Platform, PlatformId, ScenarioId};
 
 /// The processor axis of a grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ProcessorAxis {
     /// Jointly optimise the processor count per cell (first-order + numerical).
     Optimize,
@@ -26,7 +24,7 @@ pub enum ProcessorAxis {
 }
 
 /// The error-rate axis of a grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LambdaAxis {
     /// Keep each platform's measured individual error rate.
     Measured,
@@ -38,7 +36,7 @@ pub enum LambdaAxis {
 
 /// One cell of a sweep: a fully specified experiment setup plus the axis
 /// coordinates it came from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepCell {
     /// Position of the cell in the grid's deterministic order.
     pub index: usize,
@@ -86,7 +84,7 @@ impl std::error::Error for GridError {}
 
 /// A cartesian sweep grid over platforms × scenarios × applications
 /// (speedup profiles) × error rates × processor counts × pattern lengths.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioGrid {
     platforms: Vec<PlatformId>,
     scenarios: Vec<ScenarioId>,

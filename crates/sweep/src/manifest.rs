@@ -13,11 +13,10 @@
 //!   buffer);
 //! * the grid's speedup-profile axis, human-readable, for post-mortems.
 //!
-//! Manifests are plain `key = value` text (the offline build's `serde_json`
-//! is a no-op stand-in, so there is no JSON codec to lean on) and are written
-//! **atomically**: the new content goes to `<path>.tmp` which is then renamed
-//! over the manifest, so a kill at any instant leaves either the old or the
-//! new manifest, never a torn one.
+//! Manifests are plain `key = value` text (the model layers carry no JSON
+//! codec) and are written **atomically**: the new content goes to
+//! `<path>.tmp` which is then renamed over the manifest, so a kill at any
+//! instant leaves either the old or the new manifest, never a torn one.
 
 use std::fmt;
 use std::path::{Path, PathBuf};

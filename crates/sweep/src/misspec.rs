@@ -15,15 +15,13 @@
 //! where `|model − simulation| > 3·SE` — statistically significant evidence
 //! that the exponential model mispredicts the overhead under the cell's law.
 
-use serde::{Deserialize, Serialize};
-
 use ayd_core::FailureModelSpec;
 use ayd_platforms::PlatformId;
 
 use crate::executor::{SweepResults, SweepRow};
 
 /// One non-exponential row's model-vs-simulation comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MisspecificationRow {
     /// Platform of the row.
     pub platform: PlatformId,
@@ -49,7 +47,7 @@ pub struct MisspecificationRow {
 }
 
 /// Per-sweep misspecification report (see [`misspecification_report`]).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MisspecificationReport {
     /// One entry per non-exponential row that carries a primary-point
     /// simulation, in row order.

@@ -3,12 +3,10 @@
 //! The sweep engine and the experiment harness share this one definition
 //! (`ayd-exp` re-exports it at its crate root).
 
-use serde::{Deserialize, Serialize};
-
 use ayd_sim::SimulationConfig;
 
 /// How much replication/simulation effort to spend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
     /// Tiny replication, for unit tests and CI smoke runs.
     Smoke,
@@ -19,7 +17,7 @@ pub enum Fidelity {
 }
 
 /// Options of an experiment run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunOptions {
     /// Simulation effort.
     pub fidelity: Fidelity,

@@ -13,9 +13,8 @@ fn analytical() -> RunOptions {
 }
 
 /// Every runner's output survives the machine-readable export path (the CSV
-/// consumed by `reproduce --csv`): the numeric cells parse back and match the
-/// in-memory data. (The JSON round trip needs the real `serde_json`, which the
-/// offline build replaces with a stand-in; see `vendor/serde`.)
+/// consumed by `reproduce --csv`, the one machine format): the numeric cells
+/// parse back and match the in-memory data.
 #[test]
 fn experiment_outputs_round_trip_through_csv() {
     let t2 = tables::table2();

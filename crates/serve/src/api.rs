@@ -1296,7 +1296,7 @@ fn shard_run(state: &Arc<AppState>, req: &Request) -> Response {
         grid_fingerprint,
         options_fingerprint,
     };
-    match worker.start_shard(state.options, grid, run) {
+    match worker.start_shard(state.options, &grid_body.render(), grid, run) {
         Ok(()) => Response::json_status(
             202,
             "Accepted",

@@ -26,6 +26,9 @@ pub struct ClientResponse {
     pub trace_id: String,
     /// Body, decoded as UTF-8 (the service only emits text media types).
     pub body: String,
+    /// True when the response carried `connection: close`: the server
+    /// reads no further request on this connection.
+    pub closes: bool,
 }
 
 /// A keep-alive connection to one server.
@@ -55,6 +58,20 @@ impl HttpClient {
         accept: Option<&str>,
         body: Option<&str>,
     ) -> std::io::Result<ClientResponse> {
+        self.send(method, path, accept, body)?;
+        self.receive()
+    }
+
+    /// Writes one request without waiting for its response, which a later
+    /// [`Self::receive`] reads: the caller can work while the server
+    /// answers. Responses come back in request order.
+    pub fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        accept: Option<&str>,
+        body: Option<&str>,
+    ) -> std::io::Result<()> {
         let mut head = format!("{method} {path} HTTP/1.1\r\nhost: ayd-serve\r\n");
         if let Some(accept) = accept {
             head.push_str(&format!("accept: {accept}\r\n"));
@@ -67,8 +84,7 @@ impl HttpClient {
         if let Some(body) = body {
             self.writer.write_all(body.as_bytes())?;
         }
-        self.writer.flush()?;
-        self.read_response()
+        self.writer.flush()
     }
 
     /// `GET path`, optionally with an `Accept` header.
@@ -107,10 +123,11 @@ impl HttpClient {
             let nanos = piece.len() as u64 * 1_000_000_000 / rate;
             std::thread::sleep(Duration::from_nanos(nanos));
         }
-        self.read_response()
+        self.receive()
     }
 
-    fn read_response(&mut self) -> std::io::Result<ClientResponse> {
+    /// Reads the response to the oldest request sent and not yet answered.
+    pub fn receive(&mut self) -> std::io::Result<ClientResponse> {
         let bad = |message: &str| {
             std::io::Error::new(std::io::ErrorKind::InvalidData, message.to_string())
         };
@@ -126,6 +143,7 @@ impl HttpClient {
         let mut content_length: Option<usize> = None;
         let mut content_type = String::new();
         let mut trace_id = String::new();
+        let mut closes = false;
         loop {
             let mut line = String::new();
             if self.reader.read_line(&mut line)? == 0 {
@@ -143,6 +161,8 @@ impl HttpClient {
                     content_type = value.to_string();
                 } else if name.eq_ignore_ascii_case("x-ayd-trace-id") {
                     trace_id = value.to_string();
+                } else if name.eq_ignore_ascii_case("connection") {
+                    closes = value.eq_ignore_ascii_case("close");
                 }
             }
         }
@@ -154,6 +174,7 @@ impl HttpClient {
             content_type,
             trace_id,
             body: String::from_utf8(body).map_err(|_| bad("non-UTF-8 response body"))?,
+            closes,
         })
     }
 }

@@ -12,10 +12,12 @@
 //! checkpoint.
 //!
 //! Dispatch is event-driven: the dispatcher thread sleeps on a condition
-//! variable that job submission, worker registration, shard completion and a
-//! heartbeat-detected abandonment signal, so a freed worker is handed its
-//! next shard at once. The dispatcher tick only bounds that wait, so lease
-//! expiry is still scanned on time.
+//! variable that job submission, worker registration, shard completion, a
+//! failed post and a heartbeat-detected abandonment signal, so a freed
+//! worker is handed its next shard at once. The dispatcher tick only bounds
+//! that wait, so lease expiry is still scanned on time. Each post runs on
+//! its own thread, so no dispatch waits for another and a worker that never
+//! answers stalls only its own.
 //!
 //! Failure handling is the paper's checkpoint/restart discipline applied to
 //! the cluster itself: when a worker's lease expires mid-shard — or its
@@ -676,7 +678,8 @@ impl Coordinator {
 
     /// Reverts a dispatch whose HTTP post failed: the shard goes back to
     /// pending (same epoch — nothing was computed) and the worker back to
-    /// idle, provided neither moved on in the meantime.
+    /// idle, provided neither moved on in the meantime. Wakes the
+    /// dispatcher, which may be waiting while the post ran on its own thread.
     pub fn dispatch_failed(&self, dispatch: &Dispatch) {
         let mut state = self.lock();
         if let Some(record) = state.workers.get_mut(&dispatch.worker) {
@@ -695,6 +698,8 @@ impl Coordinator {
                 shard.state = ShardState::Pending;
             }
         }
+        drop(state);
+        self.wake();
     }
 
     /// Accepts (or refuses) one uploaded chunk. The sender must hold the
@@ -1032,24 +1037,46 @@ fn send_dispatch(dispatch: &Dispatch) -> bool {
     ok
 }
 
-/// The dispatcher loop: expire leases, plan dispatches under the lock, post
-/// them outside it, record acknowledgements and revert failures, then wait
-/// for the next wake — a submission, a registration, a completed shard, an
-/// abandoned shard or [`Coordinator::stop`]. The wait is bounded by a
-/// quarter lease (capped at 250 ms), so lease expiry is scanned on time.
+/// The dispatcher loop: expire leases, plan dispatches under the lock, start
+/// each post on its own thread, then wait for the next wake — a submission,
+/// a registration, a completed shard, an abandoned shard, a failed post or
+/// [`Coordinator::stop`]. The wait is bounded by a quarter lease (capped at
+/// 250 ms), so lease expiry is scanned on time.
+///
+/// No post waits for another, and the loop waits for none: a worker that
+/// accepts the connection and never answers holds only its own post, for
+/// the client's read timeout. Each post records its own acknowledgement or
+/// failure; a failed post first backs off one tick, so a worker that
+/// refuses at once is retried at the loop's pace, not in a spin. Finished
+/// posts are joined as the loop goes round; the ones still running at stop
+/// are left to end on their own.
 pub fn run_dispatcher(coordinator: Arc<Coordinator>) {
     let tick = (coordinator.lease() / 4)
         .min(Duration::from_millis(250))
         .max(Duration::from_millis(10));
+    let mut posts: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !coordinator.stopped() {
         let now = Instant::now();
         coordinator.expire(now);
         for dispatch in coordinator.dispatch_plan(now) {
-            if send_dispatch(&dispatch) {
-                coordinator.dispatch_acked(&dispatch);
-            } else {
-                coordinator.dispatch_failed(&dispatch);
-            }
+            let coordinator = Arc::clone(&coordinator);
+            let post = std::thread::Builder::new()
+                .name(format!("ayd-dispatch-{}-{}", dispatch.job, dispatch.shard))
+                .spawn(move || {
+                    if send_dispatch(&dispatch) {
+                        coordinator.dispatch_acked(&dispatch);
+                    } else {
+                        std::thread::sleep(tick);
+                        coordinator.dispatch_failed(&dispatch);
+                    }
+                })
+                .expect("spawn a dispatch post thread");
+            posts.push(post);
+        }
+        let (finished, running) = posts.into_iter().partition(|post| post.is_finished());
+        posts = running;
+        for post in finished {
+            post.join().expect("a dispatch post panicked");
         }
         coordinator.wait_wake(tick);
     }
@@ -1739,5 +1766,109 @@ mod tests {
         assert!(!outcome.cancelled);
         assert_eq!(outcome.rows, g.len());
         assert_eq!(outcome.totals, [1, 1, 1, 1, 0, 0]);
+    }
+
+    /// A fake worker on `listener` that answers `posts` dispatches with
+    /// `202`, handing each one's `(job, shard)` to the test.
+    fn answering_worker(
+        listener: std::net::TcpListener,
+        posts: usize,
+    ) -> std::sync::mpsc::Receiver<(u64, usize)> {
+        use std::io::{BufRead, BufReader, Read, Write};
+        let (seen, seen_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..posts {
+                let (stream, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut length = 0;
+                loop {
+                    let mut line = String::new();
+                    reader.read_line(&mut line).unwrap();
+                    if line.trim().is_empty() {
+                        break;
+                    }
+                    if let Some(value) = line.strip_prefix("content-length:") {
+                        length = value.trim().parse().unwrap();
+                    }
+                }
+                let mut body = vec![0; length];
+                reader.read_exact(&mut body).unwrap();
+                let body = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+                let field = |key| body.get(key).and_then(Json::as_f64).unwrap();
+                seen.send((field("job") as u64, field("shard") as usize))
+                    .unwrap();
+                let reply = r#"{"status":"started"}"#;
+                write!(
+                    &stream,
+                    "HTTP/1.1 202 Accepted\r\ncontent-length: {}\r\n\r\n{reply}",
+                    reply.len()
+                )
+                .unwrap();
+            }
+        });
+        seen_rx
+    }
+
+    #[test]
+    fn a_worker_that_never_answers_stalls_no_other_dispatch() {
+        let patience = Duration::from_secs(5);
+        let coordinator = Coordinator::new(Duration::from_secs(60));
+        let t0 = Instant::now();
+        let good = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let hung = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let (good_id, good_token) =
+            coordinator.register_worker(&good.local_addr().unwrap().to_string(), t0);
+        // The higher id is planned first.
+        let (hung_id, _) = coordinator.register_worker(&hung.local_addr().unwrap().to_string(), t0);
+        assert!(hung_id > good_id);
+        // The hung worker accepts the post's connection and never answers.
+        let (held_tx, held) = std::sync::mpsc::channel();
+        std::thread::spawn(move || held_tx.send(hung.accept().unwrap().0).unwrap());
+        let dispatched = answering_worker(good, 2);
+        let g = grid();
+        let submit = |job: u64, count: usize| {
+            coordinator.submit(
+                job,
+                "{}".to_string(),
+                g.fingerprint(),
+                options().output_fingerprint(),
+                count,
+                g.len(),
+            )
+        };
+        submit(1, 2);
+        let dispatcher = spawn_dispatcher(Arc::clone(&coordinator));
+        let connection = held
+            .recv_timeout(patience)
+            .expect("the hung worker is posted to");
+        assert_eq!(
+            dispatched.recv_timeout(patience),
+            Ok((1, 1)),
+            "the other worker's post waits for nothing"
+        );
+        // While the hung post is outstanding, the good worker finishes its
+        // shard and a new job's shard becomes dispatchable.
+        let total = coordinator.shards_view(1).unwrap().shards[1].total;
+        let done = coordinator
+            .accept_chunk(
+                1,
+                1,
+                good_id,
+                good_token,
+                0,
+                &chunk(1, 2, 0, total),
+                Instant::now(),
+            )
+            .unwrap();
+        assert!(done.shard_done);
+        submit(2, 1);
+        assert_eq!(
+            dispatched.recv_timeout(patience),
+            Ok((2, 0)),
+            "the dispatcher plans and posts while a post hangs"
+        );
+        coordinator.stop();
+        dispatcher.join().unwrap();
+        drop(connection);
     }
 }

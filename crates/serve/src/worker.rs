@@ -14,14 +14,18 @@
 //! [`WorkerRuntime::start_shard`], which computes rows **from the dispatched
 //! `start_row`** — cells the coordinator already checkpointed are never
 //! recomputed. Rows stream back in [`ShardChunk`] frames every few dozen
-//! cells; the worker keeps nothing on disk. A refused upload (stale epoch
-//! after a re-issue, coordinator restart, cancelled job) aborts the shard:
-//! the coordinator owns the only checkpoint, learns of the abandonment from
-//! the next heartbeats and re-issues from it.
+//! cells, over one keep-alive connection per shard with one chunk in
+//! flight: each upload first reads the previous chunk's reply, then writes
+//! its own without waiting for it, so the shard computes while the
+//! coordinator checkpoints. The worker keeps nothing on disk. A refused
+//! upload (stale epoch after a re-issue, coordinator restart, cancelled job)
+//! aborts the shard before another chunk is sent: the coordinator owns the
+//! only checkpoint, learns of the abandonment from the next heartbeats and
+//! re-issues from it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ayd_sweep::{
     ScenarioGrid, ShardChunk, ShardSpec, SweepCell, SweepExecutor, SweepManifest, SweepOptions,
@@ -109,13 +113,18 @@ pub struct ShardRun {
 const BUSY_GRACE: Duration = Duration::from_millis(250);
 
 /// Worker-side cluster state: the current registration, the (at most one)
-/// executing shard, and the agent stop flag.
+/// executing shard, the last grid document with its fingerprint, and the
+/// agent stop flag.
 pub struct WorkerRuntime {
     coordinator: String,
     registration: Mutex<Option<Registration>>,
     active: Mutex<Option<ActiveShard>>,
     /// Signalled when the executing shard clears `active`.
     idle: Condvar,
+    /// The text of the last grid document dispatched here and its grid's
+    /// fingerprint: a job's later shards on this worker skip hashing every
+    /// cell again.
+    last_grid: Mutex<Option<(String, u64)>>,
     stop: AtomicBool,
 }
 
@@ -127,6 +136,7 @@ impl WorkerRuntime {
             registration: Mutex::new(None),
             active: Mutex::new(None),
             idle: Condvar::new(),
+            last_grid: Mutex::new(None),
             stop: AtomicBool::new(false),
         })
     }
@@ -161,6 +171,25 @@ impl WorkerRuntime {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    /// The fingerprint of `grid`, parsed from the grid document `document`.
+    /// Remembered for the last document, keyed by its text rather than by
+    /// grid equality: `==` takes `-0.0` and `0.0` for the same value, the
+    /// fingerprint hashes their bits.
+    fn grid_fingerprint(&self, document: &str, grid: &ScenarioGrid) -> u64 {
+        let mut last = self
+            .last_grid
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        match last.as_ref() {
+            Some((text, fingerprint)) if text == document => *fingerprint,
+            _ => {
+                let fingerprint = grid.fingerprint();
+                *last = Some((document.to_string(), fingerprint));
+                fingerprint
+            }
+        }
+    }
+
     /// The current registration id, if the worker is registered.
     pub fn registration_id(&self) -> Option<u64> {
         self.lock_registration().as_ref().map(|r| r.id)
@@ -179,11 +208,14 @@ impl WorkerRuntime {
     /// shard is still executing after a 250 ms grace, and dispatches whose
     /// fingerprints disagree with this worker's own grid/options (the cluster
     /// must be started with identical run options for the determinism
-    /// contract to hold). The grid is fingerprinted and sliced once here;
-    /// the compute thread receives the shard's cells and manifest.
+    /// contract to hold). `grid` is parsed from the grid document
+    /// `document`; the grid is fingerprinted (once per document, see
+    /// `grid_fingerprint`) and sliced here, and the compute thread receives
+    /// the shard's cells and manifest.
     pub fn start_shard(
         self: &Arc<Self>,
         options: SweepOptions,
+        document: &str,
         grid: ScenarioGrid,
         run: ShardRun,
     ) -> Result<(), StartError> {
@@ -196,7 +228,7 @@ impl WorkerRuntime {
                 run.worker, registration.id
             )));
         }
-        let grid_fingerprint = grid.fingerprint();
+        let grid_fingerprint = self.grid_fingerprint(document, &grid);
         if grid_fingerprint != run.grid_fingerprint {
             return Err(StartError::Mismatch(format!(
                 "grid fingerprint mismatch: dispatch says {:016x}, rebuilt grid is {grid_fingerprint:016x}",
@@ -287,13 +319,13 @@ impl WorkerRuntime {
             buffered: 0,
             chunk_rows,
             cancel: Arc::clone(&cancel),
+            client: None,
+            unanswered: None,
         };
         let executor = SweepExecutor::new(options);
         executor.run_cells_controlled(&cells[run.start_row..], &mut sink, Some(&cancel), None);
-        if !cancel.load(Ordering::SeqCst) {
-            sink.flush();
-        }
-        // The slot clears only after the final upload returned, so a
+        sink.finish();
+        // The slot clears only after the final upload's reply was read, so a
         // heartbeat never reports the shard dropped while its last chunk is
         // still in flight.
         let mut active = self.lock_active();
@@ -310,7 +342,8 @@ impl WorkerRuntime {
 }
 
 /// A [`SweepSink`] that streams rows to the coordinator in [`ShardChunk`]
-/// frames.
+/// frames, over one keep-alive connection with at most one chunk awaiting
+/// its reply.
 struct ChunkSink {
     coordinator: String,
     run: ShardRun,
@@ -323,38 +356,99 @@ struct ChunkSink {
     buffered: usize,
     chunk_rows: usize,
     cancel: Arc<AtomicBool>,
+    /// The connection to the coordinator, opened by the first upload and
+    /// reopened after a reply that closes it.
+    client: Option<HttpClient>,
+    /// Rows of the chunk sent and not yet answered.
+    unanswered: Option<usize>,
 }
 
 impl ChunkSink {
-    /// Uploads the buffered rows as one chunk. An upload the coordinator
-    /// refuses (or cannot receive) cancels the shard — the coordinator
-    /// re-issues from its own checkpoint.
+    /// Reads the previous chunk's reply, then writes the buffered rows as
+    /// the next chunk without waiting for its own reply. An upload the
+    /// coordinator refuses (or cannot receive) cancels the shard before
+    /// another chunk is sent: the coordinator re-issues from its own
+    /// checkpoint.
     fn flush(&mut self) {
-        if self.buffered == 0 {
+        let mut span = ayd_obs::span("upload");
+        let waiting = Instant::now();
+        self.read_reply();
+        let wait_us = waiting.elapsed().as_micros() as u64;
+        let rows = if self.cancel.load(Ordering::SeqCst) {
+            0
+        } else {
+            self.send()
+        };
+        if span.is_recording() {
+            span.field_u64("job", self.run.job);
+            span.field_u64("shard", self.run.shard as u64);
+            span.field_u64("rows", rows as u64);
+            span.field_u64("wait_us", wait_us);
+        }
+    }
+
+    /// Uploads the rows still buffered (unless the shard was cancelled),
+    /// then reads the last reply.
+    fn finish(&mut self) {
+        self.flush();
+        if self.unanswered.is_some() {
+            self.flush();
+        }
+    }
+
+    /// Reads the reply to the chunk in flight, if any: an accepted chunk
+    /// advances `sent`, anything else cancels the shard.
+    fn read_reply(&mut self) {
+        let (Some(rows), Some(client)) = (self.unanswered.take(), self.client.as_mut()) else {
             return;
+        };
+        match client.receive() {
+            Ok(reply) if reply.status == 200 => {
+                self.sent += rows;
+                if reply.closes {
+                    self.client = None;
+                }
+            }
+            _ => {
+                self.client = None;
+                self.cancel.store(true, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// Writes the buffered rows as one chunk and returns their count; a
+    /// chunk that cannot be built or written cancels the shard.
+    fn send(&mut self) -> usize {
+        if self.buffered == 0 {
+            return 0;
         }
         let rows = std::mem::take(&mut self.buffer);
         let buffered = std::mem::replace(&mut self.buffered, 0);
-        let chunk = match ShardChunk::new(self.manifest.clone(), self.sent, rows) {
-            Ok(chunk) => chunk,
-            Err(_) => {
-                self.cancel.store(true, Ordering::SeqCst);
-                return;
-            }
+        let Ok(chunk) = ShardChunk::new(self.manifest.clone(), self.sent, rows) else {
+            self.cancel.store(true, Ordering::SeqCst);
+            return 0;
         };
         let path = format!(
             "/v1/sweep/{}/shards/{}/chunk?worker={}&token={:016x}&epoch={}",
             self.run.job, self.run.shard, self.run.worker, self.token, self.run.epoch
         );
-        let body = chunk.render();
-        let accepted = HttpClient::connect(&self.coordinator)
-            .and_then(|mut client| client.request("POST", &path, None, Some(&body)))
-            .map(|response| response.status == 200)
-            .unwrap_or(false);
-        if accepted {
-            self.sent += buffered;
-        } else {
-            self.cancel.store(true, Ordering::SeqCst);
+        let client = match self.client.take() {
+            Some(client) => Ok(client),
+            None => HttpClient::connect(&self.coordinator),
+        };
+        match client.and_then(|mut client| {
+            client.send("POST", &path, None, Some(&chunk.render()))?;
+            Ok(client)
+        }) {
+            Ok(client) => {
+                self.client = Some(client);
+                self.unanswered = Some(buffered);
+                buffered
+            }
+            Err(_) => {
+                self.cancel.store(true, Ordering::SeqCst);
+                0
+            }
         }
     }
 }
@@ -464,15 +558,26 @@ pub fn spawn_agent(runtime: Arc<WorkerRuntime>, advertise: String) -> std::threa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ayd_platforms::ScenarioId;
-    use ayd_sweep::{ProcessorAxis, RunOptions};
+    use ayd_sweep::RunOptions;
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpListener;
+    use std::sync::mpsc::{self, Receiver, Sender};
+
+    /// A 4-cell grid document.
+    const GRID: &str = r#"{"scenarios":[1,3],"processors":[256,1024]}"#;
+
+    /// A 64-cell grid document: four 16-row chunks as one shard.
+    const GRID_64: &str = r#"{"scenarios":[1,3],"processors":[256,1024],"lambda_multipliers":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16]}"#;
+
+    /// How long a test waits for the other side before it fails.
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    fn parse(document: &str) -> ScenarioGrid {
+        crate::api::parse_grid(&Json::parse(document).unwrap()).unwrap()
+    }
 
     fn grid() -> ScenarioGrid {
-        ScenarioGrid::builder()
-            .scenarios(&[ScenarioId::S1, ScenarioId::S3])
-            .processors(ProcessorAxis::Fixed(vec![256.0, 1024.0]))
-            .build()
-            .unwrap()
+        parse(GRID)
     }
 
     fn options() -> SweepOptions {
@@ -495,10 +600,218 @@ mod tests {
         }
     }
 
+    /// `grid` as the single shard of job 1, dispatched to worker 1.
+    fn whole(grid: &ScenarioGrid) -> ShardRun {
+        ShardRun {
+            count: 1,
+            grid_fingerprint: grid.fingerprint(),
+            ..run(1)
+        }
+    }
+
+    /// A runtime registered as worker 1 of `coordinator`.
+    fn registered(coordinator: &str) -> Arc<WorkerRuntime> {
+        let runtime = WorkerRuntime::new(coordinator);
+        *runtime.lock_registration() = Some(Registration {
+            id: 1,
+            token: 0xFEED,
+            heartbeat: Duration::from_millis(100),
+        });
+        runtime
+    }
+
+    /// Waits until the executing shard clears its slot.
+    fn wait_idle(runtime: &WorkerRuntime) {
+        let active = runtime.lock_active();
+        let (active, _) = runtime
+            .idle
+            .wait_timeout_while(active, PATIENCE, |active| active.is_some())
+            .unwrap();
+        assert!(active.is_none(), "the shard never cleared its slot");
+    }
+
+    /// What the fake coordinator saw on its one connection.
+    #[derive(Debug)]
+    enum Seen {
+        /// An upload: its request target and chunk.
+        Upload(String, ShardChunk),
+        /// The worker closed the connection.
+        Closed,
+    }
+
+    /// A fake coordinator: it accepts one connection, hands each request on
+    /// it to the test and answers it with the status the test sends back.
+    /// Its thread returns the listener once the worker closes the
+    /// connection, so the test can check that no second one was opened.
+    fn fake_coordinator() -> (
+        String,
+        Receiver<Seen>,
+        Sender<u16>,
+        std::thread::JoinHandle<TcpListener>,
+    ) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (seen, seen_rx) = mpsc::channel();
+        let (reply_tx, reply) = mpsc::channel::<u16>();
+        let thread = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            loop {
+                let mut line = String::new();
+                if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                    seen.send(Seen::Closed).unwrap();
+                    return listener;
+                }
+                let target = line.split(' ').nth(1).unwrap().to_string();
+                let mut length = 0;
+                loop {
+                    let mut header = String::new();
+                    reader.read_line(&mut header).unwrap();
+                    if header.trim().is_empty() {
+                        break;
+                    }
+                    if let Some(value) = header.strip_prefix("content-length:") {
+                        length = value.trim().parse().unwrap();
+                    }
+                }
+                let mut body = vec![0; length];
+                reader.read_exact(&mut body).unwrap();
+                let chunk = ShardChunk::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+                seen.send(Seen::Upload(target, chunk)).unwrap();
+                let status = reply.recv().unwrap();
+                write!(
+                    writer,
+                    "HTTP/1.1 {status} Fake\r\ncontent-length: 2\r\nconnection: keep-alive\r\n\r\n{{}}"
+                )
+                .unwrap();
+            }
+        });
+        (addr, seen_rx, reply_tx, thread)
+    }
+
+    /// The next upload the fake saw; asserts that it continues the shard
+    /// gaplessly from `from_row`.
+    fn upload(seen: &Receiver<Seen>, from_row: usize) -> ShardChunk {
+        match seen.recv_timeout(PATIENCE).unwrap() {
+            Seen::Upload(target, chunk) => {
+                assert!(target.starts_with("/v1/sweep/1/shards/0/chunk?worker=1&"));
+                assert_eq!(chunk.from_row, from_row, "uploads are gapless and in order");
+                chunk
+            }
+            Seen::Closed => panic!("the worker closed the connection before row {from_row}"),
+        }
+    }
+
+    #[test]
+    fn one_connection_carries_the_uploads_and_a_refusal_stops_the_shard() {
+        let (addr, seen, reply, fake) = fake_coordinator();
+        let runtime = registered(&addr);
+        let grid = parse(GRID_64);
+        runtime
+            .start_shard(options(), GRID_64, grid.clone(), whole(&grid))
+            .unwrap();
+        // The shard cannot finish before the fake answers, so its slot is
+        // still held.
+        let cancel = Arc::clone(&runtime.lock_active().as_ref().unwrap().cancel);
+        // Two chunks accepted, the third refused.
+        let mut from_row = 0;
+        for status in [200, 200, 409] {
+            let chunk = upload(&seen, from_row);
+            assert_eq!(chunk.row_count(), 16);
+            from_row += chunk.row_count();
+            reply.send(status).unwrap();
+        }
+        // The refusal is read at the next flush, which then sends nothing.
+        assert!(matches!(seen.recv_timeout(PATIENCE).unwrap(), Seen::Closed));
+        wait_idle(&runtime);
+        assert!(
+            cancel.load(Ordering::SeqCst),
+            "the refusal cancelled the shard"
+        );
+        let listener = fake.join().unwrap();
+        listener.set_nonblocking(true).unwrap();
+        assert_eq!(
+            listener.accept().unwrap_err().kind(),
+            std::io::ErrorKind::WouldBlock,
+            "no upload went out on a second connection"
+        );
+    }
+
+    #[test]
+    fn the_slot_stays_held_until_the_last_reply_is_read() {
+        let (addr, seen, reply, fake) = fake_coordinator();
+        let runtime = registered(&addr);
+        let grid = parse(GRID_64);
+        runtime
+            .start_shard(options(), GRID_64, grid.clone(), whole(&grid))
+            .unwrap();
+        let mut from_row = 0;
+        while from_row < grid.len() {
+            from_row += upload(&seen, from_row).row_count();
+            if from_row < grid.len() {
+                reply.send(200).unwrap();
+            }
+        }
+        // The final chunk is in and its reply withheld: the shard is still
+        // this worker's, as its heartbeats report.
+        assert_eq!(runtime.active_shard(), Some((1, 0, 0)));
+        reply.send(200).unwrap();
+        wait_idle(&runtime);
+        assert!(matches!(seen.recv_timeout(PATIENCE).unwrap(), Seen::Closed));
+        fake.join().unwrap();
+    }
+
+    #[test]
+    fn the_grid_fingerprint_is_remembered_by_document_text() {
+        // A coordinator that closes each of the four shards' connections
+        // unanswered: every upload fails and cancels its shard.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let closer = std::thread::spawn(move || {
+            for _ in 0..4 {
+                drop(listener.accept().unwrap());
+            }
+        });
+        let runtime = registered(&addr);
+        let zero = r#"{"scenarios":[1,3],"processors":[256,1024],"downtime":0}"#;
+        let negative_zero = r#"{"scenarios":[1,3],"processors":[256,1024],"downtime":-0}"#;
+        let (grid_zero, grid_negative) = (parse(zero), parse(negative_zero));
+        assert_eq!(grid_zero, grid_negative, "grid equality takes -0 for 0");
+        assert_ne!(grid_zero.fingerprint(), grid_negative.fingerprint());
+        runtime
+            .start_shard(options(), zero, grid_zero.clone(), whole(&grid_zero))
+            .unwrap();
+        // The same text again, with a flipped fingerprint: the remembered
+        // fingerprint is still compared.
+        let mut flipped = whole(&grid_zero);
+        flipped.grid_fingerprint ^= 1;
+        let err = runtime
+            .start_shard(options(), zero, grid_zero.clone(), flipped)
+            .unwrap_err();
+        assert!(matches!(err, StartError::Mismatch(_)), "{err:?}");
+        assert_eq!(err.status().0, 400);
+        // Each document gets its own fingerprint.
+        for (document, grid) in [
+            (negative_zero, &grid_negative),
+            (zero, &grid_zero),
+            (negative_zero, &grid_negative),
+        ] {
+            wait_idle(&runtime);
+            runtime
+                .start_shard(options(), document, grid.clone(), whole(grid))
+                .unwrap();
+        }
+        wait_idle(&runtime);
+        closer.join().unwrap();
+    }
+
     #[test]
     fn unregistered_and_misaddressed_dispatches_are_refused() {
         let runtime = WorkerRuntime::new("127.0.0.1:9");
-        let err = runtime.start_shard(options(), grid(), run(1)).unwrap_err();
+        let err = runtime
+            .start_shard(options(), GRID, grid(), run(1))
+            .unwrap_err();
         assert!(matches!(err, StartError::NotThisWorker(_)), "{err:?}");
         assert_eq!(err.status().0, 409);
         *runtime.lock_registration() = Some(Registration {
@@ -506,7 +819,9 @@ mod tests {
             token: 0xFEED,
             heartbeat: Duration::from_millis(100),
         });
-        let err = runtime.start_shard(options(), grid(), run(1)).unwrap_err();
+        let err = runtime
+            .start_shard(options(), GRID, grid(), run(1))
+            .unwrap_err();
         assert!(matches!(err, StartError::NotThisWorker(_)), "{err:?}");
     }
 
@@ -520,16 +835,22 @@ mod tests {
         });
         let mut bad = run(1);
         bad.options_fingerprint ^= 1;
-        let err = runtime.start_shard(options(), grid(), bad).unwrap_err();
+        let err = runtime
+            .start_shard(options(), GRID, grid(), bad)
+            .unwrap_err();
         assert!(matches!(err, StartError::Mismatch(_)), "{err:?}");
         assert_eq!(err.status().0, 400);
         let mut bad = run(1);
         bad.grid_fingerprint ^= 1;
-        let err = runtime.start_shard(options(), grid(), bad).unwrap_err();
+        let err = runtime
+            .start_shard(options(), GRID, grid(), bad)
+            .unwrap_err();
         assert!(matches!(err, StartError::Mismatch(_)), "{err:?}");
         let mut bad = run(1);
         bad.start_row = 99;
-        let err = runtime.start_shard(options(), grid(), bad).unwrap_err();
+        let err = runtime
+            .start_shard(options(), GRID, grid(), bad)
+            .unwrap_err();
         assert!(matches!(err, StartError::Mismatch(_)), "{err:?}");
         assert!(runtime.active_shard().is_none(), "nothing started");
     }
@@ -549,7 +870,9 @@ mod tests {
             epoch: 0,
             cancel: Arc::new(AtomicBool::new(false)),
         });
-        let err = runtime.start_shard(options(), grid(), run(1)).unwrap_err();
+        let err = runtime
+            .start_shard(options(), GRID, grid(), run(1))
+            .unwrap_err();
         assert!(matches!(err, StartError::Busy(_)), "{err:?}");
         assert_eq!(err.status().0, 409);
         // Stop cancels the executing shard.

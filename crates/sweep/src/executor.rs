@@ -36,7 +36,7 @@ use crate::cache::{CacheKey, CacheStats, ShardedEvalCache};
 use crate::evaluate::{Evaluator, OperatingPoint, OptimumComparison, SimSummary};
 use crate::grid::{ScenarioGrid, SweepCell};
 use crate::options::RunOptions;
-use crate::sink::{write_csv_line, NullSink, SweepSink, CSV_HEADER};
+use crate::sink::{CsvWriter, NullSink, SweepSink, CSV_HEADER};
 
 /// The closed-form joint optimum of Theorem 2/3 (`P*`, `T*`, `H*`), recorded
 /// alongside the practical first-order point for asymptotic-slope fits.
@@ -415,6 +415,7 @@ fn run_cells(
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
+                let mut writer = CsvWriter::new();
                 loop {
                     if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
                         break;
@@ -449,15 +450,16 @@ fn run_cells(
                         .lock()
                         .expect("search tally poisoned")
                         .merge(&search);
-                    // Each row is rendered here, on the worker that evaluated
-                    // it, and the emitter lock is taken once per chunk.
+                    // Each row is rendered here, by the writer of the worker
+                    // that evaluated it, and the emitter lock is taken once
+                    // per chunk.
                     let mut rendered = RenderedChunk {
                         rows: Vec::with_capacity(batch.len()),
                         text: String::new(),
                     };
                     for (cell, (query, eval)) in batch.iter().zip(queries.iter().zip(evals)) {
                         let row = finish_row(cell, options, &query.0, eval);
-                        write_csv_line(&mut rendered.text, &row);
+                        writer.write_line(&mut rendered.text, &row);
                         rendered.rows.push(row);
                         if let Some(counter) = progress {
                             counter.fetch_add(1, Ordering::Relaxed);

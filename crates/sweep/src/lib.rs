@@ -16,8 +16,9 @@
 //!   expensive optimiser evaluations, keyed on quantized model inputs; the
 //!   sharded variant spreads concurrent lookups over independently locked
 //!   shards (the executor and the `ayd-serve` query service both use it).
-//! * [`sink`] — the canonical CSV renderer ([`write_csv_line`], run once per
-//!   row on the worker that evaluated it) and the [`SweepSink`] trait that
+//! * [`sink`] — the canonical CSV renderer ([`write_csv_line`]; each
+//!   worker renders its rows once, through a writer that remembers the
+//!   numbers it wrote last) and the [`SweepSink`] trait that
 //!   receives those lines in cell order through a reorder buffer.
 //! * [`shard`] / [`manifest`] — sharded, resumable execution: a
 //!   [`ShardSpec`] `i/N` partitions any grid into contiguous ranges of cell

@@ -65,10 +65,14 @@ pub fn validate_rows(rows: &str) -> Result<usize, ShardError> {
     let commas = header_commas();
     let mut count = 0;
     for row in rows.lines() {
-        if row.matches(',').count() != commas {
+        // Byte-wise: a chunk holds hundreds of rows and both ends validate
+        // each one; ',' is ASCII, so its byte is part of no multi-byte
+        // UTF-8 sequence.
+        let row_commas = row.bytes().filter(|&b| b == b',').count();
+        if row_commas != commas {
             return Err(ShardError::Mismatch(format!(
                 "chunk row {count} has {} fields, expected {}",
-                row.matches(',').count() + 1,
+                row_commas + 1,
                 commas + 1
             )));
         }

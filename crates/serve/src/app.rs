@@ -9,7 +9,6 @@
 //! prefix of the sweep: the whole unsharded CSV for a completed job, a
 //! byte prefix of it for a cancelled one.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -208,14 +207,14 @@ fn shard_views(totals: &[usize], done: usize) -> Vec<ShardView> {
         .collect()
 }
 
-/// A sweep job evaluated in this process. Its thread flattens the grid,
-/// then runs each shard's [`ShardSpec::range`] in order through
-/// [`SweepExecutor::run_cells_controlled`] (each range fanned out over the
-/// executor's workers), appends the range's CSV text to the job's CSV and
-/// drops its rows. Ranges run one after another, so one progress counter
-/// tells how far the job, and each of its shards, has come. A cancelled
-/// job keeps its in-order prefix: every finished range plus the evaluated
-/// prefix of the range in flight.
+/// A sweep job evaluated in this process. Its thread builds each shard's
+/// cells ([`ScenarioGrid::shard_cells`]) in order and streams them through
+/// [`SweepExecutor::run_cells_streamed`] (each range fanned out over the
+/// executor's workers), appending the range's CSV text to the job's CSV;
+/// no row is ever kept. Ranges run one after another, so one progress
+/// counter tells how far the job, and each of its shards, has come. A
+/// cancelled job keeps its in-order prefix: every finished range plus the
+/// evaluated prefix of the range in flight.
 pub struct LocalJob {
     total: usize,
     /// Cells each shard owns (`None` for a job submitted without `shards`).
@@ -228,7 +227,7 @@ pub struct LocalJob {
 impl LocalJob {
     /// Starts a job over `grid` in `shards` contiguous ranges (one when
     /// `None`). Callers hold the job registry's lock on a reactor, so the
-    /// grid is flattened on the job's thread, not here.
+    /// cells are built on the job's thread, not here.
     pub fn spawn(options: SweepOptions, grid: ScenarioGrid, shards: Option<usize>) -> Self {
         Self::spawn_with_sink(options, grid, shards, NullSink)
     }
@@ -243,33 +242,33 @@ impl LocalJob {
     ) -> Self {
         let total = grid.len();
         let count = shards.unwrap_or(1);
-        let ranges: Vec<Range<usize>> = (0..count)
-            .map(|index| {
-                ShardSpec::new(index, count)
-                    .expect("validated by the API layer")
-                    .range(total)
-            })
+        let specs: Vec<ShardSpec> = (0..count)
+            .map(|index| ShardSpec::new(index, count).expect("validated by the API layer"))
             .collect();
-        let shards = shards.map(|_| ranges.iter().map(|range| range.len()).collect::<Vec<_>>());
+        let shards = shards.map(|_| {
+            specs
+                .iter()
+                .map(|spec| spec.range(total).len())
+                .collect::<Vec<_>>()
+        });
         let progress = Arc::new(AtomicUsize::new(0));
         let cancel = Arc::new(AtomicBool::new(false));
         let (job_progress, job_cancel) = (Arc::clone(&progress), Arc::clone(&cancel));
         let mut job = FinishedJob::empty(shards.clone());
         let thread = std::thread::spawn(move || {
-            let cells = grid.cells();
             let executor = SweepExecutor::new(options);
-            for range in ranges {
-                let len = range.len();
-                let results = executor.run_cells_controlled(
-                    &cells[range],
+            for spec in specs {
+                let cells = grid.shard_cells(spec);
+                let run = executor.run_cells_streamed(
+                    &cells,
                     &mut sink,
                     Some(&job_cancel),
                     Some(&job_progress),
                 );
-                job.cache = job.cache.merged(results.cache);
-                job.rows += results.rows.len();
-                job.csv.push_str(results.csv_body());
-                if results.rows.len() < len {
+                job.cache = job.cache.merged(run.cache);
+                job.rows += run.rows;
+                job.csv.push_str(run.csv_body());
+                if run.rows < cells.len() {
                     // Cancelled: the CSV ends with this range's prefix.
                     break;
                 }

@@ -323,7 +323,7 @@ impl WorkerRuntime {
             unanswered: None,
         };
         let executor = SweepExecutor::new(options);
-        executor.run_cells_controlled(&cells[run.start_row..], &mut sink, Some(&cancel), None);
+        executor.run_cells_streamed(&cells[run.start_row..], &mut sink, Some(&cancel), None);
         sink.finish();
         // The slot clears only after the final upload's reply was read, so a
         // heartbeat never reports the shard dropped while its last chunk is

@@ -145,10 +145,25 @@ impl<V: Clone> EvalCache<V> {
     /// same key may compute twice; both arrive at the same deterministic value,
     /// so this is a throughput trade-off, not a correctness one.
     pub fn get_or_insert_with(&self, key: CacheKey, compute: impl FnOnce() -> V) -> V {
+        self.get_or_insert_repeated(key, 1, compute)
+    }
+
+    /// [`Self::get_or_insert_with`] standing for `lookups` consecutive
+    /// lookups of `key` (at least one): the first scores a hit or a miss,
+    /// every further one a hit, and the entry ends most recently used, as
+    /// after that run of single lookups.
+    pub fn get_or_insert_repeated(
+        &self,
+        key: CacheKey,
+        lookups: u64,
+        compute: impl FnOnce() -> V,
+    ) -> V {
+        let repeats = lookups.max(1) - 1;
         {
             let mut inner = self.inner.lock().expect("cache poisoned");
             inner.clock += 1;
             let clock = inner.clock;
+            inner.stats.hits += repeats;
             if let Some(entry) = inner.map.get_mut(&key) {
                 entry.stamp = clock;
                 let value = entry.value.clone();
@@ -241,6 +256,18 @@ impl<V: Clone> ShardedEvalCache<V> {
     /// only the key's shard is locked.
     pub fn get_or_insert_with(&self, key: CacheKey, compute: impl FnOnce() -> V) -> V {
         self.shard(&key).get_or_insert_with(key, compute)
+    }
+
+    /// [`EvalCache::get_or_insert_repeated`] on the key's shard: one
+    /// lookup standing for `lookups` consecutive ones.
+    pub fn get_or_insert_repeated(
+        &self,
+        key: CacheKey,
+        lookups: u64,
+        compute: impl FnOnce() -> V,
+    ) -> V {
+        self.shard(&key)
+            .get_or_insert_repeated(key, lookups, compute)
     }
 
     /// Merged hit/miss/eviction counters across every shard.
@@ -488,6 +515,26 @@ mod tests {
                 let mut expected = model.order.clone();
                 expected.sort_unstable();
                 prop_assert_eq!(survivors(&cache, 12), expected);
+            }
+
+            /// One repeated lookup scores, evicts and keeps exactly what its
+            /// run of single lookups does.
+            #[test]
+            fn a_repeated_lookup_is_its_run_of_single_lookups(
+                runs in prop::collection::vec((0u64..12, 1u64..6), 1..100),
+                capacity in 1usize..=8,
+            ) {
+                let repeated: EvalCache<u64> = EvalCache::new(capacity);
+                let single: EvalCache<u64> = EvalCache::new(capacity);
+                for &(k, lookups) in &runs {
+                    let key = || CacheKey::from_inputs(&[k as f64]);
+                    prop_assert_eq!(repeated.get_or_insert_repeated(key(), lookups, || k * 3), k * 3);
+                    for _ in 0..lookups {
+                        prop_assert_eq!(single.get_or_insert_with(key(), || k * 3), k * 3);
+                    }
+                }
+                prop_assert_eq!(repeated.stats(), single.stats());
+                prop_assert_eq!(survivors(&repeated, 12), survivors(&single, 12));
             }
 
             /// For any eviction-free workload the sharded cache scores exactly

@@ -21,14 +21,19 @@
 //!
 //! The memoisation cache (see [`crate::cache`]) only short-circuits
 //! recomputation of deterministic values, so cache on/off also yields identical
-//! results. Both halves of the contract are asserted by the property suite.
+//! results. With the cache on, a worker evaluates each *block* — a run of
+//! consecutive cells whose setup, failure model and fixed `P` agree bit for
+//! bit, such as a grid's pattern-length axis — once, with one cache lookup
+//! that counts as one per cell; with it off, every cell is evaluated on its
+//! own, so the cache-off run stays the per-cell oracle. Both halves of the
+//! contract are asserted by the property suite.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use ayd_core::{ExactModel, FailureModelSpec, FirstOrder, ProfileSpec, SpeedupProfile};
+use ayd_core::{ExactModel, FailureModelSpec, FirstOrder, ModelAt, ProfileSpec, SpeedupProfile};
 use ayd_optim::SearchReport;
-use ayd_platforms::PlatformId;
+use ayd_platforms::{ExperimentSetup, PlatformId};
 use ayd_sim::rng::splitmix64;
 use ayd_sim::{ArrivalLaw, EngineKind, Simulator};
 
@@ -280,6 +285,30 @@ impl SweepResults {
     }
 }
 
+/// The CSV body of a sweep, its row count and its cache counters, without
+/// its rows: what [`SweepExecutor::run_cells_streamed`] returns to a caller
+/// that only streams CSV.
+#[derive(Debug, Clone, Default)]
+pub struct StreamedSweep {
+    /// Number of lines in the body: the evaluated in-order prefix of the
+    /// cells.
+    pub rows: usize,
+    /// Hit/miss/eviction counters of the memoisation cache, as in
+    /// [`SweepResults::cache`].
+    pub cache: CacheStats,
+    /// The run's search tally, for [`SweepResults::search`].
+    search: SearchReport,
+    body: String,
+}
+
+impl StreamedSweep {
+    /// The CSV lines of the run without the header, as
+    /// [`SweepResults::csv_body`].
+    pub fn csv_body(&self) -> &str {
+        &self.body
+    }
+}
+
 /// Cached analytic (simulation-free) evaluation of one configuration.
 ///
 /// Deliberately independent of the cell's fixed pattern length: the optimiser
@@ -320,7 +349,7 @@ impl SweepExecutor {
 
     /// Evaluates every cell of the grid and returns the rows in cell order.
     pub fn run(&self, grid: &ScenarioGrid) -> SweepResults {
-        run_cells(&self.options, &grid.cells(), &mut NullSink, None, None)
+        self.run_cells(&grid.cells())
     }
 
     /// Evaluates an explicit cell list (e.g. one shard of a grid, from
@@ -332,12 +361,12 @@ impl SweepExecutor {
     }
 
     /// [`Self::run_cells`] with a streaming sink, cooperative cancellation and
-    /// an external progress counter (incremented once per evaluated cell).
-    /// Cancelling stops workers from picking up new cells; cells already
-    /// started finish, and the results hold the completed in-order prefix of
-    /// the rows. This is the building block the sharded file runner
-    /// ([`crate::shard::run_shard_to_files`]) and `ayd-serve`'s sweep jobs
-    /// drive directly.
+    /// an external progress counter (advanced by a chunk's cell count, at
+    /// most 8, once the chunk is rendered). Cancelling stops workers from
+    /// picking up new cells; cells already started finish, and the results
+    /// hold the completed in-order prefix of the rows. This is the building
+    /// block the sharded file runner ([`crate::shard::run_shard_to_files`])
+    /// drives directly.
     pub fn run_cells_controlled(
         &self,
         cells: &[SweepCell],
@@ -345,27 +374,48 @@ impl SweepExecutor {
         cancel: Option<&AtomicBool>,
         progress: Option<&AtomicUsize>,
     ) -> SweepResults {
-        run_cells(&self.options, cells, sink, cancel, progress)
+        let (rows, run) = run_cells(&self.options, cells, sink, cancel, progress, true);
+        SweepResults {
+            rows,
+            cache: run.cache,
+            search: run.search,
+            body: run.body,
+        }
+    }
+
+    /// [`Self::run_cells_controlled`] for a caller that only streams CSV:
+    /// the same lines reach `sink` and the body, but no [`SweepRow`] is
+    /// kept. `ayd-serve`'s local sweep jobs and cluster workers run their
+    /// ranges through it.
+    pub fn run_cells_streamed(
+        &self,
+        cells: &[SweepCell],
+        sink: &mut dyn SweepSink,
+        cancel: Option<&AtomicBool>,
+        progress: Option<&AtomicUsize>,
+    ) -> StreamedSweep {
+        run_cells(&self.options, cells, sink, cancel, progress, false).1
     }
 }
 
-/// The parallel core of [`SweepExecutor::run_cells_controlled`]: a
-/// self-scheduling scoped worker pool over `cells`, with optional
-/// cooperative cancellation and a progress counter (incremented once per
-/// evaluated cell).
+/// The parallel core of [`SweepExecutor::run_cells_controlled`] and
+/// [`SweepExecutor::run_cells_streamed`]: a self-scheduling scoped worker
+/// pool over `cells`, with optional cooperative cancellation and a progress
+/// counter. Returns the rows in cell order (none unless `keep_rows`) and
+/// the run's CSV body and counters.
 fn run_cells(
     options: &SweepOptions,
     cells: &[SweepCell],
     sink: &mut dyn SweepSink,
     cancel: Option<&AtomicBool>,
     progress: Option<&AtomicUsize>,
-) -> SweepResults {
+    keep_rows: bool,
+) -> (Vec<SweepRow>, StreamedSweep) {
     if cells.is_empty() {
         // Still honour the sink contract: finish() runs (and flushes) even
         // when no rows were produced.
-        let results = SweepResults::default();
-        sink.finish(&results);
-        return results;
+        sink.finish();
+        return Default::default();
     }
     // Tracing reads clocks and counters only — never values — so the
     // determinism contract (CSV bytes identical with tracing on or off)
@@ -391,16 +441,19 @@ fn run_cells(
     let search_total = Mutex::new(SearchReport::default());
     let emitter = Mutex::new(Emitter {
         pending: std::collections::BTreeMap::new(),
-        ordered: Vec::with_capacity(cells.len()),
+        released: 0,
+        rows: Vec::with_capacity(if keep_rows { cells.len() } else { 0 }),
         body: String::new(),
         sink,
     });
-    // Analytic-only sweeps pull small chunks from the work queue so that one
-    // `evaluate_many` batch amortises the evaluator setup across cells;
-    // simulating sweeps keep per-cell scheduling (each cell is expensive, so
-    // load balance matters more than setup amortisation). Chunking cannot
-    // affect the output: rows keep their global indices through the reorder
-    // buffer and every evaluation depends only on its cell.
+    // Analytic-only sweeps pull small chunks from the work queue so that the
+    // work queue, the progress counter and the emitter lock are touched once
+    // per chunk, and a block's cells mostly share one chunk; simulating
+    // sweeps keep per-cell scheduling (each cell is expensive, so load
+    // balance matters more than amortisation). Chunking cannot affect the
+    // output: rows keep their global indices through the reorder buffer,
+    // and every evaluation depends only on its cell (a block cut by a chunk
+    // boundary is looked up once per part).
     let chunk = if options.run.simulate { 1 } else { 8 };
 
     if sweep_span.is_recording() {
@@ -415,6 +468,7 @@ fn run_cells(
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
+                let evaluator = analytic_evaluator(options);
                 let mut writer = CsvWriter::new();
                 loop {
                     if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
@@ -426,22 +480,48 @@ fn run_cells(
                     }
                     let batch = &cells[start..(start + chunk).min(cells.len())];
                     let mut chunk_span = ayd_obs::child_of(sweep_ctx, "chunk");
-                    let queries: Vec<(ExactModel, Option<f64>, FailureModelSpec)> = batch
-                        .iter()
-                        .map(|cell| {
-                            (
-                                cell.setup
-                                    .model()
-                                    .expect("grid builders only emit valid setups"),
-                                cell.fixed_processors,
-                                cell.failure_model.clone(),
-                            )
-                        })
-                        .collect();
-                    let (evals, search) = evaluate_many(&queries, options, cache.as_ref());
+                    let mut search = SearchReport::default();
+                    // Each row is rendered here, by the writer of the worker
+                    // that evaluated it, and the emitter lock is taken once
+                    // per chunk.
+                    let mut rendered = RenderedChunk {
+                        cells: batch.len(),
+                        rows: Vec::with_capacity(if keep_rows { batch.len() } else { 0 }),
+                        text: String::new(),
+                    };
+                    // A block shares one evaluation only through the
+                    // cache; without it every cell is a block of its own.
+                    let mut blocks = 0;
+                    for block in batch.chunk_by(|a, b| cache.is_some() && same_block(a, b)) {
+                        blocks += 1;
+                        let first = &block[0];
+                        let model = first
+                            .setup
+                            .model()
+                            .expect("grid builders only emit valid setups");
+                        let (analytic, observation) = evaluate_query(
+                            &evaluator,
+                            &model,
+                            first.fixed_processors,
+                            &first.failure_model,
+                            options,
+                            cache.as_ref(),
+                            block.len() as u64,
+                        );
+                        search.merge(&observation.search);
+                        let mut kernel = None;
+                        for cell in block {
+                            let row = finish_row(cell, options, &model, &mut kernel, analytic);
+                            writer.write_line(&mut rendered.text, &row);
+                            if keep_rows {
+                                rendered.rows.push(row);
+                            }
+                        }
+                    }
                     if chunk_span.is_recording() {
                         chunk_span.field_u64("start_cell", batch[0].index as u64);
                         chunk_span.field_u64("cells", batch.len() as u64);
+                        chunk_span.field_u64("blocks", blocks);
                         chunk_span.field_u64("search_fast", search.fast);
                         chunk_span.field_u64("search_fallback", search.fallback);
                         chunk_span.field_u64("brent_iterations", search.brent_iterations);
@@ -450,20 +530,10 @@ fn run_cells(
                         .lock()
                         .expect("search tally poisoned")
                         .merge(&search);
-                    // Each row is rendered here, by the writer of the worker
-                    // that evaluated it, and the emitter lock is taken once
-                    // per chunk.
-                    let mut rendered = RenderedChunk {
-                        rows: Vec::with_capacity(batch.len()),
-                        text: String::new(),
-                    };
-                    for (cell, (query, eval)) in batch.iter().zip(queries.iter().zip(evals)) {
-                        let row = finish_row(cell, options, &query.0, eval);
-                        writer.write_line(&mut rendered.text, &row);
-                        rendered.rows.push(row);
-                        if let Some(counter) = progress {
-                            counter.fetch_add(1, Ordering::Relaxed);
-                        }
+                    // Counted before the emitter lock: a sink may hold that
+                    // lock while its caller waits for progress.
+                    if let Some(counter) = progress {
+                        counter.fetch_add(batch.len(), Ordering::Relaxed);
                     }
                     emitter
                         .lock()
@@ -482,22 +552,53 @@ fn run_cells(
         cancel.is_some() || emitter.pending.is_empty(),
         "all cells must have drained"
     );
-    let results = SweepResults {
-        rows: emitter.ordered,
+    let run = StreamedSweep {
+        rows: emitter.released,
         cache: cache.map(|c| c.stats()).unwrap_or_default(),
         search: search_total.into_inner().expect("search tally poisoned"),
         body: emitter.body,
     };
-    emitter.sink.finish(&results);
+    emitter.sink.finish();
     if sweep_span.is_recording() {
-        sweep_span.field_u64("rows", results.rows.len() as u64);
-        sweep_span.field_u64("cache_hits", results.cache.hits);
-        sweep_span.field_u64("cache_misses", results.cache.misses);
-        sweep_span.field_u64("search_fast", results.search.fast);
-        sweep_span.field_u64("search_fallback", results.search.fallback);
+        sweep_span.field_u64("rows", run.rows as u64);
+        sweep_span.field_u64("cache_hits", run.cache.hits);
+        sweep_span.field_u64("cache_misses", run.cache.misses);
+        sweep_span.field_u64("search_fast", run.search.fast);
+        sweep_span.field_u64("search_fallback", run.search.fallback);
     }
     sweep_span.finish();
-    results
+    (emitter.rows, run)
+}
+
+/// True when cell `b` shares cell `a`'s analytic evaluation and cache key:
+/// their setups, failure models and fixed `P` agree bit for bit (by
+/// `to_bits`, so `0.0` and `-0.0` stay apart).
+fn same_block(a: &SweepCell, b: &SweepCell) -> bool {
+    let bits = |value: Option<f64>| value.map(f64::to_bits);
+    // Destructured in full, so a new setup field cannot be left out.
+    let ExperimentSetup {
+        platform,
+        scenario,
+        profile,
+        downtime,
+        lambda_ind_override,
+    } = a.setup;
+    let (profile, other_profile) = (
+        ProfileSpec::from(profile),
+        ProfileSpec::from(b.setup.profile),
+    );
+    let (failure, other_failure) = (&a.failure_model, &b.failure_model);
+    platform == b.setup.platform
+        && scenario == b.setup.scenario
+        && profile.kind_tag() == other_profile.kind_tag()
+        && bits(profile.param()) == bits(other_profile.param())
+        && downtime.to_bits() == b.setup.downtime.to_bits()
+        && bits(lambda_ind_override) == bits(b.setup.lambda_ind_override)
+        && failure.kind_tag() == other_failure.kind_tag()
+        && bits(failure.param()) == bits(other_failure.param())
+        && bits(failure.lambda()) == bits(other_failure.lambda())
+        && failure.trace_path() == other_failure.trace_path()
+        && bits(a.fixed_processors) == bits(b.fixed_processors)
 }
 
 /// Shard count used for a given worker count: the next power of two, capped
@@ -508,19 +609,22 @@ pub fn cache_shards(workers: usize) -> usize {
     workers.max(1).next_power_of_two().min(16)
 }
 
-/// One worker chunk's rows with their CSV lines, back to back in `text`
-/// (each line ends in its only newline).
+/// One worker chunk's CSV lines, back to back in `text` (each line ends in
+/// its only newline), and its rows when the run keeps them.
 struct RenderedChunk {
+    cells: usize,
     rows: Vec<SweepRow>,
     text: String,
 }
 
 /// Reorder buffer: accumulates out-of-order chunks, releases them in cell
-/// order — each line into the streaming sink, the rows into the final
-/// ordered vector and the text onto the CSV body.
+/// order — each line into the streaming sink, the text onto the CSV body
+/// and any rows into the final ordered vector.
 struct Emitter<'a> {
     pending: std::collections::BTreeMap<usize, RenderedChunk>,
-    ordered: Vec<SweepRow>,
+    /// Cells released so far: the start of the next chunk in order.
+    released: usize,
+    rows: Vec<SweepRow>,
     body: String,
     sink: &'a mut dyn SweepSink,
 }
@@ -530,12 +634,13 @@ impl Emitter<'_> {
     /// cell list) and releases every chunk that is now next in order.
     fn push(&mut self, start: usize, chunk: RenderedChunk) {
         self.pending.insert(start, chunk);
-        while let Some(chunk) = self.pending.remove(&self.ordered.len()) {
+        while let Some(chunk) = self.pending.remove(&self.released) {
             for line in chunk.text.split_inclusive('\n') {
                 self.sink.on_row(line);
             }
             self.body.push_str(&chunk.text);
-            self.ordered.extend(chunk.rows);
+            self.released += chunk.cells;
+            self.rows.extend(chunk.rows);
         }
     }
 }
@@ -635,23 +740,45 @@ pub fn evaluate_analytic_observed(
     options: &SweepOptions,
     cache: Option<&ShardedEvalCache<AnalyticEval>>,
 ) -> (AnalyticEval, EvalObservation) {
+    evaluate_query(
+        &analytic_evaluator(options),
+        model,
+        fixed_processors,
+        failure_model,
+        options,
+        cache,
+        1,
+    )
+}
+
+/// The one cache-or-compute step of the analytic kernel: answers the query
+/// from `cache`, with one lookup standing for `lookups` consecutive ones
+/// (see [`ShardedEvalCache::get_or_insert_repeated`]), or computes it with
+/// `evaluator`. The sweep executor calls it once per block of cells,
+/// [`evaluate_many`] and [`evaluate_analytic_observed`] once per query.
+fn evaluate_query(
+    evaluator: &Evaluator,
+    model: &ExactModel,
+    fixed_processors: Option<f64>,
+    failure_model: &FailureModelSpec,
+    options: &SweepOptions,
+    cache: Option<&ShardedEvalCache<AnalyticEval>>,
+    lookups: u64,
+) -> (AnalyticEval, EvalObservation) {
     let mut observation = EvalObservation::default();
+    let mut compute = || {
+        observation.computed = true;
+        let (eval, search) = evaluate_with(evaluator, model, fixed_processors);
+        observation.search = search;
+        eval
+    };
     let eval = match cache {
-        Some(cache) => cache.get_or_insert_with(
+        Some(cache) => cache.get_or_insert_repeated(
             analytic_cache_key(model, fixed_processors, failure_model, options),
-            || {
-                observation.computed = true;
-                let (eval, search) = compute_analytic(model, fixed_processors, options);
-                observation.search = search;
-                eval
-            },
+            lookups,
+            compute,
         ),
-        None => {
-            observation.computed = true;
-            let (eval, search) = compute_analytic(model, fixed_processors, options);
-            observation.search = search;
-            eval
-        }
+        None => compute(),
     };
     (eval, observation)
 }
@@ -660,8 +787,9 @@ pub fn evaluate_analytic_observed(
 /// `(model, fixed P, failure model)` query against the same options and
 /// shared cache, amortising the evaluator setup across the batch.
 /// Returns the evaluations in query order plus the merged fast/fallback tally
-/// of the cache-cold queries. Used by the sweep executor (per worker chunk)
-/// and `ayd-serve`'s `/v1/batch` (per slice, one slice per reactor turn).
+/// of the cache-cold queries. Used by `ayd-serve`'s `/v1/batch` (per slice,
+/// one slice per reactor turn); the sweep executor evaluates blocks of
+/// cells itself, with one evaluator per worker.
 pub fn evaluate_many(
     queries: &[(ExactModel, Option<f64>, FailureModelSpec)],
     options: &SweepOptions,
@@ -671,35 +799,27 @@ pub fn evaluate_many(
     let mut search = SearchReport::default();
     let evals = queries
         .iter()
-        .map(|(model, fixed_processors, failure_model)| match cache {
-            Some(cache) => cache.get_or_insert_with(
-                analytic_cache_key(model, *fixed_processors, failure_model, options),
-                || {
-                    let (eval, report) = evaluate_with(&evaluator, model, *fixed_processors);
-                    search.merge(&report);
-                    eval
-                },
-            ),
-            None => {
-                let (eval, report) = evaluate_with(&evaluator, model, *fixed_processors);
-                search.merge(&report);
-                eval
-            }
+        .map(|(model, fixed_processors, failure_model)| {
+            let (eval, observation) = evaluate_query(
+                &evaluator,
+                model,
+                *fixed_processors,
+                failure_model,
+                options,
+                cache,
+                1,
+            );
+            search.merge(&observation.search);
+            eval
         })
         .collect();
     (evals, search)
 }
 
-fn compute_analytic(
-    model: &ExactModel,
-    fixed_processors: Option<f64>,
-    options: &SweepOptions,
-) -> (AnalyticEval, SearchReport) {
-    evaluate_with(&analytic_evaluator(options), model, fixed_processors)
-}
-
 /// The [`Evaluator`] behind the analytic kernel: the sweep's search ranges,
-/// simulation off. Built once per [`evaluate_many`] batch.
+/// simulation off. Built once per executor worker, once per
+/// [`evaluate_many`] batch and once per [`evaluate_analytic_observed`]
+/// query (it is a plain value: a copy of the options and two ranges).
 fn analytic_evaluator(options: &SweepOptions) -> Evaluator {
     let analytic_options = RunOptions {
         simulate: false,
@@ -793,13 +913,15 @@ fn simulate_point(
     }
 }
 
-/// Assembles a cell's row from its (possibly cached) analytic evaluation:
-/// prescribed-pattern closed form, simulation attachment policy, engine
-/// comparison.
+/// Assembles a cell's row from its block's model and (possibly cached)
+/// analytic evaluation: prescribed-pattern closed form, simulation
+/// attachment policy, engine comparison. `kernel` holds the block's
+/// [`ModelAt`] at its fixed `P` once a cell of the block has built it.
 fn finish_row(
     cell: &SweepCell,
     options: &SweepOptions,
     model: &ExactModel,
+    kernel: &mut Option<ModelAt>,
     analytic: AnalyticEval,
 ) -> SweepRow {
     let model = *model;
@@ -807,12 +929,13 @@ fn finish_row(
     let closed_form = analytic.closed_form;
     let mut numerical = analytic.numerical;
     // The prescribed pattern is a cheap exact-model closed form, computed
-    // outside the cache so that pattern-length axes reuse the optimiser work.
+    // outside the cache so that pattern-length axes reuse the optimiser
+    // work: `at(P).overhead(T)` is `expected_overhead(T, P)`, bit for bit.
     let mut prescribed = match (cell.fixed_processors, cell.pattern_length) {
         (Some(p), Some(t)) => Some(OperatingPoint {
             processors: p,
             period: t,
-            predicted_overhead: model.expected_overhead(t, p),
+            predicted_overhead: kernel.get_or_insert_with(|| model.at(p)).overhead(t),
             formula_overhead: None,
             simulated: None,
         }),
@@ -1397,6 +1520,88 @@ mod tests {
             n.simulated = None;
             n
         });
+    }
+
+    mod blocks {
+        use super::*;
+        use crate::shard::ShardSpec;
+        use proptest::prelude::*;
+
+        /// A fixed-`P` grid whose pattern-length axis forms the blocks (1–5
+        /// lengths: 3 and 5 do not divide the 8-cell chunk, so blocks
+        /// straddle chunks), with a repeated λ multiplier and `weibull:1.0`
+        /// beside `exp` (bit-identical rows under distinct cache keys).
+        fn block_grid(draws: &[u64]) -> ScenarioGrid {
+            let pick = |draw: u64, max: usize| 1 + draw as usize % max;
+            let profiles = [
+                SpeedupProfile::Amdahl { alpha: 0.1 },
+                SpeedupProfile::PowerLaw { sigma: 0.8 },
+            ];
+            let lengths = [900.0, 1_800.0, 3_600.0, 7_200.0, 14_400.0];
+            ScenarioGrid::builder()
+                .scenarios(&[ScenarioId::S1, ScenarioId::S6][..pick(draws[0], 2)])
+                .profiles(&profiles[..pick(draws[1], 2)])
+                .failure_models(&[
+                    FailureModelSpec::exponential(),
+                    FailureModelSpec::weibull(1.0).unwrap(),
+                ])
+                .lambda_multipliers(&[1.0, 1.0, 10.0][..1 + pick(draws[2], 2)])
+                .processors(ProcessorAxis::Fixed(
+                    vec![256.0, 1_024.0][..pick(draws[3], 2)].to_vec(),
+                ))
+                .pattern_lengths(&lengths[..pick(draws[4], 5)])
+                .build()
+                .unwrap()
+        }
+
+        /// Collects the lines a run streams.
+        struct Lines(String);
+
+        impl SweepSink for Lines {
+            fn on_row(&mut self, line: &str) {
+                self.0.push_str(line);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            /// Sharing one evaluation per block changes no byte and no
+            /// count: cache-on CSVs at 1–3 threads equal the per-cell
+            /// cache-off CSV, streamed shard ranges that cut blocks merge to
+            /// the same bytes, and one thread scores one lookup per cell and
+            /// one search per miss.
+            #[test]
+            fn blocks_never_change_a_byte_or_a_count(
+                draws in prop::collection::vec(0u64..1_000, 6..7),
+            ) {
+                let grid = block_grid(&draws);
+                let off = SweepExecutor::new(analytic_options().with_cache_capacity(None))
+                    .run(&grid);
+                prop_assert_eq!(off.search.total(), grid.len() as u64);
+                let csv = off.to_csv();
+                for threads in 1..=3 {
+                    let on = SweepExecutor::new(analytic_options().with_threads(threads)).run(&grid);
+                    prop_assert_eq!(&on.to_csv(), &csv);
+                    if threads == 1 {
+                        prop_assert_eq!(on.cache.hits + on.cache.misses, grid.len() as u64);
+                        prop_assert_eq!(on.search.total(), on.cache.misses);
+                    }
+                }
+                let count = 2 + draws[5] as usize % 6;
+                let executor = SweepExecutor::new(analytic_options().with_threads(2));
+                let mut merged = format!("{CSV_HEADER}\n");
+                for index in 0..count {
+                    let cells = grid.shard_cells(ShardSpec::new(index, count).unwrap());
+                    let mut lines = Lines(String::new());
+                    let run = executor.run_cells_streamed(&cells, &mut lines, None, None);
+                    prop_assert_eq!(run.rows, cells.len());
+                    prop_assert_eq!(run.csv_body(), lines.0.as_str());
+                    merged.push_str(run.csv_body());
+                }
+                prop_assert_eq!(merged, csv);
+            }
+        }
     }
 
     #[test]

@@ -153,10 +153,11 @@ impl ScenarioGrid {
     /// coordinates of each cell — everything that feeds the per-cell
     /// evaluation and the CSV text. Grids share a fingerprint exactly when
     /// they flatten to the same cell list, so shard manifests can refuse to
-    /// resume (or merge) against a different grid.
+    /// resume (or merge) against a different grid. The cells are hashed as
+    /// they are walked; none is kept.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xA4D5_EED5_0F5A_4DE5;
-        for cell in &self.cells() {
+        self.walk(0..self.len(), |cell| {
             let profile = ayd_core::ProfileSpec::from(cell.setup.profile);
             for byte in cell.setup.platform.name().bytes() {
                 h = mix(h, byte as u64);
@@ -182,21 +183,21 @@ impl ScenarioGrid {
                     h = mix(h, byte as u64);
                 }
             }
-        }
+        });
         h
     }
 
     /// The cells owned by `shard` — the slice [`ShardSpec::range`] of the
     /// flattened grid, in global cell order (their `index` fields keep the
     /// *global* position, so per-cell seeding — and therefore every simulated
-    /// value — is identical to the unsharded run).
+    /// value — is identical to the unsharded run). Only the shard's cells
+    /// are built.
     ///
     /// [`ShardSpec::range`]: crate::shard::ShardSpec::range
     pub fn shard_cells(&self, shard: crate::shard::ShardSpec) -> Vec<SweepCell> {
         let range = shard.range(self.len());
-        let mut cells = self.cells();
-        cells.truncate(range.end);
-        cells.drain(..range.start);
+        let mut cells = Vec::with_capacity(range.len());
+        self.walk(range, |cell| cells.push(cell));
         cells
     }
 
@@ -208,6 +209,14 @@ impl ScenarioGrid {
     /// it keep their cell list too.
     pub fn cells(&self) -> Vec<SweepCell> {
         let mut cells = Vec::with_capacity(self.len());
+        self.walk(0..self.len(), |cell| cells.push(cell));
+        cells
+    }
+
+    /// The one walk of the cell order ([`Self::cells`]): hands `visit` each
+    /// cell whose index lies in `range`, in order, and builds no other.
+    fn walk(&self, range: std::ops::Range<usize>, mut visit: impl FnMut(SweepCell)) {
+        let mut index = 0;
         for &platform in &self.platforms {
             let measured_lambda = Platform::get(platform).lambda_ind;
             for &scenario in &self.scenarios {
@@ -216,48 +225,51 @@ impl ScenarioGrid {
                         .with_profile(profile)
                         .with_downtime(self.downtime);
                     for failure_model in &self.failure_models {
-                        let lambda_entries: Vec<(Option<f64>, f64)> = match &self.lambdas {
-                            LambdaAxis::Measured => vec![(None, 1.0)],
-                            LambdaAxis::Multipliers(ms) => {
-                                ms.iter().map(|&m| (Some(measured_lambda * m), m)).collect()
-                            }
-                            LambdaAxis::Absolute(vs) => {
-                                vs.iter().map(|&v| (Some(v), v / measured_lambda)).collect()
-                            }
-                        };
-                        for (lambda_override, multiplier) in lambda_entries {
+                        for lambda_entry in 0..self.lambda_axis_len() {
+                            let (lambda_override, multiplier) = match &self.lambdas {
+                                LambdaAxis::Measured => (None, 1.0),
+                                LambdaAxis::Multipliers(ms) => {
+                                    let m = ms[lambda_entry];
+                                    (Some(measured_lambda * m), m)
+                                }
+                                LambdaAxis::Absolute(vs) => {
+                                    let v = vs[lambda_entry];
+                                    (Some(v), v / measured_lambda)
+                                }
+                            };
                             let setup = match lambda_override {
                                 Some(lambda) => base.with_lambda_ind(lambda),
                                 None => base,
                             };
                             let lambda = lambda_override.unwrap_or(measured_lambda);
-                            let processor_entries: Vec<(Option<f64>, Option<f64>)> =
-                                match &self.processors {
-                                    ProcessorAxis::Optimize => vec![(None, None)],
-                                    ProcessorAxis::Fixed(ps) => {
-                                        ps.iter().map(|&p| (Some(p), None)).collect()
+                            for processor_entry in 0..self.processor_axis_len() {
+                                let (fixed_processors, processor_order) = match &self.processors {
+                                    ProcessorAxis::Optimize => (None, None),
+                                    ProcessorAxis::Fixed(ps) => (Some(ps[processor_entry]), None),
+                                    ProcessorAxis::LambdaOrders(orders) => {
+                                        let x = orders[processor_entry];
+                                        (Some((1.0 / lambda).powf(x)), Some(x))
                                     }
-                                    ProcessorAxis::LambdaOrders(orders) => orders
-                                        .iter()
-                                        .map(|&x| (Some((1.0 / lambda).powf(x)), Some(x)))
-                                        .collect(),
                                 };
-                            for (fixed_processors, processor_order) in processor_entries {
-                                let lengths: Vec<Option<f64>> = if self.pattern_lengths.is_empty() {
-                                    vec![None]
-                                } else {
-                                    self.pattern_lengths.iter().map(|&t| Some(t)).collect()
-                                };
-                                for pattern_length in lengths {
-                                    cells.push(SweepCell {
-                                        index: cells.len(),
-                                        setup,
-                                        failure_model: failure_model.clone(),
-                                        lambda_multiplier: multiplier,
-                                        fixed_processors,
-                                        processor_order,
-                                        pattern_length,
-                                    });
+                                for length in 0..self.pattern_lengths.len().max(1) {
+                                    if index >= range.end {
+                                        return;
+                                    }
+                                    if index >= range.start {
+                                        visit(SweepCell {
+                                            index,
+                                            setup,
+                                            failure_model: failure_model.clone(),
+                                            lambda_multiplier: multiplier,
+                                            fixed_processors,
+                                            processor_order,
+                                            pattern_length: self
+                                                .pattern_lengths
+                                                .get(length)
+                                                .copied(),
+                                        });
+                                    }
+                                    index += 1;
                                 }
                             }
                         }
@@ -265,7 +277,6 @@ impl ScenarioGrid {
                 }
             }
         }
-        cells
     }
 }
 
@@ -714,6 +725,119 @@ mod tests {
         assert_eq!(grid.len(), 4 * 6 * 2 * 3);
         for cell in grid.cells() {
             assert!(cell.setup.model().is_ok(), "cell {cell:?}");
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use crate::shard::ShardSpec;
+        use proptest::prelude::*;
+
+        /// `count` distinct entries of `pool`, starting at a drawn offset.
+        fn pick<T: Clone>(pool: &[T], draw: u64, count: u64) -> Vec<T> {
+            let count = 1 + (count as usize) % pool.len();
+            (0..count)
+                .map(|i| pool[(draw as usize + i) % pool.len()].clone())
+                .collect()
+        }
+
+        /// A grid over every kind of axis, chosen by `draws`.
+        fn grid(draws: &[u64]) -> ScenarioGrid {
+            let failure_models = [
+                FailureModelSpec::exponential(),
+                FailureModelSpec::weibull(0.7).unwrap(),
+                FailureModelSpec::weibull(1.0).unwrap(),
+                FailureModelSpec::shifted(0.0).unwrap(),
+                FailureModelSpec::trace("logs/a.trace").unwrap(),
+            ];
+            let profiles = [
+                SpeedupProfile::Amdahl { alpha: 0.1 },
+                SpeedupProfile::PerfectlyParallel,
+                SpeedupProfile::PowerLaw { sigma: 0.8 },
+                SpeedupProfile::Gustafson { alpha: 0.05 },
+            ];
+            let mut builder = ScenarioGrid::builder()
+                .platforms(&pick(&PlatformId::ALL, draws[0], draws[1] % 2))
+                .scenarios(&pick(&ScenarioId::ALL, draws[2], draws[3] % 3))
+                .profiles(&pick(&profiles, draws[4], draws[5] % 2))
+                .failure_models(&pick(&failure_models, draws[6], draws[7] % 2))
+                .downtime([3600.0, 0.0, 60.0][draws[8] as usize % 3]);
+            let values = pick(&[1.0, 2.0, 10.0, 2.0], draws[9], draws[10] % 3);
+            builder = match draws[11] % 3 {
+                0 => builder,
+                1 => builder.lambda_multipliers(&values),
+                _ => builder.lambda_values(&values.iter().map(|v| v * 1e-8).collect::<Vec<_>>()),
+            };
+            let processors = pick(&[128.0, 512.0, 2048.0], draws[12], draws[13] % 3);
+            builder = match draws[14] % 3 {
+                0 => builder.processors(ProcessorAxis::Optimize),
+                1 => builder
+                    .processors(ProcessorAxis::Fixed(processors))
+                    .pattern_lengths(&[900.0, 1800.0, 3600.0, 7200.0][..(draws[15] % 4) as usize]),
+                _ => builder.processors(ProcessorAxis::LambdaOrders(
+                    processors.iter().map(|p| p / 4096.0).collect(),
+                )),
+            };
+            builder.build().unwrap()
+        }
+
+        /// The fingerprint as it was computed before the cell walk: over
+        /// the collected cell list.
+        fn collected_fingerprint(grid: &ScenarioGrid) -> u64 {
+            let mut h: u64 = 0xA4D5_EED5_0F5A_4DE5;
+            for cell in &grid.cells() {
+                let profile = ayd_core::ProfileSpec::from(cell.setup.profile);
+                for byte in cell.setup.platform.name().bytes() {
+                    h = mix(h, byte as u64);
+                }
+                h = mix(h, cell.setup.scenario.number() as u64);
+                h = mix(h, profile.kind_tag() as u64);
+                h = mix(h, bits_or_marker(profile.param()));
+                h = mix(h, cell.lambda_ind().to_bits());
+                h = mix(h, cell.lambda_multiplier.to_bits());
+                h = mix(h, cell.setup.downtime.to_bits());
+                h = mix(h, bits_or_marker(cell.fixed_processors));
+                h = mix(h, bits_or_marker(cell.processor_order));
+                h = mix(h, bits_or_marker(cell.pattern_length));
+                if cell.failure_model != FailureModelSpec::exponential() {
+                    h = mix(h, 0xFA11_0B5E_55ED_0002);
+                    h = mix(h, cell.failure_model.kind_tag() as u64);
+                    h = mix(h, bits_or_marker(cell.failure_model.param()));
+                    h = mix(h, bits_or_marker(cell.failure_model.lambda()));
+                    for byte in cell.failure_model.trace_path().unwrap_or("").bytes() {
+                        h = mix(h, byte as u64);
+                    }
+                }
+            }
+            h
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Every shard's cells are its range of the whole cell list,
+            /// global indices included, and the walked fingerprint is the
+            /// hash of the collected cells.
+            #[test]
+            fn shards_are_ranges_of_the_cell_list(
+                draws in prop::collection::vec(0u64..1_000, 16..17),
+                count in 1usize..=8,
+            ) {
+                let grid = grid(&draws);
+                let cells = grid.cells();
+                prop_assert_eq!(cells.len(), grid.len());
+                for (i, cell) in cells.iter().enumerate() {
+                    prop_assert_eq!(cell.index, i);
+                }
+                for index in 0..count {
+                    let spec = ShardSpec::new(index, count).unwrap();
+                    prop_assert_eq!(
+                        grid.shard_cells(spec),
+                        cells[spec.range(cells.len())].to_vec()
+                    );
+                }
+                prop_assert_eq!(grid.fingerprint(), collected_fingerprint(&grid));
+            }
         }
     }
 }

@@ -279,7 +279,7 @@ impl SweepSink for ShardFileSink<'_> {
         }
     }
 
-    fn finish(&mut self, _results: &SweepResults) {
+    fn finish(&mut self) {
         if self.error.is_none() {
             if let Err(e) = self.file.flush() {
                 self.error = Some(ShardError::Io(format!("flush shard CSV: {e}")));

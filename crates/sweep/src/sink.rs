@@ -10,7 +10,7 @@
 use std::fmt::Write;
 
 use crate::evaluate::SimSummary;
-use crate::executor::{SweepResults, SweepRow};
+use crate::executor::SweepRow;
 
 /// Column header of the canonical sweep CSV, pinned by the golden test suite.
 ///
@@ -187,8 +187,8 @@ pub trait SweepSink: Send {
     /// Called once per row, in cell order, with the row's canonical CSV line
     /// (newline included), rendered by the worker that evaluated the row.
     fn on_row(&mut self, line: &str);
-    /// Called once after the sweep completes, with the assembled results.
-    fn finish(&mut self, _results: &SweepResults) {}
+    /// Called once after the sweep's last row (also when it had none).
+    fn finish(&mut self) {}
 }
 
 /// Discards every row (the plain `run` path).

@@ -227,13 +227,6 @@ impl ExactModel {
         self
     }
 
-    /// Returns a copy of the model with a different speedup profile (used by the
-    /// `α` sweeps).
-    pub fn with_speedup(mut self, speedup: SpeedupProfile) -> Self {
-        self.speedup = speedup;
-        self
-    }
-
     /// Returns a copy of the model with different resilience costs (used by the
     /// downtime sweep).
     pub fn with_costs(mut self, costs: ResilienceCosts) -> Self {

@@ -459,7 +459,7 @@ fn run_sweep_to_files(cli: &Cli, out: &std::path::Path) -> Result<(), String> {
         report.shard_cells,
         grid.len(),
         report.resumed_rows,
-        report.results.rows.len(),
+        report.results.rows,
         out.display()
     );
     Ok(())

@@ -11,11 +11,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ayd_core::{ExactModel, FailureModelSpec, ModelError, ProfileSpec, SpeedupProfile};
+use ayd_core::{FailureModelSpec, ModelError, ProfileSpec, SpeedupProfile};
 use ayd_platforms::{ExperimentSetup, Platform, PlatformId, ScenarioId};
 use ayd_sweep::{
-    evaluate_analytic_observed, evaluate_many, write_csv_line, AnalyticEval, OperatingPoint,
-    ProcessorAxis, ScenarioGrid, SweepRow, CSV_HEADER,
+    evaluate_cells, write_csv_line, OperatingPoint, ProcessorAxis, ScenarioGrid, SearchReport,
+    SweepCell, SweepRow, CSV_HEADER,
 };
 
 use crate::app::{
@@ -336,16 +336,9 @@ fn health(state: &Arc<AppState>) -> Response {
     ]))
 }
 
-/// One validated optimize query: the experiment setup, its exact model and
-/// the axis coordinates used for rendering.
-pub struct OptimizeQuery {
-    setup: ExperimentSetup,
-    model: ExactModel,
-    failure_model: FailureModelSpec,
-    lambda_multiplier: f64,
-    fixed_processors: Option<f64>,
-    pattern_length: Option<f64>,
-}
+/// One validated optimize query: a one-cell sweep. Its `index` is 0; the
+/// index only seeds simulations, and the service never simulates.
+pub type OptimizeQuery = SweepCell;
 
 fn field_f64(body: &Json, key: &str) -> Result<Option<f64>, ApiError> {
     match body.get(key) {
@@ -614,84 +607,64 @@ pub fn parse_optimize(body: &Json) -> Result<OptimizeQuery, ApiError> {
             "'pattern_length' must be positive and finite",
         ));
     }
-    let model = setup.model().map_err(ApiError::from_model_error)?;
-    Ok(OptimizeQuery {
+    // Built here only to validate it: a bad model answers its structured
+    // 400 before anything is evaluated.
+    setup.model().map_err(ApiError::from_model_error)?;
+    Ok(SweepCell {
+        index: 0,
         setup,
-        model,
         failure_model,
         lambda_multiplier: multiplier,
         fixed_processors,
+        processor_order: None,
         pattern_length,
     })
 }
 
-/// Evaluates a query against the process-wide cache, producing the same
-/// [`SweepRow`] an offline sweep over the equivalent one-cell grid would.
-/// Cold (cache-miss) evaluations feed `ayd_optimize_cold_seconds`, warm ones
-/// `ayd_optimize_warm_seconds`; both feed the search counters and the
-/// per-request `evaluate` span.
+/// Evaluates a query against the process-wide cache: the query is a
+/// one-cell sweep, so its row is the one the sweep engine computes for the
+/// same cell. Cold (cache-miss) evaluations feed
+/// `ayd_optimize_cold_seconds`, warm ones `ayd_optimize_warm_seconds`; both
+/// feed the search counters and the per-request `evaluate` span.
 pub fn evaluate_query(state: &AppState, query: &OptimizeQuery) -> SweepRow {
     let mut span = ayd_obs::span("evaluate");
     let started = Instant::now();
-    let (analytic, observation) = evaluate_analytic_observed(
-        &query.model,
-        query.fixed_processors,
-        &query.failure_model,
+    let mut answer = None;
+    let observation = evaluate_cells(
+        std::slice::from_ref(query),
         &state.options,
         Some(&state.cache),
+        |row| answer = Some(row),
     );
     if observation.computed {
         state.metrics.observe_cold(started.elapsed());
     } else {
         state.metrics.observe_warm(started.elapsed());
     }
-    state.metrics.observe_search(observation.search);
-    if span.is_recording() {
-        span.field_bool("cold", observation.computed);
-        span.field_u64("search_fast", observation.search.fast);
-        span.field_u64("search_fallback", observation.search.fallback);
-        span.field_u64("brent_iterations", observation.search.brent_iterations);
-        if observation.search.fallback > 0 {
-            let reasons: Vec<&str> = ayd_sweep::FallbackReason::ALL
-                .into_iter()
-                .filter(|&reason| observation.search.fallback_count(reason) > 0)
-                .map(ayd_sweep::FallbackReason::as_str)
-                .collect();
-            span.field_str("fallback_reasons", &reasons.join(","));
-        }
-    }
+    span.field_bool("cold", observation.computed);
+    record_search(state, &mut span, observation.search);
     span.finish();
-    query_row(query, analytic)
+    answer.expect("one cell evaluates to one row")
 }
 
-/// Assembles the [`SweepRow`] of one already-evaluated query.
-fn query_row(query: &OptimizeQuery, analytic: AnalyticEval) -> SweepRow {
-    let prescribed = match (query.fixed_processors, query.pattern_length) {
-        (Some(p), Some(t)) => Some(OperatingPoint {
-            processors: p,
-            period: t,
-            predicted_overhead: query.model.expected_overhead(t, p),
-            formula_overhead: None,
-            simulated: None,
-        }),
-        _ => None,
-    };
-    SweepRow {
-        platform: query.setup.platform,
-        scenario: query.setup.scenario.number(),
-        profile: query.setup.profile,
-        failure_model: query.failure_model.clone(),
-        alpha: query.setup.alpha(),
-        lambda_ind: query.model.failures.lambda_ind,
-        lambda_multiplier: query.lambda_multiplier,
-        fixed_processors: query.fixed_processors,
-        processor_order: None,
-        pattern_length: query.pattern_length,
-        first_order: analytic.first_order,
-        closed_form: analytic.closed_form,
-        numerical: analytic.numerical,
-        prescribed,
-        stream_simulated: None,
+/// Writes an evaluation's search tally to the `ayd_search_*` counters and
+/// to its `evaluate` span: the fast/fallback counts, the Brent iterations
+/// and, when a search fell back, the distinct reasons.
+fn record_search(state: &AppState, span: &mut ayd_obs::Span, search: SearchReport) {
+    state.metrics.observe_search(search);
+    if !span.is_recording() {
+        return;
+    }
+    span.field_u64("search_fast", search.fast);
+    span.field_u64("search_fallback", search.fallback);
+    span.field_u64("brent_iterations", search.brent_iterations);
+    if search.fallback > 0 {
+        let reasons: Vec<&str> = ayd_sweep::FallbackReason::ALL
+            .into_iter()
+            .filter(|&reason| search.fallback_count(reason) > 0)
+            .map(ayd_sweep::FallbackReason::as_str)
+            .collect();
+        span.field_str("fallback_reasons", &reasons.join(","));
     }
 }
 
@@ -785,14 +758,17 @@ fn optimize(state: &Arc<AppState>, req: &Request) -> Response {
     };
     let row = evaluate_query(state, &query);
     if req.accepts("text/csv") {
-        Response::csv(ayd_sweep::csv_text([&row]))
+        // The header, then the row's line, as a one-row batch writes it.
+        let mut csv = format!("{CSV_HEADER}\n");
+        write_csv_line(&mut csv, &row);
+        Response::csv(csv)
     } else {
         Response::json(&row_json(&row))
     }
 }
 
-/// Queries evaluated per [`Batch::step`]: one [`evaluate_many`] call, which
-/// builds the optimiser context once per slice.
+/// Queries evaluated per [`Batch::step`]: one [`evaluate_cells`] call, as
+/// a sweep worker evaluates one chunk.
 const BATCH_CHUNK: usize = 8;
 
 /// A validated `/v1/batch` request, evaluated and rendered one slice of
@@ -800,7 +776,7 @@ const BATCH_CHUNK: usize = 8;
 /// takes one step per turn, so a long batch never holds the reactor from its
 /// other connections.
 pub(crate) struct Batch {
-    queries: Vec<OptimizeQuery>,
+    queries: Vec<SweepCell>,
     /// Queries evaluated so far; their rows are already in `body`.
     done: usize,
     csv: bool,
@@ -856,26 +832,20 @@ impl Batch {
             return true;
         }
         let mut span = ayd_obs::child_of(parent, "evaluate");
-        let models: Vec<(ExactModel, Option<f64>, FailureModelSpec)> = slice
-            .iter()
-            .map(|q| (q.model, q.fixed_processors, q.failure_model.clone()))
-            .collect();
-        let (evals, search) = evaluate_many(&models, &state.options, Some(&state.cache));
-        state.metrics.observe_search(search);
-        for (index, (query, eval)) in (self.done..).zip(slice.iter().zip(evals)) {
-            let row = query_row(query, eval);
-            if self.csv {
-                write_csv_line(&mut self.body, &row);
+        let (body, csv) = (&mut self.body, self.csv);
+        let mut index = self.done;
+        let observation = evaluate_cells(slice, &state.options, Some(&state.cache), |row| {
+            if csv {
+                write_csv_line(body, &row);
             } else {
                 if index > 0 {
-                    self.body.push(',');
+                    body.push(',');
                 }
-                row_json(&row).render_into(&mut self.body);
+                row_json(&row).render_into(body);
             }
-        }
-        span.field_u64("search_fast", search.fast);
-        span.field_u64("search_fallback", search.fallback);
-        span.field_u64("brent_iterations", search.brent_iterations);
+            index += 1;
+        });
+        record_search(state, &mut span, observation.search);
         span.finish();
         self.done = end;
         self.done == self.queries.len()
@@ -1608,34 +1578,118 @@ mod tests {
         );
     }
 
-    #[test]
-    fn optimize_csv_matches_the_sweep_engine_bytes() {
-        let state = state();
-        let mut req = post(
-            "/v1/optimize",
-            r#"{"platform":"Hera","scenario":1,"lambda_multiplier":1,"processors":256,"pattern_length":3600}"#,
-        );
+    /// Random configurations, each as the one-cell grids of the sweep
+    /// engine (one cell per pattern length) and as the `/v1/optimize`
+    /// bodies naming the same cells. A configuration with a fixed `P` and
+    /// pattern lengths yields a run of 1–3 cells that differ only in the
+    /// length: one block.
+    fn drawn_queries(draws: &[u64]) -> (Vec<SweepCell>, Vec<String>) {
+        let (mut cells, mut bodies) = (Vec::new(), Vec::new());
+        for d in draws.chunks_exact(8) {
+            let platform = PlatformId::ALL[d[0] as usize % 4];
+            let scenario = ScenarioId::from_number(1 + d[1] as usize % 6).unwrap();
+            let param = (1 + d[3] % 300) as f64 / 1_000.0;
+            let profile = match d[2] % 4 {
+                0 => SpeedupProfile::amdahl(param),
+                1 => SpeedupProfile::power_law(0.5 + param),
+                2 => SpeedupProfile::gustafson(param),
+                _ => Ok(SpeedupProfile::perfectly_parallel()),
+            }
+            .unwrap();
+            let (failure, failure_spec) = match d[4] % 3 {
+                0 => (FailureModelSpec::exponential(), "exp"),
+                1 => (FailureModelSpec::weibull(0.7).unwrap(), "weibull:0.7"),
+                _ => (FailureModelSpec::shifted(600.0).unwrap(), "shifted:600"),
+            };
+            let multiplier = (1 + d[5] % 40) as f64 / 4.0;
+            let processors = [128.0, 512.0, 2_048.0, 8_192.0][d[7] as usize % 4];
+            let lengths = [1_800.0, 3_600.0, 7_200.0];
+            let (axis, lengths) = match d[6] % 3 {
+                0 => (ProcessorAxis::Optimize, &[][..]),
+                1 => (ProcessorAxis::Fixed(vec![processors]), &[][..]),
+                _ => (
+                    ProcessorAxis::Fixed(vec![processors]),
+                    &lengths[..1 + (d[7] as usize / 4) % 3],
+                ),
+            };
+            let grid = ScenarioGrid::builder()
+                .platforms(&[platform])
+                .scenarios(&[scenario])
+                .profiles(&[profile])
+                .failure_models(&[failure])
+                .lambda_multipliers(&[multiplier])
+                .processors(axis.clone())
+                .pattern_lengths(lengths)
+                .build()
+                .unwrap();
+            for cell in grid.cells() {
+                let mut body = format!(
+                    r#"{{"platform":"{}","scenario":{},"profile":"{}","failure_model":"{failure_spec}","lambda_multiplier":{multiplier}"#,
+                    platform.name(),
+                    scenario.number(),
+                    ProfileSpec::from(profile),
+                );
+                if let Some(p) = cell.fixed_processors {
+                    body.push_str(&format!(r#","processors":{p}"#));
+                }
+                if let Some(t) = cell.pattern_length {
+                    body.push_str(&format!(r#","pattern_length":{t}"#));
+                }
+                body.push('}');
+                cells.push(cell);
+                bodies.push(body);
+            }
+        }
+        (cells, bodies)
+    }
+
+    fn csv_post(target: &str, body: &str) -> Request {
+        let mut req = post(target, body);
         req.headers
             .push(("accept".to_string(), "text/csv".to_string()));
-        let (_, response) = route(&state, &req);
-        assert_eq!(response.status, 200);
-        let csv = String::from_utf8(response.body).unwrap();
+        req
+    }
 
-        // The equivalent one-cell grid through the sweep engine.
-        let grid = ScenarioGrid::builder()
-            .platforms(&[PlatformId::Hera])
-            .scenarios(&[ScenarioId::S1])
-            .lambda_multipliers(&[1.0])
-            .processors(ProcessorAxis::Fixed(vec![256.0]))
-            .pattern_lengths(&[3600.0])
-            .build()
-            .unwrap();
-        let offline = SweepExecutor::new(SweepOptions::new(RunOptions {
-            simulate: false,
-            ..RunOptions::default()
-        }))
-        .run(&grid);
-        assert_eq!(csv, offline.to_csv());
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// A served answer is the sweep's row: `/v1/optimize`'s CSV lines
+        /// and a `/v1/batch`'s CSV (with blocks, across slices) equal the
+        /// sweep engine's `run_cells` CSV of the same cells, and the batch
+        /// scores the cache hits and misses of the same queries sent one at
+        /// a time.
+        #[test]
+        fn optimize_csv_matches_the_sweep_engine_bytes(
+            draws in proptest::collection::vec(0u64..1_000_000, 8..65),
+        ) {
+            let (cells, bodies) = drawn_queries(&draws);
+            let offline = SweepExecutor::new(SweepOptions::new(RunOptions {
+                simulate: false,
+                ..RunOptions::default()
+            }))
+            .run_cells(&cells)
+            .to_csv();
+
+            let single = state();
+            let mut lines = format!("{CSV_HEADER}\n");
+            for body in &bodies {
+                let (_, response) = route(&single, &csv_post("/v1/optimize", body));
+                proptest::prop_assert_eq!(response.status, 200);
+                let csv = String::from_utf8(response.body).unwrap();
+                let line = csv.strip_prefix(&format!("{CSV_HEADER}\n")).unwrap();
+                proptest::prop_assert_eq!(line.lines().count(), 1);
+                lines.push_str(line);
+            }
+            proptest::prop_assert_eq!(&lines, &offline);
+
+            let batched = state();
+            let batch = format!(r#"{{"queries":[{}]}}"#, bodies.join(","));
+            let (_, response) = route(&batched, &csv_post("/v1/batch", &batch));
+            proptest::prop_assert_eq!(response.status, 200);
+            proptest::prop_assert_eq!(String::from_utf8(response.body).unwrap(), offline);
+            let (one, all) = (single.cache.stats(), batched.cache.stats());
+            proptest::prop_assert_eq!((one.hits, one.misses), (all.hits, all.misses));
+        }
     }
 
     #[test]

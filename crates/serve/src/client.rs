@@ -198,16 +198,38 @@ fn offline_sweep_csv(grid: &ScenarioGrid) -> String {
     .to_csv()
 }
 
-fn golden_sweep_csv() -> String {
-    let grid = ScenarioGrid::builder()
+fn golden_grid() -> ScenarioGrid {
+    ScenarioGrid::builder()
         .platforms(&[PlatformId::Hera])
         .scenarios(&[ScenarioId::S1, ScenarioId::S3])
         .lambda_multipliers(&[1.0, 10.0])
         .processors(ProcessorAxis::Fixed(vec![256.0, 1024.0]))
         .pattern_lengths(&[3_600.0])
         .build()
-        .expect("the golden grid is valid");
-    offline_sweep_csv(&grid)
+        .expect("the golden grid is valid")
+}
+
+fn golden_sweep_csv() -> String {
+    offline_sweep_csv(&golden_grid())
+}
+
+/// The golden grid's cells, in grid order, as one `/v1/batch` body.
+fn golden_batch_body() -> String {
+    let queries: Vec<String> = golden_grid()
+        .cells()
+        .iter()
+        .map(|cell| {
+            format!(
+                r#"{{"platform":"{}","scenario":{},"lambda_multiplier":{},"processors":{},"pattern_length":{}}}"#,
+                cell.setup.platform.name(),
+                cell.setup.scenario.number(),
+                cell.lambda_multiplier,
+                cell.fixed_processors.expect("the golden grid fixes P"),
+                cell.pattern_length.expect("the golden grid fixes T"),
+            )
+        })
+        .collect();
+    format!(r#"{{"queries":[{}]}}"#, queries.join(","))
 }
 
 fn profile_sweep_csv() -> String {
@@ -230,7 +252,8 @@ fn profile_sweep_csv() -> String {
 /// over every platform, fixed and optimised `P`, `exp` and `weibull:0.7`,
 /// two profiles, and query 13 repeating query 2), as JSON and as CSV, must
 /// answer exactly the bytes each query answers alone; an empty batch, an
-/// empty document.
+/// empty document. And a batch is a sweep: the golden grid's cells as one
+/// CSV batch answer the golden sweep CSV.
 fn check_batches(client: &mut HttpClient, addr: &str) -> Result<(), String> {
     let queries: Vec<String> = (0..20usize)
         .map(|n| {
@@ -280,12 +303,15 @@ fn check_batches(client: &mut HttpClient, addr: &str) -> Result<(), String> {
             r#"{"count":0,"results":[]}"#,
         ),
         ("empty CSV", post("/v1/batch", csv, empty)?, &header),
+        (
+            "golden-grid CSV (against the sweep engine)",
+            post("/v1/batch", csv, &golden_batch_body())?,
+            &golden_sweep_csv(),
+        ),
     ] {
         if served != expected {
             let bytes = (served.len(), expected.len());
-            return Err(format!(
-                "batch {what} differs from its single answers: {bytes:?} bytes"
-            ));
+            return Err(format!("batch {what} differs: {bytes:?} bytes"));
         }
     }
     Ok(())
@@ -472,7 +498,8 @@ pub fn cluster_smoke_check(addr: &str, workers: usize) -> Result<(), String> {
 ///    for a Gustafson extension profile sent through the `profile` field.
 /// 3. `/v1/batch` answers each query byte-identically to its own
 ///    `/v1/optimize`, as JSON and as CSV, and an empty batch an empty
-///    document.
+///    document; the golden grid's cells, in grid order, as one CSV batch
+///    answer the golden sweep CSV (a batch is a sweep).
 /// 4. `/v1/sweep` jobs over the golden grid and over a mixed-profile grid
 ///    both stream a CSV byte-identical to the in-process sweep engine (the
 ///    golden grid's bytes are the ones the golden test pins).

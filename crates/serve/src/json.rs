@@ -111,14 +111,6 @@ impl Json {
         }
     }
 
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Parses a complete JSON document (trailing garbage is an error).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut parser = Parser {

@@ -71,12 +71,6 @@ impl SimulationConfig {
         self
     }
 
-    /// Returns a copy using the given engine.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Returns a copy with an explicit worker-thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
@@ -328,8 +322,11 @@ mod tests {
             ..Default::default()
         };
         let window = sim.simulate_overhead(6_000.0, 400.0, &config);
-        let stream =
-            sim.simulate_overhead(6_000.0, 400.0, &config.with_engine(EngineKind::EventStream));
+        let stream_config = SimulationConfig {
+            engine: EngineKind::EventStream,
+            ..config
+        };
+        let stream = sim.simulate_overhead(6_000.0, 400.0, &stream_config);
         let gap = (window.mean - stream.mean).abs();
         assert!(
             gap < 3.0 * (window.ci95 + stream.ci95),

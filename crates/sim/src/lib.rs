@@ -60,14 +60,6 @@ pub use run::{simulate_run, RunResult};
 pub use stats::RunningStats;
 pub use stream::EventStreamEngine;
 
-/// Probability that a Poisson process of rate `rate` produces at least one
-/// arrival in a window of length `t` — thin re-export of the numerically careful
-/// implementation in `ayd-core`, used by the engines when deciding whether a
-/// silent error struck within a computation chunk.
-pub fn probability_of_at_least_one(rate: f64, t: f64) -> f64 {
-    ayd_core::failure::probability_of_error(rate, t)
-}
-
 /// Which simulation engine a batch should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {

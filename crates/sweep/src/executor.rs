@@ -35,7 +35,7 @@ use ayd_core::{ExactModel, FailureModelSpec, FirstOrder, ModelAt, ProfileSpec, S
 use ayd_optim::SearchReport;
 use ayd_platforms::{ExperimentSetup, PlatformId};
 use ayd_sim::rng::splitmix64;
-use ayd_sim::{ArrivalLaw, EngineKind, Simulator};
+use ayd_sim::{ArrivalLaw, EngineKind, SimulationConfig, Simulator};
 
 use crate::cache::{CacheKey, CacheStats, ShardedEvalCache};
 use crate::evaluate::{Evaluator, OperatingPoint, OptimumComparison, SimSummary};
@@ -58,14 +58,12 @@ pub struct ClosedForm {
 /// Options of a sweep execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepOptions {
-    /// Fidelity/seed/simulate options shared with the experiment runners.
+    /// Fidelity/seed/simulate options shared with the experiment runners,
+    /// and the worker-thread count (`run.threads`, `None` = all available
+    /// cores).
     pub run: RunOptions,
-    /// Worker-thread count (`None` = all available cores).
-    pub threads: Option<usize>,
     /// Memoisation-cache capacity (`None` disables caching).
     pub cache_capacity: Option<usize>,
-    /// Engine used for the primary simulations.
-    pub engine: EngineKind,
     /// Also simulate the event-stream engine at the primary operating point of
     /// every cell (the engine-ablation mode).
     pub compare_engines: bool,
@@ -81,15 +79,14 @@ pub struct SweepOptions {
 
 impl SweepOptions {
     /// Default sweep options for the given run options: the run options'
-    /// thread/cache knobs (all cores, 4096-entry cache by default),
-    /// window-sampling engine, and the default `Evaluator` search ranges.
+    /// thread/cache knobs (all cores, 4096-entry cache by default), the
+    /// window-sampling engine for the primary simulations, and the default
+    /// `Evaluator` search ranges.
     pub fn new(run: RunOptions) -> Self {
         let reference = Evaluator::new(run);
         Self {
             run,
-            threads: run.threads,
             cache_capacity: run.cache.then_some(4096),
-            engine: EngineKind::default(),
             compare_engines: false,
             simulate_first_order: true,
             simulate_numerical: true,
@@ -98,21 +95,15 @@ impl SweepOptions {
         }
     }
 
-    /// Sets an explicit worker-thread count.
+    /// Sets an explicit worker-thread count (`run.threads`).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+        self.run.threads = Some(threads.max(1));
         self
     }
 
     /// Sets the cache capacity, or disables caching with `None`.
     pub fn with_cache_capacity(mut self, capacity: Option<usize>) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Selects the engine for the primary simulations.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -168,13 +159,10 @@ impl SweepOptions {
                 crate::options::Fidelity::Paper => 2,
             },
         );
-        h = mix(
-            h,
-            match self.engine {
-                EngineKind::WindowSampling => 0,
-                EngineKind::EventStream => 1,
-            },
-        );
+        // Primary simulations always use the window-sampling engine; its tag
+        // (0) stays in the hash, so manifests written while the engine was
+        // selectable still resume and merge.
+        h = mix(h, 0);
         h = mix(h, self.compare_engines as u64);
         h = mix(h, self.simulate_first_order as u64);
         h = mix(h, self.simulate_numerical as u64);
@@ -296,7 +284,8 @@ pub struct StreamedSweep {
     /// Hit/miss/eviction counters of the memoisation cache, as in
     /// [`SweepResults::cache`].
     pub cache: CacheStats,
-    /// The run's search tally, for [`SweepResults::search`].
+    /// The run's search tally, which [`SweepExecutor::run_cells`] hands on
+    /// as [`SweepResults::search`].
     search: SearchReport,
     body: String,
 }
@@ -357,24 +346,7 @@ impl SweepExecutor {
     /// Each cell keeps its own (global) `index`, so seeding — and therefore
     /// every value — matches the full-grid run of the same cells.
     pub fn run_cells(&self, cells: &[SweepCell]) -> SweepResults {
-        self.run_cells_controlled(cells, &mut NullSink, None, None)
-    }
-
-    /// [`Self::run_cells`] with a streaming sink, cooperative cancellation and
-    /// an external progress counter (advanced by a chunk's cell count, at
-    /// most 8, once the chunk is rendered). Cancelling stops workers from
-    /// picking up new cells; cells already started finish, and the results
-    /// hold the completed in-order prefix of the rows. This is the building
-    /// block the sharded file runner ([`crate::shard::run_shard_to_files`])
-    /// drives directly.
-    pub fn run_cells_controlled(
-        &self,
-        cells: &[SweepCell],
-        sink: &mut dyn SweepSink,
-        cancel: Option<&AtomicBool>,
-        progress: Option<&AtomicUsize>,
-    ) -> SweepResults {
-        let (rows, run) = run_cells(&self.options, cells, sink, cancel, progress, true);
+        let (rows, run) = run_cells(&self.options, cells, &mut NullSink, None, None, true);
         SweepResults {
             rows,
             cache: run.cache,
@@ -383,10 +355,15 @@ impl SweepExecutor {
         }
     }
 
-    /// [`Self::run_cells_controlled`] for a caller that only streams CSV:
-    /// the same lines reach `sink` and the body, but no [`SweepRow`] is
-    /// kept. `ayd-serve`'s local sweep jobs and cluster workers run their
-    /// ranges through it.
+    /// [`Self::run_cells`] for a caller that only streams CSV, with a
+    /// streaming sink, cooperative cancellation and an external progress
+    /// counter (advanced by a chunk's cell count, at most 8, once the chunk
+    /// is rendered). The same lines reach `sink` and the body, but no
+    /// [`SweepRow`] is kept. Cancelling stops workers from picking up new
+    /// cells; cells already started finish, and the body holds the lines
+    /// of the completed in-order prefix. `ayd-serve`'s local sweep jobs and
+    /// cluster workers and the file-backed shard runner
+    /// ([`crate::shard::run_shard_to_files`]) run their ranges through it.
     pub fn run_cells_streamed(
         &self,
         cells: &[SweepCell],
@@ -398,7 +375,7 @@ impl SweepExecutor {
     }
 }
 
-/// The parallel core of [`SweepExecutor::run_cells_controlled`] and
+/// The parallel core of [`SweepExecutor::run_cells`] and
 /// [`SweepExecutor::run_cells_streamed`]: a self-scheduling scoped worker
 /// pool over `cells`, with optional cooperative cancellation and a progress
 /// counter. Returns the rows in cell order (none unless `keep_rows`) and
@@ -422,6 +399,7 @@ fn run_cells(
     // holds by construction.
     let mut sweep_span = ayd_obs::span("sweep");
     let workers = options
+        .run
         .threads
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
@@ -468,7 +446,6 @@ fn run_cells(
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                let evaluator = analytic_evaluator(options);
                 let mut writer = CsvWriter::new();
                 loop {
                     if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
@@ -480,7 +457,6 @@ fn run_cells(
                     }
                     let batch = &cells[start..(start + chunk).min(cells.len())];
                     let mut chunk_span = ayd_obs::child_of(sweep_ctx, "chunk");
-                    let mut search = SearchReport::default();
                     // Each row is rendered here, by the writer of the worker
                     // that evaluated it, and the emitter lock is taken once
                     // per chunk.
@@ -489,35 +465,13 @@ fn run_cells(
                         rows: Vec::with_capacity(if keep_rows { batch.len() } else { 0 }),
                         text: String::new(),
                     };
-                    // A block shares one evaluation only through the
-                    // cache; without it every cell is a block of its own.
-                    let mut blocks = 0;
-                    for block in batch.chunk_by(|a, b| cache.is_some() && same_block(a, b)) {
-                        blocks += 1;
-                        let first = &block[0];
-                        let model = first
-                            .setup
-                            .model()
-                            .expect("grid builders only emit valid setups");
-                        let (analytic, observation) = evaluate_query(
-                            &evaluator,
-                            &model,
-                            first.fixed_processors,
-                            &first.failure_model,
-                            options,
-                            cache.as_ref(),
-                            block.len() as u64,
-                        );
-                        search.merge(&observation.search);
-                        let mut kernel = None;
-                        for cell in block {
-                            let row = finish_row(cell, options, &model, &mut kernel, analytic);
+                    let EvalObservation { search, blocks, .. } =
+                        evaluate_cells(batch, options, cache.as_ref(), |row| {
                             writer.write_line(&mut rendered.text, &row);
                             if keep_rows {
                                 rendered.rows.push(row);
                             }
-                        }
-                    }
+                        });
                     if chunk_span.is_recording() {
                         chunk_span.field_u64("start_cell", batch[0].index as u64);
                         chunk_span.field_u64("cells", batch.len() as u64);
@@ -703,10 +657,10 @@ fn trace_path_hash(failure_model: &FailureModelSpec) -> f64 {
 /// The analytic (simulation-free) evaluation of one configuration, optionally
 /// memoised in a shared [`ShardedEvalCache`].
 ///
-/// This is the per-cell kernel of the executor, exposed so that long-lived
-/// services can answer single queries against a process-wide cache with
-/// results bit-identical to a sweep over the same configuration (and to the
-/// offline [`Evaluator`], which it delegates to).
+/// This is the cache-or-compute step that [`evaluate_cells`] takes once per
+/// block, for a bare model: its values are bit-identical to a sweep over
+/// the same configuration (and to the offline [`Evaluator`], which it
+/// delegates to).
 pub fn evaluate_analytic(
     model: &ExactModel,
     fixed_processors: Option<f64>,
@@ -717,22 +671,25 @@ pub fn evaluate_analytic(
     evaluate_analytic_observed(model, fixed_processors, failure_model, options, cache).0
 }
 
-/// What actually happened during one [`evaluate_analytic_observed`] call:
-/// whether the optimiser ran (a cache-cold evaluation) and, if so, how its
-/// scalar sub-searches split between the warm-started fast path and the
-/// reference fallback. Cache hits report `computed: false` and an empty
-/// search tally.
+/// What actually happened during one [`evaluate_analytic_observed`] or
+/// [`evaluate_cells`] call: whether the optimiser ran (a cache-cold
+/// evaluation) and, if so, how its scalar sub-searches split between the
+/// warm-started fast path and the reference fallback. Cache hits report
+/// `computed: false` and an empty search tally.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalObservation {
-    /// True when the optimiser ran (cache miss or cache disabled).
+    /// True when the optimiser ran (cache miss or cache disabled) for any
+    /// block.
     pub computed: bool,
     /// Fast/fallback tallies of the scalar sub-searches of this evaluation.
     pub search: SearchReport,
+    /// Evaluations made: one per block of cells that share one (see
+    /// [`evaluate_cells`]); 1 for [`evaluate_analytic_observed`].
+    pub blocks: u64,
 }
 
-/// [`evaluate_analytic`] plus an [`EvalObservation`]: long-lived services use
-/// the observation to time *cold* evaluations separately from cache hits and
-/// to export fast/fallback counters.
+/// [`evaluate_analytic`] plus an [`EvalObservation`], for callers that time
+/// or count single evaluations of a bare model.
 pub fn evaluate_analytic_observed(
     model: &ExactModel,
     fixed_processors: Option<f64>,
@@ -751,11 +708,56 @@ pub fn evaluate_analytic_observed(
     )
 }
 
+/// The one evaluation step of every cell: evaluates `cells` in order
+/// against `options` and `cache` and hands each cell's [`SweepRow`] to
+/// `emit`. With the cache on, each *block* — a run of consecutive cells
+/// whose setup, failure model and fixed `P` agree bit for bit — is evaluated
+/// once, with one cache lookup that counts as one per cell; with it off,
+/// every cell is a block of its own. The executor's workers call it once
+/// per chunk, and `ayd-serve` once per `/v1/optimize` query and once per
+/// `/v1/batch` slice, so a served answer is the sweep's row. Returns the
+/// merged [`EvalObservation`] of the blocks.
+pub fn evaluate_cells(
+    cells: &[SweepCell],
+    options: &SweepOptions,
+    cache: Option<&ShardedEvalCache<AnalyticEval>>,
+    mut emit: impl FnMut(SweepRow),
+) -> EvalObservation {
+    // A plain value (the options and two ranges), so one per call costs
+    // nothing worth sharing.
+    let evaluator = analytic_evaluator(options);
+    let mut total = EvalObservation::default();
+    for block in cells.chunk_by(|a, b| cache.is_some() && same_block(a, b)) {
+        let first = &block[0];
+        let model = first
+            .setup
+            .model()
+            .expect("grids and parsed queries only carry valid setups");
+        let (analytic, observation) = evaluate_query(
+            &evaluator,
+            &model,
+            first.fixed_processors,
+            &first.failure_model,
+            options,
+            cache,
+            block.len() as u64,
+        );
+        total.computed |= observation.computed;
+        total.search.merge(&observation.search);
+        total.blocks += observation.blocks;
+        let mut kernel = None;
+        for cell in block {
+            emit(finish_row(cell, options, &model, &mut kernel, analytic));
+        }
+    }
+    total
+}
+
 /// The one cache-or-compute step of the analytic kernel: answers the query
 /// from `cache`, with one lookup standing for `lookups` consecutive ones
 /// (see [`ShardedEvalCache::get_or_insert_repeated`]), or computes it with
-/// `evaluator`. The sweep executor calls it once per block of cells,
-/// [`evaluate_many`] and [`evaluate_analytic_observed`] once per query.
+/// `evaluator`. [`evaluate_cells`] calls it once per block of cells,
+/// [`evaluate_analytic_observed`] once per query.
 fn evaluate_query(
     evaluator: &Evaluator,
     model: &ExactModel,
@@ -765,7 +767,10 @@ fn evaluate_query(
     cache: Option<&ShardedEvalCache<AnalyticEval>>,
     lookups: u64,
 ) -> (AnalyticEval, EvalObservation) {
-    let mut observation = EvalObservation::default();
+    let mut observation = EvalObservation {
+        blocks: 1,
+        ..EvalObservation::default()
+    };
     let mut compute = || {
         observation.computed = true;
         let (eval, search) = evaluate_with(evaluator, model, fixed_processors);
@@ -783,43 +788,8 @@ fn evaluate_query(
     (eval, observation)
 }
 
-/// Batch variant of [`evaluate_analytic`]: evaluates every
-/// `(model, fixed P, failure model)` query against the same options and
-/// shared cache, amortising the evaluator setup across the batch.
-/// Returns the evaluations in query order plus the merged fast/fallback tally
-/// of the cache-cold queries. Used by `ayd-serve`'s `/v1/batch` (per slice,
-/// one slice per reactor turn); the sweep executor evaluates blocks of
-/// cells itself, with one evaluator per worker.
-pub fn evaluate_many(
-    queries: &[(ExactModel, Option<f64>, FailureModelSpec)],
-    options: &SweepOptions,
-    cache: Option<&ShardedEvalCache<AnalyticEval>>,
-) -> (Vec<AnalyticEval>, SearchReport) {
-    let evaluator = analytic_evaluator(options);
-    let mut search = SearchReport::default();
-    let evals = queries
-        .iter()
-        .map(|(model, fixed_processors, failure_model)| {
-            let (eval, observation) = evaluate_query(
-                &evaluator,
-                model,
-                *fixed_processors,
-                failure_model,
-                options,
-                cache,
-                1,
-            );
-            search.merge(&observation.search);
-            eval
-        })
-        .collect();
-    (evals, search)
-}
-
 /// The [`Evaluator`] behind the analytic kernel: the sweep's search ranges,
-/// simulation off. Built once per executor worker, once per
-/// [`evaluate_many`] batch and once per [`evaluate_analytic_observed`]
-/// query (it is a plain value: a copy of the options and two ranges).
+/// simulation off.
 fn analytic_evaluator(options: &SweepOptions) -> Evaluator {
     let analytic_options = RunOptions {
         simulate: false,
@@ -898,7 +868,7 @@ fn evaluate_with(
 fn simulate_point(
     model: &ExactModel,
     point: &OperatingPoint,
-    config: &ayd_sim::SimulationConfig,
+    config: &SimulationConfig,
     law: &ArrivalLaw,
 ) -> SimSummary {
     let stats = Simulator::new(*model).simulate_overhead_with_law(
@@ -945,8 +915,7 @@ fn finish_row(
         seed: cell_seed(options.run.seed, cell.index),
         ..options.run
     }
-    .simulation_config()
-    .with_engine(options.engine);
+    .simulation_config();
     // Degenerate parameterisations (weibull:1.0, shifted:0) canonicalise to
     // the exponential law here, which keeps their rows bit-identical to
     // `exp` rows: the exponential arm of the sampler is the very code path
@@ -1010,12 +979,11 @@ fn finish_row(
         if slot.simulated.is_none() {
             slot.simulated = Some(simulate_point(&model, slot, &config, &law));
         }
-        simulate_point(
-            &model,
-            slot,
-            &config.with_engine(EngineKind::EventStream),
-            &law,
-        )
+        let stream = SimulationConfig {
+            engine: EngineKind::EventStream,
+            ..config
+        };
+        simulate_point(&model, slot, &stream, &law)
     });
 
     SweepRow {
@@ -1340,7 +1308,7 @@ mod tests {
         let results = std::thread::scope(|scope| {
             let run = scope.spawn(|| {
                 let mut sink = GatedSink { rows: 0, gate };
-                executor.run_cells_controlled(&cells, &mut sink, Some(&cancel), Some(&progress))
+                executor.run_cells_streamed(&cells, &mut sink, Some(&cancel), Some(&progress))
             });
             while progress.load(Ordering::Relaxed) == 0 {
                 std::thread::yield_now();
@@ -1349,22 +1317,18 @@ mod tests {
             release.send(()).unwrap();
             run.join().unwrap()
         });
-        let partial = &results.rows;
-        assert!(!partial.is_empty());
-        assert!(partial.len() < grid.len(), "run was not interrupted");
-        // The partial rows are the in-order prefix of an uncancelled run.
+        assert!(results.rows > 0);
+        assert!(results.rows < grid.len(), "run was not interrupted");
+        // The streamed body is exactly the first `rows` lines of an
+        // uncancelled run: chunks released past the frontier never reach it.
         let full = SweepExecutor::new(analytic_options().with_threads(1)).run(&grid);
-        assert_eq!(partial[..], full.rows[..partial.len()]);
-        // Its CSV body is exactly those rows' lines: chunks released past
-        // the frontier never reach it.
-        assert_eq!(results.to_csv(), crate::sink::csv_text(partial));
-        let full_csv = full.to_csv();
-        let prefix: usize = full_csv
+        let prefix: usize = full
+            .csv_body()
             .split_inclusive('\n')
-            .take(1 + partial.len())
+            .take(results.rows)
             .map(str::len)
             .sum();
-        assert_eq!(results.to_csv(), full_csv[..prefix]);
+        assert_eq!(results.csv_body(), &full.csv_body()[..prefix]);
     }
 
     #[test]
@@ -1413,31 +1377,61 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_many_matches_one_by_one_evaluation_and_consults_the_cache() {
+    fn evaluate_cells_matches_one_by_one_evaluation_and_consults_the_cache() {
         let options = analytic_options();
-        let model = test_model();
-        let exp = FailureModelSpec::exponential();
-        let queries: Vec<(ExactModel, Option<f64>, FailureModelSpec)> = vec![
-            (model, None, exp.clone()),
-            (model, Some(512.0), exp.clone()),
-            (model, None, exp.clone()), // repeat → cache hit inside the batch
-            (model, Some(2_048.0), exp.clone()),
+        let setup = ayd_platforms::ExperimentSetup::paper_default(
+            ayd_platforms::PlatformId::Hera,
+            ScenarioId::S1,
+        );
+        let cell = |index, fixed_processors, pattern_length| SweepCell {
+            index,
+            setup,
+            failure_model: FailureModelSpec::exponential(),
+            lambda_multiplier: 1.0,
+            fixed_processors,
+            processor_order: None,
+            pattern_length,
+        };
+        let cells = [
+            cell(0, None, None),
+            // One block: two pattern lengths at one fixed P.
+            cell(1, Some(512.0), Some(1_800.0)),
+            cell(2, Some(512.0), Some(3_600.0)),
+            cell(3, None, None), // repeat → cache hit inside the call
+            cell(4, Some(2_048.0), None),
         ];
         let cache = ShardedEvalCache::new(4, 64);
-        let (evals, search) = evaluate_many(&queries, &options, Some(&cache));
-        assert_eq!(evals.len(), queries.len());
-        assert!(search.total() > 0);
-        // The repeated query was answered from the cache (3 misses, 1 hit).
+        let mut rows = Vec::new();
+        let observation = evaluate_cells(&cells, &options, Some(&cache), |row| rows.push(row));
+        assert_eq!(rows.len(), cells.len());
+        assert!(observation.computed);
+        assert!(observation.search.total() > 0);
+        assert_eq!(observation.blocks, 4);
+        // One lookup per cell: the block's second cell and the repeat hit.
         let stats = cache.stats();
-        assert_eq!((stats.misses, stats.hits), (3, 1), "{stats:?}");
-        // Each batched answer is bit-identical to a standalone evaluation.
-        for ((model, fixed, failure), eval) in queries.iter().zip(&evals) {
-            let alone = evaluate_analytic(model, *fixed, failure, &options, None);
-            assert_eq!(&alone, eval);
+        assert_eq!((stats.misses, stats.hits), (3, 2), "{stats:?}");
+        // Each row is bit-identical to a standalone, uncached evaluation of
+        // its cell, and to the executor's row.
+        for (cell, row) in cells.iter().zip(&rows) {
+            let mut alone = Vec::new();
+            let single = evaluate_cells(std::slice::from_ref(cell), &options, None, |row| {
+                alone.push(row)
+            });
+            assert_eq!((single.computed, single.blocks), (true, 1));
+            assert_eq!(alone, std::slice::from_ref(row));
         }
-        // Uncached batches agree too.
-        let (uncached, _) = evaluate_many(&queries, &options, None);
-        assert_eq!(evals, uncached);
+        assert_eq!(SweepExecutor::new(options).run_cells(&cells).rows, rows);
+        // A warm replay computes nothing; an uncached call agrees and
+        // evaluates every cell.
+        let mut warm = Vec::new();
+        let replay = evaluate_cells(&cells, &options, Some(&cache), |row| warm.push(row));
+        assert!(!replay.computed);
+        assert_eq!(replay.search, SearchReport::default());
+        assert_eq!(warm, rows);
+        let mut uncached = Vec::new();
+        let cold = evaluate_cells(&cells, &options, None, |row| uncached.push(row));
+        assert_eq!(cold.blocks, cells.len() as u64);
+        assert_eq!(uncached, rows);
     }
 
     #[test]

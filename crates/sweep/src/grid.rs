@@ -142,11 +142,6 @@ impl ScenarioGrid {
         &self.profiles
     }
 
-    /// The failure-model axis of the grid, in declaration order.
-    pub fn failure_axis(&self) -> &[FailureModelSpec] {
-        &self.failure_models
-    }
-
     /// A 64-bit fingerprint of [`Self::cells`]: every semantic field of
     /// every cell, folded through SplitMix64. The hash covers the platform,
     /// scenario, profile, error rate, downtime and the processor/pattern

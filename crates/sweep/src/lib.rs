@@ -57,7 +57,7 @@ pub use cache::{CacheKey, CacheStats, EvalCache, ShardedEvalCache};
 pub use evaluate::{Evaluator, OperatingPoint, OptimumComparison, SimSummary};
 pub use executor::{
     analytic_cache_key, cache_shards, cell_seed, evaluate_analytic, evaluate_analytic_observed,
-    evaluate_many, AnalyticEval, ClosedForm, EvalObservation, StreamedSweep, SweepExecutor,
+    evaluate_cells, AnalyticEval, ClosedForm, EvalObservation, StreamedSweep, SweepExecutor,
     SweepOptions, SweepResults, SweepRow,
 };
 pub use grid::{GridBuilder, GridError, LambdaAxis, ProcessorAxis, ScenarioGrid, SweepCell};

@@ -27,7 +27,7 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
 
-use crate::executor::{SweepExecutor, SweepResults};
+use crate::executor::{StreamedSweep, SweepExecutor};
 use crate::grid::{ScenarioGrid, SweepCell};
 use crate::manifest::{manifest_path, SweepManifest};
 use crate::sink::{SweepSink, CSV_HEADER};
@@ -225,8 +225,9 @@ pub struct ShardRunReport {
     pub shard_cells: usize,
     /// Rows found already materialised and skipped (`--resume`).
     pub resumed_rows: usize,
-    /// Rows newly evaluated by this run (with the executor's cache counters).
-    pub results: SweepResults,
+    /// The cells newly evaluated by this run: their row count, CSV lines
+    /// and the executor's cache counters (no [`crate::SweepRow`] is kept).
+    pub results: StreamedSweep,
     /// True when the run was cancelled before materialising every cell.
     pub cancelled: bool,
 }
@@ -234,7 +235,7 @@ pub struct ShardRunReport {
 impl ShardRunReport {
     /// True when the shard's CSV now contains every row.
     pub fn is_complete(&self) -> bool {
-        self.resumed_rows + self.results.rows.len() >= self.shard_cells
+        self.resumed_rows + self.results.rows >= self.shard_cells
     }
 }
 
@@ -421,12 +422,12 @@ pub fn run_shard_to_files(
         shard_span.field_u64("cells", cells.len() as u64);
         shard_span.field_u64("resumed_rows", completed as u64);
     }
-    let results = executor.run_cells_controlled(&cells[completed..], &mut sink, Some(stop), None);
+    let results = executor.run_cells_streamed(&cells[completed..], &mut sink, Some(stop), None);
     shard_span.finish();
     if let Some(error) = sink.error {
         return Err(error);
     }
-    let cancelled = completed + results.rows.len() < cells.len();
+    let cancelled = completed + results.rows < cells.len();
     Ok(ShardRunReport {
         shard,
         shard_cells: cells.len(),
@@ -577,7 +578,7 @@ mod tests {
         let report = run_shard_to_files(&executor, &grid, shard, &csv_path, false, None).unwrap();
         assert!(report.is_complete() && !report.cancelled);
         assert_eq!(report.resumed_rows, 0);
-        assert_eq!(report.results.rows.len(), shard.range(grid.len()).len());
+        assert_eq!(report.results.rows, shard.range(grid.len()).len());
         let manifest = SweepManifest::read(&manifest_path(&csv_path)).unwrap();
         assert!(manifest.is_complete());
         // The file bytes match the in-memory run of the same cells.
@@ -586,7 +587,7 @@ mod tests {
         // A no-op resume recomputes nothing.
         let again = run_shard_to_files(&executor, &grid, shard, &csv_path, true, None).unwrap();
         assert_eq!(again.resumed_rows, shard.range(grid.len()).len());
-        assert!(again.results.rows.is_empty());
+        assert_eq!(again.results.rows, 0);
         assert_eq!(std::fs::read_to_string(&csv_path).unwrap(), text);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -625,7 +626,7 @@ mod tests {
         });
         // (The scheduler may have drained every cell before the flag landed;
         // in the common case the run really was interrupted.)
-        let done_early = interrupted.resumed_rows + interrupted.results.rows.len();
+        let done_early = interrupted.resumed_rows + interrupted.results.rows;
         assert!(done_early >= 1);
         assert_eq!(
             interrupted.cancelled,
@@ -647,7 +648,7 @@ mod tests {
             "finished cells recomputed"
         );
         assert_eq!(
-            resumed.results.rows.len(),
+            resumed.results.rows,
             shard.range(grid.len()).len() - done_early
         );
         let text = std::fs::read_to_string(&csv_path).unwrap();
@@ -673,7 +674,7 @@ mod tests {
         let report = run_shard_to_files(&executor, &grid, shard, &csv_path, true, None).unwrap();
         assert!(report.is_complete());
         assert_eq!(report.resumed_rows, 0);
-        assert_eq!(report.results.rows.len(), shard.range(grid.len()).len());
+        assert_eq!(report.results.rows, shard.range(grid.len()).len());
         assert_eq!(std::fs::read_to_string(&csv_path).unwrap(), expected);
 
         // A header torn mid-write (hard kill during the very first write):
@@ -726,7 +727,7 @@ mod tests {
             stop: &stop,
             error: None,
         };
-        let results = executor.run_cells_controlled(
+        let results = executor.run_cells_streamed(
             &grid.shard_cells(ShardSpec::WHOLE),
             &mut sink,
             Some(&stop),
@@ -739,7 +740,7 @@ mod tests {
         );
         assert!(stop.load(Ordering::Relaxed), "stop flag raised on failure");
         assert!(
-            results.rows.len() < grid.len(),
+            results.rows < grid.len(),
             "the failed run stopped early instead of draining every cell"
         );
         std::fs::remove_dir_all(&dir).unwrap();

@@ -77,8 +77,11 @@ fn engines_agree_under_heavy_error_rates() {
         ..Default::default()
     };
     let window = Simulator::new(model).simulate_overhead(t, p, &config);
-    let stream =
-        Simulator::new(model).simulate_overhead(t, p, &config.with_engine(EngineKind::EventStream));
+    let stream_config = SimulationConfig {
+        engine: EngineKind::EventStream,
+        ..config
+    };
+    let stream = Simulator::new(model).simulate_overhead(t, p, &stream_config);
     let predicted = model.expected_overhead(t, p);
     for (name, stats) in [("window", &window), ("stream", &stream)] {
         let rel = (stats.mean - predicted).abs() / predicted;
@@ -160,7 +163,7 @@ fn simulated_mean_is_within_three_sigma_of_the_exact_model_for_both_engines() {
             let stats = Simulator::new(model).simulate_overhead(
                 optimum.period,
                 optimum.processors,
-                &config.with_engine(engine),
+                &SimulationConfig { engine, ..config },
             );
             let sigma_mean = stats.std_dev / (stats.runs as f64).sqrt();
             assert!(sigma_mean > 0.0, "degenerate spread on {platform:?}");

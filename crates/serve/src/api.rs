@@ -1443,7 +1443,9 @@ fn sweep_poll(state: &Arc<AppState>, req: &Request, id: u64) -> Response {
                     ("cache_hit_rate", Json::num(done.cache.hit_rate())),
                 ]))
             } else {
-                Response::csv(done.csv.clone())
+                // The job's bytes, shared: the connection sends them from
+                // the `Arc`, so a GET copies nothing in proportion to them.
+                Response::csv(Arc::clone(&done.csv))
             }
         }
     }
@@ -1675,7 +1677,7 @@ mod tests {
             for body in &bodies {
                 let (_, response) = route(&single, &csv_post("/v1/optimize", body));
                 proptest::prop_assert_eq!(response.status, 200);
-                let csv = String::from_utf8(response.body).unwrap();
+                let csv = String::from_utf8(response.body.to_vec()).unwrap();
                 let line = csv.strip_prefix(&format!("{CSV_HEADER}\n")).unwrap();
                 proptest::prop_assert_eq!(line.lines().count(), 1);
                 lines.push_str(line);
@@ -1686,7 +1688,7 @@ mod tests {
             let batch = format!(r#"{{"queries":[{}]}}"#, bodies.join(","));
             let (_, response) = route(&batched, &csv_post("/v1/batch", &batch));
             proptest::prop_assert_eq!(response.status, 200);
-            proptest::prop_assert_eq!(String::from_utf8(response.body).unwrap(), offline);
+            proptest::prop_assert_eq!(String::from_utf8(response.body.to_vec()).unwrap(), offline);
             let (one, all) = (single.cache.stats(), batched.cache.stats());
             proptest::prop_assert_eq!((one.hits, one.misses), (all.hits, all.misses));
         }
@@ -1721,7 +1723,7 @@ mod tests {
             &post("/v1/batch", r#"{"queries":[{"platform":"Nope"}]}"#),
         );
         assert_eq!(bad.status, 400);
-        let message = String::from_utf8(bad.body).unwrap();
+        let message = String::from_utf8(bad.body.to_vec()).unwrap();
         assert!(message.contains("query 0"), "{message}");
     }
 
@@ -1741,7 +1743,7 @@ mod tests {
             let (_, poll) = route(&state, &get(&format!("/v1/sweep/{id}")));
             assert_eq!(poll.status, 200);
             if poll.content_type.starts_with("text/csv") {
-                break String::from_utf8(poll.body).unwrap();
+                break String::from_utf8(poll.body.to_vec()).unwrap();
             }
             std::thread::yield_now();
         };
@@ -1787,7 +1789,7 @@ mod tests {
             let csv = loop {
                 let (_, poll) = route(&state, &get(&format!("/v1/sweep/{id}")));
                 if poll.content_type.starts_with("text/csv") {
-                    break String::from_utf8(poll.body).unwrap();
+                    break String::from_utf8(poll.body.to_vec()).unwrap();
                 }
                 std::thread::yield_now();
             };
@@ -1931,7 +1933,7 @@ mod tests {
         for (body, needle) in cases {
             let (_, response) = route(&state, &post("/v1/optimize", body));
             assert_eq!(response.status, 400, "{body}");
-            let message = String::from_utf8(response.body).unwrap();
+            let message = String::from_utf8(response.body.to_vec()).unwrap();
             assert!(message.contains(needle), "{body} -> {message}");
         }
     }
@@ -1947,7 +1949,7 @@ mod tests {
             accepted.status,
             202,
             "{:?}",
-            String::from_utf8(accepted.body)
+            String::from_utf8(accepted.body.to_vec())
         );
         let doc = Json::parse(std::str::from_utf8(&accepted.body).unwrap()).unwrap();
         assert_eq!(doc.get("cells").unwrap().as_f64().unwrap(), 4.0);
@@ -1955,7 +1957,7 @@ mod tests {
         let csv = loop {
             let (_, poll) = route(&state, &get(&format!("/v1/sweep/{id}")));
             if poll.content_type.starts_with("text/csv") {
-                break String::from_utf8(poll.body).unwrap();
+                break String::from_utf8(poll.body.to_vec()).unwrap();
             }
             std::thread::yield_now();
         };
@@ -1979,14 +1981,14 @@ mod tests {
             &post("/v1/sweep", r#"{"failure_models":["weibull:0.7,1e-8"]}"#),
         );
         assert_eq!(pinned.status, 400);
-        let message = String::from_utf8(pinned.body).unwrap();
+        let message = String::from_utf8(pinned.body.to_vec()).unwrap();
         assert!(message.contains("lambda axis"), "{message}");
         let (_, bad) = route(
             &state,
             &post("/v1/sweep", r#"{"failure_models":["nope:1"]}"#),
         );
         assert_eq!(bad.status, 400);
-        let message = String::from_utf8(bad.body).unwrap();
+        let message = String::from_utf8(bad.body.to_vec()).unwrap();
         assert!(message.contains("failure_models"), "{message}");
     }
 

@@ -148,8 +148,9 @@ pub struct FinishedJob {
     /// Number of rows in `csv`.
     pub rows: usize,
     /// The canonical sweep CSV of the job's in-order prefix: the whole
-    /// sweep for a completed job.
-    pub csv: String,
+    /// sweep for a completed job. Shared: a `GET` sends these bytes
+    /// without copying them.
+    pub csv: Arc<String>,
     /// The job's own memoisation-cache counters.
     pub cache: CacheStats,
     /// Cells each shard owns (`None` for a job submitted without `shards`).
@@ -162,7 +163,7 @@ impl FinishedJob {
         Self {
             cancelled: true,
             rows: 0,
-            csv: format!("{CSV_HEADER}\n"),
+            csv: Arc::new(format!("{CSV_HEADER}\n")),
             cache: CacheStats::default(),
             shards,
         }
@@ -210,8 +211,9 @@ fn shard_views(totals: &[usize], done: usize) -> Vec<ShardView> {
 /// A sweep job evaluated in this process. Its thread builds each shard's
 /// cells ([`ScenarioGrid::shard_cells`]) in order and streams them through
 /// [`SweepExecutor::run_cells_streamed`] (each range fanned out over the
-/// executor's workers), appending the range's CSV text to the job's CSV;
-/// no row is ever kept. Ranges run one after another, so one progress
+/// executor's workers) with the job's CSV as the sink, so each released
+/// chunk is appended to it in place; no row and no other copy of the text
+/// is ever kept. Ranges run one after another, so one progress
 /// counter tells how far the job, and each of its shards, has come. A
 /// cancelled job keeps its in-order prefix: every finished range plus the
 /// evaluated prefix of the range in flight.
@@ -232,8 +234,8 @@ impl LocalJob {
         Self::spawn_with_sink(options, grid, shards, NullSink)
     }
 
-    /// [`Self::spawn`], streaming each row's CSV line into `sink` in cell
-    /// order: a test gates a job with it.
+    /// [`Self::spawn`], streaming each released chunk into `sink` too, in
+    /// cell order and before the job's CSV: a test gates a job with it.
     fn spawn_with_sink(
         options: SweepOptions,
         grid: ScenarioGrid,
@@ -254,27 +256,42 @@ impl LocalJob {
         let progress = Arc::new(AtomicUsize::new(0));
         let cancel = Arc::new(AtomicBool::new(false));
         let (job_progress, job_cancel) = (Arc::clone(&progress), Arc::clone(&cancel));
-        let mut job = FinishedJob::empty(shards.clone());
+        let shards_of_job = shards.clone();
         let thread = std::thread::spawn(move || {
             let executor = SweepExecutor::new(options);
-            for spec in specs {
+            let mut csv = format!("{CSV_HEADER}\n");
+            let (mut rows, mut cache) = (0, CacheStats::default());
+            for (index, spec) in specs.into_iter().enumerate() {
                 let cells = grid.shard_cells(spec);
                 let run = executor.run_cells_streamed(
                     &cells,
-                    &mut sink,
+                    &mut (&mut sink, &mut csv),
                     Some(&job_cancel),
                     Some(&job_progress),
                 );
-                job.cache = job.cache.merged(run.cache);
-                job.rows += run.rows;
-                job.csv.push_str(run.csv_body());
+                cache = cache.merged(run.cache);
+                rows += run.rows;
                 if run.rows < cells.len() {
                     // Cancelled: the CSV ends with this range's prefix.
                     break;
                 }
+                if index == 0 && run.rows > 0 && run.rows < total {
+                    // Make room for the other ranges at the first one's
+                    // bytes per row, plus an eighth (rows differ in length),
+                    // so the CSV grows once or twice more instead of
+                    // doubling its way up.
+                    let per_row = (csv.len() - CSV_HEADER.len() - 1).div_ceil(run.rows);
+                    let rest = (total - run.rows) * per_row;
+                    csv.reserve_exact(rest + rest / 8);
+                }
             }
-            job.cancelled = job.rows < total;
-            job
+            FinishedJob {
+                cancelled: rows < total,
+                rows,
+                csv: Arc::new(csv),
+                cache,
+                shards: shards_of_job,
+            }
         });
         Self {
             total,
@@ -315,7 +332,7 @@ impl DistributedJobHandle {
             Some(outcome) => FinishedJob {
                 cancelled: outcome.cancelled,
                 rows: outcome.rows,
-                csv: outcome.csv,
+                csv: Arc::new(outcome.csv),
                 // Workers own the evaluation caches; the coordinator never
                 // evaluates a cell itself.
                 cache: CacheStats::default(),
@@ -697,7 +714,7 @@ mod tests {
             assert!(!done.cancelled);
             assert_eq!(done.rows, grid.len());
             // The sharded job's CSV is byte-identical to the unsharded engine.
-            assert_eq!(done.csv, unsharded, "{count} shards");
+            assert_eq!(*done.csv, unsharded, "{count} shards");
             // The shard view reports every shard done with its cell count.
             let views = state.jobs.shards_view(id).unwrap().unwrap();
             assert_eq!(views.len(), count);
@@ -714,15 +731,16 @@ mod tests {
                 JobHandle::Local(LocalJob::spawn(state.options, grid.clone(), None))
             })
             .unwrap();
-        assert_eq!(wait_finished(&state, plain).csv, unsharded);
+        assert_eq!(*wait_finished(&state, plain).csv, unsharded);
         assert!(state.jobs.shards_view(plain).unwrap().is_none());
         assert!(state.jobs.shards_view(9999).is_none());
     }
 
     #[test]
     fn a_cancelled_local_job_keeps_the_in_order_prefix() {
-        // A sink that parks the job on one row until released, so the
-        // cancel lands while that row's shard is being evaluated.
+        // A sink that parks the job on the chunk holding one row until
+        // released, so the cancel lands while that row's shard is being
+        // evaluated.
         struct GatedSink {
             rows: usize,
             gate_at: usize,
@@ -730,12 +748,12 @@ mod tests {
             release: std::sync::mpsc::Receiver<()>,
         }
         impl SweepSink for GatedSink {
-            fn on_row(&mut self, _line: &str) {
-                if self.rows == self.gate_at {
+            fn on_rows(&mut self, _lines: &str, rows: usize) {
+                if (self.rows..self.rows + rows).contains(&self.gate_at) {
                     self.reached.send(()).ok();
                     self.release.recv().ok();
                 }
-                self.rows += 1;
+                self.rows += rows;
             }
         }
 
@@ -776,7 +794,7 @@ mod tests {
         assert!(first < done.rows && done.rows < grid.len(), "{}", done.rows);
         // The CSV is a byte prefix of the full sweep's, `rows` lines long.
         let full = SweepExecutor::new(state.options).run(&grid).to_csv();
-        assert!(full.starts_with(&done.csv));
+        assert!(full.starts_with(done.csv.as_str()));
         assert_eq!(done.csv.lines().count(), 1 + done.rows);
         // The view: done shards, at most one partial shard, pending shards.
         let views = state.jobs.shards_view(id).unwrap().unwrap();
@@ -829,7 +847,7 @@ mod tests {
         let done = wait_finished(&state, id);
         assert!(done.cancelled);
         assert_eq!(done.rows, 0);
-        assert_eq!(done.csv, format!("{}\n", ayd_sweep::CSV_HEADER));
+        assert_eq!(*done.csv, format!("{}\n", ayd_sweep::CSV_HEADER));
         let views = state.jobs.shards_view(id).unwrap().unwrap();
         assert!(views.iter().all(|v| v.status == "pending"), "{views:?}");
         // The registry keeps serving other submissions afterwards.

@@ -502,7 +502,9 @@ pub fn cluster_smoke_check(addr: &str, workers: usize) -> Result<(), String> {
 ///    answer the golden sweep CSV (a batch is a sweep).
 /// 4. `/v1/sweep` jobs over the golden grid and over a mixed-profile grid
 ///    both stream a CSV byte-identical to the in-process sweep engine (the
-///    golden grid's bytes are the ones the golden test pins).
+///    golden grid's bytes are the ones the golden test pins); the finished
+///    golden job's CSV, fetched twice on one keep-alive connection, is the
+///    engine's both times.
 /// 5. `/metrics` renders parsable Prometheus text.
 pub fn smoke_check(addr: &str) -> Result<(), String> {
     let io = |e: std::io::Error| format!("i/o against {addr}: {e}");
@@ -643,15 +645,23 @@ pub fn smoke_check(addr: &str) -> Result<(), String> {
 
     // 3. Sweep round-trips: the golden Amdahl grid (the bytes the golden test
     // pins) and a mixed-profile grid, both byte-identical to the in-process
-    // engine.
-    let (_, _, csv) = run_sweep(&mut client, addr, GOLDEN_SWEEP_BODY)?;
+    // engine. The finished golden job is fetched a second time on the same
+    // keep-alive connection: a GET shares the job's bytes, and the second
+    // copy must be the engine's too.
+    let (id, _, csv) = run_sweep(&mut client, addr, GOLDEN_SWEEP_BODY)?;
+    let again = client
+        .get(&format!("/v1/sweep/{id}"), Some("text/csv"))
+        .map_err(io)?;
     let expected_csv = golden_sweep_csv();
-    if csv != expected_csv {
-        return Err(format!(
-            "sweep CSV differs from the in-process engine ({} vs {} bytes)",
-            csv.len(),
-            expected_csv.len()
-        ));
+    for (fetch, csv) in [("first", &csv), ("second", &again.body)] {
+        if *csv != expected_csv {
+            return Err(format!(
+                "sweep CSV ({fetch} fetch) differs from the in-process engine \
+                 ({} vs {} bytes)",
+                csv.len(),
+                expected_csv.len()
+            ));
+        }
     }
     let (_, _, csv) = run_sweep(&mut client, addr, PROFILE_SWEEP_BODY)?;
     let expected_csv = profile_sweep_csv();

@@ -26,6 +26,10 @@
 //! `request → parse → route → render` spans. A `/v1/batch` takes several
 //! calls: one to parse it, one per slice of queries (the last one also writes
 //! the response), with the request held in between as a `Pending`.
+//!
+//! A response goes into the connection's `Outgoing`: its head and any owned
+//! body into one buffer, so a small answer is one `write`, and a shared body
+//! (a finished sweep's CSV) beside it, sent from its `Arc` without a copy.
 
 use std::io::Cursor;
 use std::panic::AssertUnwindSafe;
@@ -194,6 +198,50 @@ impl IncrementalParser {
 /// Upper bound on requests served over one keep-alive connection.
 pub(crate) const MAX_REQUESTS_PER_CONNECTION: usize = 100_000;
 
+/// The largest buffer a connection keeps between responses: one that grew
+/// past it (a large `/v1/batch` answer) is given back once it drains.
+pub(crate) const KEEP_OUT_CAPACITY: usize = 64 * 1024;
+
+/// What a connection owes its peer, in order: `bytes` (response heads and
+/// owned bodies), then `shared`, a shared body sent from its `Arc`.
+#[derive(Debug, Default)]
+pub(crate) struct Outgoing {
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) shared: Option<Arc<String>>,
+}
+
+impl Outgoing {
+    /// True when nothing is owed.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.bytes.is_empty() && self.shared.is_none()
+    }
+
+    /// What is still owed once the first `written` bytes went out: the rest
+    /// of `bytes`, then of the shared body.
+    pub(crate) fn unsent(&self, written: usize) -> &[u8] {
+        match written.checked_sub(self.bytes.len()) {
+            None => &self.bytes[written..],
+            Some(offset) => self
+                .shared
+                .as_ref()
+                .map_or(&[][..], |text| &text.as_bytes()[offset..]),
+        }
+    }
+
+    /// Forgets everything owed, once it went out. The buffer keeps its
+    /// capacity for the next response, unless that grew past
+    /// [`KEEP_OUT_CAPACITY`]: then it is dropped, so one large answer does
+    /// not pin its memory for the connection's life.
+    pub(crate) fn clear(&mut self) {
+        if self.bytes.capacity() > KEEP_OUT_CAPACITY {
+            self.bytes = Vec::new();
+        } else {
+            self.bytes.clear();
+        }
+        self.shared = None;
+    }
+}
+
 /// The `x-ayd-trace-id` header value: 16 lowercase hex digits, matching the
 /// `trace` field of the span JSON lines, so one grep joins a response to its
 /// server-side spans.
@@ -226,11 +274,12 @@ pub(crate) struct Pending {
     request: InFlight,
 }
 
-/// Answers the next request buffered in `parser`, appending the response to
-/// `out`: the one place a request becomes response bytes, for the reactor
-/// and [`serve_chunks`] alike. Every answered request records one `request`
-/// root span with `parse`, `route` and `render` children; `reactor` tags it
-/// with the serving reactor's index. `eof` means the peer's stream has ended.
+/// Answers the next request buffered in `parser`, adding the response to
+/// `out` (whose shared body must be empty): the one place a request becomes
+/// response bytes, for the reactor and [`serve_chunks`] alike. Every
+/// answered request records one `request` root span with `parse`, `route`
+/// and `render` children; `reactor` tags it with the serving reactor's
+/// index. `eof` means the peer's stream has ended.
 /// While `pending` holds a batch, the call evaluates its next slice instead,
 /// and after the last one writes the response.
 pub(crate) fn answer_next(
@@ -240,7 +289,7 @@ pub(crate) fn answer_next(
     state: &Arc<AppState>,
     shutdown: &AtomicBool,
     reactor: Option<u64>,
-    out: &mut Vec<u8>,
+    out: &mut Outgoing,
 ) -> Answer {
     if let Some(mut held) = pending.take() {
         // The slice's `evaluate` span is parented to the batch's own
@@ -277,7 +326,7 @@ pub(crate) fn answer_next(
                 return Answer::Close;
             };
             parse_span.finish();
-            render_parse_error(&error, status, reason, trace, out);
+            render_parse_error(&error, status, reason, trace, &mut out.bytes);
             root.field_str("endpoint", "parse_error");
             root.field_u64("status", u64::from(status));
             root.finish();
@@ -332,7 +381,7 @@ impl InFlight {
         state: &AppState,
         response: Option<Response>,
         shutdown: &AtomicBool,
-        out: &mut Vec<u8>,
+        out: &mut Outgoing,
     ) -> Answer {
         let keep_alive =
             response.is_some() && !self.wants_close && !shutdown.load(Ordering::SeqCst);
@@ -341,10 +390,9 @@ impl InFlight {
         });
         let status = response.status;
         let render_span = ayd_obs::child_of(self.root.context(), "render");
-        response
+        out.shared = response
             .with_header("x-ayd-trace-id", format_trace_id(self.trace))
-            .write_to(out, keep_alive)
-            .expect("writing to a Vec cannot fail");
+            .write_owned(&mut out.bytes, keep_alive);
         render_span.finish();
         state.metrics.request_finished(self.endpoint);
         self.root.field_str("endpoint", self.endpoint);
@@ -380,39 +428,43 @@ fn render_parse_error(
 
 /// Serves one connection's bytes delivered in arbitrary chunks through
 /// `answer_next`, exactly as a reactor serves a socket's reads, and returns
-/// everything written back. This is the socket-free harness: the
-/// malformed-request suite drives it byte at a time and whole, and the
-/// benchmark replays requests through it.
+/// everything written back (a shared body appended after its head). This is
+/// the socket-free harness: the malformed-request suite drives it byte at a
+/// time and whole, and the benchmark replays requests through it.
 pub fn serve_chunks(chunks: &[&[u8]], state: &Arc<AppState>, shutdown: &AtomicBool) -> Vec<u8> {
     let mut parser = IncrementalParser::new();
     let mut pending = None;
-    let mut output = Vec::new();
+    let mut out = Outgoing::default();
     let mut served = 0usize;
     let mut feed = chunks.iter();
     let mut eof = false;
     loop {
-        match answer_next(
+        let answer = answer_next(
             &mut parser,
             &mut pending,
             eof,
             state,
             shutdown,
             None,
-            &mut output,
-        ) {
+            &mut out,
+        );
+        if let Some(shared) = out.shared.take() {
+            out.bytes.extend_from_slice(shared.as_bytes());
+        }
+        match answer {
             Answer::NeedMore => match feed.next() {
                 Some(chunk) => parser.push(chunk),
-                None if eof => return output,
+                None if eof => return out.bytes,
                 None => eof = true,
             },
             Answer::Pending => {}
             Answer::KeepAlive => {
                 served += 1;
                 if served >= MAX_REQUESTS_PER_CONNECTION {
-                    return output;
+                    return out.bytes;
                 }
             }
-            Answer::Close => return output,
+            Answer::Close => return out.bytes,
         }
     }
 }
@@ -555,6 +607,33 @@ mod tests {
             Poll::Ready(request) => assert_eq!(request.body, b"abcde"),
             other => panic!("expected a request, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn outgoing_sends_its_buffer_then_the_shared_body_and_gives_back_a_large_buffer() {
+        let mut out = Outgoing::default();
+        assert!(out.is_empty());
+        out.bytes.extend_from_slice(b"head;");
+        out.shared = Some(Arc::new("shared".to_string()));
+        let mut sent = Vec::new();
+        // Resumes at any offset, across the seam between the two parts.
+        for step in [3, 4, 1, 100] {
+            let unsent = out.unsent(sent.len());
+            sent.extend_from_slice(&unsent[..step.min(unsent.len())]);
+        }
+        assert_eq!(sent, b"head;shared");
+        assert!(out.unsent(sent.len()).is_empty());
+        // A drained buffer keeps its capacity for the next response...
+        out.clear();
+        assert!(out.is_empty());
+        assert!(out.bytes.capacity() >= 5);
+        out.bytes.resize(KEEP_OUT_CAPACITY, b'x');
+        out.clear();
+        assert!(out.bytes.capacity() >= KEEP_OUT_CAPACITY);
+        // ...unless a response grew it past 64 KiB: then it is given back.
+        out.bytes.resize(KEEP_OUT_CAPACITY + 1, b'x');
+        out.clear();
+        assert_eq!(out.bytes.capacity(), 0);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! well-formed status line.
 
 use std::io::{BufRead, Read, Write};
+use std::sync::Arc;
 
 /// Maximum bytes of the request line (method + target + version; above →
 /// 414).
@@ -233,6 +234,49 @@ pub fn parse_request(reader: &mut impl BufRead, limits: &Limits) -> Result<Reque
     Ok(Request { body, ..request })
 }
 
+/// A response body: bytes the response owns, or text shared with its owner
+/// (a finished sweep job's CSV), which a connection sends from the `Arc`
+/// without a copy. Either way it reads as its bytes, and two bodies are
+/// equal when their bytes are.
+#[derive(Debug, Clone)]
+pub enum Body {
+    /// Bytes owned by the response.
+    Owned(Vec<u8>),
+    /// Text shared with its owner.
+    Shared(Arc<String>),
+}
+
+impl std::ops::Deref for Body {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Body::Owned(bytes) => bytes,
+            Body::Shared(text) => text.as_bytes(),
+        }
+    }
+}
+
+impl PartialEq for Body {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Body {}
+
+impl From<String> for Body {
+    fn from(text: String) -> Self {
+        Body::Owned(text.into_bytes())
+    }
+}
+
+impl From<Arc<String>> for Body {
+    fn from(text: Arc<String>) -> Self {
+        Body::Shared(text)
+    }
+}
+
 /// One response, written as HTTP/1.1 with an explicit `Content-Length`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
@@ -245,7 +289,7 @@ pub struct Response {
     /// Extra headers (name, value), written verbatim.
     pub extra_headers: Vec<(&'static str, String)>,
     /// Response body.
-    pub body: Vec<u8>,
+    pub body: Body,
 }
 
 impl Response {
@@ -256,7 +300,7 @@ impl Response {
             reason,
             content_type: "text/plain; charset=utf-8",
             extra_headers: Vec::new(),
-            body: body.into().into_bytes(),
+            body: body.into().into(),
         }
     }
 
@@ -281,18 +325,18 @@ impl Response {
             reason: "OK",
             content_type: "application/json",
             extra_headers: Vec::new(),
-            body: body.into_bytes(),
+            body: body.into(),
         }
     }
 
-    /// A `200 OK` CSV response.
-    pub fn csv(body: impl Into<String>) -> Self {
+    /// A `200 OK` CSV response, owning its text or sharing it.
+    pub fn csv(body: impl Into<Body>) -> Self {
         Self {
             status: 200,
             reason: "OK",
             content_type: "text/csv; charset=utf-8",
             extra_headers: Vec::new(),
-            body: body.into().into_bytes(),
+            body: body.into(),
         }
     }
 
@@ -322,6 +366,27 @@ impl Response {
 
     /// Writes the response (status line, headers, body) to `writer`.
     pub fn write_to(&self, writer: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
+        writer.write_all(self.head(keep_alive).as_bytes())?;
+        writer.write_all(&self.body)?;
+        writer.flush()
+    }
+
+    /// Appends the response to `out`, except a shared body, which it
+    /// returns: the caller sends that after `out`'s bytes, from its `Arc`.
+    /// The bytes are [`Response::write_to`]'s.
+    pub(crate) fn write_owned(self, out: &mut Vec<u8>, keep_alive: bool) -> Option<Arc<String>> {
+        out.extend_from_slice(self.head(keep_alive).as_bytes());
+        match self.body {
+            Body::Owned(bytes) => {
+                out.extend_from_slice(&bytes);
+                None
+            }
+            Body::Shared(text) => Some(text),
+        }
+    }
+
+    /// The status line and headers, up to and including the blank line.
+    fn head(&self, keep_alive: bool) -> String {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\ncontent-length: {}\r\ncontent-type: {}\r\nconnection: {}\r\n",
             self.status,
@@ -337,9 +402,7 @@ impl Response {
             head.push_str("\r\n");
         }
         head.push_str("\r\n");
-        writer.write_all(head.as_bytes())?;
-        writer.write_all(&self.body)?;
-        writer.flush()
+        head
     }
 }
 
@@ -472,10 +535,33 @@ mod tests {
     #[test]
     fn to_bytes_matches_write_to_exactly() {
         for keep_alive in [true, false] {
-            let response = Response::csv("a,b\n1,2\n").with_header("x-ayd-trace-id", "00ff");
+            let response =
+                Response::csv("a,b\n1,2\n".to_string()).with_header("x-ayd-trace-id", "00ff");
             let mut written = Vec::new();
             response.write_to(&mut written, keep_alive).unwrap();
             assert_eq!(response.to_bytes(keep_alive), written);
+        }
+    }
+
+    #[test]
+    fn a_shared_body_writes_the_bytes_of_an_owned_one() {
+        let text = Arc::new("a,b\n1,2\n".to_string());
+        let shared = Response::csv(Arc::clone(&text)).with_header("x-ayd-trace-id", "00ff");
+        let owned = Response::csv(text.to_string()).with_header("x-ayd-trace-id", "00ff");
+        assert_eq!(shared, owned);
+        assert!(matches!(shared.body, Body::Shared(_)));
+        for keep_alive in [true, false] {
+            assert_eq!(shared.to_bytes(keep_alive), owned.to_bytes(keep_alive));
+            // `write_owned` keeps the shared text out of the buffer and hands
+            // it back; head plus text are the wire bytes.
+            let mut out = Vec::new();
+            let rest = shared.clone().write_owned(&mut out, keep_alive);
+            assert!(Arc::ptr_eq(rest.as_ref().unwrap(), &text));
+            out.extend_from_slice(text.as_bytes());
+            assert_eq!(out, owned.to_bytes(keep_alive));
+            let mut out = Vec::new();
+            assert!(owned.clone().write_owned(&mut out, keep_alive).is_none());
+            assert_eq!(out, owned.to_bytes(keep_alive));
         }
     }
 }

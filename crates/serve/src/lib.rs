@@ -92,7 +92,7 @@ pub use app::{AppState, ClusterConfig, ServerConfig};
 pub use client::{smoke_check, ClientResponse, HttpClient};
 pub use conn::{serve_chunks, IncrementalParser};
 pub use coordinator::{ClusterStats, Coordinator};
-pub use http::{Limits, Request, Response};
+pub use http::{Body, Limits, Request, Response};
 pub use json::Json;
 pub use metrics::{validate_prometheus, GaugeSnapshot, Metrics, PrometheusText, Sample};
 pub use server::{ServeHandle, Server};

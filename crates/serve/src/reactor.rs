@@ -33,7 +33,8 @@ use std::time::{Duration, Instant};
 
 use crate::app::{AppState, ServerConfig};
 use crate::conn::{
-    answer_next, Answer, IncrementalParser, Pending, HEAD_CAP, MAX_REQUESTS_PER_CONNECTION,
+    answer_next, Answer, IncrementalParser, Outgoing, Pending, HEAD_CAP,
+    MAX_REQUESTS_PER_CONNECTION,
 };
 use crate::sys;
 
@@ -58,9 +59,10 @@ struct Conn {
     parser: IncrementalParser,
     /// A batch with slices left (the drain deadline cuts it off unanswered).
     pending: Option<Box<Pending>>,
-    /// Response bytes not yet accepted by the kernel.
-    out: Vec<u8>,
-    /// Prefix of `out` already written.
+    /// Response bytes not yet accepted by the kernel: the head and any
+    /// owned body, then a shared body.
+    out: Outgoing,
+    /// Bytes of `out` already written.
     written: usize,
     /// The peer's read side ended (EOF or a hard read error).
     eof: bool,
@@ -80,7 +82,7 @@ impl Conn {
             fd,
             parser: IncrementalParser::new(),
             pending: None,
-            out: Vec::new(),
+            out: Outgoing::default(),
             written: 0,
             eof: false,
             close_after_write: false,
@@ -312,11 +314,16 @@ impl Reactor {
         true
     }
 
-    /// Writes `conn.out` until it drains (then clears it) or the socket would
-    /// block (then waits for `EPOLLOUT`). Returns `false` on a hard error.
+    /// Writes `conn.out` — its buffer, then its shared body — until it
+    /// drains (then clears it) or the socket would block (then waits for
+    /// `EPOLLOUT`). Returns `false` on a hard error.
     fn flush(&self, token: u64, conn: &mut Conn) -> bool {
-        while conn.written < conn.out.len() {
-            match sys::write(&conn.fd, &conn.out[conn.written..]) {
+        loop {
+            let unsent = conn.out.unsent(conn.written);
+            if unsent.is_empty() {
+                break;
+            }
+            match sys::write(&conn.fd, unsent) {
                 Ok(n) => conn.written += n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     if !conn.wants_writable {

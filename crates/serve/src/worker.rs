@@ -348,7 +348,7 @@ struct ChunkSink {
     coordinator: String,
     run: ShardRun,
     token: u64,
-    /// The manifest snapshot; `completed` advances with every row.
+    /// The manifest snapshot; `completed` advances with every chunk.
     manifest: SweepManifest,
     /// Rows acknowledged by the coordinator so far (shard-local).
     sent: usize,
@@ -454,10 +454,13 @@ impl ChunkSink {
 }
 
 impl SweepSink for ChunkSink {
-    fn on_row(&mut self, line: &str) {
-        self.buffer.push_str(line);
-        self.buffered += 1;
-        self.manifest.completed += 1;
+    /// Buffers a released chunk, and uploads once `chunk_rows` rows are
+    /// buffered: an upload carries whole executor chunks, so up to 7 rows
+    /// past `chunk_rows`.
+    fn on_rows(&mut self, lines: &str, rows: usize) {
+        self.buffer.push_str(lines);
+        self.buffered += rows;
+        self.manifest.completed += rows;
         if self.buffered >= self.chunk_rows {
             self.flush();
         }

@@ -1,6 +1,7 @@
 //! Integration suite for the epoll reactors: graceful drain under load,
-//! idle-connection tracking, and fairness between a pipelining client or a
-//! long `/v1/batch` and everyone else on its reactor.
+//! idle-connection tracking, fairness between a pipelining client or a long
+//! `/v1/batch` and everyone else on its reactor, and a shared sweep CSV
+//! written across blocked writes.
 //!
 //! Servers here bind `127.0.0.1:0`; the reactors need Linux on x86_64 or
 //! aarch64.
@@ -275,6 +276,83 @@ fn read_response(reader: &mut impl BufRead) -> (String, Vec<u8>) {
 fn header<'a>(head: &'a str, name: &str) -> &'a str {
     let value = |line: &'a str| line.strip_prefix(name)?.strip_prefix(": ");
     head.lines().find_map(value).unwrap_or_default()
+}
+
+/// The benchmark's 27,648-cell sweep grid as a `/v1/sweep` body: its CSV
+/// (4.5 MB) is larger than the loopback socket buffers.
+const LARGE_SWEEP_BODY: &str = concat!(
+    r#"{"platforms":["Hera","Atlas","Coastal","Coastal SSD"],"scenarios":[1,2,3,4,5,6],"#,
+    r#""profiles":["amdahl:0.1","powerlaw:0.8","gustafson:0.05","perfect"],"#,
+    r#""failure_models":["exp","weibull:0.7"],"lambda_multipliers":[1,2,5,10,20,50],"#,
+    r#""processors":[128,256,512,1024,2048,4096],"pattern_lengths":[900,1800,3600,7200]}"#
+);
+
+/// A finished job's CSV is sent from the job's shared bytes, after the head
+/// the connection buffered. Fetched twice on one keep-alive connection, with
+/// a `GET /healthz` pipelined behind the fetches and nothing read until the
+/// server's writes have blocked, both copies must be the engine's bytes and
+/// the health answer must arrive intact after them: each blocked write
+/// resumes on `EPOLLOUT` where it stopped, and the next request is answered
+/// only once the shared bytes are out.
+#[test]
+fn a_finished_csv_larger_than_the_socket_buffers_is_fetched_twice_intact() {
+    let (handle, thread) = boot(one_reactor());
+    let addr = handle.addr().to_string();
+    let mut client = HttpClient::connect(&addr).unwrap();
+    let accepted = client.post_json("/v1/sweep", LARGE_SWEEP_BODY).unwrap();
+    assert_eq!(accepted.status, 202, "{}", accepted.body);
+    let id = Json::parse(&accepted.body)
+        .unwrap()
+        .get("id")
+        .unwrap()
+        .as_f64()
+        .unwrap() as u64;
+    let status = loop {
+        let poll = client
+            .get(&format!("/v1/sweep/{id}"), Some("application/json"))
+            .unwrap();
+        let doc = Json::parse(&poll.body).unwrap();
+        let status = doc
+            .get("status")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string();
+        if status != "running" {
+            break status;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(status, "done");
+
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let fetch = format!("GET /v1/sweep/{id} HTTP/1.1\r\nhost: t\r\naccept: text/csv\r\n\r\n");
+    let pipelined = format!("{fetch}{fetch}GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n");
+    stream.write_all(pipelined.as_bytes()).unwrap();
+    // Read nothing yet: the first CSV fills the socket buffers and its write
+    // blocks.
+    std::thread::sleep(Duration::from_millis(200));
+    let mut reader = BufReader::new(stream);
+    let (first_head, first) = read_response(&mut reader);
+    let (second_head, second) = read_response(&mut reader);
+    let (health_head, health) = read_response(&mut reader);
+    for head in [&first_head, &second_head, &health_head] {
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+        assert_eq!(header(head, "connection"), "keep-alive");
+    }
+    assert!(header(&first_head, "content-type").starts_with("text/csv"));
+    assert!(first.len() > 4 << 20, "{} bytes", first.len());
+    let expected = ayd_serve::client::engine_sweep_csv(LARGE_SWEEP_BODY).unwrap();
+    assert!(first == expected.as_bytes(), "the first fetch differs");
+    assert!(second == expected.as_bytes(), "the second fetch differs");
+    let health = Json::parse(std::str::from_utf8(&health).unwrap()).unwrap();
+    assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+
+    drop(reader);
+    handle.shutdown();
+    thread.join().unwrap().unwrap();
 }
 
 /// A connection gets one request answered per reactor turn, so a client

@@ -16,8 +16,9 @@
 //!   the same SplitMix64 derivation as `ayd_sim::rng::rng_for_replicate`, never
 //!   from scheduling order;
 //! * each row is rendered to its CSV line by the worker that evaluated it,
-//!   and a reorder buffer releases rendered chunks in cell order into the
-//!   results and the streaming sink.
+//!   into a text buffer the worker keeps across chunks, and a reorder buffer
+//!   releases rendered chunks in cell order into the results and the
+//!   streaming sink, one chunk per sink call.
 //!
 //! The memoisation cache (see [`crate::cache`]) only short-circuits
 //! recomputation of deterministic values, so cache on/off also yields identical
@@ -41,7 +42,7 @@ use crate::cache::{CacheKey, CacheStats, ShardedEvalCache};
 use crate::evaluate::{Evaluator, OperatingPoint, OptimumComparison, SimSummary};
 use crate::grid::{ScenarioGrid, SweepCell};
 use crate::options::RunOptions;
-use crate::sink::{CsvWriter, NullSink, SweepSink, CSV_HEADER};
+use crate::sink::{CsvWriter, SweepSink, CSV_HEADER};
 
 /// The closed-form joint optimum of Theorem 2/3 (`P*`, `T*`, `H*`), recorded
 /// alongside the practical first-order point for asymptotic-slope fits.
@@ -250,7 +251,7 @@ pub struct SweepResults {
     /// therefore never part of the CSV output.
     pub search: SearchReport,
     /// The CSV lines of `rows`, in order, each rendered once by the worker
-    /// that evaluated its row.
+    /// that evaluated its row and appended by the run's `String` sink.
     body: String,
 }
 
@@ -273,13 +274,14 @@ impl SweepResults {
     }
 }
 
-/// The CSV body of a sweep, its row count and its cache counters, without
-/// its rows: what [`SweepExecutor::run_cells_streamed`] returns to a caller
-/// that only streams CSV.
+/// The row count and cache counters of a streamed sweep, which keeps
+/// neither rows nor text: what [`SweepExecutor::run_cells_streamed`]
+/// returns. A caller that wants the CSV text passes a sink that keeps it
+/// (a `String` appends every line).
 #[derive(Debug, Clone, Default)]
 pub struct StreamedSweep {
-    /// Number of lines in the body: the evaluated in-order prefix of the
-    /// cells.
+    /// Number of lines the sink received: the evaluated in-order prefix of
+    /// the cells.
     pub rows: usize,
     /// Hit/miss/eviction counters of the memoisation cache, as in
     /// [`SweepResults::cache`].
@@ -287,15 +289,6 @@ pub struct StreamedSweep {
     /// The run's search tally, which [`SweepExecutor::run_cells`] hands on
     /// as [`SweepResults::search`].
     search: SearchReport,
-    body: String,
-}
-
-impl StreamedSweep {
-    /// The CSV lines of the run without the header, as
-    /// [`SweepResults::csv_body`].
-    pub fn csv_body(&self) -> &str {
-        &self.body
-    }
 }
 
 /// Cached analytic (simulation-free) evaluation of one configuration.
@@ -346,23 +339,25 @@ impl SweepExecutor {
     /// Each cell keeps its own (global) `index`, so seeding — and therefore
     /// every value — matches the full-grid run of the same cells.
     pub fn run_cells(&self, cells: &[SweepCell]) -> SweepResults {
-        let (rows, run) = run_cells(&self.options, cells, &mut NullSink, None, None, true);
+        let mut body = String::new();
+        let (rows, run) = run_cells(&self.options, cells, &mut body, None, None, true);
         SweepResults {
             rows,
             cache: run.cache,
             search: run.search,
-            body: run.body,
+            body,
         }
     }
 
     /// [`Self::run_cells`] for a caller that only streams CSV, with a
     /// streaming sink, cooperative cancellation and an external progress
     /// counter (advanced by a chunk's cell count, at most 8, once the chunk
-    /// is rendered). The same lines reach `sink` and the body, but no
-    /// [`SweepRow`] is kept. Cancelling stops workers from picking up new
-    /// cells; cells already started finish, and the body holds the lines
-    /// of the completed in-order prefix. `ayd-serve`'s local sweep jobs and
-    /// cluster workers and the file-backed shard runner
+    /// is rendered). Every line reaches `sink` and nothing else: no
+    /// [`SweepRow`] and no text is kept. Cancelling stops workers from
+    /// picking up new cells; cells already started finish, and the sink
+    /// receives the lines of the completed in-order prefix. `ayd-serve`'s
+    /// local sweep jobs (whose sink is the job's CSV) and cluster workers
+    /// and the file-backed shard runner
     /// ([`crate::shard::run_shard_to_files`]) run their ranges through it.
     pub fn run_cells_streamed(
         &self,
@@ -379,7 +374,7 @@ impl SweepExecutor {
 /// [`SweepExecutor::run_cells_streamed`]: a self-scheduling scoped worker
 /// pool over `cells`, with optional cooperative cancellation and a progress
 /// counter. Returns the rows in cell order (none unless `keep_rows`) and
-/// the run's CSV body and counters.
+/// the run's row count and counters.
 fn run_cells(
     options: &SweepOptions,
     cells: &[SweepCell],
@@ -419,9 +414,9 @@ fn run_cells(
     let search_total = Mutex::new(SearchReport::default());
     let emitter = Mutex::new(Emitter {
         pending: std::collections::BTreeMap::new(),
+        spare: Vec::new(),
         released: 0,
         rows: Vec::with_capacity(if keep_rows { cells.len() } else { 0 }),
-        body: String::new(),
         sink,
     });
     // Analytic-only sweeps pull small chunks from the work queue so that the
@@ -447,6 +442,11 @@ fn run_cells(
         for _ in 0..workers {
             scope.spawn(|| {
                 let mut writer = CsvWriter::new();
+                // The worker's chunk, rendered into buffers it keeps: the
+                // emitter empties them, or swaps them for emptied ones, so
+                // in steady state no chunk allocates.
+                let mut text = String::new();
+                let mut rows = Vec::new();
                 loop {
                     if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
                         break;
@@ -460,16 +460,11 @@ fn run_cells(
                     // Each row is rendered here, by the writer of the worker
                     // that evaluated it, and the emitter lock is taken once
                     // per chunk.
-                    let mut rendered = RenderedChunk {
-                        cells: batch.len(),
-                        rows: Vec::with_capacity(if keep_rows { batch.len() } else { 0 }),
-                        text: String::new(),
-                    };
                     let EvalObservation { search, blocks, .. } =
                         evaluate_cells(batch, options, cache.as_ref(), |row| {
-                            writer.write_line(&mut rendered.text, &row);
+                            writer.write_line(&mut text, &row);
                             if keep_rows {
-                                rendered.rows.push(row);
+                                rows.push(row);
                             }
                         });
                     if chunk_span.is_recording() {
@@ -489,10 +484,12 @@ fn run_cells(
                     if let Some(counter) = progress {
                         counter.fetch_add(batch.len(), Ordering::Relaxed);
                     }
-                    emitter
-                        .lock()
-                        .expect("emitter poisoned")
-                        .push(start, rendered);
+                    emitter.lock().expect("emitter poisoned").push(
+                        start,
+                        batch.len(),
+                        &mut text,
+                        &mut rows,
+                    );
                 }
                 // Workers only produce child spans; drain this thread's
                 // buffer before the scope joins it.
@@ -510,7 +507,6 @@ fn run_cells(
         rows: emitter.released,
         cache: cache.map(|c| c.stats()).unwrap_or_default(),
         search: search_total.into_inner().expect("search tally poisoned"),
-        body: emitter.body,
     };
     emitter.sink.finish();
     if sweep_span.is_recording() {
@@ -563,7 +559,7 @@ pub fn cache_shards(workers: usize) -> usize {
     workers.max(1).next_power_of_two().min(16)
 }
 
-/// One worker chunk's CSV lines, back to back in `text` (each line ends in
+/// One parked chunk's CSV lines, back to back in `text` (each line ends in
 /// its only newline), and its rows when the run keeps them.
 struct RenderedChunk {
     cells: usize,
@@ -571,31 +567,52 @@ struct RenderedChunk {
     text: String,
 }
 
-/// Reorder buffer: accumulates out-of-order chunks, releases them in cell
-/// order — each line into the streaming sink, the text onto the CSV body
-/// and any rows into the final ordered vector.
+/// Reorder buffer: releases chunks in cell order — the text of each into the
+/// streaming sink in one call, any rows into the final ordered vector — and
+/// parks the chunks that arrive ahead of the frontier.
 struct Emitter<'a> {
     pending: std::collections::BTreeMap<usize, RenderedChunk>,
+    /// Emptied text buffers of released parked chunks, handed to the next
+    /// workers that park one.
+    spare: Vec<String>,
     /// Cells released so far: the start of the next chunk in order.
     released: usize,
     rows: Vec<SweepRow>,
-    body: String,
     sink: &'a mut dyn SweepSink,
 }
 
 impl Emitter<'_> {
-    /// Takes the chunk whose first cell is `start` (an index into the run's
-    /// cell list) and releases every chunk that is now next in order.
-    fn push(&mut self, start: usize, chunk: RenderedChunk) {
-        self.pending.insert(start, chunk);
-        while let Some(chunk) = self.pending.remove(&self.released) {
-            for line in chunk.text.split_inclusive('\n') {
-                self.sink.on_row(line);
-            }
-            self.body.push_str(&chunk.text);
-            self.released += chunk.cells;
-            self.rows.extend(chunk.rows);
+    /// Takes a worker's chunk of `cells` cells whose first cell is `start`
+    /// (an index into the run's cell list), its lines in `text` and any rows
+    /// in `rows`, and releases every chunk that is now next in order. An
+    /// in-order chunk goes to the sink straight from the worker's buffer; one
+    /// ahead of the frontier is parked, and the worker gets an emptied
+    /// buffer in exchange. Either way `text` and `rows` come back empty.
+    fn push(&mut self, start: usize, cells: usize, text: &mut String, rows: &mut Vec<SweepRow>) {
+        if start != self.released {
+            let spare = self.spare.pop().unwrap_or_default();
+            let chunk = RenderedChunk {
+                cells,
+                rows: std::mem::take(rows),
+                text: std::mem::replace(text, spare),
+            };
+            self.pending.insert(start, chunk);
+            return;
         }
+        self.release(cells, text, rows);
+        while let Some(mut chunk) = self.pending.remove(&self.released) {
+            self.release(chunk.cells, &mut chunk.text, &mut chunk.rows);
+            self.spare.push(chunk.text);
+        }
+    }
+
+    /// Hands one in-order chunk to the sink and the rows, emptying `text`
+    /// and `rows`.
+    fn release(&mut self, cells: usize, text: &mut String, rows: &mut Vec<SweepRow>) {
+        self.sink.on_rows(text, cells);
+        text.clear();
+        self.released += cells;
+        self.rows.append(rows);
     }
 }
 
@@ -1278,19 +1295,20 @@ mod tests {
 
     #[test]
     fn cancel_mid_run_keeps_the_completed_in_order_prefix() {
-        // A sink that parks the emitter on the first row until released: with
-        // the in-order frontier blocked, workers pile up behind the emitter
-        // mutex, so the cancel flag is guaranteed to be observed mid-run.
+        // A sink that parks the emitter on the first chunk until released:
+        // with the in-order frontier blocked, workers pile up behind the
+        // emitter mutex, so the cancel flag is guaranteed to be observed
+        // mid-run. It keeps the lines it receives.
         struct GatedSink {
-            rows: usize,
+            text: String,
             gate: std::sync::mpsc::Receiver<()>,
         }
         impl crate::sink::SweepSink for GatedSink {
-            fn on_row(&mut self, _line: &str) {
-                if self.rows == 0 {
+            fn on_rows(&mut self, lines: &str, _rows: usize) {
+                if self.text.is_empty() {
                     self.gate.recv().ok();
                 }
-                self.rows += 1;
+                self.text.push_str(lines);
             }
         }
 
@@ -1305,10 +1323,15 @@ mod tests {
         let (cancel, progress) = (AtomicBool::new(false), AtomicUsize::new(0));
         let cells = grid.cells();
         let executor = SweepExecutor::new(analytic_options().with_threads(2));
-        let results = std::thread::scope(|scope| {
+        let (results, streamed) = std::thread::scope(|scope| {
             let run = scope.spawn(|| {
-                let mut sink = GatedSink { rows: 0, gate };
-                executor.run_cells_streamed(&cells, &mut sink, Some(&cancel), Some(&progress))
+                let mut sink = GatedSink {
+                    text: String::new(),
+                    gate,
+                };
+                let run =
+                    executor.run_cells_streamed(&cells, &mut sink, Some(&cancel), Some(&progress));
+                (run, sink.text)
             });
             while progress.load(Ordering::Relaxed) == 0 {
                 std::thread::yield_now();
@@ -1319,8 +1342,8 @@ mod tests {
         });
         assert!(results.rows > 0);
         assert!(results.rows < grid.len(), "run was not interrupted");
-        // The streamed body is exactly the first `rows` lines of an
-        // uncancelled run: chunks released past the frontier never reach it.
+        // The streamed text is exactly the first `rows` lines of an
+        // uncancelled run: chunks parked past the frontier never reach it.
         let full = SweepExecutor::new(analytic_options().with_threads(1)).run(&grid);
         let prefix: usize = full
             .csv_body()
@@ -1328,7 +1351,51 @@ mod tests {
             .take(results.rows)
             .map(str::len)
             .sum();
-        assert_eq!(results.csv_body(), &full.csv_body()[..prefix]);
+        assert_eq!(streamed, &full.csv_body()[..prefix]);
+    }
+
+    #[test]
+    fn the_reorder_buffer_releases_whole_chunks_in_order_and_recycles_buffers() {
+        /// Records each call's lines and row count.
+        struct Calls(Vec<(String, usize)>);
+        impl SweepSink for Calls {
+            fn on_rows(&mut self, lines: &str, rows: usize) {
+                self.0.push((lines.to_string(), rows));
+            }
+        }
+        let mut calls = Calls(Vec::new());
+        let mut emitter = Emitter {
+            pending: std::collections::BTreeMap::new(),
+            spare: Vec::new(),
+            released: 0,
+            rows: Vec::new(),
+            sink: &mut calls,
+        };
+        let mut rows = Vec::new();
+        let mut chunk = |emitter: &mut Emitter, start: usize, lines: &str, cells: usize| {
+            let mut text = String::with_capacity(64);
+            text.push_str(lines);
+            emitter.push(start, cells, &mut text, &mut rows);
+            // The worker always gets an empty buffer back: its own emptied
+            // one, or a spare one when its chunk was parked.
+            assert!(text.is_empty());
+            text.capacity()
+        };
+        // Two chunks arrive ahead of the frontier and are parked.
+        assert_eq!(chunk(&mut emitter, 3, "d\ne\n", 2), 0);
+        assert_eq!(chunk(&mut emitter, 2, "c\n", 1), 0);
+        assert!(emitter.spare.is_empty());
+        // The in-order chunk releases itself, then both parked ones, whose
+        // emptied buffers become spares for the next parked chunks.
+        assert_eq!(chunk(&mut emitter, 0, "a\nb\n", 2), 64);
+        assert_eq!(emitter.released, 5);
+        assert_eq!(emitter.spare.len(), 2);
+        assert_eq!(chunk(&mut emitter, 6, "g\n", 1), 64);
+        assert_eq!(emitter.spare.len(), 1);
+        drop(emitter);
+        let expected = [("a\nb\n", 2), ("c\n", 1), ("d\ne\n", 2)];
+        let got: Vec<(&str, usize)> = calls.0.iter().map(|(l, n)| (l.as_str(), *n)).collect();
+        assert_eq!(got, expected);
     }
 
     #[test]
@@ -1548,15 +1615,6 @@ mod tests {
                 .unwrap()
         }
 
-        /// Collects the lines a run streams.
-        struct Lines(String);
-
-        impl SweepSink for Lines {
-            fn on_row(&mut self, line: &str) {
-                self.0.push_str(line);
-            }
-        }
-
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -1587,11 +1645,8 @@ mod tests {
                 let mut merged = format!("{CSV_HEADER}\n");
                 for index in 0..count {
                     let cells = grid.shard_cells(ShardSpec::new(index, count).unwrap());
-                    let mut lines = Lines(String::new());
-                    let run = executor.run_cells_streamed(&cells, &mut lines, None, None);
+                    let run = executor.run_cells_streamed(&cells, &mut merged, None, None);
                     prop_assert_eq!(run.rows, cells.len());
-                    prop_assert_eq!(run.csv_body(), lines.0.as_str());
-                    merged.push_str(run.csv_body());
                 }
                 prop_assert_eq!(merged, csv);
             }

@@ -225,8 +225,9 @@ pub struct ShardRunReport {
     pub shard_cells: usize,
     /// Rows found already materialised and skipped (`--resume`).
     pub resumed_rows: usize,
-    /// The cells newly evaluated by this run: their row count, CSV lines
-    /// and the executor's cache counters (no [`crate::SweepRow`] is kept).
+    /// The cells newly evaluated by this run: their row count and the
+    /// executor's cache counters (no [`crate::SweepRow`] and no text is
+    /// kept; the rows are in the CSV file).
     pub results: StreamedSweep,
     /// True when the run was cancelled before materialising every cell.
     pub cancelled: bool,
@@ -239,10 +240,11 @@ impl ShardRunReport {
     }
 }
 
-/// Streaming sink of a shard run: appends each row's line to the CSV file,
-/// then rewrites the sidecar manifest atomically. The manifest therefore never
-/// claims more rows than the CSV holds; after a kill the CSV may be at most
-/// one torn row ahead, which resume truncates away.
+/// Streaming sink of a shard run: appends each released chunk's lines to the
+/// CSV file and flushes them, then rewrites the sidecar manifest atomically,
+/// once per chunk. The manifest therefore never claims more rows than the
+/// CSV holds; after a kill the CSV may be up to one chunk ahead of it, torn
+/// final row and all, and resume keeps only the rows both acknowledge.
 ///
 /// The `SweepSink` trait cannot return errors, so a filesystem failure
 /// (disk full, volume gone read-only) is *recorded*, the shared stop flag is
@@ -259,22 +261,22 @@ struct ShardFileSink<'a> {
 }
 
 impl ShardFileSink<'_> {
-    fn try_row(&mut self, line: &str) -> Result<(), ShardError> {
+    fn try_rows(&mut self, lines: &str, rows: usize) -> Result<(), ShardError> {
         self.file
-            .write_all(line.as_bytes())
+            .write_all(lines.as_bytes())
             .and_then(|()| self.file.flush())
-            .map_err(|e| ShardError::Io(format!("append shard row: {e}")))?;
-        self.manifest.completed += 1;
+            .map_err(|e| ShardError::Io(format!("append shard rows: {e}")))?;
+        self.manifest.completed += rows;
         self.manifest.write_atomic(&self.manifest_file)
     }
 }
 
 impl SweepSink for ShardFileSink<'_> {
-    fn on_row(&mut self, line: &str) {
+    fn on_rows(&mut self, lines: &str, rows: usize) {
         if self.error.is_some() {
             return;
         }
-        if let Err(error) = self.try_row(line) {
+        if let Err(error) = self.try_rows(lines, rows) {
             self.error = Some(error);
             self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
         }
@@ -373,7 +375,7 @@ pub fn run_shard_to_files(
             let (csv_rows, valid_len) = complete_rows(&text)?;
             // Trust whichever of the manifest and the CSV is *behind*: the CSV
             // may hold a torn row the manifest never acknowledged, and an
-            // unsynced manifest may trail the CSV by a row.
+            // unsynced manifest may trail the CSV by a chunk.
             let completed = existing.completed.min(csv_rows).min(cells.len());
             let file = std::fs::OpenOptions::new()
                 .write(true)
@@ -706,10 +708,10 @@ mod tests {
     #[test]
     fn sink_io_failures_surface_as_clean_errors_not_panics() {
         // Point the manifest at a directory that does not exist: the first
-        // row's atomic manifest write fails, the sink records the error and
+        // chunk's atomic manifest write fails, the sink records the error and
         // raises the stop flag, and run_shard_to_files returns ShardError::Io
         // (no worker panic, no poisoned emitter). One worker: with two, the
-        // second can claim the last chunk before the first row's failure
+        // second can claim the last chunk before the first chunk's failure
         // raises the stop flag, and the run then drains every cell.
         let dir = temp_dir("sink-io");
         let grid = grid();

@@ -2,10 +2,11 @@
 //!
 //! Each row is rendered once, as its canonical CSV line ([`write_csv_line`]'s
 //! bytes), on the executor worker that evaluated it, by that worker's
-//! `CsvWriter`. The executor feeds sinks through
-//! a reorder buffer, so [`SweepSink::on_row`] always observes the lines in the
-//! grid's deterministic cell order even though the cells complete out of
-//! order across worker threads.
+//! `CsvWriter`, into a text buffer the worker keeps across chunks. The
+//! executor feeds sinks through a reorder buffer, one call per released
+//! chunk, so [`SweepSink::on_rows`] always observes the lines in the grid's
+//! deterministic cell order even though the cells complete out of order
+//! across worker threads.
 
 use std::fmt::Write;
 
@@ -184,18 +185,49 @@ pub fn csv_text<'a>(rows: impl IntoIterator<Item = &'a SweepRow>) -> String {
 /// Sinks must be `Send`: the executor calls them from whichever worker thread
 /// completes the in-order frontier (under a mutex, so calls never overlap).
 pub trait SweepSink: Send {
-    /// Called once per row, in cell order, with the row's canonical CSV line
-    /// (newline included), rendered by the worker that evaluated the row.
-    fn on_row(&mut self, line: &str);
+    /// Called once per released chunk, in cell order, with the chunk's
+    /// canonical CSV lines back to back (each ending in its only newline)
+    /// and their count, as rendered by the worker that evaluated them.
+    fn on_rows(&mut self, lines: &str, rows: usize);
     /// Called once after the sweep's last row (also when it had none).
     fn finish(&mut self) {}
 }
 
-/// Discards every row (the plain `run` path).
+/// Discards every row.
 pub struct NullSink;
 
 impl SweepSink for NullSink {
-    fn on_row(&mut self, _line: &str) {}
+    fn on_rows(&mut self, _lines: &str, _rows: usize) {}
+}
+
+/// Appends every line: the sink of a caller that keeps the CSV text.
+impl SweepSink for String {
+    fn on_rows(&mut self, lines: &str, _rows: usize) {
+        self.push_str(lines);
+    }
+}
+
+impl<S: SweepSink + ?Sized> SweepSink for &mut S {
+    fn on_rows(&mut self, lines: &str, rows: usize) {
+        (**self).on_rows(lines, rows);
+    }
+
+    fn finish(&mut self) {
+        (**self).finish();
+    }
+}
+
+/// Feeds both sinks every chunk, the first one first.
+impl<A: SweepSink, B: SweepSink> SweepSink for (A, B) {
+    fn on_rows(&mut self, lines: &str, rows: usize) {
+        self.0.on_rows(lines, rows);
+        self.1.on_rows(lines, rows);
+    }
+
+    fn finish(&mut self) {
+        self.0.finish();
+        self.1.finish();
+    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! The work ledger: the heap allocations of one served request, pinned.
+//! The work ledger: the heap allocations of one served request, and of one
+//! sweep job and its fetch, pinned.
 //!
 //! Timings drift with the host; the work a request does does not. This test
 //! binary installs a counting global allocator whose counts are kept per
@@ -10,14 +11,21 @@
 //! a change that removes work lowers the pin it beat.
 //!
 //! An allocation is one `alloc`, `alloc_zeroed` or `realloc` call; its
-//! bytes are the size it asks for.
+//! bytes are the size it asks for. A sweep job runs on threads of its own,
+//! so the allocator also counts process-wide, with `realloc` calls apart;
+//! the ledger's tests take turns, so no other test's work is counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
-use ayd_serve::{serve_chunks, AppState, ServerConfig};
+use ayd_core::{FailureModelSpec, SpeedupProfile};
+use ayd_platforms::{PlatformId, ScenarioId};
+use ayd_serve::app::{JobHandle, JobView, LocalJob};
+use ayd_serve::{api, serve_chunks, AppState, Request, ServerConfig};
+use ayd_sweep::{ProcessorAxis, ScenarioGrid};
 
 struct CountingAllocator;
 
@@ -26,6 +34,11 @@ thread_local! {
     static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Process-wide `alloc` and `alloc_zeroed` calls.
+static PROCESS_ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Process-wide `realloc` calls.
+static PROCESS_REALLOCS: AtomicU64 = AtomicU64::new(0);
+
 fn count(bytes: usize) {
     // `try_with`: the thread's slots may already be gone while it exits.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
@@ -33,21 +46,24 @@ fn count(bytes: usize) {
 }
 
 // SAFETY: every call forwards to `System` with the caller's arguments; the
-// counting touches only `const`-initialised thread-locals, which never
-// allocate.
+// counting touches only `const`-initialised thread-locals and atomics,
+// which never allocate.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        PROCESS_REALLOCS.fetch_add(1, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -58,6 +74,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// The ledger's tests take turns: the process-wide counts must see one
+/// test's work only.
+static TURNS: Mutex<()> = Mutex::new(());
+
+fn turn() -> MutexGuard<'static, ()> {
+    TURNS.lock().unwrap_or_else(|poison| poison.into_inner())
+}
 
 /// How far an allocation count may rise above its measured value before
 /// the ledger fails; a count more than twice this far under its pin fails
@@ -98,6 +122,36 @@ const WARM_BATCH_JSON: Pin = Pin {
 const WARM_BATCH_CSV: Pin = Pin {
     allocations: 109,
     bytes: 15_925,
+};
+
+/// How far the sweep job's process-wide `alloc` count may rise above its
+/// measured value: the test harness may start a test's thread while the job
+/// runs.
+const JOB_SLACK: u64 = 16;
+
+/// The ceilings of the ledger's sweep job, counted process-wide: its
+/// `alloc` calls, measured plus `JOB_SLACK`, and its `realloc` calls,
+/// measured plus `SLACK`. Each executor worker renders every chunk into one
+/// reused buffer and the job's CSV is reserved after its first range; a
+/// fresh buffer per chunk made 26,921 reallocs and 18,525 allocs.
+struct JobPin {
+    allocs: u64,
+    reallocs: u64,
+}
+
+/// [`ledger_grid`] as a `LocalJob` runs it: 4 ranges, 1 thread, cache on.
+const SWEEP_JOB: JobPin = JobPin {
+    allocs: 15_082,
+    reallocs: 47,
+};
+
+/// `GET /v1/sweep/{id}` of a finished job through `api::route`, the same
+/// for a one-row CSV and the ledger job's 27,648 rows (4.5 MB): the
+/// response shares the job's bytes, so nothing it allocates grows with the
+/// CSV (a copy allocated 4,540,541 bytes).
+const FINISHED_FETCH: Pin = Pin {
+    allocations: 4,
+    bytes: 552,
 };
 
 /// The `/v1/optimize` query of the ledger: Hera, scenario 1, joint `(P, T)`.
@@ -160,24 +214,144 @@ fn warm_process() {
 }
 
 fn check(what: &str, (allocations, bytes): (u64, u64), pin: Pin) {
-    for (unit, count, ceiling, slack) in [
-        ("allocations", allocations, pin.allocations, SLACK),
-        ("bytes", bytes, pin.bytes, BYTE_SLACK),
-    ] {
-        assert!(
-            count <= ceiling,
-            "{what}: {count} {unit}, over its pin of {ceiling}"
-        );
-        assert!(
-            count + 2 * slack >= ceiling,
-            "{what}: {count} {unit}, far under its pin of {ceiling}: lower the pin to {}",
-            count + slack
-        );
+    within(what, "allocations", allocations, pin.allocations, SLACK);
+    within(what, "bytes", bytes, pin.bytes, BYTE_SLACK);
+}
+
+/// Fails unless `count` is at most `ceiling` and at least `ceiling − 2 ×
+/// slack`.
+fn within(what: &str, unit: &str, count: u64, ceiling: u64, slack: u64) {
+    assert!(
+        count <= ceiling,
+        "{what}: {count} {unit}, over its pin of {ceiling}"
+    );
+    assert!(
+        count + 2 * slack >= ceiling,
+        "{what}: {count} {unit}, far under its pin of {ceiling}: lower the pin to {}",
+        count + slack
+    );
+}
+
+/// The benchmark's sweep axes: 4 platforms × 6 scenarios × 4 profile
+/// families × 2 failure models × 6 λ multipliers × 6 processor counts × 4
+/// pattern lengths = 27,648 cells, 6,912 blocks of 4.
+fn ledger_grid() -> ScenarioGrid {
+    ScenarioGrid::builder()
+        .platforms(&PlatformId::ALL)
+        .scenarios(&ScenarioId::ALL)
+        .profiles(&[
+            SpeedupProfile::amdahl(0.1).unwrap(),
+            SpeedupProfile::power_law(0.8).unwrap(),
+            SpeedupProfile::gustafson(0.05).unwrap(),
+            SpeedupProfile::perfectly_parallel(),
+        ])
+        .failure_models(&[
+            FailureModelSpec::exponential(),
+            FailureModelSpec::weibull(0.7).unwrap(),
+        ])
+        .lambda_multipliers(&[1.0, 2.0, 5.0, 10.0, 20.0, 50.0])
+        .processors(ProcessorAxis::Fixed(vec![
+            128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0,
+        ]))
+        .pattern_lengths(&[900.0, 1800.0, 3600.0, 7200.0])
+        .build()
+        .unwrap()
+}
+
+/// Runs `grid` as a 4-shard local job on `state` (one executor thread) and
+/// returns the job's id.
+fn run_job(state: &Arc<AppState>, grid: ScenarioGrid) -> u64 {
+    let options = state.options.with_threads(1);
+    let id = state
+        .jobs
+        .try_submit(1, |_| {
+            JobHandle::Local(LocalJob::spawn(options, grid, Some(4)))
+        })
+        .expect("no job is running");
+    while let Some(JobView::Running(..)) = state.jobs.poll(id) {
+        std::thread::sleep(Duration::from_millis(2));
     }
+    id
+}
+
+/// `GET /v1/sweep/{id}` of a finished job through `api::route`: checks the
+/// answer is the job's CSV, returns its allocations and bytes allocated on
+/// this thread.
+fn fetch(state: &Arc<AppState>, id: u64) -> (u64, u64) {
+    let request = Request {
+        method: "GET".to_string(),
+        target: format!("/v1/sweep/{id}"),
+        http1_0: false,
+        headers: vec![("accept".to_string(), "text/csv".to_string())],
+        body: Vec::new(),
+    };
+    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+    let (_, response) = api::route(state, &request);
+    let after = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+    let Some(JobView::Finished(done)) = state.jobs.poll(id) else {
+        panic!("job {id} is not finished");
+    };
+    assert_eq!(response.status, 200);
+    assert_eq!(&*response.body, done.csv.as_bytes());
+    (after.0 - before.0, after.1 - before.1)
+}
+
+#[test]
+fn a_sweep_job_and_its_fetch_allocate_within_their_pins() {
+    let _turn = turn();
+    warm_process();
+    // A one-cell job first, on a state of its own: it takes the process's
+    // one-time allocations of a job, and the measured job's registry holds
+    // no finished job, whose polls would allocate.
+    let warm = state();
+    let one_cell = ScenarioGrid::builder()
+        .scenarios(&[ScenarioId::S1])
+        .processors(ProcessorAxis::Fixed(vec![256.0]))
+        .build()
+        .unwrap();
+    let small = run_job(&warm, one_cell);
+    let state = state();
+    let grid = ledger_grid();
+    assert_eq!(grid.len(), 27_648);
+    let before = (
+        PROCESS_ALLOCS.load(Ordering::SeqCst),
+        PROCESS_REALLOCS.load(Ordering::SeqCst),
+    );
+    let id = run_job(&state, grid);
+    let after = (
+        PROCESS_ALLOCS.load(Ordering::SeqCst),
+        PROCESS_REALLOCS.load(Ordering::SeqCst),
+    );
+    let what = "27,648-cell 4-range job at 1 thread";
+    within(
+        what,
+        "reallocs",
+        after.1 - before.1,
+        SWEEP_JOB.reallocs,
+        SLACK,
+    );
+    within(
+        what,
+        "allocs",
+        after.0 - before.0,
+        SWEEP_JOB.allocs,
+        JOB_SLACK,
+    );
+    check(
+        "GET of a finished 27,648-row job",
+        fetch(&state, id),
+        FINISHED_FETCH,
+    );
+    check(
+        "GET of a finished 1-row job",
+        fetch(&warm, small),
+        FINISHED_FETCH,
+    );
 }
 
 #[test]
 fn a_served_query_allocates_within_its_pins() {
+    let _turn = turn();
     warm_process();
     let state = state();
     check(
@@ -199,6 +373,7 @@ fn a_served_query_allocates_within_its_pins() {
 
 #[test]
 fn a_served_batch_slice_allocates_within_its_pins() {
+    let _turn = turn();
     warm_process();
     let state = state();
     check(

@@ -203,9 +203,9 @@ impl FailureModelSpec {
     }
 
     /// A small integer discriminating the law family (0 = exponential,
-    /// 1 = Weibull, 2 = shifted, 3 = trace). Stable across releases: cache
-    /// keys quantize over it, which is what keeps `weibull:1.0` and `exp`
-    /// cache entries separate even though their analytic values coincide.
+    /// 1 = Weibull, 2 = shifted, 3 = trace). Stable across releases: grid
+    /// fingerprints hash it. No evaluation cache key holds it, because no
+    /// analytic evaluation reads the law.
     pub fn kind_tag(&self) -> u8 {
         match self.law {
             FailureLaw::Exponential => 0,

@@ -22,17 +22,23 @@
 //!
 //! The memoisation cache (see [`crate::cache`]) only short-circuits
 //! recomputation of deterministic values, so cache on/off also yields identical
-//! results. With the cache on, a worker evaluates each *block* — a run of
-//! consecutive cells whose setup, failure model and fixed `P` agree bit for
-//! bit, such as a grid's pattern-length axis — once, with one cache lookup
-//! that counts as one per cell; with it off, every cell is evaluated on its
-//! own, so the cache-off run stays the per-cell oracle. Both halves of the
-//! contract are asserted by the property suite.
+//! results. The cache is keyed by exactly what an evaluation reads (the
+//! model, the fixed `P` and the search ranges), not by the failure law, which
+//! no analytic series reads: a grid's `exp` and `weibull:0.7` twin cells share
+//! one period search. With the cache on, a worker evaluates each *block* — a
+//! run of consecutive cells whose evaluation inputs agree bit for bit, such as
+//! a grid's pattern-length axis — once, with one cache lookup that counts as
+//! one per cell; with it off, every cell is evaluated on its own, so the
+//! cache-off run stays the per-cell oracle. Both halves of the contract are
+//! asserted by the property suite.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use ayd_core::{ExactModel, FailureModelSpec, FirstOrder, ModelAt, ProfileSpec, SpeedupProfile};
+use ayd_core::{
+    CheckpointCost, ExactModel, FailureModel, FailureModelSpec, FirstOrder, ModelAt, ProfileSpec,
+    ResilienceCosts, SpeedupProfile, VerificationCost,
+};
 use ayd_optim::SearchReport;
 use ayd_platforms::{ExperimentSetup, PlatformId};
 use ayd_sim::rng::splitmix64;
@@ -351,8 +357,9 @@ impl SweepExecutor {
 
     /// [`Self::run_cells`] for a caller that only streams CSV, with a
     /// streaming sink, cooperative cancellation and an external progress
-    /// counter (advanced by a chunk's cell count, at most 8, once the chunk
-    /// is rendered). Every line reaches `sink` and nothing else: no
+    /// counter (advanced by a chunk's cell count once the chunk is rendered:
+    /// an eighth of a worker's share of the cells, clamped to 8–64, or 1
+    /// when simulating). Every line reaches `sink` and nothing else: no
     /// [`SweepRow`] and no text is kept. Cancelling stops workers from
     /// picking up new cells; cells already started finish, and the sink
     /// receives the lines of the completed in-order prefix. `ayd-serve`'s
@@ -419,15 +426,23 @@ fn run_cells(
         rows: Vec::with_capacity(if keep_rows { cells.len() } else { 0 }),
         sink,
     });
-    // Analytic-only sweeps pull small chunks from the work queue so that the
-    // work queue, the progress counter and the emitter lock are touched once
-    // per chunk, and a block's cells mostly share one chunk; simulating
+    // Analytic-only sweeps pull chunks from the work queue, so that a
+    // chunk's span, the search tally, the progress counter and the emitter
+    // lock are paid once per chunk, and a block's cells mostly share one
+    // chunk. A chunk is an eighth of a worker's share of the cells, clamped
+    // to 8–64: a large run pays those costs once per 64 cells, and a run of
+    // fewer than 64 cells per worker keeps 8-cell chunks, so cancellation,
+    // progress and early stops keep their granularity there. Simulating
     // sweeps keep per-cell scheduling (each cell is expensive, so load
     // balance matters more than amortisation). Chunking cannot affect the
     // output: rows keep their global indices through the reorder buffer,
     // and every evaluation depends only on its cell (a block cut by a chunk
     // boundary is looked up once per part).
-    let chunk = if options.run.simulate { 1 } else { 8 };
+    let chunk = if options.run.simulate {
+        1
+    } else {
+        (cells.len() / (workers * 8)).clamp(8, 64)
+    };
 
     if sweep_span.is_recording() {
         sweep_span.field_u64("cells", cells.len() as u64);
@@ -456,6 +471,9 @@ fn run_cells(
                         break;
                     }
                     let batch = &cells[start..(start + chunk).min(cells.len())];
+                    // Room for the whole chunk up front (a no-op once the
+                    // buffer has it), rather than growing line by line.
+                    text.reserve(batch.len() * LINE_BYTES);
                     let mut chunk_span = ayd_obs::child_of(sweep_ctx, "chunk");
                     // Each row is rendered here, by the writer of the worker
                     // that evaluated it, and the emitter lock is taken once
@@ -520,9 +538,15 @@ fn run_cells(
     (emitter.rows, run)
 }
 
+/// The length of a typical sweep CSV line, rounded up (the benchmark grid's
+/// lines average 164 bytes): a worker reserves this much per cell of a chunk.
+const LINE_BYTES: usize = 168;
+
 /// True when cell `b` shares cell `a`'s analytic evaluation and cache key:
-/// their setups, failure models and fixed `P` agree bit for bit (by
-/// `to_bits`, so `0.0` and `-0.0` stay apart).
+/// their setups and fixed `P` agree bit for bit (by `to_bits`, so `0.0` and
+/// `-0.0` stay apart), so every [`EvalInputs`] field does. The failure law is
+/// not compared: no evaluation reads it, and each cell's row and simulations
+/// take the cell's own.
 fn same_block(a: &SweepCell, b: &SweepCell) -> bool {
     let bits = |value: Option<f64>| value.map(f64::to_bits);
     // Destructured in full, so a new setup field cannot be left out.
@@ -537,17 +561,12 @@ fn same_block(a: &SweepCell, b: &SweepCell) -> bool {
         ProfileSpec::from(profile),
         ProfileSpec::from(b.setup.profile),
     );
-    let (failure, other_failure) = (&a.failure_model, &b.failure_model);
     platform == b.setup.platform
         && scenario == b.setup.scenario
         && profile.kind_tag() == other_profile.kind_tag()
         && bits(profile.param()) == bits(other_profile.param())
         && downtime.to_bits() == b.setup.downtime.to_bits()
         && bits(lambda_ind_override) == bits(b.setup.lambda_ind_override)
-        && failure.kind_tag() == other_failure.kind_tag()
-        && bits(failure.param()) == bits(other_failure.param())
-        && bits(failure.lambda()) == bits(other_failure.lambda())
-        && failure.trace_path() == other_failure.trace_path()
         && bits(a.fixed_processors) == bits(b.fixed_processors)
 }
 
@@ -616,59 +635,94 @@ impl Emitter<'_> {
     }
 }
 
-/// The memoisation key of one analytic evaluation: quantized model inputs —
-/// including the speedup-profile family tag and its parameter, so e.g.
-/// `powerlaw:0.8` and `gustafson:0.8` never collide — the failure-model
-/// family tag and parameters (so `weibull:1.0` and `exp` never collide
-/// either, even though their rows are bit-identical), the fixed processor
-/// count (NaN-marked when `P` is optimised) and the optimiser search ranges.
+/// Everything one analytic evaluation reads: the exact model, the fixed
+/// processor count (`None` when `P` is optimised) and the optimiser's search
+/// ranges. The evaluation takes this value and nothing else, and its cache
+/// key is computed from every field of it, so no input can reach the search
+/// without reaching the key. The failure law is not one of them: the
+/// analytic series (Proposition 1's exact overhead, Theorems 1–3) read
+/// `λ_ind` and `f`, never the arrival law.
+#[derive(Debug, Clone, Copy)]
+struct EvalInputs {
+    model: ExactModel,
+    fixed_processors: Option<f64>,
+    processor_range: (f64, f64),
+    period_range: (f64, f64),
+}
+
+impl EvalInputs {
+    fn new(model: &ExactModel, fixed_processors: Option<f64>, options: &SweepOptions) -> Self {
+        Self {
+            model: *model,
+            fixed_processors,
+            processor_range: options.processor_range,
+            period_range: options.period_range,
+        }
+    }
+
+    /// The memoisation key: every input, quantized. The profile enters as
+    /// its family tag and parameter, so `powerlaw:0.8` and `gustafson:0.8`
+    /// never collide; an optimised `P` is NaN-marked.
+    fn cache_key(&self) -> CacheKey {
+        // Destructured in full, so a new model field cannot be left out.
+        let EvalInputs {
+            model:
+                ExactModel {
+                    speedup,
+                    costs:
+                        ResilienceCosts {
+                            checkpoint: CheckpointCost { a, b, c },
+                            verification: VerificationCost { v, u },
+                            downtime,
+                        },
+                    failures:
+                        FailureModel {
+                            lambda_ind,
+                            fail_stop_fraction,
+                        },
+                },
+            fixed_processors,
+            processor_range,
+            period_range,
+        } = *self;
+        let absent = f64::NAN;
+        let profile = ProfileSpec::from(speedup);
+        CacheKey::from_inputs(&[
+            lambda_ind,
+            fail_stop_fraction,
+            profile.kind_tag() as f64,
+            profile.param().unwrap_or(absent),
+            a,
+            b,
+            c,
+            v,
+            u,
+            downtime,
+            fixed_processors.unwrap_or(absent),
+            processor_range.0,
+            processor_range.1,
+            period_range.0,
+            period_range.1,
+        ])
+    }
+}
+
+/// The memoisation key of one analytic evaluation: the quantized inputs it
+/// reads (see [`evaluate_analytic`]) — the model, including the
+/// speedup-profile family tag and its parameter, the fixed processor count
+/// (NaN-marked when `P` is optimised) and the optimiser search ranges.
+/// `failure_model` does not enter the key, because no evaluation reads it:
+/// `exp`, `weibull:0.7` and a trace at one `λ_ind` share one entry (a
+/// pinned rate is folded into the model's `λ_ind` before any evaluation).
 /// Shared by the sweep executor and the `ayd-serve` query service, so both
 /// populate the same cache entries.
 pub fn analytic_cache_key(
     model: &ExactModel,
     fixed_processors: Option<f64>,
-    failure_model: &FailureModelSpec,
+    _failure_model: &FailureModelSpec,
     options: &SweepOptions,
 ) -> CacheKey {
-    let absent = f64::NAN;
-    let profile = ProfileSpec::from(model.speedup);
-    CacheKey::from_inputs(&[
-        model.failures.lambda_ind,
-        model.failures.fail_stop_fraction,
-        profile.kind_tag() as f64,
-        profile.param().unwrap_or(absent),
-        failure_model.kind_tag() as f64,
-        failure_model.param().unwrap_or(absent),
-        failure_model.lambda().unwrap_or(absent),
-        trace_path_hash(failure_model),
-        model.costs.checkpoint.a,
-        model.costs.checkpoint.b,
-        model.costs.checkpoint.c,
-        model.costs.verification.v,
-        model.costs.verification.u,
-        model.costs.downtime,
-        fixed_processors.unwrap_or(absent),
-        options.processor_range.0,
-        options.processor_range.1,
-        options.period_range.0,
-        options.period_range.1,
-    ])
-}
-
-/// A 40-bit hash of a trace spec's path, widened to `f64` (NaN for the
-/// parametric families). Any integer below 2^41 has an all-zero low mantissa
-/// chunk, so the value survives the cache key's low-bit quantization exactly.
-fn trace_path_hash(failure_model: &FailureModelSpec) -> f64 {
-    match failure_model.trace_path() {
-        None => f64::NAN,
-        Some(path) => {
-            let mut h: u64 = 0x7AC3_5EED_0000_0001;
-            for byte in path.as_bytes() {
-                h = splitmix64(h ^ u64::from(*byte));
-            }
-            (h >> 24) as f64
-        }
-    }
+    EvalInputs::new(model, fixed_processors, options).cache_key()
 }
 
 /// The analytic (simulation-free) evaluation of one configuration, optionally
@@ -677,7 +731,8 @@ fn trace_path_hash(failure_model: &FailureModelSpec) -> f64 {
 /// This is the cache-or-compute step that [`evaluate_cells`] takes once per
 /// block, for a bare model: its values are bit-identical to a sweep over
 /// the same configuration (and to the offline [`Evaluator`], which it
-/// delegates to).
+/// delegates to). It reads the model, the fixed `P` and `options`' search
+/// ranges; like [`analytic_cache_key`], it does not read `failure_model`.
 pub fn evaluate_analytic(
     model: &ExactModel,
     fixed_processors: Option<f64>,
@@ -710,39 +765,28 @@ pub struct EvalObservation {
 pub fn evaluate_analytic_observed(
     model: &ExactModel,
     fixed_processors: Option<f64>,
-    failure_model: &FailureModelSpec,
+    _failure_model: &FailureModelSpec,
     options: &SweepOptions,
     cache: Option<&ShardedEvalCache<AnalyticEval>>,
 ) -> (AnalyticEval, EvalObservation) {
-    evaluate_query(
-        &analytic_evaluator(options),
-        model,
-        fixed_processors,
-        failure_model,
-        options,
-        cache,
-        1,
-    )
+    evaluate_query(&EvalInputs::new(model, fixed_processors, options), cache, 1)
 }
 
 /// The one evaluation step of every cell: evaluates `cells` in order
 /// against `options` and `cache` and hands each cell's [`SweepRow`] to
 /// `emit`. With the cache on, each *block* — a run of consecutive cells
-/// whose setup, failure model and fixed `P` agree bit for bit — is evaluated
-/// once, with one cache lookup that counts as one per cell; with it off,
-/// every cell is a block of its own. The executor's workers call it once
-/// per chunk, and `ayd-serve` once per `/v1/optimize` query and once per
-/// `/v1/batch` slice, so a served answer is the sweep's row. Returns the
-/// merged [`EvalObservation`] of the blocks.
+/// whose evaluation inputs agree bit for bit, whatever their failure laws —
+/// is evaluated once, with one cache lookup that counts as one per cell;
+/// with it off, every cell is a block of its own. The executor's workers
+/// call it once per chunk, and `ayd-serve` once per `/v1/optimize` query and
+/// once per `/v1/batch` slice, so a served answer is the sweep's row.
+/// Returns the merged [`EvalObservation`] of the blocks.
 pub fn evaluate_cells(
     cells: &[SweepCell],
     options: &SweepOptions,
     cache: Option<&ShardedEvalCache<AnalyticEval>>,
     mut emit: impl FnMut(SweepRow),
 ) -> EvalObservation {
-    // A plain value (the options and two ranges), so one per call costs
-    // nothing worth sharing.
-    let evaluator = analytic_evaluator(options);
     let mut total = EvalObservation::default();
     for block in cells.chunk_by(|a, b| cache.is_some() && same_block(a, b)) {
         let first = &block[0];
@@ -750,15 +794,8 @@ pub fn evaluate_cells(
             .setup
             .model()
             .expect("grids and parsed queries only carry valid setups");
-        let (analytic, observation) = evaluate_query(
-            &evaluator,
-            &model,
-            first.fixed_processors,
-            &first.failure_model,
-            options,
-            cache,
-            block.len() as u64,
-        );
+        let inputs = EvalInputs::new(&model, first.fixed_processors, options);
+        let (analytic, observation) = evaluate_query(&inputs, cache, block.len() as u64);
         total.computed |= observation.computed;
         total.search.merge(&observation.search);
         total.blocks += observation.blocks;
@@ -770,17 +807,13 @@ pub fn evaluate_cells(
     total
 }
 
-/// The one cache-or-compute step of the analytic kernel: answers the query
+/// The one cache-or-compute step of the analytic kernel: answers `inputs`
 /// from `cache`, with one lookup standing for `lookups` consecutive ones
-/// (see [`ShardedEvalCache::get_or_insert_repeated`]), or computes it with
-/// `evaluator`. [`evaluate_cells`] calls it once per block of cells,
+/// (see [`ShardedEvalCache::get_or_insert_repeated`]), or evaluates them.
+/// [`evaluate_cells`] calls it once per block of cells,
 /// [`evaluate_analytic_observed`] once per query.
 fn evaluate_query(
-    evaluator: &Evaluator,
-    model: &ExactModel,
-    fixed_processors: Option<f64>,
-    failure_model: &FailureModelSpec,
-    options: &SweepOptions,
+    inputs: &EvalInputs,
     cache: Option<&ShardedEvalCache<AnalyticEval>>,
     lookups: u64,
 ) -> (AnalyticEval, EvalObservation) {
@@ -790,40 +823,30 @@ fn evaluate_query(
     };
     let mut compute = || {
         observation.computed = true;
-        let (eval, search) = evaluate_with(evaluator, model, fixed_processors);
+        let (eval, search) = evaluate_with(inputs);
         observation.search = search;
         eval
     };
     let eval = match cache {
-        Some(cache) => cache.get_or_insert_repeated(
-            analytic_cache_key(model, fixed_processors, failure_model, options),
-            lookups,
-            compute,
-        ),
+        Some(cache) => cache.get_or_insert_repeated(inputs.cache_key(), lookups, compute),
         None => compute(),
     };
     (eval, observation)
 }
 
-/// The [`Evaluator`] behind the analytic kernel: the sweep's search ranges,
-/// simulation off.
-fn analytic_evaluator(options: &SweepOptions) -> Evaluator {
-    let analytic_options = RunOptions {
-        simulate: false,
-        ..options.run
-    };
-    Evaluator::new(analytic_options)
-        .with_processor_range(options.processor_range.0, options.processor_range.1)
-        .with_period_range(options.period_range.0, options.period_range.1)
-}
-
-/// One analytic evaluation. The numerical optimum always comes from the
-/// warm-started search, which is bit-identical to the reference search.
-fn evaluate_with(
-    evaluator: &Evaluator,
-    model: &ExactModel,
-    fixed_processors: Option<f64>,
-) -> (AnalyticEval, SearchReport) {
+/// One analytic evaluation of `inputs`, through an [`Evaluator`] with their
+/// search ranges and simulation off. The numerical optimum always comes from
+/// the warm-started search, which is bit-identical to the reference search.
+fn evaluate_with(inputs: &EvalInputs) -> (AnalyticEval, SearchReport) {
+    let EvalInputs {
+        ref model,
+        fixed_processors,
+        processor_range,
+        period_range,
+    } = *inputs;
+    let evaluator = Evaluator::new(RunOptions::analytical_only())
+        .with_processor_range(processor_range.0, processor_range.1)
+        .with_period_range(period_range.0, period_range.1);
     let mut report = SearchReport::default();
     // The paper's first-order closed forms apply to the Amdahl family only
     // (including its perfectly parallel `α = 0` limit). Extension profiles
@@ -1502,48 +1525,131 @@ mod tests {
     }
 
     #[test]
-    fn cache_keys_distinguish_failure_families_with_identical_rows() {
-        // weibull:1.0 rows are bit-identical to exp rows, but the families
-        // must still keep separate cache entries (the family tag is part of
-        // the key), exactly like powerlaw:0.8 vs gustafson:0.8 above.
+    fn law_twins_share_one_key_and_one_search() {
+        // No evaluation reads the failure law, so no key holds it: every law
+        // at one model (parametric, degenerate or traced) shares one entry.
+        let model = test_model();
+        let options = analytic_options();
+        let laws = [
+            FailureModelSpec::exponential(),
+            FailureModelSpec::weibull(0.7).unwrap(),
+            FailureModelSpec::weibull(1.0).unwrap(),
+            FailureModelSpec::shifted(0.0).unwrap(),
+            FailureModelSpec::trace("logs/a.trace").unwrap(),
+            FailureModelSpec::trace("logs/b.trace").unwrap(),
+        ];
+        for fixed_processors in [None, Some(512.0)] {
+            let key = analytic_cache_key(&model, fixed_processors, &laws[0], &options);
+            for law in &laws[1..] {
+                assert_eq!(
+                    analytic_cache_key(&model, fixed_processors, law, &options),
+                    key,
+                    "{law}"
+                );
+            }
+        }
+        // In a sweep, the twins are one block: one miss, one search, and a
+        // hit for each other law. Every row keeps its own law and carries
+        // the values of a cache-off run.
+        let grid = ScenarioGrid::builder()
+            .scenarios(&[ScenarioId::S1])
+            .failure_models(&laws)
+            .processors(ProcessorAxis::Fixed(vec![512.0]))
+            .build()
+            .unwrap();
+        let on = SweepExecutor::new(analytic_options().with_threads(1)).run(&grid);
+        assert_eq!((on.cache.misses, on.cache.hits), (1, 5), "{:?}", on.cache);
+        assert_eq!(on.search.total(), 1);
+        let off = SweepExecutor::new(analytic_options().with_cache_capacity(None)).run(&grid);
+        assert_eq!(off.search.total(), laws.len() as u64);
+        // Evaluated one by one, the twins' values agree anyway: the key
+        // leaves out nothing the evaluation reads.
+        let values = |row: &SweepRow| (row.first_order, row.closed_form, row.numerical);
+        assert!(off
+            .rows
+            .iter()
+            .all(|row| values(row) == values(&off.rows[0])));
+        assert_eq!(on.rows, off.rows);
+        let row_laws: Vec<_> = on
+            .rows
+            .iter()
+            .map(|row| row.failure_model.clone())
+            .collect();
+        assert_eq!(row_laws, laws);
+    }
+
+    #[test]
+    fn every_evaluation_input_changes_the_key() {
+        // Each input the evaluation reads moves the key on its own, so no
+        // two evaluations that could differ share an entry.
         let model = test_model();
         let options = analytic_options();
         let exp = FailureModelSpec::exponential();
-        let weibull_one = FailureModelSpec::weibull(1.0).unwrap();
-        let weibull = FailureModelSpec::weibull(0.7).unwrap();
-        let shifted = FailureModelSpec::shifted(0.0).unwrap();
-        let keys = [
-            analytic_cache_key(&model, None, &exp, &options),
-            analytic_cache_key(&model, None, &weibull_one, &options),
-            analytic_cache_key(&model, None, &weibull, &options),
-            analytic_cache_key(&model, None, &shifted, &options),
-        ];
-        for (i, a) in keys.iter().enumerate() {
-            for b in &keys[i + 1..] {
-                assert_ne!(a, b, "failure families must not share cache entries");
-            }
+        let key = |model: &ExactModel, fixed_processors, options: &SweepOptions| {
+            analytic_cache_key(model, fixed_processors, &exp, options)
+        };
+        let fixed = Some(512.0);
+        let base = key(&model, fixed, &options);
+        /// A value far above the key's quantum from `x`, even from zero.
+        fn moved(x: f64) -> f64 {
+            x * 2.0 + 1.0
         }
-        // Distinct traces hash to distinct keys; the same trace twice agrees.
-        let trace_a = FailureModelSpec::trace("logs/a.trace").unwrap();
-        let trace_b = FailureModelSpec::trace("logs/b.trace").unwrap();
-        assert_ne!(
-            analytic_cache_key(&model, None, &trace_a, &options),
-            analytic_cache_key(&model, None, &trace_b, &options)
-        );
-        assert_eq!(
-            analytic_cache_key(&model, None, &trace_a, &options),
-            analytic_cache_key(
-                &model,
-                None,
-                &FailureModelSpec::trace("logs/a.trace").unwrap(),
-                &options
-            )
-        );
-        // The values behind the distinct exp/weibull:1.0 entries are still
-        // bit-identical — the keystone of the degenerate-spec contract.
-        let a = evaluate_analytic(&model, None, &exp, &options, None);
-        let b = evaluate_analytic(&model, None, &weibull_one, &options, None);
-        assert_eq!(a, b);
+        let with = |change: fn(&mut ExactModel)| {
+            let mut changed = model;
+            change(&mut changed);
+            changed
+        };
+        let SpeedupProfile::Amdahl { alpha } = model.speedup else {
+            panic!("the paper's default profile is Amdahl");
+        };
+        let models = [
+            ("λ_ind", with(|m| m.failures.lambda_ind *= 2.0)),
+            ("f", with(|m| m.failures.fail_stop_fraction /= 2.0)),
+            (
+                "profile family",
+                ExactModel {
+                    speedup: SpeedupProfile::Gustafson { alpha },
+                    ..model
+                },
+            ),
+            (
+                "a",
+                with(|m| m.costs.checkpoint.a = moved(m.costs.checkpoint.a)),
+            ),
+            (
+                "b",
+                with(|m| m.costs.checkpoint.b = moved(m.costs.checkpoint.b)),
+            ),
+            (
+                "c",
+                with(|m| m.costs.checkpoint.c = moved(m.costs.checkpoint.c)),
+            ),
+            (
+                "v",
+                with(|m| m.costs.verification.v = moved(m.costs.verification.v)),
+            ),
+            (
+                "u",
+                with(|m| m.costs.verification.u = moved(m.costs.verification.u)),
+            ),
+            ("D", with(|m| m.costs.downtime = moved(m.costs.downtime))),
+        ];
+        for (input, changed) in models {
+            assert_ne!(key(&changed, fixed, &options), base, "{input}");
+        }
+        for fixed_processors in [None, Some(1_024.0)] {
+            assert_ne!(key(&model, fixed_processors, &options), base, "P");
+        }
+        let (p, t) = (options.processor_range, options.period_range);
+        let ranges = [
+            options.with_processor_range(moved(p.0), p.1),
+            options.with_processor_range(p.0, moved(p.1)),
+            options.with_period_range(moved(t.0), t.1),
+            options.with_period_range(t.0, moved(t.1)),
+        ];
+        for (bound, options) in ranges.iter().enumerate() {
+            assert_ne!(key(&model, fixed, options), base, "range bound {bound}");
+        }
     }
 
     #[test]
@@ -1589,9 +1695,9 @@ mod tests {
         use proptest::prelude::*;
 
         /// A fixed-`P` grid whose pattern-length axis forms the blocks (1–5
-        /// lengths: 3 and 5 do not divide the 8-cell chunk, so blocks
-        /// straddle chunks), with a repeated λ multiplier and `weibull:1.0`
-        /// beside `exp` (bit-identical rows under distinct cache keys).
+        /// lengths: blocks of 3 and 5 straddle most chunk sizes), with a
+        /// repeated λ multiplier and four failure laws (`exp`, `weibull:1.0`,
+        /// `weibull:0.7`, `shifted:600`) whose cells share one cache key.
         fn block_grid(draws: &[u64]) -> ScenarioGrid {
             let pick = |draw: u64, max: usize| 1 + draw as usize % max;
             let profiles = [
@@ -1605,6 +1711,8 @@ mod tests {
                 .failure_models(&[
                     FailureModelSpec::exponential(),
                     FailureModelSpec::weibull(1.0).unwrap(),
+                    FailureModelSpec::weibull(0.7).unwrap(),
+                    FailureModelSpec::shifted(600.0).unwrap(),
                 ])
                 .lambda_multipliers(&[1.0, 1.0, 10.0][..1 + pick(draws[2], 2)])
                 .processors(ProcessorAxis::Fixed(

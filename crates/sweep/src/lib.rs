@@ -13,12 +13,14 @@
 //!   that evaluates the exact model, the first-order model and (optionally)
 //!   either simulation engine per cell.
 //! * [`EvalCache`] / [`ShardedEvalCache`] — LRU-style memoisation of the
-//!   expensive optimiser evaluations, keyed on quantized model inputs; the
+//!   expensive optimiser evaluations, keyed on the quantized inputs an
+//!   evaluation reads (the model, the fixed `P`, the search ranges); the
 //!   sharded variant spreads concurrent lookups over independently locked
 //!   shards (the executor and the `ayd-serve` query service both use it).
 //! * [`sink`] — the canonical CSV renderer ([`write_csv_line`]; each
-//!   worker renders its rows once, through a writer that remembers the
-//!   numbers it wrote last) and the [`SweepSink`] trait that
+//!   worker renders its rows once, through a writer that reuses the
+//!   previous row's shared columns and remembers the numbers it wrote
+//!   last) and the [`SweepSink`] trait that
 //!   receives those lines in cell order through a reorder buffer.
 //! * [`shard`] / [`manifest`] — sharded, resumable execution: a
 //!   [`ShardSpec`] `i/N` partitions any grid into contiguous ranges of cell

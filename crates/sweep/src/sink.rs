@@ -10,7 +10,6 @@
 
 use std::fmt::Write;
 
-use crate::evaluate::SimSummary;
 use crate::executor::SweepRow;
 
 /// Column header of the canonical sweep CSV, pinned by the golden test suite.
@@ -34,52 +33,96 @@ fn push_display(out: &mut String, value: f64) {
     write!(out, "{value}").expect("writing to a String cannot fail");
 }
 
-/// Appends one row's canonical CSV line, newline included, to `out`, with
-/// every present number written by `number` and every absent one an empty
-/// cell.
-fn write_line_with(out: &mut String, row: &SweepRow, mut number: impl FnMut(&mut String, f64)) {
-    let mut value = |out: &mut String, value: Option<f64>| {
-        out.push(',');
-        if let Some(v) = value {
-            number(out, v);
-        }
-    };
+/// Appends one optional number's cell, its leading comma included: the
+/// number written by `number`, or nothing when it is absent.
+fn push_cell(out: &mut String, value: Option<f64>, number: &mut impl FnMut(&mut String, f64)) {
+    out.push(',');
+    if let Some(v) = value {
+        number(out, v);
+    }
+}
+
+/// The values of a row's head columns, `platform` … `processors`, as bit
+/// patterns (the text columns by their family tags): the head's text is a
+/// function of exactly these.
+fn head_bits(row: &SweepRow) -> [Option<u64>; 10] {
+    let bits = |value: Option<f64>| value.map(f64::to_bits);
+    let profile = ayd_core::ProfileSpec::from(row.profile);
+    [
+        Some(row.platform as u64),
+        Some(row.scenario as u64),
+        bits(row.alpha),
+        Some(u64::from(profile.kind_tag())),
+        bits(profile.param()),
+        Some(u64::from(row.failure_model.kind_tag())),
+        bits(row.failure_model.param()),
+        bits(Some(row.lambda_ind)),
+        bits(Some(row.lambda_multiplier)),
+        bits(row.fixed_processors),
+    ]
+}
+
+/// Appends a row's head columns, `platform` … `processors`, with no
+/// leading comma.
+fn write_head(out: &mut String, row: &SweepRow, number: &mut impl FnMut(&mut String, f64)) {
     let profile = ayd_core::ProfileSpec::from(row.profile);
     write!(out, "{},{}", row.platform.name(), row.scenario)
         .expect("writing to a String cannot fail");
-    value(out, row.alpha);
+    push_cell(out, row.alpha, number);
     out.push(',');
     out.push_str(profile.kind());
-    value(out, profile.param());
+    push_cell(out, profile.param(), number);
     out.push(',');
     out.push_str(row.failure_model.kind());
-    value(out, row.failure_model.param());
-    value(out, Some(row.lambda_ind));
-    value(out, Some(row.lambda_multiplier));
-    value(out, row.fixed_processors);
-    value(out, row.pattern_length);
-    value(out, row.first_order.map(|p| p.processors));
-    value(out, row.first_order.map(|p| p.period));
-    value(out, row.first_order.map(|p| p.predicted_overhead));
-    value(out, row.first_order.and_then(|p| p.formula_overhead));
-    let sim = |sim: Option<SimSummary>| [sim.map(|s| s.mean), sim.map(|s| s.ci95)];
-    for v in sim(row.first_order.and_then(|p| p.simulated)) {
-        value(out, v);
+    push_cell(out, row.failure_model.param(), number);
+    push_cell(out, Some(row.lambda_ind), number);
+    push_cell(out, Some(row.lambda_multiplier), number);
+    push_cell(out, row.fixed_processors, number);
+}
+
+/// The values of a row's optima columns, `fo_processors` … `num_sim_ci95`,
+/// in header order.
+fn optima_values(row: &SweepRow) -> [Option<f64>; 11] {
+    let fo = row.first_order;
+    let fo_sim = fo.and_then(|p| p.simulated);
+    let num = row.numerical;
+    [
+        fo.map(|p| p.processors),
+        fo.map(|p| p.period),
+        fo.map(|p| p.predicted_overhead),
+        fo.and_then(|p| p.formula_overhead),
+        fo_sim.map(|s| s.mean),
+        fo_sim.map(|s| s.ci95),
+        Some(num.processors),
+        Some(num.period),
+        Some(num.predicted_overhead),
+        num.simulated.map(|s| s.mean),
+        num.simulated.map(|s| s.ci95),
+    ]
+}
+
+/// Appends the cells of `values`, each with its leading comma.
+fn write_cells(
+    out: &mut String,
+    values: &[Option<f64>],
+    number: &mut impl FnMut(&mut String, f64),
+) {
+    for &value in values {
+        push_cell(out, value, number);
     }
-    value(out, Some(row.numerical.processors));
-    value(out, Some(row.numerical.period));
-    value(out, Some(row.numerical.predicted_overhead));
-    for v in sim(row.numerical.simulated) {
-        value(out, v);
-    }
-    value(out, row.prescribed.map(|p| p.predicted_overhead));
-    for v in sim(row.prescribed.and_then(|p| p.simulated)) {
-        value(out, v);
-    }
-    for v in sim(row.stream_simulated) {
-        value(out, v);
-    }
-    out.push('\n');
+}
+
+/// The per-row columns after the optima, `pattern_overhead` …
+/// `stream_sim_ci95`, in header order.
+fn tail_values(row: &SweepRow) -> [Option<f64>; 5] {
+    let pattern_sim = row.prescribed.and_then(|p| p.simulated);
+    [
+        row.prescribed.map(|p| p.predicted_overhead),
+        pattern_sim.map(|s| s.mean),
+        pattern_sim.map(|s| s.ci95),
+        row.stream_simulated.map(|s| s.mean),
+        row.stream_simulated.map(|s| s.ci95),
+    ]
 }
 
 /// Appends one row's canonical CSV line, newline included, to `out`. Absent
@@ -89,9 +132,14 @@ fn write_line_with(out: &mut String, row: &SweepRow, mut number: impl FnMut(&mut
 /// reproduces the profile bit-identically. Writes straight into `out`: no
 /// intermediate `String` per value or per row. The executor and
 /// [`csv_text`] write the same bytes through a `CsvWriter`, which renders
-/// each number once.
+/// each number, and each run of rows' shared columns, once.
 pub fn write_csv_line(out: &mut String, row: &SweepRow) {
-    write_line_with(out, row, push_display);
+    let number = &mut push_display;
+    write_head(out, row, number);
+    push_cell(out, row.pattern_length, number);
+    write_cells(out, &optima_values(row), number);
+    write_cells(out, &tail_values(row), number);
+    out.push('\n');
 }
 
 /// Slots in a [`CsvWriter`]'s table of recently written numbers.
@@ -112,17 +160,53 @@ struct Recent {
     text: [u8; RECENT_TEXT],
 }
 
+/// The text of a run of columns and the values it was rendered from.
+#[derive(Default)]
+struct Segment<const N: usize> {
+    /// The bit patterns of the values behind `text` (`None` before the
+    /// first row).
+    bits: Option<[Option<u64>; N]>,
+    text: String,
+}
+
+impl<const N: usize> Segment<N> {
+    /// Appends the segment's text for values whose bit patterns are `bits`:
+    /// the previous row's text when they agree, else what `render` appends,
+    /// which the segment then keeps in its reused buffer.
+    fn write(
+        &mut self,
+        out: &mut String,
+        bits: [Option<u64>; N],
+        render: impl FnOnce(&mut String),
+    ) {
+        if self.bits == Some(bits) {
+            out.push_str(&self.text);
+            return;
+        }
+        let start = out.len();
+        render(out);
+        self.text.clear();
+        self.text.push_str(&out[start..]);
+        self.bits = Some(bits);
+    }
+}
+
 /// Writes canonical CSV lines ([`write_csv_line`]'s bytes) for many rows,
-/// rendering each number once: it keeps the `Display` text of the numbers
-/// it wrote last in a direct-mapped table keyed by the `f64` bit pattern
-/// and copies the text on a hit.
+/// rendering each shared segment and each number once.
 ///
-/// Sweep rows repeat most of their numbers (axis values, and optima shared
-/// by neighbouring cells), and `f64` `Display` is the dearest step of a
-/// line. The key is the bit pattern, so `-0.0` and `0.0`, or two NaN
-/// payloads, never share an entry, and the text is always `Display`'s own.
+/// Consecutive rows of a sweep share most of their text: a block's rows
+/// differ only in their pattern length and its columns. The writer keeps
+/// the previous row's head (`platform` … `processors`) and optima (`fo_*`
+/// and `num_*`) text with the bit patterns it was rendered from, and copies
+/// it when the next row's values match. Every other number comes from a
+/// direct-mapped table of the `Display` text of recently written numbers,
+/// keyed by the `f64` bit pattern, or is rendered afresh. Both match by bit
+/// pattern, so `-0.0` and `0.0`, or two NaN payloads, never share text, and
+/// the text is always `Display`'s own.
 pub(crate) struct CsvWriter {
     recent: Box<[Recent; RECENT_SLOTS]>,
+    head: Segment<10>,
+    optima: Segment<11>,
 }
 
 impl CsvWriter {
@@ -135,36 +219,51 @@ impl CsvWriter {
         };
         Self {
             recent: Box::new([empty; RECENT_SLOTS]),
+            head: Segment::default(),
+            optima: Segment::default(),
         }
     }
 
     /// Appends one row's canonical CSV line, newline included, to `out`:
     /// the bytes [`write_csv_line`] appends.
     pub(crate) fn write_line(&mut self, out: &mut String, row: &SweepRow) {
-        write_line_with(out, row, |out, v| self.push_number(out, v));
+        let Self {
+            recent,
+            head,
+            optima,
+        } = self;
+        let number = &mut |out: &mut String, value: f64| push_number(recent, out, value);
+        head.write(out, head_bits(row), |out| write_head(out, row, number));
+        push_cell(out, row.pattern_length, number);
+        let values = optima_values(row);
+        optima.write(out, values.map(|v| v.map(f64::to_bits)), |out| {
+            write_cells(out, &values, number)
+        });
+        write_cells(out, &tail_values(row), number);
+        out.push('\n');
     }
+}
 
-    /// Appends `value`'s `Display`, from the table when it holds the value.
-    fn push_number(&mut self, out: &mut String, value: f64) {
-        let bits = value.to_bits();
-        // Fibonacci hashing: the top bits of the product mix every input bit.
-        let slot = &mut self.recent[(bits.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            >> (64 - RECENT_SLOTS.trailing_zeros())) as usize];
-        if slot.len > 0 && slot.bits == bits {
-            out.push_str(
-                std::str::from_utf8(&slot.text[..usize::from(slot.len)])
-                    .expect("a slot holds the text of a str"),
-            );
-            return;
-        }
-        let start = out.len();
-        push_display(out, value);
-        let text = &out.as_bytes()[start..];
-        if text.len() <= RECENT_TEXT {
-            slot.bits = bits;
-            slot.len = text.len() as u8;
-            slot.text[..text.len()].copy_from_slice(text);
-        }
+/// Appends `value`'s `Display`, from `recent` when it holds the value.
+fn push_number(recent: &mut [Recent; RECENT_SLOTS], out: &mut String, value: f64) {
+    let bits = value.to_bits();
+    // Fibonacci hashing: the top bits of the product mix every input bit.
+    let slot = &mut recent[(bits.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        >> (64 - RECENT_SLOTS.trailing_zeros())) as usize];
+    if slot.len > 0 && slot.bits == bits {
+        out.push_str(
+            std::str::from_utf8(&slot.text[..usize::from(slot.len)])
+                .expect("a slot holds the text of a str"),
+        );
+        return;
+    }
+    let start = out.len();
+    push_display(out, value);
+    let text = &out.as_bytes()[start..];
+    if text.len() <= RECENT_TEXT {
+        slot.bits = bits;
+        slot.len = text.len() as u8;
+        slot.text[..text.len()].copy_from_slice(text);
     }
 }
 
@@ -233,7 +332,7 @@ impl<A: SweepSink, B: SweepSink> SweepSink for (A, B) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::OperatingPoint;
+    use crate::evaluate::{OperatingPoint, SimSummary};
     use crate::executor::{SweepExecutor, SweepOptions};
     use crate::grid::{ProcessorAxis, ScenarioGrid};
     use crate::options::RunOptions;
@@ -377,8 +476,114 @@ mod tests {
         }
     }
 
+    /// One number of a row that a one-field change moves.
+    enum Slot<'a> {
+        Required(&'a mut f64),
+        Optional(&'a mut Option<f64>),
+        Simulated(&'a mut Option<SimSummary>),
+    }
+
+    /// The numbers of a row a change can move, from the head to the tail.
+    const SLOTS: u64 = 18;
+
+    /// The `field`-th number of `row`, whose first-order and prescribed
+    /// points are present.
+    fn slot(row: &mut SweepRow, field: u64) -> Slot<'_> {
+        fn point(point: &mut Option<OperatingPoint>) -> &mut OperatingPoint {
+            point.as_mut().expect("a present point")
+        }
+        match field % SLOTS {
+            0 => Slot::Optional(&mut row.alpha),
+            1 => match &mut row.profile {
+                SpeedupProfile::Amdahl { alpha } | SpeedupProfile::Gustafson { alpha } => {
+                    Slot::Required(alpha)
+                }
+                SpeedupProfile::PowerLaw { sigma } => Slot::Required(sigma),
+                SpeedupProfile::PerfectlyParallel => Slot::Required(&mut row.lambda_ind),
+            },
+            2 => Slot::Required(&mut row.lambda_ind),
+            3 => Slot::Required(&mut row.lambda_multiplier),
+            4 => Slot::Optional(&mut row.fixed_processors),
+            5 => Slot::Optional(&mut row.pattern_length),
+            6 => Slot::Required(&mut point(&mut row.first_order).processors),
+            7 => Slot::Required(&mut point(&mut row.first_order).period),
+            8 => Slot::Required(&mut point(&mut row.first_order).predicted_overhead),
+            9 => Slot::Optional(&mut point(&mut row.first_order).formula_overhead),
+            10 => Slot::Simulated(&mut point(&mut row.first_order).simulated),
+            11 => Slot::Required(&mut row.numerical.processors),
+            12 => Slot::Required(&mut row.numerical.period),
+            13 => Slot::Required(&mut row.numerical.predicted_overhead),
+            14 => Slot::Simulated(&mut row.numerical.simulated),
+            15 => Slot::Required(&mut point(&mut row.prescribed).predicted_overhead),
+            16 => Slot::Simulated(&mut point(&mut row.prescribed).simulated),
+            _ => Slot::Simulated(&mut row.stream_simulated),
+        }
+    }
+
+    /// Puts `value` in `slot`: an absent value leaves a required number as
+    /// it was, and a present one is a simulation's mean.
+    fn set(slot: Slot<'_>, value: Option<f64>) {
+        match slot {
+            Slot::Required(number) => *number = value.unwrap_or(*number),
+            Slot::Optional(number) => *number = value,
+            Slot::Simulated(sim) => {
+                let ci95 = sim.map_or(4.0, |s| s.ci95);
+                *sim = value.map(|mean| SimSummary { mean, ci95 });
+            }
+        }
+    }
+
+    /// The two values of a one-field change, the first row's and the
+    /// second's: `x` and its neighbour one ulp away, `0.0` and `-0.0`, two
+    /// NaN payloads, or `x` and an absent number.
+    fn change(how: u64, x: f64) -> (Option<f64>, Option<f64>) {
+        let nan = |payload: u64| f64::from_bits(0x7FF8_0000_0000_0000 | payload);
+        match how % 4 {
+            0 => (Some(x), Some(f64::from_bits(x.to_bits() ^ 1))),
+            1 => (Some(0.0), Some(-0.0)),
+            2 => (Some(nan(1)), Some(nan(2))),
+            _ => (Some(x), None),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Runs of rows that share their head and optima and differ in one
+        /// number (one ulp, `0.0` against `-0.0`, two NaN payloads, a
+        /// present against an absent number, a simulated column) are
+        /// written exactly as `write_csv_line` writes each row: the writer
+        /// copies a segment's text only for bit-identical values.
+        #[test]
+        fn a_writer_reuses_text_only_for_identical_bits(
+            draws in prop::collection::vec(0u64..=u64::MAX, 1..40),
+            picks in prop::collection::vec(0u64..=u64::MAX, 40..41),
+            changes in prop::collection::vec(
+                (0..SLOTS, 0u64..4, 0u64..=u64::MAX, 1usize..4),
+                1..60,
+            ),
+        ) {
+            let pool: Vec<f64> = draws.iter().map(|&draw| number(draw)).collect();
+            let mut template = row(&pool, &picks);
+            template.first_order.get_or_insert(template.numerical);
+            template.prescribed.get_or_insert(template.numerical);
+            let mut writer = CsvWriter::new();
+            for (field, how, draw, run) in changes {
+                let (first, second) = change(how, number(draw));
+                let mut pair = [template.clone(), template.clone()];
+                set(slot(&mut pair[0], field), first);
+                set(slot(&mut pair[1], field), second);
+                for row in &pair {
+                    for _ in 0..run {
+                        let mut line = String::new();
+                        writer.write_line(&mut line, row);
+                        let mut display = String::new();
+                        write_csv_line(&mut display, row);
+                        prop_assert_eq!(line, display);
+                    }
+                }
+            }
+        }
 
         /// One writer over a long run of rows writes exactly the bytes of a
         /// fresh writer per row, which are exactly `write_csv_line`'s. The

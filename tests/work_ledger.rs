@@ -1,5 +1,6 @@
 //! The work ledger: the heap allocations of one served request, and of one
-//! sweep job and its fetch, pinned.
+//! sweep job and its fetch, pinned, with the job's cache lookups and the
+//! digest of its CSV.
 //!
 //! Timings drift with the host; the work a request does does not. This test
 //! binary installs a counting global allocator whose counts are kept per
@@ -132,8 +133,10 @@ const JOB_SLACK: u64 = 16;
 /// The ceilings of the ledger's sweep job, counted process-wide: its
 /// `alloc` calls, measured plus `JOB_SLACK`, and its `realloc` calls,
 /// measured plus `SLACK`. Each executor worker renders every chunk into one
-/// reused buffer and the job's CSV is reserved after its first range; a
-/// fresh buffer per chunk made 26,921 reallocs and 18,525 allocs.
+/// reused buffer, reserved for a whole chunk up front, and the job's CSV is
+/// reserved after its first range; a fresh buffer per chunk made 26,921
+/// reallocs and 18,525 allocs. 6,912 of the allocs left are cache keys,
+/// one per block's lookup.
 struct JobPin {
     allocs: u64,
     reallocs: u64,
@@ -141,9 +144,26 @@ struct JobPin {
 
 /// [`ledger_grid`] as a `LocalJob` runs it: 4 ranges, 1 thread, cache on.
 const SWEEP_JOB: JobPin = JobPin {
-    allocs: 15_082,
-    reallocs: 47,
+    allocs: 11_060,
+    reallocs: 24,
 };
+
+/// The bytes of the ledger job's CSV: its length and its FNV-1a-64 digest.
+/// No change to the evaluation or the renderer may move one.
+const SWEEP_JOB_CSV: (usize, u64) = (4_540_501, 0xd0b8_4ddc_603e_8bf7);
+
+/// The ledger job's cache lookups at 1 thread, where they repeat exactly
+/// (at two, a concurrent miss may compute twice): one search per distinct
+/// set of evaluation inputs, and one lookup per cell.
+const SWEEP_JOB_CACHE: (u64, u64) = (3_456, 24_192);
+
+/// FNV-1a, 64-bit: offset basis `0xcbf29ce484222325`, prime
+/// `0x100000001b3`, over the bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
 
 /// `GET /v1/sweep/{id}` of a finished job through `api::route`, the same
 /// for a one-row CSV and the ledger job's 27,648 rows (4.5 MB): the
@@ -234,7 +254,8 @@ fn within(what: &str, unit: &str, count: u64, ceiling: u64, slack: u64) {
 
 /// The benchmark's sweep axes: 4 platforms × 6 scenarios × 4 profile
 /// families × 2 failure models × 6 λ multipliers × 6 processor counts × 4
-/// pattern lengths = 27,648 cells, 6,912 blocks of 4.
+/// pattern lengths = 27,648 cells, 6,912 blocks of 4, and 3,456 distinct
+/// evaluations: a cell's `exp` and `weibull:0.7` twins share one.
 fn ledger_grid() -> ScenarioGrid {
     ScenarioGrid::builder()
         .platforms(&PlatformId::ALL)
@@ -323,6 +344,19 @@ fn a_sweep_job_and_its_fetch_allocate_within_their_pins() {
         PROCESS_REALLOCS.load(Ordering::SeqCst),
     );
     let what = "27,648-cell 4-range job at 1 thread";
+    let Some(JobView::Finished(done)) = state.jobs.poll(id) else {
+        panic!("job {id} is not finished");
+    };
+    assert_eq!(
+        (done.csv.len(), fnv1a64(done.csv.as_bytes())),
+        SWEEP_JOB_CSV,
+        "{what}: CSV length and digest"
+    );
+    assert_eq!(
+        (done.cache.misses, done.cache.hits),
+        SWEEP_JOB_CACHE,
+        "{what}: cache misses and hits"
+    );
     within(
         what,
         "reallocs",

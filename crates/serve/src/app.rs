@@ -318,7 +318,7 @@ impl LocalJob {
 /// Handle on a sweep job the coordinator farms out to worker nodes: all
 /// state lives in the [`Coordinator`], the handle just adapts it to the
 /// registry's lifecycle. Joining takes the finished job out of the
-/// coordinator, its CSV concatenated from the shards' checkpointed text.
+/// coordinator, its CSV the text the coordinator merged as chunks arrived.
 pub struct DistributedJobHandle {
     /// The coordinator owning the job's shard queue and checkpoints.
     pub coordinator: Arc<Coordinator>,

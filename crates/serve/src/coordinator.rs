@@ -33,10 +33,15 @@
 //! Shards own contiguous, ascending ranges of global cells
 //! ([`ShardSpec::range`]), so the merged prefix grows shard by shard as
 //! chunks arrive. Each shard's checkpoint is the uploaded chunks' text,
-//! validated on entry and appended as it came; the finished CSV is the
-//! header followed by the shards' text up to the merge frontier, which is
-//! byte-identical to the single-process sweep for a completed job by the
-//! determinism contract, and its in-order prefix for a cancelled one.
+//! validated on entry and appended as it came. A job keeps one text, the
+//! header and then the merged rows: a chunk of the *frontier* shard (the
+//! first one not yet complete) is appended to it at once, and a later
+//! shard's chunks wait in that shard's buffer until the frontier reaches
+//! it. That text is the header followed by the shards' text up to the
+//! frontier at every moment, so a finished job hands it over as its CSV
+//! without copying a byte: byte-identical to the single-process sweep for a
+//! completed job by the determinism contract, and its in-order prefix for a
+//! cancelled one.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -105,10 +110,12 @@ struct DistShard {
     state: ShardState,
     /// Bumped on every re-issue; uploads carrying an older epoch are stale.
     epoch: u64,
-    /// Checkpointed rows: the accepted chunks' newline-terminated CSV lines,
-    /// back to back in shard-local order.
-    text: String,
-    /// Number of rows in `text`.
+    /// Checkpointed rows that wait for the merge frontier: the accepted
+    /// chunks' newline-terminated CSV lines, back to back in shard-local
+    /// order, while the shard lies past the frontier. Empty from the moment
+    /// the frontier reaches the shard: its rows are in the job's text then.
+    buffer: String,
+    /// Number of rows checkpointed, wherever they sit.
     rows: usize,
     /// Last worker the shard was dispatched to (kept through `Done` for the
     /// per-worker progress view).
@@ -127,6 +134,9 @@ struct DistJob {
     count: usize,
     shards: Vec<DistShard>,
     cancelled: bool,
+    /// The header, then the merged rows: every row of the shards before the
+    /// frontier and the checkpoint of the frontier shard.
+    text: String,
 }
 
 impl DistJob {
@@ -144,19 +154,57 @@ impl DistJob {
             .all(|s| matches!(s.state, ShardState::Done))
     }
 
-    /// The streaming merge frontier: shards own contiguous, ascending cell
-    /// ranges ([`ShardSpec::range`]), so the rows already in global order
-    /// are every row of the leading complete shards plus the checkpoint of
-    /// the first incomplete one.
+    /// The streaming merge frontier: the first shard not yet complete, or
+    /// `count` when every shard is.
+    fn frontier(&self) -> usize {
+        self.shards
+            .iter()
+            .position(|shard| shard.rows < shard.total)
+            .unwrap_or(self.shards.len())
+    }
+
+    /// Shards own contiguous, ascending cell ranges ([`ShardSpec::range`]),
+    /// so the rows already in global order are every row of the leading
+    /// complete shards plus the checkpoint of the frontier shard.
     fn merged_rows(&self) -> usize {
-        let mut merged = 0;
-        for shard in &self.shards {
-            merged += shard.rows;
-            if shard.rows < shard.total {
+        let frontier = self.frontier();
+        let complete: usize = self.shards[..frontier].iter().map(|s| s.total).sum();
+        complete + self.shards.get(frontier).map_or(0, |s| s.rows)
+    }
+
+    /// Files `count` accepted rows of shard `index`: appended to the text
+    /// when the shard is the frontier, to its buffer when it lies past it.
+    /// A frontier shard that completes moves the frontier on, and each
+    /// shard the frontier reaches moves its buffered rows into the text.
+    /// The job's first rows reserve the text once, for all of its rows at
+    /// their bytes per row plus an eighth (rows differ in length), so it
+    /// does not grow by doubling. The rows come from a worker, so a
+    /// reservation the allocator refuses is skipped, not fatal.
+    fn file_rows(&mut self, index: usize, rows: &str, count: usize) {
+        if count == 0 {
+            return;
+        }
+        if self.completed() == 0 {
+            let bytes = self.total().saturating_mul(rows.len().div_ceil(count));
+            let _ = self.text.try_reserve_exact(bytes.saturating_add(bytes / 8));
+        }
+        let frontier = self.frontier();
+        let shard = &mut self.shards[index];
+        if index == frontier {
+            self.text.push_str(rows);
+        } else {
+            shard.buffer.push_str(rows);
+        }
+        shard.rows += count;
+        if index != frontier || shard.rows < shard.total {
+            return;
+        }
+        for next in &mut self.shards[index + 1..] {
+            self.text.push_str(&std::mem::take(&mut next.buffer));
+            if next.rows < next.total {
                 break;
             }
         }
-        merged
     }
 }
 
@@ -510,7 +558,7 @@ impl Coordinator {
                         ShardState::Pending
                     },
                     epoch: 0,
-                    text: String::new(),
+                    buffer: String::new(),
                     rows: 0,
                     worker: None,
                     reissues: 0,
@@ -527,6 +575,7 @@ impl Coordinator {
                 count,
                 shards,
                 cancelled: false,
+                text: format!("{CSV_HEADER}\n"),
             },
         );
         self.wake();
@@ -775,7 +824,7 @@ impl Coordinator {
                 job.count
             )));
         }
-        let manifest = &chunk.manifest;
+        let manifest = chunk.manifest();
         if manifest.grid_fingerprint != job.grid_fingerprint
             || manifest.options_fingerprint != job.options_fingerprint
             || manifest.grid_cells != job.grid_cells
@@ -790,7 +839,7 @@ impl Coordinator {
                 manifest.shard, job.count
             )));
         }
-        let shard = &mut job.shards[shard_index];
+        let shard = &job.shards[shard_index];
         match shard.state {
             ShardState::Dispatched { worker: assigned } if assigned == worker => {}
             ShardState::Done => {
@@ -810,10 +859,11 @@ impl Coordinator {
                 shard.epoch
             )));
         }
-        if chunk.from_row != shard.rows {
+        if chunk.from_row() != shard.rows {
             return Err(ChunkError::Invalid(format!(
                 "chunk starts at row {} but the checkpoint holds {} rows",
-                chunk.from_row, shard.rows
+                chunk.from_row(),
+                shard.rows
             )));
         }
         let accepted_rows = chunk.row_count();
@@ -823,8 +873,8 @@ impl Coordinator {
                 shard.rows, shard.total
             )));
         }
-        shard.text.push_str(&chunk.rows);
-        shard.rows += accepted_rows;
+        job.file_rows(shard_index, chunk.rows(), accepted_rows);
+        let shard = &mut job.shards[shard_index];
         let shard_done = shard.rows == shard.total;
         if shard_done {
             shard.state = ShardState::Done;
@@ -959,29 +1009,20 @@ impl Coordinator {
         stats
     }
 
-    /// Takes a finished job out of the coordinator. Its CSV is the header
-    /// followed by the shards' checkpointed text up to the merge frontier:
-    /// for a done job every shard, byte-identical to the single-process
-    /// sweep; for a cancelled one the in-order prefix of that sweep.
+    /// Takes a finished job out of the coordinator. Its CSV is the job's
+    /// text, handed over as it stands: the header followed by the shards'
+    /// checkpointed text up to the merge frontier. For a done job that is
+    /// every shard, byte-identical to the single-process sweep; for a
+    /// cancelled one the in-order prefix of that sweep (rows buffered past
+    /// the frontier are dropped).
     pub fn take_finished(&self, job: u64) -> Option<DistOutcome> {
         let entry = self.lock().jobs.remove(&job)?;
         let rows = entry.merged_rows();
-        let mut csv = String::with_capacity(
-            CSV_HEADER.len() + 1 + entry.shards.iter().map(|s| s.text.len()).sum::<usize>(),
-        );
-        csv.push_str(CSV_HEADER);
-        csv.push('\n');
-        for shard in &entry.shards {
-            csv.push_str(&shard.text);
-            if shard.rows < shard.total {
-                break;
-            }
-        }
         Some(DistOutcome {
             cancelled: rows < entry.total(),
-            csv,
             rows,
             totals: entry.shards.iter().map(|s| s.total).collect(),
+            csv: entry.text,
         })
     }
 }
@@ -1144,9 +1185,19 @@ mod tests {
     /// Builds a valid chunk for shard `index/count` of the test grid covering
     /// rows `from..from+rows`.
     fn chunk(index: usize, count: usize, from: usize, rows: usize) -> ShardChunk {
-        let g = grid();
+        chunk_of(&grid(), index, count, from, rows)
+    }
+
+    /// [`chunk`] for shard `index/count` of `g`.
+    fn chunk_of(
+        g: &ScenarioGrid,
+        index: usize,
+        count: usize,
+        from: usize,
+        rows: usize,
+    ) -> ShardChunk {
         let spec = ShardSpec::new(index, count).unwrap();
-        let mut manifest = SweepManifest::new(&g, &options(), spec);
+        let mut manifest = SweepManifest::new(g, &options(), spec);
         manifest.completed = from + rows;
         let mut text = String::new();
         for row in from..from + rows {
@@ -1766,6 +1817,225 @@ mod tests {
         assert!(!outcome.cancelled);
         assert_eq!(outcome.rows, g.len());
         assert_eq!(outcome.totals, [1, 1, 1, 1, 0, 0]);
+    }
+
+    /// A 16-cell grid: 4 cells per shard of a 4-shard job.
+    fn wide_grid() -> ScenarioGrid {
+        ScenarioGrid::builder()
+            .scenarios(&[ScenarioId::S1, ScenarioId::S3])
+            .processors(ProcessorAxis::Fixed(vec![256.0, 1024.0]))
+            .pattern_lengths(&[900.0, 1800.0, 3600.0, 7200.0])
+            .build()
+            .unwrap()
+    }
+
+    /// A 4-shard job over [`wide_grid`] with one worker per shard, which
+    /// checks after every upload that the job's text is the header plus
+    /// the shards' uploaded rows in shard order, up to the frontier.
+    struct MergeRig {
+        coordinator: Arc<Coordinator>,
+        t0: Instant,
+        grid: ScenarioGrid,
+        tokens: HashMap<u64, u64>,
+        /// The live dispatch of each shard.
+        dispatches: Vec<Dispatch>,
+        /// Rows uploaded per shard.
+        uploaded: Vec<usize>,
+        totals: Vec<usize>,
+    }
+
+    impl MergeRig {
+        const JOB: u64 = 9;
+        const COUNT: usize = 4;
+
+        fn new() -> Self {
+            let coordinator = Coordinator::new(LEASE);
+            let t0 = Instant::now();
+            let tokens = (0..Self::COUNT)
+                .map(|i| coordinator.register_worker(&format!("127.0.0.1:{}", i + 1), t0))
+                .collect();
+            let grid = wide_grid();
+            coordinator.submit(
+                Self::JOB,
+                "{}".to_string(),
+                grid.fingerprint(),
+                options().output_fingerprint(),
+                Self::COUNT,
+                grid.len(),
+            );
+            let mut dispatches = coordinator.dispatch_plan(t0);
+            dispatches.sort_by_key(|d| d.shard);
+            assert_eq!(dispatches.len(), Self::COUNT);
+            let totals: Vec<usize> = coordinator
+                .shards_view(Self::JOB)
+                .unwrap()
+                .shards
+                .iter()
+                .map(|s| s.total)
+                .collect();
+            assert_eq!(totals, [4, 4, 4, 4]);
+            Self {
+                coordinator,
+                t0,
+                grid,
+                tokens,
+                dispatches,
+                uploaded: vec![0; Self::COUNT],
+                totals,
+            }
+        }
+
+        /// Uploads the next `rows` rows of `shard` under its live dispatch.
+        fn upload(&mut self, shard: usize, rows: usize) {
+            let d = &self.dispatches[shard];
+            let from = self.uploaded[shard];
+            self.coordinator
+                .accept_chunk(
+                    Self::JOB,
+                    shard,
+                    d.worker,
+                    self.tokens[&d.worker],
+                    d.epoch,
+                    &chunk_of(&self.grid, shard, Self::COUNT, from, rows),
+                    self.t0,
+                )
+                .unwrap();
+            self.uploaded[shard] += rows;
+            self.check();
+        }
+
+        /// The header plus every uploaded row in shard order, up to the
+        /// first shard not yet complete.
+        fn expected(&self) -> String {
+            let mut text = format!("{CSV_HEADER}\n");
+            for (shard, &uploaded) in self.uploaded.iter().enumerate() {
+                for row in 0..uploaded {
+                    text.push_str(&fake_row(shard, row));
+                    text.push('\n');
+                }
+                if uploaded < self.totals[shard] {
+                    break;
+                }
+            }
+            text
+        }
+
+        fn check(&self) {
+            let expected = self.expected();
+            let state = self.coordinator.lock();
+            assert_eq!(state.jobs[&Self::JOB].text, expected, "{:?}", self.uploaded);
+            drop(state);
+            let merged = self.coordinator.shards_view(Self::JOB).unwrap().merged_rows;
+            assert_eq!(merged, expected.lines().count() - 1);
+        }
+
+        /// The worker holding `shard` abandons it; its heartbeats re-queue
+        /// the shard from its checkpoint, and it is dispatched again.
+        fn reissue(&mut self, shard: usize) {
+            let d = self.dispatches[shard].clone();
+            let token = self.tokens[&d.worker];
+            self.coordinator.dispatch_acked(&d);
+            for _ in 0..2 {
+                self.coordinator
+                    .heartbeat(d.worker, token, None, self.t0)
+                    .unwrap();
+            }
+            let again = self.coordinator.dispatch_plan(self.t0).remove(0);
+            assert_eq!((again.shard, again.epoch), (shard, d.epoch + 1));
+            assert_eq!(
+                again.start_row, self.uploaded[shard],
+                "resumes from the checkpoint"
+            );
+            self.dispatches[shard] = again;
+            self.check();
+        }
+
+        fn finish(self) -> DistOutcome {
+            let expected = self.expected();
+            let outcome = self.coordinator.take_finished(Self::JOB).unwrap();
+            assert_eq!(outcome.csv, expected);
+            assert_eq!(outcome.rows, expected.lines().count() - 1);
+            outcome
+        }
+    }
+
+    #[test]
+    fn shards_completing_out_of_order_merge_in_shard_order() {
+        let mut rig = MergeRig::new();
+        rig.upload(1, 2);
+        rig.upload(1, 2); // shard 1 complete, waiting for shard 0
+        rig.upload(3, 3);
+        rig.upload(0, 1);
+        rig.upload(3, 1); // shard 3 complete, waiting for shard 2
+        rig.upload(2, 2);
+        rig.upload(0, 3); // the frontier moves through shard 1 to shard 2
+        rig.upload(2, 2); // and on through shard 3
+        let outcome = rig.finish();
+        assert!(!outcome.cancelled);
+        assert_eq!(outcome.rows, 16);
+    }
+
+    #[test]
+    fn a_reissued_shard_past_the_frontier_resumes_in_its_buffer() {
+        let mut rig = MergeRig::new();
+        rig.upload(2, 1);
+        rig.upload(0, 2);
+        rig.reissue(2);
+        rig.upload(2, 2);
+        rig.upload(1, 4);
+        rig.upload(0, 2); // the frontier reaches shard 2 mid-way
+        rig.reissue(2); // and re-issues it at the frontier
+        rig.upload(2, 1);
+        rig.upload(3, 4);
+        assert!(!rig.finish().cancelled);
+    }
+
+    #[test]
+    fn a_cancel_drops_the_rows_buffered_past_the_frontier() {
+        let mut rig = MergeRig::new();
+        rig.upload(0, 4);
+        rig.upload(2, 4);
+        rig.upload(3, 2);
+        rig.upload(1, 3);
+        rig.coordinator.cancel_job(MergeRig::JOB);
+        let outcome = rig.finish();
+        assert!(outcome.cancelled);
+        assert_eq!(outcome.rows, 7);
+    }
+
+    #[test]
+    fn a_row_too_long_to_reserve_for_is_merged_not_fatal() {
+        // One row of ~1 MiB (the request body limit) in a job of 200,000
+        // cells asks to reserve ~225 GB for the job's text: more than the
+        // allocator grants, which must not abort the coordinator.
+        let coordinator = Coordinator::new(LEASE);
+        let t0 = Instant::now();
+        let (worker, token) = coordinator.register_worker("127.0.0.1:1", t0);
+        let g = grid();
+        let cells = 200_000;
+        coordinator.submit(
+            4,
+            "{}".to_string(),
+            g.fingerprint(),
+            options().output_fingerprint(),
+            1,
+            cells,
+        );
+        let d = coordinator.dispatch_plan(t0).remove(0);
+        let mut manifest = SweepManifest::new(&g, &options(), ShardSpec::WHOLE);
+        manifest.grid_cells = cells;
+        manifest.shard_cells = cells;
+        manifest.completed = 1;
+        let mut row = "x".repeat(1 << 20);
+        row.push_str(&",".repeat(CSV_HEADER.matches(',').count()));
+        row.push('\n');
+        let chunk = ShardChunk::new(manifest, 0, row.clone()).unwrap();
+        coordinator
+            .accept_chunk(4, 0, worker, token, d.epoch, &chunk, t0)
+            .unwrap();
+        coordinator.cancel_job(4);
+        let outcome = coordinator.take_finished(4).unwrap();
+        assert_eq!(outcome.csv, format!("{CSV_HEADER}\n{row}"));
     }
 
     /// A fake worker on `listener` that answers `posts` dispatches with

@@ -56,8 +56,8 @@
 //! [`ayd_sweep::ShardSpec`] units, dispatches them to registered workers over
 //! [`client::HttpClient`], checkpoints uploaded row chunks, re-issues a
 //! shard from its checkpoint when its worker's lease expires or its
-//! heartbeat shows the shard abandoned, and concatenates the shards'
-//! checkpointed text in shard order, so the CSV is byte-identical to a
+//! heartbeat shows the shard abandoned, and merges the shards' checkpointed
+//! text in shard order as it arrives, so the CSV is byte-identical to a
 //! single-process sweep. An in-process job builds its CSV by the same
 //! rule, and a cancelled job of either kind keeps its in-order prefix.
 //! See `docs/ARCHITECTURE.md` and

@@ -699,7 +699,11 @@ mod tests {
         match seen.recv_timeout(PATIENCE).unwrap() {
             Seen::Upload(target, chunk) => {
                 assert!(target.starts_with("/v1/sweep/1/shards/0/chunk?worker=1&"));
-                assert_eq!(chunk.from_row, from_row, "uploads are gapless and in order");
+                assert_eq!(
+                    chunk.from_row(),
+                    from_row,
+                    "uploads are gapless and in order"
+                );
                 chunk
             }
             Seen::Closed => panic!("the worker closed the connection before row {from_row}"),

@@ -13,7 +13,7 @@
 use std::time::{Duration, Instant};
 
 use ayd_serve::client::{await_workers, cluster_smoke_check, engine_sweep_csv, fetch_sweep_csv};
-use ayd_serve::{ClusterConfig, HttpClient, Json, PrometheusText, Server, ServerConfig};
+use ayd_serve::{AppState, ClusterConfig, HttpClient, Json, PrometheusText, Server, ServerConfig};
 
 /// 256 cells: 2 scenarios × 4 λ multipliers × 8 processor counts × 4 pattern
 /// lengths. Big enough that a shard spans several upload chunks (so there is
@@ -93,19 +93,25 @@ fn counter(addr: &str, name: &str) -> f64 {
 }
 
 /// One attempt at killing a worker mid-shard: boots a victim worker,
-/// submits `body`, waits until the victim has checkpointed part of a shard,
-/// then freezes it — compute cancelled at the next cell, heartbeats stopped,
-/// no final upload — which is what `kill -9` looks like from the
-/// coordinator: a lease that silently stops renewing. Returns the job id,
-/// the shard the victim held when it died and that shard's checkpoint, or
-/// `None` when the victim finished its shard before the kill landed.
-fn kill_a_worker_mid_shard(coord_addr: &str, body: &str) -> Option<(u64, usize, usize)> {
+/// submits `body`, watches the coordinator's checkpoint in process until
+/// the victim has checkpointed part of a shard, then freezes it — compute
+/// cancelled at the next cell, heartbeats stopped, no final upload — which
+/// is what `kill -9` looks like from the coordinator: a lease that silently
+/// stops renewing. Returns the job id, the shard the victim held when it
+/// died and that shard's checkpoint, or `None` when the victim finished its
+/// shards before the kill landed (a release build computes a 128-cell shard
+/// in well under a millisecond).
+fn kill_a_worker_mid_shard(
+    coord: &AppState,
+    coord_addr: &str,
+    body: &str,
+) -> Option<(u64, usize, usize)> {
     let (victim_handle, victim_thread, victim_state) = boot(worker_config(coord_addr));
     let victim = victim_state.worker.as_ref().unwrap();
     let deadline = Instant::now() + Duration::from_secs(30);
     let victim_id = loop {
         if let Some(id) = victim.registration_id() {
-            break id as f64;
+            break id;
         }
         assert!(Instant::now() < deadline, "the victim did not register");
         std::thread::sleep(Duration::from_millis(5));
@@ -118,33 +124,36 @@ fn kill_a_worker_mid_shard(coord_addr: &str, body: &str) -> Option<(u64, usize, 
     let id = doc.get("id").unwrap().as_f64().unwrap() as u64;
     assert!(doc.get("resume_token").is_none(), "{}", accepted.body);
 
-    let held = |view: &Json| {
-        let progress = view.get("progress").unwrap().as_array().unwrap();
-        progress.iter().find_map(|shard| {
-            let index = shard.get("index")?.as_f64()? as usize;
-            let completed = shard.get("completed")?.as_f64()? as usize;
-            let total = shard.get("total")?.as_f64()? as usize;
-            (shard.get("status")?.as_str()? == "dispatched"
-                && shard.get("worker")?.as_f64()? == victim_id
-                && completed > 0
-                && completed < total)
-                .then_some((index, completed))
-        })
+    // The victim's dispatched shard with a partial checkpoint, read from the
+    // coordinator itself: no poll interval for a shard to finish inside.
+    let coordinator = coord.coordinator.as_ref().unwrap();
+    let held = || {
+        coordinator
+            .shards_view(id)?
+            .shards
+            .iter()
+            .find_map(|shard| {
+                (shard.status == "dispatched"
+                    && shard.worker == Some(victim_id)
+                    && shard.completed > 0
+                    && shard.completed < shard.total)
+                    .then_some((shard.index, shard.completed))
+            })
     };
     let deadline = Instant::now() + Duration::from_secs(60);
-    while held(&get_json(coord_addr, &format!("/v1/sweep/{id}/shards"))).is_none() {
+    while held().is_none() && !coordinator.job_finished(id) {
         assert!(
             Instant::now() < deadline,
             "no mid-shard checkpoint appeared within 60 s"
         );
-        std::thread::sleep(Duration::from_millis(1));
+        std::thread::yield_now();
     }
     victim.stop();
     victim_handle.shutdown();
     victim_thread.join().unwrap().unwrap();
     // The victim may have finished that shard between the look and the
     // kill; only what it held once frozen counts.
-    let found = held(&get_json(coord_addr, &format!("/v1/sweep/{id}/shards")));
+    let found = held();
     if found.is_none() {
         let mut cancel = HttpClient::connect(coord_addr).unwrap();
         let response = cancel
@@ -157,7 +166,7 @@ fn kill_a_worker_mid_shard(coord_addr: &str, body: &str) -> Option<(u64, usize, 
 
 #[test]
 fn a_cluster_survives_a_worker_killed_mid_shard_without_recomputing_rows() {
-    let (coord_handle, coord_thread, _) = boot(coordinator_config());
+    let (coord_handle, coord_thread, coord) = boot(coordinator_config());
     let coord_addr = coord_handle.addr().to_string();
 
     // One worker at a time, so the job's first shard goes to the node we
@@ -165,7 +174,7 @@ fn a_cluster_survives_a_worker_killed_mid_shard_without_recomputing_rows() {
     // fresh job.
     let body = format!("{}{}", &GRID_BODY[..GRID_BODY.len() - 1], r#","shards":2}"#);
     let (id, shard_index, checkpointed) = (0..5)
-        .find_map(|_| kill_a_worker_mid_shard(&coord_addr, &body))
+        .find_map(|_| kill_a_worker_mid_shard(&coord, &coord_addr, &body))
         .expect("five victims in a row finished their shard before the kill");
     assert!(checkpointed > 0);
 

@@ -20,12 +20,16 @@
 //! magnitude above the step; only axes deliberately constructed with
 //! sub-quantum spacing would observe the merge.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 /// A cache key: quantized bit patterns of the inputs of one evaluation.
 /// Cloning shares one allocation, so the cache's map and its recency index
-/// hold the same key rather than two copies.
+/// hold the same key rather than two copies. A key compares and hashes as
+/// its words (`Arc` defers both to them), which lets a lookup probe with
+/// the words alone (see [`EvalCache::get_or_insert_repeated`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey(Arc<[u64]>);
 
@@ -34,6 +38,24 @@ impl CacheKey {
     pub fn from_inputs(inputs: &[f64]) -> Self {
         Self(inputs.iter().map(|&x| quantize(x)).collect())
     }
+}
+
+impl<const N: usize> From<[u64; N]> for CacheKey {
+    fn from(words: [u64; N]) -> Self {
+        Self(Arc::from(words.as_slice()))
+    }
+}
+
+impl Borrow<[u64]> for CacheKey {
+    fn borrow(&self) -> &[u64] {
+        &self.0
+    }
+}
+
+/// Quantizes each of `inputs` (see [`quantize`]): the words of their key,
+/// on the stack.
+pub fn quantized<const N: usize>(inputs: [f64; N]) -> [u64; N] {
+    inputs.map(quantize)
 }
 
 /// Maps an `f64` to its quantized bit pattern: NaN (used as an "absent" marker)
@@ -144,7 +166,10 @@ impl<V: Clone> EvalCache<V> {
     /// The lock is *not* held while `compute` runs, so concurrent misses on the
     /// same key may compute twice; both arrive at the same deterministic value,
     /// so this is a throughput trade-off, not a correctness one.
-    pub fn get_or_insert_with(&self, key: CacheKey, compute: impl FnOnce() -> V) -> V {
+    pub fn get_or_insert_with<K>(&self, key: K, compute: impl FnOnce() -> V) -> V
+    where
+        K: Borrow<[u64]> + Into<CacheKey>,
+    {
         self.get_or_insert_repeated(key, 1, compute)
     }
 
@@ -152,19 +177,21 @@ impl<V: Clone> EvalCache<V> {
     /// lookups of `key` (at least one): the first scores a hit or a miss,
     /// every further one a hit, and the entry ends most recently used, as
     /// after that run of single lookups.
-    pub fn get_or_insert_repeated(
-        &self,
-        key: CacheKey,
-        lookups: u64,
-        compute: impl FnOnce() -> V,
-    ) -> V {
+    ///
+    /// `key` is a [`CacheKey`] or its quantized words (see [`quantized`]):
+    /// the map is probed with the words, and words become a `CacheKey`, the
+    /// one allocation of a lookup, only when they are inserted.
+    pub fn get_or_insert_repeated<K>(&self, key: K, lookups: u64, compute: impl FnOnce() -> V) -> V
+    where
+        K: Borrow<[u64]> + Into<CacheKey>,
+    {
         let repeats = lookups.max(1) - 1;
         {
             let mut inner = self.inner.lock().expect("cache poisoned");
             inner.clock += 1;
             let clock = inner.clock;
             inner.stats.hits += repeats;
-            if let Some(entry) = inner.map.get_mut(&key) {
+            if let Some(entry) = inner.map.get_mut(key.borrow()) {
                 entry.stamp = clock;
                 let value = entry.value.clone();
                 inner.stats.hits += 1;
@@ -176,7 +203,7 @@ impl<V: Clone> EvalCache<V> {
         let mut inner = self.inner.lock().expect("cache poisoned");
         inner.clock += 1;
         let clock = inner.clock;
-        if let Some(entry) = inner.map.get_mut(&key) {
+        if let Some(entry) = inner.map.get_mut(key.borrow()) {
             // A concurrent miss on the same key inserted it first: refresh
             // the entry like a hit; its one slot stays.
             entry.stamp = clock;
@@ -186,6 +213,7 @@ impl<V: Clone> EvalCache<V> {
         if inner.map.len() >= self.capacity && inner.evict_lru() {
             inner.stats.evictions += 1;
         }
+        let key: CacheKey = key.into();
         inner.by_stamp.insert(clock, key.clone());
         inner.map.insert(
             key,
@@ -243,30 +271,32 @@ impl<V: Clone> ShardedEvalCache<V> {
         }
     }
 
-    /// The shard a key routes to (stable for the lifetime of the cache).
-    fn shard(&self, key: &CacheKey) -> &EvalCache<V> {
-        use std::hash::{Hash, Hasher};
+    /// The shard a key's words route to (stable for the lifetime of the
+    /// cache; a [`CacheKey`] hashes as its words).
+    fn shard(&self, words: &[u64]) -> &EvalCache<V> {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
+        words.hash(&mut hasher);
         &self.shards[(hasher.finish() as usize) % self.shards.len()]
     }
 
     /// Returns the cached value for `key`, computing and inserting it on a
     /// miss. Same locking contract as [`EvalCache::get_or_insert_with`], but
     /// only the key's shard is locked.
-    pub fn get_or_insert_with(&self, key: CacheKey, compute: impl FnOnce() -> V) -> V {
-        self.shard(&key).get_or_insert_with(key, compute)
+    pub fn get_or_insert_with<K>(&self, key: K, compute: impl FnOnce() -> V) -> V
+    where
+        K: Borrow<[u64]> + Into<CacheKey>,
+    {
+        self.get_or_insert_repeated(key, 1, compute)
     }
 
     /// [`EvalCache::get_or_insert_repeated`] on the key's shard: one
-    /// lookup standing for `lookups` consecutive ones.
-    pub fn get_or_insert_repeated(
-        &self,
-        key: CacheKey,
-        lookups: u64,
-        compute: impl FnOnce() -> V,
-    ) -> V {
-        self.shard(&key)
+    /// lookup standing for `lookups` consecutive ones, which allocates
+    /// nothing when it hits.
+    pub fn get_or_insert_repeated<K>(&self, key: K, lookups: u64, compute: impl FnOnce() -> V) -> V
+    where
+        K: Borrow<[u64]> + Into<CacheKey>,
+    {
+        self.shard(key.borrow())
             .get_or_insert_repeated(key, lookups, compute)
     }
 
@@ -312,6 +342,32 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_key_and_its_words_find_the_same_entry() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |value: &dyn Fn(&mut DefaultHasher)| {
+            let mut hasher = DefaultHasher::new();
+            value(&mut hasher);
+            hasher.finish()
+        };
+        let words = quantized([1.0, f64::NAN, 3.5]);
+        let key = CacheKey::from_inputs(&[1.0, f64::NAN, 3.5]);
+        assert_eq!(Borrow::<[u64]>::borrow(&key), words.as_slice());
+        assert_eq!(key, CacheKey::from(words));
+        assert_eq!(hash(&|h| key.hash(h)), hash(&|h| words.as_slice().hash(h)));
+        let cache: ShardedEvalCache<u64> = ShardedEvalCache::new(4, 64);
+        assert_eq!(cache.get_or_insert_with(key, || 7), 7);
+        assert_eq!(cache.get_or_insert_with(words, || panic!("recomputed")), 7);
+        let other = quantized([2.0]);
+        assert_eq!(cache.get_or_insert_with(other, || 9), 9);
+        assert_eq!(
+            cache.get_or_insert_with(CacheKey::from_inputs(&[2.0]), || panic!("recomputed")),
+            9
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 2));
     }
 
     #[test]

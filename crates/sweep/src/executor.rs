@@ -44,7 +44,7 @@ use ayd_platforms::{ExperimentSetup, PlatformId};
 use ayd_sim::rng::splitmix64;
 use ayd_sim::{ArrivalLaw, EngineKind, SimulationConfig, Simulator};
 
-use crate::cache::{CacheKey, CacheStats, ShardedEvalCache};
+use crate::cache::{quantized, CacheKey, CacheStats, ShardedEvalCache};
 use crate::evaluate::{Evaluator, OperatingPoint, OptimumComparison, SimSummary};
 use crate::grid::{ScenarioGrid, SweepCell};
 use crate::options::RunOptions;
@@ -660,10 +660,11 @@ impl EvalInputs {
         }
     }
 
-    /// The memoisation key: every input, quantized. The profile enters as
-    /// its family tag and parameter, so `powerlaw:0.8` and `gustafson:0.8`
-    /// never collide; an optimised `P` is NaN-marked.
-    fn cache_key(&self) -> CacheKey {
+    /// The words of the memoisation key: every input, quantized, on the
+    /// stack. The profile enters as its family tag and parameter, so
+    /// `powerlaw:0.8` and `gustafson:0.8` never collide; an optimised `P` is
+    /// NaN-marked.
+    fn cache_words(&self) -> [u64; 15] {
         // Destructured in full, so a new model field cannot be left out.
         let EvalInputs {
             model:
@@ -687,7 +688,7 @@ impl EvalInputs {
         } = *self;
         let absent = f64::NAN;
         let profile = ProfileSpec::from(speedup);
-        CacheKey::from_inputs(&[
+        quantized([
             lambda_ind,
             fail_stop_fraction,
             profile.kind_tag() as f64,
@@ -722,7 +723,7 @@ pub fn analytic_cache_key(
     _failure_model: &FailureModelSpec,
     options: &SweepOptions,
 ) -> CacheKey {
-    EvalInputs::new(model, fixed_processors, options).cache_key()
+    CacheKey::from(EvalInputs::new(model, fixed_processors, options).cache_words())
 }
 
 /// The analytic (simulation-free) evaluation of one configuration, optionally
@@ -828,7 +829,7 @@ fn evaluate_query(
         eval
     };
     let eval = match cache {
-        Some(cache) => cache.get_or_insert_repeated(inputs.cache_key(), lookups, compute),
+        Some(cache) => cache.get_or_insert_repeated(inputs.cache_words(), lookups, compute),
         None => compute(),
     };
     (eval, observation)

@@ -1,6 +1,6 @@
-//! The work ledger: the heap allocations of one served request, and of one
-//! sweep job and its fetch, pinned, with the job's cache lookups and the
-//! digest of its CSV.
+//! The work ledger: the heap allocations of one served request, of one
+//! sweep job and its fetch, and of the poll that finishes a distributed
+//! job, pinned, with the job's cache lookups and the digest of its CSV.
 //!
 //! Timings drift with the host; the work a request does does not. This test
 //! binary installs a counting global allocator whose counts are kept per
@@ -20,13 +20,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ayd_core::{FailureModelSpec, SpeedupProfile};
 use ayd_platforms::{PlatformId, ScenarioId};
-use ayd_serve::app::{JobHandle, JobView, LocalJob};
-use ayd_serve::{api, serve_chunks, AppState, Request, ServerConfig};
-use ayd_sweep::{ProcessorAxis, ScenarioGrid};
+use ayd_serve::app::{DistributedJobHandle, JobHandle, JobView, LocalJob};
+use ayd_serve::{api, serve_chunks, AppState, ClusterConfig, Request, ServerConfig};
+use ayd_sweep::{ProcessorAxis, ScenarioGrid, ShardChunk, ShardSpec, SweepExecutor, SweepManifest};
 
 struct CountingAllocator;
 
@@ -105,24 +105,24 @@ const COLD_OPTIMIZE: Pin = Pin {
     bytes: 22_924,
 };
 const WARM_OPTIMIZE_JSON: Pin = Pin {
-    allocations: 84,
-    bytes: 8_304,
+    allocations: 83,
+    bytes: 8_136,
 };
 const WARM_OPTIMIZE_CSV: Pin = Pin {
-    allocations: 35,
-    bytes: 3_860,
+    allocations: 34,
+    bytes: 3_692,
 };
 const COLD_BATCH_JSON: Pin = Pin {
     allocations: 573,
     bytes: 112_931,
 };
 const WARM_BATCH_JSON: Pin = Pin {
-    allocations: 477,
-    bytes: 50_999,
+    allocations: 470,
+    bytes: 49_823,
 };
 const WARM_BATCH_CSV: Pin = Pin {
-    allocations: 109,
-    bytes: 15_925,
+    allocations: 102,
+    bytes: 14_749,
 };
 
 /// How far the sweep job's process-wide `alloc` count may rise above its
@@ -135,8 +135,9 @@ const JOB_SLACK: u64 = 16;
 /// measured plus `SLACK`. Each executor worker renders every chunk into one
 /// reused buffer, reserved for a whole chunk up front, and the job's CSV is
 /// reserved after its first range; a fresh buffer per chunk made 26,921
-/// reallocs and 18,525 allocs. 6,912 of the allocs left are cache keys,
-/// one per block's lookup.
+/// reallocs and 18,525 allocs. A block's lookup probes the cache with key
+/// words on the stack, so 3,456 of the allocs left are cache keys, one per
+/// miss; a key per lookup, hits included, made 3,456 more.
 struct JobPin {
     allocs: u64,
     reallocs: u64,
@@ -144,7 +145,7 @@ struct JobPin {
 
 /// [`ledger_grid`] as a `LocalJob` runs it: 4 ranges, 1 thread, cache on.
 const SWEEP_JOB: JobPin = JobPin {
-    allocs: 11_060,
+    allocs: 7_604,
     reallocs: 24,
 };
 
@@ -172,6 +173,16 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 const FINISHED_FETCH: Pin = Pin {
     allocations: 4,
     bytes: 552,
+};
+
+/// `GET /v1/sweep/{id}` (JSON) through `serve_chunks` on a coordinator, the
+/// poll that finds [`ledger_grid`]'s 4-shard distributed job done: the
+/// coordinator merged the chunks as they arrived, so finishing the job
+/// hands its text over and allocates nothing that grows with the CSV (a
+/// concatenation at finish allocated 4,540,501 bytes for it).
+const FINISHING_POLL: Pin = Pin {
+    allocations: 40,
+    bytes: 2_979,
 };
 
 /// The `/v1/optimize` query of the ledger: Hera, scenario 1, joint `(P, T)`.
@@ -424,5 +435,133 @@ fn a_served_batch_slice_allocates_within_its_pins() {
         "warm 8-query /v1/batch (CSV)",
         serve(&state, &request("/v1/batch", BATCH, true)),
         WARM_BATCH_CSV,
+    );
+}
+
+/// The chunk uploads of `shard`'s rows, `lines` being the shard's CSV lines,
+/// framed as a worker frames them: `rows / 16` rows per chunk, clamped to
+/// 16..=512, each with the manifest snapshot after its last row.
+fn chunk_uploads(
+    state: &Arc<AppState>,
+    grid: &ScenarioGrid,
+    job: u64,
+    dispatch: &ayd_serve::coordinator::Dispatch,
+    token: u64,
+    lines: &[&str],
+) -> Vec<Vec<u8>> {
+    let spec = ShardSpec::new(dispatch.shard, dispatch.count).unwrap();
+    let manifest = SweepManifest::new(grid, &state.options, spec);
+    let path = format!(
+        "/v1/sweep/{job}/shards/{}/chunk?worker={}&token={token:016x}&epoch={}",
+        dispatch.shard, dispatch.worker, dispatch.epoch
+    );
+    let chunk_rows = (lines.len() / 16).clamp(16, 512);
+    lines
+        .chunks(chunk_rows)
+        .enumerate()
+        .map(|(c, run)| {
+            let from = c * chunk_rows;
+            let mut snapshot = manifest.clone();
+            snapshot.completed = from + run.len();
+            let rows: String = run.iter().flat_map(|line| [*line, "\n"]).collect();
+            let chunk = ShardChunk::new(snapshot, from, rows).unwrap();
+            request(&path, &chunk.render(), false)
+        })
+        .collect()
+}
+
+#[test]
+fn the_poll_that_finishes_a_distributed_job_allocates_within_its_pin() {
+    let _turn = turn();
+    warm_process();
+    let state = AppState::new(&ServerConfig {
+        threads: 1,
+        cluster: ClusterConfig {
+            coordinator: true,
+            ..ClusterConfig::default()
+        },
+        ..ServerConfig::default()
+    });
+    let coordinator = Arc::clone(state.coordinator.as_ref().unwrap());
+    let grid = ledger_grid();
+    let csv = SweepExecutor::new(state.options.with_threads(2))
+        .run(&grid)
+        .to_csv();
+    let lines: Vec<&str> = csv.lines().skip(1).collect();
+    let shards = 4;
+    let id = state
+        .jobs
+        .try_submit(1, |id| {
+            coordinator.submit(
+                id,
+                "{}".to_string(),
+                grid.fingerprint(),
+                state.options.output_fingerprint(),
+                shards,
+                grid.len(),
+            );
+            JobHandle::Distributed(DistributedJobHandle {
+                coordinator: Arc::clone(&coordinator),
+                id,
+            })
+        })
+        .expect("no job is running");
+    // Two workers take the shards in two waves, as the benchmark's do, and
+    // their uploads interleave: the second shard of a wave waits in its
+    // buffer until the first completes.
+    let now = Instant::now();
+    let tokens = [
+        coordinator.register_worker("127.0.0.1:1", now),
+        coordinator.register_worker("127.0.0.1:2", now),
+    ];
+    loop {
+        let plan = coordinator.dispatch_plan(now);
+        if plan.is_empty() {
+            break;
+        }
+        let waves: Vec<Vec<Vec<u8>>> = plan
+            .iter()
+            .map(|dispatch| {
+                let token = tokens
+                    .iter()
+                    .find(|(w, _)| *w == dispatch.worker)
+                    .unwrap()
+                    .1;
+                let range = ShardSpec::new(dispatch.shard, shards)
+                    .unwrap()
+                    .range(grid.len());
+                chunk_uploads(&state, &grid, id, dispatch, token, &lines[range])
+            })
+            .collect();
+        for c in 0..waves.iter().map(Vec::len).max().unwrap() {
+            for uploads in &waves {
+                if let Some(upload) = uploads.get(c) {
+                    serve(&state, upload);
+                }
+            }
+        }
+    }
+    assert!(coordinator.job_finished(id));
+    let poll =
+        format!("GET /v1/sweep/{id} HTTP/1.1\r\nhost: ledger\r\naccept: application/json\r\n\r\n");
+    let shutdown = AtomicBool::new(false);
+    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+    let out = serve_chunks(&[poll.as_bytes()], &state, &shutdown);
+    let after = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+    let out = String::from_utf8(out).unwrap();
+    assert!(out.starts_with("HTTP/1.1 200"), "{out}");
+    assert!(out.contains(r#""status":"done""#), "{out}");
+    let Some(JobView::Finished(done)) = state.jobs.poll(id) else {
+        panic!("job {id} is not finished");
+    };
+    assert_eq!(
+        (done.csv.len(), fnv1a64(done.csv.as_bytes())),
+        SWEEP_JOB_CSV,
+        "the distributed job's CSV is the local job's"
+    );
+    check(
+        "the poll that finishes a 27,648-row distributed job",
+        (after.0 - before.0, after.1 - before.1),
+        FINISHING_POLL,
     );
 }

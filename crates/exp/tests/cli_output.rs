@@ -1,6 +1,7 @@
 //! Subprocess tests of the `reproduce` binary's output streams: machine
-//! formats keep stdout clean, stay deterministic across thread counts, and a
-//! flag the CLI does not know fails before anything runs.
+//! formats keep stdout clean, stay deterministic across thread counts, a
+//! flag the CLI does not know fails before anything runs, and every table
+//! and figure keeps its committed bytes.
 
 use std::process::Command;
 
@@ -41,4 +42,39 @@ fn json_is_an_unknown_flag() {
     let stderr = String::from_utf8(output.stderr).unwrap();
     assert!(stderr.contains("unknown flag `--json`"), "{stderr}");
     assert!(stderr.contains("usage: reproduce"), "{stderr}");
+}
+
+/// `reproduce all --smoke` (every table and figure) and `reproduce table2
+/// table3 --csv`, byte for byte against the outputs committed under
+/// `tests/golden/`. A change that moves a byte on purpose rewrites the
+/// golden (`reproduce ARGS > crates/exp/tests/golden/FILE`) and says why.
+#[test]
+fn every_table_and_figure_keeps_its_committed_bytes() {
+    for (args, golden) in [
+        (
+            &["all", "--smoke"][..],
+            include_str!("golden/all_smoke.txt"),
+        ),
+        (
+            &["table2", "table3", "--csv"][..],
+            include_str!("golden/table2_table3.csv"),
+        ),
+    ] {
+        let output = reproduce(args);
+        assert!(output.status.success(), "reproduce {}", args.join(" "));
+        let stdout = String::from_utf8(output.stdout).unwrap();
+        assert!(
+            stdout == golden,
+            "reproduce {} differs from its golden: {} bytes against {}; first \
+             differing line {:?}",
+            args.join(" "),
+            stdout.len(),
+            golden.len(),
+            stdout
+                .lines()
+                .zip(golden.lines())
+                .position(|(a, b)| a != b)
+                .map(|line| line + 1)
+        );
+    }
 }

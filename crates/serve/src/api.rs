@@ -1080,9 +1080,10 @@ fn worker_register(state: &Arc<AppState>, req: &Request) -> Response {
 }
 
 /// `POST /v1/workers/{id}/heartbeat` (coordinator only): renews a worker's
-/// lease and reports the shard it is executing (`"active"`: a
-/// `{job, shard, epoch}` object, or `null` when idle). `404` tells the
-/// worker its registration is gone — re-register.
+/// lease and reports the shard the worker stopped computing after a refused
+/// or failed upload (`"dropped"`: a `{job, shard, epoch}` object, or `null`
+/// when there is nothing to report). `404` tells the worker its
+/// registration is gone — re-register.
 fn worker_heartbeat(state: &Arc<AppState>, req: &Request, id: u64) -> Response {
     let Some(coordinator) = &state.coordinator else {
         return bad_request("this server is not running in coordinator mode");
@@ -1102,38 +1103,39 @@ fn worker_heartbeat(state: &Arc<AppState>, req: &Request, id: u64) -> Response {
         )
         .response();
     };
-    let active = match body.get("active") {
-        Some(Json::Null) => None,
-        Some(active) => {
-            let num = |key: &str| active.get(key).and_then(Json::as_f64);
-            match (num("job"), num("shard"), num("epoch")) {
-                (Some(job), Some(shard), Some(epoch)) => {
-                    Some((job as u64, shard as usize, epoch as u64))
-                }
-                _ => {
-                    return ApiError::field(
-                        "active",
-                        "field 'active' must be null or an object with job, shard and epoch",
-                    )
-                    .response()
-                }
-            }
+    let num = |key: &str| body.get("dropped")?.get(key)?.as_f64();
+    let dropped = match (body.get("dropped"), num("job"), num("shard"), num("epoch")) {
+        (Some(Json::Null), ..) => None,
+        (Some(_), Some(job), Some(shard), Some(epoch)) => {
+            Some((job as u64, shard as usize, epoch as u64))
         }
-        None => {
+        _ => {
             return ApiError::field(
-                "active",
-                "field 'active' must report the executing shard (or null when idle)",
+                "dropped",
+                "field 'dropped' must be null or the {job, shard, epoch} of a dropped shard",
             )
             .response()
         }
     };
-    match coordinator.heartbeat(id, token, active, Instant::now()) {
+    match coordinator.heartbeat(id, token, dropped, Instant::now()) {
         Ok(()) => Response::json(&Json::obj(vec![
             ("id", Json::num(id as f64)),
             ("status", Json::str("alive")),
         ])),
         Err(reason) => Response::error(404, "Not Found", &reason),
     }
+}
+
+/// A shard's `(job, shard, epoch)` as its JSON object, or `null`: a
+/// worker's assignment in `GET /v1/workers`, and a heartbeat's `dropped`.
+pub(crate) fn shard_key_json(key: Option<(u64, usize, u64)>) -> Json {
+    key.map_or(Json::Null, |(job, shard, epoch)| {
+        Json::obj(vec![
+            ("job", Json::num(job as f64)),
+            ("shard", Json::num(shard as f64)),
+            ("epoch", Json::num(epoch as f64)),
+        ])
+    })
 }
 
 /// `GET /v1/workers` (coordinator only): the operator view of every
@@ -1148,20 +1150,12 @@ fn workers_list(state: &Arc<AppState>) -> Response {
         .workers_view(now)
         .into_iter()
         .map(|view| {
-            let assignment = match view.assignment {
-                None => Json::Null,
-                Some((job, shard, epoch)) => Json::obj(vec![
-                    ("job", Json::num(job as f64)),
-                    ("shard", Json::num(shard as f64)),
-                    ("epoch", Json::num(epoch as f64)),
-                ]),
-            };
             Json::obj(vec![
                 ("id", Json::num(view.id as f64)),
                 ("addr", Json::str(view.addr)),
                 ("state", Json::str(view.state)),
                 ("age_ms", Json::num(view.age_ms as f64)),
-                ("assignment", assignment),
+                ("assignment", shard_key_json(view.assignment)),
             ])
         })
         .collect();
@@ -2075,24 +2069,26 @@ mod tests {
 
         let heartbeat =
             |body: String| route(&state, &post(&format!("/v1/workers/{id}/heartbeat"), &body)).1;
-        let response = heartbeat(format!(r#"{{"token":"{token}","active":null}}"#));
+        let response = heartbeat(format!(r#"{{"token":"{token}","dropped":null}}"#));
         assert_eq!(response.status, 200);
         let response = heartbeat(format!(
-            r#"{{"token":"{token}","active":{{"job":1,"shard":0,"epoch":0}}}}"#
+            r#"{{"token":"{token}","dropped":{{"job":1,"shard":0,"epoch":0}}}}"#
         ));
         assert_eq!(response.status, 200);
-        // The active shard is a required field with a fixed shape.
+        // The dropped shard is a required field with a fixed shape, and the
+        // retired `active` report is not it.
         for bad in [
             format!(r#"{{"token":"{token}"}}"#),
-            format!(r#"{{"token":"{token}","active":{{"job":1}}}}"#),
+            format!(r#"{{"token":"{token}","dropped":{{"job":1}}}}"#),
+            format!(r#"{{"token":"{token}","active":null}}"#),
         ] {
             let response = heartbeat(bad);
             assert_eq!(response.status, 400);
             let doc = body_json(&response);
-            assert_eq!(doc.get("field").and_then(Json::as_str), Some("active"));
+            assert_eq!(doc.get("field").and_then(Json::as_str), Some("dropped"));
         }
         // A wrong token means the registration is gone: re-register.
-        let response = heartbeat(r#"{"token":"00000000deadbeef","active":null}"#.to_string());
+        let response = heartbeat(r#"{"token":"00000000deadbeef","dropped":null}"#.to_string());
         assert_eq!(response.status, 404);
 
         let (_, response) = route(&state, &get("/v1/workers"));

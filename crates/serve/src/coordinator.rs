@@ -1,5 +1,5 @@
-//! The sweep coordinator: decomposes a `/v1/sweep` job into [`ShardSpec`]
-//! units and dispatches them to registered worker nodes.
+//! The sweep coordinator: decomposes a `/v1/sweep` job into
+//! [`ayd_sweep::ShardSpec`] units and dispatches them to registered worker nodes.
 //!
 //! One ayd-serve instance started with `--coordinator` owns the cluster
 //! state: a registry of workers (each leased — a worker that stops
@@ -13,42 +13,41 @@
 //!
 //! Dispatch is event-driven: the dispatcher thread sleeps on a condition
 //! variable that job submission, worker registration, shard completion, a
-//! failed post and a heartbeat-detected abandonment signal, so a freed
-//! worker is handed its next shard at once. The dispatcher tick only bounds
+//! failed post, a reported drop and a cancel signal, so a freed worker is
+//! handed its next shard at once. The dispatcher tick only bounds
 //! that wait, so lease expiry is still scanned on time. Each post runs on
 //! its own thread, so no dispatch waits for another and a worker that never
 //! answers stalls only its own.
 //!
-//! Failure handling is the paper's checkpoint/restart discipline applied to
-//! the cluster itself: when a worker's lease expires mid-shard — or its
-//! heartbeat shows it dropped the shard after a refused upload — the shard is
-//! re-queued **from the last accepted chunk** (the coordinator-side
-//! checkpoint, the only one) — at most the in-flight suffix is recomputed,
-//! never a completed cell. Every re-issue bumps the shard's *epoch*; chunk
-//! uploads carry the worker id, its registration token and the epoch they
-//! were dispatched under, so a resurrected worker (or a slow upload racing a
-//! re-issued shard) is fenced out with `409` instead of corrupting the row
-//! stream.
+//! A dispatched shard belongs to the worker whose assignment names its
+//! `(job, shard, epoch)` — the one record of who holds it, against which
+//! uploads are fenced — until the worker completes it, reports it dropped
+//! (a heartbeat names the shard it stopped computing after a refused or
+//! failed upload), its lease expires, or the job is cancelled.
 //!
-//! Shards own contiguous, ascending ranges of global cells
-//! ([`ShardSpec::range`]), so the merged prefix grows shard by shard as
-//! chunks arrive. Each shard's checkpoint is the uploaded chunks' text,
-//! validated on entry and appended as it came. A job keeps one text, the
-//! header and then the merged rows: a chunk of the *frontier* shard (the
-//! first one not yet complete) is appended to it at once, and a later
-//! shard's chunks wait in that shard's buffer until the frontier reaches
-//! it. That text is the header followed by the shards' text up to the
-//! frontier at every moment, so a finished job hands it over as its CSV
-//! without copying a byte: byte-identical to the single-process sweep for a
-//! completed job by the determinism contract, and its in-order prefix for a
-//! cancelled one.
+//! Failure handling is the paper's checkpoint/restart discipline applied to
+//! the cluster itself: a shard whose worker's lease expires, or that its
+//! worker reports dropped, is re-queued **from the last accepted chunk**
+//! (the coordinator-side checkpoint, the only one) — at most the in-flight
+//! suffix is recomputed, never a completed cell. Every re-issue bumps the
+//! shard's *epoch*; chunk uploads carry the worker id, its registration
+//! token and the epoch they were dispatched under, so a resurrected worker
+//! (or a slow upload racing a re-issued shard) is fenced out with `409`
+//! instead of corrupting the row stream. A cancel frees the job's workers
+//! at once and re-issues nothing.
+//!
+//! Each job's checkpoint is one [`ShardMerge`] (the merge `sweep-merge`
+//! builds through): the uploaded rows, merged in shard order as they
+//! arrive, so a finished job hands its text over as the CSV without
+//! copying — the single-process sweep's bytes when complete, their
+//! in-order prefix when cancelled.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ayd_sweep::{ShardChunk, ShardSpec, CSV_HEADER};
+use ayd_sweep::{ShardChunk, ShardMerge};
 
 use crate::client::HttpClient;
 use crate::json::Json;
@@ -62,10 +61,10 @@ struct WorkerRecord {
     addr: String,
     token: u64,
     last_seen: Instant,
-    /// The shard currently dispatched to this worker, if any.
+    /// The shard this worker holds: set by a dispatch, taken when the
+    /// worker completes or drops it, the post fails, the lease expires or
+    /// the job is cancelled.
     assignment: Option<Assignment>,
-    /// What the coordinator knows about the worker holding `assignment`.
-    confirmation: Confirmation,
     /// Set when the lease expired; the record stays for visibility until
     /// purged, but the worker must re-register to be dispatched to again.
     dead: bool,
@@ -78,133 +77,46 @@ struct Assignment {
     epoch: u64,
 }
 
-/// How far a worker's current assignment is confirmed. A heartbeat carries
-/// the worker's active `(job, shard, epoch)`, but one sampled before the
-/// dispatch landed reports the worker idle, so only a heartbeat that is
-/// certain to postdate the shard's start may declare it abandoned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Confirmation {
-    /// Planned; the `/v1/shards/run` post has not been acknowledged.
-    InFlight,
-    /// The worker answered `202`: it started the shard. A heartbeat
-    /// received now may still have been sampled before that start.
-    Acked,
-    /// A heartbeat arrived after the acknowledgement. The agent sends
-    /// heartbeats one at a time, so every later one was sampled after the
-    /// start: a report without the assignment means the worker dropped it.
-    Settled,
-}
-
-/// Dispatch state of one shard of a distributed job.
+/// Dispatch state of one shard of a distributed job. The worker holding a
+/// dispatched shard is the one whose assignment names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ShardState {
     Pending,
-    Dispatched { worker: u64 },
+    Dispatched,
     Done,
 }
 
-/// One shard of a distributed job: its dispatch state, fencing epoch and the
-/// rows checkpointed at the coordinator so far.
+/// One shard of a distributed job: its dispatch state and fencing epoch.
+/// Its checkpointed rows are in the job's merge.
 struct DistShard {
-    total: usize,
     state: ShardState,
     /// Bumped on every re-issue; uploads carrying an older epoch are stale.
     epoch: u64,
-    /// Checkpointed rows that wait for the merge frontier: the accepted
-    /// chunks' newline-terminated CSV lines, back to back in shard-local
-    /// order, while the shard lies past the frontier. Empty from the moment
-    /// the frontier reaches the shard: its rows are in the job's text then.
-    buffer: String,
-    /// Number of rows checkpointed, wherever they sit.
-    rows: usize,
     /// Last worker the shard was dispatched to (kept through `Done` for the
     /// per-worker progress view).
     worker: Option<u64>,
     reissues: u64,
 }
 
-/// One distributed sweep job.
+/// One distributed sweep job: its dispatch state, fingerprints and grid
+/// document, and the merge of its shards' checkpoints.
 struct DistJob {
     /// The original `/v1/sweep` body (re-rendered), forwarded to workers so
     /// they rebuild the exact grid; cross-checked by fingerprint.
     grid_json: String,
     grid_fingerprint: u64,
     options_fingerprint: u64,
-    grid_cells: usize,
-    count: usize,
     shards: Vec<DistShard>,
     cancelled: bool,
-    /// The header, then the merged rows: every row of the shards before the
-    /// frontier and the checkpoint of the frontier shard.
-    text: String,
+    /// Every shard's checkpointed rows, merged in shard order.
+    merge: ShardMerge,
 }
 
 impl DistJob {
-    fn completed(&self) -> usize {
-        self.shards.iter().map(|s| s.rows).sum()
-    }
-
-    fn total(&self) -> usize {
-        self.shards.iter().map(|s| s.total).sum()
-    }
-
     fn is_done(&self) -> bool {
         self.shards
             .iter()
             .all(|s| matches!(s.state, ShardState::Done))
-    }
-
-    /// The streaming merge frontier: the first shard not yet complete, or
-    /// `count` when every shard is.
-    fn frontier(&self) -> usize {
-        self.shards
-            .iter()
-            .position(|shard| shard.rows < shard.total)
-            .unwrap_or(self.shards.len())
-    }
-
-    /// Shards own contiguous, ascending cell ranges ([`ShardSpec::range`]),
-    /// so the rows already in global order are every row of the leading
-    /// complete shards plus the checkpoint of the frontier shard.
-    fn merged_rows(&self) -> usize {
-        let frontier = self.frontier();
-        let complete: usize = self.shards[..frontier].iter().map(|s| s.total).sum();
-        complete + self.shards.get(frontier).map_or(0, |s| s.rows)
-    }
-
-    /// Files `count` accepted rows of shard `index`: appended to the text
-    /// when the shard is the frontier, to its buffer when it lies past it.
-    /// A frontier shard that completes moves the frontier on, and each
-    /// shard the frontier reaches moves its buffered rows into the text.
-    /// The job's first rows reserve the text once, for all of its rows at
-    /// their bytes per row plus an eighth (rows differ in length), so it
-    /// does not grow by doubling. The rows come from a worker, so a
-    /// reservation the allocator refuses is skipped, not fatal.
-    fn file_rows(&mut self, index: usize, rows: &str, count: usize) {
-        if count == 0 {
-            return;
-        }
-        if self.completed() == 0 {
-            let bytes = self.total().saturating_mul(rows.len().div_ceil(count));
-            let _ = self.text.try_reserve_exact(bytes.saturating_add(bytes / 8));
-        }
-        let frontier = self.frontier();
-        let shard = &mut self.shards[index];
-        if index == frontier {
-            self.text.push_str(rows);
-        } else {
-            shard.buffer.push_str(rows);
-        }
-        shard.rows += count;
-        if index != frontier || shard.rows < shard.total {
-            return;
-        }
-        for next in &mut self.shards[index + 1..] {
-            self.text.push_str(&std::mem::take(&mut next.buffer));
-            if next.rows < next.total {
-                break;
-            }
-        }
     }
 }
 
@@ -321,7 +233,7 @@ pub struct DistShardView {
     pub worker_addr: Option<String>,
     /// Current fencing epoch.
     pub epoch: u64,
-    /// Times the shard was re-issued (lease expiry or abandonment).
+    /// Times the shard was re-issued (lease expiry or a reported drop).
     pub reissues: u64,
 }
 
@@ -350,8 +262,8 @@ pub struct ClusterStats {
     pub workers_dead: usize,
     /// Shard dispatches attempted (`ayd_shards_dispatched_total`).
     pub shards_dispatched_total: u64,
-    /// Shards re-issued after a lease expiry or an abandonment the worker's
-    /// heartbeat revealed (`ayd_shard_reissues_total`).
+    /// Shards re-issued after a lease expiry or a drop their worker reported
+    /// (`ayd_shard_reissues_total`).
     pub shard_reissues_total: u64,
     /// Worker leases expired (`ayd_lease_expiries_total`).
     pub lease_expiries_total: u64,
@@ -479,7 +391,6 @@ impl Coordinator {
                 token,
                 last_seen: now,
                 assignment: None,
-                confirmation: Confirmation::InFlight,
                 dead: false,
             },
         );
@@ -488,18 +399,19 @@ impl Coordinator {
         (id, token)
     }
 
-    /// Renews a worker's lease. `active` is the `(job, shard, epoch)` the
-    /// worker reports executing. When it settles that the worker no longer
-    /// holds its dispatched shard — an upload was refused or failed and the
-    /// worker abandoned it — the shard re-queues from its checkpoint under a
-    /// bumped epoch, like a lease expiry, and the dispatcher is woken. `Err`
+    /// Renews a worker's lease. `dropped` is the `(job, shard, epoch)` the
+    /// worker reports it stopped computing after a refused or failed
+    /// upload. When that is still the worker's assignment, the shard
+    /// re-queues from its checkpoint under the next epoch, like a lease
+    /// expiry, and the dispatcher is woken; a report of anything else (an
+    /// older epoch, another shard, a cancelled job) changes nothing. `Err`
     /// (worker unknown, token mismatch or declared dead) tells the worker to
     /// re-register.
     pub fn heartbeat(
         &self,
         id: u64,
         token: u64,
-        active: Option<(u64, usize, u64)>,
+        dropped: Option<(u64, usize, u64)>,
         now: Instant,
     ) -> Result<(), String> {
         let mut state = self.lock();
@@ -512,22 +424,13 @@ impl Coordinator {
             None => return Err(format!("unknown worker {id}; re-register")),
         };
         record.last_seen = now;
-        let Some(assignment) = record.assignment else {
+        let Some((job, shard, epoch)) = dropped else {
             return Ok(());
         };
-        let held = active == Some((assignment.job, assignment.shard, assignment.epoch));
-        match record.confirmation {
-            Confirmation::InFlight => return Ok(()),
-            Confirmation::Acked => {
-                record.confirmation = Confirmation::Settled;
-                return Ok(());
-            }
-            Confirmation::Settled if held => return Ok(()),
-            Confirmation::Settled => record.assignment = None,
-        }
-        let requeued = self.requeue(&mut state, assignment);
-        drop(state);
-        if requeued {
+        let dropped = Assignment { job, shard, epoch };
+        if record.assignment.take_if(|held| *held == dropped).is_some() {
+            self.requeue(&mut state, dropped);
+            drop(state);
             self.wake();
         }
         Ok(())
@@ -546,23 +449,17 @@ impl Coordinator {
         count: usize,
         grid_cells: usize,
     ) {
+        let merge = ShardMerge::new(grid_cells, count);
         let shards = (0..count)
-            .map(|index| {
-                let spec = ShardSpec::new(index, count).expect("count validated by the API layer");
-                let total = spec.range(grid_cells).len();
-                DistShard {
-                    total,
-                    state: if total == 0 {
-                        ShardState::Done
-                    } else {
-                        ShardState::Pending
-                    },
-                    epoch: 0,
-                    buffer: String::new(),
-                    rows: 0,
-                    worker: None,
-                    reissues: 0,
-                }
+            .map(|index| DistShard {
+                state: if merge.total(index) == 0 {
+                    ShardState::Done
+                } else {
+                    ShardState::Pending
+                },
+                epoch: 0,
+                worker: None,
+                reissues: 0,
             })
             .collect();
         self.lock().jobs.insert(
@@ -571,11 +468,9 @@ impl Coordinator {
                 grid_json,
                 grid_fingerprint,
                 options_fingerprint,
-                grid_cells,
-                count,
                 shards,
                 cancelled: false,
-                text: format!("{CSV_HEADER}\n"),
+                merge,
             },
         );
         self.wake();
@@ -615,37 +510,30 @@ impl Coordinator {
         died
     }
 
-    /// Re-queues the shard a worker held from its coordinator checkpoint
-    /// under a bumped epoch, which fences any late upload of the old one.
-    /// Only the epoch the worker held can be re-queued: a `Done` shard, or
-    /// one already re-issued, is left alone. Returns whether it re-queued.
-    fn requeue(&self, state: &mut ClusterState, assignment: Assignment) -> bool {
-        let Some(job) = state.jobs.get_mut(&assignment.job) else {
-            return false;
+    /// Re-queues a shard just taken from the worker that held it, from its
+    /// coordinator checkpoint under the next epoch, which fences any late
+    /// upload of the old one.
+    fn requeue(&self, state: &mut ClusterState, held: Assignment) {
+        let Some(job) = state.jobs.get_mut(&held.job) else {
+            return;
         };
-        let shard = &mut job.shards[assignment.shard];
-        if shard.epoch != assignment.epoch || !matches!(shard.state, ShardState::Dispatched { .. })
-        {
-            return false;
-        }
+        let shard = &mut job.shards[held.shard];
         shard.state = ShardState::Pending;
         shard.epoch += 1;
         shard.reissues += 1;
         self.reissues_total.fetch_add(1, Ordering::Relaxed);
         let mut span = ayd_obs::span("shard_reissue");
-        span.field_u64("job", assignment.job);
-        span.field_u64("shard", assignment.shard as u64);
+        span.field_u64("job", held.job);
+        span.field_u64("shard", held.shard as u64);
         span.field_u64("epoch", shard.epoch);
-        span.field_u64("checkpointed_rows", shard.rows as u64);
+        span.field_u64("checkpointed_rows", job.merge.rows(held.shard) as u64);
         span.finish();
-        true
     }
 
     /// Plans dispatches: pending shards are assigned to idle alive workers
     /// under the lock (shard marked `Dispatched`, worker's assignment set),
-    /// and the HTTP posts happen outside it. Each post's outcome must be
-    /// reported back via [`Coordinator::dispatch_acked`] or
-    /// [`Coordinator::dispatch_failed`].
+    /// and the HTTP posts happen outside it. A post that fails must be
+    /// reported back via [`Coordinator::dispatch_failed`].
     pub fn dispatch_plan(&self, now: Instant) -> Vec<Dispatch> {
         let mut state = self.lock();
         let mut idle: Vec<u64> = state
@@ -683,28 +571,24 @@ impl Coordinator {
                 };
                 let addr = state.workers[&worker_id].addr.clone();
                 let job = state.jobs.get_mut(&job_id).expect("job present");
+                let count = job.shards.len();
                 let shard = &mut job.shards[shard_index];
-                shard.state = ShardState::Dispatched { worker: worker_id };
+                shard.state = ShardState::Dispatched;
                 shard.worker = Some(worker_id);
                 let dispatch = Dispatch {
                     worker: worker_id,
                     addr,
                     job: job_id,
                     shard: shard_index,
-                    count: job.count,
+                    count,
                     epoch: shard.epoch,
-                    start_row: shard.rows,
+                    start_row: job.merge.rows(shard_index),
                     grid_json: job.grid_json.clone(),
                     grid_fingerprint: job.grid_fingerprint,
                     options_fingerprint: job.options_fingerprint,
                 };
                 let record = state.workers.get_mut(&worker_id).expect("worker present");
-                record.assignment = Some(Assignment {
-                    job: job_id,
-                    shard: shard_index,
-                    epoch: dispatch.epoch,
-                });
-                record.confirmation = Confirmation::InFlight;
+                record.assignment = Some(dispatch.assignment());
                 self.dispatched_total.fetch_add(1, Ordering::Relaxed);
                 plan.push(dispatch);
             }
@@ -712,50 +596,30 @@ impl Coordinator {
         plan
     }
 
-    /// Records that the worker acknowledged a dispatch (`202`): it started
-    /// the shard, so its heartbeats may now settle whether it still holds it.
-    pub fn dispatch_acked(&self, dispatch: &Dispatch) {
-        let mut state = self.lock();
-        if let Some(record) = state.workers.get_mut(&dispatch.worker) {
-            if record.assignment == Some(dispatch.assignment())
-                && record.confirmation == Confirmation::InFlight
-            {
-                record.confirmation = Confirmation::Acked;
-            }
-        }
-    }
-
-    /// Reverts a dispatch whose HTTP post failed: the shard goes back to
-    /// pending (same epoch — nothing was computed) and the worker back to
-    /// idle, provided neither moved on in the meantime. Wakes the
-    /// dispatcher, which may be waiting while the post ran on its own thread.
+    /// Reverts a dispatch whose HTTP post failed: when the worker still
+    /// holds it, the worker goes back to idle and the shard back to pending
+    /// (same epoch — nothing was computed). Wakes the dispatcher, which may
+    /// be waiting while the post ran on its own thread.
     pub fn dispatch_failed(&self, dispatch: &Dispatch) {
         let mut state = self.lock();
-        if let Some(record) = state.workers.get_mut(&dispatch.worker) {
-            if record.assignment == Some(dispatch.assignment()) {
-                record.assignment = None;
-            }
-        }
-        if let Some(job) = state.jobs.get_mut(&dispatch.job) {
-            let shard = &mut job.shards[dispatch.shard];
-            if shard.epoch == dispatch.epoch
-                && shard.state
-                    == (ShardState::Dispatched {
-                        worker: dispatch.worker,
-                    })
-            {
-                shard.state = ShardState::Pending;
-            }
+        let held = (state.workers.get_mut(&dispatch.worker)).and_then(|record| {
+            record
+                .assignment
+                .take_if(|held| *held == dispatch.assignment())
+        });
+        if let (Some(_), Some(job)) = (held, state.jobs.get_mut(&dispatch.job)) {
+            job.shards[dispatch.shard].state = ShardState::Pending;
         }
         drop(state);
         self.wake();
     }
 
     /// Accepts (or refuses) one uploaded chunk. The sender must hold the
-    /// shard's current assignment — worker id, registration token and epoch
-    /// all have to match — and the chunk's manifest must agree with the job's
-    /// fingerprints and the coordinator's checkpoint. A refused chunk leaves
-    /// the checkpoint unchanged.
+    /// shard — its registration token must match, and its assignment must
+    /// name the job, the shard and the upload's epoch — and the chunk's
+    /// manifest must agree with the job's fingerprints and the
+    /// coordinator's checkpoint. A refused chunk leaves the checkpoint
+    /// unchanged.
     #[allow(clippy::too_many_arguments)]
     pub fn accept_chunk(
         &self,
@@ -790,9 +654,7 @@ impl Coordinator {
         now: Instant,
     ) -> Result<ChunkOutcome, ChunkError> {
         let mut state = self.lock();
-        // Fence the sender before touching the job: only the worker the
-        // shard's current epoch was dispatched to may advance the checkpoint.
-        match state.workers.get(&worker) {
+        let held = match state.workers.get(&worker) {
             Some(record) if record.dead => {
                 return Err(ChunkError::Stale(format!(
                     "worker {worker} was declared dead; its shard was re-issued"
@@ -803,13 +665,13 @@ impl Coordinator {
                     "worker {worker} token mismatch (stale registration)"
                 )))
             }
-            Some(_) => {}
+            Some(record) => record.assignment,
             None => {
                 return Err(ChunkError::Stale(format!(
                     "unknown worker {worker} (purged after lease expiry?)"
                 )))
             }
-        }
+        };
         let Some(job) = state.jobs.get_mut(&job_id) else {
             return Err(ChunkError::NotFound(format!("no sweep job {job_id}")));
         };
@@ -818,66 +680,66 @@ impl Coordinator {
                 "sweep job {job_id} was cancelled"
             )));
         }
-        if shard_index >= job.count {
+        let count = job.shards.len();
+        if shard_index >= count {
             return Err(ChunkError::NotFound(format!(
-                "job {job_id} has {} shards, no shard {shard_index}",
-                job.count
+                "job {job_id} has {count} shards, no shard {shard_index}"
             )));
         }
         let manifest = chunk.manifest();
         if manifest.grid_fingerprint != job.grid_fingerprint
             || manifest.options_fingerprint != job.options_fingerprint
-            || manifest.grid_cells != job.grid_cells
+            || manifest.grid_cells != job.merge.cells()
         {
             return Err(ChunkError::Invalid(
                 "chunk manifest belongs to a different sweep (fingerprint mismatch)".to_string(),
             ));
         }
-        if manifest.shard.index != shard_index || manifest.shard.count != job.count {
+        if manifest.shard.index != shard_index || manifest.shard.count != count {
             return Err(ChunkError::Invalid(format!(
-                "chunk manifest covers shard {}, upload targets shard {shard_index}/{}",
-                manifest.shard, job.count
+                "chunk manifest covers shard {}, upload targets shard {shard_index}/{count}",
+                manifest.shard
             )));
         }
-        let shard = &job.shards[shard_index];
-        match shard.state {
-            ShardState::Dispatched { worker: assigned } if assigned == worker => {}
-            ShardState::Done => {
-                return Err(ChunkError::Stale(format!(
-                    "shard {shard_index} already completed"
-                )))
-            }
-            _ => {
-                return Err(ChunkError::Stale(format!(
-                    "shard {shard_index} is not dispatched to worker {worker}"
-                )))
-            }
+        // Fence the sender: only the worker whose assignment names this
+        // epoch of the shard may advance its checkpoint.
+        if held
+            != Some(Assignment {
+                job: job_id,
+                shard: shard_index,
+                epoch,
+            })
+        {
+            let shard = &job.shards[shard_index];
+            return Err(ChunkError::Stale(if shard.state == ShardState::Done {
+                format!("shard {shard_index} already completed")
+            } else if shard.epoch != epoch {
+                format!(
+                    "stale epoch {epoch} for shard {shard_index} (current {})",
+                    shard.epoch
+                )
+            } else {
+                format!("shard {shard_index} is not dispatched to worker {worker}")
+            }));
         }
-        if shard.epoch != epoch {
-            return Err(ChunkError::Stale(format!(
-                "stale epoch {epoch} for shard {shard_index} (current {})",
-                shard.epoch
-            )));
-        }
-        if chunk.from_row() != shard.rows {
+        let checkpoint = job.merge.rows(shard_index);
+        if chunk.from_row() != checkpoint {
             return Err(ChunkError::Invalid(format!(
-                "chunk starts at row {} but the checkpoint holds {} rows",
-                chunk.from_row(),
-                shard.rows
+                "chunk starts at row {} but the checkpoint holds {checkpoint} rows",
+                chunk.from_row()
             )));
         }
         let accepted_rows = chunk.row_count();
-        if shard.rows + accepted_rows > shard.total {
+        let total = job.merge.total(shard_index);
+        if checkpoint + accepted_rows > total {
             return Err(ChunkError::Invalid(format!(
-                "chunk overruns the shard: {} + {accepted_rows} rows > {} cells",
-                shard.rows, shard.total
+                "chunk overruns the shard: {checkpoint} + {accepted_rows} rows > {total} cells"
             )));
         }
-        job.file_rows(shard_index, chunk.rows(), accepted_rows);
-        let shard = &mut job.shards[shard_index];
-        let shard_done = shard.rows == shard.total;
+        job.merge.push(shard_index, chunk.rows(), accepted_rows);
+        let shard_done = checkpoint + accepted_rows == total;
         if shard_done {
-            shard.state = ShardState::Done;
+            job.shards[shard_index].state = ShardState::Done;
         }
         let job_done = job.is_done();
         // The upload doubles as a heartbeat, and a finished shard frees the
@@ -899,13 +761,23 @@ impl Coordinator {
         })
     }
 
-    /// Marks a job cancelled: pending shards stop dispatching and in-flight
-    /// uploads are refused with `410`.
+    /// Cancels a job: its pending shards stop dispatching, its uploads are
+    /// refused with `410`, and every worker holding one of its shards is
+    /// released at once and the dispatcher woken, so the worker may be
+    /// handed another job's shard while the cancelled one stops at its next
+    /// refused upload (the worker's dispatch grace covers the overlap). A
+    /// cancelled job's shards are never re-issued.
     pub fn cancel_job(&self, job: u64) {
         let mut state = self.lock();
-        if let Some(entry) = state.jobs.get_mut(&job) {
-            entry.cancelled = true;
+        let Some(entry) = state.jobs.get_mut(&job) else {
+            return;
+        };
+        entry.cancelled = true;
+        for record in state.workers.values_mut() {
+            record.assignment.take_if(|held| held.job == job);
         }
+        drop(state);
+        self.wake();
     }
 
     /// `(completed, total)` cells of a live job.
@@ -914,7 +786,7 @@ impl Coordinator {
         state
             .jobs
             .get(&job)
-            .map(|entry| (entry.completed(), entry.total()))
+            .map(|entry| (entry.merge.completed(), entry.merge.cells()))
     }
 
     /// True when the job can be joined: every shard done, or cancelled.
@@ -938,11 +810,11 @@ impl Coordinator {
             .enumerate()
             .map(|(index, shard)| DistShardView {
                 index,
-                total: shard.total,
-                completed: shard.rows,
+                total: entry.merge.total(index),
+                completed: entry.merge.rows(index),
                 status: match shard.state {
                     ShardState::Pending => "pending",
-                    ShardState::Dispatched { .. } => "dispatched",
+                    ShardState::Dispatched => "dispatched",
                     ShardState::Done => "done",
                 },
                 worker: shard.worker,
@@ -956,8 +828,8 @@ impl Coordinator {
             .collect();
         Some(DistJobView {
             shards,
-            merged_rows: entry.merged_rows(),
-            total: entry.total(),
+            merged_rows: entry.merge.merged_rows(),
+            total: entry.merge.cells(),
             cancelled: entry.cancelled,
         })
     }
@@ -1009,20 +881,20 @@ impl Coordinator {
         stats
     }
 
-    /// Takes a finished job out of the coordinator. Its CSV is the job's
+    /// Takes a finished job out of the coordinator. Its CSV is the merge's
     /// text, handed over as it stands: the header followed by the shards'
-    /// checkpointed text up to the merge frontier. For a done job that is
+    /// checkpointed rows up to the merge frontier. For a done job that is
     /// every shard, byte-identical to the single-process sweep; for a
-    /// cancelled one the in-order prefix of that sweep (rows buffered past
+    /// cancelled one the in-order prefix of that sweep (rows parked past
     /// the frontier are dropped).
     pub fn take_finished(&self, job: u64) -> Option<DistOutcome> {
-        let entry = self.lock().jobs.remove(&job)?;
-        let rows = entry.merged_rows();
+        let DistJob { shards, merge, .. } = self.lock().jobs.remove(&job)?;
+        let rows = merge.merged_rows();
         Some(DistOutcome {
-            cancelled: rows < entry.total(),
+            cancelled: rows < merge.cells(),
             rows,
-            totals: entry.shards.iter().map(|s| s.total).collect(),
-            csv: entry.text,
+            totals: (0..shards.len()).map(|index| merge.total(index)).collect(),
+            csv: merge.into_csv(),
         })
     }
 }
@@ -1080,15 +952,15 @@ fn send_dispatch(dispatch: &Dispatch) -> bool {
 
 /// The dispatcher loop: expire leases, plan dispatches under the lock, start
 /// each post on its own thread, then wait for the next wake — a submission,
-/// a registration, a completed shard, an abandoned shard, a failed post or
-/// [`Coordinator::stop`]. The wait is bounded by a quarter lease (capped at
+/// a registration, a completed shard, a reported drop, a cancel, a failed
+/// post or [`Coordinator::stop`]. The wait is bounded by a quarter lease (capped at
 /// 250 ms), so lease expiry is scanned on time.
 ///
 /// No post waits for another, and the loop waits for none: a worker that
 /// accepts the connection and never answers holds only its own post, for
-/// the client's read timeout. Each post records its own acknowledgement or
-/// failure; a failed post first backs off one tick, so a worker that
-/// refuses at once is retried at the loop's pace, not in a spin. Finished
+/// the client's read timeout. Each post reports its own failure after
+/// backing off one tick, so a worker that refuses at once is retried at the
+/// loop's pace, not in a spin. Finished
 /// posts are joined as the loop goes round; the ones still running at stop
 /// are left to end on their own.
 pub fn run_dispatcher(coordinator: Arc<Coordinator>) {
@@ -1104,9 +976,7 @@ pub fn run_dispatcher(coordinator: Arc<Coordinator>) {
             let post = std::thread::Builder::new()
                 .name(format!("ayd-dispatch-{}-{}", dispatch.job, dispatch.shard))
                 .spawn(move || {
-                    if send_dispatch(&dispatch) {
-                        coordinator.dispatch_acked(&dispatch);
-                    } else {
+                    if !send_dispatch(&dispatch) {
                         std::thread::sleep(tick);
                         coordinator.dispatch_failed(&dispatch);
                     }
@@ -1136,7 +1006,7 @@ mod tests {
     use super::*;
     use ayd_platforms::ScenarioId;
     use ayd_sweep::{
-        ProcessorAxis, RunOptions, ScenarioGrid, SweepManifest, SweepOptions, CSV_HEADER,
+        ProcessorAxis, RunOptions, ScenarioGrid, ShardSpec, SweepManifest, SweepOptions, CSV_HEADER,
     };
 
     const LEASE: Duration = Duration::from_millis(1_000);
@@ -1322,9 +1192,9 @@ mod tests {
 
     #[test]
     fn a_shard_the_worker_abandoned_requeues_without_waiting_for_its_lease() {
-        // The worker cancelled the shard after a refused upload but keeps
-        // heartbeating, so its lease never expires: only its report of the
-        // active shard can free the shard.
+        // The worker stopped computing the shard after a refused upload but
+        // keeps heartbeating, so its lease never expires: only its report
+        // of the dropped shard frees the shard.
         let (coordinator, t0, worker, token, plan) = cluster();
         let d = &plan[0];
         let view =
@@ -1340,24 +1210,25 @@ mod tests {
                 t0,
             )
             .unwrap();
-        // While the dispatch post is unanswered, an idle report may predate
-        // the worker receiving it: nothing re-queues.
-        coordinator.heartbeat(worker, token, None, t0).unwrap();
-        assert_eq!(view(&coordinator).status, "dispatched");
-        // Acknowledged, but the first heartbeat after the ack may still have
-        // been sampled before the shard started.
-        coordinator.dispatch_acked(d);
-        coordinator.heartbeat(worker, token, None, t0).unwrap();
-        assert_eq!(view(&coordinator).status, "dispatched");
-        // Reports of the shard itself keep it dispatched.
+        while coordinator.wait_wake(Duration::ZERO) {}
+        // A heartbeat with nothing to report, or reporting a shard the
+        // worker does not hold (a later epoch, the other shard, another
+        // job), changes nothing.
+        for report in [
+            None,
+            Some((7, d.shard, d.epoch + 1)),
+            Some((7, 1 - d.shard, d.epoch)),
+            Some((8, d.shard, d.epoch)),
+        ] {
+            coordinator.heartbeat(worker, token, report, t0).unwrap();
+            assert_eq!(view(&coordinator).status, "dispatched", "{report:?}");
+            assert!(!coordinator.wait_wake(Duration::ZERO), "{report:?}");
+        }
+        // A report of its assignment re-queues the shard from the
+        // checkpoint under the next epoch and wakes the dispatcher.
         coordinator
             .heartbeat(worker, token, Some((7, d.shard, d.epoch)), t0)
             .unwrap();
-        assert_eq!(view(&coordinator).status, "dispatched");
-        while coordinator.wait_wake(Duration::ZERO) {}
-        // From then on a heartbeat without the shard means it was dropped:
-        // re-queued from the checkpoint under the next epoch, dispatcher woken.
-        coordinator.heartbeat(worker, token, None, t0).unwrap();
         assert!(
             coordinator.wait_wake(Duration::ZERO),
             "the dispatcher is woken"
@@ -1377,6 +1248,13 @@ mod tests {
         assert_eq!(replan[0].worker, worker);
         assert_eq!(replan[0].epoch, d.epoch + 1);
         assert_eq!(replan[0].start_row, 1);
+        // The same report again now names an older epoch: nothing moves.
+        coordinator
+            .heartbeat(worker, token, Some((7, d.shard, d.epoch)), t0)
+            .unwrap();
+        let shard = view(&coordinator);
+        assert_eq!((shard.status, shard.epoch), ("dispatched", d.epoch + 1));
+        assert_eq!(coordinator.stats(t0).shard_reissues_total, 1);
         // A late upload under the abandoned epoch is fenced.
         let err = coordinator
             .accept_chunk(
@@ -1392,6 +1270,79 @@ mod tests {
         assert!(matches!(err, ChunkError::Stale(_)), "{err:?}");
         assert_eq!(err.status().0, 409);
         assert_eq!(view(&coordinator).completed, 1);
+    }
+
+    #[test]
+    fn a_cancel_frees_its_workers_at_once() {
+        // Job 7's first shard holds the one worker, with a partial
+        // checkpoint; job 8 waits for a worker.
+        let (coordinator, t0, worker, token, plan) = cluster();
+        let d = &plan[0];
+        coordinator
+            .accept_chunk(
+                7,
+                d.shard,
+                worker,
+                token,
+                d.epoch,
+                &chunk(d.shard, 2, 0, 1),
+                t0,
+            )
+            .unwrap();
+        let g = grid();
+        coordinator.submit(
+            8,
+            "{}".to_string(),
+            g.fingerprint(),
+            options().output_fingerprint(),
+            2,
+            g.len(),
+        );
+        assert!(
+            coordinator.dispatch_plan(t0).is_empty(),
+            "the worker is busy"
+        );
+        while coordinator.wait_wake(Duration::ZERO) {}
+        // The cancel releases the worker and wakes the dispatcher: the next
+        // plan, with no heartbeat in between, hands it job 8's shard.
+        coordinator.cancel_job(7);
+        assert!(coordinator.wait_wake(Duration::ZERO), "a cancel wakes");
+        let later = t0 + Duration::from_millis(1);
+        let next = coordinator.dispatch_plan(later);
+        assert_eq!(next.len(), 1);
+        assert_eq!((next[0].job, next[0].worker), (8, worker));
+        // The cancelled shard's drop report changes nothing, its late
+        // upload is refused with 410, and nothing was re-issued.
+        coordinator
+            .heartbeat(worker, token, Some((7, d.shard, d.epoch)), later)
+            .unwrap();
+        let err = coordinator
+            .accept_chunk(
+                7,
+                d.shard,
+                worker,
+                token,
+                d.epoch,
+                &chunk(d.shard, 2, 1, 1),
+                later,
+            )
+            .unwrap_err();
+        assert_eq!(err.status().0, 410);
+        let workers = coordinator.workers_view(later);
+        assert_eq!(workers[0].assignment, Some((8, next[0].shard, 0)));
+        let view = coordinator.shards_view(7).unwrap();
+        assert!(view.shards.iter().all(|shard| shard.reissues == 0));
+        assert_eq!(coordinator.stats(later).shard_reissues_total, 0);
+        // Neither does the lease of the worker that held it, once expired.
+        let dead_at = later + 2 * LEASE + Duration::from_millis(1);
+        assert_eq!(coordinator.expire(dead_at), vec![worker]);
+        let stats = coordinator.stats(dead_at);
+        assert_eq!(
+            stats.shard_reissues_total, 1,
+            "only job 8's shard re-issues"
+        );
+        let view = coordinator.shards_view(7).unwrap();
+        assert!(view.shards.iter().all(|shard| shard.reissues == 0));
     }
 
     #[test]
@@ -1419,10 +1370,7 @@ mod tests {
         );
         assert!(coordinator.wait_wake(Duration::ZERO), "submission wakes");
         let d = coordinator.dispatch_plan(t0).remove(0);
-        coordinator.dispatch_acked(&d);
-        coordinator
-            .heartbeat(worker, token, Some((7, d.shard, d.epoch)), t0)
-            .unwrap();
+        coordinator.heartbeat(worker, token, None, t0).unwrap();
         let total = coordinator.shards_view(7).unwrap().shards[d.shard].total;
         coordinator
             .accept_chunk(
@@ -1437,7 +1385,7 @@ mod tests {
             .unwrap();
         assert!(
             !coordinator.wait_wake(Duration::ZERO),
-            "planning, acks, heartbeats and partial chunks free nothing"
+            "planning, heartbeats and partial chunks free nothing"
         );
         let done = coordinator
             .accept_chunk(
@@ -1923,23 +1871,29 @@ mod tests {
         fn check(&self) {
             let expected = self.expected();
             let state = self.coordinator.lock();
-            assert_eq!(state.jobs[&Self::JOB].text, expected, "{:?}", self.uploaded);
+            assert_eq!(
+                state.jobs[&Self::JOB].merge.csv(),
+                expected,
+                "{:?}",
+                self.uploaded
+            );
             drop(state);
             let merged = self.coordinator.shards_view(Self::JOB).unwrap().merged_rows;
             assert_eq!(merged, expected.lines().count() - 1);
         }
 
-        /// The worker holding `shard` abandons it; its heartbeats re-queue
-        /// the shard from its checkpoint, and it is dispatched again.
+        /// The worker holding `shard` reports it dropped: the shard re-queues
+        /// from its checkpoint, and it is dispatched again.
         fn reissue(&mut self, shard: usize) {
             let d = self.dispatches[shard].clone();
-            let token = self.tokens[&d.worker];
-            self.coordinator.dispatch_acked(&d);
-            for _ in 0..2 {
-                self.coordinator
-                    .heartbeat(d.worker, token, None, self.t0)
-                    .unwrap();
-            }
+            self.coordinator
+                .heartbeat(
+                    d.worker,
+                    self.tokens[&d.worker],
+                    Some((Self::JOB, shard, d.epoch)),
+                    self.t0,
+                )
+                .unwrap();
             let again = self.coordinator.dispatch_plan(self.t0).remove(0);
             assert_eq!((again.shard, again.epoch), (shard, d.epoch + 1));
             assert_eq!(

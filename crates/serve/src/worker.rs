@@ -4,9 +4,9 @@
 //! An ayd-serve instance started with `--worker-of COORDINATOR` runs a small
 //! agent thread that registers with the coordinator (`POST
 //! /v1/workers/register`), then heartbeats on the advertised cadence,
-//! reporting the shard it is executing; any failed heartbeat — or a `404`
-//! telling the worker its lease already expired — drops the registration
-//! and re-registers under a fresh identity.
+//! reporting the shard it last dropped, if any; any failed heartbeat — or a
+//! `404` telling the worker its lease already expired — drops the
+//! registration and re-registers under a fresh identity.
 //!
 //! Dispatches arrive over the worker's own HTTP listener (`POST
 //! /v1/shards/run`): the handler rebuilds the grid from the forwarded sweep
@@ -17,11 +17,11 @@
 //! cells, over one keep-alive connection per shard with one chunk in
 //! flight: each upload first reads the previous chunk's reply, then writes
 //! its own without waiting for it, so the shard computes while the
-//! coordinator checkpoints. The worker keeps nothing on disk. A refused
-//! upload (stale epoch after a re-issue, coordinator restart, cancelled job)
-//! aborts the shard before another chunk is sent: the coordinator owns the
-//! only checkpoint, learns of the abandonment from the next heartbeats and
-//! re-issues from it.
+//! coordinator checkpoints. The worker keeps nothing on disk. A refused or
+//! failed upload (stale epoch after a re-issue, coordinator restart,
+//! cancelled job) aborts the shard before another chunk is sent, and the
+//! next heartbeat reports the shard dropped: the coordinator owns the only
+//! checkpoint and re-issues the shard from it if the worker still held it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -109,18 +109,25 @@ pub struct ShardRun {
 /// How long a dispatch waits for the executing shard to clear its slot.
 /// The coordinator frees a worker when it accepts the shard's final chunk,
 /// and may dispatch again before the worker has read that upload's reply;
-/// the slot clears moments later, so the dispatch waits instead of bouncing.
+/// it frees a worker whose job it cancels at once, while the cancelled
+/// shard computes until its next upload is refused. Either way the slot
+/// clears moments later, so the dispatch waits instead of bouncing.
 const BUSY_GRACE: Duration = Duration::from_millis(250);
 
 /// Worker-side cluster state: the current registration, the (at most one)
-/// executing shard, the last grid document with its fingerprint, and the
-/// agent stop flag.
+/// executing shard, the shard last dropped, the last grid document with its
+/// fingerprint, and the agent stop flag.
 pub struct WorkerRuntime {
     coordinator: String,
     registration: Mutex<Option<Registration>>,
     active: Mutex<Option<ActiveShard>>,
     /// Signalled when the executing shard clears `active`.
     idle: Condvar,
+    /// The shard that last ended early while the worker was not stopping,
+    /// for the next heartbeat to report until one delivers it, another
+    /// dispatch is accepted or the worker re-registers. Set and cleared
+    /// under the `active` lock.
+    dropped: Mutex<Option<(u64, usize, u64)>>,
     /// The text of the last grid document dispatched here and its grid's
     /// fingerprint: a job's later shards on this worker skip hashing every
     /// cell again.
@@ -136,14 +143,10 @@ impl WorkerRuntime {
             registration: Mutex::new(None),
             active: Mutex::new(None),
             idle: Condvar::new(),
+            dropped: Mutex::new(None),
             last_grid: Mutex::new(None),
             stop: AtomicBool::new(false),
         })
-    }
-
-    /// The coordinator address this worker reports to.
-    pub fn coordinator(&self) -> &str {
-        &self.coordinator
     }
 
     /// Stops the agent loop and cancels any executing shard.
@@ -171,6 +174,12 @@ impl WorkerRuntime {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    fn lock_dropped(&self) -> std::sync::MutexGuard<'_, Option<(u64, usize, u64)>> {
+        self.dropped
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     /// The fingerprint of `grid`, parsed from the grid document `document`.
     /// Remembered for the last document, keyed by its text rather than by
     /// grid equality: `==` takes `-0.0` and `0.0` for the same value, the
@@ -193,13 +202,6 @@ impl WorkerRuntime {
     /// The current registration id, if the worker is registered.
     pub fn registration_id(&self) -> Option<u64> {
         self.lock_registration().as_ref().map(|r| r.id)
-    }
-
-    /// `(job, shard, epoch)` of the executing shard, if any.
-    pub fn active_shard(&self) -> Option<(u64, usize, u64)> {
-        self.lock_active()
-            .as_ref()
-            .map(|active| (active.job, active.shard, active.epoch))
     }
 
     /// Accepts a dispatch and starts the shard on a fresh compute thread.
@@ -276,6 +278,7 @@ impl WorkerRuntime {
                     "worker is shutting down".to_string(),
                 ));
             }
+            *self.lock_dropped() = None;
             *active = Some(ActiveShard {
                 job: run.job,
                 shard: run.shard,
@@ -295,7 +298,8 @@ impl WorkerRuntime {
     }
 
     /// The compute thread body: evaluates the shard's cells from `start_row`
-    /// through a [`ChunkSink`], then clears the active slot.
+    /// through a [`ChunkSink`], then clears the active slot, recording the
+    /// shard as dropped if it ended early while the worker is not stopping.
     fn compute_shard(
         self: Arc<Self>,
         options: SweepOptions,
@@ -325,19 +329,15 @@ impl WorkerRuntime {
         let executor = SweepExecutor::new(options);
         executor.run_cells_streamed(&cells[run.start_row..], &mut sink, Some(&cancel), None);
         sink.finish();
-        // The slot clears only after the final upload's reply was read, so a
-        // heartbeat never reports the shard dropped while its last chunk is
-        // still in flight.
+        // The slot, which only this thread clears, clears only after the
+        // final upload's reply was read, and a shard is dropped only once it
+        // stopped computing.
         let mut active = self.lock_active();
-        if let Some(executing) = active.as_ref() {
-            if executing.job == run.job
-                && executing.shard == run.shard
-                && executing.epoch == run.epoch
-            {
-                *active = None;
-                self.idle.notify_all();
-            }
+        if cancel.load(Ordering::SeqCst) && !self.stopped() {
+            *self.lock_dropped() = Some((run.job, run.shard, run.epoch));
         }
+        *active = None;
+        self.idle.notify_all();
     }
 }
 
@@ -489,13 +489,16 @@ pub fn run_agent(runtime: Arc<WorkerRuntime>, advertise: String) {
         match registration {
             None => {
                 let body = Json::obj(vec![("addr", Json::str(advertise.clone()))]).render();
-                let registered = HttpClient::connect(runtime.coordinator())
+                let registered = HttpClient::connect(&runtime.coordinator)
                     .and_then(|mut client| client.post_json("/v1/workers/register", &body))
                     .ok()
                     .filter(|response| response.status == 200)
                     .and_then(|response| parse_registration(&response.body));
                 match registered {
                     Some(registration) => {
+                        // The old identity's shard waits for its lease; a
+                        // report from the new identity would name nothing.
+                        *runtime.lock_dropped() = None;
                         *runtime.lock_registration() = Some(registration);
                     }
                     None => sleep_interruptible(&runtime, retry),
@@ -506,28 +509,24 @@ pub fn run_agent(runtime: Arc<WorkerRuntime>, advertise: String) {
                 if runtime.stopped() {
                     break;
                 }
-                // Sampled before the request is sent: the coordinator relies
-                // on heartbeats going out one at a time (see its
-                // `Confirmation`).
-                let active = match runtime.active_shard() {
-                    Some((job, shard, epoch)) => Json::obj(vec![
-                        ("job", Json::num(job as f64)),
-                        ("shard", Json::num(shard as f64)),
-                        ("epoch", Json::num(epoch as f64)),
-                    ]),
-                    None => Json::Null,
-                };
+                let dropped = *runtime.lock_dropped();
                 let body = Json::obj(vec![
                     ("token", Json::str(format!("{:016x}", registration.token))),
-                    ("active", active),
+                    ("dropped", crate::api::shard_key_json(dropped)),
                 ])
                 .render();
                 let path = format!("/v1/workers/{}/heartbeat", registration.id);
-                let renewed = HttpClient::connect(runtime.coordinator())
+                let renewed = HttpClient::connect(&runtime.coordinator)
                     .and_then(|mut client| client.post_json(&path, &body))
                     .map(|response| response.status == 200)
                     .unwrap_or(false);
-                if !renewed {
+                if renewed {
+                    // Delivered; a shard dropped since waits for the next.
+                    let mut pending = runtime.lock_dropped();
+                    if *pending == dropped {
+                        *pending = None;
+                    }
+                } else {
                     // Lease lost (coordinator restarted, we were declared
                     // dead, network partition): start over with a fresh
                     // identity. Any executing shard keeps computing; its
@@ -715,9 +714,12 @@ mod tests {
         let (addr, seen, reply, fake) = fake_coordinator();
         let runtime = registered(&addr);
         let grid = parse(GRID_64);
+        // A drop not yet reported is forgotten once a dispatch is accepted.
+        *runtime.lock_dropped() = Some((9, 1, 0));
         runtime
             .start_shard(options(), GRID_64, grid.clone(), whole(&grid))
             .unwrap();
+        assert_eq!(*runtime.lock_dropped(), None);
         // The shard cannot finish before the fake answers, so its slot is
         // still held.
         let cancel = Arc::clone(&runtime.lock_active().as_ref().unwrap().cancel);
@@ -735,6 +737,11 @@ mod tests {
         assert!(
             cancel.load(Ordering::SeqCst),
             "the refusal cancelled the shard"
+        );
+        assert_eq!(
+            *runtime.lock_dropped(),
+            Some((1, 0, 0)),
+            "the next heartbeat reports the shard dropped"
         );
         let listener = fake.join().unwrap();
         listener.set_nonblocking(true).unwrap();
@@ -760,11 +767,35 @@ mod tests {
                 reply.send(200).unwrap();
             }
         }
-        // The final chunk is in and its reply withheld: the shard is still
-        // this worker's, as its heartbeats report.
-        assert_eq!(runtime.active_shard(), Some((1, 0, 0)));
+        // The final chunk is in and its reply withheld: the slot is still
+        // held, and nothing is reported dropped.
+        assert!(runtime.lock_active().is_some());
         reply.send(200).unwrap();
         wait_idle(&runtime);
+        assert_eq!(
+            *runtime.lock_dropped(),
+            None,
+            "a finished shard reports nothing"
+        );
+        assert!(matches!(seen.recv_timeout(PATIENCE).unwrap(), Seen::Closed));
+        fake.join().unwrap();
+    }
+
+    #[test]
+    fn a_stopping_worker_reports_no_drop() {
+        let (addr, seen, reply, fake) = fake_coordinator();
+        let runtime = registered(&addr);
+        let grid = parse(GRID_64);
+        runtime
+            .start_shard(options(), GRID_64, grid.clone(), whole(&grid))
+            .unwrap();
+        upload(&seen, 0);
+        // Stopping cancels the shard, which ends early: a killed worker's
+        // shard is recovered through its lease, not reported.
+        runtime.stop();
+        reply.send(200).unwrap();
+        wait_idle(&runtime);
+        assert_eq!(*runtime.lock_dropped(), None);
         assert!(matches!(seen.recv_timeout(PATIENCE).unwrap(), Seen::Closed));
         fake.join().unwrap();
     }
@@ -859,7 +890,7 @@ mod tests {
             .start_shard(options(), GRID, grid(), bad)
             .unwrap_err();
         assert!(matches!(err, StartError::Mismatch(_)), "{err:?}");
-        assert!(runtime.active_shard().is_none(), "nothing started");
+        assert!(runtime.lock_active().is_none(), "nothing started");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! three-node cluster (one coordinator, two workers) computes a sharded
 //! sweep whose merged CSV must be byte-identical to the single-process
 //! engine — including when a worker is killed mid-shard and its work is
-//! re-issued from the coordinator's checkpoint.
+//! re-issued from the coordinator's checkpoint, and when a job is cancelled
+//! mid-shard and its worker goes straight on to the next job.
 //!
 //! "Killing" a worker here is `ServeHandle::shutdown()`: the worker's
 //! in-flight shard is cancelled and its heartbeats stop, which is exactly
@@ -37,13 +38,13 @@ fn boot(
     (handle, thread, state)
 }
 
-fn coordinator_config() -> ServerConfig {
+fn coordinator_config(lease: Duration) -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
         cluster: ClusterConfig {
             coordinator: true,
-            lease: LEASE,
+            lease,
             ..ClusterConfig::default()
         },
         ..ServerConfig::default()
@@ -83,6 +84,14 @@ fn poll_csv(addr: &str, id: u64, timeout: Duration) -> String {
         assert!(Instant::now() < deadline, "sweep {id} did not finish");
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+/// Submits a `/v1/sweep` job and returns its id.
+fn submit(client: &mut HttpClient, body: &str) -> u64 {
+    let accepted = client.post_json("/v1/sweep", body).unwrap();
+    assert_eq!(accepted.status, 202, "{}", accepted.body);
+    let doc = Json::parse(&accepted.body).unwrap();
+    doc.get("id").unwrap().as_f64().unwrap() as u64
 }
 
 fn counter(addr: &str, name: &str) -> f64 {
@@ -166,7 +175,7 @@ fn kill_a_worker_mid_shard(
 
 #[test]
 fn a_cluster_survives_a_worker_killed_mid_shard_without_recomputing_rows() {
-    let (coord_handle, coord_thread, coord) = boot(coordinator_config());
+    let (coord_handle, coord_thread, coord) = boot(coordinator_config(LEASE));
     let coord_addr = coord_handle.addr().to_string();
 
     // One worker at a time, so the job's first shard goes to the node we
@@ -230,7 +239,7 @@ fn a_cluster_survives_a_worker_killed_mid_shard_without_recomputing_rows() {
 
 #[test]
 fn two_workers_split_a_distributed_sweep_and_report_live_progress() {
-    let (coord_handle, coord_thread, _) = boot(coordinator_config());
+    let (coord_handle, coord_thread, _) = boot(coordinator_config(LEASE));
     let coord_addr = coord_handle.addr().to_string();
     let (w1_handle, w1_thread, _) = boot(worker_config(&coord_addr));
     let (w2_handle, w2_thread, _) = boot(worker_config(&coord_addr));
@@ -303,6 +312,74 @@ fn two_workers_split_a_distributed_sweep_and_report_live_progress() {
         handle.shutdown();
         thread.join().unwrap().unwrap();
     }
+    coord_handle.shutdown();
+    coord_thread.join().unwrap().unwrap();
+}
+
+/// 18,432 cells: every platform and scenario, 4 profiles, 6 λ multipliers,
+/// 8 processor counts and 4 pattern lengths. As 2 shards, each uploads 18
+/// chunks of 512 rows, so even a release worker leaves a partial
+/// checkpoint to cancel at.
+const WIDE_GRID_BODY: &str = r#"{"platforms":["Hera","Atlas","Coastal","Coastal SSD"],"scenarios":[1,2,3,4,5,6],"profiles":["amdahl:0.1","powerlaw:0.8","gustafson:0.05","perfect"],"lambda_multipliers":[1,2,5,10,20,50],"processors":[128,192,256,384,512,768,1024,2048],"pattern_lengths":[900,1800,3600,7200],"shards":2}"#;
+
+#[test]
+fn a_cancel_frees_its_worker_for_the_next_job_at_once() {
+    // A 30 s lease puts heartbeats 10 s apart: a worker that stayed held
+    // until a heartbeat freed it would miss the next job's 5 s bound.
+    let (coord_handle, coord_thread, coord) = boot(coordinator_config(Duration::from_secs(30)));
+    let coord_addr = coord_handle.addr().to_string();
+    let (worker_handle, worker_thread, _) = boot(worker_config(&coord_addr));
+    await_workers(&coord_addr, 1, Duration::from_secs(30)).unwrap();
+    let coordinator = coord.coordinator.as_ref().unwrap();
+
+    // Cancel a job once the coordinator holds a partial checkpoint of a
+    // shard, watched in process; a job that finished first is retried.
+    let partial = |id: u64| {
+        coordinator.shards_view(id).is_some_and(|view| {
+            view.shards
+                .iter()
+                .any(|shard| shard.completed > 0 && shard.completed < shard.total)
+        })
+    };
+    let mut client = HttpClient::connect(&coord_addr).unwrap();
+    let cancelled = (0..5).find_map(|_| {
+        let id = submit(&mut client, WIDE_GRID_BODY);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !partial(id) && !coordinator.job_finished(id) {
+            assert!(
+                Instant::now() < deadline,
+                "no partial checkpoint within 60 s"
+            );
+            std::thread::yield_now();
+        }
+        let response = client
+            .request("DELETE", &format!("/v1/sweep/{id}"), None, None)
+            .unwrap();
+        assert_eq!(response.status, 200, "{}", response.body);
+        let view = coordinator.shards_view(id);
+        view.filter(|view| view.cancelled && view.merged_rows < view.total)
+            .map(|_| id)
+    });
+    assert!(
+        cancelled.is_some(),
+        "five jobs in a row finished before the cancel"
+    );
+
+    let body = format!("{}{}", &GRID_BODY[..GRID_BODY.len() - 1], r#","shards":2}"#);
+    let started = Instant::now();
+    let id = submit(&mut client, &body);
+    let csv = poll_csv(&coord_addr, id, Duration::from_secs(5));
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(5), "the next job took {took:?}");
+    assert_eq!(csv, engine_sweep_csv(GRID_BODY).unwrap());
+    assert_eq!(
+        counter(&coord_addr, "ayd_shard_reissues_total"),
+        0.0,
+        "a cancelled shard is never re-issued"
+    );
+
+    worker_handle.shutdown();
+    worker_thread.join().unwrap().unwrap();
     coord_handle.shutdown();
     coord_thread.join().unwrap().unwrap();
 }

@@ -27,7 +27,8 @@
 //!   indices, shard runs stream into a CSV plus an atomically-updated sidecar
 //!   manifest, interrupted shards resume without recomputing finished cells,
 //!   and [`merge_parts`] concatenates the N shard CSVs into bytes identical
-//!   to the unsharded sweep.
+//!   to the unsharded sweep, through the [`ShardMerge`] a cluster
+//!   coordinator merges its shards' rows with as they arrive.
 //! * [`Evaluator`] / [`RunOptions`] — the per-cell evaluation kernel and run
 //!   options, shared with (and re-exported by) the `ayd-exp` harness.
 //!
@@ -69,7 +70,8 @@ pub use misspec::{
 };
 pub use options::{Fidelity, RunOptions};
 pub use shard::{
-    merge_parts, run_shard_to_files, ShardError, ShardPart, ShardRunReport, ShardSpec, MAX_SHARDS,
+    merge_parts, run_shard_to_files, ShardError, ShardMerge, ShardPart, ShardRunReport, ShardSpec,
+    MAX_SHARDS,
 };
 pub use sink::{csv_text, write_csv_line, NullSink, SweepSink, CSV_HEADER};
 pub use wire::{validate_rows, ShardChunk, CHUNK_MAGIC};

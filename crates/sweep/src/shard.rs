@@ -10,9 +10,10 @@
 //! from its *global* index (see [`crate::executor::cell_seed`]) and every
 //! cell's analytic evaluation depends only on the cell itself, a shard
 //! computes bit-identical rows to the same cells of an unsharded run — for
-//! any shard count, worker-thread count and cache setting. [`merge_parts`]
-//! concatenates the N shard CSVs in shard order into bytes **identical** to
-//! the unsharded sweep CSV.
+//! any shard count, worker-thread count and cache setting. A [`ShardMerge`]
+//! puts shards' rows in shard order as they come, and [`merge_parts`]
+//! concatenates the N shard CSVs through one into bytes **identical** to the
+//! unsharded sweep CSV.
 //!
 //! [`run_shard_to_files`] executes one shard against a CSV file plus an
 //! atomically-updated sidecar manifest (see [`crate::manifest`]). Because the
@@ -31,6 +32,7 @@ use crate::executor::{StreamedSweep, SweepExecutor};
 use crate::grid::{ScenarioGrid, SweepCell};
 use crate::manifest::{manifest_path, SweepManifest};
 use crate::sink::{SweepSink, CSV_HEADER};
+use crate::wire::validate_rows;
 
 /// One shard of a sweep: `index` of `count`, owning one contiguous range of
 /// global cell indices (see [`ShardSpec::range`]).
@@ -139,14 +141,134 @@ impl ShardPart {
     }
 }
 
+/// The in-order merge of one sweep's shard rows into its CSV, which a
+/// coordinator's checkpoint of a distributed job and [`merge_parts`] share.
+///
+/// Shards own contiguous, ascending cell ranges ([`ShardSpec::range`]), so
+/// the rows in global order are every row of the leading complete shards,
+/// then those of the *frontier*, the first shard not yet complete. The text
+/// is the header and those rows; rows of a shard past the frontier are
+/// parked with it until the frontier reaches it. So the text is always the
+/// unsharded sweep CSV's in-order prefix, and all of it once every shard is
+/// complete.
+#[derive(Debug)]
+pub struct ShardMerge {
+    text: String,
+    shards: Vec<MergedShard>,
+    frontier: usize,
+}
+
+/// One shard of a [`ShardMerge`]: the cells it owns, the rows pushed for
+/// it (its checkpoint), and those parked while it lay past the frontier.
+#[derive(Debug)]
+struct MergedShard {
+    total: usize,
+    rows: usize,
+    parked: String,
+}
+
+impl ShardMerge {
+    /// The merge of `count` shards of a `grid_cells`-cell grid: the header.
+    pub fn new(grid_cells: usize, count: usize) -> Self {
+        let shards = (0..count)
+            .map(|index| MergedShard {
+                total: ShardSpec { index, count }.range(grid_cells).len(),
+                rows: 0,
+                parked: String::new(),
+            })
+            .collect();
+        Self {
+            text: format!("{CSV_HEADER}\n"),
+            shards,
+            frontier: 0,
+        }
+    }
+
+    /// Appends `count` newline-terminated rows of shard `index`, which
+    /// continue its checkpoint and fit in its cells (the caller checks
+    /// both). The merge's first rows reserve the text once, for all of its
+    /// rows at their bytes per row plus an eighth (rows differ in length),
+    /// so it does not grow by doubling; rows may come from another process,
+    /// so a reservation the allocator refuses is skipped, not fatal.
+    pub fn push(&mut self, index: usize, rows: &str, count: usize) {
+        if count == 0 {
+            return;
+        }
+        if self.completed() == 0 {
+            let bytes = self.cells().saturating_mul(rows.len().div_ceil(count));
+            let _ = self.text.try_reserve_exact(bytes.saturating_add(bytes / 8));
+        }
+        let shard = &mut self.shards[index];
+        if index == self.frontier {
+            self.text.push_str(rows);
+        } else {
+            shard.parked.push_str(rows);
+        }
+        shard.rows += count;
+        // Past every complete shard, moving the parked rows of each shard
+        // the frontier reaches into the text.
+        while self
+            .shards
+            .get(self.frontier)
+            .is_some_and(|s| s.rows >= s.total)
+        {
+            self.frontier += 1;
+            if let Some(next) = self.shards.get_mut(self.frontier) {
+                self.text.push_str(&std::mem::take(&mut next.parked));
+            }
+        }
+    }
+
+    /// Shard `index`'s checkpoint: the rows pushed for it.
+    pub fn rows(&self, index: usize) -> usize {
+        self.shards[index].rows
+    }
+
+    /// Cells shard `index` owns.
+    pub fn total(&self, index: usize) -> usize {
+        self.shards[index].total
+    }
+
+    /// Rows pushed over all shards.
+    pub fn completed(&self) -> usize {
+        self.shards.iter().map(|shard| shard.rows).sum()
+    }
+
+    /// Cells of the grid.
+    pub fn cells(&self) -> usize {
+        self.shards.iter().map(|shard| shard.total).sum()
+    }
+
+    /// Rows in the text: those of the shards before the frontier, and the
+    /// frontier's checkpoint.
+    pub fn merged_rows(&self) -> usize {
+        let complete: usize = self.shards[..self.frontier].iter().map(|s| s.total).sum();
+        complete + self.shards.get(self.frontier).map_or(0, |s| s.rows)
+    }
+
+    /// The header, then the merged rows.
+    pub fn csv(&self) -> &str {
+        &self.text
+    }
+
+    /// Hands the text over as it stands; parked rows are dropped.
+    pub fn into_csv(self) -> String {
+        self.text
+    }
+}
+
 /// Merges complete shard outputs into the unsharded sweep CSV.
 ///
 /// Validates that the parts all belong to one sweep (fingerprints agree),
 /// that together they form a complete partition (`count` parts with indices
-/// `0..count`, every one fully materialised, headers intact), then
-/// concatenates the rows in shard order — shard ranges are contiguous and
-/// ascending, so that is global cell order. The result is **byte-identical**
-/// to the CSV an unsharded run over the same grid and options would produce.
+/// `0..count`, every one fully materialised, headers intact), and that each
+/// part's rows are the engine's: every row newline-terminated with the
+/// header's field count ([`validate_rows`], the rule chunk uploads pass),
+/// no `\r`, and as many rows as the shard owns. Each part's rows go into a
+/// [`ShardMerge`], which puts them in shard order — shard ranges are
+/// contiguous and ascending, so that is global cell order. The result is
+/// **byte-identical** to the CSV an unsharded run over the same grid and
+/// options would produce.
 pub fn merge_parts(parts: &[ShardPart]) -> Result<String, ShardError> {
     let first = parts
         .first()
@@ -158,15 +280,15 @@ pub fn merge_parts(parts: &[ShardPart]) -> Result<String, ShardError> {
             parts.len()
         )));
     }
-    let mut by_shard: Vec<Vec<&str>> = vec![Vec::new(); count];
+    let mut merge = ShardMerge::new(first.manifest.grid_cells, count);
     let mut seen = vec![false; count];
     for part in parts {
         let manifest = &part.manifest;
+        let refuse = |why: String| ShardError::Mismatch(format!("shard {} {why}", manifest.shard));
         if !manifest.same_sweep(&first.manifest) {
-            return Err(ShardError::Mismatch(format!(
-                "shard {} belongs to a different sweep (grid {:016x}/options {:016x} \
+            return Err(refuse(format!(
+                "belongs to a different sweep (grid {:016x}/options {:016x} \
                  vs grid {:016x}/options {:016x})",
-                manifest.shard,
                 manifest.grid_fingerprint,
                 manifest.options_fingerprint,
                 first.manifest.grid_fingerprint,
@@ -174,46 +296,39 @@ pub fn merge_parts(parts: &[ShardPart]) -> Result<String, ShardError> {
             )));
         }
         if !manifest.is_complete() {
-            return Err(ShardError::Mismatch(format!(
-                "shard {} is incomplete ({}/{} rows); resume it before merging",
-                manifest.shard, manifest.completed, manifest.shard_cells
+            return Err(refuse(format!(
+                "is incomplete ({}/{} rows); resume it before merging",
+                manifest.completed, manifest.shard_cells
             )));
         }
-        if std::mem::replace(&mut seen[manifest.shard.index], true) {
+        let index = manifest.shard.index;
+        if std::mem::replace(&mut seen[index], true) {
             return Err(ShardError::Mismatch(format!(
                 "duplicate input for shard {}",
                 manifest.shard
             )));
         }
-        let mut lines = part.csv.lines();
-        if lines.next() != Some(CSV_HEADER) {
-            return Err(ShardError::Mismatch(format!(
-                "shard {} CSV does not start with the canonical header",
-                manifest.shard
+        let rows = (part.csv.strip_prefix(CSV_HEADER))
+            .and_then(|rest| rest.strip_prefix('\n'))
+            .ok_or_else(|| refuse("CSV does not start with the canonical header".to_string()))?;
+        if rows.contains('\r') {
+            return Err(refuse(
+                "CSV contains a `\\r`; the engine ends rows with `\\n`".to_string(),
+            ));
+        }
+        let found = validate_rows(rows).map_err(|err| match err {
+            ShardError::Mismatch(rule) => refuse(format!("CSV: {rule}")),
+            other => other,
+        })?;
+        let total = merge.total(index);
+        if found != total {
+            return Err(refuse(format!(
+                "CSV has {found} rows but the manifest promises {total}"
             )));
         }
-        let rows: Vec<&str> = lines.collect();
-        if rows.len() != manifest.shard_cells {
-            return Err(ShardError::Mismatch(format!(
-                "shard {} CSV has {} rows but the manifest promises {}",
-                manifest.shard,
-                rows.len(),
-                manifest.shard_cells
-            )));
-        }
-        by_shard[manifest.shard.index] = rows;
+        merge.push(index, rows, found);
     }
-    let rows = by_shard.iter().flatten();
-    let mut out = String::with_capacity(
-        CSV_HEADER.len() + 1 + rows.clone().map(|l| l.len() + 1).sum::<usize>(),
-    );
-    out.push_str(CSV_HEADER);
-    out.push('\n');
-    for line in rows {
-        out.push_str(line);
-        out.push('\n');
-    }
-    Ok(out)
+    Ok(merge.into_csv())
 }
 
 /// Outcome of [`run_shard_to_files`].
@@ -568,6 +683,86 @@ mod tests {
         let mut short = part(0, 2);
         short.csv = short.csv.lines().take(3).collect::<Vec<_>>().join("\n") + "\n";
         assert!(merge_parts(&[short, part(1, 2)]).is_err());
+        // Rows that are not the engine's, which `str::lines` would have
+        // merged: a torn final row, a row of the wrong width, a `\r`.
+        let refusal = |edit: &dyn Fn(&mut String)| {
+            let mut bad = part(1, 2);
+            edit(&mut bad.csv);
+            merge_parts(&[part(0, 2), bad]).unwrap_err().to_string()
+        };
+        let torn = refusal(&|csv| {
+            csv.pop();
+        });
+        assert!(
+            torn.contains("shard 1/2 CSV") && torn.contains("torn"),
+            "{torn}"
+        );
+        let wide = refusal(&|csv| csv.insert(csv.len() - 1, ','));
+        assert!(wide.contains("fields"), "{wide}");
+        let cr = refusal(&|csv| *csv = csv.replace('\n', "\r\n").replacen("\r\n", "\n", 1));
+        assert!(cr.contains("\\r"), "{cr}");
+        assert!(refusal(&|csv| csv.insert(csv.len() / 2, '\r')).contains("\\r"));
+        // The header, exactly.
+        let header = refusal(&|csv| *csv = csv.replacen('\n', "\r\n", 1));
+        assert!(header.contains("canonical header"), "{header}");
+    }
+
+    /// A row of `shard` numbered `row`, of the header's width.
+    fn merge_row(shard: usize, row: usize) -> String {
+        let mut fields = vec![format!("{shard}.{row}")];
+        fields.resize(CSV_HEADER.matches(',').count() + 1, String::new());
+        fields.join(",") + "\n"
+    }
+
+    #[test]
+    fn a_merge_is_the_header_and_the_rows_up_to_its_frontier() {
+        // 10 cells in 4 shards own 3, 3, 2 and 2 of them.
+        let mut merge = ShardMerge::new(10, 4);
+        let totals: Vec<usize> = (0..4).map(|i| merge.total(i)).collect();
+        assert_eq!(totals, [3, 3, 2, 2]);
+        assert_eq!(merge.cells(), 10);
+        let mut pushed = [0; 4];
+        let mut push = |merge: &mut ShardMerge, shard: usize, rows: usize| {
+            let text: String = (pushed[shard]..pushed[shard] + rows)
+                .map(|row| merge_row(shard, row))
+                .collect();
+            merge.push(shard, &text, rows);
+            pushed[shard] += rows;
+            // The header, then each shard's rows in shard order up to the
+            // first shard not yet complete.
+            let mut expected = format!("{CSV_HEADER}\n");
+            for (shard, &total) in totals.iter().enumerate() {
+                expected.extend((0..pushed[shard]).map(|row| merge_row(shard, row)));
+                if pushed[shard] < total {
+                    break;
+                }
+            }
+            assert_eq!(merge.csv(), expected, "{pushed:?}");
+            assert_eq!(merge.merged_rows(), expected.lines().count() - 1);
+            assert_eq!(merge.rows(shard), pushed[shard]);
+            assert_eq!(merge.completed(), pushed.iter().sum::<usize>());
+        };
+        push(&mut merge, 3, 2); // parked behind three shards
+        push(&mut merge, 1, 2);
+        push(&mut merge, 0, 1);
+        push(&mut merge, 0, 0);
+        push(&mut merge, 0, 2); // the frontier reaches shard 1 mid-way
+        push(&mut merge, 1, 1); // and moves through shard 3's parked rows
+        push(&mut merge, 2, 2);
+        assert_eq!(merge.merged_rows(), 10);
+        let whole: String = (0..4)
+            .flat_map(|shard| (0..totals[shard]).map(move |row| merge_row(shard, row)))
+            .collect();
+        assert_eq!(merge.into_csv(), format!("{CSV_HEADER}\n{whole}"));
+        // Shards that own no cells are complete from the start.
+        let mut empty = ShardMerge::new(1, 3);
+        assert_eq!(empty.merged_rows(), 0);
+        empty.push(0, &merge_row(0, 0), 1);
+        assert_eq!(empty.merged_rows(), 1);
+        assert_eq!(
+            empty.into_csv(),
+            format!("{CSV_HEADER}\n{}", merge_row(0, 0))
+        );
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //!   together: sharding costs at most one extra cache miss per shard
 //!   boundary;
 //! * the CSV lines the workers render while they evaluate agree with the rows
-//!   they return, for any thread count and cache setting, evicting or not.
+//!   they return, for any thread count and cache setting, evicting or not;
+//! * a merge of shard CSVs whose rows were broken (truncated, a separator or
+//!   a `\r` inserted, a separator deleted) either refuses or returns the
+//!   unsharded sweep's bytes.
 
 use proptest::prelude::*;
 
@@ -258,5 +261,66 @@ proptest! {
             concatenated.push_str(results.csv_body());
         }
         prop_assert_eq!(concatenated, reference);
+    }
+}
+
+/// One structural edit of a shard CSV, drawn as `(kind, position)`: the
+/// position is taken modulo the CSV's length plus one.
+fn break_rows(csv: &mut String, (kind, position): (u64, usize)) {
+    let at = position % (csv.len() + 1);
+    match kind {
+        0 => csv.truncate(at),
+        1 => csv.insert(at, ','),
+        2 => csv.insert(at, '\n'),
+        3 => csv.insert(at, '\r'),
+        // Deletes a separator: two rows become one, or a row loses a field.
+        _ => {
+            if matches!(csv.as_bytes().get(at), Some(b',' | b'\n')) {
+                csv.remove(at);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A merge checks rows by their structure: no merge can tell a changed
+    /// digit from another sweep's row, so the edits are the ones a torn or
+    /// mangled file shows. All shards are ASCII, so every edit position is
+    /// a character boundary.
+    #[test]
+    fn a_merge_of_broken_rows_refuses_or_returns_the_engine_bytes(
+        count in 1usize..=4,
+        edits in prop::collection::vec((0usize..4, (0u64..5, 0usize..usize::MAX)), 0..4),
+    ) {
+        let grid = ScenarioGrid::builder()
+            .scenarios(&[ScenarioId::S1, ScenarioId::S4])
+            .lambda_multipliers(&[1.0, 10.0])
+            .processors(ProcessorAxis::Fixed(vec![256.0, 1024.0]))
+            .pattern_lengths(&[1800.0, 3600.0])
+            .build()
+            .unwrap();
+        let options = SweepOptions::new(ayd_sweep::RunOptions {
+            simulate: false,
+            ..ayd_sweep::RunOptions::smoke()
+        });
+        let executor = SweepExecutor::new(options.with_threads(1));
+        let full = executor.run(&grid).to_csv();
+        let mut parts: Vec<ShardPart> = (0..count)
+            .map(|index| {
+                let shard = ShardSpec::new(index, count).unwrap();
+                ShardPart {
+                    manifest: SweepManifest::complete(&grid, &options, shard),
+                    csv: executor.run_cells(&grid.shard_cells(shard)).to_csv(),
+                }
+            })
+            .collect();
+        for (part, edit) in edits {
+            break_rows(&mut parts[part % count].csv, edit);
+        }
+        if let Ok(merged) = merge_parts(&parts) {
+            prop_assert_eq!(merged, full);
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! The work ledger: the heap allocations of one served request, of one
 //! sweep job and its fetch, and of the poll that finishes a distributed
-//! job, pinned, with the job's cache lookups and the digest of its CSV.
+//! job, pinned, with the job's cache lookups and the digest of its CSV, and
+//! the searches of the job's grid with the cache on and off.
 //!
 //! Timings drift with the host; the work a request does does not. This test
 //! binary installs a counting global allocator whose counts are kept per
@@ -157,6 +158,38 @@ const SWEEP_JOB_CSV: (usize, u64) = (4_540_501, 0xd0b8_4ddc_603e_8bf7);
 /// (at two, a concurrent miss may compute twice): one search per distinct
 /// set of evaluation inputs, and one lookup per cell.
 const SWEEP_JOB_CACHE: (u64, u64) = (3_456, 24_192);
+
+/// The searches of [`ledger_grid`] at 1 thread through `SweepExecutor::run`
+/// (`SweepResults::search`): the fast-path and fallback period searches and
+/// the Brent iterations they spent. With the cache on, a block of cells
+/// whose evaluation inputs agree searches once: one search per distinct
+/// set of inputs. With it off, every cell searches.
+const SEARCHES: [(&str, SearchPin); 2] = [
+    (
+        "cache on",
+        SearchPin {
+            fast: 3_456,
+            fallback: 0,
+            brent_iterations: 32_147,
+        },
+    ),
+    (
+        "cache off",
+        SearchPin {
+            fast: 27_648,
+            fallback: 0,
+            brent_iterations: 257_176,
+        },
+    ),
+];
+
+/// The exact search counts of one run.
+#[derive(Debug, PartialEq, Eq)]
+struct SearchPin {
+    fast: u64,
+    fallback: u64,
+    brent_iterations: u64,
+}
 
 /// FNV-1a, 64-bit: offset basis `0xcbf29ce484222325`, prime
 /// `0x100000001b3`, over the bytes.
@@ -392,6 +425,29 @@ fn a_sweep_job_and_its_fetch_allocate_within_their_pins() {
         fetch(&warm, small),
         FINISHED_FETCH,
     );
+}
+
+#[test]
+fn the_ledger_grid_searches_once_per_distinct_evaluation() {
+    let _turn = turn();
+    let grid = ledger_grid();
+    let cached = state().options.with_threads(1);
+    assert!(cached.cache_capacity.is_some(), "the server caches");
+    for (options, (what, pin)) in [cached, cached.with_cache_capacity(None)]
+        .into_iter()
+        .zip(SEARCHES)
+    {
+        let search = SweepExecutor::new(options).run(&grid).search;
+        assert_eq!(
+            SearchPin {
+                fast: search.fast,
+                fallback: search.fallback,
+                brent_iterations: search.brent_iterations,
+            },
+            pin,
+            "searches of the 27,648-cell ledger grid at 1 thread, {what}"
+        );
+    }
 }
 
 #[test]

@@ -922,6 +922,87 @@ mod tests {
         assert_eq!(cancelled, Some(true));
     }
 
+    /// Accepts the agent's next request on `listener`, answers it with
+    /// `status` and `reply` once `before_reply` ran, and returns its target
+    /// and body.
+    fn answer_agent(
+        listener: &TcpListener,
+        status: u16,
+        reply: &str,
+        before_reply: impl FnOnce(),
+    ) -> (String, Json) {
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let target = line.split(' ').nth(1).unwrap().to_string();
+        let mut length = 0;
+        loop {
+            let mut header = String::new();
+            reader.read_line(&mut header).unwrap();
+            if header.trim().is_empty() {
+                break;
+            }
+            if let Some(value) = header.strip_prefix("content-length:") {
+                length = value.trim().parse().unwrap();
+            }
+        }
+        let mut body = vec![0; length];
+        reader.read_exact(&mut body).unwrap();
+        before_reply();
+        write!(
+            &stream,
+            "HTTP/1.1 {status} Fake\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{reply}",
+            reply.len()
+        )
+        .unwrap();
+        (
+            target,
+            Json::parse(std::str::from_utf8(&body).unwrap()).unwrap(),
+        )
+    }
+
+    #[test]
+    fn a_drop_is_reported_until_a_heartbeat_delivers_it_or_the_worker_re_registers() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let runtime = WorkerRuntime::new(&listener.local_addr().unwrap().to_string());
+        let agent = spawn_agent(Arc::clone(&runtime), "127.0.0.1:9".to_string());
+        let registration = r#"{"id":1,"token":"00000000000000aa","heartbeat_ms":10}"#;
+        let set = |dropped| *runtime.lock_dropped() = dropped;
+        let report = |body: &Json| body.get("dropped").unwrap().clone();
+        let shard = |job: f64| {
+            Json::obj(vec![
+                ("job", Json::num(job)),
+                ("shard", Json::num(0.0)),
+                ("epoch", Json::num(0.0)),
+            ])
+        };
+        // A drop recorded before registering concerns no identity of the
+        // new registration's.
+        let (target, _) = answer_agent(&listener, 200, registration, || set(Some((9, 0, 0))));
+        assert_eq!(target, "/v1/workers/register");
+        // A shard dropped while a heartbeat is in flight waits for the next.
+        let (target, body) = answer_agent(&listener, 200, "{}", || set(Some((1, 0, 0))));
+        assert_eq!(target, "/v1/workers/1/heartbeat");
+        assert_eq!(report(&body), Json::Null);
+        let (_, body) = answer_agent(&listener, 200, "{}", || {});
+        assert_eq!(report(&body), shard(1.0));
+        // Delivered: the next heartbeat reports nothing.
+        let (_, body) = answer_agent(&listener, 200, "{}", || {});
+        assert_eq!(report(&body), Json::Null);
+        // A report the coordinator does not take (the registration is gone)
+        // is forgotten with the registration.
+        let (_, body) = answer_agent(&listener, 200, "{}", || set(Some((2, 0, 0))));
+        assert_eq!(report(&body), Json::Null);
+        let (_, body) = answer_agent(&listener, 404, "{}", || {});
+        assert_eq!(report(&body), shard(2.0));
+        let (target, _) = answer_agent(&listener, 200, registration, || {});
+        assert_eq!(target, "/v1/workers/register");
+        let (_, body) = answer_agent(&listener, 200, "{}", || runtime.stop());
+        assert_eq!(report(&body), Json::Null);
+        agent.join().unwrap();
+    }
+
     #[test]
     fn registration_responses_parse_hex_tokens() {
         let registration = parse_registration(

@@ -42,8 +42,8 @@
 //! `--resume` skips rows an interrupted run already materialised.
 //! `sweep-merge --inputs a.csv,b.csv,... --out PATH` validates the sidecar
 //! manifests and concatenates the shards into bytes identical to the
-//! unsharded sweep. Both refuse manifests of the retired round-robin
-//! partition (`ayd-sweep-manifest v1`).
+//! unsharded sweep. Both refuse retired manifests by version: `v1` (the
+//! round-robin partition) and `v2` (the per-cell grid fingerprint).
 //!
 //! `serve` exposes the optimiser over HTTP (see the `ayd-serve` crate docs):
 //! `--addr` picks the listen address (port 0 = ephemeral; the bound address is

@@ -177,9 +177,12 @@ fn merge_refuses_shards_from_different_sweeps() {
 fn merge_and_resume_refuse_round_robin_v1_shards() {
     // Shards written under the retired round-robin partition have the same
     // sizes as range shards, so only the manifest version keeps them from
-    // being merged or resumed into range order.
+    // being merged or resumed into range order. Shards whose `v2` manifests
+    // carry the retired per-cell grid fingerprint are refused by version
+    // too.
     let dir = temp_dir("v1");
     let mut inputs = Vec::new();
+    let mut manifests = Vec::new();
     for index in 0..2 {
         let csv = dir.join(format!("shard-{index}.csv"));
         let spec = format!("{index}/2");
@@ -187,38 +190,39 @@ fn merge_and_resume_refuse_round_robin_v1_shards() {
         assert!(out.status.success(), "{out:?}");
         let manifest = dir.join(format!("shard-{index}.csv.manifest"));
         let text = std::fs::read_to_string(&manifest).unwrap();
-        assert!(text.starts_with("ayd-sweep-manifest v2\n"), "{text}");
-        std::fs::write(
-            &manifest,
-            text.replace("ayd-sweep-manifest v2", "ayd-sweep-manifest v1"),
-        )
-        .unwrap();
+        assert!(text.starts_with("ayd-sweep-manifest v3\n"), "{text}");
         inputs.push(csv);
+        manifests.push((manifest, text));
     }
-    let merged = dir.join("merged.csv");
-    let input_list = format!("{},{}", path_str(&inputs[0]), path_str(&inputs[1]));
-    let out = reproduce(&[
-        "sweep-merge",
-        "--inputs",
-        &input_list,
-        "--out",
-        path_str(&merged),
-    ]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("ayd-sweep-manifest v1"), "{stderr}");
-    assert!(stderr.contains("re-run the shard"), "{stderr}");
-    assert!(!merged.exists(), "a refused merge must not write output");
+    for retired in ["ayd-sweep-manifest v1", "ayd-sweep-manifest v2"] {
+        for (manifest, text) in &manifests {
+            std::fs::write(manifest, text.replace("ayd-sweep-manifest v3", retired)).unwrap();
+        }
+        let merged = dir.join("merged.csv");
+        let input_list = format!("{},{}", path_str(&inputs[0]), path_str(&inputs[1]));
+        let out = reproduce(&[
+            "sweep-merge",
+            "--inputs",
+            &input_list,
+            "--out",
+            path_str(&merged),
+        ]);
+        assert!(!out.status.success());
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(retired), "{stderr}");
+        assert!(stderr.contains("re-run the shard"), "{stderr}");
+        assert!(!merged.exists(), "a refused merge must not write output");
 
-    let out = reproduce(
-        &[
-            BASE,
-            &["--shard", "0/2", "--out", path_str(&inputs[0]), "--resume"],
-        ]
-        .concat(),
-    );
-    assert!(!out.status.success());
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("ayd-sweep-manifest v1"), "{stderr}");
+        let out = reproduce(
+            &[
+                BASE,
+                &["--shard", "0/2", "--out", path_str(&inputs[0]), "--resume"],
+            ]
+            .concat(),
+        );
+        assert!(!out.status.success());
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(retired), "{stderr}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

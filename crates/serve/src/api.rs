@@ -1260,7 +1260,7 @@ fn shard_run(state: &Arc<AppState>, req: &Request) -> Response {
         grid_fingerprint,
         options_fingerprint,
     };
-    match worker.start_shard(state.options, &grid_body.render(), grid, run) {
+    match worker.start_shard(state.options, grid, run) {
         Ok(()) => Response::json_status(
             202,
             "Accepted",
@@ -2200,8 +2200,19 @@ mod tests {
         manifest.completed = 1;
         let row = vec!["x"; CSV_HEADER.matches(',').count() + 1].join(",");
         let chunk = ShardChunk::new(manifest, 0, format!("{row}\n")).unwrap();
-        let (_, response) = route(&state, &post(&target, &chunk.render()));
+        let wire = chunk.render();
+        let (_, response) = route(&state, &post(&target, &wire));
         assert_eq!(response.status, 409);
+        // A `\r\n` row end, and a manifest section of the retired `v2`
+        // format, are refused as malformed before the fencing check.
+        for torn in [
+            wire.replace(&format!("{row}\n"), &format!("{row}\r\n")),
+            wire.replace("ayd-sweep-manifest v3", "ayd-sweep-manifest v2"),
+        ] {
+            assert_ne!(torn, wire);
+            let (_, response) = route(&state, &post(&target, &torn));
+            assert_eq!(response.status, 400);
+        }
         let (_, response) = route(&state, &get(&format!("/v1/sweep/{id}/shards")));
         let doc = body_json(&response);
         assert_eq!(doc.get("merged_rows").unwrap().as_f64().unwrap(), 0.0);

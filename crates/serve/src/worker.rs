@@ -115,8 +115,7 @@ pub struct ShardRun {
 const BUSY_GRACE: Duration = Duration::from_millis(250);
 
 /// Worker-side cluster state: the current registration, the (at most one)
-/// executing shard, the shard last dropped, the last grid document with its
-/// fingerprint, and the agent stop flag.
+/// executing shard, the shard last dropped, and the agent stop flag.
 pub struct WorkerRuntime {
     coordinator: String,
     registration: Mutex<Option<Registration>>,
@@ -128,10 +127,6 @@ pub struct WorkerRuntime {
     /// dispatch is accepted or the worker re-registers. Set and cleared
     /// under the `active` lock.
     dropped: Mutex<Option<(u64, usize, u64)>>,
-    /// The text of the last grid document dispatched here and its grid's
-    /// fingerprint: a job's later shards on this worker skip hashing every
-    /// cell again.
-    last_grid: Mutex<Option<(String, u64)>>,
     stop: AtomicBool,
 }
 
@@ -144,7 +139,6 @@ impl WorkerRuntime {
             active: Mutex::new(None),
             idle: Condvar::new(),
             dropped: Mutex::new(None),
-            last_grid: Mutex::new(None),
             stop: AtomicBool::new(false),
         })
     }
@@ -180,25 +174,6 @@ impl WorkerRuntime {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// The fingerprint of `grid`, parsed from the grid document `document`.
-    /// Remembered for the last document, keyed by its text rather than by
-    /// grid equality: `==` takes `-0.0` and `0.0` for the same value, the
-    /// fingerprint hashes their bits.
-    fn grid_fingerprint(&self, document: &str, grid: &ScenarioGrid) -> u64 {
-        let mut last = self
-            .last_grid
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        match last.as_ref() {
-            Some((text, fingerprint)) if text == document => *fingerprint,
-            _ => {
-                let fingerprint = grid.fingerprint();
-                *last = Some((document.to_string(), fingerprint));
-                fingerprint
-            }
-        }
-    }
-
     /// The current registration id, if the worker is registered.
     pub fn registration_id(&self) -> Option<u64> {
         self.lock_registration().as_ref().map(|r| r.id)
@@ -210,14 +185,12 @@ impl WorkerRuntime {
     /// shard is still executing after a 250 ms grace, and dispatches whose
     /// fingerprints disagree with this worker's own grid/options (the cluster
     /// must be started with identical run options for the determinism
-    /// contract to hold). `grid` is parsed from the grid document
-    /// `document`; the grid is fingerprinted (once per document, see
-    /// `grid_fingerprint`) and sliced here, and the compute thread receives
-    /// the shard's cells and manifest.
+    /// contract to hold). The shard's manifest, which fingerprints the
+    /// grid, and its cells are built here, and the compute thread receives
+    /// both.
     pub fn start_shard(
         self: &Arc<Self>,
         options: SweepOptions,
-        document: &str,
         grid: ScenarioGrid,
         run: ShardRun,
     ) -> Result<(), StartError> {
@@ -230,23 +203,22 @@ impl WorkerRuntime {
                 run.worker, registration.id
             )));
         }
-        let grid_fingerprint = self.grid_fingerprint(document, &grid);
-        if grid_fingerprint != run.grid_fingerprint {
+        let spec = ShardSpec::new(run.shard, run.count)
+            .map_err(|err| StartError::Mismatch(err.to_string()))?;
+        let mut manifest = SweepManifest::new(&grid, &options, spec);
+        if manifest.grid_fingerprint != run.grid_fingerprint {
             return Err(StartError::Mismatch(format!(
-                "grid fingerprint mismatch: dispatch says {:016x}, rebuilt grid is {grid_fingerprint:016x}",
-                run.grid_fingerprint,
+                "grid fingerprint mismatch: dispatch says {:016x}, rebuilt grid is {:016x}",
+                run.grid_fingerprint, manifest.grid_fingerprint,
             )));
         }
-        if options.output_fingerprint() != run.options_fingerprint {
+        if manifest.options_fingerprint != run.options_fingerprint {
             return Err(StartError::Mismatch(format!(
                 "options fingerprint mismatch: dispatch says {:016x}, this worker runs {:016x} \
                  (start every node with the same sweep options)",
-                run.options_fingerprint,
-                options.output_fingerprint()
+                run.options_fingerprint, manifest.options_fingerprint,
             )));
         }
-        let spec = ShardSpec::new(run.shard, run.count)
-            .map_err(|err| StartError::Mismatch(err.to_string()))?;
         let cells = grid.shard_cells(spec);
         if run.start_row > cells.len() {
             return Err(StartError::Mismatch(format!(
@@ -255,8 +227,6 @@ impl WorkerRuntime {
                 cells.len()
             )));
         }
-        let mut manifest =
-            SweepManifest::with_grid_fingerprint(grid_fingerprint, &grid, &options, spec);
         manifest.completed = run.start_row;
         let cancel = Arc::new(AtomicBool::new(false));
         {
@@ -717,7 +687,7 @@ mod tests {
         // A drop not yet reported is forgotten once a dispatch is accepted.
         *runtime.lock_dropped() = Some((9, 1, 0));
         runtime
-            .start_shard(options(), GRID_64, grid.clone(), whole(&grid))
+            .start_shard(options(), grid.clone(), whole(&grid))
             .unwrap();
         assert_eq!(*runtime.lock_dropped(), None);
         // The shard cannot finish before the fake answers, so its slot is
@@ -758,7 +728,7 @@ mod tests {
         let runtime = registered(&addr);
         let grid = parse(GRID_64);
         runtime
-            .start_shard(options(), GRID_64, grid.clone(), whole(&grid))
+            .start_shard(options(), grid.clone(), whole(&grid))
             .unwrap();
         let mut from_row = 0;
         while from_row < grid.len() {
@@ -787,7 +757,7 @@ mod tests {
         let runtime = registered(&addr);
         let grid = parse(GRID_64);
         runtime
-            .start_shard(options(), GRID_64, grid.clone(), whole(&grid))
+            .start_shard(options(), grid.clone(), whole(&grid))
             .unwrap();
         upload(&seen, 0);
         // Stopping cancels the shard, which ends early: a killed worker's
@@ -801,55 +771,9 @@ mod tests {
     }
 
     #[test]
-    fn the_grid_fingerprint_is_remembered_by_document_text() {
-        // A coordinator that closes each of the four shards' connections
-        // unanswered: every upload fails and cancels its shard.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let closer = std::thread::spawn(move || {
-            for _ in 0..4 {
-                drop(listener.accept().unwrap());
-            }
-        });
-        let runtime = registered(&addr);
-        let zero = r#"{"scenarios":[1,3],"processors":[256,1024],"downtime":0}"#;
-        let negative_zero = r#"{"scenarios":[1,3],"processors":[256,1024],"downtime":-0}"#;
-        let (grid_zero, grid_negative) = (parse(zero), parse(negative_zero));
-        assert_eq!(grid_zero, grid_negative, "grid equality takes -0 for 0");
-        assert_ne!(grid_zero.fingerprint(), grid_negative.fingerprint());
-        runtime
-            .start_shard(options(), zero, grid_zero.clone(), whole(&grid_zero))
-            .unwrap();
-        // The same text again, with a flipped fingerprint: the remembered
-        // fingerprint is still compared.
-        let mut flipped = whole(&grid_zero);
-        flipped.grid_fingerprint ^= 1;
-        let err = runtime
-            .start_shard(options(), zero, grid_zero.clone(), flipped)
-            .unwrap_err();
-        assert!(matches!(err, StartError::Mismatch(_)), "{err:?}");
-        assert_eq!(err.status().0, 400);
-        // Each document gets its own fingerprint.
-        for (document, grid) in [
-            (negative_zero, &grid_negative),
-            (zero, &grid_zero),
-            (negative_zero, &grid_negative),
-        ] {
-            wait_idle(&runtime);
-            runtime
-                .start_shard(options(), document, grid.clone(), whole(grid))
-                .unwrap();
-        }
-        wait_idle(&runtime);
-        closer.join().unwrap();
-    }
-
-    #[test]
     fn unregistered_and_misaddressed_dispatches_are_refused() {
         let runtime = WorkerRuntime::new("127.0.0.1:9");
-        let err = runtime
-            .start_shard(options(), GRID, grid(), run(1))
-            .unwrap_err();
+        let err = runtime.start_shard(options(), grid(), run(1)).unwrap_err();
         assert!(matches!(err, StartError::NotThisWorker(_)), "{err:?}");
         assert_eq!(err.status().0, 409);
         *runtime.lock_registration() = Some(Registration {
@@ -857,9 +781,7 @@ mod tests {
             token: 0xFEED,
             heartbeat: Duration::from_millis(100),
         });
-        let err = runtime
-            .start_shard(options(), GRID, grid(), run(1))
-            .unwrap_err();
+        let err = runtime.start_shard(options(), grid(), run(1)).unwrap_err();
         assert!(matches!(err, StartError::NotThisWorker(_)), "{err:?}");
     }
 
@@ -873,22 +795,16 @@ mod tests {
         });
         let mut bad = run(1);
         bad.options_fingerprint ^= 1;
-        let err = runtime
-            .start_shard(options(), GRID, grid(), bad)
-            .unwrap_err();
+        let err = runtime.start_shard(options(), grid(), bad).unwrap_err();
         assert!(matches!(err, StartError::Mismatch(_)), "{err:?}");
         assert_eq!(err.status().0, 400);
         let mut bad = run(1);
         bad.grid_fingerprint ^= 1;
-        let err = runtime
-            .start_shard(options(), GRID, grid(), bad)
-            .unwrap_err();
+        let err = runtime.start_shard(options(), grid(), bad).unwrap_err();
         assert!(matches!(err, StartError::Mismatch(_)), "{err:?}");
         let mut bad = run(1);
         bad.start_row = 99;
-        let err = runtime
-            .start_shard(options(), GRID, grid(), bad)
-            .unwrap_err();
+        let err = runtime.start_shard(options(), grid(), bad).unwrap_err();
         assert!(matches!(err, StartError::Mismatch(_)), "{err:?}");
         assert!(runtime.lock_active().is_none(), "nothing started");
     }
@@ -908,9 +824,7 @@ mod tests {
             epoch: 0,
             cancel: Arc::new(AtomicBool::new(false)),
         });
-        let err = runtime
-            .start_shard(options(), GRID, grid(), run(1))
-            .unwrap_err();
+        let err = runtime.start_shard(options(), grid(), run(1)).unwrap_err();
         assert!(matches!(err, StartError::Busy(_)), "{err:?}");
         assert_eq!(err.status().0, 409);
         // Stop cancels the executing shard.

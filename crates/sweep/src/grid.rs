@@ -136,50 +136,64 @@ impl ScenarioGrid {
         }
     }
 
-    /// The speedup-profile axis of the grid, in declaration order (recorded
-    /// by shard manifests for post-mortems).
-    pub fn profile_axis(&self) -> &[SpeedupProfile] {
-        &self.profiles
-    }
-
-    /// A 64-bit fingerprint of [`Self::cells`]: every semantic field of
-    /// every cell, folded through SplitMix64. The hash covers the platform,
-    /// scenario, profile, error rate, downtime and the processor/pattern
-    /// coordinates of each cell — everything that feeds the per-cell
-    /// evaluation and the CSV text. Grids share a fingerprint exactly when
-    /// they flatten to the same cell list, so shard manifests can refuse to
-    /// resume (or merge) against a different grid. The cells are hashed as
-    /// they are walked; none is kept.
+    /// A 64-bit fingerprint of the grid's definition, folded through
+    /// SplitMix64: each axis in declaration order, its length and then its
+    /// values, every `f64` by its bits (so `-0.0` and `0.0` differ). The
+    /// hash covers each platform's catalogue `λ_ind` as well, because the
+    /// cells' error rates and `λ`-order processor counts are computed from
+    /// it; it does not cover the platform's other catalogue values, such as
+    /// its costs. Every field of a cell is a function of what is hashed, so
+    /// grids whose cell lists differ get different fingerprints, and shard
+    /// manifests can refuse to resume (or merge) against a different grid.
+    /// Its cost is one mix per axis value, not per cell.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xA4D5_EED5_0F5A_4DE5;
-        self.walk(0..self.len(), |cell| {
-            let profile = ayd_core::ProfileSpec::from(cell.setup.profile);
-            for byte in cell.setup.platform.name().bytes() {
-                h = mix(h, byte as u64);
-            }
-            h = mix(h, cell.setup.scenario.number() as u64);
+        // Destructured in full, so a new axis cannot be left out.
+        let ScenarioGrid {
+            platforms,
+            scenarios,
+            profiles,
+            failure_models,
+            lambdas,
+            processors,
+            pattern_lengths,
+            downtime,
+        } = self;
+        let mut h = mix(0xA4D5_EED5_0F5A_4DE5, platforms.len() as u64);
+        for &platform in platforms {
+            h = mix_bytes(h, platform.name().as_bytes());
+            h = mix(h, Platform::get(platform).lambda_ind.to_bits());
+        }
+        h = mix(h, scenarios.len() as u64);
+        for scenario in scenarios {
+            h = mix(h, scenario.number() as u64);
+        }
+        h = mix(h, profiles.len() as u64);
+        for &profile in profiles {
+            let profile = ayd_core::ProfileSpec::from(profile);
             h = mix(h, profile.kind_tag() as u64);
             h = mix(h, bits_or_marker(profile.param()));
-            h = mix(h, cell.lambda_ind().to_bits());
-            h = mix(h, cell.lambda_multiplier.to_bits());
-            h = mix(h, cell.setup.downtime.to_bits());
-            h = mix(h, bits_or_marker(cell.fixed_processors));
-            h = mix(h, bits_or_marker(cell.processor_order));
-            h = mix(h, bits_or_marker(cell.pattern_length));
-            // The failure law is mixed only when non-default, so fingerprints
-            // of pre-existing (exponential) grids — and any manifests recorded
-            // against them — are unchanged.
-            if cell.failure_model != FailureModelSpec::exponential() {
-                h = mix(h, 0xFA11_0B5E_55ED_0002);
-                h = mix(h, cell.failure_model.kind_tag() as u64);
-                h = mix(h, bits_or_marker(cell.failure_model.param()));
-                h = mix(h, bits_or_marker(cell.failure_model.lambda()));
-                for byte in cell.failure_model.trace_path().unwrap_or("").bytes() {
-                    h = mix(h, byte as u64);
-                }
-            }
-        });
-        h
+        }
+        h = mix(h, failure_models.len() as u64);
+        for model in failure_models {
+            h = mix(h, model.kind_tag() as u64);
+            h = mix(h, bits_or_marker(model.param()));
+            h = mix(h, bits_or_marker(model.lambda()));
+            h = mix_bytes(h, model.trace_path().unwrap_or("").as_bytes());
+        }
+        let (tag, values): (u64, &[f64]) = match lambdas {
+            LambdaAxis::Measured => (0, &[]),
+            LambdaAxis::Multipliers(multipliers) => (1, multipliers),
+            LambdaAxis::Absolute(values) => (2, values),
+        };
+        h = mix_f64s(mix(h, tag), values);
+        let (tag, values): (u64, &[f64]) = match processors {
+            ProcessorAxis::Optimize => (0, &[]),
+            ProcessorAxis::Fixed(counts) => (1, counts),
+            ProcessorAxis::LambdaOrders(orders) => (2, orders),
+        };
+        h = mix_f64s(mix(h, tag), values);
+        h = mix_f64s(h, pattern_lengths);
+        mix(h, downtime.to_bits())
     }
 
     /// The cells owned by `shard` — the slice [`ShardSpec::range`] of the
@@ -287,6 +301,20 @@ pub(crate) fn mix(h: u64, value: u64) -> u64 {
 /// finite value can collide with (a non-canonical NaN payload).
 pub(crate) fn bits_or_marker(value: Option<f64>) -> u64 {
     value.map_or(0x7FF8_DEAD_BEEF_0001, f64::to_bits)
+}
+
+/// Mixes a list of `f64`s: its length, then each value's bits.
+fn mix_f64s(h: u64, values: &[f64]) -> u64 {
+    values.iter().fold(mix(h, values.len() as u64), |h, value| {
+        mix(h, value.to_bits())
+    })
+}
+
+/// Mixes a byte string: its length, then each byte.
+fn mix_bytes(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(mix(h, bytes.len() as u64), |h, &byte| mix(h, byte as u64))
 }
 
 /// Builder of a [`ScenarioGrid`]; see [`ScenarioGrid::builder`].
@@ -680,6 +708,14 @@ mod tests {
     }
 
     #[test]
+    fn negative_zero_is_a_different_fingerprint() {
+        let zero = ScenarioGrid::builder().downtime(0.0).build().unwrap();
+        let negative_zero = ScenarioGrid::builder().downtime(-0.0).build().unwrap();
+        assert_eq!(zero, negative_zero, "grid equality takes -0 for 0");
+        assert_ne!(zero.fingerprint(), negative_zero.fingerprint());
+    }
+
+    #[test]
     fn invalid_failure_models_are_rejected() {
         assert!(ScenarioGrid::builder().failure_models(&[]).build().is_err());
         let pinned = FailureModelSpec::parse("weibull:0.7,1e-8").unwrap();
@@ -776,47 +812,39 @@ mod tests {
             builder.build().unwrap()
         }
 
-        /// The fingerprint as it was computed before the cell walk: over
-        /// the collected cell list.
-        fn collected_fingerprint(grid: &ScenarioGrid) -> u64 {
-            let mut h: u64 = 0xA4D5_EED5_0F5A_4DE5;
-            for cell in &grid.cells() {
-                let profile = ayd_core::ProfileSpec::from(cell.setup.profile);
-                for byte in cell.setup.platform.name().bytes() {
-                    h = mix(h, byte as u64);
-                }
-                h = mix(h, cell.setup.scenario.number() as u64);
-                h = mix(h, profile.kind_tag() as u64);
-                h = mix(h, bits_or_marker(profile.param()));
-                h = mix(h, cell.lambda_ind().to_bits());
-                h = mix(h, cell.lambda_multiplier.to_bits());
-                h = mix(h, cell.setup.downtime.to_bits());
-                h = mix(h, bits_or_marker(cell.fixed_processors));
-                h = mix(h, bits_or_marker(cell.processor_order));
-                h = mix(h, bits_or_marker(cell.pattern_length));
-                if cell.failure_model != FailureModelSpec::exponential() {
-                    h = mix(h, 0xFA11_0B5E_55ED_0002);
-                    h = mix(h, cell.failure_model.kind_tag() as u64);
-                    h = mix(h, bits_or_marker(cell.failure_model.param()));
-                    h = mix(h, bits_or_marker(cell.failure_model.lambda()));
-                    for byte in cell.failure_model.trace_path().unwrap_or("").bytes() {
-                        h = mix(h, byte as u64);
-                    }
-                }
-            }
-            h
+        /// What a row of `cell` is computed from and shows, every `f64` by
+        /// its bits: the fields a fingerprint must tell apart.
+        fn cell_fields(cell: &SweepCell) -> impl PartialEq + std::fmt::Debug {
+            let bits = |value: Option<f64>| value.map(f64::to_bits);
+            let profile = ayd_core::ProfileSpec::from(cell.setup.profile);
+            (
+                (cell.setup.platform, cell.setup.scenario),
+                (profile.kind_tag(), bits(profile.param())),
+                cell.failure_model.to_string(),
+                (
+                    cell.lambda_ind().to_bits(),
+                    cell.lambda_multiplier.to_bits(),
+                ),
+                cell.setup.downtime.to_bits(),
+                bits(cell.fixed_processors),
+                bits(cell.processor_order),
+                bits(cell.pattern_length),
+            )
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// Every shard's cells are its range of the whole cell list,
-            /// global indices included, and the walked fingerprint is the
-            /// hash of the collected cells.
+            /// global indices included; a grid and its clone share a
+            /// fingerprint; and a grid with one of its draws redrawn gets a
+            /// different fingerprint whenever its cells differ in a field
+            /// of a row.
             #[test]
             fn shards_are_ranges_of_the_cell_list(
                 draws in prop::collection::vec(0u64..1_000, 16..17),
                 count in 1usize..=8,
+                (axis, redraw) in (0usize..16, 0u64..1_000),
             ) {
                 let grid = grid(&draws);
                 let cells = grid.cells();
@@ -831,7 +859,15 @@ mod tests {
                         cells[spec.range(cells.len())].to_vec()
                     );
                 }
-                prop_assert_eq!(grid.fingerprint(), collected_fingerprint(&grid));
+                prop_assert_eq!(grid.clone().fingerprint(), grid.fingerprint());
+
+                let mut other = draws.clone();
+                other[axis] = redraw;
+                let other = self::grid(&other);
+                let fields = |grid: &ScenarioGrid| grid.cells().iter().map(cell_fields).collect::<Vec<_>>();
+                if fields(&other) != fields(&grid) {
+                    prop_assert_ne!(other.fingerprint(), grid.fingerprint());
+                }
             }
         }
     }

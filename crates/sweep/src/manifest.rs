@@ -10,8 +10,7 @@
 //! * the shard coordinates and cell counts;
 //! * the number of rows already materialised (always an in-order prefix of
 //!   the shard's cell list — the executor emits rows through a reorder
-//!   buffer);
-//! * the grid's speedup-profile axis, human-readable, for post-mortems.
+//!   buffer).
 //!
 //! Manifests are plain `key = value` text (the model layers carry no JSON
 //! codec) and are written **atomically**: the new content goes to
@@ -27,15 +26,26 @@ use crate::shard::{ShardError, ShardSpec};
 
 /// Format tag of the manifest file; bumped on incompatible layout changes.
 ///
-/// `v2` marks the contiguous-range shard partition ([`ShardSpec::range`]).
-/// `v1` manifests describe round-robin shards (`cell % N == I`) whose sizes
-/// are identical but whose rows are different cells, so resuming or merging
-/// one against the current partition is refused rather than silently mixing
-/// the two orders.
-pub const MANIFEST_MAGIC: &str = "ayd-sweep-manifest v2";
+/// `v3` marks the contiguous-range shard partition ([`ShardSpec::range`])
+/// and the grid fingerprint of the grid's axes
+/// ([`ScenarioGrid::fingerprint`]).
+pub const MANIFEST_MAGIC: &str = "ayd-sweep-manifest v3";
 
-/// The retired round-robin format tag, recognised only to refuse it clearly.
-const MANIFEST_MAGIC_V1: &str = "ayd-sweep-manifest v1";
+/// The retired format tags, recognised only to refuse them by name, each
+/// with why its manifests cannot be used. A `v1` shard has a range shard's
+/// size but other cells, so it would be mixed in silently; a `v2` grid
+/// fingerprint never equals a `v3` one, so its shard would be refused as
+/// another grid's. Naming the version says what to do: re-run the shard.
+const RETIRED_MAGICS: [(&str, &str); 2] = [
+    (
+        "ayd-sweep-manifest v1",
+        "describes the retired round-robin shard partition",
+    ),
+    (
+        "ayd-sweep-manifest v2",
+        "records the retired per-cell grid fingerprint",
+    ),
+];
 
 /// The sidecar manifest path of a shard CSV: `<csv>.manifest`.
 pub fn manifest_path(csv_path: &Path) -> PathBuf {
@@ -47,7 +57,7 @@ pub fn manifest_path(csv_path: &Path) -> PathBuf {
 /// Progress manifest of one shard of one sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepManifest {
-    /// Fingerprint of the grid's cells (see [`ScenarioGrid::fingerprint`]).
+    /// Fingerprint of the grid's axes (see [`ScenarioGrid::fingerprint`]).
     pub grid_fingerprint: u64,
     /// Fingerprint of the output-relevant sweep options (see
     /// [`SweepOptions::output_fingerprint`]).
@@ -61,36 +71,18 @@ pub struct SweepManifest {
     /// Rows materialised so far — always an in-order prefix of the shard's
     /// cell list.
     pub completed: usize,
-    /// Canonical spec strings of the grid's speedup-profile axis.
-    pub profiles: Vec<String>,
 }
 
 impl SweepManifest {
     /// A fresh manifest (no rows completed) for one shard of a sweep.
     pub fn new(grid: &ScenarioGrid, options: &SweepOptions, shard: ShardSpec) -> Self {
-        Self::with_grid_fingerprint(grid.fingerprint(), grid, options, shard)
-    }
-
-    /// [`Self::new`] for a caller that already holds `grid.fingerprint()`
-    /// (hashing re-flattens the whole grid).
-    pub fn with_grid_fingerprint(
-        grid_fingerprint: u64,
-        grid: &ScenarioGrid,
-        options: &SweepOptions,
-        shard: ShardSpec,
-    ) -> Self {
         Self {
-            grid_fingerprint,
+            grid_fingerprint: grid.fingerprint(),
             options_fingerprint: options.output_fingerprint(),
             shard,
             grid_cells: grid.len(),
             shard_cells: shard.range(grid.len()).len(),
             completed: 0,
-            profiles: grid
-                .profile_axis()
-                .iter()
-                .map(|p| ayd_core::ProfileSpec::from(*p).to_string())
-                .collect(),
         }
     }
 
@@ -133,7 +125,6 @@ impl SweepManifest {
         field("grid_cells", self.grid_cells.to_string());
         field("shard_cells", self.shard_cells.to_string());
         field("completed", self.completed.to_string());
-        field("profiles", self.profiles.join(","));
         out
     }
 
@@ -144,13 +135,16 @@ impl SweepManifest {
         let mut lines = text.lines();
         match lines.next() {
             Some(MANIFEST_MAGIC) => {}
-            Some(MANIFEST_MAGIC_V1) => {
-                return Err(bad(format!(
-                    "`{MANIFEST_MAGIC_V1}` describes the retired round-robin shard partition; \
-                     re-run the shard (without --resume) to produce `{MANIFEST_MAGIC}` output"
-                )))
+            first => {
+                let retired = RETIRED_MAGICS.iter().find(|(tag, _)| Some(*tag) == first);
+                return Err(bad(match retired {
+                    Some((tag, why)) => format!(
+                        "`{tag}` {why}; re-run the shard (without --resume) to produce \
+                         `{MANIFEST_MAGIC}` output"
+                    ),
+                    None => format!("missing magic line `{MANIFEST_MAGIC}`"),
+                }));
             }
-            _ => return Err(bad(format!("missing magic line `{MANIFEST_MAGIC}`"))),
         }
         let mut grid_fingerprint = None;
         let mut options_fingerprint = None;
@@ -158,7 +152,6 @@ impl SweepManifest {
         let mut grid_cells = None;
         let mut shard_cells = None;
         let mut completed = None;
-        let mut profiles = None;
         for line in lines {
             if line.trim().is_empty() {
                 continue;
@@ -201,15 +194,6 @@ impl SweepManifest {
                             .map_err(|_| bad(format!("bad completed `{value}`")))?,
                     )
                 }
-                "profiles" => {
-                    profiles = Some(
-                        value
-                            .split(',')
-                            .filter(|s| !s.is_empty())
-                            .map(str::to_string)
-                            .collect(),
-                    )
-                }
                 other => return Err(bad(format!("unknown manifest key `{other}`"))),
             }
         }
@@ -221,7 +205,6 @@ impl SweepManifest {
             grid_cells: grid_cells.ok_or_else(require("grid_cells"))?,
             shard_cells: shard_cells.ok_or_else(require("shard_cells"))?,
             completed: completed.ok_or_else(require("completed"))?,
-            profiles: profiles.ok_or_else(require("profiles"))?,
         };
         if manifest.shard_cells != manifest.shard.range(manifest.grid_cells).len() {
             return Err(bad(format!(
@@ -323,11 +306,17 @@ mod tests {
     #[test]
     fn round_robin_v1_manifests_are_refused_by_name() {
         let text = SweepManifest::complete(&grid(), &options(), ShardSpec::WHOLE).render();
-        assert!(text.starts_with("ayd-sweep-manifest v2\n"));
-        let v1 = text.replace(MANIFEST_MAGIC, MANIFEST_MAGIC_V1);
-        let err = SweepManifest::parse(&v1).unwrap_err().to_string();
-        assert!(err.contains("ayd-sweep-manifest v1"), "{err}");
-        assert!(err.contains("re-run the shard"), "{err}");
+        assert!(text.starts_with("ayd-sweep-manifest v3\n"));
+        for (tag, why) in [
+            ("ayd-sweep-manifest v1", "round-robin"),
+            ("ayd-sweep-manifest v2", "per-cell grid fingerprint"),
+        ] {
+            let retired = text.replace(MANIFEST_MAGIC, tag);
+            let err = SweepManifest::parse(&retired).unwrap_err().to_string();
+            assert!(err.contains(tag), "{err}");
+            assert!(err.contains(why), "{err}");
+            assert!(err.contains("re-run the shard"), "{err}");
+        }
     }
 
     #[test]

@@ -262,13 +262,13 @@ impl ShardMerge {
 /// Validates that the parts all belong to one sweep (fingerprints agree),
 /// that together they form a complete partition (`count` parts with indices
 /// `0..count`, every one fully materialised, headers intact), and that each
-/// part's rows are the engine's: every row newline-terminated with the
-/// header's field count ([`validate_rows`], the rule chunk uploads pass),
-/// no `\r`, and as many rows as the shard owns. Each part's rows go into a
-/// [`ShardMerge`], which puts them in shard order — shard ranges are
-/// contiguous and ascending, so that is global cell order. The result is
-/// **byte-identical** to the CSV an unsharded run over the same grid and
-/// options would produce.
+/// part's rows are the engine's: every row newline-terminated, without a
+/// `\r` and with the header's field count ([`validate_rows`], the rule
+/// chunk uploads pass), and as many rows as the shard owns. Each part's
+/// rows go into a [`ShardMerge`], which puts them in shard order — shard
+/// ranges are contiguous and ascending, so that is global cell order. The
+/// result is **byte-identical** to the CSV an unsharded run over the same
+/// grid and options would produce.
 pub fn merge_parts(parts: &[ShardPart]) -> Result<String, ShardError> {
     let first = parts
         .first()
@@ -311,11 +311,6 @@ pub fn merge_parts(parts: &[ShardPart]) -> Result<String, ShardError> {
         let rows = (part.csv.strip_prefix(CSV_HEADER))
             .and_then(|rest| rest.strip_prefix('\n'))
             .ok_or_else(|| refuse("CSV does not start with the canonical header".to_string()))?;
-        if rows.contains('\r') {
-            return Err(refuse(
-                "CSV contains a `\\r`; the engine ends rows with `\\n`".to_string(),
-            ));
-        }
         let found = validate_rows(rows).map_err(|err| match err {
             ShardError::Mismatch(rule) => refuse(format!("CSV: {rule}")),
             other => other,
@@ -947,7 +942,8 @@ mod tests {
     fn resume_refuses_a_round_robin_v1_manifest() {
         // Round-robin and range shards have the same sizes, so only the
         // manifest version stops a resume from appending range-order rows to
-        // a round-robin prefix.
+        // a round-robin prefix. A `v2` manifest's per-cell fingerprint is
+        // refused by version too, not as a foreign grid.
         let dir = temp_dir("v1");
         let grid = grid();
         let executor = SweepExecutor::new(options());
@@ -956,16 +952,18 @@ mod tests {
         run_shard_to_files(&executor, &grid, shard, &csv_path, false, None).unwrap();
         let manifest_file = manifest_path(&csv_path);
         let text = std::fs::read_to_string(&manifest_file).unwrap();
-        std::fs::write(
-            &manifest_file,
-            text.replace("ayd-sweep-manifest v2", "ayd-sweep-manifest v1"),
-        )
-        .unwrap();
-        let err = run_shard_to_files(&executor, &grid, shard, &csv_path, true, None)
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("ayd-sweep-manifest v1"), "{err}");
-        assert!(err.contains("re-run the shard"), "{err}");
+        for retired in ["ayd-sweep-manifest v1", "ayd-sweep-manifest v2"] {
+            std::fs::write(
+                &manifest_file,
+                text.replace("ayd-sweep-manifest v3", retired),
+            )
+            .unwrap();
+            let err = run_shard_to_files(&executor, &grid, shard, &csv_path, true, None)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(retired), "{err}");
+            assert!(err.contains("re-run the shard"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

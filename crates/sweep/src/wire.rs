@@ -13,17 +13,17 @@
 //! from_row = 16
 //! rows = 8
 //! ---
-//! <manifest text (ayd-sweep-manifest v2 ...)>
+//! <manifest text (ayd-sweep-manifest v3 ...)>
 //! ---
 //! <8 newline-terminated CSV rows, no header>
 //! ```
 //!
 //! Parsing is strict: the declared row count must match the payload, every
-//! row must be newline-terminated with exactly the canonical header's field
-//! count (a torn final row — the tail a `kill -9` can leave — is rejected,
-//! never silently truncated on the receiving side), and the manifest's
-//! `completed` must equal `from_row + rows` (the chunk *is* the checkpoint
-//! advance it claims to be). One pass over the rows, a word at a time,
+//! row must be newline-terminated, hold no `\r` and have exactly the
+//! canonical header's field count (a torn final row — the tail a `kill -9`
+//! can leave — is rejected, never silently truncated on the receiving
+//! side), and the manifest's `completed` must equal `from_row + rows` (the
+//! chunk *is* the checkpoint advance it claims to be). One pass over the rows, a word at a time,
 //! checks all of that and counts them; the chunk carries the count, so
 //! neither side scans its rows again.
 
@@ -67,9 +67,10 @@ struct RowScan {
     rows: usize,
     /// True when bytes follow the last newline: a torn final row.
     torn: bool,
-    /// The first newline-terminated row whose comma count is not the
-    /// header's: its index and its commas.
-    misfit: Option<(usize, usize)>,
+    /// The first newline-terminated row that holds a `\r` or whose comma
+    /// count is not the header's: its index, its commas and whether it
+    /// holds a `\r`.
+    misfit: Option<(usize, usize, bool)>,
 }
 
 impl RowScan {
@@ -79,27 +80,31 @@ impl RowScan {
     }
 
     /// The row rules, torn tail first: `Ok` with the row count when every
-    /// row is newline-terminated and has the header's field count.
+    /// row is newline-terminated, holds no `\r` and has the header's field
+    /// count.
     fn verdict(&self) -> Result<usize, ShardError> {
         if self.torn {
             return Err(ShardError::Mismatch(
                 "chunk rows end with a torn (unterminated) row".to_string(),
             ));
         }
-        if let Some((row, commas)) = self.misfit {
-            return Err(ShardError::Mismatch(format!(
+        match self.misfit {
+            None => Ok(self.rows),
+            Some((row, _, true)) => Err(ShardError::Mismatch(format!(
+                "chunk row {row} holds a `\\r`; the engine ends rows with `\\n`"
+            ))),
+            Some((row, commas, false)) => Err(ShardError::Mismatch(format!(
                 "chunk row {row} has {} fields, expected {}",
                 commas + 1,
                 HEADER_COMMAS + 1
-            )));
+            ))),
         }
-        Ok(self.rows)
     }
 
-    /// Ends a row that had `commas` commas.
-    fn end_row(&mut self, commas: usize) {
-        if commas != HEADER_COMMAS && self.misfit.is_none() {
-            self.misfit = Some((self.rows, commas));
+    /// Ends a row that had `commas` commas, and a `\r` if `cr`.
+    fn end_row(&mut self, commas: usize, cr: bool) {
+        if (cr || commas != HEADER_COMMAS) && self.misfit.is_none() {
+            self.misfit = Some((self.rows, commas, cr));
         }
         self.rows += 1;
     }
@@ -126,8 +131,8 @@ fn flag_count(flags: u64) -> usize {
 }
 
 /// Scans `rows` once, eight bytes at a time: counts the newline-terminated
-/// rows and checks each one's commas. ',' and '\n' are ASCII, so neither
-/// byte occurs inside a multi-byte UTF-8 sequence.
+/// rows and checks each one's commas and `\r`s. ',', '\n' and '\r' are
+/// ASCII, so none of them occurs inside a multi-byte UTF-8 sequence.
 fn scan_rows(rows: &str) -> RowScan {
     let bytes = rows.as_bytes();
     let mut scan = RowScan {
@@ -135,30 +140,35 @@ fn scan_rows(rows: &str) -> RowScan {
         torn: bytes.last().is_some_and(|&last| last != b'\n'),
         misfit: None,
     };
-    let mut commas = 0;
+    let (mut commas, mut cr) = (0, false);
     let words = bytes.chunks_exact(8);
     let tail = words.remainder();
     for word in words {
         let word = u64::from_le_bytes(word.try_into().expect("an 8-byte word"));
         let mut comma = byte_flags(word, b',');
+        let mut carriage = byte_flags(word, b'\r');
         let mut newline = byte_flags(word, b'\n');
         while newline != 0 {
             // Little-endian: lower bits are earlier bytes.
             let before = (newline & newline.wrapping_neg()) - 1;
             commas += flag_count(comma & before);
             comma &= !before;
-            scan.end_row(commas);
-            commas = 0;
+            cr |= carriage & before != 0;
+            carriage &= !before;
+            scan.end_row(commas, cr);
+            (commas, cr) = (0, false);
             newline &= newline - 1;
         }
         commas += flag_count(comma);
+        cr |= carriage != 0;
     }
     for &byte in tail {
         match byte {
             b',' => commas += 1,
+            b'\r' => cr = true,
             b'\n' => {
-                scan.end_row(commas);
-                commas = 0;
+                scan.end_row(commas, cr);
+                (commas, cr) = (0, false);
             }
             _ => {}
         }
@@ -167,8 +177,8 @@ fn scan_rows(rows: &str) -> RowScan {
 }
 
 /// Checks that `rows` are complete, well-formed CSV rows and counts them.
-/// Rejects a missing final newline (a torn row) and any row whose field
-/// count differs from the canonical header's.
+/// Rejects a missing final newline (a torn row), and any row that holds a
+/// `\r` or whose field count differs from the canonical header's.
 pub fn validate_rows(rows: &str) -> Result<usize, ShardError> {
     scan_rows(rows).verdict()
 }
@@ -392,6 +402,13 @@ mod tests {
             )
         );
         assert_eq!(
+            refusal(
+                format!("{}{}", fake_row(), fake_row().replace('\n', "\r\n")),
+                0
+            ),
+            "shard mismatch: chunk row 1 holds a `\\r`; the engine ends rows with `\\n`"
+        );
+        assert_eq!(
             refusal(fake_row().repeat(2), 1),
             "shard mismatch: manifest says 2 rows completed but the chunk covers rows 1..3"
         );
@@ -406,9 +423,9 @@ mod tests {
         );
     }
 
-    /// The per-line definition of the row rules, as the chunk format was
-    /// first written: `str::lines`, then a comma count per line. The
-    /// one-pass validator must accept and refuse exactly what it does.
+    /// The per-line definition of the row rules: the rows split at each
+    /// `\n`, then a `\r` check and a comma count per row. The one-pass
+    /// validator must accept and refuse exactly what it does.
     fn per_line_rows(rows: &str) -> Result<usize, ShardError> {
         if rows.is_empty() {
             return Ok(0);
@@ -420,7 +437,12 @@ mod tests {
         }
         let commas = CSV_HEADER.matches(',').count();
         let mut count = 0;
-        for row in rows.lines() {
+        for row in rows.split_terminator('\n') {
+            if row.contains('\r') {
+                return Err(ShardError::Mismatch(format!(
+                    "chunk row {count} holds a `\\r`; the engine ends rows with `\\n`"
+                )));
+            }
             let row_commas = row.bytes().filter(|&b| b == b',').count();
             if row_commas != commas {
                 return Err(ShardError::Mismatch(format!(

@@ -1,7 +1,7 @@
 //! The work ledger: the heap allocations of one served request, of one
 //! sweep job and its fetch, and of the poll that finishes a distributed
 //! job, pinned, with the job's cache lookups and the digest of its CSV, and
-//! the searches of the job's grid with the cache on and off.
+//! the searches and blocks of the job's grid with the cache on and off.
 //!
 //! Timings drift with the host; the work a request does does not. This test
 //! binary installs a counting global allocator whose counts are kept per
@@ -171,6 +171,7 @@ const SEARCHES: [(&str, SearchPin); 2] = [
             fast: 3_456,
             fallback: 0,
             brent_iterations: 32_147,
+            blocks: 6_912,
         },
     ),
     (
@@ -179,16 +180,21 @@ const SEARCHES: [(&str, SearchPin); 2] = [
             fast: 27_648,
             fallback: 0,
             brent_iterations: 257_176,
+            blocks: 27_648,
         },
     ),
 ];
 
-/// The exact search counts of one run.
+/// The exact search counts of one run, and its blocks: the `blocks` of its
+/// `chunk` spans, summed. With the cache on, the ledger grid's 64-cell
+/// chunks hold 16 whole pattern-length blocks each; a block cut by a chunk
+/// boundary would count once per part. With it off, every cell is a block.
 #[derive(Debug, PartialEq, Eq)]
 struct SearchPin {
     fast: u64,
     fallback: u64,
     brent_iterations: u64,
+    blocks: u64,
 }
 
 /// FNV-1a, 64-bit: offset basis `0xcbf29ce484222325`, prime
@@ -433,19 +439,41 @@ fn the_ledger_grid_searches_once_per_distinct_evaluation() {
     let grid = ledger_grid();
     let cached = state().options.with_threads(1);
     assert!(cached.cache_capacity.is_some(), "the server caches");
-    for (options, (what, pin)) in [cached, cached.with_cache_capacity(None)]
+    // The runs are traced into a sink of their own, and the tracing state
+    // is restored before any assertion can fail: the other tests count
+    // their allocations with tracing off.
+    let tracing = ayd_obs::enabled();
+    let spans = Arc::new(ayd_obs::MemorySink::new());
+    ayd_obs::set_sink(Some(spans.clone()));
+    let runs: Vec<SearchPin> = [cached, cached.with_cache_capacity(None)]
         .into_iter()
-        .zip(SEARCHES)
-    {
-        let search = SweepExecutor::new(options).run(&grid).search;
-        assert_eq!(
+        .map(|options| {
+            let search = SweepExecutor::new(options).run(&grid).search;
+            let blocks = spans
+                .take()
+                .iter()
+                .filter(|span| span.name == "chunk")
+                .filter_map(|span| match span.field("blocks") {
+                    Some(ayd_obs::FieldValue::U64(blocks)) => Some(*blocks),
+                    _ => None,
+                })
+                .sum();
             SearchPin {
                 fast: search.fast,
                 fallback: search.fallback,
                 brent_iterations: search.brent_iterations,
-            },
-            pin,
-            "searches of the 27,648-cell ledger grid at 1 thread, {what}"
+                blocks,
+            }
+        })
+        .collect();
+    ayd_obs::set_sink(None);
+    if !tracing {
+        ayd_obs::disable();
+    }
+    for (run, (what, pin)) in runs.into_iter().zip(SEARCHES) {
+        assert_eq!(
+            run, pin,
+            "searches and blocks of the 27,648-cell ledger grid at 1 thread, {what}"
         );
     }
 }

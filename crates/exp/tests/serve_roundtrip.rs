@@ -2,9 +2,11 @@
 //! boots the real binary on an ephemeral port, then drives one `/v1/optimize`
 //! and one `/v1/sweep` round-trip through the same checks `loadgen --check`
 //! runs ([`ayd_serve::smoke_check`]), and pins the served sweep CSV to the
-//! golden rows of `tests/golden_sweep_csv.rs`.
+//! golden rows of `tests/golden_sweep_csv.rs`. A server whose `$TMPDIR`
+//! is missing cancels its sweep jobs with the error and answers on.
 
 use std::io::{BufRead, BufReader};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
@@ -23,8 +25,19 @@ impl Drop for ServerProcess {
 /// Starts `reproduce serve` on an ephemeral port and returns (guard, addr).
 /// The startup announcement must name the address, then the serving core.
 fn start_server() -> (ServerProcess, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
-        .args(["serve", "--addr", "127.0.0.1:0", "--threads", "2"])
+    start_server_with(&[], None)
+}
+
+/// [`start_server`] with `extra` arguments and, when given, `tmpdir` as the
+/// server's `$TMPDIR`.
+fn start_server_with(extra: &[&str], tmpdir: Option<&Path>) -> (ServerProcess, String) {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_reproduce"));
+    command.args(["serve", "--addr", "127.0.0.1:0", "--threads", "2"]);
+    command.args(extra);
+    if let Some(dir) = tmpdir {
+        command.env("TMPDIR", dir);
+    }
+    let mut child = command
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -50,6 +63,9 @@ fn start_server() -> (ServerProcess, String) {
         .unwrap_or_else(|| panic!("unexpected announcement: {model_line:?}"))
         .to_string();
     assert_eq!(model, "event", "announced io model");
+    // Read what else the server prints (a coordinator names its role), so
+    // that its writes to stdout never fail.
+    std::thread::spawn(move || std::io::copy(&mut reader, &mut std::io::sink()));
     (ServerProcess(child), addr)
 }
 
@@ -164,4 +180,73 @@ fn serve_enforces_the_request_contract_over_the_wire() {
         "{}",
         response.body
     );
+}
+
+/// Every sweep job writes its CSV to a file under `$TMPDIR`. With `$TMPDIR`
+/// naming a directory that does not exist, no job can create one: a job run
+/// in process and a distributed one (on a coordinator, which creates the
+/// file at submission) each end `cancelled` with the OS error in their
+/// status and the header-only CSV, and the server goes on answering.
+#[test]
+fn a_job_whose_file_cannot_be_created_is_cancelled_and_the_server_answers_on() {
+    let missing = std::env::temp_dir().join(format!("ayd-missing-{}", std::process::id()));
+    assert!(!missing.exists(), "{}", missing.display());
+    let (_server, addr) = start_server_with(&["--coordinator"], Some(&missing));
+    let mut client = HttpClient::connect(&addr).expect("connect");
+    let golden = ayd_serve::client::GOLDEN_SWEEP_BODY;
+    let sharded = format!(r#"{},"shards":2}}"#, &golden[..golden.len() - 1]);
+    for body in [golden, sharded.as_str()] {
+        let accepted = client.post_json("/v1/sweep", body).expect("submit sweep");
+        assert_eq!(accepted.status, 202, "{}", accepted.body);
+        let id = Json::parse(&accepted.body)
+            .expect("submit response is JSON")
+            .get("id")
+            .and_then(Json::as_f64)
+            .expect("submit response has an id") as u64;
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        let status = loop {
+            let poll = client
+                .get(&format!("/v1/sweep/{id}"), Some("application/json"))
+                .expect("poll sweep");
+            assert_eq!(poll.status, 200);
+            let doc = Json::parse(&poll.body).expect("status is JSON");
+            if doc.get("status").and_then(Json::as_str) != Some("running") {
+                break doc;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{body}: never finished"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert_eq!(
+            status.get("status").and_then(Json::as_str),
+            Some("cancelled"),
+            "{body}"
+        );
+        assert_eq!(
+            status.get("rows").and_then(Json::as_f64),
+            Some(0.0),
+            "{body}"
+        );
+        let error = status
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap_or_default();
+        assert!(
+            error.starts_with("creating the job's CSV file: "),
+            "{body}: {error:?}"
+        );
+        assert!(error.contains("os error 2"), "{body}: {error:?}");
+        let csv = client
+            .get(&format!("/v1/sweep/{id}"), Some("text/csv"))
+            .expect("fetch CSV");
+        assert_eq!(csv.status, 200);
+        assert_eq!(csv.body, format!("{}\n", ayd_sweep::CSV_HEADER), "{body}");
+    }
+    let response = client
+        .post_json("/v1/optimize", r#"{"platform":"Hera","scenario":1}"#)
+        .expect("optimize after the failed jobs");
+    assert_eq!(response.status, 200, "{}", response.body);
+    assert!(!missing.exists(), "nothing creates the missing directory");
 }

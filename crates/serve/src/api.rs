@@ -1425,7 +1425,7 @@ fn sweep_poll(state: &Arc<AppState>, req: &Request, id: u64) -> Response {
             // Finished jobs stream the canonical CSV by default; clients that
             // ask for JSON get the status document instead.
             if req.accepts("application/json") {
-                Response::json(&Json::obj(vec![
+                let mut doc = vec![
                     ("id", Json::num(id as f64)),
                     (
                         "status",
@@ -1435,10 +1435,14 @@ fn sweep_poll(state: &Arc<AppState>, req: &Request, id: u64) -> Response {
                     ("cache_hits", Json::num(done.cache.hits as f64)),
                     ("cache_misses", Json::num(done.cache.misses as f64)),
                     ("cache_hit_rate", Json::num(done.cache.hit_rate())),
-                ]))
+                ];
+                if let Some(error) = &done.error {
+                    doc.push(("error", Json::str(error.as_str())));
+                }
+                Response::json(&Json::obj(doc))
             } else {
-                // The job's bytes, shared: the connection sends them from
-                // the `Arc`, so a GET copies nothing in proportion to them.
+                // The job's file, shared: the connection sends it with
+                // `sendfile`, so a GET copies nothing in proportion to it.
                 Response::csv(Arc::clone(&done.csv))
             }
         }
@@ -1497,7 +1501,8 @@ mod tests {
         let req = post("/v1/optimize", r#"{"platform":"Hera","scenario":1}"#);
         let (endpoint, response) = route(&state, &req);
         assert_eq!((endpoint, response.status), ("optimize", 200));
-        let doc = Json::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
+        let doc =
+            Json::parse(std::str::from_utf8(&response.body.bytes().unwrap()).unwrap()).unwrap();
 
         let evaluator = Evaluator::new(RunOptions {
             simulate: false,
@@ -1671,7 +1676,7 @@ mod tests {
             for body in &bodies {
                 let (_, response) = route(&single, &csv_post("/v1/optimize", body));
                 proptest::prop_assert_eq!(response.status, 200);
-                let csv = String::from_utf8(response.body.to_vec()).unwrap();
+                let csv = String::from_utf8(response.body.bytes().unwrap().to_vec()).unwrap();
                 let line = csv.strip_prefix(&format!("{CSV_HEADER}\n")).unwrap();
                 proptest::prop_assert_eq!(line.lines().count(), 1);
                 lines.push_str(line);
@@ -1682,7 +1687,7 @@ mod tests {
             let batch = format!(r#"{{"queries":[{}]}}"#, bodies.join(","));
             let (_, response) = route(&batched, &csv_post("/v1/batch", &batch));
             proptest::prop_assert_eq!(response.status, 200);
-            proptest::prop_assert_eq!(String::from_utf8(response.body.to_vec()).unwrap(), offline);
+            proptest::prop_assert_eq!(String::from_utf8(response.body.bytes().unwrap().to_vec()).unwrap(), offline);
             let (one, all) = (single.cache.stats(), batched.cache.stats());
             proptest::prop_assert_eq!((one.hits, one.misses), (all.hits, all.misses));
         }
@@ -1698,7 +1703,8 @@ mod tests {
         ]}"#;
         let (endpoint, response) = route(&state, &post("/v1/batch", body));
         assert_eq!((endpoint, response.status), ("batch", 200));
-        let doc = Json::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
+        let doc =
+            Json::parse(std::str::from_utf8(&response.body.bytes().unwrap()).unwrap()).unwrap();
         assert_eq!(doc.get("count").unwrap().as_f64().unwrap(), 3.0);
         let results = doc.get("results").unwrap().as_array().unwrap();
         assert_eq!(
@@ -1717,7 +1723,7 @@ mod tests {
             &post("/v1/batch", r#"{"queries":[{"platform":"Nope"}]}"#),
         );
         assert_eq!(bad.status, 400);
-        let message = String::from_utf8(bad.body.to_vec()).unwrap();
+        let message = String::from_utf8(bad.body.bytes().unwrap().to_vec()).unwrap();
         assert!(message.contains("query 0"), "{message}");
     }
 
@@ -1728,7 +1734,8 @@ mod tests {
                        "processors":[256,1024],"pattern_lengths":[3600]}"#;
         let (_, accepted) = route(&state, &post("/v1/sweep", body));
         assert_eq!(accepted.status, 202);
-        let doc = Json::parse(std::str::from_utf8(&accepted.body).unwrap()).unwrap();
+        let doc =
+            Json::parse(std::str::from_utf8(&accepted.body.bytes().unwrap()).unwrap()).unwrap();
         assert_eq!(doc.get("cells").unwrap().as_f64().unwrap(), 8.0);
         let id = doc.get("id").unwrap().as_f64().unwrap() as u64;
 
@@ -1737,7 +1744,7 @@ mod tests {
             let (_, poll) = route(&state, &get(&format!("/v1/sweep/{id}")));
             assert_eq!(poll.status, 200);
             if poll.content_type.starts_with("text/csv") {
-                break String::from_utf8(poll.body.to_vec()).unwrap();
+                break String::from_utf8(poll.body.bytes().unwrap().to_vec()).unwrap();
             }
             std::thread::yield_now();
         };
@@ -1749,7 +1756,7 @@ mod tests {
         req.headers
             .push(("accept".to_string(), "application/json".to_string()));
         let (_, status) = route(&state, &req);
-        let doc = Json::parse(std::str::from_utf8(&status.body).unwrap()).unwrap();
+        let doc = Json::parse(std::str::from_utf8(&status.body.bytes().unwrap()).unwrap()).unwrap();
         assert_eq!(doc.get("status").unwrap().as_str().unwrap(), "done");
         assert_eq!(doc.get("rows").unwrap().as_f64().unwrap(), 8.0);
 
@@ -1774,7 +1781,8 @@ mod tests {
         ] {
             let (_, accepted) = route(&state, &post("/v1/sweep", body));
             assert_eq!(accepted.status, 202);
-            let doc = Json::parse(std::str::from_utf8(&accepted.body).unwrap()).unwrap();
+            let doc =
+                Json::parse(std::str::from_utf8(&accepted.body.bytes().unwrap()).unwrap()).unwrap();
             let id = doc.get("id").unwrap().as_f64().unwrap() as u64;
             assert_eq!(doc.get("shards").unwrap().as_f64(), Some(count as f64));
             assert!(doc.get("resume_token").is_none(), "{doc:?}");
@@ -1783,7 +1791,7 @@ mod tests {
             let csv = loop {
                 let (_, poll) = route(&state, &get(&format!("/v1/sweep/{id}")));
                 if poll.content_type.starts_with("text/csv") {
-                    break String::from_utf8(poll.body.to_vec()).unwrap();
+                    break String::from_utf8(poll.body.bytes().unwrap().to_vec()).unwrap();
                 }
                 std::thread::yield_now();
             };
@@ -1793,7 +1801,8 @@ mod tests {
             // The shards view accounts for every cell, every shard done.
             let (endpoint, shards) = route(&state, &get(&format!("/v1/sweep/{id}/shards")));
             assert_eq!((endpoint, shards.status), ("sweep_shards", 200));
-            let doc = Json::parse(std::str::from_utf8(&shards.body).unwrap()).unwrap();
+            let doc =
+                Json::parse(std::str::from_utf8(&shards.body.bytes().unwrap()).unwrap()).unwrap();
             let progress = doc.get("progress").unwrap().as_array().unwrap();
             assert_eq!(progress.len(), count);
             let total: f64 = progress
@@ -1819,13 +1828,14 @@ mod tests {
         ] {
             let (_, refused) = route(&state, &post("/v1/sweep", body));
             assert_eq!(refused.status, 400, "{body}");
-            let doc = Json::parse(std::str::from_utf8(&refused.body).unwrap()).unwrap();
+            let doc =
+                Json::parse(std::str::from_utf8(&refused.body.bytes().unwrap()).unwrap()).unwrap();
             assert_eq!(doc.get("field").and_then(Json::as_str), Some(field));
         }
 
         // The shards view of a plain job says "not sharded"; unknown ids 404.
         let (_, plain) = route(&state, &post("/v1/sweep", r#"{"scenarios":[1]}"#));
-        let doc = Json::parse(std::str::from_utf8(&plain.body).unwrap()).unwrap();
+        let doc = Json::parse(std::str::from_utf8(&plain.body.bytes().unwrap()).unwrap()).unwrap();
         assert!(matches!(doc.get("shards"), Some(Json::Null)));
         assert!(doc.get("shards_href").is_none());
         let plain_id = doc.get("id").unwrap().as_f64().unwrap() as u64;
@@ -1855,7 +1865,8 @@ mod tests {
             ),
         );
         assert_eq!(by_object.body, by_spec.body);
-        let doc = Json::parse(std::str::from_utf8(&by_spec.body).unwrap()).unwrap();
+        let doc =
+            Json::parse(std::str::from_utf8(&by_spec.body.bytes().unwrap()).unwrap()).unwrap();
         let model = doc.get("failure_model").unwrap();
         assert_eq!(model.get("kind").unwrap().as_str().unwrap(), "weibull");
         assert_eq!(model.get("spec").unwrap().as_str().unwrap(), "weibull:0.7");
@@ -1873,8 +1884,10 @@ mod tests {
                 r#"{"platform":"Hera","scenario":1,"failure_model":"weibull:1"}"#,
             ),
         );
-        let exp_doc = Json::parse(std::str::from_utf8(&exp.body).unwrap()).unwrap();
-        let weib_doc = Json::parse(std::str::from_utf8(&weib1.body).unwrap()).unwrap();
+        let exp_doc =
+            Json::parse(std::str::from_utf8(&exp.body.bytes().unwrap()).unwrap()).unwrap();
+        let weib_doc =
+            Json::parse(std::str::from_utf8(&weib1.body.bytes().unwrap()).unwrap()).unwrap();
         assert_eq!(
             exp_doc.get("numerical").unwrap().render(),
             weib_doc.get("numerical").unwrap().render()
@@ -1927,7 +1940,7 @@ mod tests {
         for (body, needle) in cases {
             let (_, response) = route(&state, &post("/v1/optimize", body));
             assert_eq!(response.status, 400, "{body}");
-            let message = String::from_utf8(response.body.to_vec()).unwrap();
+            let message = String::from_utf8(response.body.bytes().unwrap().to_vec()).unwrap();
             assert!(message.contains(needle), "{body} -> {message}");
         }
     }
@@ -1943,15 +1956,16 @@ mod tests {
             accepted.status,
             202,
             "{:?}",
-            String::from_utf8(accepted.body.to_vec())
+            String::from_utf8(accepted.body.bytes().unwrap().to_vec())
         );
-        let doc = Json::parse(std::str::from_utf8(&accepted.body).unwrap()).unwrap();
+        let doc =
+            Json::parse(std::str::from_utf8(&accepted.body.bytes().unwrap()).unwrap()).unwrap();
         assert_eq!(doc.get("cells").unwrap().as_f64().unwrap(), 4.0);
         let id = doc.get("id").unwrap().as_f64().unwrap() as u64;
         let csv = loop {
             let (_, poll) = route(&state, &get(&format!("/v1/sweep/{id}")));
             if poll.content_type.starts_with("text/csv") {
-                break String::from_utf8(poll.body.to_vec()).unwrap();
+                break String::from_utf8(poll.body.bytes().unwrap().to_vec()).unwrap();
             }
             std::thread::yield_now();
         };
@@ -1975,14 +1989,14 @@ mod tests {
             &post("/v1/sweep", r#"{"failure_models":["weibull:0.7,1e-8"]}"#),
         );
         assert_eq!(pinned.status, 400);
-        let message = String::from_utf8(pinned.body.to_vec()).unwrap();
+        let message = String::from_utf8(pinned.body.bytes().unwrap().to_vec()).unwrap();
         assert!(message.contains("lambda axis"), "{message}");
         let (_, bad) = route(
             &state,
             &post("/v1/sweep", r#"{"failure_models":["nope:1"]}"#),
         );
         assert_eq!(bad.status, 400);
-        let message = String::from_utf8(bad.body.to_vec()).unwrap();
+        let message = String::from_utf8(bad.body.bytes().unwrap().to_vec()).unwrap();
         assert!(message.contains("failure_models"), "{message}");
     }
 
@@ -2009,7 +2023,10 @@ mod tests {
         assert_eq!(response.status, 200);
         let (_, response) = route(&state, &get("/metrics"));
         assert_eq!(response.status, 200);
-        crate::metrics::validate_prometheus(std::str::from_utf8(&response.body).unwrap()).unwrap();
+        crate::metrics::validate_prometheus(
+            std::str::from_utf8(&response.body.bytes().unwrap()).unwrap(),
+        )
+        .unwrap();
     }
 
     fn coordinator_state() -> Arc<AppState> {
@@ -2024,7 +2041,7 @@ mod tests {
     }
 
     fn body_json(response: &Response) -> Json {
-        Json::parse(std::str::from_utf8(&response.body).unwrap()).unwrap()
+        Json::parse(std::str::from_utf8(&response.body.bytes().unwrap()).unwrap()).unwrap()
     }
 
     #[test]
@@ -2130,7 +2147,8 @@ mod tests {
 
         // The cluster metric families appear on a coordinator.
         let (_, response) = route(&state, &get("/metrics"));
-        let text = std::str::from_utf8(&response.body).unwrap();
+        let body = response.body.bytes().unwrap();
+        let text = std::str::from_utf8(&body).unwrap();
         assert!(text.contains("ayd_workers{state=\"alive\"}"));
         assert!(text.contains("ayd_shards_dispatched_total"));
 

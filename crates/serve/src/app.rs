@@ -3,11 +3,12 @@
 //!
 //! A sweep job is a [`LocalJob`], evaluated in this process, or — on a
 //! coordinator, for a job submitted with `shards` — a distributed job whose
-//! shards the [`Coordinator`] dispatches to worker nodes. Both assemble
-//! their CSV by one rule: the header, then the shards' text in shard order,
-//! ending with the first incomplete shard's rows. That is the in-order
-//! prefix of the sweep: the whole unsharded CSV for a completed job, a
-//! byte prefix of it for a cancelled one.
+//! shards the [`Coordinator`] dispatches to worker nodes. Both write their
+//! CSV by one rule into a file of their own (a [`CsvFile`]) as it grows:
+//! the header, then the shards' text in shard order, ending with the first
+//! incomplete shard's rows. That is the in-order prefix of the sweep: the
+//! whole unsharded CSV for a completed job, a byte prefix of it for a
+//! cancelled one. No job keeps its CSV on the heap, running or finished.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -15,10 +16,11 @@ use std::time::{Duration, Instant};
 
 use ayd_sweep::{
     AnalyticEval, CacheStats, NullSink, RunOptions, ScenarioGrid, ShardSpec, ShardedEvalCache,
-    SweepExecutor, SweepOptions, SweepSink, CSV_HEADER,
+    SweepExecutor, SweepOptions, SweepSink,
 };
 
 use crate::coordinator::Coordinator;
+use crate::csv_file::CsvFile;
 use crate::http::Limits;
 use crate::metrics::{GaugeSnapshot, Metrics};
 use crate::worker::WorkerRuntime;
@@ -128,7 +130,7 @@ impl AppState {
             options: SweepOptions::new(run),
             cache: ShardedEvalCache::new(shards, config.cache_capacity.max(1)),
             metrics: Metrics::new(),
-            jobs: JobRegistry::new(),
+            jobs: JobRegistry::new(MAX_FINISHED_JOBS, MAX_FINISHED_BYTES),
             limits: config.limits,
             started: Instant::now(),
             coordinator: config
@@ -147,10 +149,13 @@ pub struct FinishedJob {
     pub cancelled: bool,
     /// Number of rows in `csv`.
     pub rows: usize,
-    /// The canonical sweep CSV of the job's in-order prefix: the whole
-    /// sweep for a completed job. Shared: a `GET` sends these bytes
-    /// without copying them.
-    pub csv: Arc<String>,
+    /// The canonical sweep CSV of the job's in-order prefix, in the job's
+    /// file: the whole sweep for a completed job. Shared: a `GET` sends it
+    /// from the file.
+    pub csv: Arc<CsvFile>,
+    /// Why the job's file could not be created or written, when it could
+    /// not: such a job ends cancelled, with the rows that reached the file.
+    pub error: Option<String>,
     /// The job's own memoisation-cache counters.
     pub cache: CacheStats,
     /// Cells each shard owns (`None` for a job submitted without `shards`).
@@ -163,7 +168,8 @@ impl FinishedJob {
         Self {
             cancelled: true,
             rows: 0,
-            csv: Arc::new(format!("{CSV_HEADER}\n")),
+            csv: Arc::new(CsvFile::header_only()),
+            error: None,
             cache: CacheStats::default(),
             shards,
         }
@@ -208,15 +214,15 @@ fn shard_views(totals: &[usize], done: usize) -> Vec<ShardView> {
         .collect()
 }
 
-/// A sweep job evaluated in this process. Its thread builds each shard's
-/// cells ([`ScenarioGrid::shard_cells`]) in order and streams them through
-/// [`SweepExecutor::run_cells_streamed`] (each range fanned out over the
-/// executor's workers) with the job's CSV as the sink, so each released
-/// chunk is appended to it in place; no row and no other copy of the text
-/// is ever kept. Ranges run one after another, so one progress
-/// counter tells how far the job, and each of its shards, has come. A
-/// cancelled job keeps its in-order prefix: every finished range plus the
-/// evaluated prefix of the range in flight.
+/// A sweep job evaluated in this process. Its thread creates the job's
+/// file, builds each shard's cells ([`ScenarioGrid::shard_cells`]) in order
+/// and streams them through [`SweepExecutor::run_cells_streamed`] (each
+/// range fanned out over the executor's workers) into the file, through a
+/// 64 KiB buffer; no row and no other copy of the text is ever kept.
+/// Ranges run one after another, so one progress counter tells how far the
+/// job, and each of its shards, has come. A cancelled job keeps its
+/// in-order prefix: every finished range plus the evaluated prefix of the
+/// range in flight.
 pub struct LocalJob {
     total: usize,
     /// Cells each shard owns (`None` for a job submitted without `shards`).
@@ -226,16 +232,79 @@ pub struct LocalJob {
     thread: std::thread::JoinHandle<FinishedJob>,
 }
 
+/// A local job's sink: released chunks gather in a 64 KiB buffer that goes
+/// into the job's file whole, so every write ends at a row. A write that
+/// fails raises the job's cancel flag and keeps its error; the file keeps
+/// the rows written before it.
+struct JobWriter<'a> {
+    csv: CsvFile,
+    buffer: String,
+    /// Rows in `buffer`.
+    rows: usize,
+    cancel: &'a AtomicBool,
+    error: Option<std::io::Error>,
+}
+
+impl<'a> JobWriter<'a> {
+    const CAPACITY: usize = 64 << 10;
+
+    fn new(csv: CsvFile, cancel: &'a AtomicBool) -> Self {
+        Self {
+            csv,
+            buffer: String::with_capacity(Self::CAPACITY),
+            rows: 0,
+            cancel,
+            error: None,
+        }
+    }
+
+    fn flush(&mut self) {
+        if self.error.is_none() && self.rows > 0 {
+            if let Err(error) = self.csv.append(&self.buffer, self.rows) {
+                self.error = Some(error);
+                self.cancel.store(true, Ordering::Relaxed);
+            }
+        }
+        self.buffer.clear();
+        self.rows = 0;
+    }
+
+    /// Writes what is buffered and hands the file over, with the error that
+    /// stopped the writes, if one did.
+    fn close(mut self) -> (CsvFile, Option<std::io::Error>) {
+        self.flush();
+        (self.csv, self.error)
+    }
+}
+
+impl SweepSink for JobWriter<'_> {
+    fn on_rows(&mut self, lines: &str, rows: usize) {
+        if self.error.is_some() {
+            return;
+        }
+        if self.buffer.len() + lines.len() > Self::CAPACITY {
+            self.flush();
+        }
+        self.buffer.push_str(lines);
+        self.rows += rows;
+    }
+
+    fn finish(&mut self) {
+        self.flush();
+    }
+}
+
 impl LocalJob {
     /// Starts a job over `grid` in `shards` contiguous ranges (one when
     /// `None`). Callers hold the job registry's lock on a reactor, so the
-    /// cells are built on the job's thread, not here.
+    /// file is created and the cells are built on the job's thread, not
+    /// here.
     pub fn spawn(options: SweepOptions, grid: ScenarioGrid, shards: Option<usize>) -> Self {
         Self::spawn_with_sink(options, grid, shards, NullSink)
     }
 
     /// [`Self::spawn`], streaming each released chunk into `sink` too, in
-    /// cell order and before the job's CSV: a test gates a job with it.
+    /// cell order and before the job's file: a test gates a job with it.
     fn spawn_with_sink(
         options: SweepOptions,
         grid: ScenarioGrid,
@@ -258,37 +327,38 @@ impl LocalJob {
         let (job_progress, job_cancel) = (Arc::clone(&progress), Arc::clone(&cancel));
         let shards_of_job = shards.clone();
         let thread = std::thread::spawn(move || {
+            let csv = match CsvFile::create() {
+                Ok(csv) => csv,
+                Err(error) => {
+                    return FinishedJob {
+                        error: Some(format!("creating the job's CSV file: {error}")),
+                        ..FinishedJob::empty(shards_of_job)
+                    }
+                }
+            };
             let executor = SweepExecutor::new(options);
-            let mut csv = format!("{CSV_HEADER}\n");
-            let (mut rows, mut cache) = (0, CacheStats::default());
-            for (index, spec) in specs.into_iter().enumerate() {
+            let mut writer = JobWriter::new(csv, &job_cancel);
+            let mut cache = CacheStats::default();
+            for spec in specs {
                 let cells = grid.shard_cells(spec);
                 let run = executor.run_cells_streamed(
                     &cells,
-                    &mut (&mut sink, &mut csv),
+                    &mut (&mut sink, &mut writer),
                     Some(&job_cancel),
                     Some(&job_progress),
                 );
                 cache = cache.merged(run.cache);
-                rows += run.rows;
                 if run.rows < cells.len() {
                     // Cancelled: the CSV ends with this range's prefix.
                     break;
                 }
-                if index == 0 && run.rows > 0 && run.rows < total {
-                    // Make room for the other ranges at the first one's
-                    // bytes per row, plus an eighth (rows differ in length),
-                    // so the CSV grows once or twice more instead of
-                    // doubling its way up.
-                    let per_row = (csv.len() - CSV_HEADER.len() - 1).div_ceil(run.rows);
-                    let rest = (total - run.rows) * per_row;
-                    csv.reserve_exact(rest + rest / 8);
-                }
             }
+            let (csv, error) = writer.close();
             FinishedJob {
-                cancelled: rows < total,
-                rows,
+                cancelled: csv.rows() < total,
+                rows: csv.rows(),
                 csv: Arc::new(csv),
+                error: error.map(|error| format!("writing the job's CSV file: {error}")),
                 cache,
                 shards: shards_of_job,
             }
@@ -318,7 +388,7 @@ impl LocalJob {
 /// Handle on a sweep job the coordinator farms out to worker nodes: all
 /// state lives in the [`Coordinator`], the handle just adapts it to the
 /// registry's lifecycle. Joining takes the finished job out of the
-/// coordinator, its CSV the text the coordinator merged as chunks arrived.
+/// coordinator, its CSV the file the coordinator wrote as chunks arrived.
 pub struct DistributedJobHandle {
     /// The coordinator owning the job's shard queue and checkpoints.
     pub coordinator: Arc<Coordinator>,
@@ -333,6 +403,7 @@ impl DistributedJobHandle {
                 cancelled: outcome.cancelled,
                 rows: outcome.rows,
                 csv: Arc::new(outcome.csv),
+                error: outcome.error,
                 // Workers own the evaluation caches; the coordinator never
                 // evaluates a cell itself.
                 cache: CacheStats::default(),
@@ -344,7 +415,7 @@ impl DistributedJobHandle {
 }
 
 /// A running job: evaluated in this process, or dispatched by the
-/// coordinator. The server's role picks the kind; both build their CSV by
+/// coordinator. The server's role picks the kind; both write their CSV by
 /// the same in-order rule.
 pub enum JobHandle {
     /// Evaluated in this process (see [`LocalJob`]).
@@ -411,22 +482,34 @@ pub enum JobView {
     Finished(Arc<FinishedJob>),
 }
 
-/// How many finished jobs the registry retains for later retrieval. Older
-/// results (by id) are evicted first — the registry's memory use is bounded
-/// by `MAX_RUNNING_JOBS` running handles plus this many CSV payloads.
+/// How many finished jobs the registry retains for later retrieval.
 const MAX_FINISHED_JOBS: usize = 64;
 
-/// Registry of async sweep jobs.
+/// How many bytes of CSV the registry's finished jobs may hold in their
+/// files, 1 GiB: a job of the largest grid accepted (200,000 cells) writes
+/// about 33 MB.
+const MAX_FINISHED_BYTES: u64 = 1 << 30;
+
+/// Registry of async sweep jobs. Finished jobs are kept for retrieval
+/// within two bounds, a count and the bytes of their CSV files; past
+/// either, the oldest (by id) are evicted first. An evicted job's file is
+/// freed once no `GET` is still sending it.
 pub struct JobRegistry {
     next_id: AtomicU64,
     jobs: Mutex<std::collections::HashMap<u64, JobEntry>>,
+    max_finished: usize,
+    max_finished_bytes: u64,
 }
 
 impl JobRegistry {
-    fn new() -> Self {
+    /// An empty registry keeping at most `max_finished` finished jobs,
+    /// whose CSVs total at most `max_finished_bytes`.
+    fn new(max_finished: usize, max_finished_bytes: u64) -> Self {
         Self {
             next_id: AtomicU64::new(1),
             jobs: Mutex::new(std::collections::HashMap::new()),
+            max_finished,
+            max_finished_bytes,
         }
     }
 
@@ -452,7 +535,7 @@ impl JobRegistry {
         spawn: impl FnOnce(u64) -> JobHandle,
     ) -> Option<u64> {
         let mut jobs = self.lock_jobs();
-        Self::reap(&mut jobs);
+        self.reap(&mut jobs);
         let running = jobs
             .values()
             .filter(|entry| matches!(entry, JobEntry::Running(_)))
@@ -469,7 +552,7 @@ impl JobRegistry {
     /// drained job never counts against the running cap).
     pub fn running_count(&self) -> usize {
         let mut jobs = self.lock_jobs();
-        Self::reap(&mut jobs);
+        self.reap(&mut jobs);
         jobs.values()
             .filter(|entry| matches!(entry, JobEntry::Running(_)))
             .count()
@@ -481,7 +564,7 @@ impl JobRegistry {
     /// cancelled (bounded by the registry's finished-job retention).
     pub fn gauge_snapshot(&self) -> GaugeSnapshot {
         let mut jobs = self.lock_jobs();
-        Self::reap(&mut jobs);
+        self.reap(&mut jobs);
         let mut gauges = GaugeSnapshot::default();
         for entry in jobs.values() {
             match entry {
@@ -497,7 +580,7 @@ impl JobRegistry {
     /// Looks up a job, transitioning it to finished when its thread is done.
     pub fn poll(&self, id: u64) -> Option<JobView> {
         let mut jobs = self.lock_jobs();
-        Self::reap(&mut jobs);
+        self.reap(&mut jobs);
         match jobs.get(&id)? {
             JobEntry::Running(handle) => Some(JobView::Running(handle.completed(), handle.total())),
             JobEntry::Finished(done) => Some(JobView::Finished(Arc::clone(done))),
@@ -511,7 +594,7 @@ impl JobRegistry {
         let mut jobs = self.lock_jobs();
         // Reaped first, as `poll` does: a job that finished but was never
         // polled is finished, not cancellable.
-        Self::reap(&mut jobs);
+        self.reap(&mut jobs);
         match jobs.get(&id)? {
             JobEntry::Running(handle) => {
                 handle.cancel();
@@ -527,7 +610,7 @@ impl JobRegistry {
     /// CSV: the shards its in-order prefix covers.
     pub fn shards_view(&self, id: u64) -> Option<Option<Vec<ShardView>>> {
         let mut jobs = self.lock_jobs();
-        Self::reap(&mut jobs);
+        self.reap(&mut jobs);
         Some(match jobs.get(&id)? {
             JobEntry::Running(JobHandle::Local(job)) => job
                 .shards
@@ -564,9 +647,10 @@ impl JobRegistry {
 
     /// Joins every finished handle in place (cheap: `join` on a finished
     /// thread does not block meaningfully), then evicts the oldest finished
-    /// results beyond [`MAX_FINISHED_JOBS`] so a long-lived server's memory
-    /// stays bounded no matter how many sweeps it has served.
-    fn reap(jobs: &mut std::collections::HashMap<u64, JobEntry>) {
+    /// results while more than `max_finished` of them are kept or their
+    /// CSVs total more than `max_finished_bytes`, so a long-lived server's
+    /// memory and disk stay bounded no matter how many sweeps it has served.
+    fn reap(&self, jobs: &mut std::collections::HashMap<u64, JobEntry>) {
         let finished: Vec<u64> = jobs
             .iter()
             .filter(|(_, entry)| matches!(entry, JobEntry::Running(h) if h.is_finished()))
@@ -577,16 +661,26 @@ impl JobRegistry {
                 jobs.insert(id, JobEntry::Finished(Arc::new(handle.join())));
             }
         }
-        let mut done_ids: Vec<u64> = jobs
-            .iter()
-            .filter(|(_, entry)| matches!(entry, JobEntry::Finished(_)))
-            .map(|(&id, _)| id)
+        let finished = |entry: &JobEntry| match entry {
+            JobEntry::Finished(job) => Some(job.csv.len()),
+            JobEntry::Running(_) => None,
+        };
+        let (mut kept, mut bytes) = (jobs.values().filter_map(finished))
+            .fold((0, 0), |(kept, bytes), len| (kept + 1, bytes + len));
+        if kept <= self.max_finished && bytes <= self.max_finished_bytes {
+            return;
+        }
+        let mut done: Vec<(u64, u64)> = (jobs.iter())
+            .filter_map(|(&id, entry)| Some((id, finished(entry)?)))
             .collect();
-        if done_ids.len() > MAX_FINISHED_JOBS {
-            done_ids.sort_unstable();
-            for id in &done_ids[..done_ids.len() - MAX_FINISHED_JOBS] {
-                jobs.remove(id);
+        done.sort_unstable();
+        for (id, len) in done {
+            if kept <= self.max_finished && bytes <= self.max_finished_bytes {
+                break;
             }
+            jobs.remove(&id);
+            kept -= 1;
+            bytes -= len;
         }
     }
 }
@@ -638,7 +732,12 @@ mod tests {
         let done = wait_finished(&state, id);
         assert!(!done.cancelled);
         assert_eq!(done.rows, 1);
-        assert!(done.csv.starts_with(ayd_sweep::CSV_HEADER));
+        assert!(done
+            .csv
+            .to_vec()
+            .unwrap()
+            .starts_with(ayd_sweep::CSV_HEADER.as_bytes()));
+        assert!(done.error.is_none());
         assert_eq!(state.jobs.running_count(), 0);
         // Cancelling a finished job is a no-op, unknown ids are None.
         assert_eq!(state.jobs.cancel(id), Some(false));
@@ -691,6 +790,48 @@ mod tests {
         }
         assert!(state.jobs.poll(ids[0]).is_none(), "oldest result evicted");
         assert!(state.jobs.poll(*ids.last().unwrap()).is_some());
+    }
+
+    #[test]
+    fn registry_evicts_the_oldest_finished_jobs_past_its_byte_budget() {
+        let state = test_state();
+        let grid = ScenarioGrid::builder()
+            .scenarios(&ScenarioId::ALL)
+            .processors(ProcessorAxis::Fixed(vec![256.0, 1024.0]))
+            .build()
+            .unwrap();
+        let expected = SweepExecutor::new(state.options).run(&grid).to_csv();
+        // Room for three jobs' files.
+        let jobs = JobRegistry::new(MAX_FINISHED_JOBS, 3 * expected.len() as u64);
+        let run = || {
+            let id = jobs
+                .try_submit(4, |_| {
+                    JobHandle::Local(LocalJob::spawn(state.options, grid.clone(), None))
+                })
+                .unwrap();
+            loop {
+                match jobs.poll(id) {
+                    Some(JobView::Running(..)) => std::thread::yield_now(),
+                    Some(JobView::Finished(done)) => break (id, done),
+                    None => panic!("job {id} evicted before it was polled"),
+                }
+            }
+        };
+        let (first, done) = run();
+        // A GET of the first job, not yet sent: it holds the job's file.
+        let fetch = crate::http::Response::csv(Arc::clone(&done.csv));
+        drop(done);
+        let later: Vec<u64> = (0..3).map(|_| run().0).collect();
+        assert!(
+            jobs.poll(first).is_none(),
+            "the fourth job evicts the first"
+        );
+        for id in later {
+            assert!(jobs.poll(id).is_some(), "job {id} fits the budget");
+        }
+        // The fetch spans the eviction: the unlinked file stays open while
+        // the response holds it, and every byte is still there.
+        assert_eq!(fetch.body.bytes().unwrap(), expected.as_bytes());
     }
 
     #[test]
@@ -792,10 +933,12 @@ mod tests {
         let done = wait_finished(&state, id);
         assert!(done.cancelled);
         assert!(first < done.rows && done.rows < grid.len(), "{}", done.rows);
-        // The CSV is a byte prefix of the full sweep's, `rows` lines long.
+        // The job's file is a byte prefix of the full sweep's CSV, `rows`
+        // lines long.
         let full = SweepExecutor::new(state.options).run(&grid).to_csv();
-        assert!(full.starts_with(done.csv.as_str()));
-        assert_eq!(done.csv.lines().count(), 1 + done.rows);
+        let csv = String::from_utf8(done.csv.to_vec().unwrap()).unwrap();
+        assert!(full.starts_with(&csv));
+        assert_eq!(csv.lines().count(), 1 + done.rows);
         // The view: done shards, at most one partial shard, pending shards.
         let views = state.jobs.shards_view(id).unwrap().unwrap();
         let statuses: Vec<&str> = views.iter().map(|v| v.status).collect();

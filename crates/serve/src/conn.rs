@@ -28,8 +28,9 @@
 //! the response), with the request held in between as a `Pending`.
 //!
 //! A response goes into the connection's `Outgoing`: its head and any owned
-//! body into one buffer, so a small answer is one `write`, and a shared body
-//! (a finished sweep's CSV) beside it, sent from its `Arc` without a copy.
+//! body into one buffer, so a small answer is one `write`, and a file body
+//! (a finished sweep's CSV) beside it, which the reactor sends from the
+//! job's file with `sendfile(2)`.
 
 use std::io::Cursor;
 use std::panic::AssertUnwindSafe;
@@ -39,6 +40,7 @@ use std::time::{Duration, Instant};
 
 use crate::api::{dispatch, endpoint, Batch, Routed};
 use crate::app::AppState;
+use crate::csv_file::CsvFile;
 use crate::http::{
     parse_request, Limits, ParseError, Request, Response, MAX_HEADERS, MAX_HEADER_LINE,
     MAX_REQUEST_LINE,
@@ -203,28 +205,51 @@ pub(crate) const MAX_REQUESTS_PER_CONNECTION: usize = 100_000;
 pub(crate) const KEEP_OUT_CAPACITY: usize = 64 * 1024;
 
 /// What a connection owes its peer, in order: `bytes` (response heads and
-/// owned bodies), then `shared`, a shared body sent from its `Arc`.
+/// owned bodies), then `file`, a job's CSV sent from its file.
 #[derive(Debug, Default)]
 pub(crate) struct Outgoing {
     pub(crate) bytes: Vec<u8>,
-    pub(crate) shared: Option<Arc<String>>,
+    pub(crate) file: Option<Arc<CsvFile>>,
+}
+
+/// What a connection sends next, once the first `written` bytes of its
+/// [`Outgoing`] went out.
+#[derive(Debug)]
+pub(crate) enum Unsent<'a> {
+    /// The rest of the buffer.
+    Bytes(&'a [u8]),
+    /// The rest of the file body: `count` bytes from `offset`.
+    File {
+        file: &'a std::fs::File,
+        offset: u64,
+        count: u64,
+    },
+    /// Nothing: everything went out.
+    Nothing,
 }
 
 impl Outgoing {
     /// True when nothing is owed.
     pub(crate) fn is_empty(&self) -> bool {
-        self.bytes.is_empty() && self.shared.is_none()
+        self.bytes.is_empty() && self.file.is_none()
     }
 
     /// What is still owed once the first `written` bytes went out: the rest
-    /// of `bytes`, then of the shared body.
-    pub(crate) fn unsent(&self, written: usize) -> &[u8] {
-        match written.checked_sub(self.bytes.len()) {
-            None => &self.bytes[written..],
-            Some(offset) => self
-                .shared
-                .as_ref()
-                .map_or(&[][..], |text| &text.as_bytes()[offset..]),
+    /// of `bytes`, then of the file body.
+    pub(crate) fn unsent(&self, written: usize) -> Unsent<'_> {
+        let Some(offset) = written.checked_sub(self.bytes.len()) else {
+            return Unsent::Bytes(&self.bytes[written..]);
+        };
+        let offset = offset as u64;
+        match &self.file {
+            Some(csv) if offset < csv.len() => {
+                csv.file().map_or(Unsent::Nothing, |file| Unsent::File {
+                    file,
+                    offset,
+                    count: csv.len() - offset,
+                })
+            }
+            _ => Unsent::Nothing,
         }
     }
 
@@ -238,7 +263,7 @@ impl Outgoing {
         } else {
             self.bytes.clear();
         }
-        self.shared = None;
+        self.file = None;
     }
 }
 
@@ -275,7 +300,7 @@ pub(crate) struct Pending {
 }
 
 /// Answers the next request buffered in `parser`, adding the response to
-/// `out` (whose shared body must be empty): the one place a request becomes
+/// `out` (whose file body must be empty): the one place a request becomes
 /// response bytes, for the reactor and [`serve_chunks`] alike. Every
 /// answered request records one `request` root span with `parse`, `route`
 /// and `render` children; `reactor` tags it with the serving reactor's
@@ -390,7 +415,7 @@ impl InFlight {
         });
         let status = response.status;
         let render_span = ayd_obs::child_of(self.root.context(), "render");
-        out.shared = response
+        out.file = response
             .with_header("x-ayd-trace-id", format_trace_id(self.trace))
             .write_owned(&mut out.bytes, keep_alive);
         render_span.finish();
@@ -428,7 +453,7 @@ fn render_parse_error(
 
 /// Serves one connection's bytes delivered in arbitrary chunks through
 /// `answer_next`, exactly as a reactor serves a socket's reads, and returns
-/// everything written back (a shared body appended after its head). This is
+/// everything written back (a file body read in after its head). This is
 /// the socket-free harness: the malformed-request suite drives it byte at a
 /// time and whole, and the benchmark replays requests through it.
 pub fn serve_chunks(chunks: &[&[u8]], state: &Arc<AppState>, shutdown: &AtomicBool) -> Vec<u8> {
@@ -448,8 +473,10 @@ pub fn serve_chunks(chunks: &[&[u8]], state: &Arc<AppState>, shutdown: &AtomicBo
             None,
             &mut out,
         );
-        if let Some(shared) = out.shared.take() {
-            out.bytes.extend_from_slice(shared.as_bytes());
+        if let Some(csv) = out.file.take() {
+            // A read error of the job's file ends the response short, as a
+            // failed `sendfile` would on a socket.
+            let _ = csv.copy_to(&mut out.bytes);
         }
         match answer {
             Answer::NeedMore => match feed.next() {
@@ -613,16 +640,23 @@ mod tests {
     fn outgoing_sends_its_buffer_then_the_shared_body_and_gives_back_a_large_buffer() {
         let mut out = Outgoing::default();
         assert!(out.is_empty());
+        assert!(matches!(out.unsent(0), Unsent::Nothing));
         out.bytes.extend_from_slice(b"head;");
-        out.shared = Some(Arc::new("shared".to_string()));
-        let mut sent = Vec::new();
+        let mut csv = CsvFile::create().unwrap();
+        csv.append("1,2\n", 1).unwrap();
+        let len = csv.len();
+        out.file = Some(Arc::new(csv));
         // Resumes at any offset, across the seam between the two parts.
-        for step in [3, 4, 1, 100] {
-            let unsent = out.unsent(sent.len());
-            sent.extend_from_slice(&unsent[..step.min(unsent.len())]);
+        assert!(matches!(out.unsent(2), Unsent::Bytes(b"ad;")));
+        for (written, offset) in [(5, 0), (9, 4)] {
+            match out.unsent(written) {
+                Unsent::File {
+                    offset: at, count, ..
+                } => assert_eq!((at, count), (offset, len - offset)),
+                other => panic!("{other:?} at {written}"),
+            }
         }
-        assert_eq!(sent, b"head;shared");
-        assert!(out.unsent(sent.len()).is_empty());
+        assert!(matches!(out.unsent(5 + len as usize), Unsent::Nothing));
         // A drained buffer keeps its capacity for the next response...
         out.clear();
         assert!(out.is_empty());

@@ -38,9 +38,12 @@
 //!
 //! Each job's checkpoint is one [`ShardMerge`] (the merge `sweep-merge`
 //! builds through): the uploaded rows, merged in shard order as they
-//! arrive, so a finished job hands its text over as the CSV without
-//! copying — the single-process sweep's bytes when complete, their
-//! in-order prefix when cancelled.
+//! arrive. The rows each accepted chunk puts in global order are written
+//! through to the job's file (a [`CsvFile`]) at once, so the merge holds
+//! only rows parked past the frontier and a finished job hands its file
+//! over as the CSV — the single-process sweep's bytes when complete, their in-order
+//! prefix when cancelled. A job whose file cannot be created or written
+//! ends cancelled, with the rows that reached the file and the error.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -50,6 +53,7 @@ use std::time::{Duration, Instant};
 use ayd_sweep::{ShardChunk, ShardMerge};
 
 use crate::client::HttpClient;
+use crate::csv_file::CsvFile;
 use crate::json::Json;
 
 /// How long a dead worker's record lingers (for the `/v1/workers` view and
@@ -99,7 +103,7 @@ struct DistShard {
 }
 
 /// One distributed sweep job: its dispatch state, fingerprints and grid
-/// document, and the merge of its shards' checkpoints.
+/// document, the merge of its shards' checkpoints and its CSV file.
 struct DistJob {
     /// The original `/v1/sweep` body (re-rendered), forwarded to workers so
     /// they rebuild the exact grid; cross-checked by fingerprint.
@@ -108,8 +112,13 @@ struct DistJob {
     options_fingerprint: u64,
     shards: Vec<DistShard>,
     cancelled: bool,
-    /// Every shard's checkpointed rows, merged in shard order.
+    /// Every shard's checkpoint, merged in shard order: the rows in global
+    /// order went to `csv`, the rows parked past the frontier are here.
     merge: ShardMerge,
+    /// The header, then every merged row.
+    csv: CsvFile,
+    /// Why the job's file could not be created or written, if it could not.
+    error: Option<String>,
 }
 
 impl DistJob {
@@ -274,13 +283,16 @@ pub struct ClusterStats {
 pub struct DistOutcome {
     /// True when the job was cancelled before every shard completed.
     pub cancelled: bool,
-    /// The canonical CSV of the merged rows: the whole sweep for a done
-    /// job, the in-order prefix up to the merge frontier for a cancelled one.
-    pub csv: String,
-    /// Merged row count.
+    /// The job's file, the canonical CSV of the merged rows: the whole
+    /// sweep for a done job, the in-order prefix up to the merge frontier
+    /// for a cancelled one.
+    pub csv: CsvFile,
+    /// Rows in `csv`.
     pub rows: usize,
     /// Cells each shard owns.
     pub totals: Vec<usize>,
+    /// Why the job's file could not be created or written, if it could not.
+    pub error: Option<String>,
 }
 
 /// The coordinator: cluster state behind one mutex, counters on atomics, and
@@ -437,9 +449,10 @@ impl Coordinator {
     }
 
     /// Registers a distributed job: `count` shards over a `grid_cells`-cell
-    /// grid. A shard that owns no cells (more shards than cells) is done at
-    /// once: it has nothing to upload, so dispatching it could never finish
-    /// it.
+    /// grid, and creates its file. A shard that owns no cells (more shards
+    /// than cells) is done at once: it has nothing to upload, so dispatching
+    /// it could never finish it. A job whose file cannot be created is
+    /// cancelled at once, with the error.
     pub fn submit(
         &self,
         job: u64,
@@ -450,6 +463,13 @@ impl Coordinator {
         grid_cells: usize,
     ) {
         let merge = ShardMerge::new(grid_cells, count);
+        let (csv, error) = match CsvFile::create() {
+            Ok(csv) => (csv, None),
+            Err(error) => (
+                CsvFile::header_only(),
+                Some(format!("creating the job's CSV file: {error}")),
+            ),
+        };
         let shards = (0..count)
             .map(|index| DistShard {
                 state: if merge.total(index) == 0 {
@@ -469,8 +489,10 @@ impl Coordinator {
                 grid_fingerprint,
                 options_fingerprint,
                 shards,
-                cancelled: false,
+                cancelled: error.is_some(),
                 merge,
+                csv,
+                error,
             },
         );
         self.wake();
@@ -736,7 +758,25 @@ impl Coordinator {
                 "chunk overruns the shard: {checkpoint} + {accepted_rows} rows > {total} cells"
             )));
         }
-        job.merge.push(shard_index, chunk.rows(), accepted_rows);
+        // The rows now in global order go to the job's file; after a failed
+        // write nothing more is written.
+        let (csv, mut written) = (&mut job.csv, Ok(()));
+        job.merge
+            .push(shard_index, chunk.rows(), accepted_rows, |rows, count| {
+                if written.is_ok() {
+                    written = csv.append(rows, count);
+                }
+            });
+        if let Err(error) = written {
+            let reason = format!("writing the job's CSV file: {error}");
+            job.error = Some(reason.clone());
+            Self::cancel_locked(&mut state, job_id);
+            drop(state);
+            self.wake();
+            return Err(ChunkError::Gone(format!(
+                "sweep job {job_id} was cancelled: {reason}"
+            )));
+        }
         let shard_done = checkpoint + accepted_rows == total;
         if shard_done {
             job.shards[shard_index].state = ShardState::Done;
@@ -769,15 +809,23 @@ impl Coordinator {
     /// cancelled job's shards are never re-issued.
     pub fn cancel_job(&self, job: u64) {
         let mut state = self.lock();
+        if Self::cancel_locked(&mut state, job) {
+            drop(state);
+            self.wake();
+        }
+    }
+
+    /// Marks `job` cancelled and frees every worker holding one of its
+    /// shards; false when there is no such job.
+    fn cancel_locked(state: &mut ClusterState, job: u64) -> bool {
         let Some(entry) = state.jobs.get_mut(&job) else {
-            return;
+            return false;
         };
         entry.cancelled = true;
         for record in state.workers.values_mut() {
             record.assignment.take_if(|held| held.job == job);
         }
-        drop(state);
-        self.wake();
+        true
     }
 
     /// `(completed, total)` cells of a live job.
@@ -881,20 +929,26 @@ impl Coordinator {
         stats
     }
 
-    /// Takes a finished job out of the coordinator. Its CSV is the merge's
-    /// text, handed over as it stands: the header followed by the shards'
+    /// Takes a finished job out of the coordinator. Its CSV is the job's
+    /// file, handed over as it stands: the header followed by the shards'
     /// checkpointed rows up to the merge frontier. For a done job that is
     /// every shard, byte-identical to the single-process sweep; for a
     /// cancelled one the in-order prefix of that sweep (rows parked past
     /// the frontier are dropped).
     pub fn take_finished(&self, job: u64) -> Option<DistOutcome> {
-        let DistJob { shards, merge, .. } = self.lock().jobs.remove(&job)?;
-        let rows = merge.merged_rows();
+        let DistJob {
+            shards,
+            merge,
+            csv,
+            error,
+            ..
+        } = self.lock().jobs.remove(&job)?;
         Some(DistOutcome {
-            cancelled: rows < merge.cells(),
-            rows,
+            cancelled: csv.rows() < merge.cells(),
+            rows: csv.rows(),
             totals: (0..shards.len()).map(|index| merge.total(index)).collect(),
-            csv: merge.into_csv(),
+            csv,
+            error,
         })
     }
 }
@@ -1778,7 +1832,7 @@ mod tests {
     }
 
     /// A 4-shard job over [`wide_grid`] with one worker per shard, which
-    /// checks after every upload that the job's text is the header plus
+    /// checks after every upload that the job's file is the header plus
     /// the shards' uploaded rows in shard order, up to the frontier.
     struct MergeRig {
         coordinator: Arc<Coordinator>,
@@ -1871,12 +1925,7 @@ mod tests {
         fn check(&self) {
             let expected = self.expected();
             let state = self.coordinator.lock();
-            assert_eq!(
-                state.jobs[&Self::JOB].merge.csv(),
-                expected,
-                "{:?}",
-                self.uploaded
-            );
+            assert_eq!(state.jobs[&Self::JOB].csv, expected, "{:?}", self.uploaded);
             drop(state);
             let merged = self.coordinator.shards_view(Self::JOB).unwrap().merged_rows;
             assert_eq!(merged, expected.lines().count() - 1);
@@ -1960,8 +2009,8 @@ mod tests {
     #[test]
     fn a_row_too_long_to_reserve_for_is_merged_not_fatal() {
         // One row of ~1 MiB (the request body limit) in a job of 200,000
-        // cells asks to reserve ~225 GB for the job's text: more than the
-        // allocator grants, which must not abort the coordinator.
+        // cells: nothing is reserved from a row's length (that would be
+        // ~225 GB here), and the row goes through to the job's file.
         let coordinator = Coordinator::new(LEASE);
         let t0 = Instant::now();
         let (worker, token) = coordinator.register_worker("127.0.0.1:1", t0);
@@ -1990,6 +2039,49 @@ mod tests {
         coordinator.cancel_job(4);
         let outcome = coordinator.take_finished(4).unwrap();
         assert_eq!(outcome.csv, format!("{CSV_HEADER}\n{row}"));
+    }
+
+    #[test]
+    fn a_job_whose_file_refuses_rows_ends_cancelled_with_the_error() {
+        let (coordinator, t0, worker, token, plan) = cluster();
+        let d = &plan[0];
+        let upload = |from: usize| {
+            coordinator.accept_chunk(
+                7,
+                d.shard,
+                worker,
+                token,
+                d.epoch,
+                &chunk(d.shard, 2, from, 1),
+                t0,
+            )
+        };
+        upload(0).unwrap();
+        // The file goes away under the job: its next rows cannot be written.
+        let written = std::mem::replace(
+            &mut coordinator.lock().jobs.get_mut(&7).unwrap().csv,
+            CsvFile::header_only(),
+        );
+        assert_eq!(written.rows(), 1);
+        while coordinator.wait_wake(Duration::ZERO) {}
+        let err = upload(1).unwrap_err();
+        assert_eq!(err.status().0, 410);
+        assert!(
+            err.reason().contains("writing the job's CSV file"),
+            "{err:?}"
+        );
+        // The job is cancelled and its worker freed at once.
+        assert!(coordinator.wait_wake(Duration::ZERO));
+        assert!(coordinator.job_finished(7));
+        assert_eq!(coordinator.workers_view(t0)[0].assignment, None);
+        let outcome = coordinator.take_finished(7).unwrap();
+        assert!(outcome.cancelled);
+        assert_eq!(outcome.rows, 0);
+        assert_eq!(outcome.csv, format!("{CSV_HEADER}\n"));
+        assert!(outcome
+            .error
+            .unwrap()
+            .contains("writing the job's CSV file"));
     }
 
     /// A fake worker on `listener` that answers `posts` dispatches with

@@ -8,8 +8,11 @@
 //! feeds it arbitrary bytes and asserts the connection always answers with a
 //! well-formed status line.
 
+use std::borrow::Cow;
 use std::io::{BufRead, Read, Write};
 use std::sync::Arc;
+
+use crate::csv_file::CsvFile;
 
 /// Maximum bytes of the request line (method + target + version; above →
 /// 414).
@@ -234,32 +237,46 @@ pub fn parse_request(reader: &mut impl BufRead, limits: &Limits) -> Result<Reque
     Ok(Request { body, ..request })
 }
 
-/// A response body: bytes the response owns, or text shared with its owner
-/// (a finished sweep job's CSV), which a connection sends from the `Arc`
-/// without a copy. Either way it reads as its bytes, and two bodies are
-/// equal when their bytes are.
+/// A response body: bytes the response owns, or a finished sweep job's
+/// CSV, shared with the job, which a connection sends from the job's file
+/// (see [`CsvFile`]). Two bodies are equal when their bytes are.
 #[derive(Debug, Clone)]
 pub enum Body {
     /// Bytes owned by the response.
     Owned(Vec<u8>),
-    /// Text shared with its owner.
-    Shared(Arc<String>),
+    /// A sweep job's CSV.
+    File(Arc<CsvFile>),
 }
 
-impl std::ops::Deref for Body {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
+impl Body {
+    /// Bytes of the body.
+    pub fn len(&self) -> usize {
         match self {
-            Body::Owned(bytes) => bytes,
-            Body::Shared(text) => text.as_bytes(),
+            Body::Owned(bytes) => bytes.len(),
+            Body::File(csv) => csv.len() as usize,
+        }
+    }
+
+    /// True when the body has no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The body's bytes: borrowed when owned, read from the file otherwise.
+    pub fn bytes(&self) -> std::io::Result<Cow<'_, [u8]>> {
+        match self {
+            Body::Owned(bytes) => Ok(Cow::Borrowed(bytes)),
+            Body::File(csv) => csv.to_vec().map(Cow::Owned),
         }
     }
 }
 
+/// Bodies are equal when their bytes are; a file that cannot be read
+/// equals nothing.
 impl PartialEq for Body {
     fn eq(&self, other: &Self) -> bool {
-        **self == **other
+        self.len() == other.len()
+            && matches!((self.bytes(), other.bytes()), (Ok(a), Ok(b)) if a == b)
     }
 }
 
@@ -271,9 +288,9 @@ impl From<String> for Body {
     }
 }
 
-impl From<Arc<String>> for Body {
-    fn from(text: Arc<String>) -> Self {
-        Body::Shared(text)
+impl From<Arc<CsvFile>> for Body {
+    fn from(csv: Arc<CsvFile>) -> Self {
+        Body::File(csv)
     }
 }
 
@@ -329,7 +346,7 @@ impl Response {
         }
     }
 
-    /// A `200 OK` CSV response, owning its text or sharing it.
+    /// A `200 OK` CSV response, owning its text or sending a job's file.
     pub fn csv(body: impl Into<Body>) -> Self {
         Self {
             status: 200,
@@ -356,32 +373,41 @@ impl Response {
     }
 
     /// The full wire bytes of the response — what [`Response::write_to`]
-    /// would emit.
+    /// would emit. Panics if a file body cannot be read.
     pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.body.len() + 160);
         self.write_to(&mut out, keep_alive)
-            .expect("writing to a Vec cannot fail");
+            .expect("a response's body is readable");
         out
     }
 
     /// Writes the response (status line, headers, body) to `writer`.
     pub fn write_to(&self, writer: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
         writer.write_all(self.head(keep_alive).as_bytes())?;
-        writer.write_all(&self.body)?;
+        match &self.body {
+            Body::Owned(bytes) => writer.write_all(bytes)?,
+            Body::File(csv) => csv.copy_to(writer)?,
+        }
         writer.flush()
     }
 
-    /// Appends the response to `out`, except a shared body, which it
-    /// returns: the caller sends that after `out`'s bytes, from its `Arc`.
-    /// The bytes are [`Response::write_to`]'s.
-    pub(crate) fn write_owned(self, out: &mut Vec<u8>, keep_alive: bool) -> Option<Arc<String>> {
+    /// Appends the response to `out`, except a file body, which it
+    /// returns: the caller sends that after `out`'s bytes, from its file. A
+    /// CSV that has no file (the header alone) is appended too. The bytes
+    /// are [`Response::write_to`]'s.
+    pub(crate) fn write_owned(self, out: &mut Vec<u8>, keep_alive: bool) -> Option<Arc<CsvFile>> {
         out.extend_from_slice(self.head(keep_alive).as_bytes());
         match self.body {
             Body::Owned(bytes) => {
                 out.extend_from_slice(&bytes);
                 None
             }
-            Body::Shared(text) => Some(text),
+            Body::File(csv) if csv.file().is_none() => {
+                // Nothing is read: the header is in memory.
+                let _ = csv.copy_to(out);
+                None
+            }
+            Body::File(csv) => Some(csv),
         }
     }
 
@@ -545,23 +571,33 @@ mod tests {
 
     #[test]
     fn a_shared_body_writes_the_bytes_of_an_owned_one() {
-        let text = Arc::new("a,b\n1,2\n".to_string());
-        let shared = Response::csv(Arc::clone(&text)).with_header("x-ayd-trace-id", "00ff");
-        let owned = Response::csv(text.to_string()).with_header("x-ayd-trace-id", "00ff");
+        let text = format!("{}\n1,2\n", ayd_sweep::CSV_HEADER);
+        let mut csv = CsvFile::create().unwrap();
+        csv.append("1,2\n", 1).unwrap();
+        let csv = Arc::new(csv);
+        let shared = Response::csv(Arc::clone(&csv)).with_header("x-ayd-trace-id", "00ff");
+        let owned = Response::csv(text.clone()).with_header("x-ayd-trace-id", "00ff");
         assert_eq!(shared, owned);
-        assert!(matches!(shared.body, Body::Shared(_)));
+        assert!(matches!(shared.body, Body::File(_)));
+        assert_eq!(shared.body.len(), text.len());
         for keep_alive in [true, false] {
             assert_eq!(shared.to_bytes(keep_alive), owned.to_bytes(keep_alive));
-            // `write_owned` keeps the shared text out of the buffer and hands
-            // it back; head plus text are the wire bytes.
+            // `write_owned` keeps the file out of the buffer and hands it
+            // back; head plus file are the wire bytes.
             let mut out = Vec::new();
             let rest = shared.clone().write_owned(&mut out, keep_alive);
-            assert!(Arc::ptr_eq(rest.as_ref().unwrap(), &text));
+            assert!(Arc::ptr_eq(rest.as_ref().unwrap(), &csv));
             out.extend_from_slice(text.as_bytes());
             assert_eq!(out, owned.to_bytes(keep_alive));
             let mut out = Vec::new();
             assert!(owned.clone().write_owned(&mut out, keep_alive).is_none());
             assert_eq!(out, owned.to_bytes(keep_alive));
         }
+        // A CSV without a file is the header, written into the buffer.
+        let header = Response::csv(Arc::new(CsvFile::header_only()));
+        let mut out = Vec::new();
+        assert!(header.clone().write_owned(&mut out, true).is_none());
+        assert_eq!(out, header.to_bytes(true));
+        assert!(out.ends_with(format!("\r\n\r\n{}\n", ayd_sweep::CSV_HEADER).as_bytes()));
     }
 }

@@ -72,6 +72,7 @@ pub mod app;
 pub mod client;
 pub mod conn;
 pub mod coordinator;
+pub mod csv_file;
 pub mod http;
 pub mod json;
 pub mod metrics;
@@ -93,6 +94,7 @@ pub use app::{AppState, ClusterConfig, ServerConfig};
 pub use client::{smoke_check, ClientResponse, HttpClient};
 pub use conn::{serve_chunks, IncrementalParser};
 pub use coordinator::{ClusterStats, Coordinator};
+pub use csv_file::CsvFile;
 pub use http::{Body, Limits, Request, Response};
 pub use json::Json;
 pub use metrics::{validate_prometheus, GaugeSnapshot, Metrics, PrometheusText, Sample};

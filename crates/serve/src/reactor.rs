@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use crate::app::{AppState, ServerConfig};
 use crate::conn::{
-    answer_next, Answer, IncrementalParser, Outgoing, Pending, HEAD_CAP,
+    answer_next, Answer, IncrementalParser, Outgoing, Pending, Unsent, HEAD_CAP,
     MAX_REQUESTS_PER_CONNECTION,
 };
 use crate::sys;
@@ -60,7 +60,7 @@ struct Conn {
     /// A batch with slices left (the drain deadline cuts it off unanswered).
     pending: Option<Box<Pending>>,
     /// Response bytes not yet accepted by the kernel: the head and any
-    /// owned body, then a shared body.
+    /// owned body, then a file body.
     out: Outgoing,
     /// Bytes of `out` already written.
     written: usize,
@@ -152,13 +152,13 @@ impl Reactor {
             for event in &events[..fired] {
                 match event.token() {
                     TOKEN_LISTENER => self.accept_burst(),
-                    token => self.pump(token),
+                    token => self.pump(token, Some(event.readiness())),
                 }
             }
             for token in due {
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.queued = false;
-                    self.pump(token);
+                    self.pump(token, None);
                 }
             }
             if !self.draining && self.shutdown.load(Ordering::SeqCst) {
@@ -217,7 +217,7 @@ impl Reactor {
                     self.conns.insert(token, Conn::new(fd));
                     // Edge-triggered: bytes that raced ahead of the ADD never
                     // produce an edge, so read immediately.
-                    self.pump(token);
+                    self.pump(token, None);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => continue,
@@ -229,13 +229,14 @@ impl Reactor {
         }
     }
 
-    /// Runs one connection's state machine after a readiness event or from
-    /// the run queue, reinserting it unless it closed.
-    fn pump(&mut self, token: u64) {
+    /// Runs one connection's state machine after a readiness event (with
+    /// its readiness bits) or from the run queue or an accept (`None`),
+    /// reinserting it unless it closed.
+    fn pump(&mut self, token: u64, readiness: Option<u32>) {
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
         };
-        if self.drive(token, &mut conn) {
+        if self.drive(token, &mut conn, readiness) {
             self.conns.insert(token, conn);
         } else {
             self.state.metrics.connection_closed();
@@ -253,13 +254,26 @@ impl Reactor {
     /// batch) unless a response is still going out, and writes. Returns
     /// `false` when the connection is finished (the caller drops it, closing
     /// the fd).
-    fn drive(&mut self, token: u64, conn: &mut Conn) -> bool {
+    fn drive(&mut self, token: u64, conn: &mut Conn, readiness: Option<u32>) -> bool {
+        // With `EPOLLET`, a read shorter than the scratch means the socket
+        // is drained, and bytes that arrive later raise a new edge (epoll(7)),
+        // so after an event the drain ends there: one read per request. An
+        // event that reports a hang-up or an error drains on to the EOF or
+        // error it announced, and a pump without an event drains to
+        // `EAGAIN`.
+        let short_read_drains = readiness
+            .is_some_and(|bits| bits & (sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR) == 0);
         // Drain the edge (pipelined bytes buffer up behind the request being
         // answered), pausing above the memory bound.
         while !conn.eof && conn.parser.buffered() < self.pause_at {
             match sys::read(&conn.fd, &mut self.scratch) {
                 Ok(0) => conn.eof = true,
-                Ok(n) => conn.parser.push(&self.scratch[..n]),
+                Ok(n) => {
+                    conn.parser.push(&self.scratch[..n]);
+                    if n < SCRATCH && short_read_drains {
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 // A hard read error: nothing more will arrive; a response
@@ -314,16 +328,29 @@ impl Reactor {
         true
     }
 
-    /// Writes `conn.out` — its buffer, then its shared body — until it
-    /// drains (then clears it) or the socket would block (then waits for
-    /// `EPOLLOUT`). Returns `false` on a hard error.
+    /// Writes `conn.out` — its buffer, then its file body, by `sendfile`
+    /// from the connection's own offset — until it drains (then clears it)
+    /// or the socket would block (then waits for `EPOLLOUT`). Returns
+    /// `false` on a hard error, or when the file ends before its length.
     fn flush(&self, token: u64, conn: &mut Conn) -> bool {
         loop {
-            let unsent = conn.out.unsent(conn.written);
-            if unsent.is_empty() {
-                break;
-            }
-            match sys::write(&conn.fd, unsent) {
+            let sent = match conn.out.unsent(conn.written) {
+                Unsent::Nothing => break,
+                Unsent::Bytes(bytes) => sys::write(&conn.fd, bytes),
+                Unsent::File {
+                    file,
+                    offset,
+                    count,
+                } => {
+                    match sys::sendfile(&conn.fd, file, offset, count as usize) {
+                        // Shorter than its recorded length: the response
+                        // cannot be finished.
+                        Ok(0) => return false,
+                        sent => sent,
+                    }
+                }
+            };
+            match sent {
                 Ok(n) => conn.written += n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     if !conn.wants_writable {

@@ -2,7 +2,8 @@
 //!
 //! The offline build has no `libc` crate, so the handful of syscalls the
 //! epoll reactor needs — `epoll_create1`/`epoll_ctl`/`epoll_pwait`,
-//! `accept4`, nonblocking `SO_REUSEPORT` listeners and raw `read`/`write` —
+//! `accept4`, nonblocking `SO_REUSEPORT` listeners, raw `read`/`write` and
+//! `sendfile` —
 //! are issued directly via inline assembly, in the same spirit as the
 //! `vendor/` stand-in for rand. Only Linux on x86_64/aarch64 is
 //! covered; everything in this module is compiled out on other targets,
@@ -25,6 +26,7 @@ mod nr {
     pub const READ: usize = 0;
     pub const WRITE: usize = 1;
     pub const CLOSE: usize = 3;
+    pub const SENDFILE: usize = 40;
     pub const SOCKET: usize = 41;
     pub const BIND: usize = 49;
     pub const LISTEN: usize = 50;
@@ -41,6 +43,7 @@ mod nr {
     pub const READ: usize = 63;
     pub const WRITE: usize = 64;
     pub const CLOSE: usize = 57;
+    pub const SENDFILE: usize = 71;
     pub const SOCKET: usize = 198;
     pub const BIND: usize = 200;
     pub const LISTEN: usize = 201;
@@ -294,6 +297,25 @@ pub fn write(fd: &Fd, buf: &[u8]) -> io::Result<usize> {
             buf.as_ptr() as usize,
             buf.len(),
             0,
+            0,
+            0,
+        )
+    })
+}
+
+/// Sends up to `count` bytes of `file`, from byte `offset` on, to `out`,
+/// returning how many the kernel took. The offset is the caller's: the
+/// file's own position is neither read nor moved. `Ok(0)` with `count > 0`
+/// means the file ends before `offset`.
+pub fn sendfile(out: &Fd, file: &std::fs::File, offset: u64, count: usize) -> io::Result<usize> {
+    let mut offset = offset as i64;
+    check(unsafe {
+        syscall6(
+            nr::SENDFILE,
+            out.raw() as usize,
+            std::os::fd::AsRawFd::as_raw_fd(file) as usize,
+            std::ptr::addr_of_mut!(offset) as usize,
+            count,
             0,
             0,
         )

@@ -30,7 +30,7 @@ fn optimize_400(state: &Arc<AppState>, body: &str) -> Json {
     let (_, response) = route(state, &post("/v1/optimize", body));
     assert_eq!(response.status, 400, "body: {body}");
     assert_eq!(response.content_type, "application/json");
-    Json::parse(std::str::from_utf8(&response.body).unwrap()).unwrap()
+    Json::parse(std::str::from_utf8(&response.body.bytes().unwrap()).unwrap()).unwrap()
 }
 
 fn field_of(doc: &Json) -> &str {
@@ -108,7 +108,7 @@ fn sweep_bodies_attribute_their_own_fields() {
     let sweep_400 = |body: &str| {
         let (_, response) = route(&state, &post("/v1/sweep", body));
         assert_eq!(response.status, 400, "body: {body}");
-        Json::parse(std::str::from_utf8(&response.body).unwrap()).unwrap()
+        Json::parse(std::str::from_utf8(&response.body.bytes().unwrap()).unwrap()).unwrap()
     };
     let doc = sweep_400(r#"{"alphas":[0.1,1.5]}"#);
     assert_eq!(field_of(&doc), "alphas", "{doc:?}");
@@ -142,7 +142,7 @@ fn batch_errors_keep_the_field_and_name_the_query() {
         &post("/v1/batch", r#"{"queries":[{"scenario":1},{"alpha":7}]}"#),
     );
     assert_eq!(response.status, 400);
-    let doc = Json::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
+    let doc = Json::parse(std::str::from_utf8(&response.body.bytes().unwrap()).unwrap()).unwrap();
     assert_eq!(field_of(&doc), "alpha");
     assert!(reason_of(&doc).starts_with("query 1: "), "{doc:?}");
 }

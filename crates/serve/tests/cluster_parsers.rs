@@ -167,7 +167,7 @@ proptest! {
             ..ClusterConfig::default()
         });
         let (_, registered) = api::route(&state, &post("/v1/workers/register", r#"{"addr":"127.0.0.1:9"}"#));
-        let doc = Json::parse(std::str::from_utf8(&registered.body).unwrap()).unwrap();
+        let doc = Json::parse(std::str::from_utf8(&registered.body.bytes().unwrap()).unwrap()).unwrap();
         let id = doc.get("id").and_then(Json::as_f64).unwrap();
         let token = doc.get("token").and_then(Json::as_str).unwrap();
         let dropped = [

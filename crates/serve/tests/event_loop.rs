@@ -1,14 +1,16 @@
 //! Integration suite for the epoll reactors: graceful drain under load,
 //! idle-connection tracking, fairness between a pipelining client or a long
-//! `/v1/batch` and everyone else on its reactor, and a shared sweep CSV
-//! written across blocked writes.
+//! `/v1/batch` and everyone else on its reactor, a sweep job's file sent
+//! across blocked writes and to interleaved fetches, and one read per warm
+//! request.
 //!
 //! Servers here bind `127.0.0.1:0`; the reactors need Linux on x86_64 or
 //! aarch64.
 
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -287,13 +289,14 @@ const LARGE_SWEEP_BODY: &str = concat!(
     r#""processors":[128,256,512,1024,2048,4096],"pattern_lengths":[900,1800,3600,7200]}"#
 );
 
-/// A finished job's CSV is sent from the job's shared bytes, after the head
-/// the connection buffered. Fetched twice on one keep-alive connection, with
-/// a `GET /healthz` pipelined behind the fetches and nothing read until the
+/// A finished job's CSV is sent from the job's file, after the head the
+/// connection buffered. Fetched twice on one keep-alive connection, with a
+/// `GET /healthz` pipelined behind the fetches and nothing read until the
 /// server's writes have blocked, both copies must be the engine's bytes and
-/// the health answer must arrive intact after them: each blocked write
+/// the health answer must arrive intact after them: each blocked `sendfile`
 /// resumes on `EPOLLOUT` where it stopped, and the next request is answered
-/// only once the shared bytes are out.
+/// only once the file is out. Two more fetches on two connections, read in
+/// turns, must each be the engine's bytes too.
 #[test]
 fn a_finished_csv_larger_than_the_socket_buffers_is_fetched_twice_intact() {
     let (handle, thread) = boot(one_reactor());
@@ -349,6 +352,41 @@ fn a_finished_csv_larger_than_the_socket_buffers_is_fetched_twice_intact() {
     assert!(second == expected.as_bytes(), "the second fetch differs");
     let health = Json::parse(std::str::from_utf8(&health).unwrap()).unwrap();
     assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+
+    // Two fetches on two connections, read in turns a piece at a time: each
+    // connection sends the one file from an offset of its own.
+    let mut fetches: Vec<(TcpStream, Vec<u8>)> = (0..2)
+        .map(|_| {
+            let mut stream = TcpStream::connect(&addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            stream.write_all(fetch.as_bytes()).unwrap();
+            (stream, Vec::new())
+        })
+        .collect();
+    let complete = |got: &[u8]| {
+        let end = got.windows(4).position(|w| w == b"\r\n\r\n")? + 4;
+        let head = std::str::from_utf8(&got[..end]).unwrap();
+        let length: usize = header(head, "content-length").parse().unwrap();
+        (got.len() == end + length).then(|| got[end..].to_vec())
+    };
+    let mut piece = vec![0; 16 << 10];
+    while fetches.iter().any(|(_, got)| complete(got).is_none()) {
+        for (stream, got) in &mut fetches {
+            if complete(got).is_none() {
+                let read = stream.read(&mut piece).unwrap();
+                assert!(read > 0, "a fetch closed after {} bytes", got.len());
+                got.extend_from_slice(&piece[..read]);
+            }
+        }
+    }
+    for (_, got) in &fetches {
+        assert!(
+            complete(got).unwrap() == expected.as_bytes(),
+            "an interleaved fetch differs"
+        );
+    }
 
     drop(reader);
     handle.shutdown();
@@ -563,5 +601,130 @@ fn shutdown_finishes_a_batch_in_flight() {
     assert_eq!(count, Some(QUERIES as f64));
     let results = doc.get("results").and_then(Json::as_array).unwrap();
     assert_eq!(results.len(), QUERIES);
+    thread.join().unwrap().unwrap();
+}
+
+/// The request line and headers of a warm `/v1/optimize`, sent in one
+/// write.
+fn optimize_request() -> String {
+    format!(
+        "POST /v1/optimize HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{OPTIMIZE_BODY}",
+        OPTIMIZE_BODY.len()
+    )
+}
+
+/// Set in the environment of a child copy of this test binary that runs
+/// [`reactor_child_process`] as a server.
+const CHILD: &str = "AYD_EVENT_LOOP_CHILD";
+
+/// The server of [`a_warm_request_reads_its_socket_once`], run in a child
+/// copy of this test binary so that its reactor thread's I/O counters count
+/// its requests alone: with [`CHILD`] set, it serves on one reactor, prints
+/// its address and serves until its stdin closes. Run plainly, it returns.
+#[test]
+fn reactor_child_process() {
+    if std::env::var_os(CHILD).is_none() {
+        return;
+    }
+    let (handle, thread) = boot(one_reactor());
+    println!("{CHILD} {}", handle.addr());
+    std::io::stdout().flush().unwrap();
+    let _ = std::io::stdin().read_to_end(&mut Vec::new());
+    handle.shutdown();
+    thread.join().unwrap().unwrap();
+}
+
+/// Kills the child server even when an assertion panics.
+struct ChildServer(Child);
+
+impl Drop for ChildServer {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The `read` calls the reactor threads of process `pid` have made: their
+/// summed `syscr` (`/proc/<pid>/task/<tid>/io`).
+fn reactor_reads(pid: u32) -> u64 {
+    let mut reads = 0;
+    for task in std::fs::read_dir(format!("/proc/{pid}/task")).unwrap() {
+        let task = task.unwrap().path();
+        let name = std::fs::read_to_string(task.join("comm")).unwrap_or_default();
+        if !name.starts_with("ayd-reactor-") {
+            continue;
+        }
+        let io = std::fs::read_to_string(task.join("io")).unwrap();
+        let syscr = io.lines().find_map(|line| line.strip_prefix("syscr: "));
+        reads += syscr.unwrap().trim().parse::<u64>().unwrap();
+    }
+    reads
+}
+
+/// With edge-triggered readiness, a read shorter than the reactor's buffer
+/// means the socket is drained (epoll(7)), so a warm keep-alive request
+/// sent in one write costs its reactor one `read`: 1,000 of them raise the
+/// reactor's `syscr` by 1,000, where reading on to `EAGAIN` made it 2,000.
+#[test]
+fn a_warm_request_reads_its_socket_once() {
+    let mut child = ChildServer(
+        Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "reactor_child_process", "--nocapture"])
+            .args(["--test-threads", "1"])
+            .env(CHILD, "1")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    // The harness may print ahead of the address on its line.
+    let mut output = BufReader::new(child.0.stdout.take().unwrap());
+    let announced = (&mut output)
+        .lines()
+        .find_map(|line| Some(line.ok()?.split_once(CHILD)?.1.trim().to_string()));
+    let addr = announced.expect("the child server announces its address");
+    let pid = child.0.id();
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let request = optimize_request();
+    // The first request is accepted and computes the answer.
+    stream.write_all(request.as_bytes()).unwrap();
+    read_response(&mut reader);
+    let before = reactor_reads(pid);
+    for _ in 0..1_000 {
+        stream.write_all(request.as_bytes()).unwrap();
+        let (head, _) = read_response(&mut reader);
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+    }
+    let reads = reactor_reads(pid) - before;
+    drop(child.0.stdin.take());
+    // Read the harness's report to its end, so that its writes never fail.
+    std::io::copy(&mut output, &mut std::io::sink()).unwrap();
+    assert!(child.0.wait().unwrap().success());
+    assert_eq!(reads, 1_000, "reads for 1,000 warm requests");
+}
+
+/// A request sent together with the end of the client's stream (a write-
+/// side shutdown) is answered, and then the connection closes: the event
+/// that reports the hang-up drains on to the EOF behind the request.
+#[test]
+fn a_request_sent_with_a_write_shutdown_is_answered_then_closed() {
+    let (handle, thread) = boot(one_reactor());
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(optimize_request().as_bytes()).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut reader = BufReader::new(stream);
+    let (head, body) = read_response(&mut reader);
+    assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+    assert!(Json::parse(std::str::from_utf8(&body).unwrap()).is_ok());
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "{} bytes after the answer", rest.len());
+    handle.shutdown();
     thread.join().unwrap().unwrap();
 }

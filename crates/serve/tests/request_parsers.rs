@@ -86,7 +86,7 @@ fn answer(target: &str, body: &str) {
         (400..500).contains(&status),
         "{target} {body:?} answered {status}"
     );
-    let error = std::str::from_utf8(&response.body)
+    let error = std::str::from_utf8(&response.body.bytes().unwrap())
         .ok()
         .and_then(|text| Json::parse(text).ok())
         .is_some_and(|doc| doc.get("error").and_then(Json::as_str).is_some());
@@ -144,7 +144,7 @@ proptest! {
             api::route(state(), &request("POST", "/v1/optimize", QUERIES[0]));
             let (_, response) = api::route(state(), &request("GET", "/metrics", ""));
             assert_eq!(response.status, 200);
-            String::from_utf8(response.body.to_vec()).unwrap()
+            String::from_utf8(response.body.bytes().unwrap().to_vec()).unwrap()
         });
         let _ = PrometheusText::parse(&mutate(text, &edits));
     }

@@ -141,19 +141,20 @@ impl ShardPart {
     }
 }
 
-/// The in-order merge of one sweep's shard rows into its CSV, which a
-/// coordinator's checkpoint of a distributed job and [`merge_parts`] share.
+/// The in-order merge of one sweep's shard rows, which a coordinator's
+/// checkpoint of a distributed job and [`merge_parts`] share.
 ///
 /// Shards own contiguous, ascending cell ranges ([`ShardSpec::range`]), so
 /// the rows in global order are every row of the leading complete shards,
-/// then those of the *frontier*, the first shard not yet complete. The text
-/// is the header and those rows; rows of a shard past the frontier are
-/// parked with it until the frontier reaches it. So the text is always the
-/// unsharded sweep CSV's in-order prefix, and all of it once every shard is
-/// complete.
+/// then those of the *frontier*, the first shard not yet complete. A push
+/// hands the rows it puts in global order to its caller at once: its own
+/// when its shard is the frontier, then the parked rows of each shard the
+/// frontier reaches. Rows of a shard past the frontier are parked with it
+/// until then, so the merge holds only those. The header followed by
+/// everything handed out is always the unsharded sweep CSV's in-order
+/// prefix, and all of it once every shard is complete.
 #[derive(Debug)]
 pub struct ShardMerge {
-    text: String,
     shards: Vec<MergedShard>,
     frontier: usize,
 }
@@ -168,7 +169,8 @@ struct MergedShard {
 }
 
 impl ShardMerge {
-    /// The merge of `count` shards of a `grid_cells`-cell grid: the header.
+    /// The merge of `count` shards of a `grid_cells`-cell grid, holding no
+    /// rows yet.
     pub fn new(grid_cells: usize, count: usize) -> Self {
         let shards = (0..count)
             .map(|index| MergedShard {
@@ -178,35 +180,34 @@ impl ShardMerge {
             })
             .collect();
         Self {
-            text: format!("{CSV_HEADER}\n"),
             shards,
             frontier: 0,
         }
     }
 
-    /// Appends `count` newline-terminated rows of shard `index`, which
+    /// Adds `count` newline-terminated rows of shard `index`, which
     /// continue its checkpoint and fit in its cells (the caller checks
-    /// both). The merge's first rows reserve the text once, for all of its
-    /// rows at their bytes per row plus an eighth (rows differ in length),
-    /// so it does not grow by doubling; rows may come from another process,
-    /// so a reservation the allocator refuses is skipped, not fatal.
-    pub fn push(&mut self, index: usize, rows: &str, count: usize) {
+    /// both), and calls `merged` with the rows this puts in global order,
+    /// in that order, each text with its row count.
+    pub fn push(
+        &mut self,
+        index: usize,
+        rows: &str,
+        count: usize,
+        mut merged: impl FnMut(&str, usize),
+    ) {
         if count == 0 {
             return;
         }
-        if self.completed() == 0 {
-            let bytes = self.cells().saturating_mul(rows.len().div_ceil(count));
-            let _ = self.text.try_reserve_exact(bytes.saturating_add(bytes / 8));
-        }
         let shard = &mut self.shards[index];
+        shard.rows += count;
         if index == self.frontier {
-            self.text.push_str(rows);
+            merged(rows, count);
         } else {
             shard.parked.push_str(rows);
         }
-        shard.rows += count;
-        // Past every complete shard, moving the parked rows of each shard
-        // the frontier reaches into the text.
+        // Past every complete shard, handing out the parked rows of each
+        // shard the frontier reaches.
         while self
             .shards
             .get(self.frontier)
@@ -214,7 +215,10 @@ impl ShardMerge {
         {
             self.frontier += 1;
             if let Some(next) = self.shards.get_mut(self.frontier) {
-                self.text.push_str(&std::mem::take(&mut next.parked));
+                let parked = std::mem::take(&mut next.parked);
+                if !parked.is_empty() {
+                    merged(&parked, next.rows);
+                }
             }
         }
     }
@@ -239,21 +243,11 @@ impl ShardMerge {
         self.shards.iter().map(|shard| shard.total).sum()
     }
 
-    /// Rows in the text: those of the shards before the frontier, and the
-    /// frontier's checkpoint.
+    /// Rows handed out in global order: those of the shards before the
+    /// frontier, and the frontier's checkpoint.
     pub fn merged_rows(&self) -> usize {
         let complete: usize = self.shards[..self.frontier].iter().map(|s| s.total).sum();
         complete + self.shards.get(self.frontier).map_or(0, |s| s.rows)
-    }
-
-    /// The header, then the merged rows.
-    pub fn csv(&self) -> &str {
-        &self.text
-    }
-
-    /// Hands the text over as it stands; parked rows are dropped.
-    pub fn into_csv(self) -> String {
-        self.text
     }
 }
 
@@ -266,9 +260,10 @@ impl ShardMerge {
 /// `\r` and with the header's field count ([`validate_rows`], the rule
 /// chunk uploads pass), and as many rows as the shard owns. Each part's
 /// rows go into a [`ShardMerge`], which puts them in shard order — shard
-/// ranges are contiguous and ascending, so that is global cell order. The
-/// result is **byte-identical** to the CSV an unsharded run over the same
-/// grid and options would produce.
+/// ranges are contiguous and ascending, so that is global cell order — and
+/// out after the header, into one `String` reserved once from the parts'
+/// lengths. The result is **byte-identical** to the CSV an unsharded run
+/// over the same grid and options would produce.
 pub fn merge_parts(parts: &[ShardPart]) -> Result<String, ShardError> {
     let first = parts
         .first()
@@ -281,6 +276,9 @@ pub fn merge_parts(parts: &[ShardPart]) -> Result<String, ShardError> {
         )));
     }
     let mut merge = ShardMerge::new(first.manifest.grid_cells, count);
+    let mut csv = String::with_capacity(parts.iter().map(|part| part.csv.len()).sum());
+    csv.push_str(CSV_HEADER);
+    csv.push('\n');
     let mut seen = vec![false; count];
     for part in parts {
         let manifest = &part.manifest;
@@ -321,9 +319,9 @@ pub fn merge_parts(parts: &[ShardPart]) -> Result<String, ShardError> {
                 "CSV has {found} rows but the manifest promises {total}"
             )));
         }
-        merge.push(index, rows, found);
+        merge.push(index, rows, found, |rows, _| csv.push_str(rows));
     }
-    Ok(merge.into_csv())
+    Ok(csv)
 }
 
 /// Outcome of [`run_shard_to_files`].
@@ -710,30 +708,37 @@ mod tests {
     }
 
     #[test]
-    fn a_merge_is_the_header_and_the_rows_up_to_its_frontier() {
+    fn a_merge_hands_out_the_rows_up_to_its_frontier_in_order() {
         // 10 cells in 4 shards own 3, 3, 2 and 2 of them.
         let mut merge = ShardMerge::new(10, 4);
         let totals: Vec<usize> = (0..4).map(|i| merge.total(i)).collect();
         assert_eq!(totals, [3, 3, 2, 2]);
         assert_eq!(merge.cells(), 10);
         let mut pushed = [0; 4];
+        let mut merged = String::new();
         let mut push = |merge: &mut ShardMerge, shard: usize, rows: usize| {
             let text: String = (pushed[shard]..pushed[shard] + rows)
                 .map(|row| merge_row(shard, row))
                 .collect();
-            merge.push(shard, &text, rows);
+            let (before, mut handed) = (merge.merged_rows(), 0);
+            merge.push(shard, &text, rows, |text, count| {
+                assert_eq!(text.lines().count(), count);
+                merged.push_str(text);
+                handed += count;
+            });
             pushed[shard] += rows;
-            // The header, then each shard's rows in shard order up to the
-            // first shard not yet complete.
-            let mut expected = format!("{CSV_HEADER}\n");
+            // Each shard's rows in shard order, up to the first shard not
+            // yet complete, each handed out once.
+            let mut expected = String::new();
             for (shard, &total) in totals.iter().enumerate() {
                 expected.extend((0..pushed[shard]).map(|row| merge_row(shard, row)));
                 if pushed[shard] < total {
                     break;
                 }
             }
-            assert_eq!(merge.csv(), expected, "{pushed:?}");
-            assert_eq!(merge.merged_rows(), expected.lines().count() - 1);
+            assert_eq!(merged, expected, "{pushed:?}");
+            assert_eq!(merge.merged_rows(), expected.lines().count());
+            assert_eq!(handed, merge.merged_rows() - before, "rows handed out");
             assert_eq!(merge.rows(shard), pushed[shard]);
             assert_eq!(merge.completed(), pushed.iter().sum::<usize>());
         };
@@ -748,16 +753,14 @@ mod tests {
         let whole: String = (0..4)
             .flat_map(|shard| (0..totals[shard]).map(move |row| merge_row(shard, row)))
             .collect();
-        assert_eq!(merge.into_csv(), format!("{CSV_HEADER}\n{whole}"));
+        assert_eq!(merged, whole);
         // Shards that own no cells are complete from the start.
         let mut empty = ShardMerge::new(1, 3);
         assert_eq!(empty.merged_rows(), 0);
-        empty.push(0, &merge_row(0, 0), 1);
+        let mut merged = String::new();
+        empty.push(0, &merge_row(0, 0), 1, |text, _| merged.push_str(text));
         assert_eq!(empty.merged_rows(), 1);
-        assert_eq!(
-            empty.into_csv(),
-            format!("{CSV_HEADER}\n{}", merge_row(0, 0))
-        );
+        assert_eq!(merged, merge_row(0, 0));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The work ledger: the heap allocations of one served request, of one
 //! sweep job and its fetch, and of the poll that finishes a distributed
-//! job, pinned, with the job's cache lookups and the digest of its CSV, and
-//! the searches and blocks of the job's grid with the cache on and off.
+//! job, pinned, with the job's cache lookups and the digest of its CSV, the
+//! heap a finished job keeps, and the searches and blocks of the job's grid
+//! with the cache on and off.
 //!
 //! Timings drift with the host; the work a request does does not. This test
 //! binary installs a counting global allocator whose counts are kept per
@@ -14,12 +15,14 @@
 //!
 //! An allocation is one `alloc`, `alloc_zeroed` or `realloc` call; its
 //! bytes are the size it asks for. A sweep job runs on threads of its own,
-//! so the allocator also counts process-wide, with `realloc` calls apart;
-//! the ledger's tests take turns, so no other test's work is counted.
+//! so the allocator also counts process-wide, with `realloc` calls apart,
+//! and keeps the live heap: bytes allocated minus bytes freed, a `realloc`
+//! counting the difference of its sizes. The ledger's tests take turns, so
+//! no other test's work is counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -40,6 +43,8 @@ thread_local! {
 static PROCESS_ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide `realloc` calls.
 static PROCESS_REALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Process-wide live heap bytes.
+static LIVE: AtomicI64 = AtomicI64::new(0);
 
 fn count(bytes: usize) {
     // `try_with`: the thread's slots may already be gone while it exits.
@@ -54,22 +59,26 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
         PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
         PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
         PROCESS_REALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -134,11 +143,13 @@ const JOB_SLACK: u64 = 16;
 /// The ceilings of the ledger's sweep job, counted process-wide: its
 /// `alloc` calls, measured plus `JOB_SLACK`, and its `realloc` calls,
 /// measured plus `SLACK`. Each executor worker renders every chunk into one
-/// reused buffer, reserved for a whole chunk up front, and the job's CSV is
-/// reserved after its first range; a fresh buffer per chunk made 26,921
-/// reallocs and 18,525 allocs. A block's lookup probes the cache with key
-/// words on the stack, so 3,456 of the allocs left are cache keys, one per
-/// miss; a key per lookup, hits included, made 3,456 more.
+/// reused buffer, reserved for a whole chunk up front, and the job writes
+/// its CSV to its file through one 64 KiB buffer; a fresh buffer per chunk
+/// made 26,921 reallocs and 18,525 allocs, and a CSV kept in a `String`
+/// (grown over the first range, then reserved for the rest) 22 reallocs. A
+/// block's lookup probes the cache with key words on the stack, so 3,456 of
+/// the allocs left are cache keys, one per miss; a key per lookup, hits
+/// included, made 3,456 more.
 struct JobPin {
     allocs: u64,
     reallocs: u64,
@@ -146,9 +157,24 @@ struct JobPin {
 
 /// [`ledger_grid`] as a `LocalJob` runs it: 4 ranges, 1 thread, cache on.
 const SWEEP_JOB: JobPin = JobPin {
-    allocs: 7_604,
-    reallocs: 24,
+    allocs: 7_597,
+    reallocs: 17,
 };
+
+/// How far the live heap may be from its value before a job's submission,
+/// once the job has finished and been reaped: a finished job keeps its CSV
+/// in its file, not on the heap (a `String` kept 4.5 MB of the ledger
+/// job's).
+const FINISHED_JOB_HEAP: i64 = 64 << 10;
+
+/// Fails unless `kept`, the live heap's change over a job's life, is within
+/// [`FINISHED_JOB_HEAP`] of nothing.
+fn keeps_no_csv(what: &str, kept: i64) {
+    assert!(
+        kept.abs() <= FINISHED_JOB_HEAP,
+        "{what}: the finished job moved the live heap by {kept} B"
+    );
+}
 
 /// The bytes of the ledger job's CSV: its length and its FNV-1a-64 digest.
 /// No change to the evaluation or the renderer may move one.
@@ -207,21 +233,24 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// `GET /v1/sweep/{id}` of a finished job through `api::route`, the same
 /// for a one-row CSV and the ledger job's 27,648 rows (4.5 MB): the
-/// response shares the job's bytes, so nothing it allocates grows with the
-/// CSV (a copy allocated 4,540,541 bytes).
+/// response shares the job's file, so nothing it allocates grows with the
+/// CSV (a copy allocated 4,540,541 bytes). The registry counts its finished
+/// jobs and their bytes without a list unless it must evict one, so the
+/// poll's one allocation is its own.
 const FINISHED_FETCH: Pin = Pin {
-    allocations: 4,
-    bytes: 552,
+    allocations: 3,
+    bytes: 520,
 };
 
 /// `GET /v1/sweep/{id}` (JSON) through `serve_chunks` on a coordinator, the
 /// poll that finds [`ledger_grid`]'s 4-shard distributed job done: the
-/// coordinator merged the chunks as they arrived, so finishing the job
-/// hands its text over and allocates nothing that grows with the CSV (a
-/// concatenation at finish allocated 4,540,501 bytes for it).
+/// coordinator wrote the chunks to the job's file as they arrived, so
+/// finishing the job hands its file over and allocates nothing that grows
+/// with the CSV (a concatenation at finish allocated 4,540,501 bytes for
+/// it).
 const FINISHING_POLL: Pin = Pin {
-    allocations: 40,
-    bytes: 2_979,
+    allocations: 39,
+    bytes: 2_971,
 };
 
 /// The `/v1/optimize` query of the ledger: Hera, scenario 1, joint `(P, T)`.
@@ -363,7 +392,7 @@ fn fetch(state: &Arc<AppState>, id: u64) -> (u64, u64) {
         panic!("job {id} is not finished");
     };
     assert_eq!(response.status, 200);
-    assert_eq!(&*response.body, done.csv.as_bytes());
+    assert!(response.body.bytes().unwrap() == done.csv.to_vec().unwrap());
     (after.0 - before.0, after.1 - before.1)
 }
 
@@ -388,17 +417,22 @@ fn a_sweep_job_and_its_fetch_allocate_within_their_pins() {
         PROCESS_ALLOCS.load(Ordering::SeqCst),
         PROCESS_REALLOCS.load(Ordering::SeqCst),
     );
+    let live = LIVE.load(Ordering::SeqCst);
     let id = run_job(&state, grid);
     let after = (
         PROCESS_ALLOCS.load(Ordering::SeqCst),
         PROCESS_REALLOCS.load(Ordering::SeqCst),
     );
     let what = "27,648-cell 4-range job at 1 thread";
+    keeps_no_csv(what, LIVE.load(Ordering::SeqCst) - live);
     let Some(JobView::Finished(done)) = state.jobs.poll(id) else {
         panic!("job {id} is not finished");
     };
     assert_eq!(
-        (done.csv.len(), fnv1a64(done.csv.as_bytes())),
+        (
+            done.csv.len() as usize,
+            fnv1a64(&done.csv.to_vec().unwrap())
+        ),
         SWEEP_JOB_CSV,
         "{what}: CSV length and digest"
     );
@@ -573,6 +607,7 @@ fn the_poll_that_finishes_a_distributed_job_allocates_within_its_pin() {
         .to_csv();
     let lines: Vec<&str> = csv.lines().skip(1).collect();
     let shards = 4;
+    let live = LIVE.load(Ordering::SeqCst);
     let id = state
         .jobs
         .try_submit(1, |id| {
@@ -632,6 +667,10 @@ fn the_poll_that_finishes_a_distributed_job_allocates_within_its_pin() {
     let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
     let out = serve_chunks(&[poll.as_bytes()], &state, &shutdown);
     let after = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+    keeps_no_csv(
+        "a 27,648-row 4-shard distributed job",
+        LIVE.load(Ordering::SeqCst) - live,
+    );
     let out = String::from_utf8(out).unwrap();
     assert!(out.starts_with("HTTP/1.1 200"), "{out}");
     assert!(out.contains(r#""status":"done""#), "{out}");
@@ -639,7 +678,10 @@ fn the_poll_that_finishes_a_distributed_job_allocates_within_its_pin() {
         panic!("job {id} is not finished");
     };
     assert_eq!(
-        (done.csv.len(), fnv1a64(done.csv.as_bytes())),
+        (
+            done.csv.len() as usize,
+            fnv1a64(&done.csv.to_vec().unwrap())
+        ),
         SWEEP_JOB_CSV,
         "the distributed job's CSV is the local job's"
     );

@@ -510,8 +510,9 @@ fn run_sweep_merge(cli: &Cli, out: &std::path::Path) -> Result<(), String> {
 }
 
 /// Runs the `ayd-serve` query service until the process is killed. The bound
-/// address goes to stdout first (and is flushed), so scripts can start the
-/// server on an ephemeral port and parse where it landed.
+/// address, serving core and role go to stdout first, in one write, so
+/// scripts can start the server on an ephemeral port and parse where it
+/// landed; a reader that went away or reads nothing is no error.
 fn run_serve(cli: &Cli) -> Result<(), String> {
     let mut config = ayd_serve::ServerConfig::default();
     if let Some(addr) = &cli.serve.addr {
@@ -537,19 +538,18 @@ fn run_serve(cli: &Cli) -> Result<(), String> {
     let addr = server
         .local_addr()
         .map_err(|e| format!("serve: no local address: {e}"))?;
-    println!("ayd-serve listening on http://{addr}");
+    let mut announcement = format!("ayd-serve listening on http://{addr}\n");
     // Kept for scripts that record the serving core (the benchmark's env
     // block, CI's high-concurrency step); the epoll reactors are the only one.
-    println!("ayd-serve io model: event");
+    announcement.push_str("ayd-serve io model: event\n");
     if cli.serve.coordinator {
-        println!(
-            "ayd-serve role: coordinator (lease {} ms)",
-            cli.serve.lease_ms.unwrap_or(3000)
-        );
+        let lease = cli.serve.lease_ms.unwrap_or(3000);
+        announcement.push_str(&format!("ayd-serve role: coordinator (lease {lease} ms)\n"));
     } else if let Some(coordinator) = &cli.serve.worker_of {
-        println!("ayd-serve role: worker of http://{coordinator}");
+        announcement.push_str(&format!("ayd-serve role: worker of http://{coordinator}\n"));
     }
-    std::io::stdout().flush().expect("flush stdout");
+    // Whole lines go straight to the descriptor: nothing is left to flush.
+    let _ = std::io::stdout().write_all(announcement.as_bytes());
     server.serve().map_err(|e| format!("serve: {e}"))
 }
 

@@ -3,12 +3,13 @@
 //! and one `/v1/sweep` round-trip through the same checks `loadgen --check`
 //! runs ([`ayd_serve::smoke_check`]), and pins the served sweep CSV to the
 //! golden rows of `tests/golden_sweep_csv.rs`. A server whose `$TMPDIR`
-//! is missing cancels its sweep jobs with the error and answers on.
+//! is missing cancels its sweep jobs with the error and answers on, and
+//! one whose stdout nobody reads serves on.
 
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ayd_serve::{HttpClient, Json};
 
@@ -63,10 +64,38 @@ fn start_server_with(extra: &[&str], tmpdir: Option<&Path>) -> (ServerProcess, S
         .unwrap_or_else(|| panic!("unexpected announcement: {model_line:?}"))
         .to_string();
     assert_eq!(model, "event", "announced io model");
-    // Read what else the server prints (a coordinator names its role), so
-    // that its writes to stdout never fail.
-    std::thread::spawn(move || std::io::copy(&mut reader, &mut std::io::sink()));
     (ServerProcess(child), addr)
+}
+
+#[test]
+fn a_server_whose_stdout_reader_is_gone_serves_on() {
+    // The port is chosen first, so nothing need be read from the server.
+    let free = std::net::TcpListener::bind("127.0.0.1:0").expect("a free port");
+    let addr = free.local_addr().expect("its address").to_string();
+    drop(free);
+    // The pipe's read end is gone before the server starts: its every write
+    // to stdout fails.
+    let (read_end, write_end) = std::io::pipe().expect("a pipe");
+    drop(read_end);
+    let child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["serve", "--coordinator", "--addr", &addr, "--threads", "1"])
+        .stdout(write_end)
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("reproduce serve starts");
+    let mut server = ServerProcess(child);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        if let Some(status) = server.0.try_wait().expect("the server's status") {
+            panic!("the server exited ({status}) when its stdout reader went away");
+        }
+        let health = HttpClient::connect(&addr).and_then(|mut client| client.get("/healthz", None));
+        if health.is_ok_and(|response| response.status == 200) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "no /healthz 200 within 5 s");
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 #[test]

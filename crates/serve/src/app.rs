@@ -3,12 +3,11 @@
 //!
 //! A sweep job is a [`LocalJob`], evaluated in this process, or — on a
 //! coordinator, for a job submitted with `shards` — a distributed job whose
-//! shards the [`Coordinator`] dispatches to worker nodes. Both write their
-//! CSV by one rule into a file of their own (a [`CsvFile`]) as it grows:
-//! the header, then the shards' text in shard order, ending with the first
-//! incomplete shard's rows. That is the in-order prefix of the sweep: the
-//! whole unsharded CSV for a completed job, a byte prefix of it for a
-//! cancelled one. No job keeps its CSV on the heap, running or finished.
+//! shards the [`Coordinator`] dispatches to worker nodes. Both append their
+//! shards' rows to a file (a [`CsvFile`]) that reads the CSV back by one
+//! rule: the header, then the shards' rows in shard order through the first
+//! incomplete shard — the whole unsharded CSV for a completed job, a byte
+//! prefix of it for a cancelled one. No job keeps its rows on the heap.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -168,7 +167,8 @@ impl FinishedJob {
         Self {
             cancelled: true,
             rows: 0,
-            csv: Arc::new(CsvFile::header_only()),
+            // Only the header is ever read: no grid's shards are needed.
+            csv: Arc::new(CsvFile::header_only(0, 1)),
             error: None,
             cache: CacheStats::default(),
             shards,
@@ -233,11 +233,13 @@ pub struct LocalJob {
 }
 
 /// A local job's sink: released chunks gather in a 64 KiB buffer that goes
-/// into the job's file whole, so every write ends at a row. A write that
-/// fails raises the job's cancel flag and keeps its error; the file keeps
-/// the rows written before it.
+/// into the job's file whole, as rows of `shard`, the range in flight (the
+/// executor finishes the sink at each range's end), so every write ends at
+/// a row of one shard. A write that fails raises the job's cancel flag and
+/// keeps its error; the file keeps the rows written before it.
 struct JobWriter<'a> {
     csv: CsvFile,
+    shard: usize,
     buffer: String,
     /// Rows in `buffer`.
     rows: usize,
@@ -251,6 +253,7 @@ impl<'a> JobWriter<'a> {
     fn new(csv: CsvFile, cancel: &'a AtomicBool) -> Self {
         Self {
             csv,
+            shard: 0,
             buffer: String::with_capacity(Self::CAPACITY),
             rows: 0,
             cancel,
@@ -260,7 +263,7 @@ impl<'a> JobWriter<'a> {
 
     fn flush(&mut self) {
         if self.error.is_none() && self.rows > 0 {
-            if let Err(error) = self.csv.append(&self.buffer, self.rows) {
+            if let Err(error) = self.csv.append(self.shard, &self.buffer, self.rows) {
                 self.error = Some(error);
                 self.cancel.store(true, Ordering::Relaxed);
             }
@@ -327,7 +330,7 @@ impl LocalJob {
         let (job_progress, job_cancel) = (Arc::clone(&progress), Arc::clone(&cancel));
         let shards_of_job = shards.clone();
         let thread = std::thread::spawn(move || {
-            let csv = match CsvFile::create() {
+            let csv = match CsvFile::create(total, count) {
                 Ok(csv) => csv,
                 Err(error) => {
                     return FinishedJob {
@@ -341,6 +344,7 @@ impl LocalJob {
             let mut cache = CacheStats::default();
             for spec in specs {
                 let cells = grid.shard_cells(spec);
+                writer.shard = spec.index;
                 let run = executor.run_cells_streamed(
                     &cells,
                     &mut (&mut sink, &mut writer),
@@ -485,13 +489,13 @@ pub enum JobView {
 /// How many finished jobs the registry retains for later retrieval.
 const MAX_FINISHED_JOBS: usize = 64;
 
-/// How many bytes of CSV the registry's finished jobs may hold in their
-/// files, 1 GiB: a job of the largest grid accepted (200,000 cells) writes
-/// about 33 MB.
+/// How many bytes the registry's finished jobs' files may hold (a cancelled
+/// distributed job's, rows its CSV never reads too), 1 GiB: a job of the
+/// largest grid accepted (200,000 cells) writes about 33 MB.
 const MAX_FINISHED_BYTES: u64 = 1 << 30;
 
 /// Registry of async sweep jobs. Finished jobs are kept for retrieval
-/// within two bounds, a count and the bytes of their CSV files; past
+/// within two bounds, a count and the bytes their CSV files hold; past
 /// either, the oldest (by id) are evicted first. An evicted job's file is
 /// freed once no `GET` is still sending it.
 pub struct JobRegistry {
@@ -503,7 +507,7 @@ pub struct JobRegistry {
 
 impl JobRegistry {
     /// An empty registry keeping at most `max_finished` finished jobs,
-    /// whose CSVs total at most `max_finished_bytes`.
+    /// whose files hold at most `max_finished_bytes` in all.
     fn new(max_finished: usize, max_finished_bytes: u64) -> Self {
         Self {
             next_id: AtomicU64::new(1),
@@ -648,7 +652,7 @@ impl JobRegistry {
     /// Joins every finished handle in place (cheap: `join` on a finished
     /// thread does not block meaningfully), then evicts the oldest finished
     /// results while more than `max_finished` of them are kept or their
-    /// CSVs total more than `max_finished_bytes`, so a long-lived server's
+    /// files hold more than `max_finished_bytes`, so a long-lived server's
     /// memory and disk stay bounded no matter how many sweeps it has served.
     fn reap(&self, jobs: &mut std::collections::HashMap<u64, JobEntry>) {
         let finished: Vec<u64> = jobs
@@ -662,7 +666,7 @@ impl JobRegistry {
             }
         }
         let finished = |entry: &JobEntry| match entry {
-            JobEntry::Finished(job) => Some(job.csv.len()),
+            JobEntry::Finished(job) => Some(job.csv.file_len()),
             JobEntry::Running(_) => None,
         };
         let (mut kept, mut bytes) = (jobs.values().filter_map(finished))

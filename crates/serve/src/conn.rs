@@ -218,7 +218,8 @@ pub(crate) struct Outgoing {
 pub(crate) enum Unsent<'a> {
     /// The rest of the buffer.
     Bytes(&'a [u8]),
-    /// The rest of the file body: `count` bytes from `offset`.
+    /// The rest of the file body's current piece: `count` bytes from
+    /// `offset` of its file.
     File {
         file: &'a std::fs::File,
         offset: u64,
@@ -235,22 +236,18 @@ impl Outgoing {
     }
 
     /// What is still owed once the first `written` bytes went out: the rest
-    /// of `bytes`, then of the file body.
+    /// of `bytes`, then of the file body's piece that the CSV's next byte
+    /// is in (see [`CsvFile`]).
     pub(crate) fn unsent(&self, written: usize) -> Unsent<'_> {
         let Some(offset) = written.checked_sub(self.bytes.len()) else {
             return Unsent::Bytes(&self.bytes[written..]);
         };
-        let offset = offset as u64;
-        match &self.file {
-            Some(csv) if offset < csv.len() => {
-                csv.file().map_or(Unsent::Nothing, |file| Unsent::File {
-                    file,
-                    offset,
-                    count: csv.len() - offset,
-                })
-            }
-            _ => Unsent::Nothing,
-        }
+        let piece = (self.file.as_ref()).and_then(|csv| csv.piece(offset as u64));
+        piece.map_or(Unsent::Nothing, |(file, offset, count)| Unsent::File {
+            file,
+            offset,
+            count,
+        })
     }
 
     /// Forgets everything owed, once it went out. The buffer keeps its
@@ -642,17 +639,26 @@ mod tests {
         assert!(out.is_empty());
         assert!(matches!(out.unsent(0), Unsent::Nothing));
         out.bytes.extend_from_slice(b"head;");
-        let mut csv = CsvFile::create().unwrap();
-        csv.append("1,2\n", 1).unwrap();
+        // Shard 1's row reaches the file before shard 0's: the body is the
+        // header, shard 0's row, then shard 1's, three pieces of the file.
+        let mut csv = CsvFile::create(2, 2).unwrap();
+        csv.append(1, "3,4\n", 1).unwrap();
+        csv.append(0, "1,2\n", 1).unwrap();
         let len = csv.len();
+        let header = len - 8;
         out.file = Some(Arc::new(csv));
-        // Resumes at any offset, across the seam between the two parts.
+        // Resumes at any offset, across the seam between the two parts and
+        // between the pieces.
         assert!(matches!(out.unsent(2), Unsent::Bytes(b"ad;")));
-        for (written, offset) in [(5, 0), (9, 4)] {
-            match out.unsent(written) {
-                Unsent::File {
-                    offset: at, count, ..
-                } => assert_eq!((at, count), (offset, len - offset)),
+        for (written, piece) in [
+            (5, (0, header)),
+            (9, (4, header - 4)),
+            (5 + header, (header + 4, 4)),
+            (7 + header, (header + 6, 2)),
+            (9 + header, (header, 4)),
+        ] {
+            match out.unsent(written as usize) {
+                Unsent::File { offset, count, .. } => assert_eq!((offset, count), piece),
                 other => panic!("{other:?} at {written}"),
             }
         }

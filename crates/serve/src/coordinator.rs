@@ -36,21 +36,24 @@
 //! instead of corrupting the row stream. A cancel frees the job's workers
 //! at once and re-issues nothing.
 //!
-//! Each job's checkpoint is one [`ShardMerge`] (the merge `sweep-merge`
-//! builds through): the uploaded rows, merged in shard order as they
-//! arrive. The rows each accepted chunk puts in global order are written
-//! through to the job's file (a [`CsvFile`]) at once, so the merge holds
-//! only rows parked past the frontier and a finished job hands its file
-//! over as the CSV — the single-process sweep's bytes when complete, their in-order
-//! prefix when cancelled. A job whose file cannot be created or written
-//! ends cancelled, with the rows that reached the file and the error.
+//! Each fact about a shard has one holder. Its rows, checkpoint and
+//! completion are in the job's file (a [`CsvFile`]): an accepted chunk's
+//! rows are appended there as they arrive, whatever the shard, the shard's
+//! checkpoint is the rows the file holds for it, and it is done once those
+//! are all its cells. The file reads the CSV back in shard order, so a
+//! finished job hands it over as it stands — the single-process sweep's
+//! bytes when complete, their in-order prefix when cancelled — and no row
+//! is ever on the heap. Who holds a shard is a worker's assignment; its
+//! epoch, re-issues and last worker are its `DistShard`. A job whose
+//! file cannot be created or written ends cancelled, with the rows that
+//! reached the file and the error.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ayd_sweep::{ShardChunk, ShardMerge};
+use ayd_sweep::ShardChunk;
 
 use crate::client::HttpClient;
 use crate::csv_file::CsvFile;
@@ -81,29 +84,22 @@ struct Assignment {
     epoch: u64,
 }
 
-/// Dispatch state of one shard of a distributed job. The worker holding a
-/// dispatched shard is the one whose assignment names it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShardState {
-    Pending,
-    Dispatched,
-    Done,
-}
-
-/// One shard of a distributed job: its dispatch state and fencing epoch.
-/// Its checkpointed rows are in the job's merge.
+/// One shard of a distributed job: its fencing epoch and dispatch history.
+/// Its rows and checkpoint are in the job's file, and the worker holding it
+/// is the one whose assignment names it. It is *done* once the file holds
+/// all its cells, *dispatched* while a worker holds it, and *pending*
+/// otherwise.
 struct DistShard {
-    state: ShardState,
     /// Bumped on every re-issue; uploads carrying an older epoch are stale.
     epoch: u64,
-    /// Last worker the shard was dispatched to (kept through `Done` for the
-    /// per-worker progress view).
+    /// Last worker the shard was dispatched to (kept once it is done, for
+    /// the per-worker progress view).
     worker: Option<u64>,
     reissues: u64,
 }
 
-/// One distributed sweep job: its dispatch state, fingerprints and grid
-/// document, the merge of its shards' checkpoints and its CSV file.
+/// One distributed sweep job: its shards, fingerprints and grid document,
+/// and its CSV file.
 struct DistJob {
     /// The original `/v1/sweep` body (re-rendered), forwarded to workers so
     /// they rebuild the exact grid; cross-checked by fingerprint.
@@ -112,20 +108,20 @@ struct DistJob {
     options_fingerprint: u64,
     shards: Vec<DistShard>,
     cancelled: bool,
-    /// Every shard's checkpoint, merged in shard order: the rows in global
-    /// order went to `csv`, the rows parked past the frontier are here.
-    merge: ShardMerge,
-    /// The header, then every merged row.
+    /// Every accepted chunk's rows, read back in shard order.
     csv: CsvFile,
     /// Why the job's file could not be created or written, if it could not.
     error: Option<String>,
 }
 
 impl DistJob {
+    /// True when the file holds every cell of shard `index`.
+    fn shard_done(&self, index: usize) -> bool {
+        self.csv.shard_rows(index) == self.csv.total(index)
+    }
+
     fn is_done(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| matches!(s.state, ShardState::Done))
+        self.csv.rows() == self.csv.cells()
     }
 }
 
@@ -134,6 +130,19 @@ struct ClusterState {
     token_seed: u64,
     workers: HashMap<u64, WorkerRecord>,
     jobs: HashMap<u64, DistJob>,
+}
+
+impl ClusterState {
+    /// Which of the `count` shards of `job` a worker holds, by index.
+    fn held(&self, job: u64, count: usize) -> Vec<bool> {
+        let mut held = vec![false; count];
+        for assignment in self.workers.values().filter_map(|record| record.assignment) {
+            if assignment.job == job {
+                held[assignment.shard] = true;
+            }
+        }
+        held
+    }
 }
 
 /// A planned shard dispatch: everything the dispatcher thread needs to POST
@@ -246,13 +255,14 @@ pub struct DistShardView {
     pub reissues: u64,
 }
 
-/// The distributed-job progress document: per-shard rows plus the streaming
-/// merge frontier.
+/// The distributed-job progress document: per-shard rows plus the rows in
+/// global order so far.
 #[derive(Debug, Clone)]
 pub struct DistJobView {
     /// Per-shard progress.
     pub shards: Vec<DistShardView>,
-    /// Rows already merged into global order.
+    /// Rows in global order: every shard's up to the first incomplete one,
+    /// and that one's (the rows the job's CSV reads back).
     pub merged_rows: usize,
     /// Total cells of the grid.
     pub total: usize,
@@ -283,8 +293,8 @@ pub struct ClusterStats {
 pub struct DistOutcome {
     /// True when the job was cancelled before every shard completed.
     pub cancelled: bool,
-    /// The job's file, the canonical CSV of the merged rows: the whole
-    /// sweep for a done job, the in-order prefix up to the merge frontier
+    /// The job's file, read back as the canonical CSV: the whole sweep for
+    /// a done job, its in-order prefix through the first incomplete shard
     /// for a cancelled one.
     pub csv: CsvFile,
     /// Rows in `csv`.
@@ -450,9 +460,8 @@ impl Coordinator {
 
     /// Registers a distributed job: `count` shards over a `grid_cells`-cell
     /// grid, and creates its file. A shard that owns no cells (more shards
-    /// than cells) is done at once: it has nothing to upload, so dispatching
-    /// it could never finish it. A job whose file cannot be created is
-    /// cancelled at once, with the error.
+    /// than cells) is done from the start, with nothing to upload. A job
+    /// whose file cannot be created is cancelled at once, with the error.
     pub fn submit(
         &self,
         job: u64,
@@ -462,21 +471,15 @@ impl Coordinator {
         count: usize,
         grid_cells: usize,
     ) {
-        let merge = ShardMerge::new(grid_cells, count);
-        let (csv, error) = match CsvFile::create() {
+        let (csv, error) = match CsvFile::create(grid_cells, count) {
             Ok(csv) => (csv, None),
             Err(error) => (
-                CsvFile::header_only(),
+                CsvFile::header_only(grid_cells, count),
                 Some(format!("creating the job's CSV file: {error}")),
             ),
         };
         let shards = (0..count)
-            .map(|index| DistShard {
-                state: if merge.total(index) == 0 {
-                    ShardState::Done
-                } else {
-                    ShardState::Pending
-                },
+            .map(|_| DistShard {
                 epoch: 0,
                 worker: None,
                 reissues: 0,
@@ -490,7 +493,6 @@ impl Coordinator {
                 options_fingerprint,
                 shards,
                 cancelled: error.is_some(),
-                merge,
                 csv,
                 error,
             },
@@ -540,7 +542,6 @@ impl Coordinator {
             return;
         };
         let shard = &mut job.shards[held.shard];
-        shard.state = ShardState::Pending;
         shard.epoch += 1;
         shard.reissues += 1;
         self.reissues_total.fetch_add(1, Ordering::Relaxed);
@@ -548,14 +549,14 @@ impl Coordinator {
         span.field_u64("job", held.job);
         span.field_u64("shard", held.shard as u64);
         span.field_u64("epoch", shard.epoch);
-        span.field_u64("checkpointed_rows", job.merge.rows(held.shard) as u64);
+        span.field_u64("checkpointed_rows", job.csv.shard_rows(held.shard) as u64);
         span.finish();
     }
 
-    /// Plans dispatches: pending shards are assigned to idle alive workers
-    /// under the lock (shard marked `Dispatched`, worker's assignment set),
-    /// and the HTTP posts happen outside it. A post that fails must be
-    /// reported back via [`Coordinator::dispatch_failed`].
+    /// Plans dispatches: pending shards (not done, held by no worker) are
+    /// assigned to idle alive workers under the lock, and the HTTP posts
+    /// happen outside it. A post that fails must be reported back via
+    /// [`Coordinator::dispatch_failed`].
     pub fn dispatch_plan(&self, now: Instant) -> Vec<Dispatch> {
         let mut state = self.lock();
         let mut idle: Vec<u64> = state
@@ -580,12 +581,9 @@ impl Coordinator {
             if job.cancelled {
                 continue;
             }
-            let pending: Vec<usize> = job
-                .shards
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| matches!(s.state, ShardState::Pending))
-                .map(|(i, _)| i)
+            let held = state.held(job_id, job.shards.len());
+            let pending: Vec<usize> = (0..job.shards.len())
+                .filter(|&index| !held[index] && !job.shard_done(index))
                 .collect();
             for shard_index in pending {
                 let Some(worker_id) = idle.pop() else {
@@ -595,7 +593,6 @@ impl Coordinator {
                 let job = state.jobs.get_mut(&job_id).expect("job present");
                 let count = job.shards.len();
                 let shard = &mut job.shards[shard_index];
-                shard.state = ShardState::Dispatched;
                 shard.worker = Some(worker_id);
                 let dispatch = Dispatch {
                     worker: worker_id,
@@ -604,7 +601,7 @@ impl Coordinator {
                     shard: shard_index,
                     count,
                     epoch: shard.epoch,
-                    start_row: job.merge.rows(shard_index),
+                    start_row: job.csv.shard_rows(shard_index),
                     grid_json: job.grid_json.clone(),
                     grid_fingerprint: job.grid_fingerprint,
                     options_fingerprint: job.options_fingerprint,
@@ -619,20 +616,15 @@ impl Coordinator {
     }
 
     /// Reverts a dispatch whose HTTP post failed: when the worker still
-    /// holds it, the worker goes back to idle and the shard back to pending
-    /// (same epoch — nothing was computed). Wakes the dispatcher, which may
-    /// be waiting while the post ran on its own thread.
+    /// holds it, the worker lets go of it, so both are idle and pending
+    /// again (same epoch — nothing was computed). Wakes the dispatcher,
+    /// which may be waiting while the post ran on its own thread.
     pub fn dispatch_failed(&self, dispatch: &Dispatch) {
-        let mut state = self.lock();
-        let held = (state.workers.get_mut(&dispatch.worker)).and_then(|record| {
+        if let Some(record) = self.lock().workers.get_mut(&dispatch.worker) {
             record
                 .assignment
-                .take_if(|held| *held == dispatch.assignment())
-        });
-        if let (Some(_), Some(job)) = (held, state.jobs.get_mut(&dispatch.job)) {
-            job.shards[dispatch.shard].state = ShardState::Pending;
+                .take_if(|held| *held == dispatch.assignment());
         }
-        drop(state);
         self.wake();
     }
 
@@ -711,7 +703,7 @@ impl Coordinator {
         let manifest = chunk.manifest();
         if manifest.grid_fingerprint != job.grid_fingerprint
             || manifest.options_fingerprint != job.options_fingerprint
-            || manifest.grid_cells != job.merge.cells()
+            || manifest.grid_cells != job.csv.cells()
         {
             return Err(ChunkError::Invalid(
                 "chunk manifest belongs to a different sweep (fingerprint mismatch)".to_string(),
@@ -732,19 +724,16 @@ impl Coordinator {
                 epoch,
             })
         {
-            let shard = &job.shards[shard_index];
-            return Err(ChunkError::Stale(if shard.state == ShardState::Done {
+            let current = job.shards[shard_index].epoch;
+            return Err(ChunkError::Stale(if job.shard_done(shard_index) {
                 format!("shard {shard_index} already completed")
-            } else if shard.epoch != epoch {
-                format!(
-                    "stale epoch {epoch} for shard {shard_index} (current {})",
-                    shard.epoch
-                )
+            } else if current != epoch {
+                format!("stale epoch {epoch} for shard {shard_index} (current {current})")
             } else {
                 format!("shard {shard_index} is not dispatched to worker {worker}")
             }));
         }
-        let checkpoint = job.merge.rows(shard_index);
+        let checkpoint = job.csv.shard_rows(shard_index);
         if chunk.from_row() != checkpoint {
             return Err(ChunkError::Invalid(format!(
                 "chunk starts at row {} but the checkpoint holds {checkpoint} rows",
@@ -752,22 +741,13 @@ impl Coordinator {
             )));
         }
         let accepted_rows = chunk.row_count();
-        let total = job.merge.total(shard_index);
+        let total = job.csv.total(shard_index);
         if checkpoint + accepted_rows > total {
             return Err(ChunkError::Invalid(format!(
                 "chunk overruns the shard: {checkpoint} + {accepted_rows} rows > {total} cells"
             )));
         }
-        // The rows now in global order go to the job's file; after a failed
-        // write nothing more is written.
-        let (csv, mut written) = (&mut job.csv, Ok(()));
-        job.merge
-            .push(shard_index, chunk.rows(), accepted_rows, |rows, count| {
-                if written.is_ok() {
-                    written = csv.append(rows, count);
-                }
-            });
-        if let Err(error) = written {
+        if let Err(error) = job.csv.append(shard_index, chunk.rows(), accepted_rows) {
             let reason = format!("writing the job's CSV file: {error}");
             job.error = Some(reason.clone());
             Self::cancel_locked(&mut state, job_id);
@@ -778,9 +758,6 @@ impl Coordinator {
             )));
         }
         let shard_done = checkpoint + accepted_rows == total;
-        if shard_done {
-            job.shards[shard_index].state = ShardState::Done;
-        }
         let job_done = job.is_done();
         // The upload doubles as a heartbeat, and a finished shard frees the
         // worker: the dispatcher is woken to hand it the next one at once.
@@ -831,10 +808,10 @@ impl Coordinator {
     /// `(completed, total)` cells of a live job.
     pub fn job_progress(&self, job: u64) -> Option<(usize, usize)> {
         let state = self.lock();
-        state
-            .jobs
-            .get(&job)
-            .map(|entry| (entry.merge.completed(), entry.merge.cells()))
+        state.jobs.get(&job).map(|entry| {
+            let completed = (0..entry.shards.len()).map(|index| entry.csv.shard_rows(index));
+            (completed.sum(), entry.csv.cells())
+        })
     }
 
     /// True when the job can be joined: every shard done, or cancelled.
@@ -852,18 +829,21 @@ impl Coordinator {
     pub fn shards_view(&self, job: u64) -> Option<DistJobView> {
         let state = self.lock();
         let entry = state.jobs.get(&job)?;
+        let held = state.held(job, entry.shards.len());
         let shards = entry
             .shards
             .iter()
             .enumerate()
             .map(|(index, shard)| DistShardView {
                 index,
-                total: entry.merge.total(index),
-                completed: entry.merge.rows(index),
-                status: match shard.state {
-                    ShardState::Pending => "pending",
-                    ShardState::Dispatched => "dispatched",
-                    ShardState::Done => "done",
+                total: entry.csv.total(index),
+                completed: entry.csv.shard_rows(index),
+                status: if entry.shard_done(index) {
+                    "done"
+                } else if held[index] {
+                    "dispatched"
+                } else {
+                    "pending"
                 },
                 worker: shard.worker,
                 worker_addr: shard
@@ -876,8 +856,8 @@ impl Coordinator {
             .collect();
         Some(DistJobView {
             shards,
-            merged_rows: entry.merge.merged_rows(),
-            total: entry.merge.cells(),
+            merged_rows: entry.csv.rows(),
+            total: entry.csv.cells(),
             cancelled: entry.cancelled,
         })
     }
@@ -931,22 +911,18 @@ impl Coordinator {
 
     /// Takes a finished job out of the coordinator. Its CSV is the job's
     /// file, handed over as it stands: the header followed by the shards'
-    /// checkpointed rows up to the merge frontier. For a done job that is
-    /// every shard, byte-identical to the single-process sweep; for a
-    /// cancelled one the in-order prefix of that sweep (rows parked past
-    /// the frontier are dropped).
+    /// checkpointed rows in shard order through the first incomplete shard.
+    /// For a done job that is every shard, byte-identical to the
+    /// single-process sweep; for a cancelled one the in-order prefix of
+    /// that sweep (the file's rows of later shards are never read).
     pub fn take_finished(&self, job: u64) -> Option<DistOutcome> {
         let DistJob {
-            shards,
-            merge,
-            csv,
-            error,
-            ..
+            shards, csv, error, ..
         } = self.lock().jobs.remove(&job)?;
         Some(DistOutcome {
-            cancelled: csv.rows() < merge.cells(),
+            cancelled: csv.rows() < csv.cells(),
             rows: csv.rows(),
-            totals: (0..shards.len()).map(|index| merge.total(index)).collect(),
+            totals: (0..shards.len()).map(|index| csv.total(index)).collect(),
             csv,
             error,
         })
@@ -1688,8 +1664,7 @@ mod tests {
             g.len(),
         );
         let (worker, token) = coordinator.register_worker("127.0.0.1:1", t0);
-        // Run both shards through one worker, checking the streaming merge
-        // frontier along the way.
+        // Run both shards through one worker.
         for _ in 0..count {
             let plan = coordinator.dispatch_plan(t0);
             let d = &plan[0];
@@ -1832,8 +1807,9 @@ mod tests {
     }
 
     /// A 4-shard job over [`wide_grid`] with one worker per shard, which
-    /// checks after every upload that the job's file is the header plus
-    /// the shards' uploaded rows in shard order, up to the frontier.
+    /// checks after every upload that the job's file reads back as the
+    /// header plus the shards' uploaded rows in shard order, through the
+    /// first incomplete shard.
     struct MergeRig {
         coordinator: Arc<Coordinator>,
         t0: Instant,
@@ -1971,7 +1947,7 @@ mod tests {
         rig.upload(0, 1);
         rig.upload(3, 1); // shard 3 complete, waiting for shard 2
         rig.upload(2, 2);
-        rig.upload(0, 3); // the frontier moves through shard 1 to shard 2
+        rig.upload(0, 3); // the CSV reads on through shard 1 into shard 2
         rig.upload(2, 2); // and on through shard 3
         let outcome = rig.finish();
         assert!(!outcome.cancelled);
@@ -1986,8 +1962,8 @@ mod tests {
         rig.reissue(2);
         rig.upload(2, 2);
         rig.upload(1, 4);
-        rig.upload(0, 2); // the frontier reaches shard 2 mid-way
-        rig.reissue(2); // and re-issues it at the frontier
+        rig.upload(0, 2); // the CSV reads on into shard 2, mid-way
+        rig.reissue(2); // which re-issues from there
         rig.upload(2, 1);
         rig.upload(3, 4);
         assert!(!rig.finish().cancelled);
@@ -2057,12 +2033,10 @@ mod tests {
             )
         };
         upload(0).unwrap();
-        // The file goes away under the job: its next rows cannot be written.
-        let written = std::mem::replace(
+        // The file stops taking writes: the job's next rows cannot land.
+        crate::csv_file::tests::refuse_writes(
             &mut coordinator.lock().jobs.get_mut(&7).unwrap().csv,
-            CsvFile::header_only(),
         );
-        assert_eq!(written.rows(), 1);
         while coordinator.wait_wake(Duration::ZERO) {}
         let err = upload(1).unwrap_err();
         assert_eq!(err.status().0, 410);
@@ -2074,10 +2048,11 @@ mod tests {
         assert!(coordinator.wait_wake(Duration::ZERO));
         assert!(coordinator.job_finished(7));
         assert_eq!(coordinator.workers_view(t0)[0].assignment, None);
+        // It keeps the row that reached the file: the first shard's first.
         let outcome = coordinator.take_finished(7).unwrap();
         assert!(outcome.cancelled);
-        assert_eq!(outcome.rows, 0);
-        assert_eq!(outcome.csv, format!("{CSV_HEADER}\n"));
+        assert_eq!((d.shard, outcome.rows), (0, 1));
+        assert_eq!(outcome.csv, format!("{CSV_HEADER}\n{}\n", fake_row(0, 0)));
         assert!(outcome
             .error
             .unwrap()

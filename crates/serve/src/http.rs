@@ -402,7 +402,7 @@ impl Response {
                 out.extend_from_slice(&bytes);
                 None
             }
-            Body::File(csv) if csv.file().is_none() => {
+            Body::File(csv) if csv.piece(0).is_none() => {
                 // Nothing is read: the header is in memory.
                 let _ = csv.copy_to(out);
                 None
@@ -572,8 +572,8 @@ mod tests {
     #[test]
     fn a_shared_body_writes_the_bytes_of_an_owned_one() {
         let text = format!("{}\n1,2\n", ayd_sweep::CSV_HEADER);
-        let mut csv = CsvFile::create().unwrap();
-        csv.append("1,2\n", 1).unwrap();
+        let mut csv = CsvFile::create(1, 1).unwrap();
+        csv.append(0, "1,2\n", 1).unwrap();
         let csv = Arc::new(csv);
         let shared = Response::csv(Arc::clone(&csv)).with_header("x-ayd-trace-id", "00ff");
         let owned = Response::csv(text.clone()).with_header("x-ayd-trace-id", "00ff");
@@ -594,7 +594,7 @@ mod tests {
             assert_eq!(out, owned.to_bytes(keep_alive));
         }
         // A CSV without a file is the header, written into the buffer.
-        let header = Response::csv(Arc::new(CsvFile::header_only()));
+        let header = Response::csv(Arc::new(CsvFile::header_only(1, 1)));
         let mut out = Vec::new();
         assert!(header.clone().write_owned(&mut out, true).is_none());
         assert_eq!(out, header.to_bytes(true));

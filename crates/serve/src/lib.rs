@@ -56,10 +56,10 @@
 //! [`ayd_sweep::ShardSpec`] units, dispatches them to registered workers over
 //! [`client::HttpClient`], checkpoints uploaded row chunks, re-issues a
 //! shard from its checkpoint when its worker's lease expires or its worker
-//! reports it dropped, frees a cancelled job's workers at once, and merges
-//! the shards' checkpointed rows in shard order as they arrive (an
-//! [`ayd_sweep::ShardMerge`], the merge `sweep-merge` uses), so the CSV is
-//! byte-identical to a single-process sweep. An in-process job builds its CSV by the same
+//! reports it dropped, frees a cancelled job's workers at once, and appends
+//! each accepted chunk to the job's file (a [`CsvFile`]), which reads the
+//! rows back in shard order, so the CSV is byte-identical to a
+//! single-process sweep. An in-process job's file reads back by the same
 //! rule, and a cancelled job of either kind keeps its in-order prefix.
 //! See `docs/ARCHITECTURE.md` and
 //! `docs/OPERATIONS.md` at the repository root.

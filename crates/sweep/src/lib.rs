@@ -26,9 +26,8 @@
 //!   [`ShardSpec`] `i/N` partitions any grid into contiguous ranges of cell
 //!   indices, shard runs stream into a CSV plus an atomically-updated sidecar
 //!   manifest, interrupted shards resume without recomputing finished cells,
-//!   and [`merge_parts`] concatenates the N shard CSVs into bytes identical
-//!   to the unsharded sweep, through the [`ShardMerge`] a cluster
-//!   coordinator merges its shards' rows with as they arrive.
+//!   and [`merge_parts`] concatenates the N shard CSVs in shard order into
+//!   bytes identical to the unsharded sweep.
 //! * [`Evaluator`] / [`RunOptions`] — the per-cell evaluation kernel and run
 //!   options, shared with (and re-exported by) the `ayd-exp` harness.
 //!
@@ -70,8 +69,7 @@ pub use misspec::{
 };
 pub use options::{Fidelity, RunOptions};
 pub use shard::{
-    merge_parts, run_shard_to_files, ShardError, ShardMerge, ShardPart, ShardRunReport, ShardSpec,
-    MAX_SHARDS,
+    merge_parts, run_shard_to_files, ShardError, ShardPart, ShardRunReport, ShardSpec, MAX_SHARDS,
 };
 pub use sink::{csv_text, write_csv_line, NullSink, SweepSink, CSV_HEADER};
 pub use wire::{validate_rows, ShardChunk, CHUNK_MAGIC};

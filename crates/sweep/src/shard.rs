@@ -10,10 +10,9 @@
 //! from its *global* index (see [`crate::executor::cell_seed`]) and every
 //! cell's analytic evaluation depends only on the cell itself, a shard
 //! computes bit-identical rows to the same cells of an unsharded run — for
-//! any shard count, worker-thread count and cache setting. A [`ShardMerge`]
-//! puts shards' rows in shard order as they come, and [`merge_parts`]
-//! concatenates the N shard CSVs through one into bytes **identical** to the
-//! unsharded sweep CSV.
+//! any shard count, worker-thread count and cache setting — and
+//! [`merge_parts`] concatenates the N shard CSVs in shard order into bytes
+//! **identical** to the unsharded sweep CSV.
 //!
 //! [`run_shard_to_files`] executes one shard against a CSV file plus an
 //! atomically-updated sidecar manifest (see [`crate::manifest`]). Because the
@@ -141,116 +140,6 @@ impl ShardPart {
     }
 }
 
-/// The in-order merge of one sweep's shard rows, which a coordinator's
-/// checkpoint of a distributed job and [`merge_parts`] share.
-///
-/// Shards own contiguous, ascending cell ranges ([`ShardSpec::range`]), so
-/// the rows in global order are every row of the leading complete shards,
-/// then those of the *frontier*, the first shard not yet complete. A push
-/// hands the rows it puts in global order to its caller at once: its own
-/// when its shard is the frontier, then the parked rows of each shard the
-/// frontier reaches. Rows of a shard past the frontier are parked with it
-/// until then, so the merge holds only those. The header followed by
-/// everything handed out is always the unsharded sweep CSV's in-order
-/// prefix, and all of it once every shard is complete.
-#[derive(Debug)]
-pub struct ShardMerge {
-    shards: Vec<MergedShard>,
-    frontier: usize,
-}
-
-/// One shard of a [`ShardMerge`]: the cells it owns, the rows pushed for
-/// it (its checkpoint), and those parked while it lay past the frontier.
-#[derive(Debug)]
-struct MergedShard {
-    total: usize,
-    rows: usize,
-    parked: String,
-}
-
-impl ShardMerge {
-    /// The merge of `count` shards of a `grid_cells`-cell grid, holding no
-    /// rows yet.
-    pub fn new(grid_cells: usize, count: usize) -> Self {
-        let shards = (0..count)
-            .map(|index| MergedShard {
-                total: ShardSpec { index, count }.range(grid_cells).len(),
-                rows: 0,
-                parked: String::new(),
-            })
-            .collect();
-        Self {
-            shards,
-            frontier: 0,
-        }
-    }
-
-    /// Adds `count` newline-terminated rows of shard `index`, which
-    /// continue its checkpoint and fit in its cells (the caller checks
-    /// both), and calls `merged` with the rows this puts in global order,
-    /// in that order, each text with its row count.
-    pub fn push(
-        &mut self,
-        index: usize,
-        rows: &str,
-        count: usize,
-        mut merged: impl FnMut(&str, usize),
-    ) {
-        if count == 0 {
-            return;
-        }
-        let shard = &mut self.shards[index];
-        shard.rows += count;
-        if index == self.frontier {
-            merged(rows, count);
-        } else {
-            shard.parked.push_str(rows);
-        }
-        // Past every complete shard, handing out the parked rows of each
-        // shard the frontier reaches.
-        while self
-            .shards
-            .get(self.frontier)
-            .is_some_and(|s| s.rows >= s.total)
-        {
-            self.frontier += 1;
-            if let Some(next) = self.shards.get_mut(self.frontier) {
-                let parked = std::mem::take(&mut next.parked);
-                if !parked.is_empty() {
-                    merged(&parked, next.rows);
-                }
-            }
-        }
-    }
-
-    /// Shard `index`'s checkpoint: the rows pushed for it.
-    pub fn rows(&self, index: usize) -> usize {
-        self.shards[index].rows
-    }
-
-    /// Cells shard `index` owns.
-    pub fn total(&self, index: usize) -> usize {
-        self.shards[index].total
-    }
-
-    /// Rows pushed over all shards.
-    pub fn completed(&self) -> usize {
-        self.shards.iter().map(|shard| shard.rows).sum()
-    }
-
-    /// Cells of the grid.
-    pub fn cells(&self) -> usize {
-        self.shards.iter().map(|shard| shard.total).sum()
-    }
-
-    /// Rows handed out in global order: those of the shards before the
-    /// frontier, and the frontier's checkpoint.
-    pub fn merged_rows(&self) -> usize {
-        let complete: usize = self.shards[..self.frontier].iter().map(|s| s.total).sum();
-        complete + self.shards.get(self.frontier).map_or(0, |s| s.rows)
-    }
-}
-
 /// Merges complete shard outputs into the unsharded sweep CSV.
 ///
 /// Validates that the parts all belong to one sweep (fingerprints agree),
@@ -258,12 +147,12 @@ impl ShardMerge {
 /// `0..count`, every one fully materialised, headers intact), and that each
 /// part's rows are the engine's: every row newline-terminated, without a
 /// `\r` and with the header's field count ([`validate_rows`], the rule
-/// chunk uploads pass), and as many rows as the shard owns. Each part's
-/// rows go into a [`ShardMerge`], which puts them in shard order — shard
-/// ranges are contiguous and ascending, so that is global cell order — and
-/// out after the header, into one `String` reserved once from the parts'
-/// lengths. The result is **byte-identical** to the CSV an unsharded run
-/// over the same grid and options would produce.
+/// chunk uploads pass), and as many rows as the shard owns. The parts'
+/// rows then follow the header in shard order — shard ranges are
+/// contiguous and ascending, so that is global cell order — in one
+/// `String` reserved once from the parts' lengths. The result is
+/// **byte-identical** to the CSV an unsharded run over the same grid and
+/// options would produce.
 pub fn merge_parts(parts: &[ShardPart]) -> Result<String, ShardError> {
     let first = parts
         .first()
@@ -275,11 +164,7 @@ pub fn merge_parts(parts: &[ShardPart]) -> Result<String, ShardError> {
             parts.len()
         )));
     }
-    let mut merge = ShardMerge::new(first.manifest.grid_cells, count);
-    let mut csv = String::with_capacity(parts.iter().map(|part| part.csv.len()).sum());
-    csv.push_str(CSV_HEADER);
-    csv.push('\n');
-    let mut seen = vec![false; count];
+    let mut ordered: Vec<Option<&str>> = vec![None; count];
     for part in parts {
         let manifest = &part.manifest;
         let refuse = |why: String| ShardError::Mismatch(format!("shard {} {why}", manifest.shard));
@@ -300,7 +185,7 @@ pub fn merge_parts(parts: &[ShardPart]) -> Result<String, ShardError> {
             )));
         }
         let index = manifest.shard.index;
-        if std::mem::replace(&mut seen[index], true) {
+        if ordered[index].is_some() {
             return Err(ShardError::Mismatch(format!(
                 "duplicate input for shard {}",
                 manifest.shard
@@ -313,14 +198,20 @@ pub fn merge_parts(parts: &[ShardPart]) -> Result<String, ShardError> {
             ShardError::Mismatch(rule) => refuse(format!("CSV: {rule}")),
             other => other,
         })?;
-        let total = merge.total(index);
+        let total = ShardSpec { index, count }
+            .range(first.manifest.grid_cells)
+            .len();
         if found != total {
             return Err(refuse(format!(
                 "CSV has {found} rows but the manifest promises {total}"
             )));
         }
-        merge.push(index, rows, found, |rows, _| csv.push_str(rows));
+        ordered[index] = Some(rows);
     }
+    let mut csv = String::with_capacity(parts.iter().map(|part| part.csv.len()).sum());
+    csv.push_str(CSV_HEADER);
+    csv.push('\n');
+    csv.extend(ordered.into_iter().flatten());
     Ok(csv)
 }
 
@@ -698,69 +589,6 @@ mod tests {
         // The header, exactly.
         let header = refusal(&|csv| *csv = csv.replacen('\n', "\r\n", 1));
         assert!(header.contains("canonical header"), "{header}");
-    }
-
-    /// A row of `shard` numbered `row`, of the header's width.
-    fn merge_row(shard: usize, row: usize) -> String {
-        let mut fields = vec![format!("{shard}.{row}")];
-        fields.resize(CSV_HEADER.matches(',').count() + 1, String::new());
-        fields.join(",") + "\n"
-    }
-
-    #[test]
-    fn a_merge_hands_out_the_rows_up_to_its_frontier_in_order() {
-        // 10 cells in 4 shards own 3, 3, 2 and 2 of them.
-        let mut merge = ShardMerge::new(10, 4);
-        let totals: Vec<usize> = (0..4).map(|i| merge.total(i)).collect();
-        assert_eq!(totals, [3, 3, 2, 2]);
-        assert_eq!(merge.cells(), 10);
-        let mut pushed = [0; 4];
-        let mut merged = String::new();
-        let mut push = |merge: &mut ShardMerge, shard: usize, rows: usize| {
-            let text: String = (pushed[shard]..pushed[shard] + rows)
-                .map(|row| merge_row(shard, row))
-                .collect();
-            let (before, mut handed) = (merge.merged_rows(), 0);
-            merge.push(shard, &text, rows, |text, count| {
-                assert_eq!(text.lines().count(), count);
-                merged.push_str(text);
-                handed += count;
-            });
-            pushed[shard] += rows;
-            // Each shard's rows in shard order, up to the first shard not
-            // yet complete, each handed out once.
-            let mut expected = String::new();
-            for (shard, &total) in totals.iter().enumerate() {
-                expected.extend((0..pushed[shard]).map(|row| merge_row(shard, row)));
-                if pushed[shard] < total {
-                    break;
-                }
-            }
-            assert_eq!(merged, expected, "{pushed:?}");
-            assert_eq!(merge.merged_rows(), expected.lines().count());
-            assert_eq!(handed, merge.merged_rows() - before, "rows handed out");
-            assert_eq!(merge.rows(shard), pushed[shard]);
-            assert_eq!(merge.completed(), pushed.iter().sum::<usize>());
-        };
-        push(&mut merge, 3, 2); // parked behind three shards
-        push(&mut merge, 1, 2);
-        push(&mut merge, 0, 1);
-        push(&mut merge, 0, 0);
-        push(&mut merge, 0, 2); // the frontier reaches shard 1 mid-way
-        push(&mut merge, 1, 1); // and moves through shard 3's parked rows
-        push(&mut merge, 2, 2);
-        assert_eq!(merge.merged_rows(), 10);
-        let whole: String = (0..4)
-            .flat_map(|shard| (0..totals[shard]).map(move |row| merge_row(shard, row)))
-            .collect();
-        assert_eq!(merged, whole);
-        // Shards that own no cells are complete from the start.
-        let mut empty = ShardMerge::new(1, 3);
-        assert_eq!(empty.merged_rows(), 0);
-        let mut merged = String::new();
-        empty.push(0, &merge_row(0, 0), 1, |text, _| merged.push_str(text));
-        assert_eq!(empty.merged_rows(), 1);
-        assert_eq!(merged, merge_row(0, 0));
     }
 
     #[test]

@@ -176,6 +176,13 @@ fn keeps_no_csv(what: &str, kept: i64) {
     );
 }
 
+/// How far the live heap may rise over a wave of interleaved chunk uploads
+/// of a distributed job: the coordinator appends each chunk to the job's
+/// file as it arrives, so a shard that completes before the shards ahead
+/// of it keeps no rows on the heap (parked in a `String` until those
+/// completed, they peaked at 1.2 MB).
+const WAVE_HEAP: i64 = 64 << 10;
+
 /// The bytes of the ledger job's CSV: its length and its FNV-1a-64 digest.
 /// No change to the evaluation or the renderer may move one.
 const SWEEP_JOB_CSV: (usize, u64) = (4_540_501, 0xd0b8_4ddc_603e_8bf7);
@@ -626,8 +633,8 @@ fn the_poll_that_finishes_a_distributed_job_allocates_within_its_pin() {
         })
         .expect("no job is running");
     // Two workers take the shards in two waves, as the benchmark's do, and
-    // their uploads interleave: the second shard of a wave waits in its
-    // buffer until the first completes.
+    // their uploads interleave: the second shard of a wave completes before
+    // the CSV reads it, and its rows wait in the file.
     let now = Instant::now();
     let tokens = [
         coordinator.register_worker("127.0.0.1:1", now),
@@ -652,10 +659,16 @@ fn the_poll_that_finishes_a_distributed_job_allocates_within_its_pin() {
                 chunk_uploads(&state, &grid, id, dispatch, token, &lines[range])
             })
             .collect();
+        let built = LIVE.load(Ordering::SeqCst);
         for c in 0..waves.iter().map(Vec::len).max().unwrap() {
             for uploads in &waves {
                 if let Some(upload) = uploads.get(c) {
                     serve(&state, upload);
+                    let rise = LIVE.load(Ordering::SeqCst) - built;
+                    assert!(
+                        rise <= WAVE_HEAP,
+                        "an interleaved upload left the live heap {rise} B above the wave's start"
+                    );
                 }
             }
         }

@@ -22,7 +22,7 @@ use crate::app::{
     AppState, DistributedJobHandle, JobHandle, JobView, LocalJob, MAX_RUNNING_JOBS, MAX_SWEEP_CELLS,
 };
 use crate::http::{Request, Response};
-use crate::json::Json;
+use crate::json::{self, Json};
 
 /// Maximum queries accepted in one `/v1/batch` body.
 const MAX_BATCH: usize = 10_000;
@@ -713,7 +713,9 @@ pub fn failure_model_json(spec: &FailureModelSpec) -> Json {
     Json::obj(fields)
 }
 
-/// Renders one evaluated row as the `/v1/optimize` JSON document.
+/// Renders one evaluated row as the `/v1/optimize` JSON document: the
+/// reference [`write_row_json`] is tested against, its numbers from
+/// `Display`.
 pub fn row_json(row: &SweepRow) -> Json {
     Json::obj(vec![
         ("platform", Json::str(row.platform.name())),
@@ -747,6 +749,124 @@ pub fn row_json(row: &SweepRow) -> Json {
     ])
 }
 
+/// Appends one evaluated row's `/v1/optimize` JSON document to `out`:
+/// exactly the bytes of `row_json(row).render()` (the same keys in the same
+/// order, `null` for an absent or non-finite number, every string through
+/// the same escaper), written without building the tree, every number by
+/// [`ayd_sweep::write_f64`].
+pub fn write_row_json(out: &mut String, row: &SweepRow) {
+    out.push_str("{\"platform\":");
+    json::write_string(out, row.platform.name());
+    write_key(out, "scenario");
+    json::write_number(out, Some(row.scenario as f64));
+    write_key(out, "profile");
+    write_profile_json(out, ProfileSpec::from(row.profile));
+    write_key(out, "failure_model");
+    write_failure_model_json(out, &row.failure_model);
+    for (key, value) in [
+        ("alpha", row.alpha),
+        ("lambda_ind", Some(row.lambda_ind)),
+        ("lambda_multiplier", Some(row.lambda_multiplier)),
+        ("processors", row.fixed_processors),
+        ("pattern_length", row.pattern_length),
+    ] {
+        write_key(out, key);
+        json::write_number(out, value);
+    }
+    write_key(out, "first_order");
+    write_point_json(out, row.first_order.as_ref());
+    write_key(out, "closed_form");
+    match row.closed_form {
+        Some(cf) => write_numbers_json(
+            out,
+            [
+                ("processors", Some(cf.processors)),
+                ("period", Some(cf.period)),
+                ("overhead", Some(cf.overhead)),
+            ],
+        ),
+        None => out.push_str("null"),
+    }
+    write_key(out, "numerical");
+    write_point_json(out, Some(&row.numerical));
+    write_key(out, "prescribed");
+    write_point_json(out, row.prescribed.as_ref());
+    out.push('}');
+}
+
+/// Appends `,"key":`, for a key that needs no escaping.
+fn write_key(out: &mut String, key: &str) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+}
+
+/// Appends an object of numbers, in order: [`point_json`]'s text and
+/// `closed_form`'s.
+fn write_numbers_json<const N: usize>(out: &mut String, fields: [(&str, Option<f64>); N]) {
+    out.push('{');
+    for (i, (key, value)) in fields.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        out.push_str(key);
+        out.push_str("\":");
+        json::write_number(out, value);
+    }
+    out.push('}');
+}
+
+/// Appends [`point_json`]'s text, or `null` for no point.
+fn write_point_json(out: &mut String, point: Option<&OperatingPoint>) {
+    match point {
+        Some(point) => write_numbers_json(
+            out,
+            [
+                ("processors", Some(point.processors)),
+                ("period", Some(point.period)),
+                ("overhead", Some(point.predicted_overhead)),
+                ("formula_overhead", point.formula_overhead),
+            ],
+        ),
+        None => out.push_str("null"),
+    }
+}
+
+/// Appends [`profile_json`]'s text.
+fn write_profile_json(out: &mut String, spec: ProfileSpec) {
+    out.push_str("{\"kind\":");
+    json::write_string(out, spec.kind());
+    out.push_str(",\"spec\":");
+    json::write_display_string(out, &spec);
+    if let (Some(name), Some(value)) = (spec.param_name(), spec.param()) {
+        write_key(out, name);
+        json::write_number(out, Some(value));
+    }
+    out.push('}');
+}
+
+/// Appends [`failure_model_json`]'s text.
+fn write_failure_model_json(out: &mut String, spec: &FailureModelSpec) {
+    out.push_str("{\"kind\":");
+    json::write_string(out, spec.kind());
+    out.push_str(",\"spec\":");
+    json::write_display_string(out, spec);
+    if let (Some(name), Some(value)) = (spec.param_name(), spec.param()) {
+        write_key(out, name);
+        json::write_number(out, Some(value));
+    }
+    if let Some(path) = spec.trace_path() {
+        write_key(out, "path");
+        json::write_string(out, path);
+    }
+    out.push('}');
+}
+
+/// Room for one row's JSON answer: a `/v1/optimize` answer is written into
+/// one `String` of this capacity, and a batch reserves it per row.
+const ROW_JSON_BYTES: usize = 1024;
+
 fn optimize(state: &Arc<AppState>, req: &Request) -> Response {
     let body = match parse_body(req) {
         Ok(body) => body,
@@ -763,7 +883,9 @@ fn optimize(state: &Arc<AppState>, req: &Request) -> Response {
         write_csv_line(&mut csv, &row);
         Response::csv(csv)
     } else {
-        Response::json(&row_json(&row))
+        let mut body = String::with_capacity(ROW_JSON_BYTES);
+        write_row_json(&mut body, &row);
+        Response::json_text(body)
     }
 }
 
@@ -808,11 +930,13 @@ impl Batch {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let csv = req.accepts("text/csv");
-        let count = Json::num(queries.len() as f64).render();
         let body = if csv {
             format!("{CSV_HEADER}\n")
         } else {
-            format!("{{\"count\":{count},\"results\":[")
+            let mut body = String::from("{\"count\":");
+            json::write_number(&mut body, Some(queries.len() as f64));
+            body.push_str(",\"results\":[");
+            body
         };
         Ok(Batch {
             queries,
@@ -833,6 +957,9 @@ impl Batch {
         }
         let mut span = ayd_obs::child_of(parent, "evaluate");
         let (body, csv) = (&mut self.body, self.csv);
+        if !csv {
+            body.reserve(slice.len() * ROW_JSON_BYTES);
+        }
         let mut index = self.done;
         let observation = evaluate_cells(slice, &state.options, Some(&state.cache), |row| {
             if csv {
@@ -841,7 +968,7 @@ impl Batch {
                 if index > 0 {
                     body.push(',');
                 }
-                row_json(&row).render_into(body);
+                write_row_json(body, &row);
             }
             index += 1;
         });
@@ -1642,6 +1769,132 @@ mod tests {
             }
         }
         (cells, bodies)
+    }
+
+    /// Random numbers for a row: arbitrary bit patterns (NaN, infinities,
+    /// signed zeros and subnormals among them, which a JSON answer writes
+    /// as `null` or in full), short decimals, and values shaped like a
+    /// sweep's optima.
+    struct Draws(u64);
+
+    impl Draws {
+        fn next(&mut self) -> u64 {
+            // SplitMix64.
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn number(&mut self) -> f64 {
+            let draw = self.next();
+            match draw % 4 {
+                0 => f64::from_bits(self.next()),
+                1 => (draw / 4 % 100_000) as f64 / 1e3,
+                2 => [
+                    0.0,
+                    -0.0,
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    5e-324,
+                ][(draw / 4 % 6) as usize],
+                _ => (draw / 4 % 1_000_000) as f64 * 0.1 + 0.10923732682928215,
+            }
+        }
+
+        /// A finite, positive number: a valid shape, shift or rate.
+        fn positive(&mut self) -> f64 {
+            (1 + self.next() % 100_000) as f64 / 1e4
+        }
+
+        /// A number, or none one time in four.
+        fn optional(&mut self) -> Option<f64> {
+            (!self.next().is_multiple_of(4)).then(|| self.number())
+        }
+
+        fn point(&mut self) -> OperatingPoint {
+            OperatingPoint {
+                processors: self.number(),
+                period: self.number(),
+                predicted_overhead: self.number(),
+                formula_overhead: self.optional(),
+                simulated: None,
+            }
+        }
+
+        fn optional_point(&mut self) -> Option<OperatingPoint> {
+            (!self.next().is_multiple_of(4)).then(|| self.point())
+        }
+    }
+
+    /// A row whose profile is family `kind % 4` and whose failure model is
+    /// family `kind / 4 % 6` (`exp`, `exp` at a pinned rate, `weibull`,
+    /// `shifted`, `shifted` at a pinned rate, `trace`), every other field
+    /// drawn, each optional one absent one time in four.
+    fn drawn_row(kind: usize, draws: &mut Draws) -> SweepRow {
+        let paths = [
+            "faults.txt",
+            r#"/tmp/a "quoted" \ path"#,
+            "C:\\traces\\tab\there\nnewline",
+            "\u{1}ünïcode\u{1f}",
+        ];
+        let param = draws.number();
+        let profile = [
+            SpeedupProfile::Amdahl { alpha: param },
+            SpeedupProfile::PerfectlyParallel,
+            SpeedupProfile::PowerLaw { sigma: param },
+            SpeedupProfile::Gustafson { alpha: param },
+        ][kind % 4];
+        let failure_model = match kind / 4 % 6 {
+            0 => Ok(FailureModelSpec::exponential()),
+            1 => FailureModelSpec::exponential().with_lambda(draws.positive()),
+            2 => FailureModelSpec::weibull(draws.positive()),
+            3 => FailureModelSpec::shifted(draws.positive()),
+            4 => FailureModelSpec::shifted(draws.positive())
+                .and_then(|spec| spec.with_lambda(draws.positive())),
+            _ => FailureModelSpec::trace(paths[draws.next() as usize % paths.len()]),
+        }
+        .unwrap();
+        SweepRow {
+            platform: PlatformId::ALL[draws.next() as usize % 4],
+            scenario: 1 + draws.next() as usize % 6,
+            profile,
+            failure_model,
+            alpha: draws.optional(),
+            lambda_ind: draws.number(),
+            lambda_multiplier: draws.number(),
+            fixed_processors: draws.optional(),
+            processor_order: draws.optional(),
+            pattern_length: draws.optional(),
+            first_order: draws.optional_point(),
+            closed_form: (!draws.next().is_multiple_of(4)).then(|| ayd_sweep::ClosedForm {
+                processors: draws.number(),
+                period: draws.number(),
+                overhead: draws.number(),
+            }),
+            numerical: draws.point(),
+            prescribed: draws.optional_point(),
+            stream_simulated: None,
+        }
+    }
+
+    /// The tree-free answer is the tree's: over random rows of every
+    /// profile and failure-model family, absent fields, non-finite numbers
+    /// and trace paths that need escaping included, `write_row_json`
+    /// appends exactly `row_json(..).render()`'s bytes, whose numbers come
+    /// from `Display`.
+    #[test]
+    fn a_written_row_is_the_rendered_tree() {
+        let mut draws = Draws(0x5EED);
+        let mut out = String::from("prefix,");
+        for kind in 0..4_800 {
+            let row = drawn_row(kind, &mut draws);
+            out.truncate("prefix,".len());
+            write_row_json(&mut out, &row);
+            assert_eq!(&out["prefix,".len()..], row_json(&row).render(), "{row:?}");
+        }
     }
 
     fn csv_post(target: &str, body: &str) -> Request {

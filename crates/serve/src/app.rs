@@ -272,10 +272,11 @@ impl<'a> JobWriter<'a> {
         self.rows = 0;
     }
 
-    /// Writes what is buffered and hands the file over, with the error that
-    /// stopped the writes, if one did.
+    /// Writes what is buffered and hands the file over, sealed, with the
+    /// error that stopped the writes, if one did.
     fn close(mut self) -> (CsvFile, Option<std::io::Error>) {
         self.flush();
+        self.csv.seal();
         (self.csv, self.error)
     }
 }

@@ -910,19 +910,25 @@ impl Coordinator {
     }
 
     /// Takes a finished job out of the coordinator. Its CSV is the job's
-    /// file, handed over as it stands: the header followed by the shards'
-    /// checkpointed rows in shard order through the first incomplete shard.
+    /// file, sealed once its shards' totals are read and handed over as it
+    /// stands: the header followed by the shards' checkpointed rows in
+    /// shard order through the first incomplete shard.
     /// For a done job that is every shard, byte-identical to the
     /// single-process sweep; for a cancelled one the in-order prefix of
     /// that sweep (the file's rows of later shards are never read).
     pub fn take_finished(&self, job: u64) -> Option<DistOutcome> {
         let DistJob {
-            shards, csv, error, ..
+            shards,
+            mut csv,
+            error,
+            ..
         } = self.lock().jobs.remove(&job)?;
+        let totals = (0..shards.len()).map(|index| csv.total(index)).collect();
+        csv.seal();
         Some(DistOutcome {
             cancelled: csv.rows() < csv.cells(),
             rows: csv.rows(),
-            totals: (0..shards.len()).map(|index| csv.total(index)).collect(),
+            totals,
             csv,
             error,
         })

@@ -47,11 +47,16 @@ static NEXT_NAME: AtomicU64 = AtomicU64::new(0);
 /// before it had one) holds the header alone, in memory. An append that
 /// fails counts for nothing: the CSV stays what the appends before it
 /// made, whatever the failed write left in the file past them.
+///
+/// When its job is over the file is sealed ([`CsvFile::seal`]): it keeps
+/// its pieces and its row count, and drops the shard records, which only
+/// appends need.
 pub struct CsvFile {
     file: Option<File>,
     /// Bytes the file holds, read back or not: where the next append lands.
     end: u64,
     cells: usize,
+    /// One record per shard; none once sealed.
     shards: Vec<Shard>,
     /// The first incomplete shard, or `shards.len()`.
     frontier: usize,
@@ -139,13 +144,16 @@ impl CsvFile {
     /// Appends `count` newline-terminated rows of shard `shard`, which
     /// continue its checkpoint and fit in its cells (the caller checks
     /// both), at the file's end. On an error nothing is counted (see
-    /// [`CsvFile`]); a CSV without a file refuses every append. No rows
-    /// (an empty chunk) leave no trace.
+    /// [`CsvFile`]); a CSV without a file, or a sealed one, refuses every
+    /// append. No rows (an empty chunk) leave no trace.
     pub fn append(&mut self, shard: usize, rows: &str, count: usize) -> io::Result<()> {
         let file = self
             .file
             .as_ref()
             .ok_or_else(|| io::Error::other("the job has no CSV file"))?;
+        if self.shards.is_empty() {
+            return Err(io::Error::other("the job's CSV file is sealed"));
+        }
         if rows.is_empty() {
             return Ok(());
         }
@@ -164,6 +172,19 @@ impl CsvFile {
         }
         self.advance();
         Ok(())
+    }
+
+    /// Seals the file at its job's end: the rows of the first incomplete
+    /// shard join [`CsvFile::rows`]' count of complete ones, the shard
+    /// records go, and the piece table shrinks to fit. The CSV reads back
+    /// as before; every later append is refused, and the per-shard
+    /// accessors ([`CsvFile::shard_rows`], [`CsvFile::total`]) must not be
+    /// called.
+    pub fn seal(&mut self) {
+        self.done = self.rows();
+        self.shards = Vec::new();
+        self.frontier = 0;
+        self.pieces.shrink_to_fit();
     }
 
     /// Moves the frontier past every complete shard, reading into the CSV
@@ -374,7 +395,8 @@ pub(crate) mod tests {
         /// However the shards' appends interleave, the CSV read back —
         /// through `copy_to`, and piece by piece from every offset — is the
         /// header, then each shard's rows in shard order through the first
-        /// incomplete shard; `len` and `rows` count those bytes.
+        /// incomplete shard; `len` and `rows` count those bytes, before and
+        /// after the file is sealed.
         #[test]
         fn the_csv_reads_each_shard_in_order_through_the_first_incomplete(
             cells in 0usize..24,
@@ -411,6 +433,11 @@ pub(crate) mod tests {
                 prop_assert_eq!(&bytes[..], &expected.as_bytes()[offset..offset + len as usize]);
             }
             prop_assert!(csv.piece(expected.len() as u64).is_none());
+            // Sealed, the file reads back the same and takes no more rows.
+            csv.seal();
+            prop_assert_eq!(csv.to_vec().unwrap(), expected.as_bytes().to_vec());
+            prop_assert_eq!((csv.len(), csv.rows()), (expected.len() as u64, expected_rows));
+            prop_assert!(csv.append(0, &row(0, 0), 1).is_err());
         }
     }
 }

@@ -1,15 +1,24 @@
-//! A minimal JSON value: strict parser and renderer.
+//! A minimal JSON value: strict parser and renderer, and the pieces of a
+//! document written without a value.
 //!
 //! The workspace builds offline with no JSON crate, so the service carries
 //! its own ~300-line JSON layer. It supports the full JSON grammar with two
 //! deliberate restrictions: numbers are `f64` and object keys keep their
 //! insertion order (so responses render deterministically).
 //!
-//! Rendering uses Rust's shortest-roundtrip `f64` formatting, which means a
-//! value parsed back with [`Json::parse`] compares bit-identical to the
-//! original — the property the `/v1/optimize` acceptance test relies on.
+//! Rendering uses Rust's shortest-roundtrip `f64` formatting (`Display`),
+//! which means a value parsed back with [`Json::parse`] compares
+//! bit-identical to the original — the property the `/v1/optimize`
+//! acceptance test relies on.
+//!
+//! The served answers of `/v1/optimize` and `/v1/batch` are written
+//! straight into their response text instead (`api::write_row_json`), from
+//! `write_string`, `write_display_string` and `write_number`: the same
+//! escaper as the renderer, and `ayd_sweep::write_f64`, which appends
+//! `Display`'s bytes. A [`Json`] tree stays the reference those answers are
+//! tested against, and the form every other response is built in.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth accepted by the parser (arrays + objects).
 const MAX_DEPTH: usize = 32;
@@ -143,7 +152,7 @@ impl Json {
                 let _ = write!(out, "{x}");
             }
             Json::Num(_) => out.push_str("null"),
-            Json::Str(s) => render_string(s, out),
+            Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -160,7 +169,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    render_string(key, out);
+                    write_string(out, key);
                     out.push(':');
                     value.render_into(out);
                 }
@@ -170,8 +179,49 @@ impl Json {
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
+/// Appends `s` as a JSON string: quoted, its `"`, `\` and control
+/// characters escaped.
+pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
+    escape(out, s);
+    out.push('"');
+}
+
+/// Appends `value`'s `Display` as a JSON string, escaped as
+/// [`write_string`] escapes it, with no `String` of its own.
+pub(crate) fn write_display_string(out: &mut String, value: &impl fmt::Display) {
+    out.push('"');
+    write!(Escaping(out), "{value}").expect("writing to a String cannot fail");
+    out.push('"');
+}
+
+/// Appends `value` as a JSON number, or `null` when it is absent or not
+/// finite: the text [`Json::opt_num`] renders, its digits written by
+/// `ayd_sweep::write_f64`.
+pub(crate) fn write_number(out: &mut String, value: Option<f64>) {
+    match value {
+        Some(value) if value.is_finite() => ayd_sweep::write_f64(out, value),
+        _ => out.push_str("null"),
+    }
+}
+
+/// Appends what is written to it to a `String`, escaped as inside a JSON
+/// string.
+struct Escaping<'a>(&'a mut String);
+
+impl fmt::Write for Escaping<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape(self.0, s);
+        Ok(())
+    }
+}
+
+/// Appends `s` with its `"`, `\` and control characters escaped.
+fn escape(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -185,7 +235,6 @@ fn render_string(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 struct Parser<'a> {

@@ -475,6 +475,7 @@ fn run_cells(
                     // buffer has it), rather than growing line by line.
                     text.reserve(batch.len() * LINE_BYTES);
                     let mut chunk_span = ayd_obs::child_of(sweep_ctx, "chunk");
+                    let numbers = writer.numbers();
                     // Each row is rendered here, by the writer of the worker
                     // that evaluated it, and the emitter lock is taken once
                     // per chunk.
@@ -489,6 +490,7 @@ fn run_cells(
                         chunk_span.field_u64("start_cell", batch[0].index as u64);
                         chunk_span.field_u64("cells", batch.len() as u64);
                         chunk_span.field_u64("blocks", blocks);
+                        chunk_span.field_u64("numbers", writer.numbers() - numbers);
                         chunk_span.field_u64("search_fast", search.fast);
                         chunk_span.field_u64("search_fallback", search.fallback);
                         chunk_span.field_u64("brent_iterations", search.brent_iterations);

@@ -22,6 +22,9 @@
 //!   previous row's shared columns and remembers the numbers it wrote
 //!   last) and the [`SweepSink`] trait that
 //!   receives those lines in cell order through a reorder buffer.
+//! * [`number`] — [`write_f64`], which writes every number of a row (the
+//!   CSV sink's and the served JSON answers'): exactly `f64` `Display`'s
+//!   bytes, found by Ryū's shortest-digit search instead of `core::fmt`.
 //! * [`shard`] / [`manifest`] — sharded, resumable execution: a
 //!   [`ShardSpec`] `i/N` partitions any grid into contiguous ranges of cell
 //!   indices, shard runs stream into a CSV plus an atomically-updated sidecar
@@ -48,6 +51,7 @@ pub mod executor;
 pub mod grid;
 pub mod manifest;
 pub mod misspec;
+pub mod number;
 pub mod options;
 pub mod shard;
 pub mod sink;
@@ -67,6 +71,7 @@ pub use manifest::{manifest_path, SweepManifest, MANIFEST_MAGIC};
 pub use misspec::{
     misspecification_of, misspecification_report, MisspecificationReport, MisspecificationRow,
 };
+pub use number::write_f64;
 pub use options::{Fidelity, RunOptions};
 pub use shard::{
     merge_parts, run_shard_to_files, ShardError, ShardPart, ShardRunReport, ShardSpec, MAX_SHARDS,

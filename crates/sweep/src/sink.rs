@@ -11,6 +11,7 @@
 use std::fmt::Write;
 
 use crate::executor::SweepRow;
+use crate::number::write_f64;
 
 /// Column header of the canonical sweep CSV, pinned by the golden test suite.
 ///
@@ -27,10 +28,13 @@ pattern_length,fo_processors,fo_period,fo_overhead,fo_formula_overhead,fo_sim_me
 num_processors,num_period,num_overhead,num_sim_mean,num_sim_ci95,\
 pattern_overhead,pattern_sim_mean,pattern_sim_ci95,stream_sim_mean,stream_sim_ci95";
 
-/// Appends the value's `Display`: `Display` is what fixes the CSV bytes, so
-/// no other formatter may stand in.
+/// Appends the value's `Display` bytes, written by [`write_f64`] without
+/// `core::fmt`: `Display` is what fixes the CSV bytes, and `number.rs`'s
+/// tests hold `write_f64` to `format!("{value}")` (edge sets, pinned ties,
+/// a million random draws; 100 million in CI's release run), while this
+/// module's tests hold every line to one whose numbers come from `Display`.
 fn push_display(out: &mut String, value: f64) {
-    write!(out, "{value}").expect("writing to a String cannot fail");
+    write_f64(out, value);
 }
 
 /// Appends one optional number's cell, its leading comma included: the
@@ -127,14 +131,18 @@ fn tail_values(row: &SweepRow) -> [Option<f64>; 5] {
 
 /// Appends one row's canonical CSV line, newline included, to `out`. Absent
 /// values (no first-order optimum, no simulation, free axes, non-Amdahl
-/// `alpha`) are empty cells. Every number goes through its `Display`
-/// (shortest round-trip for `f64`), so parsing the two profile columns back
-/// reproduces the profile bit-identically. Writes straight into `out`: no
-/// intermediate `String` per value or per row. The executor and
-/// [`csv_text`] write the same bytes through a `CsvWriter`, which renders
-/// each number, and each run of rows' shared columns, once.
+/// `alpha`) are empty cells. Every number is its `Display` (shortest
+/// round-trip for `f64`), written by [`write_f64`], so parsing the two
+/// profile columns back reproduces the profile bit-identically. Writes
+/// straight into `out`: no intermediate `String` per value or per row. The
+/// executor and [`csv_text`] write the same bytes through a `CsvWriter`,
+/// which renders each number, and each run of rows' shared columns, once.
 pub fn write_csv_line(out: &mut String, row: &SweepRow) {
-    let number = &mut push_display;
+    write_line_with(out, row, &mut push_display);
+}
+
+/// Appends one row's CSV line, its numbers written by `number`.
+fn write_line_with(out: &mut String, row: &SweepRow, number: &mut impl FnMut(&mut String, f64)) {
     write_head(out, row, number);
     push_cell(out, row.pattern_length, number);
     write_cells(out, &optima_values(row), number);
@@ -207,6 +215,9 @@ pub(crate) struct CsvWriter {
     recent: Box<[Recent; RECENT_SLOTS]>,
     head: Segment<10>,
     optima: Segment<11>,
+    /// Numbers handed to [`write_f64`]: those neither a segment nor the
+    /// table supplied.
+    numbers: u64,
 }
 
 impl CsvWriter {
@@ -221,7 +232,14 @@ impl CsvWriter {
             recent: Box::new([empty; RECENT_SLOTS]),
             head: Segment::default(),
             optima: Segment::default(),
+            numbers: 0,
         }
+    }
+
+    /// Numbers written so far that no segment or table entry supplied: each
+    /// one a [`write_f64`] call.
+    pub(crate) fn numbers(&self) -> u64 {
+        self.numbers
     }
 
     /// Appends one row's canonical CSV line, newline included, to `out`:
@@ -231,8 +249,9 @@ impl CsvWriter {
             recent,
             head,
             optima,
+            numbers,
         } = self;
-        let number = &mut |out: &mut String, value: f64| push_number(recent, out, value);
+        let number = &mut |out: &mut String, value: f64| push_number(recent, numbers, out, value);
         head.write(out, head_bits(row), |out| write_head(out, row, number));
         push_cell(out, row.pattern_length, number);
         let values = optima_values(row);
@@ -244,8 +263,14 @@ impl CsvWriter {
     }
 }
 
-/// Appends `value`'s `Display`, from `recent` when it holds the value.
-fn push_number(recent: &mut [Recent; RECENT_SLOTS], out: &mut String, value: f64) {
+/// Appends `value`'s `Display`, from `recent` when it holds the value;
+/// else writes it afresh and counts it in `numbers`.
+fn push_number(
+    recent: &mut [Recent; RECENT_SLOTS],
+    numbers: &mut u64,
+    out: &mut String,
+    value: f64,
+) {
     let bits = value.to_bits();
     // Fibonacci hashing: the top bits of the product mix every input bit.
     let slot = &mut recent[(bits.wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -259,6 +284,7 @@ fn push_number(recent: &mut [Recent; RECENT_SLOTS], out: &mut String, value: f64
     }
     let start = out.len();
     push_display(out, value);
+    *numbers += 1;
     let text = &out.as_bytes()[start..];
     if text.len() <= RECENT_TEXT {
         slot.bits = bits;
@@ -373,6 +399,16 @@ mod tests {
         assert!(empty.rows.is_empty());
         assert_eq!(empty.to_csv(), format!("{CSV_HEADER}\n"));
         assert_eq!(csv_text(&empty.rows), empty.to_csv());
+    }
+
+    /// The oracle: a row's line laid out as `write_csv_line` lays it out,
+    /// every number from `Display` itself.
+    fn display_line(row: &SweepRow) -> String {
+        let mut line = String::new();
+        write_line_with(&mut line, row, &mut |out: &mut String, value: f64| {
+            write!(out, "{value}").expect("writing to a String cannot fail")
+        });
+        line
     }
 
     /// Numbers whose `Display` is easy to get wrong: signed zeros, NaN
@@ -552,7 +588,7 @@ mod tests {
         /// Runs of rows that share their head and optima and differ in one
         /// number (one ulp, `0.0` against `-0.0`, two NaN payloads, a
         /// present against an absent number, a simulated column) are
-        /// written exactly as `write_csv_line` writes each row: the writer
+        /// written exactly as `display_line` writes each row: the writer
         /// copies a segment's text only for bit-identical values.
         #[test]
         fn a_writer_reuses_text_only_for_identical_bits(
@@ -577,16 +613,15 @@ mod tests {
                     for _ in 0..run {
                         let mut line = String::new();
                         writer.write_line(&mut line, row);
-                        let mut display = String::new();
-                        write_csv_line(&mut display, row);
-                        prop_assert_eq!(line, display);
+                        prop_assert_eq!(line, display_line(row));
                     }
                 }
             }
         }
 
         /// One writer over a long run of rows writes exactly the bytes of a
-        /// fresh writer per row, which are exactly `write_csv_line`'s. The
+        /// fresh writer per row, which are exactly `write_csv_line`'s and
+        /// `display_line`'s. The
         /// numbers come from a pool, so they repeat and collide in the
         /// writer's table; small pools hit, large ones evict.
         #[test]
@@ -604,9 +639,10 @@ mod tests {
                 let mut fresh = String::new();
                 CsvWriter::new().write_line(&mut fresh, &row);
                 prop_assert_eq!(&shared[start..], fresh.as_str());
-                let mut display = String::new();
-                write_csv_line(&mut display, &row);
-                prop_assert_eq!(fresh, display);
+                let mut line = String::new();
+                write_csv_line(&mut line, &row);
+                prop_assert_eq!(&fresh, &line);
+                prop_assert_eq!(fresh, display_line(&row));
             }
             let rows: Vec<SweepRow> = rows.iter().map(|picks| row(&pool, picks)).collect();
             prop_assert_eq!(csv_text(&rows), format!("{CSV_HEADER}\n{shared}"));

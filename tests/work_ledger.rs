@@ -29,8 +29,11 @@ use std::time::{Duration, Instant};
 use ayd_core::{FailureModelSpec, SpeedupProfile};
 use ayd_platforms::{PlatformId, ScenarioId};
 use ayd_serve::app::{DistributedJobHandle, JobHandle, JobView, LocalJob};
-use ayd_serve::{api, serve_chunks, AppState, ClusterConfig, Request, ServerConfig};
-use ayd_sweep::{ProcessorAxis, ScenarioGrid, ShardChunk, ShardSpec, SweepExecutor, SweepManifest};
+use ayd_serve::{api, serve_chunks, AppState, ClusterConfig, CsvFile, Request, ServerConfig};
+use ayd_sweep::{
+    ProcessorAxis, ScenarioGrid, ShardChunk, ShardSpec, SweepExecutor, SweepManifest, CSV_HEADER,
+    MAX_SHARDS,
+};
 
 struct CountingAllocator;
 
@@ -109,30 +112,33 @@ struct Pin {
     bytes: u64,
 }
 
-/// Pins of one request through `serve_chunks` on a warmed process.
+/// Pins of one request through `serve_chunks` on a warmed process. A JSON
+/// answer is written straight into one pre-sized body (`write_row_json`);
+/// building and rendering a `Json` tree per row made a warm `/v1/optimize`
+/// 81 allocations and a warm 8-query batch 468.
 const COLD_OPTIMIZE: Pin = Pin {
-    allocations: 109,
-    bytes: 22_924,
+    allocations: 53,
+    bytes: 18_405,
 };
 const WARM_OPTIMIZE_JSON: Pin = Pin {
-    allocations: 83,
-    bytes: 8_136,
+    allocations: 28,
+    bytes: 3_657,
 };
 const WARM_OPTIMIZE_CSV: Pin = Pin {
     allocations: 34,
     bytes: 3_692,
 };
 const COLD_BATCH_JSON: Pin = Pin {
-    allocations: 573,
-    bytes: 112_931,
+    allocations: 199,
+    bytes: 83_457,
 };
 const WARM_BATCH_JSON: Pin = Pin {
-    allocations: 470,
-    bytes: 49_823,
+    allocations: 96,
+    bytes: 20_573,
 };
 const WARM_BATCH_CSV: Pin = Pin {
-    allocations: 102,
-    bytes: 14_749,
+    allocations: 100,
+    bytes: 14_733,
 };
 
 /// How far the sweep job's process-wide `alloc` count may rise above its
@@ -176,6 +182,11 @@ fn keeps_no_csv(what: &str, kept: i64) {
     );
 }
 
+/// The live heap a sealed `CsvFile` of [`MAX_SHARDS`] shards may keep: its
+/// piece table, and nothing per shard. A finished job's file kept its shard
+/// records (40 B each, 163,840 B for 4,096 shards) until it was sealed.
+const SEALED_FILE_HEAP: i64 = 4 << 10;
+
 /// How far the live heap may rise over a wave of interleaved chunk uploads
 /// of a distributed job: the coordinator appends each chunk to the job's
 /// file as it arrives, so a shard that completes before the shards ahead
@@ -205,6 +216,7 @@ const SEARCHES: [(&str, SearchPin); 2] = [
             fallback: 0,
             brent_iterations: 32_147,
             blocks: 6_912,
+            numbers: 56_480,
         },
     ),
     (
@@ -214,20 +226,27 @@ const SEARCHES: [(&str, SearchPin); 2] = [
             fallback: 0,
             brent_iterations: 257_176,
             blocks: 27_648,
+            numbers: 56_480,
         },
     ),
 ];
 
-/// The exact search counts of one run, and its blocks: the `blocks` of its
-/// `chunk` spans, summed. With the cache on, the ledger grid's 64-cell
-/// chunks hold 16 whole pattern-length blocks each; a block cut by a chunk
-/// boundary would count once per part. With it off, every cell is a block.
+/// The exact search counts of one run, its blocks and the numbers its CSV
+/// writer wrote afresh: the `blocks` and `numbers` of its `chunk` spans,
+/// summed. With the cache on, the ledger grid's 64-cell chunks hold 16
+/// whole pattern-length blocks each; a block cut by a chunk boundary would
+/// count once per part. With it off, every cell is a block. The rows, and
+/// so the numbers written, are the same either way: a worker's writer
+/// copies a row's head and optima from the previous row when their values
+/// match and its other numbers from its table of recent ones when it holds
+/// them, and only the rest reach `write_f64`.
 #[derive(Debug, PartialEq, Eq)]
 struct SearchPin {
     fast: u64,
     fallback: u64,
     brent_iterations: u64,
     blocks: u64,
+    numbers: u64,
 }
 
 /// FNV-1a, 64-bit: offset basis `0xcbf29ce484222325`, prime
@@ -254,10 +273,11 @@ const FINISHED_FETCH: Pin = Pin {
 /// coordinator wrote the chunks to the job's file as they arrived, so
 /// finishing the job hands its file over and allocates nothing that grows
 /// with the CSV (a concatenation at finish allocated 4,540,501 bytes for
-/// it).
+/// it). Sealing the file shrinks its piece table to fit: one `realloc`,
+/// of about 1 KB here.
 const FINISHING_POLL: Pin = Pin {
-    allocations: 39,
-    bytes: 2_971,
+    allocations: 40,
+    bytes: 4_043,
 };
 
 /// The `/v1/optimize` query of the ledger: Hera, scenario 1, joint `(P, T)`.
@@ -475,6 +495,32 @@ fn a_sweep_job_and_its_fetch_allocate_within_their_pins() {
 }
 
 #[test]
+fn a_sealed_csv_file_keeps_nothing_per_shard() {
+    let _turn = turn();
+    let line = format!("{}\n", ",".repeat(CSV_HEADER.matches(',').count()));
+    let cells = 2 * MAX_SHARDS + 1;
+    let live = LIVE.load(Ordering::SeqCst);
+    let mut csv = CsvFile::create(cells, MAX_SHARDS).unwrap();
+    for shard in 0..MAX_SHARDS {
+        let total = csv.total(shard);
+        csv.append(shard, &line.repeat(total), total).unwrap();
+    }
+    csv.seal();
+    let kept = LIVE.load(Ordering::SeqCst) - live;
+    assert!(
+        kept < SEALED_FILE_HEAP,
+        "a sealed {MAX_SHARDS}-shard file keeps {kept} B of heap"
+    );
+    assert_eq!(csv.rows(), cells);
+    let expected = format!("{CSV_HEADER}\n{}", line.repeat(cells));
+    assert!(csv == expected, "the sealed file reads back its CSV");
+    assert!(
+        csv.append(0, &line, 1).is_err(),
+        "a sealed file takes no rows"
+    );
+}
+
+#[test]
 fn the_ledger_grid_searches_once_per_distinct_evaluation() {
     let _turn = turn();
     let grid = ledger_grid();
@@ -490,20 +536,26 @@ fn the_ledger_grid_searches_once_per_distinct_evaluation() {
         .into_iter()
         .map(|options| {
             let search = SweepExecutor::new(options).run(&grid).search;
-            let blocks = spans
+            let chunks: Vec<ayd_obs::SpanRecord> = spans
                 .take()
-                .iter()
+                .into_iter()
                 .filter(|span| span.name == "chunk")
-                .filter_map(|span| match span.field("blocks") {
-                    Some(ayd_obs::FieldValue::U64(blocks)) => Some(*blocks),
-                    _ => None,
-                })
-                .sum();
+                .collect();
+            let sum = |field: &str| -> u64 {
+                chunks
+                    .iter()
+                    .filter_map(|span| match span.field(field) {
+                        Some(ayd_obs::FieldValue::U64(count)) => Some(*count),
+                        _ => None,
+                    })
+                    .sum()
+            };
             SearchPin {
                 fast: search.fast,
                 fallback: search.fallback,
                 brent_iterations: search.brent_iterations,
-                blocks,
+                blocks: sum("blocks"),
+                numbers: sum("numbers"),
             }
         })
         .collect();
